@@ -421,7 +421,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print("# per-phase wall time")
     print(obs.timer.table())
     print()
-    print(f"# top {args.top} hotspots (engine fixpoints + NNLS solves)")
+    captured = "engine fixpoints + "
+    captured += "measurement + NNLS solves" if args.measured else "NNLS solves"
+    print(f"# top {args.top} hotspots ({captured})")
     print(obs.profiler.hotspot_table(args.top))
     print()
     print(report.summary())

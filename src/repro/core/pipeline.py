@@ -434,21 +434,22 @@ class SpoofTracker:
             "measure", mode="measured" if measured else "ground-truth"
         ) as span:
             if measured:
-                first = self.testbed.campaign.measure(
-                    outcomes[0], fault_token=0, injector=injector,
-                    registry=registry,
-                )
-                universe = frozenset(first.assignment)
-                history = CatchmentHistory(universe)
-                history.add(first.assignment)
-                for index, outcome in enumerate(outcomes[1:], start=1):
-                    history.add(
-                        self.testbed.campaign.measure(
-                            outcome, fault_token=index, injector=injector,
-                            registry=registry,
-                        ).assignment
+                with obs.capture():
+                    first = self.testbed.campaign.measure(
+                        outcomes[0], fault_token=0, injector=injector,
+                        registry=registry,
                     )
-                catchment_history = history.catchment_maps(origin.link_ids)
+                    universe = frozenset(first.assignment)
+                    history = CatchmentHistory(universe)
+                    history.add(first.assignment)
+                    for index, outcome in enumerate(outcomes[1:], start=1):
+                        history.add(
+                            self.testbed.campaign.measure(
+                                outcome, fault_token=index, injector=injector,
+                                registry=registry,
+                            ).assignment
+                        )
+                    catchment_history = history.catchment_maps(origin.link_ids)
                 degraded_by_step = [frozenset() for _ in catchment_history]
             else:
                 universe = outcomes[0].covered_ases

@@ -18,6 +18,7 @@ from .repair import (
     as_path_from_traceroute,
     build_bgp_segment_index,
     build_gap_index,
+    gap_queries,
     map_hops_to_ases,
     repair_ip_gaps,
     resolve_as_gaps,
@@ -41,6 +42,7 @@ __all__ = [
     "resolve_as_gaps",
     "as_path_from_traceroute",
     "build_gap_index",
+    "gap_queries",
     "build_bgp_segment_index",
     "BGPCollectorSet",
     "select_vantages",

@@ -76,10 +76,13 @@ class AtlasProbeFleet:
     def measure(self, outcome: RoutingOutcome) -> List[MeasurementRound]:
         """Collect all rounds of traceroutes for one configuration."""
         rounds: List[MeasurementRound] = []
+        config_key = outcome.config.describe()
         for round_index in range(self.rounds_per_config):
             traceroutes = []
             for probe_as in self.probe_ases:
-                trace = self.engine.measure(outcome, probe_as, round_index)
+                trace = self.engine.measure(
+                    outcome, probe_as, round_index, config_key=config_key
+                )
                 if trace is not None:
                     traceroutes.append(trace)
             rounds.append(

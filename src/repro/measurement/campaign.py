@@ -32,6 +32,7 @@ from .repair import (
     as_path_with_reason,
     build_bgp_segment_index,
     build_gap_index,
+    gap_queries,
 )
 
 
@@ -135,7 +136,12 @@ class MeasurementCampaign:
             traceroutes, traceroutes_lost = injector.drop_traceroutes(
                 fault_token, traceroutes
             )
-        gap_index = build_gap_index(traceroutes)
+        # Only traces that reached the target are repaired below, so the
+        # gap index answers just the brackets those traces query.
+        gap_index = build_gap_index(
+            traceroutes,
+            gap_queries(trace for trace in traceroutes if trace.reached_target),
+        )
         bgp_segments = build_bgp_segment_index(bgp_paths)
         usable_traces = 0
         dropped: Dict[str, int] = {}

@@ -156,6 +156,31 @@ class CatchmentHistory:
             return None
         return min(counts.items(), key=lambda item: (-item[1], item[0]))[0]
 
+    def _link_groups(self) -> List[Dict[LinkId, List[ASN]]]:
+        """Per configuration, each link's observed members."""
+        groups: List[Dict[LinkId, List[ASN]]] = []
+        for assignment in self._assignments:
+            by_link: Dict[LinkId, List[ASN]] = defaultdict(list)
+            for source, link in assignment.items():
+                by_link[link].append(source)
+            groups.append(by_link)
+        return groups
+
+    def _grouped_smax(
+        self, source: ASN, groups: List[Dict[LinkId, List[ASN]]]
+    ) -> Optional[ASN]:
+        """:meth:`smax_of` from :meth:`_link_groups`: the same counts,
+        read off each configuration's group instead of a full scan."""
+        counts: Counter = Counter()
+        for assignment, by_link in zip(self._assignments, groups):
+            link = assignment.get(source)
+            if link is not None:
+                counts.update(by_link[link])
+        del counts[source]
+        if not counts:
+            return None
+        return min(counts.items(), key=lambda item: (-item[1], item[0]))[0]
+
     def imputed_assignments(self) -> List[Dict[ASN, LinkId]]:
         """Assignments with missing sources imputed via smax (§IV-d).
 
@@ -165,12 +190,13 @@ class CatchmentHistory:
         configuration — refinement simply learns nothing about them.
         """
         smax_cache: Dict[ASN, Optional[ASN]] = {}
+        groups = self._link_groups()
         completed: List[Dict[ASN, LinkId]] = []
         for assignment in self._assignments:
             filled = dict(assignment)
             for source in self.universe - set(assignment):
                 if source not in smax_cache:
-                    smax_cache[source] = self.smax_of(source)
+                    smax_cache[source] = self._grouped_smax(source, groups)
                 smax = smax_cache[source]
                 if smax is not None and smax in assignment:
                     filled[source] = assignment[smax]

@@ -106,8 +106,4 @@ def link_of_bgp_path(origin: OriginNetwork, path: ASPath) -> Optional[LinkId]:
         return None
     if index == 0:
         return None
-    provider = path[index - 1]
-    for link in origin.links:
-        if link.provider == provider:
-            return link.link_id
-    return None
+    return origin.link_id_toward(path[index - 1])

@@ -160,6 +160,11 @@ class IPToASMapper:
     exactly the real-world error this data source carries into AS-path
     inference.
 
+    Lookups are memoized lazily, one entry per distinct address queried.
+    Traceroute hops are router interfaces, peering-LAN addresses and the
+    target, so on the measurement path the table is bounded by the
+    address plan; the allocations it caches never change.
+
     Args:
         plan: the address plan to index.
         ixp_prefixes: optional IXP peering-LAN prefixes mapped to None
@@ -182,13 +187,18 @@ class IPToASMapper:
         self._trie.insert(plan.announced_prefix, plan.origin_asn)
         for prefix in ixp_prefixes:
             self._trie.insert(prefix, self.IXP)
+        self._asn_of: Dict[int, Optional[ASN]] = {}
 
     def map_address(self, address: int) -> Optional[ASN]:
         """AS owning ``address``; None for unmapped or IXP space."""
+        try:
+            return self._asn_of[address]
+        except KeyError:
+            pass
         value = self._trie.lookup(address)
-        if value == self.IXP:
-            return None
-        return value
+        asn = None if value == self.IXP else value
+        self._asn_of[address] = asn
+        return asn
 
     def is_ixp_address(self, address: int) -> bool:
         """True if ``address`` falls in registered IXP space."""

@@ -38,8 +38,37 @@ DROP_ALL_UNRESPONSIVE = "all-unresponsive"
 DROP_ALL_UNMAPPED = "all-unmapped"
 
 
+#: A gap the IP-level repair looks up: the responsive hops bracketing an
+#: unresponsive run and the run's length.
+GapQuery = Tuple[int, int, int]
+
+
+def gap_queries(traceroutes: Iterable[Traceroute]) -> Set[GapQuery]:
+    """Every ``(before, after, length)`` bracket :func:`repair_ip_gaps` queries.
+
+    Those are the internal runs of unresponsive hops: a leading or
+    trailing run has no responsive hop on one side and is never repaired.
+    """
+    queries: Set[GapQuery] = set()
+    for trace in traceroutes:
+        hops = trace.hops
+        if None not in hops:
+            continue
+        before: Optional[int] = None
+        run = 0
+        for hop in hops:
+            if hop is None:
+                run += 1
+                continue
+            if run and before is not None:
+                queries.add((before, hop, run))
+            before, run = hop, 0
+    return queries
+
+
 def build_gap_index(
     traceroutes: Iterable[Traceroute],
+    queries: Optional[Set[GapQuery]] = None,
 ) -> Dict[Tuple[int, int], Set[Tuple[int, ...]]]:
     """Index fully-responsive inter-address segments across traceroutes.
 
@@ -47,20 +76,44 @@ def build_gap_index(
     traceroute with only responsive hops between them, record the hop
     sequence strictly between ``a`` and ``b``.  Step 1 of the repair uses
     this to fill unresponsive gaps bracketed by ``a`` and ``b``.
+
+    With ``queries`` (see :func:`gap_queries`), only segments that answer
+    one of those ``(a, b, length)`` brackets are indexed.  Repair filters
+    candidates by bracket and length, so it repairs the queried traces
+    exactly as it would with the full index.
     """
     index: Dict[Tuple[int, int], Set[Tuple[int, ...]]] = defaultdict(set)
+    if queries is None:
+        for trace in traceroutes:
+            hops = trace.hops
+            for i, first in enumerate(hops):
+                if first is None:
+                    continue
+                segment: List[int] = []
+                for j in range(i + 1, len(hops)):
+                    hop = hops[j]
+                    if hop is None:
+                        break
+                    index[(first, hop)].add(tuple(segment))
+                    segment.append(hop)
+        return dict(index)
+    # Longest queried gap after each bracketing address bounds the scan.
+    reach: Dict[int, int] = {}
+    for before, _, length in queries:
+        if reach.get(before, 0) < length:
+            reach[before] = length
     for trace in traceroutes:
         hops = trace.hops
         for i, first in enumerate(hops):
-            if first is None:
+            longest = reach.get(first)
+            if longest is None:
                 continue
-            segment: List[int] = []
-            for j in range(i + 1, len(hops)):
-                hop = hops[j]
+            for j in range(i + 2, min(len(hops), i + longest + 2)):
+                hop = hops[j - 1]
                 if hop is None:
                     break
-                index[(first, hop)].add(tuple(segment))
-                segment.append(hop)
+                if (first, hops[j], j - i - 1) in queries:
+                    index[(first, hops[j])].add(hops[i + 1 : j])
     return dict(index)
 
 
@@ -69,6 +122,8 @@ def repair_ip_gaps(
     gap_index: Mapping[Tuple[int, int], Set[Tuple[int, ...]]],
 ) -> Traceroute:
     """Step 1: fill unresponsive runs using unique segments from other traces."""
+    if None not in trace.hops:
+        return trace
     hops = list(trace.hops)
     repaired: List[Optional[int]] = []
     i = 0
@@ -106,15 +161,8 @@ def map_hops_to_ases(
     trace: Traceroute, mapper: IPToASMapper
 ) -> List[Optional[ASN]]:
     """Map each hop to an AS; IXP and unmapped hops become UNKNOWN."""
-    mapped: List[Optional[ASN]] = []
-    for hop in trace.hops:
-        if hop is None:
-            mapped.append(UNKNOWN)
-        elif mapper.is_ixp_address(hop):
-            mapped.append(UNKNOWN)
-        else:
-            mapped.append(mapper.map_address(hop))
-    return mapped
+    asn_of = mapper.map_address
+    return [UNKNOWN if hop is None else asn_of(hop) for hop in trace.hops]
 
 
 def build_bgp_segment_index(
@@ -141,6 +189,8 @@ def resolve_as_gaps(
 ) -> List[Optional[ASN]]:
     """Steps 2 and 3: resolve UNKNOWN runs bracketed by known ASes."""
     resolved: List[Optional[ASN]] = list(mapped)
+    if UNKNOWN not in resolved:
+        return resolved
     i = 0
     while i < len(resolved):
         if resolved[i] is not UNKNOWN:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..bgp.simulator import RoutingOutcome
 from ..errors import MeasurementError, SimulationError
@@ -99,7 +99,14 @@ class TracerouteParams:
 
 
 class TracerouteEngine:
-    """Simulates traceroutes along a routing outcome's forwarding paths."""
+    """Simulates traceroutes along a routing outcome's forwarding paths.
+
+    Hop addresses depend only on the static testbed (address plan, IXP
+    registry, seed), so they are memoized on first use: each AS's router
+    interface chain, and per traversed AS pair the peering-LAN hop and
+    the border interface numbered from the upstream AS.  The tables never
+    hold per-configuration data.
+    """
 
     def __init__(
         self,
@@ -112,6 +119,9 @@ class TracerouteEngine:
         self.plan = plan
         self.ixps = ixps or IXPRegistry()
         self.params = params or TracerouteParams()
+        self._router_addresses: Dict[ASN, Tuple[int, ...]] = {}
+        self._lan_hops: Dict[Tuple[ASN, ASN], Optional[int]] = {}
+        self._border_addresses: Dict[Tuple[ASN, ASN], int] = {}
 
     def _routers_in(self, asn: ASN) -> int:
         digest = zlib.crc32(f"routers|{asn}|{self.params.seed}".encode("ascii"))
@@ -123,20 +133,59 @@ class TracerouteEngine:
         )
         return random.Random(digest)
 
+    def _routers_of(self, asn: ASN) -> Tuple[int, ...]:
+        """Interface addresses of ``asn``'s internal router chain."""
+        addresses = self._router_addresses.get(asn)
+        if addresses is None:
+            addresses = self._router_addresses[asn] = tuple(
+                self.plan.router_address(asn, self._hop_slot(asn, index))
+                for index in range(self._routers_in(asn))
+            )
+        return addresses
+
+    def _lan_hop(self, previous_as: ASN, asn: ASN) -> Optional[int]:
+        """Peering-LAN address ``asn`` answers from when entered from
+        ``previous_as`` over an IXP; None for a private interconnect."""
+        key = (previous_as, asn)
+        try:
+            return self._lan_hops[key]
+        except KeyError:
+            pass
+        ixp = self.ixps.ixp_for_link(previous_as, asn)
+        address = None if ixp is None else self.ixps.lan_address(ixp, asn)
+        self._lan_hops[key] = address
+        return address
+
+    def _border_address(self, previous_as: ASN, asn: ASN) -> int:
+        """``asn``'s entry interface numbered from ``previous_as``'s block."""
+        key = (previous_as, asn)
+        address = self._border_addresses.get(key)
+        if address is None:
+            address = self._border_addresses[key] = self.plan.router_address(
+                previous_as, self._hop_slot(asn, 0)
+            )
+        return address
+
     def measure(
         self,
         outcome: RoutingOutcome,
         probe_as: ASN,
         round_index: int = 0,
+        config_key: Optional[str] = None,
     ) -> Optional[Traceroute]:
         """Run one traceroute from ``probe_as`` toward the prefix.
+
+        ``config_key`` is ``outcome.config.describe()``; callers issuing
+        many traceroutes under one outcome pass it to skip recomputing it.
 
         Returns None when the probe currently has no route (e.g. its
         region lost reachability under a withdrawal) — matching a real
         measurement timing out entirely.
         """
         params = self.params
-        rng = self._rng_for(probe_as, round_index, outcome.config.describe())
+        if config_key is None:
+            config_key = outcome.config.describe()
+        rng = self._rng_for(probe_as, round_index, config_key)
         measured_as = probe_as
         if params.path_error_rate and rng.random() < params.path_error_rate:
             neighbors = sorted(self.graph.neighbors(probe_as))
@@ -155,29 +204,29 @@ class TracerouteEngine:
             as_path = self._diverge(outcome, as_path, rng)
 
         target = self.plan.target_address()
+        draw = rng.random
+        unresponsive_rate = params.unresponsive_rate
+        border_sharing_rate = params.border_sharing_rate
         hops: List[Optional[int]] = []
         previous_as: Optional[ASN] = None
         for asn in as_path[:-1]:  # the origin is represented by the target hop
             if previous_as is not None:
-                ixp = self.ixps.ixp_for_link(previous_as, asn)
-                if ixp is not None:
-                    hops.append(
-                        None
-                        if rng.random() < params.unresponsive_rate
-                        else self.ixps.lan_address(ixp, asn)
-                    )
-            for router_index in range(self._routers_in(asn)):
-                if rng.random() < params.unresponsive_rate:
+                lan = self._lan_hop(previous_as, asn)
+                if lan is not None:
+                    hops.append(None if draw() < unresponsive_rate else lan)
+            for router_index, address in enumerate(self._routers_of(asn)):
+                if draw() < unresponsive_rate:
                     hops.append(None)
                     continue
-                owner = asn
+                # The border-sharing draw happens even at rate 0, so the
+                # draw sequence does not depend on the rate.
                 if (
                     router_index == 0
                     and previous_as is not None
-                    and rng.random() < params.border_sharing_rate
+                    and draw() < border_sharing_rate
                 ):
-                    owner = previous_as
-                hops.append(self.plan.router_address(owner, self._hop_slot(asn, router_index)))
+                    address = self._border_address(previous_as, asn)
+                hops.append(address)
             previous_as = asn
 
         if params.truncation_rate and rng.random() < params.truncation_rate and hops:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
 from ..types import ASN, LinkId
@@ -72,6 +72,9 @@ class OriginNetwork:
         self._links: Dict[LinkId, PeeringLink] = {
             link.link_id: link for link in links
         }
+        self._link_id_of_provider: Dict[ASN, LinkId] = {
+            link.provider: link.link_id for link in links
+        }
 
     @property
     def link_ids(self) -> List[LinkId]:
@@ -104,10 +107,14 @@ class OriginNetwork:
         Raises:
             TopologyError: if no link uses that provider.
         """
-        for link in self._links.values():
-            if link.provider == provider:
-                return link
-        raise TopologyError(f"no peering link toward provider AS {provider}")
+        link_id = self.link_id_toward(provider)
+        if link_id is None:
+            raise TopologyError(f"no peering link toward provider AS {provider}")
+        return self._links[link_id]
+
+    def link_id_toward(self, provider: ASN) -> Optional[LinkId]:
+        """Id of the peering link whose provider is ``provider``, or None."""
+        return self._link_id_of_provider.get(provider)
 
     def __len__(self) -> int:
         return len(self._links)

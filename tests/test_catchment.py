@@ -137,3 +137,82 @@ class TestCatchmentHistory:
         history.add({1: "l1"})
         history.add({1: "l2"})
         assert len(history) == 2
+
+
+def reference_imputation(history):
+    """§IV-d imputation computed with the per-source :meth:`smax_of` scan."""
+    completed = []
+    for assignment in history._assignments:
+        filled = dict(assignment)
+        for source in history.universe - set(assignment):
+            smax = history.smax_of(source)
+            if smax is not None and smax in assignment:
+                filled[source] = assignment[smax]
+        completed.append(filled)
+    return completed
+
+
+def random_history(rng, sources, links, configs, visibility):
+    history = CatchmentHistory(range(sources))
+    for _ in range(configs):
+        history.add(
+            {
+                source: rng.choice(links)
+                for source in range(sources)
+                if rng.random() < visibility
+            }
+        )
+    return history
+
+
+class TestGroupedSmaxEquivalence:
+    """The grouped smax used by imputation equals the reference scan."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_grouped_smax_matches_smax_of(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        # Few links and few configurations make count ties common.
+        history = random_history(
+            rng,
+            sources=rng.randint(2, 12),
+            links=["l1", "l2", "l3"][: rng.randint(1, 3)],
+            configs=rng.randint(1, 6),
+            visibility=rng.uniform(0.3, 1.0),
+        )
+        groups = history._link_groups()
+        for source in sorted(history.universe):
+            assert history._grouped_smax(source, groups) == history.smax_of(source)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_imputation_matches_reference(self, seed):
+        import random
+
+        rng = random.Random(1000 + seed)
+        history = random_history(
+            rng,
+            sources=rng.randint(2, 20),
+            links=["a", "b", "c", "d"],
+            configs=rng.randint(1, 10),
+            visibility=rng.uniform(0.2, 0.95),
+        )
+        assert history.imputed_assignments() == reference_imputation(history)
+
+    def test_ties_break_toward_smallest_asn(self):
+        history = CatchmentHistory([1, 2, 3, 4])
+        history.add({1: "l1", 3: "l1", 2: "l2", 4: "l2"})
+        history.add({1: "l1", 2: "l1", 3: "l2", 4: "l2"})
+        history.add({2: "l1", 3: "l1", 4: "l1"})  # 1 missing
+        groups = history._link_groups()
+        # 2 and 3 each shared 1's catchment once: the smaller ASN wins.
+        assert history.smax_of(1) == 2
+        assert history._grouped_smax(1, groups) == 2
+        assert history.imputed_assignments()[2][1] == "l1"
+
+    def test_grouped_smax_none_when_always_alone(self):
+        history = CatchmentHistory([1, 2])
+        history.add({1: "l1", 2: "l2"})
+        history.add({2: "l1"})
+        assert history._grouped_smax(1, history._link_groups()) is None
+        assert 1 not in history.imputed_assignments()[1]

@@ -354,6 +354,14 @@ class TestObservabilityOptions:
         assert "simulate" in out
         assert "configurations deployed : 6" in out
 
+    def test_profile_measured_lists_measurement_sites(self, capsys):
+        code = main(["profile", "--measured", "--max-configs", "5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "engine fixpoints + measurement + NNLS solves" in out
+        hotspots = out.split("hotspots", 1)[1].split("\n\n", 1)[0]
+        assert "measurement/" in hotspots
+
     def test_live_writes_metrics(self, tmp_path, capsys):
         from repro.obs import parse_prometheus
 

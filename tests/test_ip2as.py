@@ -163,3 +163,47 @@ class TestIPToASMapper:
         mapper = IPToASMapper(plan)
         assert mapper.map_address(parse_ipv4("8.8.8.8")) is None
         assert not mapper.is_ixp_address(parse_ipv4("8.8.8.8"))
+
+
+class TestMemoizedMapper:
+    """The memoized mapper answers exactly as a fresh trie walk."""
+
+    def build(self):
+        plan = AddressPlan(range(1, 41), origin_asn=99)
+        ixp_prefixes = [Prefix.parse("206.0.0.0/24"), Prefix.parse("206.0.1.0/24")]
+        mapper = IPToASMapper(plan, ixp_prefixes)
+        reference = PrefixTrie()
+        for asn in plan.ases:
+            reference.insert(plan.block_of(asn), asn)
+        reference.insert(plan.announced_prefix, plan.origin_asn)
+        for prefix in ixp_prefixes:
+            reference.insert(prefix, IPToASMapper.IXP)
+        return plan, mapper, reference, ixp_prefixes
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_trie_lookup(self, seed):
+        plan, mapper, reference, ixp_prefixes = self.build()
+        rng = random.Random(seed)
+        addresses = [plan.router_address(rng.choice(plan.ases), rng.randrange(1024))
+                     for _ in range(200)]
+        addresses += [prefix.network + rng.randrange(256)
+                      for prefix in ixp_prefixes for _ in range(20)]
+        addresses += [rng.getrandbits(32) for _ in range(200)]  # mostly unallocated
+        addresses += [plan.target_address(), parse_ipv4("8.8.8.8")]
+        # Ask twice, so the second pass is answered from the memo table.
+        for address in addresses + addresses:
+            expected = reference.lookup(address)
+            if expected == IPToASMapper.IXP:
+                expected = None
+            assert mapper.map_address(address) == expected
+            assert mapper.is_ixp_address(address) == (
+                reference.lookup(address) == IPToASMapper.IXP
+            )
+
+    def test_memo_fills_lazily_one_entry_per_address(self):
+        plan, mapper, _, _ = self.build()
+        assert not mapper._asn_of
+        address = plan.router_address(7, 3)
+        assert mapper.map_address(address) == 7
+        assert mapper.map_address(address) == 7
+        assert mapper._asn_of == {address: 7}

@@ -1,5 +1,9 @@
 """Tests for the traceroute repair pipeline (§IV-b)."""
 
+import random
+
+import pytest
+
 from repro.measurement.ip2as import AddressPlan, IPToASMapper
 from repro.measurement.repair import (
     DROP_ALL_UNMAPPED,
@@ -9,6 +13,7 @@ from repro.measurement.repair import (
     as_path_with_reason,
     build_bgp_segment_index,
     build_gap_index,
+    gap_queries,
     map_hops_to_ases,
     repair_ip_gaps,
     resolve_as_gaps,
@@ -73,6 +78,75 @@ class TestIPGapRepair:
         index = build_gap_index([trace([10, 20])])
         repaired = repair_ip_gaps(trace([10, 20, None]), index)
         assert repaired.hops == (10, 20, None)
+
+
+def random_traces(rng, count):
+    """Traces over a small address pool, so brackets recur across traces:
+    leading, trailing and internal unresponsive runs, some truncated."""
+    traces = []
+    for _ in range(count):
+        length = rng.randint(1, 10)
+        hops = [
+            None if rng.random() < 0.3 else rng.randint(1, 9)
+            for _ in range(length)
+        ]
+        if rng.random() < 0.2:
+            hops = [None] * rng.randint(1, 3) + hops
+        if rng.random() < 0.2:
+            hops += [None] * rng.randint(1, 3)
+        reached = rng.random() < 0.8
+        if reached:
+            hops.append(999)
+        traces.append(trace(hops, probe_as=rng.randint(1, 5), reached=reached))
+    return traces
+
+
+class TestQueryRestrictedGapIndex:
+    def test_gap_queries_are_internal_runs(self):
+        queries = gap_queries([trace([None, 10, None, None, 30, 40, None, 50, None])])
+        assert queries == {(10, 30, 2), (40, 50, 1)}
+
+    def test_no_queries_without_unresponsive_hops(self):
+        assert gap_queries([trace([10, 20, 30])]) == set()
+
+    def test_restricted_index_answers_only_queried_brackets(self):
+        traces = [trace([10, 20, 30]), trace([10, 20, 21, 30]), trace([10, None, 30])]
+        index = build_gap_index(traces, gap_queries(traces))
+        assert index == {(10, 30): {(20,)}}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_repair_matches_full_index(self, seed):
+        rng = random.Random(seed)
+        traces = random_traces(rng, rng.randint(1, 60))
+        full = build_gap_index(traces)
+        restricted = build_gap_index(traces, gap_queries(traces))
+        for key, segments in restricted.items():
+            assert segments <= full[key]
+        for each in traces:
+            assert repair_ip_gaps(each, restricted) == repair_ip_gaps(each, full)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_campaign_restriction_to_reached_traces(self, seed):
+        """Queries from the traces that get repaired; index from all."""
+        rng = random.Random(500 + seed)
+        traces = random_traces(rng, rng.randint(1, 60))
+        reached = [each for each in traces if each.reached_target]
+        full = build_gap_index(traces)
+        restricted = build_gap_index(traces, gap_queries(reached))
+        for each in reached:
+            assert repair_ip_gaps(each, restricted) == repair_ip_gaps(each, full)
+
+
+class TestFastPaths:
+    def test_fully_responsive_trace_returned_unchanged(self):
+        complete = trace([10, 20, 30])
+        assert repair_ip_gaps(complete, {}) is complete
+
+    def test_resolution_without_unknown_returns_a_copy(self):
+        mapped = [5, 7, 9]
+        resolved = resolve_as_gaps(mapped, {})
+        assert resolved == [5, 7, 9]
+        assert resolved is not mapped
 
 
 class TestASGapResolution:

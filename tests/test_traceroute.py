@@ -5,10 +5,10 @@ import pytest
 from repro.bgp.announcement import anycast_all
 from repro.bgp.policy import PolicyModel
 from repro.bgp.simulator import RoutingSimulator
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, SimulationError
 from repro.measurement.ip2as import AddressPlan, IPToASMapper
 from repro.measurement.ixp import IXPRegistry
-from repro.measurement.traceroute import TracerouteEngine, TracerouteParams
+from repro.measurement.traceroute import Traceroute, TracerouteEngine, TracerouteParams
 from tests.conftest import A, C, ORIGIN, build_mini_internet
 
 
@@ -173,3 +173,99 @@ class TestParams:
         engine, outcome, _ = make_engine(**CLEAN, max_routers_per_as=3)
         assert engine._routers_in(C) == engine._routers_in(C)
         assert 1 <= engine._routers_in(C) <= 3
+
+
+def reference_measure(engine, outcome, probe_as, round_index):
+    """Traceroute synthesis deriving every hop address afresh (no memo
+    tables): the oracle the memoized engine must match draw for draw."""
+    params = engine.params
+    rng = engine._rng_for(probe_as, round_index, outcome.config.describe())
+    measured_as = probe_as
+    if params.path_error_rate and rng.random() < params.path_error_rate:
+        neighbors = [
+            n for n in sorted(engine.graph.neighbors(probe_as)) if n in outcome.routes
+        ]
+        if neighbors:
+            measured_as = rng.choice(neighbors)
+    try:
+        as_path = outcome.forwarding_path(measured_as)
+    except SimulationError:
+        return None
+    if (
+        params.divergence_rate
+        and len(as_path) > 3
+        and rng.random() < params.divergence_rate
+    ):
+        as_path = engine._diverge(outcome, as_path, rng)
+    target = engine.plan.target_address()
+    hops = []
+    previous_as = None
+    for asn in as_path[:-1]:
+        if previous_as is not None:
+            ixp = engine.ixps.ixp_for_link(previous_as, asn)
+            if ixp is not None:
+                hops.append(
+                    None
+                    if rng.random() < params.unresponsive_rate
+                    else engine.ixps.lan_address(ixp, asn)
+                )
+        for router_index in range(engine._routers_in(asn)):
+            if rng.random() < params.unresponsive_rate:
+                hops.append(None)
+                continue
+            owner = asn
+            if (
+                router_index == 0
+                and previous_as is not None
+                and rng.random() < params.border_sharing_rate
+            ):
+                owner = previous_as
+            hops.append(
+                engine.plan.router_address(owner, engine._hop_slot(asn, router_index))
+            )
+        previous_as = asn
+    if params.truncation_rate and rng.random() < params.truncation_rate and hops:
+        cut = rng.randrange(1, len(hops) + 1)
+        return Traceroute(probe_as, target, tuple(hops[:cut]), False)
+    hops.append(target)
+    return Traceroute(probe_as, target, tuple(hops), True)
+
+
+class TestMemoizedSynthesis:
+    """Memoized hop addresses reproduce the per-hop derivation exactly."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(),
+            dict(border_sharing_rate=0.0),
+            dict(border_sharing_rate=1.0, unresponsive_rate=0.5),
+            dict(
+                max_routers_per_as=3,
+                path_error_rate=0.3,
+                truncation_rate=0.3,
+                divergence_rate=0.5,
+            ),
+        ],
+    )
+    def test_matches_reference(self, small_testbed, params):
+        engine = TracerouteEngine(
+            small_testbed.graph,
+            small_testbed.plan,
+            small_testbed.ixps,
+            TracerouteParams(seed=3, **params),
+        )
+        outcome = small_testbed.simulator.simulate(
+            anycast_all(small_testbed.origin.link_ids)
+        )
+        key = outcome.config.describe()
+        for round_index in range(3):
+            for probe_as in small_testbed.fleet.probe_ases:
+                expected = reference_measure(engine, outcome, probe_as, round_index)
+                assert engine.measure(outcome, probe_as, round_index) == expected
+                assert (
+                    engine.measure(outcome, probe_as, round_index, config_key=key)
+                    == expected
+                )
+        # The testbed's IXPs were crossed.
+        assert any(lan is not None for lan in engine._lan_hops.values())
