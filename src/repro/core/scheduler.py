@@ -89,7 +89,9 @@ def refinement_gain(
 
     Evaluated on a copy — ``state`` is left untouched.  This is the
     utility the §V-C greedy scheduler maximizes per step, shared with the
-    live controller's adaptive reordering.
+    live controller's adaptive reordering.  It is the reference
+    definition: strategies compute it for all candidates at once with
+    :class:`repro.strategy.kernel.LabelMatrix`.
     """
     working = state.copy()
     splits = 0
@@ -198,12 +200,6 @@ class GreedyScheduler:
         members, history = measured_catchment_history(engine, configs, universe)
         return cls(members, history, **kwargs)
 
-    def _gain(self, state: ClusterState, config_index: int) -> int:
-        """Splits the configuration would add to the current partition."""
-        return refinement_gain(
-            state, (members for _, members in self._restricted[config_index])
-        )
-
     def _make_strategy(self) -> "TracebackStrategy":
         """The plugin this scheduler drives (hook for subclasses)."""
         from ..strategy import GreedyStrategy
@@ -273,11 +269,9 @@ class VolumeAwareGreedyScheduler(GreedyScheduler):
 
     def _weighted_cost(self, state: ClusterState) -> float:
         """Σ over clusters of cluster volume × cluster size."""
-        cost = 0.0
-        for cluster in state.clusters():
-            volume = sum(self.volume_by_as.get(asn, 0.0) for asn in cluster)
-            cost += volume * len(cluster)
-        return cost
+        from ..strategy import weighted_cost
+
+        return weighted_cost(state, self.volume_by_as)
 
     def _make_strategy(self) -> "TracebackStrategy":
         from ..strategy import VolumeGreedyStrategy

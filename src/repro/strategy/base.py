@@ -22,6 +22,11 @@ clamp, a 1e-12 artifact of summation order could outrank a real split
 (the historical ``* 1e-9`` fallback-scaling bug).  Ties break toward the
 lowest schedule index, which keeps every strategy deterministic under
 any ``PYTHONHASHSEED``.
+
+:func:`weighted_split_score` and
+:func:`~repro.core.scheduler.refinement_gain` define the scores; the
+built-in strategies compute them for every remaining candidate at once
+through :mod:`repro.strategy.kernel`, with the same orders.
 """
 
 from __future__ import annotations
@@ -40,9 +45,9 @@ from typing import (
 )
 
 from ..core.clustering import ClusterState
-from ..core.scheduler import refinement_gain
 from ..errors import StrategyError
 from ..types import ASN, Catchment, LinkId
+from .kernel import LabelMatrix
 
 #: Relative threshold below which a weighted cost reduction is treated
 #: as float-summation noise and clamped to exactly zero.
@@ -137,6 +142,7 @@ class TracebackStrategy(ABC):
         self.remaining: List[int] = []
         self.universe: Optional[List[ASN]] = None
         self._bound = False
+        self._labels: Optional[LabelMatrix] = None
 
     # ------------------------------------------------------------------
     # Binding
@@ -179,11 +185,28 @@ class TracebackStrategy(ABC):
         self.universe = sorted(universe) if universe is not None else None
         self.remaining = list(range(len(self.catchment_maps)))
         self._bound = True
+        self._labels = None
         self._after_bind()
         return self
 
     def _after_bind(self) -> None:
         """Hook for subclasses (e.g. seeding a shuffled order)."""
+
+    def label_matrix(self, state: ClusterState) -> LabelMatrix:
+        """The catchment maps as a :class:`LabelMatrix` for ``state``.
+
+        The matrix has one column per AS of ``state``'s universe.  It is
+        built on first use and kept until the evidence changes
+        (:meth:`bind`, :meth:`update_catchments`) or a state with another
+        universe is scored.
+        """
+        if self._labels is None or not self._labels.covers(state):
+            self._labels = LabelMatrix(self.catchment_maps, state.universe)
+        return self._labels
+
+    def _at(self, position: Optional[int]) -> Optional[int]:
+        """The remaining index at ``position`` (None stays None)."""
+        return None if position is None else self.remaining[position]
 
     # ------------------------------------------------------------------
     # The decision interface
@@ -230,14 +253,13 @@ class TracebackStrategy(ABC):
 
         The base check mirrors the live controller's historical
         short-circuit: stop when the candidate pool is exhausted or when
-        no remaining configuration can split any cluster.
+        no remaining configuration can split any cluster (every split
+        gain in :meth:`label_matrix` is zero).
         """
         if not self.remaining:
             return "schedule exhausted"
-        if all(
-            refinement_gain(state, self.catchment_maps[i].values()) == 0
-            for i in self.remaining
-        ):
+        gains = self.label_matrix(state).split_gains(self.remaining, state)
+        if gains.max() == 0:
             return NO_SPLIT_REASON
         return None
 
@@ -255,6 +277,7 @@ class TracebackStrategy(ABC):
                 f"{len(self.catchment_maps)} configurations"
             )
         self.catchment_maps = [dict(maps) for maps in fresh_maps]
+        self._labels = None
 
     def restore_remaining(self, remaining: Sequence[int]) -> None:
         """Restore the remaining pool from a checkpoint."""

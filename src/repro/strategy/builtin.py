@@ -20,14 +20,22 @@ from __future__ import annotations
 import random
 from typing import List, Mapping, Optional, Set, Tuple
 
+import numpy as np
+
 from ..core.clustering import ClusterState
 from ..core.configgen import PHASE_POISONING
-from ..core.scheduler import refinement_gain
 from ..types import ASN
 from .base import (
     NO_SPLIT_REASON,
+    NOISE_FLOOR,
     TracebackStrategy,
     weighted_split_score,
+)
+from .kernel import (
+    best_bisection,
+    best_split,
+    choose_greedy,
+    choose_rescored,
 )
 from .registry import register_strategy
 
@@ -59,17 +67,30 @@ class GreedyStrategy(TracebackStrategy):
         state: ClusterState,
         volume_by_as: Optional[Mapping[ASN, float]] = None,
     ) -> Optional[int]:
+        if not self.remaining:
+            return None
         volumes = self._volumes(volume_by_as)
-        best_index: Optional[int] = None
-        best_score: Tuple[float, int] = (0.0, 0)
-        for index in self.remaining:
-            score = weighted_split_score(
+        matrix = self.label_matrix(state)
+        if not volumes:
+            gains = matrix.split_gains(self.remaining, state)
+            return self._at(best_split(gains))
+
+        def rescore(position: int) -> float:
+            index = self.remaining[position]
+            return weighted_split_score(
                 state, self.catchment_maps[index], volumes
-            )
-            if score > best_score:
-                best_score = score
-                best_index = index
-        return best_index
+            )[0]
+
+        weights = np.fromiter(volumes.values(), dtype=np.float64)
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            gains = matrix.split_gains(self.remaining, state)
+            return self._at(choose_rescored(gains, rescore))
+        gains, reductions, before = matrix.reductions(
+            self.remaining, state, volumes
+        )
+        return self._at(
+            choose_greedy(gains, reductions, before, rescore, NOISE_FLOOR)
+        )
 
 
 @register_strategy
@@ -172,24 +193,16 @@ class BisectStrategy(TracebackStrategy):
         state: ClusterState,
         volume_by_as: Optional[Mapping[ASN, float]] = None,
     ) -> Optional[int]:
+        if not self.remaining:
+            return None
+        matrix = self.label_matrix(state)
+        rows = np.asarray(self.remaining)
         for target in state.clusters():
             if len(target) < 2:
                 break  # clusters() is size-sorted: only singletons left
-            best_index: Optional[int] = None
-            best_key: Optional[Tuple[int, int]] = None
-            for index in self.remaining:
-                working = ClusterState(target)
-                if not working.refine_with_catchments(
-                    self.catchment_maps[index]
-                ):
-                    continue
-                largest = len(working.clusters()[0])
-                key = (largest, index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_index = index
-            if best_index is not None:
-                return best_index
+            best = best_bisection(matrix, rows, target)
+            if best is not None:
+                return best
         return None
 
 
@@ -255,35 +268,23 @@ class PoisonWalkStrategy(TracebackStrategy):
         state: ClusterState,
         volume_by_as: Optional[Mapping[ASN, float]] = None,
     ) -> Optional[int]:
+        if not self.remaining:
+            return None
+        matrix = self.label_matrix(state)
+        rows = np.asarray(self.remaining)
         target = self._target_members(state, self._suspects(state))
         if len(target) > 1:
-            best_index: Optional[int] = None
-            best_key: Optional[Tuple[int, int, int]] = None
-            for index in self.remaining:
-                working = ClusterState(target)
-                if not working.refine_with_catchments(
-                    self.catchment_maps[index]
-                ):
-                    continue
-                largest = len(working.clusters()[0])
-                key = (0 if self._is_poisoning(index) else 1, largest, index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_index = index
-            if best_index is not None:
-                return best_index
+            phase = np.array(
+                [0 if self._is_poisoning(index) else 1 for index in rows]
+            )
+            best = best_bisection(matrix, rows, target, rank=phase)
+            if best is not None:
+                return best
         # The suspect cluster cannot be split (or is a singleton while
         # the walk hasn't formally converged): take the best global
         # unweighted split so the walk never stalls short of the base
         # convergence condition.
-        best_index = None
-        best_gain = 0
-        for index in self.remaining:
-            gain = refinement_gain(state, self.catchment_maps[index].values())
-            if gain > best_gain:
-                best_gain = gain
-                best_index = index
-        return best_index
+        return self._at(best_split(matrix.split_gains(self.remaining, state)))
 
     def observe(
         self,
