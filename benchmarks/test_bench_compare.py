@@ -46,7 +46,7 @@ def _lone_run():
     schedule = generate_schedule(
         testbed.origin, testbed.graph, ScheduleParams()
     )[:MAX_CONFIGS]
-    engine = SimulationEngine(testbed.simulator, spec=testbed.spec)
+    engine = SimulationEngine(testbed.simulator)
     start = time.perf_counter()
     try:
         universe, history = measured_catchment_history(engine, schedule)

@@ -49,13 +49,12 @@ def test_fault_free_injection_overhead(capsys):
     configs = SpoofTracker(testbed).schedule[:NUM_CONFIGS]
 
     baseline, bare_time = _best_time(
-        lambda: SimulationEngine(testbed.simulator, spec=testbed.spec),
+        lambda: SimulationEngine(testbed.simulator),
         configs,
     )
     empty, empty_time = _best_time(
         lambda: SimulationEngine(
             testbed.simulator,
-            spec=testbed.spec,
             injector=FaultInjector(FaultPlan()),
         ),
         configs,
@@ -72,7 +71,6 @@ def test_fault_free_injection_overhead(capsys):
     # every injected crash/hang and still produces a result per config.
     chaotic_engine = SimulationEngine(
         testbed.simulator,
-        spec=testbed.spec,
         injector=FaultInjector(BUNDLED_PLANS["mixed"]),
     )
     start = time.perf_counter()

@@ -62,10 +62,7 @@ def _resources():
         for tenant in FLEET_SPEC.tenant_names()
     }
     engines = {
-        tenant: SimulationEngine(
-            testbeds[tenant].simulator,
-            spec=FLEET_SPEC.tenant_testbed(tenant),
-        )
+        tenant: SimulationEngine(testbeds[tenant].simulator)
         for tenant in FLEET_SPEC.tenant_names()
     }
     return testbeds, engines

@@ -143,8 +143,7 @@ class Dashboard:
             lines.append(
                 "engine: "
                 f"{int(self.engine.get('configs_simulated', 0))} simulated · "
-                f"{int(self.engine.get('cache_hits', 0))} cache hits · "
-                f"{int(self.engine.get('worker_failures', 0))} worker failures"
+                f"{int(self.engine.get('cache_hits', 0))} cache hits"
             )
         if self.faults:
             fired = ", ".join(

@@ -99,7 +99,6 @@ class EvaluationRun:
         compute_compliance: bool = True,
         measured: bool = False,
         engine: Optional[SimulationEngine] = None,
-        workers: int = 1,
     ) -> None:
         """Deploy the schedule.
 
@@ -109,15 +108,12 @@ class EvaluationRun:
         how the paper actually produced its figures, at the cost of
         reduced coverage and much longer runtime.
 
-        Simulations run through ``engine`` (built on demand from
-        ``workers``), so deploying the same schedule twice — or sharing
-        an engine between a run and a tracker — costs zero extra
-        fixpoints.
+        Simulations run through ``engine`` (built on demand), so
+        deploying the same schedule twice — or sharing an engine between
+        a run and a tracker — costs zero extra fixpoints.
         """
         self.testbed = testbed or build_testbed(seed=seed)
-        self.engine = engine or SimulationEngine(
-            self.testbed.simulator, workers=workers, spec=self.testbed.spec
-        )
+        self.engine = engine or SimulationEngine(self.testbed.simulator)
         tracker = SpoofTracker(self.testbed, schedule_params, engine=self.engine)
         limit = len(tracker.schedule) if max_configs is None else max_configs
         self.schedule: List[AnnouncementConfig] = tracker.schedule[:limit]

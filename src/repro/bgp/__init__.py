@@ -13,13 +13,12 @@ from .simulator import DEFAULT_MAX_PASSES, RoutingOutcome, RoutingSimulator
 
 
 def make_engine(simulator: RoutingSimulator, **kwargs):
-    """Wrap a :class:`RoutingSimulator` in a caching/parallel engine.
+    """Wrap a :class:`RoutingSimulator` in a caching engine.
 
     Thin convenience hook so callers holding only a BGP-layer simulator
-    can opt into memoized (and optionally multi-process) simulation
-    without importing :mod:`repro.core` directly.  Keyword arguments
-    (``workers``, ``spec``, ``warm_start``, ``cache_size``) pass through
-    to :class:`repro.core.engine.SimulationEngine`.
+    can opt into memoized simulation without importing :mod:`repro.core`
+    directly.  Keyword arguments (``warm_start``, ``cache_size``, ...)
+    pass through to :class:`repro.core.engine.SimulationEngine`.
     """
     from ..core.engine import SimulationEngine
 

@@ -198,21 +198,12 @@ class RoutingSimulator:
             key=lambda asn: (distances.get(asn, len(graph)), asn),
         )
         # Both caches are built lazily on first use: the indexed core
-        # never needs the legacy adjacency dicts and vice versa, and the
-        # compiled tables must not ride along when a simulator is pickled
-        # to a worker process (see __getstate__).
+        # never needs the legacy adjacency dicts and vice versa.
         self._neighbors: Optional[Dict[ASN, List[Tuple[ASN, Relationship]]]] = None
         self._compiled: Optional[CompiledTopology] = None
         self._known_ases: FrozenSet[ASN] = graph.ases
 
     # ------------------------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle without derived caches; workers rebuild them on demand."""
-        state = self.__dict__.copy()
-        state["_neighbors"] = None
-        state["_compiled"] = None
-        return state
 
     @property
     def effective_core(self) -> str:

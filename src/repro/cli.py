@@ -86,7 +86,6 @@ def _build_run(args: argparse.Namespace) -> EvaluationRun:
         seed=args.seed,
         max_configs=args.max_configs,
         measured=args.measured,
-        workers=args.workers,
     )
 
 
@@ -269,7 +268,6 @@ def _manifest_for(
         command,
         seed=args.seed,
         scale=args.scale,
-        workers=getattr(args, "workers", 1),
         config=config,
         fault_plan=(
             injector.plan.as_serializable() if injector is not None else None
@@ -318,9 +316,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
         health_source=lambda: health["report"],
     )
     testbed = build_testbed(seed=args.seed, topology_params=SCALES[args.scale])
-    tracker = SpoofTracker(
-        testbed, workers=args.workers, injector=injector, obs=obs
-    )
+    tracker = SpoofTracker(testbed, injector=injector, obs=obs)
     if server is not None:
         server.set_ready()
     rng = random.Random(args.seed + 1)
@@ -373,7 +369,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         testbed,
         strategies=names,
         max_configs=args.max_configs,
-        workers=args.workers,
         obs=obs,
     )
     _export_obs(args, obs, log)
@@ -396,7 +391,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     obs = Observability.for_run("profile", profile=True)
     testbed = build_testbed(seed=args.seed, topology_params=SCALES[args.scale])
-    tracker = SpoofTracker(testbed, workers=args.workers, obs=obs)
+    tracker = SpoofTracker(testbed, obs=obs)
     rng = random.Random(args.seed + 1)
     candidate_ases = sorted(testbed.topology.stubs or testbed.graph.ases)
     placement = make_placement(
@@ -496,7 +491,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     if args.resume:
         # Resumed services rebuild mid-run state; the premeasure span and
         # controller counters are gone, so tracing starts fresh runs only.
-        service = load_checkpoint(args.resume, workers=args.workers)
+        service = load_checkpoint(args.resume)
     else:
         obs = _make_obs(args, "live")
         log = _logbook_for(args, obs)
@@ -552,7 +547,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
         service = LiveTracebackService(
             scenario=scenario,
             spec=spec,
-            workers=args.workers,
             injector=injector,
             obs=obs,
         )
@@ -702,7 +696,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         spec,
         events=events,
         obs=obs,
-        workers=args.workers,
         checkpoint_dir=args.checkpoint_dir or "",
         injector_factory=injector_factory,
         flight_dir=args.flight_dir or "",
@@ -819,7 +812,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     runner = SoakRunner(
         spec,
         checkpoint_dir=args.checkpoint_dir,
-        workers=args.workers,
         obs=obs,
         verify=not args.no_verify,
         flight_dir=args.flight_dir or "",
@@ -896,9 +888,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for level in args.levels:
         injector = FaultInjector(base_plan.scaled(level))
         _wire_faults(injector, obs, log)
-        tracker = SpoofTracker(
-            testbed, workers=args.workers, injector=injector, obs=obs
-        )
+        tracker = SpoofTracker(testbed, injector=injector, obs=obs)
         try:
             report = tracker.run(
                 max_configs=args.max_configs,
@@ -978,9 +968,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     )
     params = replace(SCALES[args.scale], seed=args.seed)
     spec = TestbedSpec(seed=args.seed, topology_params=params)
-    service = LiveTracebackService(
-        scenario=scenario, spec=spec, workers=args.workers, obs=obs
-    )
+    service = LiveTracebackService(scenario=scenario, spec=spec, obs=obs)
     try:
         service.run()
     finally:
@@ -1082,16 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_workers(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="simulation worker processes (1 = serial; results are identical)",
-        )
-
     def add_run_options(sub: argparse.ArgumentParser) -> None:
-        add_workers(sub)
         sub.add_argument(
             "--max-configs", type=int, default=None, help="truncate the schedule"
         )
@@ -1222,7 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the ranked results as a JSON artifact",
     )
-    add_workers(compare)
     add_obs_options(compare)
     compare.set_defaults(func=_cmd_compare)
 
@@ -1357,7 +1335,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress rolling per-window progress on stderr",
     )
-    add_workers(live)
     add_fault_plan(live)
     add_obs_options(live)
     live.set_defaults(func=_cmd_live)
@@ -1466,7 +1443,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress rolling per-window progress on stderr",
     )
-    add_workers(fleet)
     add_fault_plan(fleet)
     add_obs_options(fleet)
     fleet.set_defaults(func=_cmd_fleet)
@@ -1610,7 +1586,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64.0,
         help="RSS leak budget in MiB per epoch across the campaign",
     )
-    add_workers(soak)
     add_obs_options(soak)
     soak.set_defaults(func=_cmd_soak)
 
@@ -1711,7 +1686,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-configs", type=int, default=6,
         help="replay mode: truncate the schedule",
     )
-    add_workers(dash)
     dash.set_defaults(func=_cmd_dash)
 
     timeline = subparsers.add_parser(

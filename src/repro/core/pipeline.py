@@ -14,7 +14,7 @@ simulator, address plan, IXPs, feeds, probe fleet) from a single seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..live.service import LiveRunStats
@@ -45,7 +45,7 @@ from ..topology.peering import OriginNetwork, attach_origin
 from ..types import ASN, Catchment, LinkId
 from .clustering import ClusterState
 from .configgen import ScheduleParams, generate_schedule
-from .engine import EngineStats, SimulationEngine
+from .engine import EngineStats, SimulationEngine, require_serial
 from .localization import LocalizationResult, SpoofLocalizer
 
 
@@ -63,9 +63,7 @@ class Testbed:
     collectors: BGPCollectorSet
     fleet: AtlasProbeFleet
     campaign: MeasurementCampaign
-    #: Construction recipe (when built by :func:`build_testbed`); lets
-    #: :class:`~repro.core.engine.SimulationEngine` workers rebuild the
-    #: simulator cheaply instead of pickling the whole object graph.
+    #: Construction recipe (when built by :func:`build_testbed`).
     spec: Optional["TestbedSpec"] = None
 
     @property
@@ -76,12 +74,11 @@ class Testbed:
 
 @dataclass(frozen=True)
 class TestbedSpec:
-    """Picklable recipe for :func:`build_testbed`.
+    """Value-type recipe for :func:`build_testbed`.
 
     Everything here is a value type (ints, floats, frozen dataclasses),
-    so shipping a spec to a worker process costs bytes, and rebuilding is
-    deterministic: ``spec.build()`` in any process yields a testbed whose
-    simulator is bit-identical to the original.
+    and rebuilding is deterministic: ``spec.build()`` in any process
+    yields a testbed whose simulator is bit-identical to the original.
     """
 
     seed: int = 0
@@ -109,38 +106,6 @@ class TestbedSpec:
             rounds_per_config=self.rounds_per_config,
             with_geography=self.with_geography,
         )
-
-    def build_simulator(self) -> RoutingSimulator:
-        """Rebuild only the routing substrate (what pool workers need)."""
-        _, _, _, simulator = _build_routing_substrate(self)
-        return simulator
-
-
-def _build_routing_substrate(
-    spec: TestbedSpec,
-) -> Tuple[GeneratedTopology, OriginNetwork, PolicyModel, RoutingSimulator]:
-    """Topology + origin + policy + simulator from a spec (shared by
-    :func:`build_testbed` and :meth:`TestbedSpec.build_simulator`)."""
-    params = spec.topology_params or TopologyParams(seed=spec.seed)
-    if params.seed != spec.seed:
-        params = replace(params, seed=spec.seed)
-    topology = generate_topology(params)
-    origin = attach_origin(topology, num_links=spec.num_links, seed=spec.seed)
-    graph = topology.graph
-    geography = None
-    if spec.with_geography:
-        from ..topology.geography import GeographyModel
-
-        geography = GeographyModel.random(graph.ases, seed=spec.seed)
-    policy = PolicyModel(
-        graph,
-        seed=spec.seed,
-        policy_noise=spec.policy_noise,
-        loop_prevention_disabled_fraction=spec.loop_prevention_disabled_fraction,
-        geography=geography,
-    )
-    simulator = RoutingSimulator(graph, origin, policy)
-    return topology, origin, policy, simulator
 
 
 def build_testbed(
@@ -177,8 +142,25 @@ def build_testbed(
         rounds_per_config=rounds_per_config,
         with_geography=with_geography,
     )
-    topology, origin, policy, simulator = _build_routing_substrate(spec)
+    params = topology_params or TopologyParams(seed=seed)
+    if params.seed != seed:
+        params = replace(params, seed=seed)
+    topology = generate_topology(params)
+    origin = attach_origin(topology, num_links=num_links, seed=seed)
     graph = topology.graph
+    geography = None
+    if with_geography:
+        from ..topology.geography import GeographyModel
+
+        geography = GeographyModel.random(graph.ases, seed=seed)
+    policy = PolicyModel(
+        graph,
+        seed=seed,
+        policy_noise=policy_noise,
+        loop_prevention_disabled_fraction=loop_prevention_disabled_fraction,
+        geography=geography,
+    )
+    simulator = RoutingSimulator(graph, origin, policy)
     plan = AddressPlan(graph.ases, origin.asn)
     ixps = synthesize_ixps(graph, seed=seed)
     mapper = IPToASMapper(plan, ixps.prefixes())
@@ -316,11 +298,9 @@ class SpoofTracker:
         testbed: a wired testbed from :func:`build_testbed`.
         schedule_params: announcement-generation knobs (§IV-a defaults).
         engine: simulation engine to deploy configurations through.  By
-            default a serial caching engine is built over the testbed's
-            simulator; pass an engine with ``workers > 1`` (or use the
-            ``workers`` shorthand) to fan simulations out over processes.
-        workers: shorthand for building the default engine with this many
-            worker processes (ignored when ``engine`` is given).
+            default a caching engine is built over the testbed's
+            simulator.
+        workers: must be 1; simulation always runs in-process.
         injector: optional :class:`~repro.faults.injection.FaultInjector`
             driving a chaos run; threaded into the engine, the
             measurement campaign, and the ground-truth catchments.
@@ -342,6 +322,7 @@ class SpoofTracker:
         retry_policy: Optional[RetryPolicy] = None,
         obs: Optional[Observability] = None,
     ) -> None:
+        require_serial(workers)
         self.testbed = testbed
         self.obs = obs if obs is not None else Observability()
         self.schedule_params = schedule_params or ScheduleParams()
@@ -353,8 +334,6 @@ class SpoofTracker:
                 span.set("configs", len(self.schedule))
         self.engine = engine or SimulationEngine(
             testbed.simulator,
-            workers=workers,
-            spec=testbed.spec,
             injector=injector,
             retry_policy=retry_policy,
             bus=self.obs.bus,
@@ -627,7 +606,6 @@ class SpoofTracker:
                 monitor=monitor,
                 engine_stats=self.engine.stats.since(stats_before),
                 degraded_configs=sum(1 for d in degraded_by_step if d),
-                circuit_open=self.engine.breaker.open,
             )
 
         if registry is not None:

@@ -51,7 +51,7 @@ def measured_catchment_history(
     """Pre-measure per-configuration catchments through an engine.
 
     The §V-C schedulers operate on pre-measured catchment maps; this is
-    the measuring step, routed through the (cached, possibly parallel)
+    the measuring step, routed through the (cached)
     :class:`~repro.core.engine.SimulationEngine` so configurations the
     pipeline already deployed are never simulated again.
 

@@ -117,17 +117,10 @@ class ResilienceReport:
     Attributes:
         plan_name: the driving fault plan's name ("" without a plan).
         faults_injected: fired faults by kind (from the injector's log).
-        worker_failures: pool tasks that died or timed out (injected or
-            real) and were re-run serially.
-        worker_error: repr of the most recent exception a worker failure
-            was contained from ("" when none occurred) — previously the
-            detail vanished into the broad containment handler.
-        retries: serial retry attempts spent on injected faults.
-        faults_bypassed: tasks whose injected fault outlived the retry
-            budget and ran with injection suppressed (last-resort
+        retries: retry attempts spent on injected simulation faults.
+        faults_bypassed: simulations whose injected fault outlived the
+            retry budget and ran with injection suppressed (last-resort
             progress guarantee).
-        pool_rebuilds: worker pools torn down after a failure.
-        circuit_open: whether the breaker abandoned parallel fan-out.
         degraded_configs: configurations whose catchments were partial
             (clustering skipped their degraded links).
         checkpoint_corruptions: checkpoint writes mangled by the plan.
@@ -138,12 +131,8 @@ class ResilienceReport:
 
     plan_name: str = ""
     faults_injected: Dict[str, int] = field(default_factory=dict)
-    worker_failures: int = 0
-    worker_error: str = ""
     retries: int = 0
     faults_bypassed: int = 0
-    pool_rebuilds: int = 0
-    circuit_open: bool = False
     degraded_configs: int = 0
     checkpoint_corruptions: int = 0
     checkpoint_rollbacks: int = 0
@@ -179,12 +168,6 @@ class ResilienceReport:
             parts.append(
                 f"{self.retries} retries ({self.faults_bypassed} bypassed)"
             )
-        if self.worker_failures:
-            parts.append(
-                f"{self.worker_failures} worker failures"
-                + (" [circuit open]" if self.circuit_open else "")
-                + (f" (last: {self.worker_error})" if self.worker_error else "")
-            )
         if self.degraded_configs:
             parts.append(f"{self.degraded_configs} degraded configs")
         if self.checkpoint_corruptions or self.checkpoint_rollbacks:
@@ -203,7 +186,6 @@ def build_resilience_report(
     degraded_configs: int = 0,
     checkpoint_corruptions: int = 0,
     checkpoint_rollbacks: int = 0,
-    circuit_open: bool = False,
 ) -> ResilienceReport:
     """Freeze one run's resilience picture into a report.
 
@@ -220,14 +202,10 @@ def build_resilience_report(
         degraded_configs=degraded_configs,
         checkpoint_corruptions=checkpoint_corruptions,
         checkpoint_rollbacks=checkpoint_rollbacks,
-        circuit_open=circuit_open,
     )
     if engine_stats is not None:
-        report.worker_failures = engine_stats.worker_failures
-        report.worker_error = getattr(engine_stats, "last_worker_error", "")
         report.retries = engine_stats.retries
         report.faults_bypassed = engine_stats.faults_bypassed
-        report.pool_rebuilds = engine_stats.pool_rebuilds
     if monitor is not None:
         report.invariant_checks = monitor.checks
         report.violations = [str(violation) for violation in monitor.violations]

@@ -2,15 +2,14 @@
 
 One :class:`FaultInjector` instance is threaded through every subsystem
 that can fail in production: the :class:`~repro.core.engine.SimulationEngine`
-(worker crashes and hangs), :class:`~repro.measurement.campaign.MeasurementCampaign`
+(simulation crashes and hangs), :class:`~repro.measurement.campaign.MeasurementCampaign`
 (collector flaps, lost traceroutes), the batch pipeline's ground-truth
 catchments (measurement loss → partial maps), and the live runtime
 (volume-noise bursts, route-churn storms, checkpoint corruption).
 
-Decisions are made *centrally* — in the driving process, from the plan's
-seeded digests — and only the resulting :class:`FaultAction` is executed
-at the site (possibly inside a worker process).  That keeps chaos runs
-deterministic regardless of worker count or scheduling, and lets the
+Decisions are made *centrally*, from the plan's seeded digests, and only
+the resulting :class:`FaultAction` is executed at the site.  That keeps
+chaos runs deterministic regardless of scheduling, and lets the
 injector's :class:`FaultLog` account every fired fault in one place.
 """
 

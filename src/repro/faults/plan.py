@@ -8,7 +8,7 @@ and route-churn storms.  Every decision the plan drives is a pure
 function of ``(plan.seed, site, tokens)`` — a SHA-256 digest mapped to
 the unit interval — never of wall clock, PRNG state, or execution order,
 so a chaos run is bit-reproducible: the same plan yields the same faults
-at the same places on any machine, serial or parallel.
+at the same places on any machine.
 
 Plans are JSON round-trippable (``spooftrack --fault-plan plan.json``)
 and a few named plans ship in :data:`BUNDLED_PLANS` for the chaos suite

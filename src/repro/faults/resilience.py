@@ -13,37 +13,30 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..errors import ReproError
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded-retry + backoff + timeout knobs for one task class.
+    """Bounded-retry + backoff knobs for one task class.
 
     Attributes:
         max_retries: additional attempts after the first failure.
         backoff_base: seconds slept before retry 1.
         backoff_factor: multiplier applied per further retry.
-        task_timeout: per-task wall-clock cap in seconds when tasks run
-            on a worker pool (None = wait forever).  A timeout counts as
-            a worker failure: the pool is replaced and work resumes
-            serially, so one hung worker cannot stall a campaign.
     """
 
     max_retries: int = 3
     backoff_base: float = 0.01
     backoff_factor: float = 2.0
-    task_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ReproError("max_retries cannot be negative")
         if self.backoff_base < 0 or self.backoff_factor < 0:
             raise ReproError("backoff parameters cannot be negative")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ReproError("task timeout must be positive")
 
     def delay_for(self, retry: int) -> float:
         """Seconds to sleep before the ``retry``-th retry (0-based)."""
@@ -59,9 +52,9 @@ class RetryPolicy:
 class CircuitBreaker:
     """Consecutive-failure counter that opens after a threshold.
 
-    The engine records one failure per broken pool; once the breaker
-    opens, parallel fan-out is abandoned for the rest of the engine's
-    life and every simulation runs serially (the always-correct path).
+    Once the breaker opens, the protected path stays bypassed for the
+    rest of the breaker's life (a success below the threshold resets
+    the count).
 
     Args:
         threshold: consecutive failures that open the circuit.

@@ -245,7 +245,7 @@ class AttackShard:
 
     # -- lifecycle ------------------------------------------------------
 
-    def activate(self, testbed, engine, workers: int = 1) -> None:
+    def activate(self, testbed, engine) -> None:
         """Build the live service (runs the shard's premeasure)."""
         if self.state != PENDING:
             raise FleetError(f"cannot activate shard {self.label} ({self.state})")
@@ -253,7 +253,6 @@ class AttackShard:
             scenario=self.scenario,
             spec=self.attack.testbed,
             testbed=testbed,
-            workers=workers,
             injector=self.injector,
             obs=self.obs,
             engine=engine,
@@ -298,7 +297,7 @@ class AttackShard:
             raise FleetError(f"cannot crash shard {self.label} ({self.state})")
         self._last_clock = self.service.clock.now
         if self.service._owns_engine:
-            self.service.engine.close()  # the dying process takes its pool
+            self.service.engine.close()
         self.service = None
         self.error = "killed by fleet event"
         self.crashes += 1
@@ -322,7 +321,7 @@ class AttackShard:
         self.error = "process restart"
         self.state = FAILED
 
-    def resume(self, testbed, engine, workers: int = 1) -> bool:
+    def resume(self, testbed, engine) -> bool:
         """Recover a failed shard; returns True when it resumed from a
         checkpoint (False = restarted from scratch)."""
         if self.state != FAILED:
@@ -330,7 +329,6 @@ class AttackShard:
         if self.checkpoint_path and os.path.exists(self.checkpoint_path):
             self.service = load_checkpoint(
                 self.checkpoint_path,
-                workers=workers,
                 engine=engine,
                 testbed=testbed,
                 obs=self.obs,
@@ -353,7 +351,7 @@ class AttackShard:
             )
             return True
         self.state = PENDING
-        self.activate(testbed, engine, workers=workers)
+        self.activate(testbed, engine)
         self.resumes += 1
         self._log(
             "info",

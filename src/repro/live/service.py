@@ -35,7 +35,7 @@ from typing import (
 
 from ..bgp.simulator import RoutingOutcome, RoutingSimulator
 from ..core.configgen import ScheduleParams, generate_schedule
-from ..core.engine import EngineStats, SimulationEngine
+from ..core.engine import EngineStats, SimulationEngine, require_serial
 from ..core.localization import LocalizationResult
 from ..core.pipeline import StepStats, Testbed, TestbedSpec, TrackerReport
 from ..core.staleness import churned_policy, misplaced_fraction
@@ -297,7 +297,7 @@ class LiveTracebackService:
             scenario); required for checkpointing.
         testbed: pre-built testbed to reuse (must carry ``spec`` for
             checkpointing; defaults to ``spec.build()``).
-        workers: simulation worker processes for the pre-measurement.
+        workers: must be 1; simulation always runs in-process.
         timeline: dwell-cost model (defaults to the paper's).
         injector: optional chaos hook driving volume-noise bursts,
             route-churn storms, checkpoint corruption, and simulation
@@ -310,9 +310,9 @@ class LiveTracebackService:
         engine: pre-built :class:`SimulationEngine` to run measurements
             through instead of constructing a private one.  The fleet
             runtime passes one shared engine per tenant so sibling
-            attacks on the same origin reuse its LRU cache and worker
-            pool; a shared engine is *not* closed by :meth:`close` (its
-            owner tears it down), and its stats span every consumer.
+            attacks on the same origin reuse its LRU cache; a shared
+            engine is *not* closed by :meth:`close` (its owner closes
+            it), and its stats span every consumer.
     """
 
     def __init__(
@@ -326,6 +326,7 @@ class LiveTracebackService:
         obs: Optional[Observability] = None,
         engine: Optional[SimulationEngine] = None,
     ) -> None:
+        require_serial(workers)
         self.scenario = scenario or ReplayScenario()
         self.injector = injector
         self.obs = obs if obs is not None else Observability()
@@ -346,8 +347,6 @@ class LiveTracebackService:
         self._owns_engine = engine is None
         self.engine = engine if engine is not None else SimulationEngine(
             self.testbed.simulator,
-            workers=workers,
-            spec=self.spec,
             injector=injector,
             bus=self.obs.bus,
             tracer=self.obs.tracer,
@@ -425,9 +424,9 @@ class LiveTracebackService:
         self._checkpoint_ordinal = 0
         self.checkpoint_corruptions = 0
         self.restored_via_rollback = False
-        #: Rotation retention for saves (runtime configuration, like
-        #: ``workers`` — never serialized, so checkpoint bytes are
-        #: independent of how many generations the operator keeps).
+        #: Rotation retention for saves (runtime configuration — never
+        #: serialized, so checkpoint bytes are independent of how many
+        #: generations the operator keeps).
         self.checkpoint_keep = 1
         #: Original document version when this service was restored
         #: through a schema migration (None otherwise).
@@ -447,10 +446,10 @@ class LiveTracebackService:
         }
 
     def close(self) -> None:
-        """Release the simulation engine's worker pool.
+        """Close the simulation engine this service owns.
 
         A shared engine (one passed in by the fleet runtime) is left
-        running — its owner closes it once every sibling shard is done.
+        open — its owner closes it once every sibling shard is done.
         """
         if self._owns_engine:
             self.engine.close()
@@ -811,7 +810,6 @@ class LiveTracebackService:
             engine_stats=self.engine.stats.copy(),
             checkpoint_corruptions=self.checkpoint_corruptions,
             checkpoint_rollbacks=1 if self.restored_via_rollback else 0,
-            circuit_open=self.engine.breaker.open,
         )
 
     def _export_metrics(self) -> None:
@@ -969,7 +967,6 @@ class LiveTracebackService:
     def from_serializable(
         cls,
         payload: Mapping,
-        workers: int = 1,
         engine: Optional[SimulationEngine] = None,
         testbed: Optional[Testbed] = None,
         obs: Optional[Observability] = None,
@@ -1006,7 +1003,6 @@ class LiveTracebackService:
             scenario=scenario,
             spec=spec,
             testbed=testbed,
-            workers=workers,
             injector=injector,
             obs=obs,
             engine=engine,

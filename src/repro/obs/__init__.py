@@ -99,7 +99,6 @@ from .benchgate import (  # noqa: E402
 )
 from .tracing import (  # noqa: E402
     Span,
-    TraceContext,
     Tracer,
     build_tree,
     load_spans,
@@ -144,7 +143,6 @@ __all__ = [
     "Subscription",
     "Timeline",
     "TimelineEntry",
-    "TraceContext",
     "Tracer",
     "build_manifest",
     "build_timeline",

@@ -13,20 +13,13 @@ measurements.  Derived percentages and deterministic counts are carried
 in the artifacts for humans but are either redundant or exact, so gating
 them would double-count or add noise.
 
-Two refinements keep the gate honest on real timers:
-
-* **Absolute slack** — relative tolerance alone makes sub-millisecond
-  baselines (e.g. ``cached_replay_seconds: 0.0003``) flap on scheduler
-  noise, and a 0.0 baseline turns *any* positive reading into an
-  infinite-ratio regression.  A delta below ``absolute_slack`` seconds
-  never regresses, and a zero baseline regresses only when the fresh
-  reading itself exceeds the slack.
-* **CPU-aware parallel gate** — artifacts that carry both
-  ``serial_*_seconds`` and ``parallel*_seconds`` measurements are
-  additionally checked for "parallel must not lose to serial", but only
-  when the artifact was recorded with at least two cores
-  (``cpu_count >= 2``); single-core recordings make the comparison
-  meaningless, so it is skipped and the skip is reported.
+**Absolute slack** keeps the gate honest on real timers: relative
+tolerance alone makes sub-millisecond baselines (e.g.
+``cached_replay_seconds: 0.0003``) flap on scheduler noise, and a 0.0
+baseline turns *any* positive reading into an infinite-ratio
+regression.  A delta below ``absolute_slack`` seconds never regresses,
+and a zero baseline regresses only when the fresh reading itself
+exceeds the slack.
 
 ``spooftrack bench-check`` is the CLI face; CI runs it against the
 committed history so a PR that slows any benchmark >15% (default) fails.
@@ -37,9 +30,8 @@ from __future__ import annotations
 import glob
 import json
 import os
-import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: Default allowed slowdown before a metric counts as regressed.  Kept
 #: below 0.20 so a genuine 20% slowdown always trips the gate.
@@ -54,10 +46,6 @@ HISTORY_BASENAME = "BENCH_history.json"
 
 HISTORY_VERSION = 1
 
-#: ``parallel*_seconds`` metric paired against its serial counterpart,
-#: e.g. ``parallel2_cold_seconds`` vs ``serial_cold_seconds``.
-_PARALLEL_METRIC = re.compile(r"^parallel\d*_(.+)_seconds$")
-
 
 def _is_gated_metric(name: str, value) -> bool:
     return (
@@ -67,9 +55,9 @@ def _is_gated_metric(name: str, value) -> bool:
     )
 
 
-def load_artifact_records(directory: str) -> Dict[str, Dict]:
-    """Full JSON records per ``BENCH_*.json`` artifact (history excluded)."""
-    records: Dict[str, Dict] = {}
+def load_artifacts(directory: str) -> Dict[str, Dict[str, float]]:
+    """Gated metrics per ``BENCH_*.json`` artifact (history excluded)."""
+    artifacts: Dict[str, Dict[str, float]] = {}
     pattern = os.path.join(directory, "BENCH_*.json")
     for path in sorted(glob.glob(pattern)):
         name = os.path.basename(path)
@@ -79,20 +67,12 @@ def load_artifact_records(directory: str) -> Dict[str, Dict]:
             record = json.load(handle)
         if not isinstance(record, dict):
             continue
-        records[name] = record
-    return records
-
-
-def load_artifacts(directory: str) -> Dict[str, Dict[str, float]]:
-    """Gated metrics per ``BENCH_*.json`` artifact (history excluded)."""
-    return {
-        name: {
+        artifacts[name] = {
             key: float(value)
             for key, value in record.items()
             if _is_gated_metric(key, value)
         }
-        for name, record in load_artifact_records(directory).items()
-    }
+    return artifacts
 
 
 def default_history_path(directory: str) -> str:
@@ -166,9 +146,6 @@ class BenchCheckResult:
     regressions: List[Regression] = field(default_factory=list)
     missing: List[str] = field(default_factory=list)
     new_metrics: List[str] = field(default_factory=list)
-    #: Comparisons that could not be made meaningfully (e.g. the
-    #: parallel-vs-serial gate on a single-core recording), with reasons.
-    skipped: List[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -186,8 +163,6 @@ class BenchCheckResult:
             lines.append(f"  missing from fresh artifacts: {name}")
         for name in self.new_metrics:
             lines.append(f"  new metric (no baseline yet): {name}")
-        for reason in self.skipped:
-            lines.append(f"  skipped: {reason}")
         lines.append("bench-check: FAIL" if not self.passed else "bench-check: OK")
         return lines
 
@@ -211,56 +186,6 @@ def _regresses(
     return True
 
 
-def _check_parallel_vs_serial(
-    records: Dict[str, Dict],
-    tolerance: float,
-    absolute_slack: float,
-    result: BenchCheckResult,
-) -> None:
-    """Gate "parallel must not lose to serial" inside each artifact.
-
-    Pairs every ``parallel*_<case>_seconds`` metric with its
-    ``serial_<case>_seconds`` counterpart in the same artifact.  The
-    comparison only means something when the artifact was recorded on a
-    multi-core machine, so recordings with ``cpu_count < 2`` (or without
-    a recorded cpu_count) are skipped, and the skip is surfaced in the
-    summary rather than silently passing.
-    """
-    for artifact, record in sorted(records.items()):
-        pairs: List[Tuple[str, str]] = []
-        for metric, value in sorted(record.items()):
-            if not _is_gated_metric(metric, value):
-                continue
-            match = _PARALLEL_METRIC.match(metric)
-            if match is None:
-                continue
-            serial_metric = f"serial_{match.group(1)}_seconds"
-            if _is_gated_metric(serial_metric, record.get(serial_metric)):
-                pairs.append((metric, serial_metric))
-        if not pairs:
-            continue
-        cpu_count = record.get("cpu_count")
-        if not isinstance(cpu_count, int) or cpu_count < 2:
-            result.skipped.append(
-                f"{artifact}: parallel-vs-serial gate "
-                f"(recorded with cpu_count={cpu_count!r}; need >= 2 cores)"
-            )
-            continue
-        for metric, serial_metric in pairs:
-            result.checked += 1
-            serial = float(record[serial_metric])
-            parallel = float(record[metric])
-            if _regresses(serial, parallel, tolerance, absolute_slack):
-                result.regressions.append(
-                    Regression(
-                        artifact,
-                        f"{metric} vs {serial_metric}",
-                        serial,
-                        parallel,
-                    )
-                )
-
-
 def check_benchmarks(
     directory: str,
     history_path: Optional[str] = None,
@@ -275,10 +200,6 @@ def check_benchmarks(
     Improvements always pass; metrics present only on one side are
     reported but do not fail the gate (new benchmarks must be allowed to
     land, and CI compares committed artifacts against committed history).
-
-    Artifacts exposing paired ``serial_*`` / ``parallel*_*`` timings are
-    additionally gated on parallel not losing to serial — skipped, with a
-    note, when the artifact was recorded on fewer than two cores.
     """
     if tolerance < 0:
         raise ValueError("tolerance cannot be negative")
@@ -286,15 +207,7 @@ def check_benchmarks(
         raise ValueError("absolute_slack cannot be negative")
     path = history_path or default_history_path(directory)
     baselines = load_history(path)
-    records = load_artifact_records(directory)
-    current = {
-        name: {
-            key: float(value)
-            for key, value in record.items()
-            if _is_gated_metric(key, value)
-        }
-        for name, record in records.items()
-    }
+    current = load_artifacts(directory)
     result = BenchCheckResult(
         tolerance=tolerance, absolute_slack=absolute_slack
     )
@@ -320,5 +233,4 @@ def check_benchmarks(
                 result.new_metrics.append(f"{artifact}:{metric}")
             elif metric not in known:
                 result.new_metrics.append(f"{artifact}:{metric}")
-    _check_parallel_vs_serial(records, tolerance, absolute_slack, result)
     return result

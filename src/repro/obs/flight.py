@@ -235,7 +235,7 @@ class FlightRecorder:
         """Record counter movement since the last call as a ring entry.
 
         Uses the registry's deterministic ``counter_totals()`` layer, so
-        the entry is identical across worker counts and hash seeds.
+        the entry is identical across runs and hash seeds.
         Returns the (possibly empty) delta map; without a registry this
         is a no-op.
         """

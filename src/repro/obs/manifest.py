@@ -103,7 +103,6 @@ class RunManifest:
         command: the subcommand (``track``, ``live``, ``chaos``, ...).
         seed: the global PRNG seed.
         scale: topology scale name (``""`` for programmatic runs).
-        workers: simulation worker processes.
         config: remaining run parameters (max_configs, distribution, ...).
         fault_plan: serialized fault plan, or None for fault-free runs.
         git_revision: ``git describe`` of the source tree ("" if unknown).
@@ -118,7 +117,6 @@ class RunManifest:
     command: str = ""
     seed: int = 0
     scale: str = ""
-    workers: int = 1
     config: Dict[str, object] = field(default_factory=dict)
     fault_plan: Optional[Dict] = None
     git_revision: str = ""
@@ -150,7 +148,6 @@ def build_manifest(
     command: str,
     seed: int = 0,
     scale: str = "",
-    workers: int = 1,
     config: Optional[Mapping[str, object]] = None,
     fault_plan: Optional[Dict] = None,
 ) -> RunManifest:
@@ -161,7 +158,6 @@ def build_manifest(
         command=command,
         seed=seed,
         scale=scale,
-        workers=workers,
         config=dict(config or {}),
         fault_plan=fault_plan,
         git_revision=git_describe(),

@@ -5,19 +5,17 @@ Design rules, mirroring the rest of the reproduction:
 * **Counters are deterministic.**  A counter counts *logical events* —
   configurations simulated, cache hits, traceroutes dropped — whose
   totals are a pure function of the seeded scenario.  Two runs of the
-  same scenario must produce identical counter totals regardless of
-  ``--workers``; the equivalence tests enforce exactly this, the same
-  way the engine's serial-vs-parallel outcome tests do.
-* **Gauges and histograms carry measured data.**  Wall times, queue
-  waits, and window latencies are real measurements; they vary run to
+  same scenario must produce identical counter totals; the determinism
+  tests pin exactly this.
+* **Gauges and histograms carry measured data.**  Wall times and
+  window latencies are real measurements; they vary run to
   run and are explicitly excluded from determinism comparisons
   (:meth:`MetricsRegistry.counter_totals` returns only the
   deterministic layer).
 * **Lock-safe and mergeable.**  Every mutation takes the registry
   lock, and a registry can absorb another registry's snapshot with
-  :meth:`MetricsRegistry.merge` — the shape worker processes use when
-  shipping per-worker tallies back over the engine's result-tuple
-  channel.
+  :meth:`MetricsRegistry.merge` — e.g. to fold partial runs, or a
+  parsed scrape, into one total.
 
 The text dump (:meth:`MetricsRegistry.render_prometheus`) follows the
 Prometheus exposition format so existing scrapers and ``promtool`` can
@@ -239,7 +237,7 @@ class MetricsRegistry:
         """The deterministic layer: every counter's total, by series.
 
         Keys are ``name{label="value",...}``; values are the tallies.
-        This is what the serial-vs-parallel equivalence tests compare —
+        This is what the determinism tests compare —
         gauges and histograms (measured data) are deliberately absent.
         """
         with self._lock:
@@ -277,9 +275,7 @@ class MetricsRegistry:
         """Fold another registry's :meth:`snapshot` into this one.
 
         Counters and histogram tallies add; gauges take the incoming
-        value (last writer wins — gauges are point-in-time).  This is
-        the merge the engine's result-tuple channel performs when
-        worker-side tallies come home.
+        value (last writer wins — gauges are point-in-time).
         """
         for entry in snapshot.get("counters", ()):
             labels = dict(tuple(pair) for pair in entry["labels"])
@@ -556,28 +552,23 @@ def record_engine_stats(registry: MetricsRegistry, stats) -> None:
 
     Deterministic counters mirror the stats fields one-for-one, so the
     metrics dump always reconciles with the report's ``engine_stats``;
-    measured quantities (wall time, queue wait, redundant parent
-    re-simulations — which depend on scheduling) land in gauges.
+    the measured wall time lands in a gauge.
     """
     pairs: Iterable[Tuple[str, float, str]] = (
         ("repro_engine_configs_requested_total", stats.configs_requested,
          "configurations asked of the simulation engine"),
         ("repro_engine_configs_simulated_total", stats.configs_simulated,
-         "Gauss-Seidel fixpoints run (logical, scheduling-independent)"),
+         "Gauss-Seidel fixpoints run"),
         ("repro_engine_cache_hits_total", stats.cache_hits,
          "requests served from the outcome cache"),
         ("repro_engine_warm_starts_total", stats.warm_starts,
          "simulations seeded from a parent outcome"),
         ("repro_engine_passes_saved_total", stats.passes_saved,
          "estimated Gauss-Seidel passes avoided by warm starts"),
-        ("repro_engine_worker_failures_total", stats.worker_failures,
-         "pool tasks that died or timed out"),
         ("repro_engine_retries_total", stats.retries,
-         "serial retries spent on injected faults"),
+         "retries spent on injected faults"),
         ("repro_engine_faults_bypassed_total", stats.faults_bypassed,
-         "tasks that ran with injection suppressed after retry exhaustion"),
-        ("repro_engine_pool_rebuilds_total", stats.pool_rebuilds,
-         "worker pools torn down after a failure"),
+         "simulations that ran with injection suppressed after retry exhaustion"),
     )
     for name, value, help_text in pairs:
         registry.counter(name, help=help_text).inc(value)
@@ -585,14 +576,6 @@ def record_engine_stats(registry: MetricsRegistry, stats) -> None:
         "repro_engine_wall_seconds",
         help="seconds spent inside the simulation engine",
     ).add(stats.wall_time)
-    registry.gauge(
-        "repro_engine_queue_wait_seconds",
-        help="seconds the engine blocked waiting on pool results",
-    ).add(stats.queue_wait)
-    registry.gauge(
-        "repro_engine_redundant_parent_sims",
-        help="physical warm-start parent re-simulations beyond the logical count",
-    ).add(stats.redundant_parent_sims)
 
 
 def record_build_info(registry: MetricsRegistry) -> None:

@@ -11,7 +11,7 @@ Endpoints (all GET, stdlib :mod:`http.server` only):
 ``/metrics``
     Prometheus text from the live registry.  Rendering happens under the
     registry lock, so concurrent scrapes see consistent snapshots even
-    while a ``--workers > 1`` run is mutating counters.
+    while a run on another thread is mutating counters.
 ``/healthz``
     Liveness, fed by a health source (an
     :class:`~repro.faults.health.InvariantMonitor`-shaped summary or any

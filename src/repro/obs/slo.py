@@ -70,11 +70,6 @@ DEFAULT_SLOS: Tuple[SloRule, ...] = (
         "fraction of deployed configurations with partial (degraded) catchments",
         0.5,
     ),
-    SloRule(
-        "worker_error_rate",
-        "engine worker failures per requested configuration",
-        0.10,
-    ),
 )
 
 #: Long-horizon resource objective: worst-of RSS / open FDs / threads as
@@ -121,9 +116,6 @@ class SloWatchdog:
         self.breaches: Dict[str, str] = {}
         self.trip_counts: Dict[str, int] = {}
         self.checks = 0
-        # Cross-event accumulators for rate-style indicators.
-        self._worker_failures = 0
-        self._configs_requested = 0
 
     @property
     def ready(self) -> bool:
@@ -184,19 +176,6 @@ class SloWatchdog:
                     "ingest_drop_rate",
                     rate,
                     f"dropped {rate:.1%} of offered volume",
-                )
-        elif kind == "engine_batch":
-            self._worker_failures += int(event.get("worker_failures", 0) or 0)
-            self._configs_requested += int(
-                event.get("configs_requested", 0) or 0
-            )
-            if self._configs_requested > 0:
-                rate = self._worker_failures / self._configs_requested
-                self.check(
-                    "worker_error_rate",
-                    rate,
-                    f"{self._worker_failures} worker failures over "
-                    f"{self._configs_requested} requested configs",
                 )
         elif kind == "resource":
             utilization = event.get("ceiling_utilization")

@@ -5,11 +5,10 @@ phases under it, engine batches and live windows below those.  Span
 *identity* follows the :mod:`repro.faults` determinism scheme: a span id
 is the SHA-256 digest of ``parent-id | site-name | per-parent ordinal``,
 never of the wall clock, so two runs of the same seeded scenario emit
-the same tree of ids whether they ran serial or with ``--workers 8``,
-today or next year.  Wall-clock durations are still captured (with
-:func:`time.perf_counter`) but only as *data* on the span — they never
-feed identity, and :func:`span_tree_signature` strips them so trees can
-be compared across runs.
+the same tree of ids, today or next year.  Wall-clock durations are
+still captured (with :func:`time.perf_counter`) but only as *data* on
+the span — they never feed identity, and :func:`span_tree_signature`
+strips them so trees can be compared across runs.
 
 Traces export as JSONL, one span per line, closed spans first-finished
 first; :func:`load_spans` reads them back and :func:`build_tree`
@@ -22,7 +21,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from contextlib import contextmanager
 
@@ -67,54 +66,6 @@ class Span:
         }
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """Span parentage serialized across a process boundary.
-
-    The multiprocess simulation workers cannot share the main-process
-    :class:`Tracer`, but they do not need to: span identity is pure
-    structure (parent id | name | ordinal), so a worker only needs the
-    parent span id and the run name to mint the *same* child ids the
-    serial path would.  The context travels as a plain tuple inside the
-    task payload; workers call :meth:`child_record` with ordinals that
-    were assigned deterministically before dispatch, ship the records
-    back with their results, and the engine grafts them into the main
-    tracer via :meth:`Tracer.graft`.
-    """
-
-    parent_span_id: str
-    run_name: str = "run"
-
-    def as_tuple(self) -> Tuple[str, str]:
-        """Pickle-friendly wire form."""
-        return (self.parent_span_id, self.run_name)
-
-    @classmethod
-    def from_tuple(cls, value: Tuple[str, str]) -> "TraceContext":
-        return cls(parent_span_id=value[0], run_name=value[1])
-
-    def child_record(
-        self,
-        name: str,
-        ordinal: int,
-        attrs: Optional[Mapping[str, object]] = None,
-        duration_seconds: float = 0.0,
-    ) -> Dict:
-        """A deterministic child span record (JSON-safe, graftable).
-
-        Identity comes from ``(parent id, name, ordinal)`` exactly like
-        :meth:`Tracer.span`; the measured duration rides along as data
-        only, so the record set is worker-count invariant.
-        """
-        return {
-            "span_id": _derive_id(self.parent_span_id, name, ordinal),
-            "parent_id": self.parent_span_id,
-            "name": name,
-            "attrs": dict(attrs or {}),
-            "duration_seconds": round(duration_seconds, 6),
-        }
-
-
 class Tracer:
     """Builds one deterministic span tree per run.
 
@@ -145,12 +96,6 @@ class Tracer:
     def current(self) -> Span:
         """The innermost open span (the root when nothing is open)."""
         return self._stack[-1]
-
-    def context(self) -> TraceContext:
-        """A :class:`TraceContext` rooted at the current span."""
-        return TraceContext(
-            parent_span_id=self.current.span_id, run_name=self.root.name
-        )
 
     def _notify(self, span: Span) -> None:
         if self.listeners:
@@ -192,28 +137,6 @@ class Tracer:
             self._stack.pop()
             self.finished.append(self.root)
             self._notify(self.root)
-
-    def graft(self, records: Iterable[Mapping]) -> int:
-        """Adopt span records minted elsewhere (workers, other processes).
-
-        Records must carry ids derived through the same
-        ``parent|name|ordinal`` scheme (see :class:`TraceContext`) so
-        the merged tree stays deterministic.  Returns how many spans
-        were adopted.
-        """
-        count = 0
-        for record in records:
-            span = Span(
-                span_id=record["span_id"],
-                parent_id=record["parent_id"],
-                name=record["name"],
-                attrs=dict(record.get("attrs", {})),
-                duration_seconds=float(record.get("duration_seconds", 0.0)),
-            )
-            self.finished.append(span)
-            self._notify(span)
-            count += 1
-        return count
 
     # -- export ---------------------------------------------------------
 
@@ -264,7 +187,7 @@ def span_tree_signature(spans: List[Mapping]) -> str:
     Strips measured durations and hashes the sorted
     ``(span_id, parent_id, name, attrs)`` tuples — two runs of the same
     seeded scenario must produce the same signature regardless of
-    worker count, machine, or clock.
+    machine or clock.
     """
     canonical = sorted(
         json.dumps(

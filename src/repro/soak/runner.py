@@ -62,7 +62,6 @@ class SoakRunner:
         spec: the frozen soak recipe.
         checkpoint_dir: directory for the disrupted campaign's
             checkpoints (required — restarts resume from disk).
-        workers: simulation workers per tenant engine.
         obs: observability bundle shared by the disrupted campaign, the
             sentinel, and (via tagged views) every shard.  The reference
             run deliberately runs unobserved so its bus/metrics traffic
@@ -85,7 +84,6 @@ class SoakRunner:
         self,
         spec: SoakSpec,
         checkpoint_dir: str,
-        workers: int = 1,
         obs: Optional[Observability] = None,
         verify: bool = True,
         reference_dir: str = "",
@@ -98,7 +96,6 @@ class SoakRunner:
             )
         self.spec = spec
         self.checkpoint_dir = checkpoint_dir
-        self.workers = workers
         self.obs = obs if obs is not None else Observability()
         self.verify = verify
         self.reference_dir = reference_dir or os.path.join(
@@ -129,7 +126,6 @@ class SoakRunner:
             self.spec.fleet,
             events=events,
             obs=self.obs,
-            workers=self.workers,
             checkpoint_dir=self.checkpoint_dir,
             skip_events=skip,
             flight_dir=self.flight_dir,
@@ -250,7 +246,6 @@ class SoakRunner:
         runtime = FleetRuntime(
             self.spec.fleet,
             events=stream,
-            workers=self.workers,
             checkpoint_dir=self.reference_dir,
         )
         try:

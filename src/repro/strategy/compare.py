@@ -152,7 +152,6 @@ def compare_strategies(
     testbed,
     strategies: Optional[Sequence[str]] = None,
     max_configs: Optional[int] = None,
-    workers: int = 1,
     seed: Optional[int] = None,
     volume_by_as: Optional[Mapping[ASN, float]] = None,
     timeline: Optional[CampaignTimeline] = None,
@@ -167,8 +166,6 @@ def compare_strategies(
             collapse to the first occurrence; default: every registered
             strategy, sorted).
         max_configs: truncate the candidate schedule.
-        workers: simulation worker processes for the shared measurement
-            pass (ignored when ``engine`` is given).
         seed: seed for strategies with internal randomness (default:
             the testbed spec's seed, else 0).
         volume_by_as: optional static per-AS volume estimates fed to
@@ -201,8 +198,6 @@ def compare_strategies(
     if engine is None:
         engine = SimulationEngine(
             testbed.simulator,
-            workers=workers,
-            spec=testbed.spec,
             bus=obs.bus,
             tracer=obs.tracer,
         )

@@ -135,8 +135,8 @@ def test_indexed_equals_legacy_with_clean_policies(mini):
         )
 
 
-def test_engine_outcomes_identical_across_cores_and_workers():
-    """The engine produces the same outcomes with any (core, workers) pair."""
+def test_engine_outcomes_identical_across_cores():
+    """The engine produces the same outcomes with either core."""
     topology = _fresh_topology(seed=3)
     origin = attach_origin(topology, num_links=4, seed=3)
     policy = PolicyModel(topology.graph, seed=3)
@@ -146,41 +146,12 @@ def test_engine_outcomes_identical_across_cores_and_workers():
     reference = None
     for core in ("indexed", "legacy"):
         simulator = RoutingSimulator(topology.graph, origin, policy, core=core)
-        for workers in (1, 2):
-            with SimulationEngine(simulator, workers=workers) as engine:
-                outcomes = engine.simulate_many(configs)
-            if reference is None:
-                reference = outcomes
-            else:
-                for got, want in zip(outcomes, reference):
-                    assert_outcomes_identical(got, want)
-
-
-def test_engine_batched_dispatch_matches_per_task(small_testbed):
-    """dispatch_batch=1 (per-task) and auto batching agree exactly."""
-    from repro.core.pipeline import SpoofTracker
-
-    configs = SpoofTracker(small_testbed).schedule[:16]
-    with SimulationEngine(
-        small_testbed.simulator,
-        workers=2,
-        spec=small_testbed.spec,
-        dispatch_batch=1,
-    ) as per_task:
-        a = per_task.simulate_many(configs)
-        stats_a = per_task.stats.copy()
-    with SimulationEngine(
-        small_testbed.simulator, workers=2, spec=small_testbed.spec
-    ) as batched:
-        b = batched.simulate_many(configs)
-        stats_b = batched.stats.copy()
-    for got, want in zip(b, a):
-        assert_outcomes_identical(got, want)
-    # Logical accounting is scheduling-independent, batch size included.
-    assert stats_a.configs_simulated == stats_b.configs_simulated
-    assert stats_a.cache_hits == stats_b.cache_hits
-    assert stats_a.warm_starts == stats_b.warm_starts
-    assert stats_a.passes_saved == stats_b.passes_saved
+        outcomes = SimulationEngine(simulator).simulate_many(configs)
+        if reference is None:
+            reference = outcomes
+        else:
+            for got, want in zip(outcomes, reference):
+                assert_outcomes_identical(got, want)
 
 
 def test_overridden_policy_falls_back_to_legacy():
@@ -237,20 +208,6 @@ def test_core_env_var_and_validation(mini, monkeypatch):
         RoutingSimulator(mini.graph, mini.origin, policy, core="vectorized")
 
 
-def test_simulator_pickles_without_compiled_state(mini):
-    import pickle
-
-    policy = PolicyModel(mini.graph, seed=0)
-    simulator = RoutingSimulator(mini.graph, mini.origin, policy)
-    baseline = simulator.simulate(anycast_all(mini.origin.link_ids))
-    assert simulator._compiled is not None
-    clone = pickle.loads(pickle.dumps(simulator))
-    assert clone._compiled is None  # caches dropped, rebuilt on demand
-    assert clone._neighbors is None
-    outcome = clone.simulate(anycast_all(mini.origin.link_ids))
-    assert outcome.routes == baseline.routes
-
-
 @pytest.mark.parametrize("core", ["indexed", "legacy"])
 def test_warm_start_bit_identical_across_prepend_deltas(core):
     """Regression guard for the stale-tail warm-start bug.
@@ -297,7 +254,7 @@ def test_warm_start_bit_identical_across_prepend_deltas(core):
 
 
 def test_compiled_topology_direct_use():
-    """CompiledTopology.propagate is usable standalone (what workers do)."""
+    """CompiledTopology.propagate is usable standalone."""
     topology = _fresh_topology(seed=31)
     origin = attach_origin(topology, num_links=3, seed=31)
     policy = PolicyModel(topology.graph, seed=4)

@@ -29,10 +29,13 @@ class TestParser:
     def test_scales_registered(self):
         assert {"small", "medium", "paper"} <= set(SCALES)
 
-    def test_workers_registered_per_subcommand(self):
-        for command in ["figures", "track", "live", "headline", "dataset", "experiments"]:
-            args = build_parser().parse_args([command, "--workers", "3"])
-            assert args.workers == 3
+    def test_workers_flag_rejected(self, capsys):
+        """Simulation is serial-only: ``--workers`` is not an option."""
+        for command in ["track", "figures", "live", "compare", "fleet", "soak"]:
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--workers", "2"])
+            assert exit_info.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
     def test_live_defaults(self):
         args = build_parser().parse_args(["live"])
@@ -65,15 +68,12 @@ class TestParser:
                 "10",
                 "--json",
                 "out.json",
-                "--workers",
-                "2",
             ]
         )
         assert args.seed == 7
         assert args.strategies == "greedy,random"
         assert args.max_configs == 10
         assert args.json == "out.json"
-        assert args.workers == 2
 
     def test_strategy_flags_registered(self):
         args = build_parser().parse_args(["track", "--strategy", "bisect"])

@@ -334,7 +334,7 @@ class TestRetryPolicy:
         with pytest.raises(ReproError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ReproError):
-            RetryPolicy(task_timeout=0.0)
+            RetryPolicy(backoff_base=-1.0)
 
 
 class TestCircuitBreaker:

@@ -1,9 +1,9 @@
 """Tests for the observability layer (repro.obs).
 
 The two properties the layer sells are determinism (identical counter
-totals and span trees for identical seeded scenarios, at any worker
-count) and reconciliation (the metrics dump agrees with the engine's
-own accounting) — both are enforced here against real pipeline runs.
+totals and span trees for identical seeded scenarios) and
+reconciliation (the metrics dump agrees with the engine's own
+accounting) — both are enforced here against real pipeline runs.
 """
 
 import json
@@ -29,6 +29,47 @@ from repro.obs import (
     record_fault_log,
     span_tree_signature,
 )
+
+#: Serial oracles for ``SpoofTracker(small_testbed).run(max_configs=10)``
+#: under ``Observability.for_run("track")``.  Recorded from the
+#: multiprocess engine before it was removed, where one and two workers
+#: produced exactly these values; the serial engine must keep them.
+TRACK_SPAN_SIGNATURE = (
+    "1e91c3d821cbd08843171f6ae88981aa4a11d29278eb72b7a668944e0644647e"
+)
+TRACK_COUNTER_TOTALS = {
+    "repro_engine_cache_hits_total": 0.0,
+    "repro_engine_configs_requested_total": 10.0,
+    "repro_engine_configs_simulated_total": 10.0,
+    "repro_engine_faults_bypassed_total": 0.0,
+    "repro_engine_passes_saved_total": 3.0,
+    "repro_engine_retries_total": 0.0,
+    "repro_engine_warm_starts_total": 9.0,
+    "repro_pipeline_clusters_total": 28.0,
+    "repro_pipeline_configs_deployed_total": 10.0,
+    "repro_pipeline_degraded_steps_total": 0.0,
+    "repro_pipeline_sources_total": 205.0,
+}
+#: Signature of :func:`stream_configs` streamed through
+#: ``SimulationEngine.iter_simulate`` under ``Tracer("stream")``: the
+#: stream starts with children whose warm-start parents (and
+#: grandparents) are simulated on demand, then hits them in the cache.
+STREAM_SPAN_SIGNATURE = (
+    "1ffbaf743dfdd4e9261cdef6e5c0eec75a463d7b64897f39aa643ff44c10d7c8"
+)
+
+
+def stream_configs(testbed):
+    """12 configurations: 4 three-link prepends, 2 poisonings, then the
+    schedule's first 6 (anycast-all and locations, some already cached
+    as parents)."""
+    schedule = SpoofTracker(testbed).schedule
+    prepends = [
+        config for config in schedule
+        if config.phase == "prepending" and len(config.announced) == 3
+    ]
+    poisons = [config for config in schedule if config.phase == "poisoning"]
+    return prepends[:4] + poisons[:2] + schedule[:6]
 
 
 class TestCounters:
@@ -254,9 +295,8 @@ class TestEngineRecording:
             warm_starts=5,
             passes_saved=9,
             wall_time=1.25,
-            queue_wait=0.5,
-            worker_failures=1,
             retries=2,
+            faults_bypassed=1,
         )
         registry = MetricsRegistry()
         record_engine_stats(registry, stats)
@@ -266,10 +306,9 @@ class TestEngineRecording:
         assert totals["repro_engine_cache_hits_total"] == 3
         assert totals["repro_engine_warm_starts_total"] == 5
         assert totals["repro_engine_passes_saved_total"] == 9
-        assert totals["repro_engine_worker_failures_total"] == 1
         assert totals["repro_engine_retries_total"] == 2
+        assert totals["repro_engine_faults_bypassed_total"] == 1
         assert registry.gauge("repro_engine_wall_seconds").value == 1.25
-        assert registry.gauge("repro_engine_queue_wait_seconds").value == 0.5
 
     def test_record_fault_log(self):
         registry = MetricsRegistry()
@@ -378,7 +417,7 @@ class TestProfiling:
 class TestManifest:
     def test_build_manifest_roundtrips(self):
         manifest = build_manifest(
-            "track", seed=7, scale="small", workers=2,
+            "track", seed=7, scale="small",
             config={"max_configs": 12}, fault_plan=None,
         )
         assert manifest.command == "track"
@@ -388,7 +427,7 @@ class TestManifest:
         assert payload["python_version"]
 
     def test_manifest_is_frozen(self):
-        manifest = build_manifest("track", seed=0, scale="small", workers=1)
+        manifest = build_manifest("track", seed=0, scale="small")
         with pytest.raises(AttributeError):
             manifest.seed = 1
 
@@ -414,34 +453,41 @@ class TestObservabilityBundle:
 class TestPipelineDeterminism:
     """The layer's headline guarantees, against real pipeline runs."""
 
-    def _run(self, testbed, workers, run_name="track"):
+    def _run(self, testbed, run_name="track"):
         obs = Observability.for_run(run_name)
-        tracker = SpoofTracker(testbed, workers=workers, obs=obs)
-        try:
-            report = tracker.run(max_configs=10)
-        finally:
-            tracker.engine.close()
+        tracker = SpoofTracker(testbed, obs=obs)
+        report = tracker.run(max_configs=10)
         obs.tracer.finish()
         return report, obs
 
-    def test_counter_totals_identical_serial_vs_parallel(self, small_testbed):
-        _, serial = self._run(small_testbed, workers=1)
-        _, parallel = self._run(small_testbed, workers=2)
-        assert serial.registry.counter_totals() == parallel.registry.counter_totals()
-        assert serial.registry.counter_totals()[
-            "repro_engine_configs_simulated_total"
-        ] > 0
+    def test_counter_totals_match_pinned_oracle(self, small_testbed):
+        _, obs = self._run(small_testbed)
+        assert obs.registry.counter_totals() == TRACK_COUNTER_TOTALS
 
-    def test_span_tree_identical_across_runs_and_workers(self, small_testbed):
-        _, first = self._run(small_testbed, workers=1)
-        _, second = self._run(small_testbed, workers=1)
-        _, fanned = self._run(small_testbed, workers=2)
+    def test_span_tree_identical_across_runs_and_pinned(self, small_testbed):
+        _, first = self._run(small_testbed)
+        _, second = self._run(small_testbed)
         signature = span_tree_signature(first.tracer.records())
         assert signature == span_tree_signature(second.tracer.records())
-        assert signature == span_tree_signature(fanned.tracer.records())
+        assert signature == TRACK_SPAN_SIGNATURE
+
+    def test_stream_span_tree_matches_pinned_oracle(self, small_testbed):
+        tracer = Tracer("stream")
+        engine = SimulationEngine(small_testbed.simulator, tracer=tracer)
+        outcomes = list(engine.iter_simulate(stream_configs(small_testbed)))
+        tracer.finish()
+        assert len(outcomes) == 12
+        assert span_tree_signature(tracer.records()) == STREAM_SPAN_SIGNATURE
+        stats = engine.stats
+        assert (
+            stats.configs_simulated,
+            stats.cache_hits,
+            stats.warm_starts,
+            stats.passes_saved,
+        ) == (14, 1, 11, 5)
 
     def test_all_five_phases_traced(self, small_testbed):
-        _, obs = self._run(small_testbed, workers=1)
+        _, obs = self._run(small_testbed)
         tree = build_tree(obs.tracer.records())
         root = tree[""][0]
         phases = [span["name"] for span in tree[root["span_id"]]]
@@ -451,7 +497,7 @@ class TestPipelineDeterminism:
         }
 
     def test_metrics_reconcile_with_engine_stats(self, small_testbed):
-        report, obs = self._run(small_testbed, workers=1)
+        report, obs = self._run(small_testbed)
         totals = obs.registry.counter_totals()
         stats = report.engine_stats
         assert totals["repro_engine_configs_simulated_total"] == (
@@ -465,15 +511,11 @@ class TestPipelineDeterminism:
         tracker = SpoofTracker(small_testbed)
         configs = tracker.schedule[:8]
         whole = MetricsRegistry()
-        with SimulationEngine(
-            small_testbed.simulator, spec=small_testbed.spec
-        ) as engine:
+        with SimulationEngine(small_testbed.simulator) as engine:
             engine.simulate_many(configs)
             record_engine_stats(whole, engine.stats)
         parts = MetricsRegistry()
-        with SimulationEngine(
-            small_testbed.simulator, spec=small_testbed.spec
-        ) as engine:
+        with SimulationEngine(small_testbed.simulator) as engine:
             before = engine.stats.copy()
             engine.simulate_many(configs[:4])
             first = MetricsRegistry()

@@ -65,7 +65,7 @@ class TestBuildTestbed:
             num_probes=10,
         )
         assert testbed.spec is not None
-        rebuilt = testbed.spec.build_simulator()
+        rebuilt = testbed.spec.build().simulator
         config = anycast_all(testbed.origin.link_ids)
         assert rebuilt.simulate(config).routes == testbed.simulator.simulate(
             config

@@ -1,9 +1,9 @@
-"""Cross-process trace propagation + flight-dump determinism (ISSUE 10).
+"""Span-tree determinism + flight-dump determinism.
 
-Two halves of the tentpole contract:
+Two halves of the contract:
 
-* span identity is pure structure, so the grafted span tree — and its
-  :func:`span_tree_signature` — is identical at any worker count; and
+* span identity is pure structure, so the span tree — and its
+  :func:`span_tree_signature` — matches a pinned serial oracle; and
 * flight bundles capture only the deterministic projection, so the same
   seeded kill scenario dumps byte-identical black boxes across
   interpreter hash seeds and across the serial/asyncio fleet drivers,
@@ -27,14 +27,12 @@ from repro.fleet import (
 from repro.core.pipeline import SpoofTracker
 from repro.obs import (
     Observability,
-    Span,
-    TraceContext,
-    Tracer,
     build_timeline,
     load_spans,
     span_tree_signature,
 )
 from repro.topology.generator import TopologyParams
+from tests.test_obs import TRACK_SPAN_SIGNATURE
 
 #: 2 tenants x 1 attack: the smallest fleet where a kill is observable.
 TWO_SHARD_SPEC = FleetSpec(
@@ -99,86 +97,41 @@ def bundle_hashes(flight_dir):
     return hashes
 
 
-class TestTraceContext:
-    def test_roundtrips_across_the_wire(self):
-        ctx = TraceContext(parent_span_id="abcd", run_name="track")
-        assert TraceContext.from_tuple(ctx.as_tuple()) == ctx
-
-    def test_child_record_matches_serial_span_identity(self):
-        """A worker minting ids via TraceContext produces exactly the
-        span the serial path would have opened."""
-        serial = Tracer("track")
-        with serial.span("engine"):
-            with serial.span("simulate", config=0):
-                pass
-        remote = Tracer("track")
-        with remote.span("engine"):
-            record = remote.context().child_record(
-                "simulate", 0, attrs={"config": 0}
-            )
-        simulate = next(
-            span for span in serial.finished if span.name == "simulate"
-        )
-        assert record["span_id"] == simulate.span_id
-        assert record["parent_id"] == simulate.parent_id
-
-    def test_graft_notifies_listeners_and_preserves_signature(self):
-        tracer = Tracer("track")
-        seen = []
-        tracer.listeners.append(lambda record: seen.append(record["name"]))
-        with tracer.span("engine"):
-            ctx = tracer.context()
-        tracer.graft([ctx.child_record("simulate", i) for i in range(2)])
-        tracer.finish()
-        assert seen == ["engine", "simulate", "simulate", "track"]
-        serial = Tracer("track")
-        with serial.span("engine"):
-            with serial.span("simulate"):
-                pass
-            with serial.span("simulate"):
-                pass
-        serial.finish()
-        assert span_tree_signature(tracer.records()) == span_tree_signature(
-            serial.records()
-        )
-
-
-class TestWorkerCountInvariance:
-    def _run(self, testbed, workers):
+class TestSerialSpanTree:
+    def _run(self, testbed):
         obs = Observability.for_run("track")
-        tracker = SpoofTracker(testbed, workers=workers, obs=obs)
-        try:
-            tracker.run(max_configs=10)
-        finally:
-            tracker.engine.close()
+        SpoofTracker(testbed, obs=obs).run(max_configs=10)
         obs.tracer.finish()
         return obs
 
-    def test_span_signature_identical_workers_1_vs_4(
+    def test_span_signature_pinned_and_survives_jsonl(
         self, small_testbed, tmp_path
     ):
-        serial = self._run(small_testbed, workers=1)
-        fanned = self._run(small_testbed, workers=4)
-        signature = span_tree_signature(serial.tracer.records())
-        assert signature == span_tree_signature(fanned.tracer.records())
+        obs = self._run(small_testbed)
+        signature = span_tree_signature(obs.tracer.records())
+        assert signature == TRACK_SPAN_SIGNATURE
         # The signature survives the JSONL round trip (what the CLI
         # writes is what `spooftrack timeline --trace` reads back).
         path = str(tmp_path / "trace.jsonl")
-        fanned.tracer.write_jsonl(path)
+        obs.tracer.write_jsonl(path)
         assert span_tree_signature(load_spans(path)) == signature
 
-    def test_worker_spans_graft_under_engine_parent(self, small_testbed):
-        obs = self._run(small_testbed, workers=4)
-        spans = obs.tracer.records()
+    def test_simulation_spans_nest_under_engine_batch(self, small_testbed):
+        spans = self._run(small_testbed).tracer.records()
         by_id = {span["span_id"]: span for span in spans}
-        workers = [
+        parents = {
+            span["span_id"]: by_id[span["parent_id"]]["name"]
+            for span in spans
+            if span["parent_id"]  # every span but the root has a parent
+        }
+        children = [
             span for span in spans
-            if span["name"] in ("simulate", "warm_start")
-            and by_id.get(span["parent_id"], {}).get("name") == "engine_batch"
+            if parents.get(span["span_id"]) == "engine_batch"
         ]
-        assert workers  # remote-minted spans landed in the grafted tree
-        for span in workers:
-            assert span["parent_id"] in by_id  # no orphaned worker spans
+        assert children
+        for span in children:
+            assert span["name"] in ("simulate", "warm_start")
+            assert span["attrs"]["configs"] >= 1
 
 
 class TestFlightDumpDeterminism:
