@@ -10,8 +10,8 @@ a lone greedy run, because the simulation work dominates and is shared.
 This benchmark times the same testbed two ways:
 
 * **lone**: one measurement pass plus a single
-  :class:`~repro.core.scheduler.GreedyScheduler` run — the §V-C
-  baseline a user would run anyway;
+  :class:`~repro.strategy.GreedyStrategy` run — the §V-C baseline a user
+  would run anyway;
 * **race**: :func:`~repro.strategy.compare_strategies` over every
   registered strategy, cold engine, same schedule.
 
@@ -31,8 +31,13 @@ import time
 from repro.core.configgen import ScheduleParams, generate_schedule
 from repro.core.engine import SimulationEngine
 from repro.core.pipeline import build_testbed
-from repro.core.scheduler import GreedyScheduler, measured_catchment_history
-from repro.strategy import available_strategies, compare_strategies
+from repro.core.scheduler import measured_catchment_history
+from repro.strategy import (
+    GreedyStrategy,
+    available_strategies,
+    compare_strategies,
+    run_strategy,
+)
 
 ARTIFACT = os.path.join(os.path.dirname(__file__), "BENCH_compare.json")
 REPEATS = 3
@@ -50,7 +55,9 @@ def _lone_run():
     start = time.perf_counter()
     try:
         universe, history = measured_catchment_history(engine, schedule)
-        order, _ = GreedyScheduler(universe, history).run()
+        order = run_strategy(
+            GreedyStrategy(), universe, history, check_converged=False
+        ).order
     finally:
         engine.close()
     return order, time.perf_counter() - start

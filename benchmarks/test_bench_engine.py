@@ -10,7 +10,9 @@ A second, optional benchmark (``REPRO_BENCH_LARGE=1``) synthesizes a
 CAIDA-sized (~75k AS) topology, round-trips it through the as-rel
 serialization, and times one fixpoint of the indexed simulation core
 over it — the scale the paper's traceback loop must sustain to race
-real announcement schedules.
+real announcement schedules.  It also times the reference Gauss-Seidel
+sweep (``tests/bgp_reference.py``, the test suite's oracle) on the same
+fixpoint and asserts the two agree bit for bit.
 
 Both tests merge into the artifact read-modify-write style, so a smoke
 run that skips the large benchmark preserves the committed large-graph
@@ -23,10 +25,16 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import time
 
 import pytest
 from conftest import BENCH_PARAMS, BENCH_SEED
+
+# The reference sweep is test-only code; appended, so it cannot shadow
+# this directory's conftest.
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+from bgp_reference import ReferenceSweep  # noqa: E402
 
 from repro.core.engine import SimulationEngine
 from repro.core.pipeline import SpoofTracker, build_testbed
@@ -199,7 +207,7 @@ def test_engine_large_graph_fixpoint(capsys):
         announced=frozenset(origin.link_ids[:4]), label="subset-4"
     )
 
-    sim = RoutingSimulator(graph, origin, policy, core="indexed")
+    sim = RoutingSimulator(graph, origin, policy)
     start = time.perf_counter()
     cold_outcome = sim.simulate(baseline)
     cold_time = time.perf_counter() - start  # includes the one-off compile
@@ -207,7 +215,7 @@ def test_engine_large_graph_fixpoint(capsys):
     sim.simulate(subset)
     compiled_time = time.perf_counter() - start
 
-    legacy = RoutingSimulator(graph, origin, policy, core="legacy")
+    legacy = ReferenceSweep.of(sim)
     start = time.perf_counter()
     legacy_outcome = legacy.simulate(baseline)
     legacy_time = time.perf_counter() - start
@@ -215,8 +223,8 @@ def test_engine_large_graph_fixpoint(capsys):
     assert cold_outcome.converged
     # The overwhelming majority of a connected graph must hold a route.
     assert len(cold_outcome.routes) > 0.95 * len(graph)
-    # The cores agree bit-for-bit at scale, and compiling pays for itself
-    # within this single fixpoint.
+    # Core and reference sweep agree bit-for-bit at scale, and compiling
+    # pays for itself within this single fixpoint.
     assert cold_outcome.routes == legacy_outcome.routes
     assert cold_outcome.passes == legacy_outcome.passes
     assert cold_time < legacy_time

@@ -23,13 +23,14 @@ import random
 from repro.core.clustering import ClusterState
 from repro.core.localization import SpoofLocalizer
 from repro.core.pipeline import SpoofTracker, build_testbed
-from repro.core.scheduler import (
-    GreedyScheduler,
-    VolumeAwareGreedyScheduler,
-    percentile_curve,
-    random_schedule_curves,
-)
+from repro.core.scheduler import percentile_curve, random_schedule_curves
 from repro.spoof import AmplificationHoneypot, SpoofedTrafficGenerator, pareto_placement
+from repro.strategy import (
+    GreedyStrategy,
+    VolumeGreedyStrategy,
+    run_strategy,
+    weighted_cost,
+)
 from repro.topology import TopologyParams
 
 
@@ -63,8 +64,11 @@ def main() -> None:
     placement = pareto_placement(sorted(testbed.topology.stubs), 40, rng)
     honeypot = AmplificationHoneypot(service="ntp")
 
-    greedy = GreedyScheduler(sorted(universe), history)
-    order, curve = greedy.run(max_steps=12)
+    greedy = run_strategy(
+        GreedyStrategy(), sorted(universe), history,
+        max_steps=12, check_converged=False,
+    )
+    order, curve = greedy.order, greedy.curve
     print(f"    greedy deployment order (first 12): {order}")
 
     volume_history = []
@@ -110,10 +114,16 @@ def main() -> None:
 
     print("\n[4] Volume-aware greedy (splits busy clusters first, §VIII):")
     volume_by_as = placement.volume_by_as(1.0)
-    aware = VolumeAwareGreedyScheduler(sorted(universe), history, volume_by_as)
-    aware_order, aware_curve = aware.run(max_steps=8)
-    print(f"    order: {aware_order}")
-    print(f"    weighted cost curve: {[round(v, 3) for v in aware_curve]}")
+    aware = run_strategy(
+        VolumeGreedyStrategy(volume_by_as=volume_by_as),
+        sorted(universe),
+        history,
+        max_steps=8,
+        curve_metric=lambda state: weighted_cost(state, volume_by_as),
+        check_converged=False,
+    )
+    print(f"    order: {aware.order}")
+    print(f"    weighted cost curve: {[round(v, 3) for v in aware.curve]}")
 
 
 if __name__ == "__main__":

@@ -26,13 +26,14 @@ from ..core.engine import SimulationEngine
 from ..core.localization import traffic_fraction_by_cluster_size
 from ..core.pipeline import SpoofTracker, Testbed, build_testbed
 from ..core.prediction import ComplianceStats, policy_compliance
+from ..errors import SchedulingError
 from ..core.scheduler import (
-    GreedyScheduler,
     mean_cluster_size_curve,
     percentile_curve,
     random_schedule_curves,
 )
 from ..spoof.sources import PLACEMENT_DISTRIBUTIONS, make_placement
+from ..strategy import GreedyStrategy, run_strategy
 from ..types import ASN, Catchment, LinkId
 from .stats import ccdf_points, cdf_points, fraction_at_least, mean
 
@@ -111,7 +112,14 @@ class EvaluationRun:
         Simulations run through ``engine`` (built on demand), so
         deploying the same schedule twice — or sharing an engine between
         a run and a tracker — costs zero extra fixpoints.
+
+        Raises:
+            SchedulingError: if ``max_configs`` is below 1.
         """
+        if max_configs is not None and max_configs < 1:
+            raise SchedulingError(
+                f"max_configs must be at least 1, got {max_configs}"
+            )
         self.testbed = testbed or build_testbed(seed=seed)
         self.engine = engine or SimulationEngine(self.testbed.simulator)
         tracker = SpoofTracker(self.testbed, schedule_params, engine=self.engine)
@@ -511,8 +519,13 @@ def figure8(
     p25 = percentile_curve(random_curves, 25.0)
     p50 = percentile_curve(random_curves, 50.0)
     p75 = percentile_curve(random_curves, 75.0)
-    scheduler = GreedyScheduler(universe, run.catchment_history)
-    _, greedy_curve = scheduler.run(max_steps=max_steps)
+    greedy_curve = run_strategy(
+        GreedyStrategy(),
+        universe,
+        run.catchment_history,
+        max_steps=max_steps,
+        check_converged=False,
+    ).curve
     notes = []
     checkpoint = min(10, len(p50), len(greedy_curve))
     if checkpoint:

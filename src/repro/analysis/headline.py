@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import List
 
 from ..core.clustering import ClusterState
-from ..core.scheduler import GreedyScheduler, percentile_curve, random_schedule_curves
+from ..core.scheduler import percentile_curve, random_schedule_curves
+from ..strategy import GreedyStrategy, run_strategy
 from .figures import EvaluationRun
 from .stats import mean
 
@@ -91,9 +92,13 @@ def headline_metrics(
         max_steps=horizon,
     )
     median = percentile_curve(curves, 50.0)
-    _, greedy = GreedyScheduler(universe, run.catchment_history).run(
-        max_steps=horizon
-    )
+    greedy = run_strategy(
+        GreedyStrategy(),
+        universe,
+        run.catchment_history,
+        max_steps=horizon,
+        check_converged=False,
+    ).curve
     if median and greedy:
         step = min(horizon, len(median), len(greedy)) - 1
         metrics.append(

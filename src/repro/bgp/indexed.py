@@ -1,12 +1,12 @@
 """Integer-indexed, frontier-driven core for BGP route propagation.
 
-:class:`~repro.bgp.simulator.RoutingSimulator`'s reference implementation
+The reference Gauss-Seidel sweep (kept with the tests as the oracle)
 keeps per-AS state in dictionaries keyed by ASN and re-derives policy
 answers (LocalPref, IGP cost, tiebreak salts, export filters) through
-method calls on every candidate evaluation of every Gauss-Seidel pass.
-That is perfect as an executable specification and hopeless at CAIDA
-scale (~75k ASes): a single fixpoint touches every AS every pass even
-when only a handful of routes are still moving.
+method calls on every candidate evaluation of every pass.  That is
+perfect as an executable specification and hopeless at CAIDA scale
+(~75k ASes): a single fixpoint touches every AS every pass even when
+only a handful of routes are still moving.
 
 This module compiles the *static* part of a simulation once per
 simulator and then propagates each configuration over dense integer
@@ -42,9 +42,8 @@ The compiled core reproduces the *base* :class:`PolicyModel` import and
 export semantics.  Policy subclasses that override only per-AS scalars
 (``salt_for``, ``local_pref``, ``igp_cost``, ``loop_prevention_enabled``)
 are compiled faithfully — the compiler calls those methods.  Subclasses
-that override ``accepts``/``exports`` themselves cannot be compiled;
-:func:`policy_is_compilable` detects that and the simulator falls back
-to the reference implementation.
+that override ``accepts``/``exports`` themselves cannot be compiled, and
+:class:`~repro.bgp.simulator.RoutingSimulator` rejects them.
 """
 
 from __future__ import annotations
@@ -68,32 +67,14 @@ _RELATIONSHIPS = (
     Relationship.PROVIDER,
 )
 
-_BASE_ACCEPTS = PolicyModel.accepts
-_BASE_EXPORTS = PolicyModel.exports
-
-
-def policy_is_compilable(policy: PolicyModel) -> bool:
-    """True when ``policy``'s import/export *logic* is the base model's.
-
-    The compiler inlines the base ``accepts``/``exports`` semantics, so a
-    subclass overriding either must run through the reference simulator
-    instead.  Overrides of the scalar hooks (``salt_for``,
-    ``local_pref``, ``igp_cost``, ``loop_prevention_enabled``) are fine:
-    the compiler calls them per AS/edge and bakes in their answers.
-    """
-    return (
-        type(policy).accepts is _BASE_ACCEPTS
-        and type(policy).exports is _BASE_EXPORTS
-    )
-
 
 class CompiledTopology:
     """Per-simulator compiled arrays for the indexed propagation core.
 
     Built once by :meth:`compile`; :meth:`propagate` then runs any number
     of configurations over it.  The compiled tables are derived purely
-    from ``(graph, origin, policy)``, so a compiled core and the
-    reference simulator over the same substrate are interchangeable.
+    from ``(graph, origin, policy)``, so one compiled core serves every
+    configuration simulated over that substrate.
     """
 
     __slots__ = (
@@ -135,11 +116,11 @@ class CompiledTopology:
         Args:
             graph: topology including the attached origin AS.
             origin: the announcing origin network.
-            policy: a policy whose import/export logic is compilable
-                (see :func:`policy_is_compilable`).
-            visit_order: the reference simulator's Gauss-Seidel visit
-                order (all ASes except the origin), reused verbatim so
-                trajectories match.
+            policy: a policy with the base ``accepts``/``exports``
+                (scalar hooks may be overridden).
+            visit_order: the simulator's Gauss-Seidel visit order (all
+                ASes except the origin); the trajectory matches a full
+                sweep in this order.
         """
         self = cls()
         origin_asn = origin.asn
@@ -236,8 +217,8 @@ class CompiledTopology:
 
         Returns a :class:`~repro.bgp.simulator.RoutingOutcome` that is
         bit-identical (routes, catchments, passes, decision changes,
-        convergence flag) to what the reference simulator produces for
-        the same ``(config, warm_start)``.
+        convergence flag) to what the reference sweep produces for the
+        same ``(config, warm_start)``.
         """
         from .simulator import RoutingOutcome  # local: avoid import cycle
 

@@ -469,6 +469,17 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """Parse a count that must be at least 1 (e.g. ``--max-configs``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_churn(text: str) -> tuple:
     """Parse a ``WINDOW:DRIFT`` churn event specification."""
     try:
@@ -1072,7 +1083,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--max-configs", type=int, default=None, help="truncate the schedule"
+            "--max-configs",
+            type=_positive_int,
+            default=None,
+            help="truncate the schedule",
         )
         sub.add_argument(
             "--measured",
@@ -1193,7 +1207,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     compare.add_argument(
-        "--max-configs", type=int, default=None, help="truncate the schedule"
+        "--max-configs",
+        type=_positive_int,
+        default=None,
+        help="truncate the schedule",
     )
     compare.add_argument(
         "--json",
@@ -1238,7 +1255,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--sources", type=int, default=40, help="number of sources"
     )
     live.add_argument(
-        "--max-configs", type=int, default=12, help="truncate the schedule"
+        "--max-configs",
+        type=_positive_int,
+        default=12,
+        help="truncate the schedule",
     )
     live.add_argument(
         "--window-minutes",
@@ -1359,7 +1379,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sources", type=int, default=12, help="sources per attack"
     )
     fleet.add_argument(
-        "--max-configs", type=int, default=6,
+        "--max-configs", type=_positive_int, default=6,
         help="truncate each shard's schedule",
     )
     fleet.add_argument(
@@ -1471,7 +1491,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sources", type=int, default=6, help="sources per attack"
     )
     soak.add_argument(
-        "--max-configs", type=int, default=3,
+        "--max-configs", type=_positive_int, default=3,
         help="truncate each shard's schedule",
     )
     soak.add_argument(
@@ -1683,7 +1703,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay mode: number of sources",
     )
     dash.add_argument(
-        "--max-configs", type=int, default=6,
+        "--max-configs", type=_positive_int, default=6,
         help="replay mode: truncate the schedule",
     )
     dash.set_defaults(func=_cmd_dash)

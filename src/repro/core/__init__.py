@@ -56,8 +56,6 @@ from .prediction import (
     policy_compliance,
 )
 from .scheduler import (
-    GreedyScheduler,
-    VolumeAwareGreedyScheduler,
     mean_cluster_size_curve,
     measured_catchment_history,
     percentile_curve,
@@ -99,8 +97,6 @@ __all__ = [
     "RankedCluster",
     "estimate_cluster_volumes",
     "traffic_fraction_by_cluster_size",
-    "GreedyScheduler",
-    "VolumeAwareGreedyScheduler",
     "mean_cluster_size_curve",
     "measured_catchment_history",
     "random_schedule_curves",

@@ -28,7 +28,7 @@ from ..faults.resilience import RetryPolicy
 from ..bgp.announcement import AnnouncementConfig
 from ..bgp.policy import PolicyModel
 from ..bgp.simulator import RoutingOutcome, RoutingSimulator
-from ..errors import ReproError
+from ..errors import ReproError, SchedulingError
 from ..measurement.atlas import AtlasProbeFleet, select_probe_ases
 from ..measurement.campaign import MeasurementCampaign
 from ..measurement.catchment import CatchmentHistory
@@ -384,7 +384,14 @@ class SpoofTracker:
                 strategy that deploys in schedule order, like
                 ``"schedule"``) keeps the historical schedule-order run
                 untouched.
+
+        Raises:
+            SchedulingError: if ``max_configs`` is below 1.
         """
+        if max_configs is not None and max_configs < 1:
+            raise SchedulingError(
+                f"max_configs must be at least 1, got {max_configs}"
+            )
         limit = len(self.schedule) if max_configs is None else max_configs
         configs = self.schedule[:limit]
         if not configs:

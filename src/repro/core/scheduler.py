@@ -11,27 +11,23 @@ possible.  The paper compares:
   line; 3.5 vs 7.8 mean ASes after ten configurations in the paper).
 
 Both operate on pre-measured per-configuration catchment maps, so
-"deploying" a configuration here is just a cluster refinement.
+"deploying" a configuration here is just a cluster refinement.  This
+module holds the measuring step, the random baseline and the curve
+helpers; the greedy orders themselves come from the strategy plugins::
 
-The volume-aware variant (paper §VIII future work) weights each cluster
-by its estimated share of spoofed traffic, prioritizing splits of the
-clusters that matter during an attack.
+    universe, history = measured_catchment_history(engine, configs)
+    result = run_strategy(GreedyStrategy(), universe, history,
+                          max_steps=10, check_converged=False)
+
+The volume-aware variant (paper §VIII future work) is
+:class:`~repro.strategy.VolumeGreedyStrategy`, whose curve is the
+traffic-weighted cost (``curve_metric=lambda s: weighted_cost(s, v)``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
 from ..types import ASN, Catchment, LinkId
@@ -39,7 +35,6 @@ from .clustering import ClusterState
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..bgp.announcement import AnnouncementConfig
-    from ..strategy import TracebackStrategy
     from .engine import SimulationEngine
 
 
@@ -63,7 +58,7 @@ def measured_catchment_history(
 
     Returns:
         ``(universe, catchment_history)`` ready for
-        :class:`GreedyScheduler` and friends.
+        :func:`repro.strategy.run_strategy`.
     """
     config_list = list(configs)
     if not config_list:
@@ -137,9 +132,15 @@ def random_schedule_curves(
     seed: int = 0,
     max_steps: Optional[int] = None,
 ) -> List[List[float]]:
-    """Curves for many random deployment orders (Figure 8's baseline)."""
+    """Curves for many random deployment orders (Figure 8's baseline).
+
+    Raises:
+        SchedulingError: if ``num_sequences`` or ``max_steps`` is below 1.
+    """
     if num_sequences < 1:
         raise SchedulingError("need at least one random sequence")
+    if max_steps is not None and max_steps < 1:
+        raise SchedulingError(f"max_steps must be at least 1, got {max_steps}")
     rng = random.Random(seed)
     steps = len(catchment_history) if max_steps is None else min(
         max_steps, len(catchment_history)
@@ -152,134 +153,6 @@ def random_schedule_curves(
             mean_cluster_size_curve(universe, catchment_history, order[:steps])
         )
     return curves
-
-
-class GreedyScheduler:
-    """The paper's iterative algorithm: always deploy the best next config.
-
-    Args:
-        universe: sources to partition.
-        catchment_history: pre-measured catchment maps, one per
-            configuration.
-    """
-
-    def __init__(
-        self,
-        universe: Sequence[ASN],
-        catchment_history: Sequence[Mapping[LinkId, Catchment]],
-    ) -> None:
-        if not catchment_history:
-            raise SchedulingError("no configurations to schedule")
-        self.universe = list(universe)
-        self.catchment_history = list(catchment_history)
-        # Pre-restrict catchments to the universe for cheap gain evaluation.
-        universe_set = set(universe)
-        self._restricted: List[List[Tuple[LinkId, frozenset]]] = [
-            [
-                (link, frozenset(catchment & universe_set))
-                for link, catchment in sorted(catchments.items())
-            ]
-            for catchments in self.catchment_history
-        ]
-
-    @classmethod
-    def from_engine(
-        cls,
-        engine: "SimulationEngine",
-        configs: Iterable["AnnouncementConfig"],
-        universe: Optional[Iterable[ASN]] = None,
-        **kwargs,
-    ) -> "GreedyScheduler":
-        """Build a scheduler by measuring ``configs`` through ``engine``.
-
-        Configurations already simulated by the pipeline (or by an
-        earlier scheduler) are cache hits — zero extra fixpoints.  Extra
-        keyword arguments pass through to the constructor (e.g.
-        ``volume_by_as`` for :class:`VolumeAwareGreedyScheduler`).
-        """
-        members, history = measured_catchment_history(engine, configs, universe)
-        return cls(members, history, **kwargs)
-
-    def _make_strategy(self) -> "TracebackStrategy":
-        """The plugin this scheduler drives (hook for subclasses)."""
-        from ..strategy import GreedyStrategy
-
-        return GreedyStrategy()
-
-    def run(
-        self, max_steps: Optional[int] = None
-    ) -> Tuple[List[int], List[float]]:
-        """Greedy deployment; returns (order, mean-size curve).
-
-        Stops early when no remaining configuration splits anything.
-        Delegates to the ``greedy`` strategy plugin bound to the
-        pre-restricted catchment maps — with no volume evidence its
-        lexicographic score reduces exactly to the historical split-gain
-        greedy, so order and curve are bit-identical to the pre-plugin
-        scheduler.
-        """
-        from ..strategy import run_strategy
-
-        strategy = self._make_strategy()
-        strategy.bind([dict(pairs) for pairs in self._restricted])
-        result = run_strategy(
-            strategy,
-            self.universe,
-            max_steps=max_steps,
-            curve_metric=self._curve_metric(),
-            check_converged=False,
-        )
-        return result.order, result.curve
-
-    def _curve_metric(self) -> Optional[Callable[[ClusterState], float]]:
-        """Per-step curve value; None = mean cluster size."""
-        return None
-
-
-class VolumeAwareGreedyScheduler(GreedyScheduler):
-    """Future-work variant: minimize traffic-weighted mean cluster size.
-
-    Clusters inferred to carry more spoofed traffic get proportionally
-    more utility from being split (paper §VIII: "jointly optimizing for
-    cluster size and traffic volume").  The returned curve reports the
-    weighted cost after each step.
-
-    Delegates to the ``volume-greedy`` strategy plugin, which scores
-    candidates by the lexicographic ``(weighted reduction, split gain)``
-    tuple — so with an empty or all-zero volume estimate the schedule
-    falls back to the unweighted §V-C split gain instead of dead-stopping
-    with an empty order (the historical ``cost < best_cost`` bug, where
-    a degenerate weighted cost of zero could never strictly improve).
-
-    Args:
-        universe: sources to partition.
-        catchment_history: pre-measured catchment maps.
-        volume_by_as: estimated per-AS spoofed volume (e.g. from honeypot
-            observations attributed by an earlier localization pass).
-    """
-
-    def __init__(
-        self,
-        universe: Sequence[ASN],
-        catchment_history: Sequence[Mapping[LinkId, Catchment]],
-        volume_by_as: Mapping[ASN, float],
-    ) -> None:
-        super().__init__(universe, catchment_history)
-        self.volume_by_as = dict(volume_by_as)
-
-    def _weighted_cost(self, state: ClusterState) -> float:
-        """Σ over clusters of cluster volume × cluster size."""
-        from ..strategy import weighted_cost
-
-        return weighted_cost(state, self.volume_by_as)
-
-    def _make_strategy(self) -> "TracebackStrategy":
-        from ..strategy import VolumeGreedyStrategy
-
-        return VolumeGreedyStrategy(volume_by_as=self.volume_by_as)
-
-    def _curve_metric(self) -> Optional[Callable[[ClusterState], float]]:
-        return self._weighted_cost
 
 
 def percentile_curve(

@@ -8,8 +8,8 @@ campaigns.  This package makes failure a first-class, *seeded* input:
   :class:`FaultSpec` schedules, bit-reproducible by construction.
 * :mod:`~repro.faults.injection` — the :class:`FaultInjector` hooks
   wired into the engine, measurement campaign, and live runtime.
-* :mod:`~repro.faults.resilience` — the defenses: :class:`RetryPolicy`,
-  :class:`CircuitBreaker`, atomic checksummed writes.
+* :mod:`~repro.faults.resilience` — the defenses: :class:`RetryPolicy`
+  and atomic checksummed writes.
 * :mod:`~repro.faults.health` — the :class:`InvariantMonitor` and the
   :class:`ResilienceReport` attached to tracker reports.
 """
@@ -38,18 +38,12 @@ from .plan import (
     load_fault_plan,
     stable_unit,
 )
-from .resilience import (
-    CircuitBreaker,
-    RetryPolicy,
-    atomic_write_text,
-    content_checksum,
-)
+from .resilience import RetryPolicy, atomic_write_text, content_checksum
 
 __all__ = [
     "BUNDLED_PLANS",
     "CHECKPOINT_CORRUPTION",
     "COLLECTOR_FLAP",
-    "CircuitBreaker",
     "FAULT_KINDS",
     "INFRA_FAULT_KINDS",
     "FaultAction",

@@ -1,10 +1,9 @@
-"""Defenses the chaos layer proves out: retries, breakers, atomic writes.
+"""Defenses the chaos layer proves out: retries and atomic writes.
 
 Everything here is deliberately deterministic.  Backoff delays follow a
 fixed exponential schedule (no jitter — reproducibility beats thundering
-herds in a single-origin system), the circuit breaker trips on an exact
-consecutive-failure count, and checkpoint integrity uses a content
-checksum over the canonical JSON encoding.
+herds in a single-origin system), and checkpoint integrity uses a
+content checksum over the canonical JSON encoding.
 """
 
 from __future__ import annotations
@@ -47,41 +46,6 @@ class RetryPolicy:
         delay = self.delay_for(retry)
         if delay > 0:
             sleeper(delay)
-
-
-class CircuitBreaker:
-    """Consecutive-failure counter that opens after a threshold.
-
-    Once the breaker opens, the protected path stays bypassed for the
-    rest of the breaker's life (a success below the threshold resets
-    the count).
-
-    Args:
-        threshold: consecutive failures that open the circuit.
-    """
-
-    def __init__(self, threshold: int = 2) -> None:
-        if threshold < 1:
-            raise ReproError("breaker threshold must be at least 1")
-        self.threshold = threshold
-        self.failures = 0
-        self.trips = 0
-
-    @property
-    def open(self) -> bool:
-        """Whether the protected path should be bypassed."""
-        return self.failures >= self.threshold
-
-    def record_failure(self) -> None:
-        """Count one failure; may open the circuit."""
-        self.failures += 1
-        if self.failures == self.threshold:
-            self.trips += 1
-
-    def record_success(self) -> None:
-        """Reset the consecutive-failure count (circuit stays closed)."""
-        if self.failures < self.threshold:
-            self.failures = 0
 
 
 # ----------------------------------------------------------------------

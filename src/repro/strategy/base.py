@@ -1,7 +1,7 @@
 """The traceback-strategy interface and its batch driver.
 
-The paper's §V-C greedy deployment used to be hardcoded into
-:class:`~repro.core.scheduler.GreedyScheduler` and the live
+The paper's §V-C greedy deployment used to be hardcoded into the batch
+scheduler and the live
 :class:`~repro.live.controller.AdaptiveController`.  A
 :class:`TracebackStrategy` factors the *decision* out of both: given the
 current partition (and, when available, per-AS volume estimates), it
@@ -349,8 +349,8 @@ def run_strategy(
         curve_metric: per-step curve value (default: mean cluster size).
         check_converged: consult :meth:`TracebackStrategy.converged`
             before each proposal.  The greedy family's proposals already
-            subsume its base convergence check, so tight inner loops
-            (:meth:`GreedyScheduler.run`) skip the redundant scan.
+            subsume its base convergence check, so batch schedule
+            builders (Figure 8, ``headline``) skip the redundant scan.
     """
     if not strategy.bound:
         if catchment_maps is None:

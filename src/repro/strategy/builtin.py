@@ -48,7 +48,7 @@ class GreedyStrategy(TracebackStrategy):
     lexicographic ``(weighted cost reduction, split gain)`` score — with
     no volume evidence the first component is identically zero and this
     reduces exactly to the §V-C unweighted greedy (the pre-plugin
-    :class:`~repro.core.scheduler.GreedyScheduler` order).  With volume
+    scheduler's order).  With volume
     estimates it is the live controller's adaptive reordering, now with
     the split gain as an explicit tie-break instead of a ``* 1e-9``
     scaled fallback score.
@@ -102,8 +102,8 @@ class VolumeGreedyStrategy(GreedyStrategy):
     estimate the driver supplies.  With an empty or all-zero estimate
     the weighted reduction is identically zero and selection falls back
     to the unweighted split gain — the schedule keeps refining instead
-    of dead-stopping (the historical
-    :class:`~repro.core.scheduler.VolumeAwareGreedyScheduler` bug).
+    of dead-stopping (the historical volume-aware scheduler's bug, where
+    a weighted cost of zero could never strictly improve).
     """
 
     name = "volume-greedy"

@@ -176,7 +176,13 @@ def compare_strategies(
             (``repro_compare_configs_total{strategy=...}``).
         engine: pre-built engine to measure through (shared cache);
             a passed-in engine is not closed here.
+
+    Raises:
+        StrategyError: if no strategy is named or ``max_configs`` is
+            below 1.
     """
+    if max_configs is not None and max_configs < 1:
+        raise StrategyError(f"max_configs must be at least 1, got {max_configs}")
     names: List[str] = []
     for name in strategies if strategies is not None else available_strategies():
         if name not in names:

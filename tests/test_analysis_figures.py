@@ -19,6 +19,7 @@ from repro.analysis.figures import (
     figure9,
     figure10,
 )
+from repro.errors import SchedulingError
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,10 @@ class TestEvaluationRun:
     def test_zero_configs_allowed_to_be_empty_error(self, small_testbed):
         with pytest.raises(Exception):
             EvaluationRun(testbed=small_testbed, max_configs=0)
+
+    def test_negative_max_configs_rejected(self, small_testbed):
+        with pytest.raises(SchedulingError, match="at least 1"):
+            EvaluationRun(testbed=small_testbed, max_configs=-1)
 
 
 class TestSeries:

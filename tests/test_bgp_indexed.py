@@ -1,13 +1,14 @@
-"""Equivalence suite: the indexed core is bit-identical to the legacy core.
+"""Equivalence suite: the indexed core is bit-identical to the reference sweep.
 
-The indexed frontier core (:mod:`repro.bgp.indexed`) earns the right to
-be the default by reproducing the reference simulator *exactly* — same
-routes (field for field), same catchments, same pass counts, same
+The indexed frontier core (:mod:`repro.bgp.indexed`) is the simulator's
+only propagation core.  It earns that by reproducing the reference
+Gauss-Seidel sweep (``tests/bgp_reference.py``) *exactly* — same routes
+(field for field), same catchments, same pass counts, same
 decision-change totals, same convergence flags — over randomized
-topologies, announcement configurations, warm starts, and engine worker
-counts.  These are seeded property-style tests: each trial draws a fresh
+topologies, announcement configurations, warm starts, and the engine.
+These are seeded property-style tests: each trial draws a fresh
 configuration shape (announced subsets, prepending, poisoning, no-export
-communities) and both cores must agree on everything observable.
+communities) and core and oracle must agree on everything observable.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 import pytest
 
 from repro.bgp.announcement import AnnouncementConfig, anycast_all
-from repro.bgp.indexed import CompiledTopology, policy_is_compilable
+from repro.bgp.indexed import CompiledTopology
 from repro.bgp.policy import PolicyModel
 from repro.bgp.simulator import RoutingSimulator
 from repro.core.engine import SimulationEngine
@@ -25,6 +26,8 @@ from repro.core.pipeline import build_testbed
 from repro.errors import SimulationError
 from repro.topology.generator import TopologyParams, generate_topology
 from repro.topology.peering import attach_origin
+
+from bgp_reference import ReferenceSweep
 
 
 def _fresh_topology(seed):
@@ -91,22 +94,20 @@ def test_indexed_equals_legacy_on_random_configs(seed):
         testbed.origin,
         testbed.policy,
     )
-    indexed = RoutingSimulator(graph, origin, policy, core="indexed")
-    legacy = RoutingSimulator(graph, origin, policy, core="legacy")
-    assert indexed.effective_core == "indexed"
-    assert legacy.effective_core == "legacy"
+    indexed = RoutingSimulator(graph, origin, policy)
+    reference = ReferenceSweep.of(indexed)
 
     rng = random.Random(seed * 101 + 5)
     previous = None
     for _ in range(8):
         config = _random_config(rng, graph, origin)
         outcome_i = indexed.simulate(config)
-        outcome_l = legacy.simulate(config)
-        assert_outcomes_identical(outcome_i, outcome_l)
+        outcome_r = reference.simulate(config)
+        assert_outcomes_identical(outcome_i, outcome_r)
         if previous is not None:
             warm_i = indexed.simulate(config, warm_start=previous.routes)
-            warm_l = legacy.simulate(config, warm_start=previous.routes)
-            assert_outcomes_identical(warm_i, warm_l)
+            warm_r = reference.simulate(config, warm_start=previous.routes)
+            assert_outcomes_identical(warm_i, warm_r)
             # Warm or cold, the fixpoint is the same stable state.
             assert warm_i.routes == outcome_i.routes
             assert warm_i.catchments == outcome_i.catchments
@@ -121,8 +122,8 @@ def test_indexed_equals_legacy_with_clean_policies(mini):
         policy_noise=0.0,
         loop_prevention_disabled_fraction=0.0,
     )
-    indexed = RoutingSimulator(mini.graph, mini.origin, policy, core="indexed")
-    legacy = RoutingSimulator(mini.graph, mini.origin, policy, core="legacy")
+    indexed = RoutingSimulator(mini.graph, mini.origin, policy)
+    reference = ReferenceSweep.of(indexed)
     for config in (
         anycast_all(mini.origin.link_ids),
         AnnouncementConfig(announced=frozenset({"l1"})),
@@ -131,56 +132,68 @@ def test_indexed_equals_legacy_with_clean_policies(mini):
         ),
     ):
         assert_outcomes_identical(
-            indexed.simulate(config), legacy.simulate(config)
+            indexed.simulate(config), reference.simulate(config)
         )
 
 
 def test_engine_outcomes_identical_across_cores():
-    """The engine produces the same outcomes with either core."""
+    """The engine (cache, warm starts) produces the same outcomes whether
+    its simulator propagates through the indexed core or the oracle."""
     topology = _fresh_topology(seed=3)
     origin = attach_origin(topology, num_links=4, seed=3)
     policy = PolicyModel(topology.graph, seed=3)
     rng = random.Random(99)
     configs = [_random_config(rng, topology.graph, origin) for _ in range(12)]
 
-    reference = None
-    for core in ("indexed", "legacy"):
-        simulator = RoutingSimulator(topology.graph, origin, policy, core=core)
-        outcomes = SimulationEngine(simulator).simulate_many(configs)
-        if reference is None:
-            reference = outcomes
-        else:
-            for got, want in zip(outcomes, reference):
-                assert_outcomes_identical(got, want)
+    indexed = RoutingSimulator(topology.graph, origin, policy)
+    oracle = RoutingSimulator(topology.graph, origin, policy)
+    oracle.simulate = ReferenceSweep.of(oracle).simulate
+    got = SimulationEngine(indexed).simulate_many(configs)
+    want = SimulationEngine(oracle).simulate_many(configs)
+    assert any(outcome.warm_started for outcome in want)
+    for a, b in zip(got, want):
+        assert_outcomes_identical(a, b)
 
 
-def test_overridden_policy_falls_back_to_legacy():
-    """A policy overriding accepts() cannot compile; the flag is honored."""
+class PickyPolicy(PolicyModel):
+    """Overrides accepts() — import logic the compiled core cannot see."""
 
-    class PickyPolicy(PolicyModel):
-        def accepts(self, holder, transit_path, origin_path, learned_from):
-            return super().accepts(
-                holder, transit_path, origin_path, learned_from
-            )
+    def accepts(self, holder, transit_path, origin_path, learned_from):
+        return super().accepts(holder, transit_path, origin_path, learned_from)
 
+
+class ChattyExports(PolicyModel):
+    """Overrides exports() — likewise uncompilable."""
+
+    def exports(self, learned_from, export_to):
+        return super().exports(learned_from, export_to)
+
+
+def test_overridden_policy_rejected():
+    """A policy overriding accepts()/exports() must not silently run with
+    base semantics: the simulator refuses it when built.  The oracle
+    calls accepts() itself, so the same policy still converges there —
+    and, since it only delegates, matches the indexed base run."""
     topology = _fresh_topology(seed=17)
     origin = attach_origin(topology, num_links=3, seed=17)
-    policy = PickyPolicy(topology.graph, seed=1)
-    assert not policy_is_compilable(policy)
-    simulator = RoutingSimulator(topology.graph, origin, policy, core="indexed")
-    assert simulator.effective_core == "legacy"
-    outcome = simulator.simulate(anycast_all(origin.link_ids))
-    assert outcome.converged
-    # And the fallback still matches an explicit-legacy run exactly.
-    legacy = RoutingSimulator(topology.graph, origin, policy, core="legacy")
-    assert_outcomes_identical(
-        outcome, legacy.simulate(anycast_all(origin.link_ids))
+    for policy_class in (PickyPolicy, ChattyExports):
+        with pytest.raises(SimulationError, match="accepts/exports"):
+            RoutingSimulator(
+                topology.graph, origin, policy_class(topology.graph, seed=1)
+            )
+    base = RoutingSimulator(
+        topology.graph, origin, PolicyModel(topology.graph, seed=1)
     )
+    picky = ReferenceSweep.of(base, policy=PickyPolicy(topology.graph, seed=1))
+    config = anycast_all(origin.link_ids)
+    outcome = picky.simulate(config)
+    assert outcome.converged
+    assert_outcomes_identical(outcome, base.simulate(config))
 
 
 def test_scalar_policy_overrides_are_compiled():
-    """Overriding scalar hooks (salt_for etc.) keeps the indexed core —
-    and the compiled answers still match the legacy sweep exactly."""
+    """Overriding scalar hooks (salt_for etc.) is accepted — and the
+    compiled answers still match the reference sweep exactly."""
 
     class DriftedSalt(PolicyModel):
         def salt_for(self, asn):
@@ -189,23 +202,11 @@ def test_scalar_policy_overrides_are_compiled():
     topology = _fresh_topology(seed=23)
     origin = attach_origin(topology, num_links=3, seed=23)
     policy = DriftedSalt(topology.graph, seed=2)
-    assert policy_is_compilable(policy)
-    indexed = RoutingSimulator(topology.graph, origin, policy, core="indexed")
-    legacy = RoutingSimulator(topology.graph, origin, policy, core="legacy")
-    assert indexed.effective_core == "indexed"
+    indexed = RoutingSimulator(topology.graph, origin, policy)
     config = anycast_all(origin.link_ids)
-    assert_outcomes_identical(indexed.simulate(config), legacy.simulate(config))
-
-
-def test_core_env_var_and_validation(mini, monkeypatch):
-    policy = PolicyModel(mini.graph, seed=0)
-    monkeypatch.setenv("REPRO_SIM_CORE", "legacy")
-    simulator = RoutingSimulator(mini.graph, mini.origin, policy)
-    assert simulator.core == "legacy"
-    monkeypatch.delenv("REPRO_SIM_CORE")
-    assert RoutingSimulator(mini.graph, mini.origin, policy).core == "indexed"
-    with pytest.raises(SimulationError):
-        RoutingSimulator(mini.graph, mini.origin, policy, core="vectorized")
+    assert_outcomes_identical(
+        indexed.simulate(config), ReferenceSweep.of(indexed).simulate(config)
+    )
 
 
 @pytest.mark.parametrize("core", ["indexed", "legacy"])
@@ -217,7 +218,8 @@ def test_warm_start_bit_identical_across_prepend_deltas(core):
     configuration announces; under deviant policies that steered the
     Gauss-Seidel iteration into a *different* stable state than a cold
     start reaches.  The stale-tail seed filter discards those seeds, so
-    warm and cold runs must now agree bit-for-bit.
+    warm and cold runs must now agree bit-for-bit — in the indexed core
+    and in the oracle alike.
     """
     for seed in range(6):
         testbed = build_testbed(
@@ -230,8 +232,10 @@ def test_warm_start_bit_identical_across_prepend_deltas(core):
             num_probes=10,
         )
         simulator = RoutingSimulator(
-            testbed.topology.graph, testbed.origin, testbed.policy, core=core
+            testbed.topology.graph, testbed.origin, testbed.policy
         )
+        if core == "legacy":
+            simulator = ReferenceSweep.of(simulator)
         links = testbed.origin.link_ids
         base = AnnouncementConfig(announced=frozenset(links))
         base_outcome = simulator.simulate(base)
@@ -258,7 +262,7 @@ def test_compiled_topology_direct_use():
     topology = _fresh_topology(seed=31)
     origin = attach_origin(topology, num_links=3, seed=31)
     policy = PolicyModel(topology.graph, seed=4)
-    simulator = RoutingSimulator(topology.graph, origin, policy, core="legacy")
+    simulator = RoutingSimulator(topology.graph, origin, policy)
     compiled = CompiledTopology.compile(
         topology.graph, origin, policy, simulator._visit_order
     )
@@ -266,4 +270,6 @@ def test_compiled_topology_direct_use():
     outcome = compiled.propagate(
         config, None, simulator.max_passes, False, topology.graph.ases
     )
-    assert_outcomes_identical(outcome, simulator.simulate(config))
+    assert_outcomes_identical(
+        outcome, ReferenceSweep.of(simulator).simulate(config)
+    )

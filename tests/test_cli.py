@@ -1,5 +1,6 @@
 """Tests for the spooftrack CLI."""
 
+import argparse
 import json
 
 import pytest
@@ -36,6 +37,38 @@ class TestParser:
                 main([command, "--workers", "2"])
             assert exit_info.value.code == 2
             assert "--workers" in capsys.readouterr().err
+
+    MAX_CONFIGS_COMMANDS = [
+        "chaos", "compare", "dash", "dataset", "experiments", "figures",
+        "fleet", "headline", "live", "profile", "soak", "track",
+    ]
+
+    def test_max_configs_commands_listed(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        with_flag = sorted(
+            name for name, sub in subparsers.choices.items()
+            if "--max-configs" in sub._option_string_actions
+        )
+        assert with_flag == self.MAX_CONFIGS_COMMANDS
+
+    @pytest.mark.parametrize("command", MAX_CONFIGS_COMMANDS)
+    @pytest.mark.parametrize("value", ["0", "-1", "-2"])
+    def test_max_configs_below_one_is_a_usage_error(self, command, value, capsys):
+        """Negative counts used to slice the schedule from the end (e.g.
+        472 of 473 configs for -1) and 0 crashed with a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--max-configs", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-configs" in err and "at least 1" in err
+
+    @pytest.mark.parametrize("command", MAX_CONFIGS_COMMANDS)
+    def test_max_configs_accepts_positive(self, command):
+        args = build_parser().parse_args([command, "--max-configs", "1"])
+        assert args.max_configs == 1
 
     def test_live_defaults(self):
         args = build_parser().parse_args(["live"])

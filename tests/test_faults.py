@@ -15,7 +15,6 @@ from repro.faults import (
     VOLUME_NOISE,
     WORKER_CRASH,
     WORKER_HANG,
-    CircuitBreaker,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -335,34 +334,6 @@ class TestRetryPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ReproError):
             RetryPolicy(backoff_base=-1.0)
-
-
-class TestCircuitBreaker:
-    def test_opens_at_threshold(self):
-        breaker = CircuitBreaker(threshold=2)
-        assert not breaker.open
-        breaker.record_failure()
-        assert not breaker.open
-        breaker.record_failure()
-        assert breaker.open
-        assert breaker.trips == 1
-
-    def test_success_resets_below_threshold(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert not breaker.open
-
-    def test_stays_open_after_success(self):
-        breaker = CircuitBreaker(threshold=1)
-        breaker.record_failure()
-        breaker.record_success()
-        assert breaker.open
-
-    def test_validates_threshold(self):
-        with pytest.raises(ReproError):
-            CircuitBreaker(threshold=0)
 
 
 class TestAtomicWrite:

@@ -9,11 +9,11 @@ from repro.bgp.announcement import anycast_all
 from repro.core.clustering import ClusterState
 from repro.core.configgen import ScheduleParams
 from repro.core.pipeline import SpoofTracker, build_testbed
-from repro.core.scheduler import GreedyScheduler
 from repro.spoof.honeypot import AmplificationHoneypot
 from repro.spoof.inference import ValidSourceInference
 from repro.spoof.sources import single_source_placement, uniform_placement
 from repro.spoof.traffic import SpoofedTrafficGenerator, link_volumes
+from repro.strategy import GreedyStrategy, run_strategy
 from repro.topology.generator import TopologyParams
 from repro.topology.serialization import dumps_as_rel, loads_as_rel
 
@@ -140,8 +140,14 @@ class TestHoneypotLocalizationLoop:
 class TestScheduleReuse:
     def test_greedy_on_evaluation_run_matches_direct(self, small_testbed):
         run = EvaluationRun(testbed=small_testbed, max_configs=20)
-        scheduler = GreedyScheduler(sorted(run.universe), run.catchment_history)
-        order, curve = scheduler.run(max_steps=5)
+        result = run_strategy(
+            GreedyStrategy(),
+            sorted(run.universe),
+            run.catchment_history,
+            max_steps=5,
+            check_converged=False,
+        )
+        order, curve = result.order, result.curve
         assert len(order) == len(curve) <= 5
         assert curve == sorted(curve, reverse=True)
 

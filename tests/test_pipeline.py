@@ -148,6 +148,14 @@ class TestTrackerModes:
         with pytest.raises(ReproError):
             tracker.run(max_configs=0)
 
+    @pytest.mark.parametrize("max_configs", [0, -1, -2])
+    def test_max_configs_below_one_rejected(self, small_testbed, max_configs):
+        # -1 used to slice the schedule from the end and run all but the
+        # last configuration as if that had been asked for.
+        tracker = SpoofTracker(small_testbed)
+        with pytest.raises(ReproError, match="at least 1"):
+            tracker.run(max_configs=max_configs)
+
     def test_schedule_params_respected(self, small_testbed):
         tracker = SpoofTracker(
             small_testbed, ScheduleParams(include_poisoning=False)

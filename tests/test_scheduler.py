@@ -1,15 +1,24 @@
-"""Tests for announcement scheduling (random vs greedy, §V-C)."""
+"""Tests for announcement scheduling (random vs greedy, §V-C).
+
+The greedy schedules come from the strategy plugins driven directly
+through :func:`repro.strategy.run_strategy`, the way the Figure 8 and
+``headline`` code calls them.
+"""
 
 import pytest
 
 from repro.core.scheduler import (
-    GreedyScheduler,
-    VolumeAwareGreedyScheduler,
     mean_cluster_size_curve,
     percentile_curve,
     random_schedule_curves,
 )
-from repro.errors import SchedulingError
+from repro.errors import ReproError, SchedulingError, StrategyError
+from repro.strategy import (
+    GreedyStrategy,
+    VolumeGreedyStrategy,
+    run_strategy,
+    weighted_cost,
+)
 
 UNIVERSE = list(range(16))
 # Catchment histories of varying usefulness: config 0 splits in half,
@@ -21,6 +30,28 @@ HISTORY = [
     {"l1": frozenset(range(8)), "l2": frozenset(range(8, 16))},
     {"l1": frozenset(range(0, 16, 2)), "l2": frozenset(range(1, 16, 2))},
 ]
+
+
+def greedy_run(universe, history, max_steps=None):
+    """The §V-C greedy schedule: (order, mean-size curve)."""
+    result = run_strategy(
+        GreedyStrategy(), universe, history,
+        max_steps=max_steps, check_converged=False,
+    )
+    return result.order, result.curve
+
+
+def volume_greedy_run(universe, history, volume_by_as, max_steps=None):
+    """The §VIII volume-aware greedy: (order, weighted-cost curve)."""
+    result = run_strategy(
+        VolumeGreedyStrategy(volume_by_as=volume_by_as),
+        universe,
+        history,
+        max_steps=max_steps,
+        curve_metric=lambda state: weighted_cost(state, volume_by_as),
+        check_converged=False,
+    )
+    return result.order, result.curve
 
 
 class TestMeanCurve:
@@ -68,6 +99,15 @@ class TestRandomSchedules:
         with pytest.raises(SchedulingError):
             random_schedule_curves(UNIVERSE, HISTORY, num_sequences=0)
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_rejects_max_steps_below_one(self, max_steps):
+        # A negative value used to slice the shuffled order from the end
+        # and silently drop configurations.
+        with pytest.raises(ReproError):
+            random_schedule_curves(
+                UNIVERSE, HISTORY, num_sequences=2, max_steps=max_steps
+            )
+
     def test_all_orders_end_at_same_partition(self):
         curves = random_schedule_curves(UNIVERSE, HISTORY, num_sequences=10, seed=3)
         finals = {curve[-1] for curve in curves}
@@ -76,30 +116,26 @@ class TestRandomSchedules:
 
 class TestGreedy:
     def test_greedy_picks_most_informative_first(self):
-        scheduler = GreedyScheduler(UNIVERSE, HISTORY)
-        order, curve = scheduler.run()
+        order, curve = greedy_run(UNIVERSE, HISTORY)
         # Config 1 creates 2 splits immediately (quarters)?  Config 0 and 1
         # both split once per catchment; greedy must never pick the
         # redundant config 2 before config 0.
         assert 2 not in order or order.index(0) < order.index(2)
 
     def test_greedy_curve_matches_replay(self):
-        scheduler = GreedyScheduler(UNIVERSE, HISTORY)
-        order, curve = scheduler.run()
+        order, curve = greedy_run(UNIVERSE, HISTORY)
         replay = mean_cluster_size_curve(UNIVERSE, HISTORY, order=order)
         assert curve == pytest.approx(replay)
 
     def test_greedy_stops_when_nothing_splits(self):
-        scheduler = GreedyScheduler(UNIVERSE, HISTORY)
-        order, _ = scheduler.run()
+        order, _ = greedy_run(UNIVERSE, HISTORY)
         # Config 2 is fully redundant with config 0: once 0, 1, 3 are
         # deployed nothing remains to split, so the greedy stops early.
         assert len(order) == 3
         assert 2 not in order
 
     def test_greedy_beats_or_ties_random_median_early(self):
-        scheduler = GreedyScheduler(UNIVERSE, HISTORY)
-        _, greedy_curve = scheduler.run(max_steps=2)
+        _, greedy_curve = greedy_run(UNIVERSE, HISTORY, max_steps=2)
         random_curves = random_schedule_curves(
             UNIVERSE, HISTORY, num_sequences=30, seed=4, max_steps=2
         )
@@ -108,13 +144,12 @@ class TestGreedy:
         assert greedy_curve[1] <= median[1]
 
     def test_max_steps_respected(self):
-        scheduler = GreedyScheduler(UNIVERSE, HISTORY)
-        order, curve = scheduler.run(max_steps=1)
+        order, curve = greedy_run(UNIVERSE, HISTORY, max_steps=1)
         assert len(order) == 1 and len(curve) == 1
 
     def test_rejects_empty_history(self):
-        with pytest.raises(SchedulingError):
-            GreedyScheduler(UNIVERSE, [])
+        with pytest.raises(StrategyError):
+            greedy_run(UNIVERSE, [])
 
 
 class TestVolumeAwareGreedy:
@@ -123,15 +158,13 @@ class TestVolumeAwareGreedy:
         # rest, config 3 splits everything evenly.  The volume-aware
         # scheduler should first deploy whichever cuts weighted cost most.
         volume = {asn: (10.0 if asn >= 8 else 0.1) for asn in UNIVERSE}
-        scheduler = VolumeAwareGreedyScheduler(UNIVERSE, HISTORY, volume)
-        order, curve = scheduler.run(max_steps=3)
+        order, curve = volume_greedy_run(UNIVERSE, HISTORY, volume, max_steps=3)
         assert curve == sorted(curve, reverse=True)
         assert order  # deployed something
 
     def test_weighted_cost_decreases(self):
         volume = {asn: 1.0 for asn in UNIVERSE}
-        scheduler = VolumeAwareGreedyScheduler(UNIVERSE, HISTORY, volume)
-        _, curve = scheduler.run()
+        _, curve = volume_greedy_run(UNIVERSE, HISTORY, volume)
         assert curve == sorted(curve, reverse=True)
 
     def test_empty_volume_falls_back_to_split_gain(self):
@@ -139,18 +172,16 @@ class TestVolumeAwareGreedy:
         # everywhere, ``cost < best_cost`` never fired, and the scheduler
         # returned an empty order.  It now falls back to the unweighted
         # split gain and reproduces the plain greedy order.
-        scheduler = VolumeAwareGreedyScheduler(UNIVERSE, HISTORY, {})
-        order, curve = scheduler.run()
-        greedy_order, _ = GreedyScheduler(UNIVERSE, HISTORY).run()
+        order, curve = volume_greedy_run(UNIVERSE, HISTORY, {})
+        greedy_order, _ = greedy_run(UNIVERSE, HISTORY)
         assert order == greedy_order
         assert len(curve) == len(order)
         assert all(value == 0.0 for value in curve)  # weighted cost stays 0
 
     def test_all_zero_volume_falls_back_to_split_gain(self):
         volume = {asn: 0.0 for asn in UNIVERSE}
-        scheduler = VolumeAwareGreedyScheduler(UNIVERSE, HISTORY, volume)
-        order, _ = scheduler.run()
-        greedy_order, _ = GreedyScheduler(UNIVERSE, HISTORY).run()
+        order, _ = volume_greedy_run(UNIVERSE, HISTORY, volume)
+        greedy_order, _ = greedy_run(UNIVERSE, HISTORY)
         assert order == greedy_order
 
     def test_partially_zero_volume_still_refines_cold_clusters(self):
@@ -159,8 +190,7 @@ class TestVolumeAwareGreedy:
         # splitting the zero-volume half via the split-gain fallback
         # instead of stopping with half the universe unrefined.
         volume = {asn: (5.0 if asn < 8 else 0.0) for asn in UNIVERSE}
-        scheduler = VolumeAwareGreedyScheduler(UNIVERSE, HISTORY, volume)
-        order, _ = scheduler.run()
+        order, _ = volume_greedy_run(UNIVERSE, HISTORY, volume)
         assert len(order) == 3  # everything splittable got deployed
         assert 2 not in order  # the redundant config still never runs
 
@@ -197,7 +227,7 @@ class TestPercentileCurve:
 
 
 class TestEngineIntegration:
-    def test_from_engine_measures_through_cache(self, small_testbed):
+    def test_measured_history_replays_through_cache(self, small_testbed):
         from repro.bgp.announcement import AnnouncementConfig, anycast_all
         from repro.core.engine import SimulationEngine
         from repro.core.scheduler import measured_catchment_history
@@ -216,10 +246,11 @@ class TestEngineIntegration:
             for members in catchments.values()
         )
         simulated = engine.stats.configs_simulated
-        scheduler = GreedyScheduler.from_engine(engine, configs)
-        # The scheduler replays configurations the engine already saw.
+        replay = measured_catchment_history(engine, configs)
+        # Re-measuring replays configurations the engine already saw.
         assert engine.stats.configs_simulated == simulated
-        order, curve = scheduler.run()
+        assert replay == (universe, history)
+        order, curve = greedy_run(*replay)
         assert curve == sorted(curve, reverse=True)
 
     def test_empty_configs_rejected(self, small_testbed):
@@ -229,3 +260,59 @@ class TestEngineIntegration:
         engine = SimulationEngine(small_testbed.simulator)
         with pytest.raises(SchedulingError):
             measured_catchment_history(engine, [])
+
+
+class TestPinnedSchedules:
+    """Orders and curves of the retired ``GreedyScheduler`` and
+    ``VolumeAwareGreedyScheduler`` shims, recorded on the conftest's
+    small testbed before they were deleted.  The direct ``run_strategy``
+    calls that replaced them must reproduce them exactly."""
+
+    GREEDY = (
+        [0, 6, 7, 8, 18, 17, 12, 15, 20, 14, 16],
+        [
+            41.0, 20.5, 12.8125, 9.318181818181818, 7.592592592592593,
+            6.612903225806452, 6.029411764705882, 5.694444444444445,
+            5.394736842105263, 5.256410256410256, 5.125,
+        ],
+    )
+    VOLUME_GREEDY = (
+        [0, 8, 7, 10, 20, 18, 12, 6, 15, 16, 17, 14],
+        [
+            9534.142857142857, 4888.142857142856, 3761.9999999999995,
+            2966.142857142857, 2578.0000000000005, 2321.2857142857147,
+            2207.8571428571436, 2179.7142857142862, 2156.285714285715,
+            2136.0000000000014, 2129.000000000002, 2122.5714285714303,
+        ],
+    )
+
+    @pytest.fixture(scope="class")
+    def evidence(self, small_testbed):
+        from repro.core.configgen import ScheduleParams, generate_schedule
+        from repro.core.engine import SimulationEngine
+        from repro.core.scheduler import measured_catchment_history
+
+        schedule = generate_schedule(
+            small_testbed.origin, small_testbed.graph, ScheduleParams()
+        )[:24]
+        universe, history = measured_catchment_history(
+            SimulationEngine(small_testbed.simulator), schedule
+        )
+        volume = {asn: ((asn * 7919) % 13) / 7.0 for asn in universe}
+        return universe, history, volume
+
+    def test_greedy_reproduces_pinned_run(self, evidence):
+        universe, history, _ = evidence
+        assert greedy_run(universe, history) == self.GREEDY
+        order, curve = self.GREEDY
+        assert greedy_run(universe, history, max_steps=5) == (
+            order[:5], curve[:5]
+        )
+
+    def test_volume_greedy_reproduces_pinned_run(self, evidence):
+        universe, history, volume = evidence
+        assert volume_greedy_run(universe, history, volume) == self.VOLUME_GREEDY
+        order, curve = self.VOLUME_GREEDY
+        assert volume_greedy_run(universe, history, volume, max_steps=4) == (
+            order[:4], curve[:4]
+        )

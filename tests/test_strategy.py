@@ -4,7 +4,8 @@ The equivalence classes here embed verbatim replicas of the pre-plugin
 selection loops (the old ``GreedyScheduler.run`` body and the old
 controller ``_score``/``select_next``) and assert the plugin-backed
 paths reproduce them bit-identically — order, curve floats, and dwell —
-across seeds, both simulation cores, and worker counts.
+across seeds and with catchments from either the indexed core or the
+reference sweep (``tests/bgp_reference.py``).
 """
 
 import os
@@ -19,12 +20,7 @@ from repro.core.clustering import ClusterState
 from repro.core.configgen import ScheduleParams, generate_schedule
 from repro.core.engine import SimulationEngine
 from repro.core.pipeline import SpoofTracker, build_testbed
-from repro.core.scheduler import (
-    GreedyScheduler,
-    VolumeAwareGreedyScheduler,
-    measured_catchment_history,
-    refinement_gain,
-)
+from repro.core.scheduler import measured_catchment_history, refinement_gain
 from repro.core.timeline import CampaignTimeline
 from repro.errors import StrategyError
 from repro.live.controller import AdaptiveController, ControllerPolicy
@@ -42,6 +38,8 @@ from repro.strategy import (
     weighted_split_score,
 )
 
+from bgp_reference import ReferenceSweep
+
 UNIVERSE = list(range(16))
 HISTORY = [
     {"l1": frozenset(range(8)), "l2": frozenset(range(8, 16))},
@@ -50,6 +48,15 @@ HISTORY = [
     {"l1": frozenset(range(8)), "l2": frozenset(range(8, 16))},
     {"l1": frozenset(range(0, 16, 2)), "l2": frozenset(range(1, 16, 2))},
 ]
+
+
+def greedy_run(universe, history, max_steps=None):
+    """The §V-C greedy schedule as batch callers run it."""
+    result = run_strategy(
+        GreedyStrategy(), universe, history,
+        max_steps=max_steps, check_converged=False,
+    )
+    return result.order, result.curve
 
 
 def measured_evidence(testbed, max_configs=14):
@@ -170,7 +177,7 @@ class TestBuiltinStrategies:
         result = run_strategy(
             make_strategy("greedy"), UNIVERSE, HISTORY, check_converged=False
         )
-        order, curve = GreedyScheduler(UNIVERSE, HISTORY).run()
+        order, curve = TestGreedyEquivalence.legacy_greedy_run(UNIVERSE, HISTORY)
         assert result.order == order
         assert result.curve == curve
 
@@ -310,17 +317,19 @@ class TestGreedyEquivalence:
     def test_bit_identical_across_seeds(self, seed):
         testbed = build_testbed(seed=seed)
         _, universe, history = measured_evidence(testbed)
-        order, curve = GreedyScheduler(universe, history).run()
+        order, curve = greedy_run(universe, history)
         legacy_order, legacy_curve = self.legacy_greedy_run(universe, history)
         assert order == legacy_order
         assert curve == legacy_curve  # exact float equality, not approx
 
     @pytest.mark.parametrize("core", ["legacy", "indexed"])
-    def test_bit_identical_across_simulation_cores(self, core, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CORE", core)
+    def test_bit_identical_across_simulation_cores(self, core):
         testbed = build_testbed(seed=3)
+        if core == "legacy":
+            simulator = testbed.simulator
+            simulator.simulate = ReferenceSweep.of(simulator).simulate
         _, universe, history = measured_evidence(testbed)
-        order, curve = GreedyScheduler(universe, history).run()
+        order, curve = greedy_run(universe, history)
         legacy_order, legacy_curve = self.legacy_greedy_run(universe, history)
         assert (order, curve) == (legacy_order, legacy_curve)
 
@@ -334,7 +343,7 @@ class TestGreedyEquivalence:
         universe, history = measured_catchment_history(
             SimulationEngine(testbed.simulator), schedule
         )
-        assert GreedyScheduler(universe, history).run() == (
+        assert greedy_run(universe, history) == (
             [0, 9, 8, 6, 3, 2, 4, 5, 7, 1],
             [
                 104.0, 42.8235294117647, 26.0, 20.22222222222222,
@@ -346,7 +355,7 @@ class TestGreedyEquivalence:
     def test_max_steps_bit_identical(self):
         testbed = build_testbed(seed=1)
         _, universe, history = measured_evidence(testbed)
-        assert GreedyScheduler(universe, history).run(max_steps=4) == (
+        assert greedy_run(universe, history, max_steps=4) == (
             self.legacy_greedy_run(universe, history, max_steps=4)
         )
 
@@ -567,7 +576,7 @@ class TestTrackerStrategyPath:
             universe, history = measured_catchment_history(engine, schedule)
         finally:
             tracker.engine.close()
-        order, _ = GreedyScheduler(universe, history).run()
+        order, _ = greedy_run(universe, history)
         expected_labels = [
             schedule[i].label or schedule[i].describe() for i in order
         ]

@@ -98,6 +98,15 @@ class TestCompare:
         with pytest.raises(StrategyError):
             compare_strategies(build_testbed(seed=0), strategies=[])
 
+    @pytest.mark.parametrize("max_configs", [0, -2])
+    def test_max_configs_below_one_rejected(self, max_configs):
+        with pytest.raises(StrategyError, match="at least 1"):
+            compare_strategies(
+                build_testbed(seed=0),
+                strategies=["greedy"],
+                max_configs=max_configs,
+            )
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(StrategyError):
             compare_strategies(
