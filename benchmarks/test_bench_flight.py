@@ -2,7 +2,7 @@
 
 The forensics promise only holds if the black box is cheap enough to
 leave armed in production: the flight recorder is a lock-guarded ring
-append riding listeners that already fire.  This benchmark runs the
+append riding the bus, which spans and log records already reach.  This benchmark runs the
 armed pipeline (full ``Observability.for_run`` bundle) with and without
 a flight recorder attached, verifies the reports are bit-identical, and
 records wall times to ``BENCH_flight.json``.
@@ -70,8 +70,8 @@ def test_flight_overhead(capsys, tmp_path):
     # The recorder actually captured the run it rode.
     payload = load_flight_dump(flown_obs.flight.dumps[-1])
     assert payload["entries_seen"] > 0
-    kinds = {entry["kind"] for entry in payload["entries"]}
-    assert "bus" in kinds and "span" in kinds
+    events = [e["event"] for e in payload["entries"] if e["kind"] == "bus"]
+    assert events and any(event["kind"] == "span" for event in events)
 
     flight_pct = 100.0 * (flown_time - armed_time) / armed_time
 

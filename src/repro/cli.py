@@ -126,12 +126,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_injector(args: argparse.Namespace):
-    """Build a :class:`FaultInjector` from ``--fault-plan`` (or None)."""
+def _make_injector(args: argparse.Namespace, obs: Optional[Observability]):
+    """Build a :class:`FaultInjector` from ``--fault-plan`` (or None),
+    publishing its firings to the armed bus."""
     source = getattr(args, "fault_plan", None)
     if not source:
         return None
-    return FaultInjector(load_fault_plan(source))
+    bus = obs.bus if obs is not None else None
+    return FaultInjector(load_fault_plan(source), bus=bus)
 
 
 #: Recorders armed by :func:`_make_obs` this invocation, so the crash
@@ -147,9 +149,9 @@ def _make_obs(
     Unarmed runs (no ``--trace``/``--metrics``/``--serve``/``--log-json``
     /``--flight-dir``/profiling) return None so the pipeline's
     instrumentation guards stay on their no-op path.  ``--flight-dir``
-    additionally arms a run-wide flight recorder (riding the bus,
-    logbook, and tracer), binds SIGUSR1 to it, and registers it for the
-    crash handler in :func:`main`.
+    additionally arms a run-wide flight recorder (riding the bus), binds
+    SIGUSR1 to it, and registers it for the crash handler in
+    :func:`main`.
     """
     armed = (
         getattr(args, "trace", None)
@@ -183,19 +185,6 @@ def _logbook_for(
     if obs is not None and obs.logbook is not None:
         return obs.logbook
     return Logbook(json_mode=bool(getattr(args, "log_json", False)))
-
-
-def _wire_faults(injector, obs: Optional[Observability], log: Logbook) -> None:
-    """Forward fired faults onto the bus (and the debug log) as they land."""
-    if injector is None:
-        return
-
-    def on_fault(kind: str, count: int) -> None:
-        if obs is not None and obs.bus is not None:
-            obs.bus.publish("fault", fault_kind=kind, count=count)
-        log.debug(f"fault fired: {kind} x{count}", event="fault", kind=kind)
-
-    injector.log.listeners.append(on_fault)
 
 
 def _start_server(
@@ -295,10 +284,9 @@ def _export_obs(
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
-    injector = _make_injector(args)
     obs = _make_obs(args, "track")
+    injector = _make_injector(args, obs)
     log = _logbook_for(args, obs)
-    _wire_faults(injector, obs, log)
     manifest = _manifest_for(
         args,
         "track",
@@ -506,8 +494,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     else:
         obs = _make_obs(args, "live")
         log = _logbook_for(args, obs)
-        injector = _make_injector(args)
-        _wire_faults(injector, obs, log)
+        injector = _make_injector(args, obs)
         if args.checkpoint_every > 0 and not args.checkpoint:
             log.error("--checkpoint-every needs --checkpoint PATH")
             return 2
@@ -690,9 +677,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         def injector_factory(attack):
             # One injector per shard: chaos draws stay independent of
             # the fair-share interleaving.
-            injector = FaultInjector(load_fault_plan(args.fault_plan))
-            _wire_faults(injector, obs, log)
-            return injector
+            return FaultInjector(load_fault_plan(args.fault_plan))
 
     manifest = _manifest_for(
         args,
@@ -897,8 +882,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print("-" * len(header))
     worst_violations = 0
     for level in args.levels:
-        injector = FaultInjector(base_plan.scaled(level))
-        _wire_faults(injector, obs, log)
+        injector = FaultInjector(
+            base_plan.scaled(level), bus=obs.bus if obs is not None else None
+        )
         tracker = SpoofTracker(testbed, injector=injector, obs=obs)
         try:
             report = tracker.run(
@@ -1673,7 +1659,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=0,
-        help="with --url: stop after this many events (0 = until close)",
+        help="with --url: stop after N events of any kind (0 = until close)",
     )
     dash.add_argument(
         "--every",

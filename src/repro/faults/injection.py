@@ -10,7 +10,8 @@ catchments (measurement loss → partial maps), and the live runtime
 Decisions are made *centrally*, from the plan's seeded digests, and only
 the resulting :class:`FaultAction` is executed at the site.  That keeps
 chaos runs deterministic regardless of scheduling, and lets the
-injector's :class:`FaultLog` account every fired fault in one place.
+injector's :class:`FaultLog` account every fired fault in one place —
+and, given a bus, publish each firing as a ``fault`` event.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import InjectedFault
 from ..types import Catchment, LinkId
@@ -55,24 +56,13 @@ class FaultAction:
 
 @dataclass
 class FaultLog:
-    """Counts of fired faults by kind (main-process accounting).
-
-    ``listeners`` (excluded from equality/serialization) are invoked as
-    ``listener(kind, count)`` on every record — the hook the CLI uses to
-    forward fault events onto the observability bus without the faults
-    layer importing :mod:`repro.obs`.
-    """
+    """Counts of fired faults by kind (main-process accounting)."""
 
     by_kind: Dict[str, int] = field(default_factory=dict)
-    listeners: List[Callable[[str, int], None]] = field(
-        default_factory=list, repr=False, compare=False
-    )
 
     def record(self, kind: str, count: int = 1) -> None:
         """Account ``count`` fired faults of ``kind``."""
         self.by_kind[kind] = self.by_kind.get(kind, 0) + count
-        for listener in self.listeners:
-            listener(kind, count)
 
     @property
     def total(self) -> int:
@@ -92,12 +82,24 @@ class FaultInjector:
     site's tokens, so two injectors over the same plan make identical
     decisions in any order.  An injector over the empty plan is inert —
     each hook returns its input unchanged.
+
+    ``bus`` is an optional :class:`~repro.obs.bus.EventBus` (or tagged
+    view) each firing is published to as a ``fault`` event with
+    ``fault_kind`` and ``count``; the faults layer never imports
+    :mod:`repro.obs`.
     """
 
-    def __init__(self, plan: Optional[FaultPlan] = None) -> None:
+    def __init__(self, plan: Optional[FaultPlan] = None, bus=None) -> None:
         self.plan = plan or FaultPlan()
         self.log = FaultLog()
+        self.bus = bus
         self._suppressed = 0
+
+    def _fire(self, kind: str, count: int = 1) -> None:
+        """Account one firing and publish it when a bus is wired."""
+        self.log.record(kind, count)
+        if self.bus is not None:
+            self.bus.publish("fault", fault_kind=kind, count=count)
 
     @property
     def active(self) -> bool:
@@ -137,13 +139,13 @@ class FaultInjector:
             if not spec.active_at(ordinal):
                 continue
             if self.plan.decision(WORKER_CRASH, position, token, attempt) < spec.rate:
-                self.log.record(WORKER_CRASH)
+                self._fire(WORKER_CRASH)
                 return FaultAction(kind=ACTION_CRASH)
         for position, spec in self.plan.specs_for(WORKER_HANG):
             if not spec.active_at(ordinal):
                 continue
             if self.plan.decision(WORKER_HANG, position, token, attempt) < spec.rate:
-                self.log.record(WORKER_HANG)
+                self._fire(WORKER_HANG)
                 return FaultAction(
                     kind=ACTION_HANG, delay_seconds=spec.delay_seconds
                 )
@@ -187,7 +189,7 @@ class FaultInjector:
                     maps[link] = kept
                     degraded.add(link)
         if degraded:
-            self.log.record(MEASUREMENT_LOSS)
+            self._fire(MEASUREMENT_LOSS)
         return maps, frozenset(degraded)
 
     def flap_collectors(
@@ -214,7 +216,7 @@ class FaultInjector:
                     del surviving[vantage]
                     dropped += 1
         if dropped:
-            self.log.record(COLLECTOR_FLAP, dropped)
+            self._fire(COLLECTOR_FLAP, dropped)
         return surviving, dropped
 
     def drop_traceroutes(self, index: int, traceroutes: List) -> Tuple[List, int]:
@@ -239,7 +241,7 @@ class FaultInjector:
             lost += len(surviving) - len(kept)
             surviving = kept
         if lost:
-            self.log.record(MEASUREMENT_LOSS, lost)
+            self._fire(MEASUREMENT_LOSS, lost)
         return surviving, lost
 
     # ------------------------------------------------------------------
@@ -267,7 +269,7 @@ class FaultInjector:
                 f"{self.plan.seed}|{VOLUME_NOISE}|{position}|{window_index}|{batch_index}"
             )
             factor *= max(0.0, 1.0 + rng.uniform(-spec.intensity, spec.intensity))
-            self.log.record(VOLUME_NOISE)
+            self._fire(VOLUME_NOISE)
         return factor
 
     def extra_churn(self, window_index: int) -> Optional[float]:
@@ -278,7 +280,7 @@ class FaultInjector:
             if not spec.active_at(window_index) or spec.intensity <= 0:
                 continue
             if self.plan.decision(ROUTE_CHURN, position, window_index) < spec.rate:
-                self.log.record(ROUTE_CHURN)
+                self._fire(ROUTE_CHURN)
                 return min(1.0, spec.intensity)
         return None
 
@@ -312,4 +314,4 @@ class FaultInjector:
         with open(path, "wb") as handle:
             handle.write(data[:cut])
             handle.write(b"\x00CORRUPT\x00")
-        self.log.record(CHECKPOINT_CORRUPTION)
+        self._fire(CHECKPOINT_CORRUPTION)

@@ -13,7 +13,7 @@ serial/asyncio drivers tying them together
 (:mod:`~repro.fleet.runtime`).
 """
 
-from .obs import TaggedBus, TaggedLogbook, TaggedRegistry, shard_observability
+from .obs import TaggedBus, TaggedRegistry, shard_observability
 from .scheduler import FleetScheduler
 from .shard import (
     ACTIVE,
@@ -76,7 +76,6 @@ __all__ = [
     "ShardKey",
     "ShardReport",
     "TaggedBus",
-    "TaggedLogbook",
     "TaggedRegistry",
     "attribution_digest",
     "checkpoint_digest",

@@ -18,11 +18,11 @@ a **tagged view** of the parent surface:
   the payload, so every ``window``/``churn``/``checkpoint`` event on the
   shared stream carries its tenant — which is what ``spooftrack dash
   --tenant`` filters on and what routes events to the right per-tenant
-  watchdog.
-* :class:`TaggedLogbook` forwards log records with the labels injected
-  into the structured fields, so fleet-mode ``--log-json`` lines are
-  filterable by tenant/attack while human-mode rendering stays byte
-  for byte what a single-tenant run prints.
+  watchdog.  The shard's log records and fault firings are bus events
+  too (its logbook and injector publish through this view), so they are
+  tagged the same way: fleet-mode ``--log-json`` lines are filterable by
+  tenant/attack while human-mode rendering stays byte for byte what a
+  single-tenant run prints.
 
 Views are cheap proxies; the parent objects own all state, locking, and
 lifecycle (a shard never closes the shared bus).
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from ..obs import Observability
+from ..obs import EventBus, Observability
 
 
 def _clean_labels(labels: Mapping[str, object]) -> Dict[str, str]:
@@ -82,58 +82,6 @@ class TaggedBus:
         return self._bus.publish(kind, **merged)
 
 
-class TaggedLogbook:
-    """Logbook proxy that stamps fixed fields onto every record.
-
-    Human-mode rendering is untouched — the message still prints bare,
-    byte for byte — because the tags ride only the *structured* side:
-    ``--log-json`` lines, the retained ``records``, and any listeners
-    (the flight recorder) see ``tenant=``/``attack=`` fields and can
-    filter the fleet's merged log stream by shard.  Explicit fields win
-    over tags on collision, mirroring :class:`TaggedBus`.
-    """
-
-    def __init__(self, logbook, **tags) -> None:
-        self._logbook = logbook
-        self.tags = _clean_labels(tags)
-
-    def log(self, level: str, message: str, *, event: str = "", **fields):
-        merged: Dict[str, object] = dict(self.tags)
-        merged.update(fields)
-        return self._logbook.log(level, message, event=event, **merged)
-
-    def debug(self, message: str, *, event: str = "", **fields) -> None:
-        self.log("debug", message, event=event, **fields)
-
-    def info(self, message: str, *, event: str = "", **fields) -> None:
-        self.log("info", message, event=event, **fields)
-
-    def warning(self, message: str, *, event: str = "", **fields) -> None:
-        self.log("warning", message, event=event, **fields)
-
-    def error(self, message: str, *, event: str = "", **fields) -> None:
-        self.log("error", message, event=event, **fields)
-
-    # Shared state (records, listeners, rendering mode) stays on the
-    # parent — a tagged view is not a second sink.
-
-    @property
-    def records(self):
-        return self._logbook.records
-
-    @property
-    def listeners(self):
-        return self._logbook.listeners
-
-    @property
-    def json_mode(self) -> bool:
-        return self._logbook.json_mode
-
-    @property
-    def level(self) -> str:
-        return self._logbook.level
-
-
 def shard_observability(
     parent: Optional[Observability], tenant: str, attack: str
 ) -> Observability:
@@ -158,9 +106,12 @@ def shard_observability(
         if parent.bus is not None
         else None
     )
-    logbook = (
-        TaggedLogbook(parent.logbook, tenant=tenant, attack=attack)
-        if parent.logbook is not None
-        else None
-    )
+    logbook = None
+    if parent.logbook is not None:
+        # Log tags come from the bus; without a shared bus the shard's
+        # records are tagged by a private bus that keeps no history.
+        logbook = parent.logbook.with_bus(
+            bus
+            or TaggedBus(EventBus(history_limit=0), tenant=tenant, attack=attack)
+        )
     return Observability(registry=registry, bus=bus, logbook=logbook)

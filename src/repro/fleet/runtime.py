@@ -158,7 +158,8 @@ class FleetRuntime:
         slo_rules: per-tenant watchdog rules (default
             :data:`~repro.obs.slo.DEFAULT_SLOS`).
         injector_factory: builds one fault injector *per shard* (called
-            with the :class:`~repro.fleet.spec.AttackSpec` at spawn).
+            with the :class:`~repro.fleet.spec.AttackSpec` at spawn; the
+            runtime wires it to the shard's tagged bus).
             Per-shard injectors keep chaos draws independent of the
             fair-share interleaving; a single shared injector would
             entangle every shard's fault ordinals.
@@ -175,8 +176,9 @@ class FleetRuntime:
         flight_dir: directory for per-shard flight-recorder bundles
             ("" leaves flight recording off).  Each shard gets a
             :class:`~repro.obs.flight.FlightRecorder` riding the shared
-            bus filtered to its own tenant/attack tags (plus its fault
-            injector), dumping on crash, kill, and rollback.
+            bus filtered to its own tenant/attack tags (its log records
+            and fault firings included), dumping on crash, kill, and
+            rollback.
         flight_capacity: ring size of each shard's recorder.
     """
 
@@ -317,11 +319,14 @@ class FleetRuntime:
         """Register a new shard; it queues for admission."""
         if attack.key in self.shards:
             raise FleetError(f"shard {attack.label} already exists")
+        obs = shard_observability(self.obs, attack.tenant, attack.label)
         injector = (
             self.injector_factory(attack)
             if self.injector_factory is not None
             else None
         )
+        if injector is not None:
+            injector.bus = obs.bus
         flight = None
         if self.flight_dir:
             flight = FlightRecorder(
@@ -335,14 +340,14 @@ class FleetRuntime:
                 },
                 tag_filter={"tenant": attack.tenant, "attack": attack.label},
             )
-            flight.attach(bus=self.obs.bus, injector=injector)
+            flight.attach(self.obs.bus)
             self.flights[attack.key] = flight
         shard = AttackShard(
             attack,
             checkpoint_dir=self.checkpoint_dir,
             checkpoint_every=self.spec.checkpoint_every,
             checkpoint_keep=self.spec.checkpoint_keep,
-            obs=shard_observability(self.obs, attack.tenant, attack.label),
+            obs=obs,
             injector=injector,
             flight=flight,
         )

@@ -403,10 +403,11 @@ class AttackShard:
     def _log(self, level: str, message: str, *, event: str, **fields) -> None:
         """Lifecycle logging through the shard's (tagged) logbook.
 
-        In fleet mode the logbook view injects ``tenant``/``attack``
-        fields (see :class:`~repro.fleet.obs.TaggedLogbook`), so
-        ``--log-json`` streams are filterable by shard; unarmed runs
-        (``logbook is None``) pay nothing.
+        In fleet mode the logbook publishes through the shard's tagged
+        bus (see :func:`~repro.fleet.obs.shard_observability`), which
+        injects ``tenant``/``attack`` fields, so ``--log-json`` streams
+        are filterable by shard; unarmed runs (``logbook is None``) pay
+        nothing.
         """
         if self.obs.logbook is not None:
             self.obs.logbook.log(level, message, event=event, **fields)

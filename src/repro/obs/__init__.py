@@ -11,10 +11,10 @@ The observability layer every other subsystem reports through:
   monotonic timing and optional :mod:`cProfile` capture.
 * :class:`RunManifest` — frozen run inputs + redacted environment,
   attached to reports.
-* :class:`EventBus` — publish/subscribe spine carrying window, fault,
-  phase, and engine events to live consumers.
+* :class:`EventBus` — the one event stream: window, fault, phase,
+  engine, span and log events, fanned out to live consumers.
 * :class:`Logbook` — leveled, span-correlated structured logging
-  (human or JSON-lines rendering).
+  (human or JSON-lines rendering), published to the bus.
 * :class:`SloWatchdog` — declarative SLO rules riding the bus, tripping
   breach counters and flipping readiness.
 * :class:`ObsServer` — threaded HTTP exporter: ``/metrics``,
@@ -58,7 +58,7 @@ from .bus import (  # noqa: E402 (ensure_parent_dir must exist first)
     Subscription,
     strip_measured,
 )
-from .logbook import LogRecord, Logbook  # noqa: E402
+from .logbook import Logbook  # noqa: E402
 from .manifest import (  # noqa: E402
     RunManifest,
     build_manifest,
@@ -127,7 +127,6 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "LogRecord",
     "Logbook",
     "MetricsRegistry",
     "ObsServer",
@@ -194,28 +193,32 @@ class Observability:
     def for_run(
         cls, run_name: str = "run", profile: bool = False
     ) -> "Observability":
-        """Registry + tracer + bus (+ optional profiler) for one run."""
+        """Registry + tracer + bus (+ optional profiler) for one run.
+
+        The tracer and the logbook publish to the bundle's bus.
+        """
         registry = MetricsRegistry()
         record_build_info(registry)
-        tracer = Tracer(run_name)
+        bus = EventBus()
+        tracer = Tracer(run_name, bus=bus)
         return cls(
             registry=registry,
             tracer=tracer,
             profiler=ProfileCapture(enabled=profile),
             timer=PhaseTimer(registry),
-            bus=EventBus(),
-            logbook=Logbook(tracer=tracer),
+            bus=bus,
+            logbook=Logbook(tracer=tracer, bus=bus),
         )
 
     def arm_flight(
         self, name: str = "run", directory: str = "", capacity: int = 256
     ) -> FlightRecorder:
-        """Attach a run-wide flight recorder to every armed surface.
+        """Attach a run-wide flight recorder to this bundle's bus.
 
-        The recorder rides the bus, logbook, and tracer of this bundle
-        (whichever exist) and snapshots this registry's counters at each
-        dump.  Stored on :attr:`flight` so trigger sites (CLI crash
-        handler, SLO watchdogs, signal handler) can reach it; call
+        The recorder captures every bus event (spans and log records
+        included) and snapshots this registry's counters at each dump.
+        Stored on :attr:`flight` so trigger sites (CLI crash handler,
+        SLO watchdogs, signal handler) can reach it; call
         ``flight.detach()`` on teardown.
         """
         recorder = FlightRecorder(
@@ -224,7 +227,7 @@ class Observability:
             directory=directory,
             registry=self.registry,
         )
-        recorder.attach(bus=self.bus, logbook=self.logbook, tracer=self.tracer)
+        recorder.attach(self.bus)
         self.flight = recorder
         return recorder
 

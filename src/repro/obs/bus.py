@@ -1,17 +1,20 @@
 """In-process publish/subscribe event bus for live telemetry.
 
-The bus is the spine of the servable observability surface: the
-pipeline, the live runtime, the controller, the engine, and the fault
-injector publish small JSON-safe event dicts as they happen, and any
-number of subscribers — the SSE ``/events`` endpoint, the SLO
-watchdogs, the ASCII dashboard — consume them concurrently.
+The bus is the one event stream of the observability surface: the
+pipeline, the live runtime, the controller, the engine, the fault
+injector (``fault``), the tracer (``span``, one per closed span) and the
+logbook (``log``, one per record) publish small JSON-safe event dicts as
+they happen, and any number of subscribers — the SSE ``/events``
+endpoint, the SLO watchdogs, the flight recorder, the ASCII dashboard —
+consume them concurrently.
 
 Determinism follows the repo's counter rule: every *payload field* of a
 published event is deterministic data for a seeded scenario, except
 fields whose key ends in ``_seconds`` (measured wall times, carried as
 data only).  :func:`strip_measured` removes those, so two runs of the
-same seeded replay publish byte-identical event sequences once stripped
-— the SSE analogue of :func:`~repro.obs.tracing.span_tree_signature`.
+same seeded replay publish byte-identical event sequences once stripped.
+It is the one deterministic projection: flight-recorder rings, timeline
+rows and :func:`~repro.obs.tracing.span_tree_signature` all use it.
 
 Everything is stdlib-only and thread-safe: publishing takes one lock,
 fan-out to queue subscribers never blocks the publisher (subscriber
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import queue
 import threading
+from collections import deque
 from typing import Callable, Dict, Iterator, List, Optional
 
 #: Retained events; older events fall off the replay window.  Large
@@ -104,7 +108,7 @@ class EventBus:
         if history_limit < 0:
             raise ValueError("history_limit cannot be negative")
         self._lock = threading.Lock()
-        self._history: List[Event] = []
+        self._history: "deque[Event]" = deque(maxlen=history_limit)
         self._history_limit = history_limit
         self._dropped = 0
         self._seq = 0
@@ -126,10 +130,9 @@ class EventBus:
             event.update(payload)
             self._seq += 1
             if self._history_limit:
-                self._history.append(event)
-                if len(self._history) > self._history_limit:
-                    del self._history[0]
+                if len(self._history) == self._history_limit:
                     self._dropped += 1
+                self._history.append(event)
             subscribers = list(self._subscribers)
             listeners = list(self._listeners)
         for subscription in subscribers:

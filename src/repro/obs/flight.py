@@ -2,21 +2,22 @@
 
 When a fleet shard dies, a soak kill fires, or a checkpoint rolls back,
 the *recent* context — which bus events fired, what was logged, which
-spans closed, how the counters moved — is exactly what an operator needs
-and exactly what used to die with the process.  A :class:`FlightRecorder`
-is a lock-safe ring buffer that rides the observability surface as a set
-of cheap synchronous listeners and, on demand, dumps an atomic,
+spans closed, which faults struck, how the counters moved — is exactly
+what an operator needs and exactly what used to die with the process.
+Spans, log records and fault firings are all bus events, so a
+:class:`FlightRecorder` is a lock-safe ring buffer riding the bus as one
+cheap synchronous listener and, on demand, dumping an atomic,
 checksummed JSON bundle (the "black box") for the timeline layer
 (:mod:`repro.obs.timeline`) to reconstruct.
 
-**Determinism**: ring entries keep only the deterministic projection of
-what they capture — measured ``*_seconds`` fields are stripped from bus
-events and log fields, span durations are dropped — and bundles are
-canonical JSON with no wall-clock timestamps, pids, or absolute paths.
-Two replays of the same seeded scenario that crash at the same logical
-point therefore dump *byte-identical* bundles, across interpreter hash
-seeds and across the serial/asyncio fleet drivers; the bundle checksum
-doubles as the crash's forensic fingerprint.
+**Determinism**: ring entries keep only the
+:func:`~repro.obs.bus.strip_measured` projection of what they capture
+(measured ``*_seconds`` fields, span durations included, are dropped),
+and bundles are canonical JSON with no wall-clock timestamps, pids, or
+absolute paths.  Two replays of the same seeded scenario that crash at
+the same logical point therefore dump *byte-identical* bundles, across
+interpreter hash seeds and across the serial/asyncio fleet drivers; the
+bundle checksum doubles as the crash's forensic fingerprint.
 
 Dump triggers wired across the repo:
 
@@ -26,7 +27,6 @@ Dump triggers wired across the repo:
   (:class:`~repro.soak.runner.SoakRunner`),
 * checkpoint rollback on resume,
 * SLO breaches (:class:`~repro.obs.slo.SloWatchdog.flight`),
-* injected faults (:meth:`FlightRecorder.attach` with an injector),
 * explicit operator request — :func:`install_flight_signal` binds
   ``SIGUSR1`` so a live run can be asked for its black box any time.
 """
@@ -44,8 +44,8 @@ from ..faults.resilience import atomic_write_text, content_checksum
 from . import ensure_parent_dir
 from .bus import strip_measured
 
-#: Bundle schema version.
-FLIGHT_VERSION = 1
+#: Bundle schema version (2: spans, logs and faults are ``bus`` entries).
+FLIGHT_VERSION = 2
 
 #: Default ring capacity (most recent entries retained).
 DEFAULT_CAPACITY = 256
@@ -57,15 +57,6 @@ _SLUG_UNSAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 def _slug(text: str) -> str:
     """Filesystem-safe token for bundle filenames."""
     return _SLUG_UNSAFE.sub("-", text).strip("-") or "run"
-
-
-def _strip_fields(fields: Mapping) -> Dict[str, object]:
-    """Deterministic projection of a log record's structured fields."""
-    return {
-        str(key): value
-        for key, value in fields.items()
-        if not str(key).endswith("_seconds")
-    }
 
 
 class FlightRecorder:
@@ -89,8 +80,8 @@ class FlightRecorder:
             neighbours (events missing a filtered key are skipped, so a
             tenant-tagged engine event stays out of per-attack rings).
 
-    Attach with :meth:`attach` (bus / logbook / tracer / injector) and
-    always :meth:`detach` on teardown — buses outlive runtimes.
+    Attach with :meth:`attach` and always :meth:`detach` on teardown —
+    buses outlive runtimes.
     """
 
     def __init__(
@@ -117,9 +108,6 @@ class FlightRecorder:
         self._dump_ordinals: Dict[str, int] = {}
         self._last_counters: Dict[str, float] = {}
         self._bus = None
-        self._logbook = None
-        self._tracer = None
-        self._injector_log = None
         # A rebuilt recorder (soak restart epochs) must not overwrite
         # the bundles its predecessor dumped: resume each reason's
         # ordinal after the highest already on disk.
@@ -156,78 +144,32 @@ class FlightRecorder:
         with self._lock:
             return [dict(entry) for entry in self._ring]
 
-    # -- listeners ------------------------------------------------------
+    # -- bus capture ----------------------------------------------------
 
     def _on_bus(self, event: Mapping) -> None:
         if self.tag_filter and any(
             event.get(key) != value for key, value in self.tag_filter.items()
         ):
             return
-        self.record("bus", event=strip_measured(dict(event)))
+        self.record("bus", event=strip_measured(event))
 
-    def _on_log(self, record) -> None:
-        self.record(
-            "log",
-            level=record.level,
-            msg=record.message,
-            event=record.event,
-            span=record.span_id,
-            fields=_strip_fields(record.fields),
-        )
+    def attach(self, bus) -> "FlightRecorder":
+        """Ride ``bus`` as a synchronous listener (None: capture nothing).
 
-    def _on_span(self, record: Mapping) -> None:
-        self.record(
-            "span",
-            span_id=record.get("span_id", ""),
-            parent_id=record.get("parent_id", ""),
-            name=record.get("name", ""),
-            attrs=dict(record.get("attrs", {})),
-        )
-
-    def _on_fault(self, kind: str, count: int) -> None:
-        self.record("fault", fault=kind, count=count)
-
-    def attach(
-        self, bus=None, logbook=None, tracer=None, injector=None
-    ) -> "FlightRecorder":
-        """Ride the given surfaces as synchronous listeners.
-
-        Returns ``self`` so construction and attachment chain.  Each
-        surface is optional; attaching twice to the same recorder first
-        detaches the previous hooks.
+        Returns ``self`` so construction and attachment chain; attaching
+        again first detaches the previous hook.
         """
         self.detach()
         if bus is not None:
             bus.attach(self._on_bus)
             self._bus = bus
-        if logbook is not None:
-            logbook.listeners.append(self._on_log)
-            self._logbook = logbook
-        if tracer is not None:
-            tracer.listeners.append(self._on_span)
-            self._tracer = tracer
-        if injector is not None:
-            injector.log.listeners.append(self._on_fault)
-            self._injector_log = injector.log
         return self
 
     def detach(self) -> None:
-        """Unhook every listener registered by :meth:`attach`."""
+        """Unhook the listener registered by :meth:`attach`."""
         if self._bus is not None:
             self._bus.detach(self._on_bus)
             self._bus = None
-        if self._logbook is not None:
-            if self._on_log in self._logbook.listeners:
-                self._logbook.listeners.remove(self._on_log)
-            self._logbook = None
-        if self._tracer is not None:
-            if self._on_span in self._tracer.listeners:
-                self._tracer.listeners.remove(self._on_span)
-            self._tracer = None
-        if self._injector_log is not None:
-            if self._on_fault in self._injector_log.listeners:
-                self._injector_log.listeners.remove(self._on_fault)
-            self._injector_log = None
 
     # -- metric deltas --------------------------------------------------
 

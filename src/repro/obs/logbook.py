@@ -14,47 +14,27 @@ one of two modes:
   span tree that produced it.
 
 Levels follow the conventional ladder; records below the logbook's
-threshold are dropped before rendering.  The last
-:data:`RECORD_LIMIT` records are retained in memory for tests and the
-``/events`` surface.
+threshold are dropped before rendering.  A logbook given a bus first
+publishes every record (even one below the threshold) as a ``log``
+event and then renders the event the bus returns, minus the bus's
+``seq``/``kind`` stamps — so fields a tagged bus view injects (a fleet
+shard's ``tenant``/``attack``) reach ``--log-json`` lines, and the bus
+history is where records are retained.  ``seq`` and ``kind`` are
+therefore reserved field names.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TextIO
+from typing import Optional, TextIO
 
 #: Level names to severities (stdlib ``logging`` numbering).
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
-#: In-memory records retained per logbook.
-RECORD_LIMIT = 10_000
-
-
-@dataclass(frozen=True)
-class LogRecord:
-    """One structured log record."""
-
-    level: str
-    message: str
-    event: str = ""
-    span_id: str = ""
-    fields: Dict[str, object] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-safe dump (field order fixed by sort_keys at render)."""
-        record: Dict[str, object] = {
-            "level": self.level,
-            "msg": self.message,
-        }
-        if self.event:
-            record["event"] = self.event
-        if self.span_id:
-            record["span"] = self.span_id
-        record.update(self.fields)
-        return record
+#: Bus stamps left out of rendered JSON lines.
+_BUS_STAMPS = ("seq", "kind")
 
 
 class Logbook:
@@ -66,6 +46,8 @@ class Logbook:
         level: minimum level rendered (records below are still counted).
         tracer: optional :class:`~repro.obs.tracing.Tracer`; when given,
             each record carries the innermost open span's id.
+        bus: optional :class:`~repro.obs.bus.EventBus` (or tagged view)
+            each record is published to as a ``log`` event.
     """
 
     def __init__(
@@ -74,6 +56,7 @@ class Logbook:
         json_mode: bool = False,
         level: str = "info",
         tracer=None,
+        bus=None,
     ) -> None:
         if level not in LEVELS:
             raise ValueError(f"unknown log level {level!r}")
@@ -81,17 +64,20 @@ class Logbook:
         self.json_mode = json_mode
         self.level = level
         self.tracer = tracer
-        self.records: List[LogRecord] = []
+        self.bus = bus
         self.suppressed = 0
-        #: Record hooks, called with every :class:`LogRecord` appended
-        #: (even below the render threshold) — the flight recorder rides
-        #: here.  Keep them cheap; remove on teardown.
-        self.listeners: List[Callable[[LogRecord], None]] = []
 
     @property
     def stream(self) -> TextIO:
         # Resolved lazily so capsys/StringIO redirection in tests works.
         return self._stream if self._stream is not None else sys.stderr
+
+    def with_bus(self, bus) -> "Logbook":
+        """A logbook rendering like this one that publishes to ``bus``
+        (how a fleet shard logs through its tagged bus view)."""
+        view = copy.copy(self)
+        view.bus = bus
+        return view
 
     def _span_id(self) -> str:
         if self.tracer is None:
@@ -103,29 +89,28 @@ class Logbook:
         return self.tracer.current.span_id
 
     def log(self, level: str, message: str, *, event: str = "", **fields) -> None:
-        """Record one entry; render it when at or above the threshold."""
+        """Publish one record; render it when at or above the threshold."""
         if level not in LEVELS:
             raise ValueError(f"unknown log level {level!r}")
-        record = LogRecord(
-            level=level,
-            message=message,
-            event=event,
-            span_id=self._span_id(),
-            fields=fields,
-        )
-        self.records.append(record)
-        if len(self.records) > RECORD_LIMIT:
-            del self.records[0]
-        for listener in list(self.listeners):
-            listener(record)
+        record = {"level": level, "msg": message}
+        if event:
+            record["event"] = event
+        span_id = self._span_id()
+        if span_id:
+            record["span"] = span_id
+        record.update(fields)
+        if self.bus is not None:
+            record = self.bus.publish("log", **record)
         if LEVELS[level] < LEVELS[self.level]:
             self.suppressed += 1
             return
         if self.json_mode:
-            print(
-                json.dumps(record.as_dict(), sort_keys=True, default=str),
-                file=self.stream,
-            )
+            line = {
+                key: value
+                for key, value in record.items()
+                if key not in _BUS_STAMPS
+            }
+            print(json.dumps(line, sort_keys=True, default=str), file=self.stream)
         else:
             print(message, file=self.stream)
 

@@ -24,16 +24,19 @@ Endpoints (all GET, stdlib :mod:`http.server` only):
 ``/traces``
     Finished span records from the tracer as a JSON list.
 ``/events``
-    Server-sent events: each bus event as an ``id:``/``data:`` frame.
-    ``?replay=0`` skips history; ``?limit=N`` closes the stream after N
-    events so plain ``curl`` invocations terminate.  An idle stream
+    Server-sent events: each bus event (spans, log records and faults
+    included) as an ``id:``/``data:`` frame.  ``?replay=0`` skips
+    history; ``?limit=N`` closes the stream after N events of any kind
+    so plain ``curl`` invocations terminate.  An idle stream
     emits ``: keep-alive`` comment frames every ``keepalive_seconds``
     so proxies and clients can tell a quiet run from a dead one.
 ``/timeline``
     The merged forensic timeline (:mod:`repro.obs.timeline`) over the
-    armed bus history, finished spans, and any attached flight/
-    checkpoint directories, with ``?tenant=``/``?shard=``/``?since=``
-    filters and the deterministic digest in the body.
+    armed bus history and any attached flight/checkpoint directories,
+    with ``?tenant=``/``?shard=``/``?since=`` filters and the
+    deterministic digest in the body.
+
+A malformed ``?limit=`` or ``?since=`` gets a 400 with a JSON error.
 
 The server binds on construction (so ``port`` is known even with
 ``port=0``) and serves from a daemon thread after :meth:`start`.
@@ -52,6 +55,21 @@ SSE_POLL_SECONDS = 0.25
 
 #: Default idle interval between SSE ``: keep-alive`` comment frames.
 SSE_KEEPALIVE_SECONDS = 15.0
+
+
+class _BadQuery(ValueError):
+    """A malformed query parameter (answered with 400)."""
+
+
+def _query_number(query, key: str, cast):
+    """``?key=`` parsed with ``cast`` (None when absent or empty)."""
+    raw = query.get(key, [""])[0]
+    if not raw:
+        return None
+    try:
+        return cast(raw)
+    except ValueError:
+        raise _BadQuery(f"{key} must be a number, got {raw!r}") from None
 
 
 def _health_payload(source) -> Mapping:
@@ -128,6 +146,8 @@ class _ObsHandler(BaseHTTPRequestHandler):
                 self._handle_timeline(obs_server, parse_qs(parsed.query))
             else:
                 self._send_json(404, {"error": f"unknown route {route}"})
+        except _BadQuery as exc:
+            self._send_json(400, {"error": str(exc)})
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-response; nothing to clean up
 
@@ -177,14 +197,13 @@ class _ObsHandler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _handle_timeline(self, obs_server: "ObsServer", query) -> None:
+        since = _query_number(query, "since", float)
         timeline = obs_server.build_timeline()
         if timeline is None:
             self._send_json(404, {"error": "no timeline sources armed"})
             return
         tenant = query.get("tenant", [""])[0]
         shard = query.get("shard", [""])[0]
-        since_raw = query.get("since", [""])[0]
-        since = float(since_raw) if since_raw else None
         self._send_json(
             200, timeline.filtered(tenant=tenant, shard=shard, since=since).as_dict()
         )
@@ -195,8 +214,7 @@ class _ObsHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": "no event bus armed"})
             return
         replay = query.get("replay", ["1"])[0] not in ("0", "false", "no")
-        limit_raw = query.get("limit", [""])[0]
-        limit = int(limit_raw) if limit_raw else None
+        limit = _query_number(query, "limit", int)
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-store")
@@ -256,7 +274,7 @@ class ObsServer:
         port: bind port; 0 picks a free one (read :attr:`port` after).
         timeline_source: zero-arg callable returning a
             :class:`~repro.obs.timeline.Timeline` for ``/timeline``;
-            default builds one from the armed bus/tracer plus
+            default builds one from the armed bus plus
             ``flight_dir``/``checkpoint_dir``.
         flight_dir: flight-bundle directory merged into the default
             ``/timeline`` view.
@@ -315,38 +333,16 @@ class ObsServer:
 
     def build_timeline(self):
         """The ``/timeline`` body source: the explicit source when one
-        is wired, else a merge of whatever this server has armed (bus
-        history, finished spans, flight/checkpoint directories).
-        Returns None when no source exists at all (⇒ 404)."""
+        is wired, else :func:`~repro.obs.timeline.timeline_from_obs` over
+        this server's bus and flight/checkpoint directories.  Returns
+        None when no source exists at all (⇒ 404)."""
         if self.timeline_source is not None:
             return self.timeline_source()
-        if (
-            self.bus is None
-            and self.tracer is None
-            and not self.flight_dir
-            and not self.checkpoint_dir
-        ):
+        if self.bus is None and not self.flight_dir and not self.checkpoint_dir:
             return None
-        from .timeline import (
-            entries_from_bus,
-            entries_from_checkpoint_dir,
-            entries_from_flight_dir,
-            entries_from_spans,
-            _merge,
-        )
+        from .timeline import timeline_from_obs
 
-        groups = []
-        if self.bus is not None:
-            groups.append(entries_from_bus(self.bus.history()))
-        if self.tracer is not None:
-            groups.append(
-                entries_from_spans(
-                    span.as_record() for span in self.tracer.finished
-                )
-            )
-        groups.append(entries_from_flight_dir(self.flight_dir))
-        groups.append(entries_from_checkpoint_dir(self.checkpoint_dir))
-        return _merge(groups)
+        return timeline_from_obs(self, self.flight_dir, self.checkpoint_dir)
 
     @property
     def host(self) -> str:

@@ -1,10 +1,11 @@
 """Post-mortem timeline forensics: one causally-ordered view per run.
 
 After a crash (or just a confusing run) the evidence is scattered: the
-trace JSONL knows the span structure, the event bus knows what happened
-in publish order, flight bundles (:mod:`repro.obs.flight`) hold each
-shard's last seconds, and the checkpoint directory holds the states that
-reached disk.  This module merges all four into one **timeline**: a flat,
+event bus knows what happened in publish order (spans, log records and
+fault firings included), the trace JSONL keeps the span structure on
+disk, flight bundles (:mod:`repro.obs.flight`) hold each shard's last
+seconds, and the checkpoint directory holds the states that reached
+disk.  This module merges all four into one **timeline**: a flat,
 deterministic sequence of :class:`TimelineEntry` rows aligned on
 *simulated minutes* (the repo's only trustworthy clock) and ordered by
 the bus sequence within a minute.
@@ -220,8 +221,10 @@ def _bus_label(event: Mapping) -> str:
             f"window {event.get('window_index', '?')} "
             f"(queue {event.get('queue_depth', '?')})"
         )
-    if kind == "phase":
+    if kind in ("phase", "span"):
         return str(event.get("name", ""))
+    if kind == "log":
+        return f"[{event.get('level', '?')}] {event.get('msg', '')}"
     if kind == "fault":
         return f"{event.get('fault_kind', '?')} x{event.get('count', '?')}"
     if kind == "checkpoint":
@@ -260,32 +263,22 @@ def entries_from_bus(events: Iterable[Mapping]) -> List[TimelineEntry]:
 def entries_from_spans(
     records: Iterable[Mapping],
 ) -> List[TimelineEntry]:
-    """Rows for trace span records (JSONL lines or ``as_record`` dicts).
+    """Rows for trace JSONL span records.
 
     Spans carry no simulated clock, so they form the unaligned prologue,
-    kept in file order via the sequence slot (offset so span ordinals
-    never collide with bus sequences: both live below minute 0 only when
-    the bus row is itself unaligned, which untagged setup events are).
+    kept in file order via the sequence slot.
     """
-    entries = []
-    for index, record in enumerate(records):
-        attrs = dict(record.get("attrs", {}))
-        entries.append(
-            TimelineEntry(
-                minute=None,
-                seq=index,
-                source="trace",
-                kind="span",
-                label=str(record.get("name", "")),
-                detail={
-                    "span_id": record.get("span_id", ""),
-                    "parent_id": record.get("parent_id", ""),
-                    "name": record.get("name", ""),
-                    "attrs": attrs,
-                },
-            )
+    return [
+        TimelineEntry(
+            minute=None,
+            seq=index,
+            source="trace",
+            kind="span",
+            label=str(record.get("name", "")),
+            detail=strip_measured(record),
         )
-    return entries
+        for index, record in enumerate(records)
+    ]
 
 
 def entries_from_flight_payload(
@@ -297,8 +290,9 @@ def entries_from_flight_payload(
     ``bus``-source rows (with their original sequence numbers), so a
     timeline built offline from bundles alone still shows the event
     stream — and :func:`build_timeline` dedupes them against a live bus
-    history by sequence.  Non-bus ring entries (logs, spans, faults,
-    metric deltas) keep the ``flight`` source.
+    history by sequence.  Any other ring entry (metric deltas, or the
+    ``log``/``span``/``fault`` entries of version-1 bundles) becomes a
+    generic ``flight`` row carrying the entry as its detail.
     """
     context = dict(payload.get("context", {}))
     tenant = str(context.get("tenant", "") or "")
@@ -327,36 +321,25 @@ def entries_from_flight_payload(
         )
     ]
     for item in payload.get("entries", []):
-        kind = item.get("kind")
+        kind = str(item.get("kind"))
         if kind == "bus":
             entries.append(
                 entry_from_bus_event(item.get("event", {}), source="bus")
             )
             continue
-        detail = {
-            key: value
-            for key, value in item.items()
-            if key not in ("kind", "n")
-        }
-        label = ""
-        if kind == "log":
-            label = f"[{item.get('level', '?')}] {item.get('msg', '')}"
-        elif kind == "span":
-            label = str(item.get("name", ""))
-        elif kind == "fault":
-            label = f"{item.get('fault', '?')} x{item.get('count', '?')}"
-        elif kind == "metrics":
-            label = f"{len(item.get('delta', {}))} counters moved"
         entries.append(
             TimelineEntry(
                 minute=minute,
                 seq=None,
                 source="flight",
-                kind=str(kind),
+                kind=kind,
                 tenant=tenant,
                 shard=shard,
-                label=label,
-                detail=detail,
+                detail={
+                    key: value
+                    for key, value in item.items()
+                    if key not in ("kind", "n")
+                },
             )
         )
     return entries
@@ -452,16 +435,24 @@ def entries_from_checkpoint_dir(directory: str) -> List[TimelineEntry]:
 
 
 def _merge(groups: Sequence[List[TimelineEntry]]) -> Timeline:
-    """Merge entry groups, deduping bus rows by sequence number.
+    """Merge entry groups, deduping bus rows by sequence number and span
+    rows by span id.
 
     A bus event can arrive twice — once from the live bus history and
-    once through a flight bundle's ring — and must appear once; the
+    once through a flight bundle's ring — and a span up to three times
+    (trace JSONL, bus history, flight ring); each must appear once.  The
     first occurrence (source priority = group order) wins.
     """
     seen_seqs = set()
+    seen_spans = set()
     merged: List[TimelineEntry] = []
     for group in groups:
         for entry in group:
+            if entry.kind == "span":
+                span_id = entry.detail.get("span_id")
+                if span_id in seen_spans:
+                    continue
+                seen_spans.add(span_id)
             if entry.source == "bus" and entry.seq is not None:
                 if entry.seq in seen_seqs:
                     continue
@@ -499,17 +490,13 @@ def timeline_from_obs(
     flight_dir: str = "",
     checkpoint_dir: str = "",
 ) -> Timeline:
-    """The live builder: an armed bundle's bus history + finished spans,
-    plus any on-disk bundles and checkpoints (the ``/timeline`` body)."""
-    groups: List[List[TimelineEntry]] = []
-    if obs is not None and obs.bus is not None:
-        groups.append(entries_from_bus(obs.bus.history()))
-    if obs is not None and obs.tracer is not None:
-        groups.append(
-            entries_from_spans(
-                span.as_record() for span in obs.tracer.finished
-            )
-        )
-    groups.append(entries_from_flight_dir(flight_dir))
-    groups.append(entries_from_checkpoint_dir(checkpoint_dir))
-    return _merge(groups)
+    """The live builder: the bus history of ``obs`` (anything with a
+    ``bus`` attribute — an armed bundle, an
+    :class:`~repro.obs.server.ObsServer`), plus any on-disk bundles and
+    checkpoints (the ``/timeline`` body)."""
+    bus = getattr(obs, "bus", None)
+    return build_timeline(
+        flight_dir=flight_dir,
+        checkpoint_dir=checkpoint_dir,
+        bus_events=bus.history() if bus is not None else None,
+    )

@@ -12,7 +12,9 @@ strips them so trees can be compared across runs.
 
 Traces export as JSONL, one span per line, closed spans first-finished
 first; :func:`load_spans` reads them back and :func:`build_tree`
-reassembles the hierarchy.
+reassembles the hierarchy.  A tracer given a bus also publishes each
+closed span's record as a ``span`` event, which is how the flight
+recorder and the live timeline see spans.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional
-
 from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Mapping, Optional
+
+from .bus import strip_measured
 
 #: Identity prefix length (hex chars).  64 bits of SHA-256 — collisions
 #: within one trace are out of the question at these span counts.
@@ -73,13 +76,16 @@ class Tracer:
         run_name: root identity token; the root span id is the digest of
             ``|root|run_name`` so traces of different subcommands never
             collide.
+        bus: optional :class:`~repro.obs.bus.EventBus`; each closed span
+            is published to it as a ``span`` event.
 
     The tracer keeps an explicit stack of open spans (``span`` nests);
     the per-parent, per-site ordinal counter makes repeated sites under
     one parent (engine batches, live windows) distinct and stable.
     """
 
-    def __init__(self, run_name: str = "run") -> None:
+    def __init__(self, run_name: str = "run", bus=None) -> None:
+        self.bus = bus
         self.root = Span(
             span_id=_derive_id("", run_name, 0),
             parent_id="",
@@ -88,20 +94,18 @@ class Tracer:
         )
         self._stack: List[Span] = [self.root]
         self.finished: List[Span] = []
-        #: Span-closure hooks, called with each closed span's record
-        #: (the flight recorder rides here).  Keep them cheap.
-        self.listeners: List[Callable[[Dict], None]] = []
 
     @property
     def current(self) -> Span:
         """The innermost open span (the root when nothing is open)."""
         return self._stack[-1]
 
-    def _notify(self, span: Span) -> None:
-        if self.listeners:
-            record = span.as_record()
-            for listener in list(self.listeners):
-                listener(record)
+    def _close(self, span: Span) -> None:
+        span.duration_seconds = time.perf_counter() - span._start
+        self._stack.pop()
+        self.finished.append(span)
+        if self.bus is not None:
+            self.bus.publish("span", **span.as_record())
 
     @contextmanager
     def span(self, name: str, **attrs) -> Iterator[Span]:
@@ -125,18 +129,12 @@ class Tracer:
         try:
             yield span
         finally:
-            span.duration_seconds = time.perf_counter() - span._start
-            self._stack.pop()
-            self.finished.append(span)
-            self._notify(span)
+            self._close(span)
 
     def finish(self) -> None:
         """Close the root span (idempotent)."""
         if self._stack and self._stack[-1] is self.root:
-            self.root.duration_seconds = time.perf_counter() - self.root._start
-            self._stack.pop()
-            self.finished.append(self.root)
-            self._notify(self.root)
+            self._close(self.root)
 
     # -- export ---------------------------------------------------------
 
@@ -184,22 +182,13 @@ def build_tree(spans: List[Mapping]) -> Dict[str, List[Mapping]]:
 def span_tree_signature(spans: List[Mapping]) -> str:
     """Canonical digest of a trace's *deterministic* content.
 
-    Strips measured durations and hashes the sorted
-    ``(span_id, parent_id, name, attrs)`` tuples — two runs of the same
-    seeded scenario must produce the same signature regardless of
-    machine or clock.
+    Hashes the sorted :func:`~repro.obs.bus.strip_measured` projections
+    of the span records (``span_id``, ``parent_id``, ``name``, ``attrs``)
+    — two runs of the same seeded scenario must produce the same
+    signature regardless of machine or clock.
     """
     canonical = sorted(
-        json.dumps(
-            {
-                "span_id": span["span_id"],
-                "parent_id": span["parent_id"],
-                "name": span["name"],
-                "attrs": span.get("attrs", {}),
-            },
-            sort_keys=True,
-        )
-        for span in spans
+        json.dumps(strip_measured(span), sort_keys=True) for span in spans
     )
     return hashlib.sha256("\n".join(canonical).encode("utf-8")).hexdigest()
 

@@ -22,7 +22,6 @@ from repro.fleet import (
     FleetScheduler,
     FleetSpec,
     TaggedBus,
-    TaggedLogbook,
     TaggedRegistry,
     derive_seed,
     derive_tenant_seed,
@@ -32,7 +31,14 @@ from repro.fleet import (
     scripted_stream,
     shard_observability,
 )
-from repro.obs import EventBus, Logbook, MetricsRegistry, Observability
+from repro.faults import ROUTE_CHURN, FaultInjector, FaultPlan, FaultSpec
+from repro.obs import (
+    EventBus,
+    FlightRecorder,
+    Logbook,
+    MetricsRegistry,
+    Observability,
+)
 from repro.topology.generator import TopologyParams
 
 #: Small enough to keep per-tenant testbeds cheap, large enough for the
@@ -242,45 +248,59 @@ class TestTaggedViews:
         assert history[1]["tenant"] == "override"
         bus.close()
 
+    @staticmethod
+    def _shard_logbook(parent, bus=None, **tags):
+        """A shard's logbook: ``parent``'s sink, publishing through a
+        tagged view of ``bus`` (what ``shard_observability`` builds)."""
+        bus = bus if bus is not None else EventBus()
+        return parent.with_bus(TaggedBus(bus, **tags))
+
     def test_tagged_logbook_keeps_human_mode_byte_identical(self):
         plain_stream, tagged_stream = io.StringIO(), io.StringIO()
         plain = Logbook(stream=plain_stream)
-        tagged = TaggedLogbook(
-            Logbook(stream=tagged_stream), tenant="t0", attack="t0/p"
-        )
+        tagged = shard_observability(
+            Observability(
+                bus=EventBus(), logbook=Logbook(stream=tagged_stream)
+            ),
+            "t0",
+            "t0/p",
+        ).logbook
         plain.info("window 4 done", event="window", window_index=4)
         tagged.info("window 4 done", event="window", window_index=4)
         assert tagged_stream.getvalue() == plain_stream.getvalue()
         assert tagged_stream.getvalue() == "window 4 done\n"
 
     def test_tagged_logbook_stamps_structured_fields(self):
-        stream = io.StringIO()
-        parent = Logbook(stream=stream, json_mode=True)
-        tagged = TaggedLogbook(parent, tenant="t0", attack="t0/p")
+        stream, bus = io.StringIO(), EventBus()
+        parent = Logbook(stream=stream, json_mode=True, bus=bus)
+        tagged = self._shard_logbook(parent, bus, tenant="t0", attack="t0/p")
         tagged.warning("shard killed", event="shard_kill", minute=120)
         line = json.loads(stream.getvalue())
         assert line["tenant"] == "t0"
         assert line["attack"] == "t0/p"
         assert line["event"] == "shard_kill"
         assert line["minute"] == 120
-        # The retained record (what the flight recorder sees) is tagged too.
-        assert parent.records[-1].fields["tenant"] == "t0"
+        # The published event (what the flight recorder sees) is tagged too.
+        assert bus.history()[-1] == dict(line, seq=0, kind="log")
 
     def test_tagged_logbook_explicit_fields_win(self):
-        parent = Logbook(stream=io.StringIO())
-        tagged = TaggedLogbook(parent, tenant="outer")
+        bus = EventBus()
+        tagged = self._shard_logbook(
+            Logbook(stream=io.StringIO()), bus, tenant="outer"
+        )
         tagged.error("boom", tenant="inner")
-        assert parent.records[-1].fields == {"tenant": "inner"}
+        assert bus.history()[-1]["tenant"] == "inner"
 
     def test_tagged_logbook_shares_parent_state(self):
-        parent = Logbook(stream=io.StringIO(), json_mode=True, level="debug")
-        tagged = TaggedLogbook(parent, tenant="t0")
+        stream, bus = io.StringIO(), EventBus()
+        parent = Logbook(stream=stream, json_mode=True, level="debug")
+        tagged = self._shard_logbook(parent, bus, tenant="t0")
         seen = []
-        tagged.listeners.append(lambda record: seen.append(record.message))
+        bus.attach(lambda event: seen.append(event["msg"]))
         tagged.debug("quiet")
-        assert tagged.records is parent.records
         assert tagged.json_mode is True and tagged.level == "debug"
         assert seen == ["quiet"]
+        assert json.loads(stream.getvalue())["tenant"] == "t0"
 
     def test_shard_observability_of_bare_parent(self):
         bare = shard_observability(None, "t0", "t0/p")
@@ -298,10 +318,40 @@ class TestTaggedViews:
         )
         assert isinstance(armed.registry, TaggedRegistry)
         assert isinstance(armed.bus, TaggedBus)
-        assert isinstance(armed.logbook, TaggedLogbook)
+        assert armed.logbook.bus is armed.bus
         # Span/profiler identities would collide across shards.
         assert armed.tracer is None and armed.profiler is None
         armed.bus._bus.close()
+
+    def test_shard_log_and_fault_land_in_own_flight_ring(self):
+        """Per-shard recorders filter the shared bus by tags, so a
+        shard's log record and its injector's fault reach its own ring
+        and not a neighbour's."""
+        parent = Observability(
+            bus=EventBus(), logbook=Logbook(stream=io.StringIO())
+        )
+        shards = {
+            attack: (
+                shard_observability(parent, "t0", attack),
+                FlightRecorder(
+                    tag_filter={"tenant": "t0", "attack": attack}
+                ).attach(bus=parent.bus),
+            )
+            for attack in ("t0/a", "t0/b")
+        }
+        view, _ = shards["t0/a"]
+        injector = FaultInjector(
+            FaultPlan(specs=(FaultSpec(kind=ROUTE_CHURN, rate=1.0,
+                                       intensity=0.5),)),
+            bus=view.bus,
+        )
+        view.logbook.warning("shard killed", event="shard_kill")
+        assert injector.extra_churn(0) == 0.5
+        own = [entry["event"] for entry in shards["t0/a"][1].snapshot()]
+        assert [(e["kind"], e["attack"]) for e in own] == [
+            ("log", "t0/a"), ("fault", "t0/a")
+        ]
+        assert shards["t0/b"][1].snapshot() == []
 
 
 @pytest.fixture(scope="module")
@@ -431,6 +481,10 @@ class TestFleetRuntime:
         assert kills[0]["attack"] == f"{victim[0]}/{victim[1]}"
         assert resumes[0]["tenant"] == victim[0]
         assert resumes[0]["rollback"] in (True, False)
+        # The key set of a tagged --log-json line: bus stamps stay out.
+        base = {"level", "msg", "event", "tenant", "attack"}
+        assert set(kills[0]) == base
+        assert set(resumes[0]) == base | {"rollback"}
 
     def test_scripted_drain_and_evict(self, base_run):
         spec, _, _ = base_run

@@ -1,10 +1,10 @@
 """Flight recorder tests: bounded capture, dumps, triggers (ISSUE 10).
 
 The recorder is the black box of the observability layer: a lock-safe
-ring riding the bus/logbook/tracer/injector as cheap listeners, dumping
-an atomic checksummed bundle on crash-like triggers.  Everything it
-captures must be the deterministic projection — identical sequences must
-dump byte-identical bundles.
+ring riding the bus as one cheap listener (spans, log records and fault
+firings are bus events too), dumping an atomic checksummed bundle on
+crash-like triggers.  Everything it captures must be the deterministic
+projection — identical sequences must dump byte-identical bundles.
 """
 
 import json
@@ -14,6 +14,7 @@ import signal
 import pytest
 
 from repro.analysis.dashboard import Dashboard
+from repro.faults import ROUTE_CHURN, FaultPlan, FaultSpec
 from repro.faults.injection import FaultInjector
 from repro.obs import (
     EventBus,
@@ -76,55 +77,62 @@ class TestListeners:
         assert [event["window_index"] for event in events] == [0]
 
     def test_log_capture_strips_measured_fields_ignores_threshold(self):
-        logbook = Logbook(level="error")
-        recorder = FlightRecorder().attach(logbook=logbook)
+        bus = EventBus()
+        logbook = Logbook(level="error", bus=bus)
+        recorder = FlightRecorder().attach(bus=bus)
         logbook.debug(
             "below threshold", event="tick", step=4, wait_seconds=0.5
         )
         (entry,) = recorder.snapshot()
-        assert entry["kind"] == "log"
-        assert entry["level"] == "debug"
-        assert entry["msg"] == "below threshold"
-        assert entry["event"] == "tick"
-        assert entry["fields"] == {"step": 4}
+        assert entry["kind"] == "bus"
+        assert entry["event"] == {
+            "seq": 0, "kind": "log", "level": "debug",
+            "msg": "below threshold", "event": "tick", "step": 4,
+        }
         assert logbook.suppressed == 1  # still dropped from rendering
 
     def test_span_capture_drops_duration(self):
-        tracer = Tracer("run")
-        recorder = FlightRecorder().attach(tracer=tracer)
+        bus = EventBus()
+        tracer = Tracer("run", bus=bus)
+        recorder = FlightRecorder().attach(bus=bus)
         with tracer.span("simulate", configs=2):
             pass
         (entry,) = recorder.snapshot()
-        assert entry["kind"] == "span"
-        assert entry["name"] == "simulate"
-        assert entry["attrs"] == {"configs": 2}
-        assert entry["parent_id"] == tracer.root.span_id
-        assert "duration_seconds" not in entry
+        span = entry["event"]
+        assert span["kind"] == "span"
+        assert span["name"] == "simulate"
+        assert span["attrs"] == {"configs": 2}
+        assert span["parent_id"] == tracer.root.span_id
+        assert "duration_seconds" not in span
 
     def test_fault_capture_via_injector(self):
-        injector = FaultInjector()
-        recorder = FlightRecorder().attach(injector=injector)
-        injector.log.record("collector_flap", 3)
+        bus = EventBus()
+        injector = FaultInjector(
+            FaultPlan(specs=(FaultSpec(kind=ROUTE_CHURN, rate=1.0, intensity=0.5),)),
+            bus=bus,
+        )
+        recorder = FlightRecorder().attach(bus=bus)
+        assert injector.extra_churn(0) == 0.5
         (entry,) = recorder.snapshot()
         assert entry == {
-            "n": 0, "kind": "fault", "fault": "collector_flap", "count": 3
+            "n": 0, "kind": "bus",
+            "event": {
+                "seq": 0, "kind": "fault",
+                "fault_kind": ROUTE_CHURN, "count": 1,
+            },
         }
 
     def test_detach_removes_every_hook(self):
-        bus, logbook, tracer = EventBus(), Logbook(), Tracer("run")
-        injector = FaultInjector()
-        recorder = FlightRecorder().attach(
-            bus=bus, logbook=logbook, tracer=tracer, injector=injector
-        )
+        bus = EventBus()
+        logbook, tracer = Logbook(bus=bus), Tracer("run", bus=bus)
+        recorder = FlightRecorder().attach(bus=bus)
         recorder.detach()
         bus.publish("window")
         logbook.info("hello")
         with tracer.span("simulate"):
             pass
-        injector.log.record("volume_noise")
         assert recorder.snapshot() == []
-        assert not logbook.listeners and not tracer.listeners
-        assert not injector.log.listeners
+        assert not bus._listeners
 
     def test_reattach_first_detaches(self):
         bus = EventBus()
@@ -212,14 +220,15 @@ class TestDump:
         """The determinism contract: same capture -> same bundle bytes."""
 
         def run(directory):
-            bus, logbook, tracer = EventBus(), Logbook(), Tracer("run")
+            bus = EventBus()
+            logbook, tracer = Logbook(bus=bus), Tracer("run", bus=bus)
             registry = MetricsRegistry()
             recorder = FlightRecorder(
                 name="run",
                 directory=str(directory),
                 context={"seed": 11},
                 registry=registry,
-            ).attach(bus=bus, logbook=logbook, tracer=tracer)
+            ).attach(bus=bus)
             registry.counter("repro_ticks_total").inc(2)
             bus.publish("window", window_index=0, duration_seconds=0.37)
             logbook.info("window done", event="window", elapsed_seconds=0.2)
@@ -277,8 +286,12 @@ class TestTriggers:
         obs.registry.counter("repro_ticks_total").inc()
         path = recorder.dump("crash")
         payload = load_flight_dump(path)
-        kinds = [entry["kind"] for entry in payload["entries"]]
-        assert kinds == ["bus", "log", "span", "metrics"]
+        kinds = [
+            entry["event"]["kind"] if entry["kind"] == "bus" else entry["kind"]
+            for entry in payload["entries"]
+        ]
+        assert kinds == ["window", "log", "span", "metrics"]
+        assert payload["version"] == 2
         assert payload["counters"]["repro_ticks_total"] == 1.0
         recorder.detach()
 

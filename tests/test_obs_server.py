@@ -9,7 +9,8 @@ import urllib.request
 
 import pytest
 
-from repro.faults.injection import FaultLog
+from repro.faults import COLLECTOR_FLAP, WORKER_CRASH, FaultPlan, FaultSpec
+from repro.faults.injection import FaultInjector
 from repro.live import LiveTracebackService, ReplayScenario
 from repro.obs import (
     DEFAULT_SLOS,
@@ -99,6 +100,12 @@ class TestEventBus:
         assert [event["index"] for event in history] == [2, 3, 4]
         assert bus.events_dropped == 2
 
+    def test_zero_history_keeps_nothing_and_drops_nothing(self):
+        bus = EventBus(history_limit=0)
+        assert bus.publish("tick")["seq"] == 0
+        assert bus.history() == []
+        assert bus.events_dropped == 0
+
     def test_attached_listener_runs_synchronously(self):
         bus = EventBus()
         seen = []
@@ -133,25 +140,37 @@ class TestLogbook:
         }
 
     def test_threshold_suppresses_but_still_records(self, capsys):
-        log = Logbook(level="warning")
+        bus = EventBus()
+        log = Logbook(level="warning", bus=bus)
         log.debug("noise")
         log.info("still noise")
         log.error("boom")
         assert capsys.readouterr().err == "boom\n"
         assert log.suppressed == 2
-        assert [r.level for r in log.records] == ["debug", "info", "error"]
+        assert [e["level"] for e in bus.history()] == ["debug", "info", "error"]
+        assert {e["kind"] for e in bus.history()} == {"log"}
 
     def test_records_carry_open_span_id(self):
+        bus = EventBus()
         tracer = Tracer("test")
-        log = Logbook(tracer=tracer)
+        log = Logbook(tracer=tracer, bus=bus)
         with tracer.span("phase") as span:
             log.info("inside")
         log.info("outside")
         tracer.finish()
         log.info("after finish")
-        assert log.records[0].span_id == span.span_id
-        assert log.records[1].span_id == tracer.root.span_id
-        assert log.records[2].span_id == ""
+        records = bus.history()
+        assert records[0]["span"] == span.span_id
+        assert records[1]["span"] == tracer.root.span_id
+        assert "span" not in records[2]
+
+    def test_json_line_is_the_published_event_without_bus_stamps(self, capsys):
+        bus = EventBus()
+        log = Logbook(json_mode=True, bus=bus)
+        log.warning("queue filling", event="ingest", depth=12)
+        (event,) = bus.history()
+        line = json.loads(capsys.readouterr().err)
+        assert event == dict(line, seq=0, kind="log")
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
@@ -282,20 +301,37 @@ class TestEnsureParentDir:
 
 
 class TestFaultLogListeners:
+    """Fault firings reach consumers as ``fault`` events on the bus."""
+
+    PLAN = FaultPlan(
+        seed=3,
+        specs=(
+            FaultSpec(kind=WORKER_CRASH, rate=1.0),
+            FaultSpec(kind=COLLECTOR_FLAP, rate=1.0, intensity=1.0),
+        ),
+    )
+
     def test_listeners_observe_records(self):
-        log = FaultLog()
-        seen = []
-        log.listeners.append(lambda kind, count: seen.append((kind, count)))
-        log.record("worker_crash")
-        log.record("link_degradation", 3)
-        assert seen == [("worker_crash", 1), ("link_degradation", 3)]
-        assert log.by_kind == {"worker_crash": 1, "link_degradation": 3}
+        bus = EventBus()
+        injector = FaultInjector(self.PLAN, bus=bus)
+        injector.simulation_action(0, "config-0")
+        _, dropped = injector.flap_collectors(0, {"v1": 1, "v2": 2, "v3": 3})
+        seen = [(e["fault_kind"], e["count"]) for e in bus.history()]
+        assert seen == [(WORKER_CRASH, 1), (COLLECTOR_FLAP, dropped)]
+        assert dropped == 3
+        assert injector.log.by_kind == {WORKER_CRASH: 1, COLLECTOR_FLAP: 3}
+        assert {e["kind"] for e in bus.history()} == {"fault"}
 
     def test_listeners_do_not_affect_equality(self):
-        plain = FaultLog(by_kind={"x": 1})
-        listened = FaultLog(by_kind={"x": 1})
-        listened.listeners.append(lambda kind, count: None)
-        assert plain == listened
+        plain = FaultInjector(self.PLAN)
+        published = FaultInjector(self.PLAN, bus=EventBus())
+        for injector in (plain, published):
+            injector.simulation_action(0, "config-0")
+        assert plain.log == published.log
+        # Accounting replayed onto a log (checkpoint resume) publishes
+        # nothing: only firings are events.
+        published.log.record(WORKER_CRASH)
+        assert published.bus.events_published == 1
 
 
 @pytest.fixture()
@@ -381,6 +417,26 @@ class TestObsServer:
         events = _sse_events(body)
         assert [event["kind"] for event in events] == ["window", "fault"]
         assert [event["seq"] for event in events] == [0, 1]
+
+    def test_events_carry_spans_logs_and_faults(self, served_obs):
+        obs, server, _ = served_obs
+        with obs.tracer.span("probe") as span:
+            obs.logbook.debug("inside probe", event="probe")
+        status, body = _get(server.url + "/events?replay=1&limit=4")
+        assert status == 200
+        events = _sse_events(body)
+        assert [event["kind"] for event in events] == [
+            "window", "fault", "log", "span"
+        ]
+        assert events[2]["span"] == events[3]["span_id"] == span.span_id
+
+    def test_events_malformed_limit_is_400(self, served_obs):
+        _, server, _ = served_obs
+        status, body = _get(server.url + "/events?limit=abc")
+        assert status == 400
+        assert json.loads(body) == {
+            "error": "limit must be a number, got 'abc'"
+        }
 
     def test_unknown_route_404(self, served_obs):
         _, server, _ = served_obs

@@ -195,25 +195,30 @@ class TestBusEntries:
 
 
 class TestFlightEntries:
+    SHARD = "tenant-00/10.0.0.0/24"
+
     def payload(self):
+        tags = {"tenant": "tenant-00", "attack": self.SHARD}
         return {
-            "version": 1,
+            "version": 2,
             "flight": "tenant-00/10.0.0.0-24",
             "reason": "kill",
             "ordinal": 2,
             "context": {
                 "tenant": "tenant-00",
-                "shard": "tenant-00/10.0.0.0/24",
+                "shard": self.SHARD,
                 "clock_minutes": 120.0,
             },
             "entries_seen": 3,
             "entries": [
                 {"n": 0, "kind": "bus",
                  "event": {"seq": 9, "kind": "window", "window_index": 1}},
-                {"n": 1, "kind": "log", "level": "warning",
-                 "msg": "shard killed", "event": "shard_kill",
-                 "span": "", "fields": {}},
-                {"n": 2, "kind": "fault", "fault": "worker_crash", "count": 1},
+                {"n": 1, "kind": "bus",
+                 "event": dict(tags, seq=10, kind="log", level="warning",
+                               msg="shard killed", event="shard_kill")},
+                {"n": 2, "kind": "bus",
+                 "event": dict(tags, seq=11, kind="fault",
+                               fault_kind="worker_crash", count=1)},
             ],
         }
 
@@ -224,14 +229,67 @@ class TestFlightEntries:
         assert dump.minute == 120.0 and dump.seq is None
         assert dump.label == "kill #2 (3 entries)"
         assert dump.tenant == "tenant-00"
-        # Ring-captured bus events re-enter as bus rows with their
-        # original sequence numbers; other ring kinds stay flight-source.
-        bus_row = entries[1]
+        # Ring-captured bus events (log records and faults included)
+        # re-enter as bus rows with their original sequence numbers.
+        bus_row, log_row, fault_row = entries[1:]
         assert bus_row.source == "bus" and bus_row.seq == 9
-        log_row, fault_row = entries[2], entries[3]
+        assert (log_row.source, log_row.kind, log_row.seq) == ("bus", "log", 10)
         assert log_row.label == "[warning] shard killed"
         assert fault_row.label == "worker_crash x1"
-        assert {log_row.shard, fault_row.shard} == {"tenant-00/10.0.0.0/24"}
+        assert {log_row.shard, fault_row.shard} == {self.SHARD}
+
+    def test_version_1_ring_entries_become_generic_rows(self):
+        """Bundles written before spans, logs and faults rode the bus
+        still load: their non-bus ring entries become flight rows."""
+        log_entry = {"level": "warning", "msg": "shard killed",
+                     "event": "shard_kill", "span": "", "fields": {}}
+        span_entry = {"span_id": "ab12", "parent_id": "", "name": "fleet",
+                      "attrs": {}}
+        payload = dict(
+            self.payload(),
+            version=1,
+            entries_seen=5,
+            entries=[
+                {"n": 0, "kind": "bus",
+                 "event": {"seq": 9, "kind": "window", "window_index": 1}},
+                dict(log_entry, n=1, kind="log"),
+                dict(span_entry, n=2, kind="span"),
+                {"n": 3, "kind": "fault", "fault": "worker_crash", "count": 1},
+                {"n": 4, "kind": "metrics", "delta": {"x_total": 1.0}},
+            ],
+        )
+        entries = entries_from_flight_payload(payload)
+        assert [(e.source, e.kind) for e in entries] == [
+            ("flight", "dump"), ("bus", "window"), ("flight", "log"),
+            ("flight", "span"), ("flight", "fault"), ("flight", "metrics"),
+        ]
+        log_row, span_row, fault_row = entries[2:5]
+        assert log_row.detail == log_entry
+        assert span_row.detail == span_entry
+        assert fault_row.detail == {"fault": "worker_crash", "count": 1}
+        for row in entries[2:]:
+            assert (row.minute, row.seq) == (120.0, None)
+            assert (row.tenant, row.shard) == ("tenant-00", self.SHARD)
+        assert len(Timeline(entries).digest()) == 64
+
+    def test_merge_dedupes_span_rows_by_span_id(self, tmp_path):
+        obs = Observability.for_run("track")
+        obs.arm_flight("track", directory=str(tmp_path))
+        with obs.tracer.span("simulate"):
+            pass
+        obs.tracer.finish()
+        obs.flight.dump("crash")
+        obs.flight.detach()
+        trace_path = obs.tracer.write_jsonl(str(tmp_path / "trace.jsonl"))
+        timeline = build_timeline(
+            trace_path=trace_path,
+            flight_dir=str(tmp_path),
+            bus_events=obs.bus.history(),
+        )
+        span_ids = [e.detail["span_id"] for e in timeline if e.kind == "span"]
+        assert sorted(span_ids) == sorted(
+            span.span_id for span in obs.tracer.finished
+        )
 
     def test_merge_dedupes_flight_bus_rows_against_live_history(self):
         live = [{"seq": 9, "kind": "window", "window_index": 1}]
@@ -241,7 +299,7 @@ class TestFlightEntries:
         )
         # Both copies survive a bare Timeline; the dedup lives in the
         # merge builders.
-        assert sum(1 for e in timeline if e.source == "bus") == 2
+        assert sum(1 for e in timeline if e.source == "bus" and e.seq == 9) == 2
 
         from repro.obs.timeline import _merge
 
@@ -419,6 +477,19 @@ class TestTimelineEndpoint:
         finally:
             server.stop()
             obs.bus.close()
+
+    def test_malformed_since_is_400(self):
+        bus = EventBus()
+        server = ObsServer(bus=bus).start()
+        try:
+            status, body = _get(server.url + "/timeline?since=abc")
+        finally:
+            server.stop()
+            bus.close()
+        assert status == 400
+        assert json.loads(body) == {
+            "error": "since must be a number, got 'abc'"
+        }
 
     def test_404_when_nothing_armed(self):
         server = ObsServer().start()
