@@ -30,16 +30,19 @@ Subcommands:
   against the recorded baseline history; non-zero exit on regression.
 * ``experiments`` — regenerate the EXPERIMENTS.md body from a fresh run.
 
-``track``, ``live``, ``fleet``, and ``chaos`` accept ``--trace PATH``
-(JSONL span tree with deterministic span ids), ``--metrics PATH``
-(Prometheus-format counter/gauge/histogram dump), ``--serve PORT``
-(threaded HTTP exporter: ``/metrics``, ``/healthz``, ``/readyz``,
-``/manifest``, ``/traces``, ``/timeline``, SSE ``/events``, and — in
-fleet mode — ``/tenants``), ``--log-json`` (structured JSON-lines
-operational logging instead of bare stderr), and ``--flight-dir DIR``
-(arm the black-box flight recorder).  ``track``, ``live``, and
-``fleet`` also accept ``--fault-plan`` (``chaos`` sweeps its own
-``--plan``).
+``track``, ``compare``, ``profile``, ``live``, ``fleet``, ``soak``, and
+``chaos`` accept ``--trace PATH`` (JSONL span tree with deterministic
+span ids), ``--metrics PATH`` (Prometheus-format counter/gauge/histogram
+dump), ``--serve PORT`` (threaded HTTP exporter: ``/metrics``,
+``/healthz``, ``/readyz``, ``/manifest``, ``/traces``, ``/timeline``,
+SSE ``/events``, and — in fleet mode — ``/tenants``), ``--log-json``
+(structured JSON-lines operational logging instead of bare stderr), and
+``--flight-dir DIR`` (arm the black-box flight recorder); one
+:class:`_RunSession` arms and tears these down for every command.
+``track``, ``live``, and ``fleet`` also accept ``--fault-plan`` (``soak``
+escalates its own ``--fault-plan`` per epoch; ``chaos`` sweeps its own
+``--plan``).  Counts, rates, and minutes are range-checked by the parser,
+so an out-of-range value is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ from .core.pipeline import SpoofTracker, TestbedSpec, build_testbed
 from .errors import FaultInjectionError
 from .faults import BUNDLED_PLANS, FaultInjector, load_fault_plan
 from .obs import (
+    DEFAULT_SLOS,
+    SOAK_SLOS,
     Logbook,
     Observability,
     ObsServer,
@@ -126,171 +131,166 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_injector(args: argparse.Namespace, obs: Optional[Observability]):
-    """Build a :class:`FaultInjector` from ``--fault-plan`` (or None),
-    publishing its firings to the armed bus."""
-    source = getattr(args, "fault_plan", None)
-    if not source:
-        return None
-    bus = obs.bus if obs is not None else None
-    return FaultInjector(load_fault_plan(source), bus=bus)
+class _RunSession:
+    """One command's observability lifecycle: arm, serve, export, tear down.
 
-
-#: Recorders armed by :func:`_make_obs` this invocation, so the crash
-#: handler in :func:`main` can dump black boxes on an unhandled error.
-_ACTIVE_FLIGHTS: List = []
-
-
-def _make_obs(
-    args: argparse.Namespace, command: str, profile: bool = False
-) -> Optional[Observability]:
-    """An armed :class:`Observability` bundle, or None when not asked for.
-
-    Unarmed runs (no ``--trace``/``--metrics``/``--serve``/``--log-json``
-    /``--flight-dir``/profiling) return None so the pipeline's
-    instrumentation guards stay on their no-op path.  ``--flight-dir``
-    additionally arms a run-wide flight recorder (riding the bus), binds
-    SIGUSR1 to it, and registers it for the crash handler in
-    :func:`main`.
+    Construction arms the :class:`Observability` bundle when a flag (or
+    profiling) asks for it — unarmed runs keep :attr:`obs` None, so the
+    pipeline's instrumentation guards stay on their no-op path — plus the
+    logbook, the ``--fault-plan`` injector on the run's bus, and the run
+    manifest (``config`` is its configuration).  Entering arms the
+    ``--flight-dir`` recorder (SIGUSR1 dumps it) and starts the
+    ``--serve`` exporter ahead of the command's slow construction;
+    :meth:`ready` flips ``/readyz`` and :attr:`health` (a value or a
+    zero-arg callable) feeds ``/healthz``.  A clean exit writes
+    ``--trace``/``--metrics`` and, when serving, publishes ``report``,
+    honours ``--serve-linger`` and closes the bus; an error dumps the
+    black box first.  Usage checks that return early go before the
+    ``with``.
     """
-    armed = (
-        getattr(args, "trace", None)
-        or getattr(args, "metrics", None)
-        or profile
-        or getattr(args, "serve", None) is not None
-        or getattr(args, "log_json", False)
-        or getattr(args, "flight_dir", None)
-    )
-    if not armed:
-        return None
-    obs = Observability.for_run(command, profile=profile)
-    if obs.logbook is not None:
-        obs.logbook.json_mode = bool(getattr(args, "log_json", False))
-    flight_dir = getattr(args, "flight_dir", None)
-    if flight_dir:
-        recorder = obs.arm_flight(command, directory=flight_dir)
-        install_flight_signal(recorder)
-        _ACTIVE_FLIGHTS.append(recorder)
-    return obs
 
-
-def _logbook_for(
-    args: argparse.Namespace, obs: Optional[Observability]
-) -> Logbook:
-    """The run's logbook: the obs bundle's when armed, else a bare one.
-
-    Either way operational chatter flows through one leveled sink, and
-    ``--log-json`` switches it to structured JSON lines.
-    """
-    if obs is not None and obs.logbook is not None:
-        return obs.logbook
-    return Logbook(json_mode=bool(getattr(args, "log_json", False)))
-
-
-def _start_server(
-    args: argparse.Namespace,
-    obs: Optional[Observability],
-    log: Logbook,
-    manifest=None,
-    health_source=None,
-    slo_rules=None,
-):
-    """Start the ``--serve`` exporter (or return None when not asked for)."""
-    port = getattr(args, "serve", None)
-    if port is None or obs is None:
-        return None
-    watchdog = (
-        SloWatchdog(slo_rules, registry=obs.registry)
-        if slo_rules is not None
-        else SloWatchdog(registry=obs.registry)
-    )
-    # An armed flight recorder turns every SLO breach into a black box.
-    watchdog.flight = obs.flight
-    if obs.bus is not None:
-        obs.bus.attach(watchdog.observe)
-    server = ObsServer(
-        obs=obs,
-        manifest=manifest,
-        health_source=health_source,
-        watchdog=watchdog,
-        port=port,
-        flight_dir=getattr(args, "flight_dir", None) or "",
-        checkpoint_dir=getattr(args, "checkpoint_dir", None) or "",
-    )
-    server.start()
-    log.info(
-        f"serving observability on {server.url}",
-        event="serve",
-        port=server.port,
-    )
-    return server
-
-
-def _finish_server(
-    args: argparse.Namespace,
-    server,
-    obs: Optional[Observability],
-    log: Logbook,
-) -> None:
-    """Publish run completion, honour ``--serve-linger``, stop serving."""
-    if server is None:
-        return
-    if obs is not None and obs.bus is not None:
-        obs.bus.publish("report", command=getattr(args, "command", ""))
-    linger = float(getattr(args, "serve_linger", 0.0) or 0.0)
-    if linger > 0:
-        log.info(
-            f"run complete; serving {server.url} for {linger:g}s more",
-            event="serve_linger",
+    def __init__(
+        self,
+        args: argparse.Namespace,
+        command: str,
+        *,
+        profile: bool = False,
+        arm: bool = True,
+        inject: bool = True,
+        slo_rules=DEFAULT_SLOS,
+        **config,
+    ) -> None:
+        self.args, self.command, self.slo_rules = args, command, slo_rules
+        flags = (args.trace, args.metrics, args.log_json, args.flight_dir)
+        self.obs: Optional[Observability] = None
+        if arm and (profile or args.serve is not None or any(flags)):
+            self.obs = Observability.for_run(command, profile=profile)
+            self.obs.logbook.json_mode = args.log_json
+        self.bus = self.obs.bus if self.obs is not None else None
+        self.log = (
+            self.obs.logbook
+            if self.obs is not None
+            else Logbook(json_mode=args.log_json)
         )
-        time.sleep(linger)
-    server.stop()
-    if obs is not None and obs.bus is not None:
-        obs.bus.close()
+        plan = getattr(args, "fault_plan", None) if inject else None
+        self.injector = (
+            FaultInjector(load_fault_plan(plan), bus=self.bus) if plan else None
+        )
+        self.manifest = build_manifest(
+            command,
+            seed=args.seed,
+            scale=args.scale,
+            config=config,
+            fault_plan=self.injector.plan.as_serializable() if plan else None,
+        )
+        self.health = None
+        self.flight = self.server = None
+
+    def __enter__(self) -> "_RunSession":
+        if self.obs is None:
+            return self
+        if self.args.flight_dir:
+            self.flight = self.obs.arm_flight(
+                self.command, directory=self.args.flight_dir
+            )
+            install_flight_signal(self.flight)
+        if self.args.serve is None:
+            return self
+        watchdog = SloWatchdog(self.slo_rules, registry=self.obs.registry)
+        # An armed flight recorder turns every SLO breach into a black box.
+        watchdog.flight = self.flight
+        self.bus.attach(watchdog.observe)
+        self.server = ObsServer(
+            obs=self.obs,
+            manifest=self.manifest,
+            health_source=lambda: (
+                self.health() if callable(self.health) else self.health
+            ),
+            watchdog=watchdog,
+            port=self.args.serve,
+            flight_dir=self.args.flight_dir or "",
+            checkpoint_dir=getattr(self.args, "checkpoint_dir", None) or "",
+        ).start()
+        self.log.info(
+            f"serving observability on {self.server.url}",
+            event="serve",
+            port=self.server.port,
+        )
+        return self
+
+    def ready(self, tenants=None) -> None:
+        """Flip ``/readyz``; ``tenants`` (zero-arg callable) feeds ``/tenants``."""
+        if self.server is not None:
+            self.server.tenants_source = tenants
+            self.server.set_ready()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is None:
+            self._export()
+            if self.server is not None:
+                self.bus.publish("report", command=self.command)
+                linger = self.args.serve_linger
+                if linger > 0:
+                    self.log.info(
+                        f"run complete; serving {self.server.url} for {linger:g}s more",
+                        event="serve_linger",
+                    )
+                    time.sleep(linger)
+        elif self.flight is not None and isinstance(exc, Exception):
+            if not isinstance(exc, FaultInjectionError):
+                # The black box is most valuable at exactly this moment:
+                # dump the ring before the traceback unwinds the process.
+                self.flight.dump("crash", context={"error": repr(exc)})
+        if self.server is not None:
+            self.server.stop()
+            if exc_type is None:
+                self.bus.close()
+        if self.flight is not None:
+            self.flight.detach()
+
+    def _export(self) -> None:
+        """Write ``--trace`` / ``--metrics`` artifacts and announce them."""
+        trace, metrics = self.args.trace, self.args.metrics
+        if trace and self.obs is not None:
+            self.obs.tracer.write_jsonl(trace)
+            self.log.info(f"wrote trace {trace}", event="export", path=trace)
+        if metrics and self.obs is not None:
+            self.obs.registry.write_prometheus(metrics)
+            self.log.info(f"wrote metrics {metrics}", event="export", path=metrics)
 
 
-def _manifest_for(
-    args: argparse.Namespace, command: str, injector=None, **config
-):
-    """A :class:`~repro.obs.RunManifest` for this invocation."""
-    return build_manifest(
-        command,
-        seed=args.seed,
-        scale=args.scale,
-        config=config,
-        fault_plan=(
-            injector.plan.as_serializable() if injector is not None else None
-        ),
+def _testbed_and_placement(args: argparse.Namespace):
+    """The seeded testbed and the spoofing-source placement attacking it
+    (``track``, ``profile``, and ``chaos`` share the derivation)."""
+    testbed = build_testbed(seed=args.seed, topology_params=SCALES[args.scale])
+    candidate_ases = sorted(testbed.topology.stubs or testbed.graph.ases)
+    placement = make_placement(
+        args.distribution,
+        candidate_ases,
+        args.sources,
+        random.Random(args.seed + 1),
     )
+    return testbed, placement
 
 
-def _export_obs(
-    args: argparse.Namespace,
-    obs: Optional[Observability],
-    log: Optional[Logbook] = None,
-) -> None:
-    """Write ``--trace`` / ``--metrics`` artifacts and announce them."""
-    if obs is None:
-        return
-    log = log if log is not None else _logbook_for(args, obs)
-    trace = getattr(args, "trace", None)
-    if trace and obs.tracer is not None:
-        obs.tracer.write_jsonl(trace)
-        log.info(f"wrote trace {trace}", event="export", path=trace)
-    metrics = getattr(args, "metrics", None)
-    if metrics and obs.registry is not None:
-        obs.registry.write_prometheus(metrics)
-        log.info(f"wrote metrics {metrics}", event="export", path=metrics)
+def _run_tracker(args, testbed, placement, obs, injector=None, **options):
+    """One :class:`SpoofTracker` run of ``placement`` on ``testbed``."""
+    tracker = SpoofTracker(testbed, injector=injector, obs=obs)
+    try:
+        return tracker.run(
+            max_configs=args.max_configs,
+            placement=placement,
+            measured=args.measured,
+            **options,
+        )
+    finally:
+        tracker.engine.close()
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
-    obs = _make_obs(args, "track")
-    injector = _make_injector(args, obs)
-    log = _logbook_for(args, obs)
-    manifest = _manifest_for(
+    session = _RunSession(
         args,
         "track",
-        injector=injector,
         max_configs=args.max_configs,
         measured=args.measured,
         distribution=args.distribution,
@@ -298,34 +298,20 @@ def _cmd_track(args: argparse.Namespace) -> int:
         split_threshold=args.split_threshold,
         strategy=args.strategy,
     )
-    health = {"report": None}
-    server = _start_server(
-        args, obs, log, manifest=manifest,
-        health_source=lambda: health["report"],
-    )
-    testbed = build_testbed(seed=args.seed, topology_params=SCALES[args.scale])
-    tracker = SpoofTracker(testbed, injector=injector, obs=obs)
-    if server is not None:
-        server.set_ready()
-    rng = random.Random(args.seed + 1)
-    candidate_ases = sorted(testbed.topology.stubs or testbed.graph.ases)
-    placement = make_placement(
-        args.distribution, candidate_ases, args.sources, rng
-    )
-    try:
-        report = tracker.run(
-            max_configs=args.max_configs,
-            placement=placement,
-            measured=args.measured,
+    with session:
+        testbed, placement = _testbed_and_placement(args)
+        session.ready()
+        report = _run_tracker(
+            args,
+            testbed,
+            placement,
+            session.obs,
+            session.injector,
             split_threshold=args.split_threshold,
             strategy=args.strategy,
         )
-    finally:
-        tracker.engine.close()
-    report.manifest = manifest
-    health["report"] = report.resilience
-    _export_obs(args, obs, log)
-    _finish_server(args, server, obs, log)
+        report.manifest = session.manifest
+        session.health = report.resilience
     print(report.summary())
     true_sources = ", ".join(str(asn) for asn in sorted(placement.spoofing_ases))
     print(f"ground-truth source ASes: {true_sources}")
@@ -341,26 +327,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         names = available_strategies()
     for name in names:
         strategy_class(name)  # fail fast, before the measurement pass
-    obs = _make_obs(args, "compare")
-    log = _logbook_for(args, obs)
-    manifest = _manifest_for(
+    session = _RunSession(
         args,
         "compare",
         max_configs=args.max_configs,
         strategies=",".join(names),
     )
-    server = _start_server(args, obs, log, manifest=manifest)
-    testbed = build_testbed(seed=args.seed, topology_params=SCALES[args.scale])
-    if server is not None:
-        server.set_ready()
-    report = compare_strategies(
-        testbed,
-        strategies=names,
-        max_configs=args.max_configs,
-        obs=obs,
-    )
-    _export_obs(args, obs, log)
-    _finish_server(args, server, obs, log)
+    with session:
+        testbed = build_testbed(seed=args.seed, topology_params=SCALES[args.scale])
+        session.ready()
+        report = compare_strategies(
+            testbed,
+            strategies=names,
+            max_configs=args.max_configs,
+            obs=session.obs,
+        )
     print(
         f"racing {len(report.outcomes)} strategies over "
         f"{report.candidate_configs} candidate configurations, "
@@ -372,34 +353,24 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(report.table())
     if args.json:
         report.write_json(args.json)
-        log.info(f"wrote {args.json}", event="export", path=args.json)
+        session.log.info(f"wrote {args.json}", event="export", path=args.json)
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    obs = Observability.for_run("profile", profile=True)
-    testbed = build_testbed(seed=args.seed, topology_params=SCALES[args.scale])
-    tracker = SpoofTracker(testbed, obs=obs)
-    rng = random.Random(args.seed + 1)
-    candidate_ases = sorted(testbed.topology.stubs or testbed.graph.ases)
-    placement = make_placement(
-        args.distribution, candidate_ases, args.sources, rng
-    )
-    try:
-        report = tracker.run(
-            max_configs=args.max_configs,
-            placement=placement,
-            measured=args.measured,
-        )
-    finally:
-        tracker.engine.close()
-    report.manifest = _manifest_for(
+    session = _RunSession(
         args,
         "profile",
+        profile=True,
         max_configs=args.max_configs,
         measured=args.measured,
     )
-    _export_obs(args, obs, _logbook_for(args, obs))
+    obs = session.obs
+    with session:
+        testbed, placement = _testbed_and_placement(args)
+        session.ready()
+        report = _run_tracker(args, testbed, placement, obs)
+        report.manifest = session.manifest
     assert obs.timer is not None and obs.profiler is not None
     print("# per-phase wall time")
     print(obs.timer.table())
@@ -457,15 +428,41 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """Parse a count that must be at least 1 (e.g. ``--max-configs``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _bounded(name: str, kind, minimum, *, above: bool = False, maximum=None):
+    """An argparse type parsing ``kind`` values of at least ``minimum``
+    (strictly above it when ``above``) and at most ``maximum``, so a
+    value the library would reject is a usage error instead."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
+        # Written as negations so NaN fails every bound.
+        if not (value > minimum if above else value >= minimum):
+            bound = "greater than" if above else "at least"
+            raise argparse.ArgumentTypeError(
+                f"must be {bound} {minimum:g}, got {value:g}"
+            )
+        if maximum is not None and not value <= maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {maximum:g}, got {value:g}"
+            )
+        return value
+
+    parse.__name__ = parse.__qualname__ = name
+    return parse
+
+
+# Counts (``--max-configs``; ``--checkpoint-every``, where 0 = never),
+# simulated minutes and scales, probabilities, and volume shares.
+_positive_int = _bounded("_positive_int", int, 1)
+_non_negative_int = _bounded("_non_negative_int", int, 0)
+_positive_float = _bounded("_positive_float", float, 0.0, above=True)
+_non_negative_float = _bounded("_non_negative_float", float, 0.0)
+_rate = _bounded("_rate", float, 0.0, maximum=1.0)
+_share = _bounded("_share", float, 0.0, above=True, maximum=1.0)
 
 
 def _parse_churn(text: str) -> tuple:
@@ -483,99 +480,92 @@ def _cmd_live(args: argparse.Namespace) -> int:
     from .analysis.live import render_window, render_window_table
     from .live import LiveTracebackService, ReplayScenario, load_checkpoint
 
-    obs = None
-    injector = None
-    server = None
-    log = _logbook_for(args, None)
-    if args.resume:
-        # Resumed services rebuild mid-run state; the premeasure span and
-        # controller counters are gone, so tracing starts fresh runs only.
-        service = load_checkpoint(args.resume)
-    else:
-        obs = _make_obs(args, "live")
-        log = _logbook_for(args, obs)
-        injector = _make_injector(args, obs)
-        if args.checkpoint_every > 0 and not args.checkpoint:
-            log.error("--checkpoint-every needs --checkpoint PATH")
-            return 2
-        scenario = ReplayScenario(
-            seed=args.seed,
-            distribution=args.distribution,
-            num_sources=args.sources,
-            max_configs=args.max_configs,
-            window_minutes=args.window_minutes,
-            batches_per_window=args.batches_per_window,
-            queue_capacity=args.queue_capacity,
-            drop_policy=args.drop_policy,
-            adaptive=not args.in_order,
-            strategy=args.strategy,
-            min_configs=args.min_configs,
-            stop_entropy=args.stop_entropy,
-            stop_volume_share=args.stop_volume_share,
-            churn_events=tuple(args.churn),
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_path=args.checkpoint or "",
-            packets_per_window=args.packets_per_window,
-            nnls_stride=args.nnls_stride,
+    # Resumed services rebuild mid-run state from the checkpoint alone;
+    # the premeasure span and controller counters are gone, so tracing,
+    # serving, the flight recorder, and fault injection apply to fresh
+    # runs only.
+    session = _RunSession(
+        args,
+        "live",
+        arm=not args.resume,
+        max_configs=args.max_configs,
+        distribution=args.distribution,
+        sources=args.sources,
+        window_minutes=args.window_minutes,
+        adaptive=not args.in_order,
+    )
+    log = session.log
+    fresh_only = ("--trace", "--metrics", "--serve", "--flight-dir", "--fault-plan")
+    ignored = [
+        flag
+        for flag in fresh_only
+        if getattr(args, flag[2:].replace("-", "_")) is not None
+    ]
+    if args.resume and ignored:
+        log.error(
+            f"--resume cannot apply {', '.join(ignored)}: the resumed "
+            "service is rebuilt from the checkpoint alone"
         )
-        params = replace(SCALES[args.scale], seed=args.seed)
-        spec = TestbedSpec(seed=args.seed, topology_params=params)
-        manifest = _manifest_for(
-            args,
-            "live",
-            injector=injector,
-            max_configs=args.max_configs,
-            distribution=args.distribution,
-            sources=args.sources,
-            window_minutes=args.window_minutes,
-            adaptive=not args.in_order,
-        )
-        # The exporter comes up before the (slow) premeasure so /healthz
-        # answers from the first moment of the run; /readyz flips once
-        # the service finishes constructing.
-        holder = {"service": None}
-
-        def _health():
-            svc = holder["service"]
-            return svc._resilience_report() if svc is not None else None
-
-        server = _start_server(
-            args, obs, log, manifest=manifest, health_source=_health
-        )
-        service = LiveTracebackService(
-            scenario=scenario,
-            spec=spec,
-            injector=injector,
-            obs=obs,
-        )
-        holder["service"] = service
-        if server is not None:
-            server.set_ready()
-    on_window = None
-    if not args.quiet:
-
-        def on_window(stats):
-            log.info(
-                render_window(stats),
-                event="window",
-                window=stats.window_index,
+        return 2
+    if not args.resume and args.checkpoint_every > 0 and not args.checkpoint:
+        log.error("--checkpoint-every needs --checkpoint PATH")
+        return 2
+    with session:
+        if args.resume:
+            service = load_checkpoint(args.resume)
+        else:
+            scenario = ReplayScenario(
+                seed=args.seed,
+                distribution=args.distribution,
+                num_sources=args.sources,
+                max_configs=args.max_configs,
+                window_minutes=args.window_minutes,
+                batches_per_window=args.batches_per_window,
+                queue_capacity=args.queue_capacity,
+                drop_policy=args.drop_policy,
+                adaptive=not args.in_order,
+                strategy=args.strategy,
+                min_configs=args.min_configs,
+                stop_entropy=args.stop_entropy,
+                stop_volume_share=args.stop_volume_share,
+                churn_events=tuple(args.churn),
+                checkpoint_every=args.checkpoint_every,
+                checkpoint_path=args.checkpoint or "",
+                packets_per_window=args.packets_per_window,
+                nnls_stride=args.nnls_stride,
             )
-
-    try:
-        report = service.run(on_window=on_window)
-        if args.checkpoint and args.checkpoint_every == 0:
-            service.checkpoint(args.checkpoint)
-            log.info(
-                f"wrote final checkpoint {args.checkpoint}",
-                event="checkpoint",
-                path=args.checkpoint,
+            params = replace(SCALES[args.scale], seed=args.seed)
+            service = LiveTracebackService(
+                scenario=scenario,
+                spec=TestbedSpec(seed=args.seed, topology_params=params),
+                injector=session.injector,
+                obs=session.obs,
             )
-    finally:
-        service.close()
-    if not args.resume:
-        report.manifest = manifest
-    _export_obs(args, obs, log)
-    _finish_server(args, server, obs, log)
+            session.health = service._resilience_report
+            session.ready()
+        on_window = None
+        if not args.quiet:
+
+            def on_window(stats):
+                log.info(
+                    render_window(stats),
+                    event="window",
+                    window=stats.window_index,
+                )
+
+        try:
+            report = service.run(on_window=on_window)
+            if args.checkpoint and args.checkpoint_every == 0:
+                service.checkpoint(args.checkpoint)
+                log.info(
+                    f"wrote final checkpoint {args.checkpoint}",
+                    event="checkpoint",
+                    path=args.checkpoint,
+                )
+        finally:
+            service.close()
+        if not args.resume:
+            report.manifest = session.manifest
     print(report.summary())
     print()
     print(render_window_table(report.windows, every=args.table_every))
@@ -613,26 +603,12 @@ def _parse_quota(text: str) -> tuple:
     return (tenant, weight)
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .analysis.fleet import render_fleet_summary, render_fleet_table
-    from .analysis.live import render_window
-    from .fleet import (
-        CRASH,
-        DRAIN,
-        EVICT,
-        FleetEvent,
-        FleetRuntime,
-        FleetSpec,
-        scripted_stream,
-    )
+def _fleet_spec(args: argparse.Namespace, **extra):
+    """The :class:`~repro.fleet.FleetSpec` the ``fleet`` and ``soak``
+    options describe (``extra`` carries each command's own fields)."""
+    from .fleet import FleetSpec
 
-    obs = _make_obs(args, "fleet")
-    log = _logbook_for(args, obs)
-    if args.checkpoint_every > 0 and not args.checkpoint_dir:
-        log.error("--checkpoint-every needs --checkpoint-dir PATH")
-        return 2
-    params = replace(SCALES[args.scale], seed=args.seed)
-    spec = FleetSpec(
+    return FleetSpec(
         seed=args.seed,
         tenants=args.tenants,
         attacks_per_tenant=args.attacks,
@@ -640,20 +616,40 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         num_sources=args.sources,
         distribution=args.distribution,
         window_minutes=args.window_minutes,
-        launch_stagger_minutes=args.stagger_minutes,
         checkpoint_every=args.checkpoint_every,
-        topology_params=params,
+        topology_params=replace(SCALES[args.scale], seed=args.seed),
+        **extra,
+    )
+
+
+def _cmd_fleet(args: argparse.Namespace) -> int:
+    from .analysis.fleet import render_fleet_summary, render_fleet_table
+    from .analysis.live import render_window
+    from .fleet import CRASH, DRAIN, EVICT, FleetEvent, FleetRuntime, scripted_stream
+
+    session = _RunSession(
+        args,
+        "fleet",
+        tenants=args.tenants,
+        attacks_per_tenant=args.attacks,
+        max_active=args.max_active,
+        stagger_minutes=args.stagger_minutes,
+        distribution=args.distribution,
+    )
+    log = session.log
+    if args.checkpoint_every > 0 and not args.checkpoint_dir:
+        log.error("--checkpoint-every needs --checkpoint-dir PATH")
+        return 2
+    spec = _fleet_spec(
+        args,
+        launch_stagger_minutes=args.stagger_minutes,
         quotas=tuple(args.quota),
         max_active=args.max_active,
     )
     attacks = spec.attacks()
     controls = []
-    for action, requests in (
-        (CRASH, args.crash),
-        (DRAIN, args.drain),
-        (EVICT, args.evict),
-    ):
-        for index, minute in requests:
+    for action in (CRASH, DRAIN, EVICT):  # each names its own option
+        for index, minute in getattr(args, action):
             if not 0 <= index < len(attacks):
                 log.error(
                     f"--{action} attack index {index} out of range "
@@ -669,73 +665,54 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                     prefix=attack.prefix,
                 )
             )
-    events = scripted_stream(spec, controls)
 
     injector_factory = None
-    if getattr(args, "fault_plan", None):
+    if session.injector is not None:
 
         def injector_factory(attack):
             # One injector per shard: chaos draws stay independent of
             # the fair-share interleaving.
-            return FaultInjector(load_fault_plan(args.fault_plan))
+            return FaultInjector(session.injector.plan)
 
-    manifest = _manifest_for(
-        args,
-        "fleet",
-        tenants=args.tenants,
-        attacks_per_tenant=args.attacks,
-        max_active=args.max_active,
-        stagger_minutes=args.stagger_minutes,
-        distribution=args.distribution,
-    )
-    runtime = FleetRuntime(
-        spec,
-        events=events,
-        obs=obs,
-        checkpoint_dir=args.checkpoint_dir or "",
-        injector_factory=injector_factory,
-        flight_dir=args.flight_dir or "",
-    )
+    with session:
+        runtime = FleetRuntime(
+            spec,
+            events=scripted_stream(spec, controls),
+            obs=session.obs,
+            checkpoint_dir=args.checkpoint_dir or "",
+            injector_factory=injector_factory,
+            flight_dir=args.flight_dir or "",
+        )
+        session.health = lambda: {"healthy": True, "shards": len(runtime.shards)}
+        session.ready(tenants=runtime.tenants_summary)
 
-    def _health():
-        return {"healthy": True, "shards": len(runtime.shards)}
+        windows_done = {"count": 0}
+        on_window = None
+        if not args.quiet:
 
-    server = _start_server(
-        args, obs, log, manifest=manifest, health_source=_health
-    )
-    if server is not None:
-        server.tenants_source = runtime.tenants_summary
-        server.set_ready()
+            def on_window(key, stats):
+                windows_done["count"] += 1
+                log.info(
+                    f"{key[0]}/{key[1]} " + render_window(stats),
+                    event="window",
+                    tenant=key[0],
+                    window=stats.window_index,
+                )
+                if args.table_every and windows_done["count"] % args.table_every == 0:
+                    reports = [
+                        shard.report() for shard in runtime.shards.values()
+                    ]
+                    sys.stderr.write(render_fleet_table(reports) + "\n")
 
-    windows_done = {"count": 0}
-    on_window = None
-    if not args.quiet:
+        try:
+            if args.serial:
+                report = runtime.run(on_window=on_window)
+            else:
+                import asyncio
 
-        def on_window(key, stats):
-            windows_done["count"] += 1
-            log.info(
-                f"{key[0]}/{key[1]} " + render_window(stats),
-                event="window",
-                tenant=key[0],
-                window=stats.window_index,
-            )
-            if args.table_every and windows_done["count"] % args.table_every == 0:
-                reports = [
-                    shard.report() for shard in runtime.shards.values()
-                ]
-                sys.stderr.write(render_fleet_table(reports) + "\n")
-
-    try:
-        if args.serial:
-            report = runtime.run(on_window=on_window)
-        else:
-            import asyncio
-
-            report = asyncio.run(runtime.run_async(on_window=on_window))
-    finally:
-        runtime.close()
-    _export_obs(args, obs, log)
-    _finish_server(args, server, obs, log)
+                report = asyncio.run(runtime.run_async(on_window=on_window))
+        finally:
+            runtime.close()
     print(render_fleet_summary(report))
     print()
     print(render_fleet_table(report.shards))
@@ -743,8 +720,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    from .fleet import FleetSpec
-    from .obs.slo import SOAK_SLOS
     from .soak import (
         ResourceCeilings,
         SoakRunner,
@@ -753,28 +728,32 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         render_soak_table,
     )
 
-    obs = _make_obs(args, "soak")
-    log = _logbook_for(args, obs)
+    # The soak watchdog also knows the resource_ceiling objective, so a
+    # sentinel breach flips /readyz while the campaign is served.  Its
+    # --fault-plan is escalated per epoch by the runner, not injected
+    # run-wide.
+    session = _RunSession(
+        args,
+        "soak",
+        inject=False,
+        slo_rules=SOAK_SLOS,
+        tenants=args.tenants,
+        attacks_per_tenant=args.attacks,
+        epochs=args.epochs,
+        epoch_minutes=args.epoch_minutes,
+        restart_every=args.restart_every,
+        kill_rate=args.kill_rate,
+        corrupt_rate=args.corrupt_rate,
+        churn_tenants=args.churn_tenants,
+        fault_plan=args.fault_plan,
+    )
     if not args.checkpoint_dir:
-        log.error(
+        session.log.error(
             "soak needs --checkpoint-dir PATH — restarts resume from disk"
         )
         return 2
-    params = replace(SCALES[args.scale], seed=args.seed)
-    fleet = FleetSpec(
-        seed=args.seed,
-        tenants=args.tenants,
-        attacks_per_tenant=args.attacks,
-        max_configs=args.max_configs,
-        num_sources=args.sources,
-        distribution=args.distribution,
-        window_minutes=args.window_minutes,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_keep=args.keep,
-        topology_params=params,
-    )
     spec = SoakSpec(
-        fleet=fleet,
+        fleet=_fleet_spec(args, checkpoint_keep=args.keep),
         epochs=args.epochs,
         epoch_minutes=args.epoch_minutes,
         restart_every=args.restart_every,
@@ -792,36 +771,16 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             rss_slope_mb_per_epoch=args.rss_slope_budget,
         ),
     )
-    manifest = _manifest_for(
-        args,
-        "soak",
-        tenants=args.tenants,
-        attacks_per_tenant=args.attacks,
-        epochs=args.epochs,
-        epoch_minutes=args.epoch_minutes,
-        restart_every=args.restart_every,
-        kill_rate=args.kill_rate,
-        corrupt_rate=args.corrupt_rate,
-        churn_tenants=args.churn_tenants,
-        fault_plan=args.fault_plan,
-    )
-    runner = SoakRunner(
-        spec,
-        checkpoint_dir=args.checkpoint_dir,
-        obs=obs,
-        verify=not args.no_verify,
-        flight_dir=args.flight_dir or "",
-    )
-    # The soak watchdog also knows the resource_ceiling objective, so a
-    # sentinel breach flips /readyz while the campaign is served.
-    server = _start_server(
-        args, obs, log, manifest=manifest, slo_rules=SOAK_SLOS
-    )
-    if server is not None:
-        server.set_ready()
-    report = runner.run()
-    _export_obs(args, obs, log)
-    _finish_server(args, server, obs, log)
+    with session:
+        runner = SoakRunner(
+            spec,
+            checkpoint_dir=args.checkpoint_dir,
+            obs=session.obs,
+            verify=not args.no_verify,
+            flight_dir=args.flight_dir or "",
+        )
+        session.ready()
+        report = runner.run()
     print(render_soak_table(report.epochs))
     print()
     print(render_soak_summary(report))
@@ -849,65 +808,39 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     base_plan = load_fault_plan(args.plan)
     # One bundle spans the whole sweep: span ordinals keep the repeated
     # pipeline phases distinct, and counters accumulate across levels.
-    obs = _make_obs(args, "chaos")
-    log = _logbook_for(args, obs)
-    health = {"report": None}
-    server = _start_server(
-        args, obs, log,
-        manifest=_manifest_for(
-            args, "chaos", plan=args.plan, levels=list(args.levels)
-        ),
-        health_source=lambda: health["report"],
-    )
-    if server is not None:
-        server.set_ready()
-    testbed = build_testbed(seed=args.seed, topology_params=SCALES[args.scale])
-    rng = random.Random(args.seed + 1)
-    candidate_ases = sorted(testbed.topology.stubs or testbed.graph.ases)
-    placement = make_placement(
-        args.distribution, candidate_ases, args.sources, rng
-    )
-    log.info(
-        f"# chaos sweep: plan {base_plan.name!r} at levels "
-        f"{', '.join(f'{level:g}' for level in args.levels)}",
-        event="chaos_sweep",
-        plan=base_plan.name,
-    )
-    header = (
-        f"{'level':>6} {'faults':>7} {'retries':>8} {'degraded':>9} "
-        f"{'clusters':>9} {'mean':>6} {'recall':>7} {'precision':>10} "
-        f"{'violations':>11}"
-    )
-    print(header)
-    print("-" * len(header))
-    worst_violations = 0
-    for level in args.levels:
-        injector = FaultInjector(
-            base_plan.scaled(level), bus=obs.bus if obs is not None else None
+    session = _RunSession(args, "chaos", plan=args.plan, levels=list(args.levels))
+    with session:
+        session.ready()
+        testbed, placement = _testbed_and_placement(args)
+        session.log.info(
+            f"# chaos sweep: plan {base_plan.name!r} at levels "
+            f"{', '.join(f'{level:g}' for level in args.levels)}",
+            event="chaos_sweep",
+            plan=base_plan.name,
         )
-        tracker = SpoofTracker(testbed, injector=injector, obs=obs)
-        try:
-            report = tracker.run(
-                max_configs=args.max_configs,
-                placement=placement,
-                measured=args.measured,
+        header = (
+            f"{'level':>6} {'faults':>7} {'retries':>8} {'degraded':>9} "
+            f"{'clusters':>9} {'mean':>6} {'recall':>7} {'precision':>10} "
+            f"{'violations':>11}"
+        )
+        print(header)
+        print("-" * len(header))
+        worst_violations = 0
+        for level in args.levels:
+            injector = FaultInjector(base_plan.scaled(level), bus=session.bus)
+            report = _run_tracker(args, testbed, placement, session.obs, injector)
+            resilience = report.resilience
+            assert resilience is not None
+            session.health = resilience
+            quality = report.localization.evaluate_against(placement)
+            worst_violations = max(worst_violations, len(resilience.violations))
+            print(
+                f"{level:>6g} {resilience.total_faults:>7d} "
+                f"{resilience.retries:>8d} {resilience.degraded_configs:>9d} "
+                f"{len(report.clusters):>9d} {report.mean_cluster_size:>6.2f} "
+                f"{quality.recall:>7.0%} {quality.precision:>10.0%} "
+                f"{len(resilience.violations):>11d}"
             )
-        finally:
-            tracker.engine.close()
-        resilience = report.resilience
-        assert resilience is not None
-        health["report"] = resilience
-        quality = report.localization.evaluate_against(placement)
-        worst_violations = max(worst_violations, len(resilience.violations))
-        print(
-            f"{level:>6g} {resilience.total_faults:>7d} "
-            f"{resilience.retries:>8d} {resilience.degraded_configs:>9d} "
-            f"{len(report.clusters):>9d} {report.mean_cluster_size:>6.2f} "
-            f"{quality.recall:>7.0%} {quality.precision:>10.0%} "
-            f"{len(resilience.violations):>11d}"
-        )
-    _export_obs(args, obs, log)
-    _finish_server(args, server, obs, log)
     if worst_violations:
         print(f"\n{worst_violations} invariant violations — see above")
         return 1
@@ -1067,17 +1000,72 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_options(sub: argparse.ArgumentParser) -> None:
+    def add_run_options(
+        sub: argparse.ArgumentParser, max_configs=None, measured: bool = True
+    ) -> None:
         sub.add_argument(
             "--max-configs",
             type=_positive_int,
-            default=None,
-            help="truncate the schedule",
+            default=max_configs,
+            help="truncate the schedule (each shard's, in fleet and soak)",
+        )
+        if measured:
+            sub.add_argument(
+                "--measured",
+                action="store_true",
+                help="use the full measurement pipeline instead of ground truth",
+            )
+
+    def add_attack_options(
+        sub, distribution: str, sources: int, max_configs=None, measured=False
+    ) -> None:
+        sub.add_argument(
+            "--distribution",
+            choices=PLACEMENT_DISTRIBUTIONS,
+            default=distribution,
+            help="spoofing-source placement (per attack, in fleet and soak)",
         )
         sub.add_argument(
-            "--measured",
-            action="store_true",
-            help="use the full measurement pipeline instead of ground truth",
+            "--sources", type=_positive_int, default=sources,
+            help="number of sources (per attack, in fleet and soak)",
+        )
+        add_run_options(sub, max_configs, measured)
+
+    def add_window_options(
+        sub, checkpoint_every: int = 0, checkpoint_type=_non_negative_int
+    ) -> None:
+        sub.add_argument(
+            "--window-minutes",
+            type=_positive_float,
+            default=20.0,
+            help="observation window (honeypot counter-read interval) length",
+        )
+        sub.add_argument(
+            "--checkpoint-every",
+            type=checkpoint_type,
+            default=checkpoint_every,
+            help=(
+                "checkpoint every N windows (live: 0 = only final, with "
+                "--checkpoint; fleet and soak: per shard, in --checkpoint-dir)"
+            ),
+        )
+
+    def add_fleet_options(
+        sub, sources: int, max_configs: int, checkpoint_every: int, checkpoint_type
+    ) -> None:
+        sub.add_argument(
+            "--tenants", type=_positive_int, default=2, help="tenant origin networks"
+        )
+        sub.add_argument(
+            "--attacks", type=_positive_int, default=2,
+            help="concurrent attacks per tenant",
+        )
+        add_attack_options(sub, "pareto", sources, max_configs)
+        add_window_options(sub, checkpoint_every, checkpoint_type)
+        sub.add_argument(
+            "--checkpoint-dir",
+            default=None,
+            help="directory for per-shard checkpoints (required by soak)",
         )
 
     def add_obs_options(sub: argparse.ArgumentParser) -> None:
@@ -1153,13 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     track = subparsers.add_parser("track", help="run the localization pipeline")
     track.add_argument(
-        "--distribution",
-        choices=PLACEMENT_DISTRIBUTIONS,
-        default="single",
-        help="spoofing-source placement",
-    )
-    track.add_argument("--sources", type=int, default=1, help="number of sources")
-    track.add_argument(
         "--split-threshold",
         type=int,
         default=None,
@@ -1174,7 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: schedule order)"
         ),
     )
-    add_run_options(track)
+    add_attack_options(track, "single", 1, measured=True)
     add_fault_plan(track)
     add_obs_options(track)
     track.set_defaults(func=_cmd_track)
@@ -1193,17 +1174,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     compare.add_argument(
-        "--max-configs",
-        type=_positive_int,
-        default=None,
-        help="truncate the schedule",
-    )
-    compare.add_argument(
         "--json",
         default=None,
         metavar="PATH",
         help="also write the ranked results as a JSON artifact",
     )
+    add_run_options(compare, measured=False)
     add_obs_options(compare)
     compare.set_defaults(func=_cmd_compare)
 
@@ -1212,18 +1188,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the pipeline under the profiler and print hotspots",
     )
     profile.add_argument(
-        "--distribution",
-        choices=PLACEMENT_DISTRIBUTIONS,
-        default="single",
-        help="spoofing-source placement",
-    )
-    profile.add_argument(
-        "--sources", type=int, default=1, help="number of sources"
-    )
-    profile.add_argument(
         "--top", type=int, default=15, help="hotspot rows to print"
     )
-    add_run_options(profile)
+    add_attack_options(profile, "single", 1, measured=True)
     add_obs_options(profile)
     profile.set_defaults(func=_cmd_profile)
 
@@ -1231,35 +1198,16 @@ def build_parser() -> argparse.ArgumentParser:
         "live",
         help="replay a synthetic attack through the online traceback service",
     )
-    live.add_argument(
-        "--distribution",
-        choices=PLACEMENT_DISTRIBUTIONS,
-        default="pareto",
-        help="spoofing-source placement",
-    )
-    live.add_argument(
-        "--sources", type=int, default=40, help="number of sources"
-    )
-    live.add_argument(
-        "--max-configs",
-        type=_positive_int,
-        default=12,
-        help="truncate the schedule",
-    )
-    live.add_argument(
-        "--window-minutes",
-        type=float,
-        default=20.0,
-        help="honeypot counter-read interval",
-    )
+    add_attack_options(live, "pareto", 40, max_configs=12)
+    add_window_options(live)
     live.add_argument(
         "--batches-per-window",
-        type=int,
+        type=_positive_int,
         default=1,
         help="traffic batches offered to the ingest queue per window",
     )
     live.add_argument(
-        "--queue-capacity", type=int, default=64, help="ingest queue bound"
+        "--queue-capacity", type=_positive_int, default=64, help="ingest queue bound"
     )
     live.add_argument(
         "--drop-policy",
@@ -1280,7 +1228,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--min-configs",
-        type=int,
+        type=_positive_int,
         default=3,
         help="never short-circuit before this many configurations",
     )
@@ -1292,7 +1240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--stop-volume-share",
-        type=float,
+        type=_share,
         default=None,
         help="stop once a singleton cluster holds this estimated-volume share",
     )
@@ -1306,24 +1254,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--packets-per-window",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help=">0 switches to packet-sampled traffic at this rate",
     )
     live.add_argument(
         "--nnls-stride",
-        type=int,
+        type=_positive_int,
         default=1,
         help="re-solve attribution NNLS once per N windows (1 = every window)",
     )
     live.add_argument(
         "--checkpoint", default=None, help="checkpoint JSON path"
-    )
-    live.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        help="checkpoint every N windows (0 = only final, with --checkpoint)",
     )
     live.add_argument(
         "--resume",
@@ -1332,7 +1274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--table-every",
-        type=int,
+        type=_positive_int,
         default=4,
         help="row stride of the final window table",
     )
@@ -1349,40 +1291,19 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="multiplex many tenants' attack replays through one runtime",
     )
-    fleet.add_argument(
-        "--tenants", type=int, default=2, help="tenant origin networks"
-    )
-    fleet.add_argument(
-        "--attacks", type=int, default=2, help="concurrent attacks per tenant"
-    )
-    fleet.add_argument(
-        "--distribution",
-        choices=PLACEMENT_DISTRIBUTIONS,
-        default="pareto",
-        help="spoofing-source placement (per attack)",
-    )
-    fleet.add_argument(
-        "--sources", type=int, default=12, help="sources per attack"
-    )
-    fleet.add_argument(
-        "--max-configs", type=_positive_int, default=6,
-        help="truncate each shard's schedule",
-    )
-    fleet.add_argument(
-        "--window-minutes",
-        type=float,
-        default=20.0,
-        help="per-shard observation window length",
+    add_fleet_options(
+        fleet, sources=12, max_configs=6, checkpoint_every=0,
+        checkpoint_type=_non_negative_int,
     )
     fleet.add_argument(
         "--stagger-minutes",
-        type=float,
+        type=_non_negative_float,
         default=0.0,
         help="spread attack launches this many simulated minutes apart",
     )
     fleet.add_argument(
         "--max-active",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="admission bound on concurrently live shards (0 = unbounded)",
     )
@@ -1393,17 +1314,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="TENANT:WEIGHT",
         help="fair-share weight (repeatable, e.g. --quota tenant-00:2.0)",
-    )
-    fleet.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="directory for per-shard namespaced checkpoints",
-    )
-    fleet.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        help="checkpoint each shard every N windows (needs --checkpoint-dir)",
     )
     fleet.add_argument(
         "--crash",
@@ -1440,7 +1350,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--table-every",
-        type=int,
+        type=_non_negative_int,
         default=8,
         help="print the rolling tenant table every N fleet windows (0 = never)",
     )
@@ -1461,61 +1371,41 @@ def build_parser() -> argparse.ArgumentParser:
             "uninterrupted reference digest"
         ),
     )
-    soak.add_argument(
-        "--tenants", type=int, default=2, help="tenant origin networks"
+    # Restarts resume from disk, so a soak always checkpoints.
+    add_fleet_options(
+        soak, sources=6, max_configs=3, checkpoint_every=1,
+        checkpoint_type=_positive_int,
     )
     soak.add_argument(
-        "--attacks", type=int, default=2, help="concurrent attacks per tenant"
-    )
-    soak.add_argument(
-        "--distribution",
-        choices=PLACEMENT_DISTRIBUTIONS,
-        default="pareto",
-        help="spoofing-source placement (per attack)",
-    )
-    soak.add_argument(
-        "--sources", type=int, default=6, help="sources per attack"
-    )
-    soak.add_argument(
-        "--max-configs", type=_positive_int, default=3,
-        help="truncate each shard's schedule",
-    )
-    soak.add_argument(
-        "--window-minutes",
-        type=float,
-        default=20.0,
-        help="per-shard observation window length",
-    )
-    soak.add_argument(
-        "--epochs", type=int, default=4, help="soak epochs (last one drains)"
+        "--epochs", type=_positive_int, default=4, help="soak epochs (last one drains)"
     )
     soak.add_argument(
         "--epoch-minutes",
-        type=float,
+        type=_positive_float,
         default=60.0,
         help="simulated minutes per epoch",
     )
     soak.add_argument(
         "--restart-every",
-        type=int,
+        type=_non_negative_int,
         default=1,
         help="whole-process restart after every Nth epoch (0 = never)",
     )
     soak.add_argument(
         "--kill-rate",
-        type=float,
+        type=_rate,
         default=0.25,
         help="per-shard seeded kill probability at each epoch boundary",
     )
     soak.add_argument(
         "--corrupt-rate",
-        type=float,
+        type=_rate,
         default=0.25,
         help="per-shard seeded checkpoint-corruption probability per restart",
     )
     soak.add_argument(
         "--churn-tenants",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="extra tenants launched mid-campaign and evicted two epochs later",
     )
@@ -1531,13 +1421,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument(
         "--escalation-base",
-        type=float,
+        type=_non_negative_float,
         default=0.5,
         help="fault scale at epoch 0",
     )
     soak.add_argument(
         "--escalation-growth",
-        type=float,
+        type=_non_negative_float,
         default=0.5,
         help="fault scale increase per epoch",
     )
@@ -1552,19 +1442,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the uninterrupted reference run and digest comparison",
     )
     soak.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="directory for per-shard checkpoints (required)",
-    )
-    soak.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        help="checkpoint each shard every N windows",
-    )
-    soak.add_argument(
         "--keep",
-        type=int,
+        type=_positive_int,
         default=2,
         help="rotated checkpoint generations retained per shard",
     )
@@ -1614,14 +1493,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0.0, 0.25, 0.5, 1.0],
         help="comma-separated rate multipliers (default 0,0.25,0.5,1.0)",
     )
-    chaos.add_argument(
-        "--distribution",
-        choices=PLACEMENT_DISTRIBUTIONS,
-        default="single",
-        help="spoofing-source placement",
-    )
-    chaos.add_argument("--sources", type=int, default=1, help="number of sources")
-    add_run_options(chaos)
+    add_attack_options(chaos, "single", 1, measured=True)
     add_obs_options(chaos)
     chaos.set_defaults(func=_cmd_chaos)
 
@@ -1678,20 +1550,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="only render events tagged with this tenant (fleet streams)",
     )
-    dash.add_argument(
-        "--distribution",
-        choices=PLACEMENT_DISTRIBUTIONS,
-        default="pareto",
-        help="replay mode: spoofing-source placement",
-    )
-    dash.add_argument(
-        "--sources", type=int, default=10,
-        help="replay mode: number of sources",
-    )
-    dash.add_argument(
-        "--max-configs", type=_positive_int, default=6,
-        help="replay mode: truncate the schedule",
-    )
+    add_attack_options(dash, "pareto", 10, max_configs=6)
     dash.set_defaults(func=_cmd_dash)
 
     timeline = subparsers.add_parser(
@@ -1799,22 +1658,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``spooftrack`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _ACTIVE_FLIGHTS.clear()
     try:
         return args.func(args)
     except FaultInjectionError as exc:
         print(f"fault plan error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
-        # The black box is most valuable at exactly this moment: dump
-        # the ring before the traceback unwinds the process.
-        for recorder in _ACTIVE_FLIGHTS:
-            recorder.dump("crash", context={"error": repr(exc)})
-        raise
-    finally:
-        for recorder in _ACTIVE_FLIGHTS:
-            recorder.detach()
-
 
 if __name__ == "__main__":
     sys.exit(main())

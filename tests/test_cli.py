@@ -70,6 +70,75 @@ class TestParser:
         args = build_parser().parse_args([command, "--max-configs", "1"])
         assert args.max_configs == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["track", "--sources", "0"],
+            ["track", "--sources", "-2"],
+            ["track", "--distribution", "pareto", "--sources", "0"],
+            ["profile", "--sources", "0"],
+            ["chaos", "--sources", "0"],
+            ["dash", "--sources", "0"],
+            ["live", "--sources", "0"],
+            ["live", "--window-minutes", "0"],
+            ["live", "--window-minutes", "nan"],
+            ["live", "--batches-per-window", "0"],
+            ["live", "--queue-capacity", "0"],
+            ["live", "--min-configs", "0"],
+            ["live", "--nnls-stride", "0"],
+            ["live", "--table-every", "0"],
+            ["live", "--packets-per-window", "-1"],
+            ["live", "--checkpoint-every", "-1"],
+            ["live", "--stop-volume-share", "0"],
+            ["live", "--stop-volume-share", "1.5"],
+            ["fleet", "--tenants", "0"],
+            ["fleet", "--attacks", "0"],
+            ["fleet", "--sources", "0"],
+            ["fleet", "--window-minutes", "-20"],
+            ["fleet", "--checkpoint-every", "-1"],
+            ["fleet", "--max-active", "-1"],
+            ["fleet", "--stagger-minutes", "-1"],
+            ["fleet", "--table-every", "-1"],
+            ["soak", "--tenants", "0"],
+            ["soak", "--checkpoint-every", "0"],
+            ["soak", "--epochs", "0"],
+            ["soak", "--epoch-minutes", "0"],
+            ["soak", "--restart-every", "-1"],
+            ["soak", "--kill-rate", "1.5"],
+            ["soak", "--corrupt-rate", "-0.1"],
+            ["soak", "--churn-tenants", "-1"],
+            ["soak", "--escalation-base", "-1"],
+            ["soak", "--escalation-growth", "-1"],
+            ["soak", "--keep", "0"],
+            ["live", "--sources", "two"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
+        """Every count, rate, and minutes option rejects what its library
+        would reject, so ``--sources 0`` is exit 2 rather than a silent
+        single source or a LiveServiceError/FleetError traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, dest, value",
+        [
+            (["fleet", "--checkpoint-every", "0"], "checkpoint_every", 0),
+            (["live", "--packets-per-window", "0"], "packets_per_window", 0),
+            (["fleet", "--stagger-minutes", "0"], "stagger_minutes", 0.0),
+            (["soak", "--kill-rate", "1"], "kill_rate", 1.0),
+            (["soak", "--corrupt-rate", "0"], "corrupt_rate", 0.0),
+            (["live", "--stop-volume-share", "1"], "stop_volume_share", 1.0),
+            (["live", "--window-minutes", "0.5"], "window_minutes", 0.5),
+            (["soak", "--checkpoint-every", "1"], "checkpoint_every", 1),
+        ],
+    )
+    def test_range_boundaries_accepted(self, argv, dest, value):
+        assert getattr(build_parser().parse_args(argv), dest) == value
+
     def test_live_defaults(self):
         args = build_parser().parse_args(["live"])
         assert args.distribution == "pareto"
@@ -117,6 +186,81 @@ class TestParser:
         assert build_parser().parse_args(["live"]).strategy == "greedy"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["track", "--strategy", "nope"])
+
+
+def _parser_surface(parser):
+    """Every subcommand's options as comparable rows (help text aside)."""
+    subparsers = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    sections = {"": parser}
+    sections.update(subparsers.choices)
+    surface = {}
+    for name, sub in sections.items():
+        rows = [
+            {
+                "options": list(action.option_strings),
+                "dest": action.dest,
+                "default": action.default,
+                "choices": (
+                    list(action.choices) if action.choices is not None else None
+                ),
+                "action": type(action).__name__,
+                "type": getattr(action.type, "__name__", None),
+            }
+            for action in sub._actions
+            if action.dest != "help" and (sub is not parser or action.option_strings)
+        ]
+        surface[name] = sorted(rows, key=lambda row: row["dest"])
+    return surface
+
+
+class TestParserSurface:
+    """The parser declares each shared option once; this pins what every
+    subcommand ends up with against a table recorded from the parser of
+    per-command copies, so sharing changes no option, dest, default,
+    choice set, or action."""
+
+    #: Deliberate differences from the recorded table: counts, rates, and
+    #: minutes gained range-checked types (they were plain int/float).
+    RETYPED = {
+        "_positive_int": [
+            "chaos.sources", "dash.sources", "fleet.attacks", "fleet.sources",
+            "fleet.tenants", "live.batches_per_window", "live.min_configs",
+            "live.nnls_stride", "live.queue_capacity", "live.sources",
+            "live.table_every", "profile.sources", "soak.attacks",
+            "soak.checkpoint_every", "soak.epochs", "soak.keep",
+            "soak.sources", "soak.tenants", "track.sources",
+        ],
+        "_non_negative_int": [
+            "fleet.checkpoint_every", "fleet.max_active", "fleet.table_every",
+            "live.checkpoint_every", "live.packets_per_window",
+            "soak.churn_tenants", "soak.restart_every",
+        ],
+        "_positive_float": [
+            "fleet.window_minutes", "live.window_minutes",
+            "soak.epoch_minutes", "soak.window_minutes",
+        ],
+        "_non_negative_float": [
+            "fleet.stagger_minutes", "soak.escalation_base",
+            "soak.escalation_growth",
+        ],
+        "_rate": ["soak.corrupt_rate", "soak.kill_rate"],
+        "_share": ["live.stop_volume_share"],
+    }
+
+    def test_surface_matches_recorded_table(self):
+        import pathlib
+
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "cli_surface.json"
+        expected = json.loads(fixture.read_text())
+        for type_name, keys in self.RETYPED.items():
+            for key in keys:
+                command, dest = key.split(".")
+                (row,) = [r for r in expected[command] if r["dest"] == dest]
+                row["type"] = type_name
+        assert _parser_surface(build_parser()) == expected
 
 
 class TestCommands:
@@ -239,6 +383,30 @@ class TestCommands:
     def test_live_checkpoint_every_needs_path(self, capsys):
         assert main(["live", "--checkpoint-every", "3"]) == 2
         assert "--checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--trace", "t.jsonl"],
+            ["--metrics", "m.prom"],
+            ["--serve", "0"],
+            ["--flight-dir", "flight"],
+            ["--fault-plan", "mixed"],
+            ["--trace", "t.jsonl", "--fault-plan", "mixed"],
+        ],
+        ids=" ".join,
+    )
+    def test_live_resume_rejects_fresh_run_flags(self, tmp_path, extra, capsys):
+        """A resumed service is rebuilt from its checkpoint alone, so
+        flags it would silently drop are refused before anything runs
+        (the checkpoint is never even read)."""
+        missing = str(tmp_path / "never-written.json")
+        assert main(["live", "--resume", missing] + extra) == 2
+        err = capsys.readouterr().err
+        flags = [token for token in extra if token.startswith("--")]
+        assert all(flag in err for flag in flags)
+        assert "--resume" in err
+        assert not (tmp_path / "t.jsonl").exists()
 
     def test_figures_command_single(self, capsys):
         code = main(
@@ -386,6 +554,46 @@ class TestObservabilityOptions:
         assert "top 3 hotspots" in out
         assert "simulate" in out
         assert "configurations deployed : 6" in out
+
+    def test_profile_honours_session_flags(self, tmp_path, capsys):
+        """``profile`` runs through the same run session as ``track``:
+        ``--log-json`` structures stderr, ``--serve`` serves, and
+        ``--flight-dir`` arms the black box."""
+        metrics = str(tmp_path / "m.prom")
+        code = main(
+            [
+                "--seed", "2", "profile", "--max-configs", "3", "--log-json",
+                "--flight-dir", str(tmp_path / "flight"), "--serve", "0",
+                "--metrics", metrics,
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.err.splitlines()]
+        events = {record.get("event") for record in records}
+        assert {"serve", "export"} <= events
+        assert "per-phase wall time" in captured.out
+
+    def test_profile_crash_dumps_flight_bundle(self, tmp_path, monkeypatch):
+        from repro.core.pipeline import SpoofTracker
+        from repro.obs import load_flight_dump
+
+        def explode(self, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(SpoofTracker, "run", explode)
+        flight_dir = tmp_path / "flight"
+        with pytest.raises(RuntimeError):
+            main(
+                [
+                    "--seed", "2", "profile", "--max-configs", "3",
+                    "--flight-dir", str(flight_dir),
+                ]
+            )
+        (bundle,) = sorted(flight_dir.iterdir())
+        payload = load_flight_dump(str(bundle))
+        assert payload["reason"] == "crash"
+        assert "boom" in payload["context"]["error"]
 
     def test_profile_measured_lists_measurement_sites(self, capsys):
         code = main(["profile", "--measured", "--max-configs", "5"])
