@@ -31,7 +31,7 @@ import time
 from repro.core.configgen import ScheduleParams, generate_schedule
 from repro.core.engine import SimulationEngine
 from repro.core.pipeline import build_testbed
-from repro.core.scheduler import measured_catchment_history
+from repro.core.evidence import Evidence
 from repro.strategy import (
     GreedyStrategy,
     available_strategies,
@@ -54,9 +54,12 @@ def _lone_run():
     engine = SimulationEngine(testbed.simulator)
     start = time.perf_counter()
     try:
-        universe, history = measured_catchment_history(engine, schedule)
+        evidence = Evidence.build(schedule, engine.simulate_many(schedule))
         order = run_strategy(
-            GreedyStrategy(), universe, history, check_converged=False
+            GreedyStrategy(),
+            sorted(evidence.universe),
+            evidence.maps,
+            check_converged=False,
         ).order
     finally:
         engine.close()

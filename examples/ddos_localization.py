@@ -21,6 +21,7 @@ Run:  python examples/ddos_localization.py
 import random
 
 from repro.core.clustering import ClusterState
+from repro.core.evidence import Evidence
 from repro.core.localization import SpoofLocalizer
 from repro.core.pipeline import SpoofTracker, build_testbed
 from repro.core.scheduler import percentile_curve, random_schedule_curves
@@ -49,11 +50,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n[1] Pre-measuring catchments for every configuration...")
     outcomes = [testbed.simulator.simulate(c) for c in tracker.schedule]
-    universe = outcomes[0].covered_ases
-    history = [
-        {link: frozenset(m & universe) for link, m in outcome.catchments.items()}
-        for outcome in outcomes
-    ]
+    evidence = Evidence.build(tracker.schedule, outcomes)
+    universe, history = evidence.universe, evidence.maps
     print(f"    {len(history)} catchment maps over {len(universe)} ASes")
 
     # ------------------------------------------------------------------

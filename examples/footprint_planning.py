@@ -11,8 +11,9 @@ localization precision grows with the peering footprint.
 Run:  python examples/footprint_planning.py
 """
 
-from repro.core.clustering import ClusterState
+from repro.core.clustering import clusters_from_catchment_history
 from repro.core.configgen import ScheduleParams, generate_schedule
+from repro.core.evidence import Evidence
 from repro.core.pipeline import build_testbed
 from repro.topology import TopologyParams
 
@@ -31,12 +32,9 @@ def evaluate_footprint(num_links: int, seed: int = 11) -> dict:
     )
     schedule = generate_schedule(testbed.origin, testbed.graph, params)
     outcomes = [testbed.simulator.simulate(config) for config in schedule]
-    universe = outcomes[0].covered_ases
-    state = ClusterState(universe)
-    for outcome in outcomes:
-        state.refine_with_catchments(
-            {link: m & universe for link, m in outcome.catchments.items()}
-        )
+    evidence = Evidence.build(schedule, outcomes)
+    universe = evidence.universe
+    state = clusters_from_catchment_history(universe, evidence.maps)
     return {
         "links": num_links,
         "configs": len(schedule),

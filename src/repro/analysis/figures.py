@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..bgp.announcement import AnnouncementConfig
-from ..core.clustering import ClusterState
+from ..core.clustering import ClusterState, clusters_from_catchment_history
 from ..core.configgen import (
     PHASE_LOCATIONS,
     PHASE_POISONING,
@@ -23,6 +23,7 @@ from ..core.configgen import (
     ScheduleParams,
 )
 from ..core.engine import SimulationEngine
+from ..core.evidence import Evidence
 from ..core.localization import traffic_fraction_by_cluster_size
 from ..core.pipeline import SpoofTracker, Testbed, build_testbed
 from ..core.prediction import ComplianceStats, policy_compliance
@@ -83,9 +84,11 @@ class EvaluationRun:
     Attributes:
         testbed: the wired testbed.
         schedule: the deployed configurations, in order.
-        universe: sources covered by the first (anycast-all) configuration.
-        catchment_history: per-configuration ground-truth catchments,
-            restricted to the universe.
+        universe: sources covered (or, measured, observed) under the
+            first (anycast-all) configuration.
+        catchment_history: per-configuration catchments restricted to
+            the universe.
+        evidence: the :class:`~repro.core.evidence.Evidence` behind both.
         compliance: per-configuration policy-compliance statistics
             (Figure 9 input).
         distances: AS-hop distance of every AS from the origin.
@@ -130,59 +133,20 @@ class EvaluationRun:
         self.distances: Dict[ASN, int] = graph.hop_distances([origin.asn])
         self.measured = measured
 
-        self.catchment_history: List[Dict[LinkId, Catchment]] = []
-        self.compliance: List[ComplianceStats] = []
-        universe: Optional[FrozenSet[ASN]] = None
         outcomes = self.engine.simulate_many(self.schedule)
-        if measured:
-            from ..measurement.catchment import CatchmentHistory
-
-            history: Optional[CatchmentHistory] = None
-            for config, outcome in zip(self.schedule, outcomes):
-                measurement = self.testbed.campaign.measure(outcome)
-                if history is None:
-                    universe = frozenset(measurement.assignment)
-                    history = CatchmentHistory(universe)
-                history.add(measurement.assignment)
-                if compute_compliance:
-                    self.compliance.append(
-                        policy_compliance(
-                            outcome, graph, self.testbed.policy, origin
-                        )
-                    )
-            assert history is not None and universe is not None
-            for assignment, config in zip(
-                history.imputed_assignments(), self.schedule
-            ):
-                catchments: Dict[LinkId, set] = {
-                    link: set() for link in sorted(config.announced)
-                }
-                for source, link in assignment.items():
-                    catchments.setdefault(link, set()).add(source)
-                self.catchment_history.append(
-                    {
-                        link: frozenset(members)
-                        for link, members in catchments.items()
-                    }
-                )
-        else:
-            for config, outcome in zip(self.schedule, outcomes):
-                if universe is None:
-                    universe = outcome.covered_ases
-                self.catchment_history.append(
-                    {
-                        link: frozenset(members & universe)
-                        for link, members in outcome.catchments.items()
-                    }
-                )
-                if compute_compliance:
-                    self.compliance.append(
-                        policy_compliance(
-                            outcome, graph, self.testbed.policy, origin
-                        )
-                    )
-        assert universe is not None
-        self.universe: FrozenSet[ASN] = universe
+        self.evidence = Evidence.build(
+            self.schedule,
+            outcomes,
+            campaign=self.testbed.campaign if measured else None,
+        )
+        self.universe: FrozenSet[ASN] = self.evidence.universe
+        self.catchment_history: List[Dict[LinkId, Catchment]] = self.evidence.maps
+        self.compliance: List[ComplianceStats] = []
+        if compute_compliance:
+            self.compliance = [
+                policy_compliance(outcome, graph, self.testbed.policy, origin)
+                for outcome in outcomes
+            ]
 
     # ------------------------------------------------------------------
 
@@ -197,10 +161,10 @@ class EvaluationRun:
         self, history: Optional[Sequence[Mapping[LinkId, Catchment]]] = None
     ) -> List[FrozenSet[ASN]]:
         """Clusters after refining with the (given or full) history."""
-        state = ClusterState(self.universe)
-        for catchments in history if history is not None else self.catchment_history:
-            state.refine_with_catchments(catchments)
-        return state.clusters()
+        return clusters_from_catchment_history(
+            self.universe,
+            history if history is not None else self.catchment_history,
+        ).clusters()
 
     def location_subset_history(
         self, remaining_links: Sequence[LinkId]
@@ -213,10 +177,10 @@ class EvaluationRun:
         """
         subset = frozenset(remaining_links)
         return [
-            catchments
-            for config, catchments in zip(self.schedule, self.catchment_history)
-            if config.phase in (PHASE_LOCATIONS, PHASE_PREPENDING)
-            and config.announced <= subset
+            step.catchments
+            for step in self.evidence.steps
+            if step.config.phase in (PHASE_LOCATIONS, PHASE_PREPENDING)
+            and step.config.announced <= subset
         ]
 
 
@@ -238,18 +202,16 @@ def figure3(run: EvaluationRun) -> FigureResult:
     series: List[Series] = []
     notes: List[str] = []
     previous_phase: Optional[str] = None
-    for index, (config, catchments) in enumerate(
-        zip(run.schedule, run.catchment_history)
-    ):
-        if previous_phase is not None and config.phase != previous_phase:
+    for step in run.evidence.steps:
+        if previous_phase is not None and step.config.phase != previous_phase:
             series.append(
                 Series(
                     PHASE_SERIES_NAMES.get(previous_phase, previous_phase),
                     tuple(ccdf_points(state.sizes())),
                 )
             )
-        state.refine_with_catchments(catchments)
-        previous_phase = config.phase
+        state.refine_with_catchments(step.catchments)
+        previous_phase = step.config.phase
     if previous_phase is not None:
         series.append(
             Series(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core.clustering import ClusterState
+from ..core.clustering import clusters_from_catchment_history
 from ..core.scheduler import percentile_curve, random_schedule_curves
 from ..strategy import GreedyStrategy, run_strategy
 from .figures import EvaluationRun
@@ -36,9 +36,7 @@ def headline_metrics(
     seed: int = 0,
 ) -> List[HeadlineMetric]:
     """Compute the headline comparison for one evaluation run."""
-    state = ClusterState(run.universe)
-    for catchments in run.catchment_history:
-        state.refine_with_catchments(catchments)
+    state = clusters_from_catchment_history(run.universe, run.catchment_history)
     sizes = state.sizes()
     large = [size for size in sizes if size > 5]
 

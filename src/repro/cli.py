@@ -298,6 +298,12 @@ def _cmd_track(args: argparse.Namespace) -> int:
         split_threshold=args.split_threshold,
         strategy=args.strategy,
     )
+    if args.measured and args.split_threshold is not None:
+        session.log.error(
+            "--split-threshold needs ground-truth catchments; it cannot be "
+            "combined with --measured"
+        )
+        return 2
     with session:
         testbed, placement = _testbed_and_placement(args)
         session.ready()
@@ -1142,9 +1148,12 @@ def build_parser() -> argparse.ArgumentParser:
     track = subparsers.add_parser("track", help="run the localization pipeline")
     track.add_argument(
         "--split-threshold",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="run the §V-B large-cluster splitter on clusters above this size",
+        help=(
+            "run the §V-B large-cluster splitter on clusters above this "
+            "size (ground-truth runs only)"
+        ),
     )
     track.add_argument(
         "--strategy",

@@ -34,6 +34,7 @@ from .localization import (
     traffic_fraction_by_cluster_size,
 )
 from .engine import EngineStats, SimulationEngine, warm_start_parent
+from .evidence import Evidence, EvidenceStep
 from .pipeline import (
     SpoofTracker,
     StepStats,
@@ -57,7 +58,6 @@ from .prediction import (
 )
 from .scheduler import (
     mean_cluster_size_curve,
-    measured_catchment_history,
     percentile_curve,
     random_schedule_curves,
 )
@@ -85,6 +85,8 @@ __all__ = [
     "SimulationEngine",
     "EngineStats",
     "warm_start_parent",
+    "Evidence",
+    "EvidenceStep",
     "StalenessExperiment",
     "StalenessPoint",
     "churned_policy",
@@ -98,7 +100,6 @@ __all__ = [
     "estimate_cluster_volumes",
     "traffic_fraction_by_cluster_size",
     "mean_cluster_size_curve",
-    "measured_catchment_history",
     "random_schedule_curves",
     "percentile_curve",
     "CatchmentPredictor",

@@ -1,0 +1,154 @@
+"""The evidence clustering (§III-B) and NNLS (§III-C) read.
+
+:class:`Evidence` holds the source universe, fixed under the first
+(anycast-all) configuration (§IV-d), and per configuration the universe
+ASes in each link's catchment.  Batch runs, figures, strategy
+comparison, the live service and the staleness experiment all build it
+here, so this module alone decides the universe rule, the restriction to
+it, smax imputation of measured catchments and fault degradation.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
+
+from ..bgp.announcement import AnnouncementConfig
+from ..bgp.simulator import RoutingOutcome
+from ..errors import SchedulingError
+from ..measurement.catchment import CatchmentHistory
+from ..types import ASN, Catchment, LinkId
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from ..faults.injection import FaultInjector
+    from ..measurement.campaign import MeasurementCampaign
+
+
+@dataclass(frozen=True)
+class EvidenceStep:
+    """One deployed configuration: its outcome (the ground truth spoofed
+    traffic follows), its catchments restricted to the universe, and the
+    links whose catchments are partial."""
+
+    config: AnnouncementConfig
+    outcome: RoutingOutcome
+    catchments: Dict[LinkId, Catchment]
+    degraded: FrozenSet[LinkId] = frozenset()
+
+
+@dataclass(frozen=True)
+class Evidence:
+    """The universe and its per-configuration steps."""
+
+    universe: FrozenSet[ASN]
+    steps: Tuple[EvidenceStep, ...]
+
+    @classmethod
+    def build(
+        cls,
+        configs: Sequence[AnnouncementConfig],
+        outcomes: Sequence[RoutingOutcome],
+        campaign: Optional["MeasurementCampaign"] = None,
+        injector: Optional["FaultInjector"] = None,
+        registry=None,
+        universe: Optional[Iterable[ASN]] = None,
+    ) -> "Evidence":
+        """Build the evidence of ``configs`` from their aligned outcomes.
+
+        With a ``campaign``, catchments are measured through it (and
+        ``injector`` and ``registry`` go to the campaign); otherwise they
+        are ground truth, thinned by the injector's measurement loss, and
+        thinned links are marked degraded.  ``universe`` overrides the
+        first configuration's.
+
+        Raises:
+            SchedulingError: with no configurations and no universe.
+        """
+        if not configs and universe is None:
+            raise SchedulingError("no configurations to build evidence from")
+        if campaign is not None:
+            history = None if universe is None else CatchmentHistory(universe)
+            for index, outcome in enumerate(outcomes):
+                assignment = campaign.measure(
+                    outcome, fault_token=index, injector=injector,
+                    registry=registry,
+                ).assignment
+                if history is None:
+                    history = CatchmentHistory(assignment)
+                history.add(assignment)
+            # Withdrawn links keep an (empty) catchment in every map.
+            maps = history.catchment_maps(campaign.origin.link_ids)
+            steps = tuple(map(EvidenceStep, configs, outcomes, maps))
+            return cls(history.universe, steps)
+        members = (
+            outcomes[0].covered_ases if universe is None else frozenset(universe)
+        )
+        built: List[EvidenceStep] = []
+        for index, (config, outcome) in enumerate(zip(configs, outcomes)):
+            catchments = {
+                link: frozenset(catchment & members)
+                for link, catchment in outcome.catchments.items()
+            }
+            degraded: FrozenSet[LinkId] = frozenset()
+            if injector is not None:
+                catchments, degraded = injector.degrade_catchments(
+                    index, catchments
+                )
+            built.append(EvidenceStep(config, outcome, catchments, degraded))
+        return cls(members, tuple(built))
+
+    @property
+    def maps(self) -> List[Dict[LinkId, Catchment]]:
+        """Per-configuration catchment maps restricted to the universe."""
+        return [step.catchments for step in self.steps]
+
+    @property
+    def degraded_steps(self) -> int:
+        return sum(1 for step in self.steps if step.degraded)
+
+    def planning_maps(self) -> List[Dict[LinkId, Catchment]]:
+        """Catchment maps without their degraded links: a planner must not
+        order the campaign around catchments clustering will skip."""
+        return [
+            {
+                link: members
+                for link, members in step.catchments.items()
+                if link not in step.degraded
+            }
+            for step in self.steps
+        ]
+
+    def nnls_inputs(
+        self, volume_history: Sequence
+    ) -> Tuple[List[Dict[LinkId, Catchment]], List]:
+        """Maps and aligned volumes of the steps without degraded links: a
+        partial catchment can straddle final clusters, which NNLS rejects."""
+        kept = [
+            (step.catchments, volumes)
+            for step, volumes in zip(self.steps, volume_history)
+            if not step.degraded
+        ]
+        return [maps for maps, _ in kept], [volumes for _, volumes in kept]
+
+    def reordered(self, order: Sequence[int]) -> "Evidence":
+        """The steps at ``order``'s indices, in that order (a plan)."""
+        return replace(self, steps=tuple(self.steps[i] for i in order))
+
+    def extended(
+        self,
+        configs: Sequence[AnnouncementConfig],
+        outcomes: Sequence[RoutingOutcome],
+    ) -> "Evidence":
+        """Append later ground-truth steps (the §V-B splitter's),
+        restricted to this universe and never degraded."""
+        extra = Evidence.build(configs, outcomes, universe=self.universe)
+        return replace(self, steps=self.steps + extra.steps)
+
+    def rebuilt(self, outcomes: Sequence[RoutingOutcome]) -> "Evidence":
+        """The same configurations re-derived from fresh ground-truth
+        outcomes (after route churn) against this fixed universe."""
+        configs = [step.config for step in self.steps]
+        return Evidence.build(configs, outcomes, universe=self.universe)
+

@@ -31,7 +31,6 @@ from ..bgp.simulator import RoutingOutcome, RoutingSimulator
 from ..errors import ReproError, SchedulingError
 from ..measurement.atlas import AtlasProbeFleet, select_probe_ases
 from ..measurement.campaign import MeasurementCampaign
-from ..measurement.catchment import CatchmentHistory
 from ..measurement.collectors import BGPCollectorSet, select_vantages
 from ..measurement.ip2as import AddressPlan, IPToASMapper
 from ..measurement.ixp import IXPRegistry, synthesize_ixps
@@ -46,6 +45,7 @@ from ..types import ASN, Catchment, LinkId
 from .clustering import ClusterState
 from .configgen import ScheduleParams, generate_schedule
 from .engine import EngineStats, SimulationEngine, require_serial
+from .evidence import Evidence
 from .localization import LocalizationResult, SpoofLocalizer
 
 
@@ -371,7 +371,7 @@ class SpoofTracker:
                 the final clusters.
             measured: measure catchments with feeds and traceroutes
                 (slower, noisy) instead of reading them off the simulator.
-            split_threshold: when set (and not in measured mode), run the
+            split_threshold: when set (ground-truth runs only), run the
                 §V-B large-cluster splitter afterwards, deploying targeted
                 distant-poison configurations against clusters larger
                 than the threshold.
@@ -387,17 +387,22 @@ class SpoofTracker:
 
         Raises:
             SchedulingError: if ``max_configs`` is below 1.
+            ReproError: if ``split_threshold`` is combined with ``measured``.
         """
         if max_configs is not None and max_configs < 1:
             raise SchedulingError(
                 f"max_configs must be at least 1, got {max_configs}"
+            )
+        if measured and split_threshold is not None:
+            raise ReproError(
+                "split_threshold needs ground-truth catchments; it cannot "
+                "be combined with measured=True"
             )
         limit = len(self.schedule) if max_configs is None else max_configs
         configs = self.schedule[:limit]
         if not configs:
             raise ReproError("empty schedule")
 
-        origin = self.testbed.origin
         injector = self.injector
         obs = self.obs
         registry = obs.registry
@@ -412,48 +417,20 @@ class SpoofTracker:
                 span.set("configs_simulated", delta.configs_simulated)
                 span.set("cache_hits", delta.cache_hits)
 
-        # Per-step sets of links whose catchments are partial (injected
-        # measurement loss); refinement skips them, localization drops
-        # the whole step.
-        degraded_by_step: List[FrozenSet[LinkId]] = []
         with obs.phase(
             "measure", mode="measured" if measured else "ground-truth"
         ) as span:
-            if measured:
-                with obs.capture():
-                    first = self.testbed.campaign.measure(
-                        outcomes[0], fault_token=0, injector=injector,
-                        registry=registry,
-                    )
-                    universe = frozenset(first.assignment)
-                    history = CatchmentHistory(universe)
-                    history.add(first.assignment)
-                    for index, outcome in enumerate(outcomes[1:], start=1):
-                        history.add(
-                            self.testbed.campaign.measure(
-                                outcome, fault_token=index, injector=injector,
-                                registry=registry,
-                            ).assignment
-                        )
-                    catchment_history = history.catchment_maps(origin.link_ids)
-                degraded_by_step = [frozenset() for _ in catchment_history]
-            else:
-                universe = outcomes[0].covered_ases
-                catchment_history = []
-                for index, outcome in enumerate(outcomes):
-                    maps = {
-                        link: frozenset(members & universe)
-                        for link, members in outcome.catchments.items()
-                    }
-                    if injector is not None:
-                        maps, degraded = injector.degrade_catchments(index, maps)
-                    else:
-                        degraded = frozenset()
-                    catchment_history.append(maps)
-                    degraded_by_step.append(degraded)
+            with obs.capture():
+                evidence = Evidence.build(
+                    configs,
+                    outcomes,
+                    campaign=self.testbed.campaign if measured else None,
+                    injector=injector,
+                    registry=registry,
+                )
             if span is not None:
-                span.set("universe", len(universe))
-                span.set("steps", len(catchment_history))
+                span.set("universe", len(evidence.universe))
+                span.set("steps", len(evidence.steps))
 
         strategy_name = strategy
         if strategy_name is not None:
@@ -465,19 +442,6 @@ class SpoofTracker:
                 strategy_name = None
             else:
                 with obs.phase("plan", strategy=strategy_name) as span:
-                    # Degraded links are lossy evidence; the planner must
-                    # not order the campaign around catchments that the
-                    # cluster phase will then refuse to refine with.
-                    planning_maps = [
-                        {
-                            link: members
-                            for link, members in maps.items()
-                            if link not in degraded
-                        }
-                        for maps, degraded in zip(
-                            catchment_history, degraded_by_step
-                        )
-                    ]
                     seed = (
                         self.testbed.spec.seed
                         if self.testbed.spec is not None
@@ -485,64 +449,53 @@ class SpoofTracker:
                     )
                     plan = run_strategy(
                         make_strategy(strategy_name, seed=seed),
-                        sorted(universe),
-                        planning_maps,
+                        sorted(evidence.universe),
+                        evidence.planning_maps(),
                         schedule=configs,
                     )
-                    order = plan.order
-                    configs = [configs[i] for i in order]
-                    outcomes = [outcomes[i] for i in order]
-                    catchment_history = [catchment_history[i] for i in order]
-                    degraded_by_step = [degraded_by_step[i] for i in order]
+                    evidence = evidence.reordered(plan.order)
                     if span is not None:
-                        span.set("planned", len(order))
+                        span.set("planned", len(plan.order))
                         span.set("stop", plan.stop_reason)
 
+        universe = evidence.universe
         with obs.phase("cluster") as span:
             state = ClusterState(universe)
             steps: List[StepStats] = []
-            for (config, catchments), degraded in zip(
-                zip(configs, catchment_history), degraded_by_step
-            ):
+            for step in evidence.steps:
                 state.refine_with_catchments(
-                    catchments, degraded_links=degraded
+                    step.catchments, degraded_links=step.degraded
                 )
                 steps.append(
                     StepStats(
-                        config_label=config.label or config.describe(),
-                        phase=config.phase,
+                        config_label=step.config.label or step.config.describe(),
+                        phase=step.config.phase,
                         num_clusters=state.num_clusters(),
                         mean_cluster_size=state.mean_size(),
                         p90_cluster_size=state.size_percentile(90.0),
                     )
                 )
             split_report = None
-            if split_threshold is not None and not measured:
+            if split_threshold is not None:
                 from .refinement import LargeClusterSplitter
 
                 splitter = LargeClusterSplitter(
                     self.testbed.simulator,
-                    origin,
+                    self.testbed.origin,
                     threshold=split_threshold,
                     engine=self.engine,
                 )
                 split_report = splitter.split(state, max_configs=split_budget)
+                evidence = evidence.extended(
+                    split_report.configs_deployed, split_report.outcomes
+                )
                 # The splitter refines ``state`` in place; per-config cluster
                 # statistics come from its snapshots, taken right after each
                 # deployed configuration (recomputing them here would just
                 # repeat the final state for every step).
-                for config, extra, snapshot in zip(
-                    split_report.configs_deployed,
-                    split_report.catchment_history,
-                    split_report.snapshots,
+                for config, snapshot in zip(
+                    split_report.configs_deployed, split_report.snapshots
                 ):
-                    catchment_history.append(
-                        {
-                            link: frozenset(members & universe)
-                            for link, members in extra.items()
-                        }
-                    )
-                    degraded_by_step.append(frozenset())
                     steps.append(
                         StepStats(
                             config_label=config.label or config.describe(),
@@ -563,14 +516,9 @@ class SpoofTracker:
         with obs.phase("attribute", skipped=placement is None) as span:
             if placement is not None:
                 volume_history = [
-                    link_volumes(placement, outcome.catchments)
-                    for outcome in outcomes
+                    link_volumes(placement, step.outcome.catchments)
+                    for step in evidence.steps
                 ]
-                if split_report is not None:
-                    volume_history.extend(
-                        link_volumes(placement, extra)
-                        for extra in split_report.catchment_history
-                    )
                 if monitor is not None:
                     for volumes in volume_history:
                         monitor.check_volume_conservation(
@@ -578,23 +526,9 @@ class SpoofTracker:
                             volumes.attributed,
                             volumes.unattributed,
                         )
-                # Degraded steps are lossy evidence: a partial catchment can
-                # straddle final clusters, which the NNLS system rejects, so
-                # those rows are excluded from localization outright.
-                loc_catchments = [
-                    maps
-                    for maps, degraded in zip(
-                        catchment_history, degraded_by_step
-                    )
-                    if not degraded
-                ]
-                loc_volumes = [
-                    volumes
-                    for volumes, degraded in zip(
-                        volume_history, degraded_by_step
-                    )
-                    if not degraded
-                ]
+                loc_catchments, loc_volumes = evidence.nnls_inputs(
+                    volume_history
+                )
                 localizer = SpoofLocalizer(clusters, loc_catchments)
                 with obs.capture():
                     localization = localizer.localize(loc_volumes)
@@ -612,7 +546,7 @@ class SpoofTracker:
                 injector,
                 monitor=monitor,
                 engine_stats=self.engine.stats.since(stats_before),
-                degraded_configs=sum(1 for d in degraded_by_step if d),
+                degraded_configs=evidence.degraded_steps,
             )
 
         if registry is not None:
@@ -636,13 +570,13 @@ class SpoofTracker:
             registry.counter(
                 "repro_pipeline_degraded_steps_total",
                 help="steps with partial (degraded) catchments",
-            ).inc(sum(1 for degraded in degraded_by_step if degraded))
+            ).inc(evidence.degraded_steps)
 
         if obs.bus is not None:
             obs.bus.publish(
                 "pipeline",
                 steps=len(steps),
-                degraded_steps=sum(1 for d in degraded_by_step if d),
+                degraded_steps=evidence.degraded_steps,
                 clusters=len(clusters),
                 sources=len(universe),
                 localized=localization is not None,
@@ -652,7 +586,7 @@ class SpoofTracker:
             universe=universe,
             steps=steps,
             clusters=clusters,
-            catchment_history=catchment_history,
+            catchment_history=evidence.maps,
             localization=localization,
             placement=placement,
             measured=measured,

@@ -25,7 +25,7 @@ from ..bgp.announcement import AnnouncementConfig
 from ..bgp.simulator import RoutingOutcome, RoutingSimulator
 from ..errors import SimulationError
 from ..topology.peering import OriginNetwork
-from ..types import ASN, Catchment, LinkId
+from ..types import ASN
 from .clustering import ClusterState
 from .configgen import distant_poison_configs
 
@@ -56,8 +56,8 @@ class SplitReport:
         rounds: refinement rounds executed.
         initial_sizes: large-cluster sizes before splitting.
         final_sizes: sizes of the descendants of those clusters after.
-        catchment_history: catchments of the extra configurations (for
-            feeding localization).
+        outcomes: routing outcomes of ``configs_deployed`` (the pipeline
+            appends them to its evidence for localization).
         snapshots: cluster statistics after each deployed configuration
             (parallel to ``configs_deployed``).
     """
@@ -66,7 +66,7 @@ class SplitReport:
     rounds: int = 0
     initial_sizes: List[int] = field(default_factory=list)
     final_sizes: List[int] = field(default_factory=list)
-    catchment_history: List[Dict[LinkId, Catchment]] = field(default_factory=list)
+    outcomes: List[RoutingOutcome] = field(default_factory=list)
     snapshots: List[SplitSnapshot] = field(default_factory=list)
 
     @property
@@ -202,16 +202,12 @@ class LargeClusterSplitter:
             else:
                 outcomes = [self.simulator.simulate(c) for c in round_configs]
             for config, outcome in zip(round_configs, outcomes):
-                catchments = {
-                    link: frozenset(members)
-                    for link, members in outcome.catchments.items()
-                }
-                state.refine_with_catchments(catchments)
+                state.refine_with_catchments(outcome.catchments)
                 if self.use_absence_signal:
                     unrouted = state.universe - outcome.covered_ases
                     state.refine(unrouted)
                 report.configs_deployed.append(config)
-                report.catchment_history.append(catchments)
+                report.outcomes.append(outcome)
                 report.snapshots.append(
                     SplitSnapshot(
                         num_clusters=state.num_clusters(),

@@ -12,12 +12,13 @@ possible.  The paper compares:
 
 Both operate on pre-measured per-configuration catchment maps, so
 "deploying" a configuration here is just a cluster refinement.  This
-module holds the measuring step, the random baseline and the curve
-helpers; the greedy orders themselves come from the strategy plugins::
+module holds the random baseline and the curve helpers; the maps come
+from :class:`~repro.core.evidence.Evidence` and the greedy orders from
+the strategy plugins::
 
-    universe, history = measured_catchment_history(engine, configs)
-    result = run_strategy(GreedyStrategy(), universe, history,
-                          max_steps=10, check_converged=False)
+    evidence = Evidence.build(configs, engine.simulate_many(configs))
+    result = run_strategy(GreedyStrategy(), sorted(evidence.universe),
+                          evidence.maps, max_steps=10, check_converged=False)
 
 The volume-aware variant (paper §VIII future work) is
 :class:`~repro.strategy.VolumeGreedyStrategy`, whose curve is the
@@ -27,54 +28,11 @@ traffic-weighted cost (``curve_metric=lambda s: weighted_cost(s, v)``).
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 from ..errors import SchedulingError
 from ..types import ASN, Catchment, LinkId
 from .clustering import ClusterState
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from ..bgp.announcement import AnnouncementConfig
-    from .engine import SimulationEngine
-
-
-def measured_catchment_history(
-    engine: "SimulationEngine",
-    configs: Iterable["AnnouncementConfig"],
-    universe: Optional[Iterable[ASN]] = None,
-) -> Tuple[List[ASN], List[Mapping[LinkId, Catchment]]]:
-    """Pre-measure per-configuration catchments through an engine.
-
-    The §V-C schedulers operate on pre-measured catchment maps; this is
-    the measuring step, routed through the (cached)
-    :class:`~repro.core.engine.SimulationEngine` so configurations the
-    pipeline already deployed are never simulated again.
-
-    Args:
-        engine: simulation engine over the testbed.
-        configs: configurations to measure.
-        universe: sources to restrict catchments to; defaults to the
-            coverage of the first configuration (the paper's §IV-d rule).
-
-    Returns:
-        ``(universe, catchment_history)`` ready for
-        :func:`repro.strategy.run_strategy`.
-    """
-    config_list = list(configs)
-    if not config_list:
-        raise SchedulingError("no configurations to measure")
-    outcomes = engine.simulate_many(config_list)
-    members = (
-        frozenset(universe) if universe is not None else outcomes[0].covered_ases
-    )
-    history: List[Mapping[LinkId, Catchment]] = [
-        {
-            link: frozenset(catchment & members)
-            for link, catchment in outcome.catchments.items()
-        }
-        for outcome in outcomes
-    ]
-    return sorted(members), history
 
 
 def refinement_gain(

@@ -29,7 +29,8 @@ from ..bgp.simulator import RoutingOutcome, RoutingSimulator
 from ..topology.graph import ASGraph
 from ..topology.peering import OriginNetwork
 from ..types import ASN, Catchment
-from .clustering import ClusterState
+from .clustering import clusters_from_catchment_history
+from .evidence import Evidence
 
 
 def churned_policy(
@@ -160,8 +161,10 @@ class StalenessExperiment:
         self.configs = list(configs)
         self.pair_sample = pair_sample
         simulator = RoutingSimulator(graph, origin, policy)
-        self._stale_outcomes = [simulator.simulate(c) for c in self.configs]
-        self.universe = self._stale_outcomes[0].covered_ases
+        self.evidence = Evidence.build(
+            self.configs, [simulator.simulate(c) for c in self.configs]
+        )
+        self.universe = self.evidence.universe
 
     def evaluate(self, drift: float, churn_seed: int = 1) -> StalenessPoint:
         """Measure stale-map error at one drift level."""
@@ -169,11 +172,15 @@ class StalenessExperiment:
         live_sim = RoutingSimulator(self.graph, self.origin, live_policy)
         live_outcomes = [live_sim.simulate(c) for c in self.configs]
 
-        stale_first, live_first = self._stale_outcomes[0], live_outcomes[0]
-        misplaced = misplaced_fraction(stale_first, live_first, self.universe)
+        live = self.evidence.rebuilt(live_outcomes)
+        misplaced = misplaced_fraction(
+            self.evidence.steps[0].outcome, live_outcomes[0], self.universe
+        )
 
-        stale_state = self._partition(self._stale_outcomes)
-        live_state = self._partition(live_outcomes)
+        stale_state = clusters_from_catchment_history(
+            self.universe, self.evidence.maps
+        )
+        live_state = clusters_from_catchment_history(self.universe, live.maps)
         sample = sorted(self.universe)[: self.pair_sample]
         checked = agreements = 0
         for i, a in enumerate(sample):
@@ -188,17 +195,6 @@ class StalenessExperiment:
             misplaced_fraction=misplaced,
             cluster_agreement=agreements / checked if checked else 1.0,
         )
-
-    def _partition(self, outcomes) -> ClusterState:
-        state = ClusterState(self.universe)
-        for outcome in outcomes:
-            state.refine_with_catchments(
-                {
-                    link: frozenset(members & self.universe)
-                    for link, members in outcome.catchments.items()
-                }
-            )
-        return state
 
     def sweep(
         self, drifts: Sequence[float] = (0.0, 0.1, 0.3, 0.6, 1.0)

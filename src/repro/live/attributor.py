@@ -117,19 +117,16 @@ class LiveAttributor:
     ) -> int:
         """Refine clusters with a newly available configuration.
 
+        ``catchments`` is restricted to the universe (an ``Evidence`` map).
         Returns the number of cluster splits the refinement produced.
         Subsequent :meth:`observe` calls accumulate against this
         configuration until the next one is applied.
         """
-        restricted = {
-            link: frozenset(members) & self.universe
-            for link, members in catchments.items()
-        }
-        splits = self.state.refine_with_catchments(restricted)
+        splits = self.state.refine_with_catchments(catchments)
         self.observations.append(
             ConfigObservations(
                 label=config.label or config.describe(),
-                catchments=restricted,
+                catchments=dict(catchments),
             )
         )
         self._structure_dirty = True
@@ -246,7 +243,8 @@ class LiveAttributor:
     ) -> None:
         """Swap in fresh catchment maps after a remeasurement.
 
-        The partition is recomputed from scratch over the new maps while
+        The partition is recomputed from scratch over the new maps (one
+        per applied configuration, restricted to the universe) while
         every volume observation is kept — the evidence was real, only the
         stale maps it was interpreted against changed.
 
@@ -261,12 +259,8 @@ class LiveAttributor:
             )
         self.state = ClusterState(self.universe)
         for obs, catchments in zip(self.observations, histories):
-            restricted = {
-                link: frozenset(members) & self.universe
-                for link, members in catchments.items()
-            }
-            obs.catchments = restricted
-            self.state.refine_with_catchments(restricted)
+            obs.catchments = dict(catchments)
+            self.state.refine_with_catchments(catchments)
         self._structure_dirty = True
 
     def as_serializable(self) -> Dict:

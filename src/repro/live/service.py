@@ -36,6 +36,7 @@ from typing import (
 from ..bgp.simulator import RoutingOutcome, RoutingSimulator
 from ..core.configgen import ScheduleParams, generate_schedule
 from ..core.engine import EngineStats, SimulationEngine, require_serial
+from ..core.evidence import Evidence
 from ..core.localization import LocalizationResult
 from ..core.pipeline import StepStats, Testbed, TestbedSpec, TrackerReport
 from ..core.staleness import churned_policy, misplaced_fraction
@@ -355,20 +356,20 @@ class LiveTracebackService:
         # configuration, streamed through the engine in schedule order.
         with self.obs.phase("premeasure", configs=len(self.schedule)) as span:
             with self.obs.capture():
-                self._stale_outcomes: List[RoutingOutcome] = list(
+                stale: List[RoutingOutcome] = list(
                     self.engine.iter_simulate(self.schedule)
                 )
+                # What the controller's current maps were derived from;
+                # rebuilt wholesale on remeasurement.
+                self.evidence = Evidence.build(self.schedule, stale)
             if span is not None:
                 span.set(
                     "configs_simulated", self.engine.stats.configs_simulated
                 )
-        # What the controller's current maps were derived from; replaced
-        # wholesale on remeasurement.
-        self._map_outcomes: List[RoutingOutcome] = list(self._stale_outcomes)
         # Ground truth the traffic is generated against; diverges from
         # the maps when churn strikes.
-        self._truth_outcomes: List[RoutingOutcome] = list(self._stale_outcomes)
-        self.universe = self._stale_outcomes[0].covered_ases
+        self._truth_outcomes: List[RoutingOutcome] = stale
+        self.universe = self.evidence.universe
 
         candidates = sorted(
             self.testbed.topology.stubs or self.testbed.graph.ases
@@ -399,7 +400,7 @@ class LiveTracebackService:
         )
         self.controller = AdaptiveController(
             self.schedule,
-            [self._restrict(o.catchments) for o in self._stale_outcomes],
+            self.evidence.maps,
             self.timeline,
             policy,
             registry=self.obs.registry,
@@ -436,14 +437,6 @@ class LiveTracebackService:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-
-    def _restrict(
-        self, catchments: Mapping[LinkId, Catchment]
-    ) -> Dict[LinkId, Catchment]:
-        return {
-            link: frozenset(members) & self.universe
-            for link, members in catchments.items()
-        }
 
     def close(self) -> None:
         """Close the simulation engine this service owns.
@@ -707,11 +700,7 @@ class LiveTracebackService:
                 timestamp=self.clock.now, drift=drift, churn_seed=churn_seed
             )
         )
-        live_policy = churned_policy(self.testbed.policy, drift, churn_seed)
-        live_sim = RoutingSimulator(
-            self.testbed.graph, self.testbed.origin, live_policy
-        )
-        self._truth_outcomes = [live_sim.simulate(c) for c in self.schedule]
+        self._truth_outcomes = self._churned_outcomes(drift, churn_seed)
         self._last_churn = {
             "window": self.window_index,
             "drift": drift,
@@ -721,7 +710,9 @@ class LiveTracebackService:
 
         probe = self._active_index if self._active_index is not None else 0
         misplaced = misplaced_fraction(
-            self._map_outcomes[probe], self._truth_outcomes[probe], self.universe
+            self.evidence.steps[probe].outcome,
+            self._truth_outcomes[probe],
+            self.universe,
         )
         remeasured = False
         if self.controller.needs_remeasure(misplaced):
@@ -750,15 +741,25 @@ class LiveTracebackService:
                 remeasured=remeasured,
             )
 
+    def _churned_outcomes(
+        self, drift: float, churn_seed: int
+    ) -> List[RoutingOutcome]:
+        """The schedule simulated on the Internet after a churn strike."""
+        live_sim = RoutingSimulator(
+            self.testbed.graph,
+            self.testbed.origin,
+            churned_policy(self.testbed.policy, drift, churn_seed),
+        )
+        return [live_sim.simulate(c) for c in self.schedule]
+
     def _remeasure(self) -> None:
         """Re-measure every catchment map against the drifted Internet."""
-        self._map_outcomes = list(self._truth_outcomes)
+        self.evidence = self.evidence.rebuilt(self._truth_outcomes)
         self.controller.apply_remeasurement(
-            [self._restrict(o.catchments) for o in self._truth_outcomes],
-            deployed_count=len(self.deployed),
+            self.evidence.maps, deployed_count=len(self.deployed)
         )
         self.attributor.rebuild_catchments(
-            [self._truth_outcomes[i].catchments for i in self.deployed]
+            [self.evidence.steps[i].catchments for i in self.deployed]
         )
         self._maps_fresh = True
         # Remeasuring the deployed configurations costs their dwell again.
@@ -1053,21 +1054,14 @@ class LiveTracebackService:
 
         if service._last_churn is not None:
             churn = service._last_churn
-            live_policy = churned_policy(
-                service.testbed.policy, churn["drift"], churn["churn_seed"]
+            service._truth_outcomes = service._churned_outcomes(
+                churn["drift"], churn["churn_seed"]
             )
-            live_sim = RoutingSimulator(
-                service.testbed.graph, service.testbed.origin, live_policy
-            )
-            service._truth_outcomes = [
-                live_sim.simulate(c) for c in service.schedule
-            ]
             if service._maps_fresh:
-                service._map_outcomes = list(service._truth_outcomes)
-                service.controller.catchment_maps = [
-                    service._restrict(o.catchments)
-                    for o in service._truth_outcomes
-                ]
+                service.evidence = service.evidence.rebuilt(
+                    service._truth_outcomes
+                )
+                service.controller.catchment_maps = service.evidence.maps
         return service
 
 

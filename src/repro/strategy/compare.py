@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.configgen import ScheduleParams, generate_schedule
 from ..core.engine import EngineStats, SimulationEngine
-from ..core.scheduler import measured_catchment_history
+from ..core.evidence import Evidence
 from ..core.timeline import CampaignTimeline
 from ..errors import StrategyError
 from ..obs import Observability
@@ -212,11 +212,11 @@ def compare_strategies(
         # One measurement pass, shared by every contestant.
         with obs.phase("premeasure", configs=len(schedule)) as span:
             with obs.capture():
-                universe, history = measured_catchment_history(
-                    engine, schedule
+                evidence = Evidence.build(
+                    schedule, engine.simulate_many(schedule)
                 )
             if span is not None:
-                span.set("universe", len(universe))
+                span.set("universe", len(evidence.universe))
         engine_stats = engine.stats.since(stats_before)
     finally:
         if owns_engine:
@@ -228,8 +228,8 @@ def compare_strategies(
         with obs.phase("race", strategy=name) as span:
             result: StrategyRunResult = run_strategy(
                 strategy,
-                universe,
-                history,
+                sorted(evidence.universe),
+                evidence.maps,
                 schedule=schedule,
                 volume_by_as=volume_by_as,
             )
@@ -267,7 +267,7 @@ def compare_strategies(
     outcomes.sort(key=_rank_key)
     return CompareReport(
         seed=seed,
-        universe_size=len(universe),
+        universe_size=len(evidence.universe),
         candidate_configs=len(schedule),
         outcomes=outcomes,
         engine_stats=engine_stats,

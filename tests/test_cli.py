@@ -111,6 +111,8 @@ class TestParser:
             ["soak", "--escalation-growth", "-1"],
             ["soak", "--keep", "0"],
             ["live", "--sources", "two"],
+            ["track", "--split-threshold", "0"],
+            ["track", "--split-threshold", "-3"],
         ],
         ids=" ".join,
     )
@@ -122,6 +124,15 @@ class TestParser:
             main(argv)
         assert exit_info.value.code == 2
         assert argv[-2] in capsys.readouterr().err
+
+    def test_measured_split_threshold_is_a_usage_error(self, capsys):
+        """The splitter needs ground-truth catchments; ``--measured`` used
+        to drop ``--split-threshold`` silently."""
+        assert main(["track", "--measured", "--split-threshold", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--split-threshold" in captured.err
+        assert "--measured" in captured.err
 
     @pytest.mark.parametrize(
         "argv, dest, value",

@@ -238,10 +238,14 @@ class TestTrackerModes:
         quality = report.localization.evaluate_against(placement)
         assert quality.recall == 1.0
 
-    def test_split_skipped_in_measured_mode(self, small_testbed):
+    def test_split_rejected_in_measured_mode(self, small_testbed):
+        """The splitter reads ground-truth catchments, so a measured run
+        used to drop it silently; now the combination is refused before
+        anything is simulated."""
         tracker = SpoofTracker(small_testbed)
-        report = tracker.run(max_configs=5, measured=True, split_threshold=5)
-        assert report.split_report is None
+        with pytest.raises(ReproError, match="split_threshold"):
+            tracker.run(max_configs=5, measured=True, split_threshold=5)
+        assert tracker.engine.stats.configs_simulated == 0
 
 
 class TestGeographyTestbed:

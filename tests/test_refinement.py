@@ -115,9 +115,9 @@ class TestSplitting:
         working = state.copy()
         splitter = LargeClusterSplitter(testbed.simulator, testbed.origin)
         report = splitter.split(working, max_rounds=1, max_configs=5)
-        assert len(report.catchment_history) == len(report.configs_deployed)
-        for catchments in report.catchment_history:
-            assert set(catchments) <= set(testbed.origin.link_ids)
+        assert len(report.outcomes) == len(report.configs_deployed)
+        for outcome in report.outcomes:
+            assert set(outcome.catchments) <= set(testbed.origin.link_ids)
 
     def test_absence_signal_helps(self, prepared):
         """With the absence signal the splitter separates single-homed

@@ -230,7 +230,7 @@ class TestEngineIntegration:
     def test_measured_history_replays_through_cache(self, small_testbed):
         from repro.bgp.announcement import AnnouncementConfig, anycast_all
         from repro.core.engine import SimulationEngine
-        from repro.core.scheduler import measured_catchment_history
+        from repro.core.evidence import Evidence
 
         engine = SimulationEngine(small_testbed.simulator)
         links = small_testbed.origin.link_ids
@@ -238,28 +238,26 @@ class TestEngineIntegration:
             AnnouncementConfig(announced=frozenset(links) - {link})
             for link in sorted(links)[:3]
         ]
-        universe, history = measured_catchment_history(engine, configs)
-        assert len(history) == len(configs)
+        evidence = Evidence.build(configs, engine.simulate_many(configs))
+        assert len(evidence.maps) == len(configs)
         assert all(
-            members <= set(universe)
-            for catchments in history
+            members <= evidence.universe
+            for catchments in evidence.maps
             for members in catchments.values()
         )
         simulated = engine.stats.configs_simulated
-        replay = measured_catchment_history(engine, configs)
+        replay = Evidence.build(configs, engine.simulate_many(configs))
         # Re-measuring replays configurations the engine already saw.
         assert engine.stats.configs_simulated == simulated
-        assert replay == (universe, history)
-        order, curve = greedy_run(*replay)
+        assert replay == evidence
+        order, curve = greedy_run(sorted(replay.universe), replay.maps)
         assert curve == sorted(curve, reverse=True)
 
-    def test_empty_configs_rejected(self, small_testbed):
-        from repro.core.engine import SimulationEngine
-        from repro.core.scheduler import measured_catchment_history
+    def test_empty_configs_rejected(self):
+        from repro.core.evidence import Evidence
 
-        engine = SimulationEngine(small_testbed.simulator)
         with pytest.raises(SchedulingError):
-            measured_catchment_history(engine, [])
+            Evidence.build([], [])
 
 
 class TestPinnedSchedules:
@@ -290,14 +288,16 @@ class TestPinnedSchedules:
     def evidence(self, small_testbed):
         from repro.core.configgen import ScheduleParams, generate_schedule
         from repro.core.engine import SimulationEngine
-        from repro.core.scheduler import measured_catchment_history
+        from repro.core.evidence import Evidence
 
         schedule = generate_schedule(
             small_testbed.origin, small_testbed.graph, ScheduleParams()
         )[:24]
-        universe, history = measured_catchment_history(
-            SimulationEngine(small_testbed.simulator), schedule
+        evidence = Evidence.build(
+            schedule,
+            SimulationEngine(small_testbed.simulator).simulate_many(schedule),
         )
+        universe, history = sorted(evidence.universe), evidence.maps
         volume = {asn: ((asn * 7919) % 13) / 7.0 for asn in universe}
         return universe, history, volume
 

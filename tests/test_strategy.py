@@ -20,7 +20,8 @@ from repro.core.clustering import ClusterState
 from repro.core.configgen import ScheduleParams, generate_schedule
 from repro.core.engine import SimulationEngine
 from repro.core.pipeline import SpoofTracker, build_testbed
-from repro.core.scheduler import measured_catchment_history, refinement_gain
+from repro.core.evidence import Evidence
+from repro.core.scheduler import refinement_gain
 from repro.core.timeline import CampaignTimeline
 from repro.errors import StrategyError
 from repro.live.controller import AdaptiveController, ControllerPolicy
@@ -59,6 +60,12 @@ def greedy_run(universe, history, max_steps=None):
     return result.order, result.curve
 
 
+def premeasure(engine, schedule):
+    """``(sorted universe, catchment maps)`` of ``schedule`` through ``engine``."""
+    evidence = Evidence.build(schedule, engine.simulate_many(schedule))
+    return sorted(evidence.universe), evidence.maps
+
+
 def measured_evidence(testbed, max_configs=14):
     """Schedule + measured catchments for a testbed, shared per test."""
     schedule = generate_schedule(
@@ -66,7 +73,7 @@ def measured_evidence(testbed, max_configs=14):
     )[:max_configs]
     engine = SimulationEngine(testbed.simulator)
     try:
-        universe, history = measured_catchment_history(engine, schedule)
+        universe, history = premeasure(engine, schedule)
     finally:
         engine.close()
     return schedule, universe, history
@@ -340,7 +347,7 @@ class TestGreedyEquivalence:
         schedule = generate_schedule(
             testbed.origin, testbed.graph, ScheduleParams()
         )[:10]
-        universe, history = measured_catchment_history(
+        universe, history = premeasure(
             SimulationEngine(testbed.simulator), schedule
         )
         assert greedy_run(universe, history) == (
@@ -573,7 +580,7 @@ class TestTrackerStrategyPath:
             report = tracker.run(max_configs=10, strategy="greedy")
             schedule = tracker.schedule[:10]
             engine = tracker.engine
-            universe, history = measured_catchment_history(engine, schedule)
+            universe, history = premeasure(engine, schedule)
         finally:
             tracker.engine.close()
         order, _ = greedy_run(universe, history)
