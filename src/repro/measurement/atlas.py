@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..bgp.simulator import RoutingOutcome
 from ..errors import MeasurementError
 from ..topology.graph import ASGraph
-from ..types import ASN
+from ..types import ASN, ASPath
 from .traceroute import Traceroute, TracerouteEngine
 
 
@@ -74,14 +74,19 @@ class AtlasProbeFleet:
         self.rounds_per_config = rounds_per_config
 
     def measure(self, outcome: RoutingOutcome) -> List[MeasurementRound]:
-        """Collect all rounds of traceroutes for one configuration."""
+        """Collect all rounds of traceroutes for one configuration.
+
+        The outcome's forwarding paths are memoized for this call only:
+        probes re-trace the same paths round after round.
+        """
         rounds: List[MeasurementRound] = []
         config_key = outcome.config.describe()
+        paths: Dict[ASN, Optional[ASPath]] = {}
         for round_index in range(self.rounds_per_config):
             traceroutes = []
             for probe_as in self.probe_ases:
                 trace = self.engine.measure(
-                    outcome, probe_as, round_index, config_key=config_key
+                    outcome, probe_as, round_index, config_key=config_key, paths=paths
                 )
                 if trace is not None:
                     traceroutes.append(trace)

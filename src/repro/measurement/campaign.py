@@ -11,13 +11,14 @@ for smax imputation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..bgp.simulator import RoutingOutcome
 from ..faults.injection import FaultInjector
 from ..topology.peering import OriginNetwork
-from ..types import ASN, LinkId
+from ..types import ASN, ASPath, LinkId
 from .atlas import AtlasProbeFleet
 from .catchment import (
     KIND_BGP,
@@ -84,6 +85,39 @@ class MeasurementCampaign:
         self.fleet = fleet
         self.mapper = mapper
 
+    def _observations(
+        self, paths: List[ASPath], kind: str
+    ) -> Tuple[List[CatchmentObservation], int, int]:
+        """Catchment evidence of ``paths``, plus how many were attributed.
+
+        Every AS on a path attributed to an origin link (except the
+        origin) is evidence of membership in that link's catchment — BGP
+        paths reveal the routing decision of each traversed AS, not just
+        the vantage.  Sightings are tallied per (source, link) in
+        first-seen order and returned as one weighted row each, so
+        resolution lists sources in the order one row per sighting would.
+        Returns ``(rows, attributed paths, unattributed paths)``.
+        """
+        origin_asn = self.origin.asn
+        weights: Dict[Tuple[ASN, LinkId], int] = {}
+        attributed = unattributed = 0
+        for path, count in Counter(paths).items():
+            link = link_of_bgp_path(self.origin, path)
+            if link is None:
+                unattributed += count
+                continue
+            attributed += count
+            for asn in path:
+                if asn == origin_asn:
+                    break
+                key = (asn, link)
+                weights[key] = weights.get(key, 0) + count
+        rows = [
+            CatchmentObservation(source_as=asn, link=link, kind=kind, weight=weight)
+            for (asn, link), weight in weights.items()
+        ]
+        return rows, attributed, unattributed
+
     def measure(
         self,
         outcome: RoutingOutcome,
@@ -103,10 +137,9 @@ class MeasurementCampaign:
                 measurements fail.
             registry: optional :class:`~repro.obs.metrics.MetricsRegistry`
                 accumulating campaign counters (paths observed, drops by
-                reason, injected losses) across the run.
+                reason, reached traces attributed to no origin link,
+                injected losses) across the run.
         """
-        observations: List[CatchmentObservation] = []
-
         bgp_observations = self.collectors.observe(outcome)
         collectors_flapped = 0
         if injector is not None:
@@ -114,21 +147,6 @@ class MeasurementCampaign:
                 fault_token, bgp_observations
             )
         bgp_paths = list(bgp_observations.values())
-        usable_bgp = 0
-        for vantage, path in bgp_observations.items():
-            link = link_of_bgp_path(self.origin, path)
-            if link is None:
-                continue
-            usable_bgp += 1
-            # Every AS on the path (except the origin) is evidence of
-            # membership in this link's catchment — BGP paths reveal the
-            # routing decision of each traversed AS, not just the vantage.
-            for asn in path:
-                if asn == self.origin.asn:
-                    break
-                observations.append(
-                    CatchmentObservation(source_as=asn, link=link, kind=KIND_BGP)
-                )
 
         traceroutes = self.fleet.all_traceroutes(outcome)
         traceroutes_lost = 0
@@ -143,8 +161,8 @@ class MeasurementCampaign:
             gap_queries(trace for trace in traceroutes if trace.reached_target),
         )
         bgp_segments = build_bgp_segment_index(bgp_paths)
-        usable_traces = 0
         dropped: Dict[str, int] = {}
+        trace_paths: List[ASPath] = []
         for trace in traceroutes:
             if not trace.reached_target:
                 continue
@@ -154,19 +172,13 @@ class MeasurementCampaign:
             if drop_reason is not None:
                 dropped[drop_reason] = dropped.get(drop_reason, 0) + 1
                 continue
-            link = link_of_bgp_path(self.origin, as_path)
-            if link is None:
-                continue
-            usable_traces += 1
-            for asn in as_path:
-                if asn == self.origin.asn:
-                    break
-                observations.append(
-                    CatchmentObservation(
-                        source_as=asn, link=link, kind=KIND_TRACEROUTE
-                    )
-                )
+            trace_paths.append(as_path)
 
+        observations, usable_bgp, _ = self._observations(bgp_paths, KIND_BGP)
+        trace_observations, usable_traces, unattributed_traces = (
+            self._observations(trace_paths, KIND_TRACEROUTE)
+        )
+        observations += trace_observations
         assignment, stats = resolve_observations(observations)
         assignment.pop(self.origin.asn, None)
         if registry is not None:
@@ -178,6 +190,11 @@ class MeasurementCampaign:
                 "repro_campaign_traceroutes_total",
                 help="usable traceroutes observed",
             ).inc(usable_traces)
+            registry.counter(
+                "repro_campaign_traceroutes_unattributed_total",
+                help="reached, repaired traceroutes whose AS path maps to "
+                "no origin link",
+            ).inc(unattributed_traces)
             registry.counter(
                 "repro_campaign_collectors_flapped_total",
                 help="vantage observations lost to injected collector flaps",

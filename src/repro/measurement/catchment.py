@@ -29,15 +29,25 @@ KIND_TRACEROUTE = "traceroute"
 
 @dataclass(frozen=True)
 class CatchmentObservation:
-    """One (source AS → peering link) observation with its provenance."""
+    """One (source AS → peering link) observation with its provenance.
+
+    ``weight`` is how many identical observations the row stands for, so
+    a caller can hand :func:`resolve_observations` one row per (source,
+    link, kind) instead of one per sighting.
+    """
 
     source_as: ASN
     link: LinkId
     kind: str
+    weight: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_BGP, KIND_TRACEROUTE):
             raise MeasurementError(f"unknown observation kind {self.kind!r}")
+        if self.weight < 1:
+            raise MeasurementError(
+                f"observation weight must be positive, got {self.weight}"
+            )
 
 
 @dataclass
@@ -69,25 +79,32 @@ def resolve_observations(
     BGP observations outrank traceroute ones ("we give higher priority to
     BGP measurements to minimize errors due to IP-to-AS mapping"); among
     observations of the same type, the most common link wins, with ties
-    broken by link id for determinism.
+    broken by link id for determinism.  A row of weight ``w`` counts as
+    ``w`` observations; the assignment lists sources in the order they
+    first appear.
     """
-    by_source: Dict[ASN, Dict[str, Counter]] = defaultdict(
-        lambda: {KIND_BGP: Counter(), KIND_TRACEROUTE: Counter()}
-    )
+    # Per source: (BGP, traceroute) link → count tallies.
+    by_source: Dict[ASN, Tuple[Dict[LinkId, int], Dict[LinkId, int]]] = {}
     for obs in observations:
-        by_source[obs.source_as][obs.kind][obs.link] += 1
+        tallies = by_source.get(obs.source_as)
+        if tallies is None:
+            tallies = by_source[obs.source_as] = ({}, {})
+        tally = tallies[0] if obs.kind == KIND_BGP else tallies[1]
+        tally[obs.link] = tally.get(obs.link, 0) + obs.weight
 
     assignment: Dict[ASN, LinkId] = {}
     stats = ResolutionStats()
-    for source, counters in by_source.items():
+    for source, (bgp, traceroute) in by_source.items():
         stats.sources_observed += 1
-        links_seen = set(counters[KIND_BGP]) | set(counters[KIND_TRACEROUTE])
-        if len(links_seen) > 1:
+        if len(bgp.keys() | traceroute.keys()) > 1:
             stats.sources_in_multiple_catchments += 1
-        preferred = counters[KIND_BGP] or counters[KIND_TRACEROUTE]
-        best_link = min(
-            preferred.items(), key=lambda item: (-item[1], item[0])
-        )[0]
+        preferred = bgp or traceroute
+        if len(preferred) == 1:
+            best_link = next(iter(preferred))
+        else:
+            best_link = min(
+                preferred.items(), key=lambda item: (-item[1], item[0])
+            )[0]
         assignment[source] = best_link
     return assignment, stats
 

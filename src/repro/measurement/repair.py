@@ -83,9 +83,11 @@ def build_gap_index(
     exactly as it would with the full index.
     """
     index: Dict[Tuple[int, int], Set[Tuple[int, ...]]] = defaultdict(set)
+    # The index is a union of sets, so a hop sequence traced twice adds
+    # nothing the second time: index each distinct sequence once.
+    distinct = dict.fromkeys(trace.hops for trace in traceroutes)
     if queries is None:
-        for trace in traceroutes:
-            hops = trace.hops
+        for hops in distinct:
             for i, first in enumerate(hops):
                 if first is None:
                     continue
@@ -102,8 +104,7 @@ def build_gap_index(
     for before, _, length in queries:
         if reach.get(before, 0) < length:
             reach[before] = length
-    for trace in traceroutes:
-        hops = trace.hops
+    for hops in distinct:
         for i, first in enumerate(hops):
             longest = reach.get(first)
             if longest is None:
@@ -124,37 +125,54 @@ def repair_ip_gaps(
     """Step 1: fill unresponsive runs using unique segments from other traces."""
     if None not in trace.hops:
         return trace
-    hops = list(trace.hops)
-    repaired: List[Optional[int]] = []
-    i = 0
-    while i < len(hops):
-        hop = hops[i]
-        if hop is not None or not repaired or repaired[-1] is None:
-            repaired.append(hop)
-            i += 1
-            continue
-        # A run of None starting at i, preceded by a responsive hop.
-        j = i
-        while j < len(hops) and hops[j] is None:
-            j += 1
-        if j >= len(hops):
-            repaired.extend(hops[i:])
-            break
-        before, after = repaired[-1], hops[j]
-        candidates = gap_index.get((before, after), set())
-        # Only substitutions of matching length are plausible repairs.
-        plausible = {seg for seg in candidates if len(seg) == j - i}
-        if len(plausible) == 1:
-            repaired.extend(next(iter(plausible)))
-        else:
-            repaired.extend(hops[i:j])
-        i = j
     return Traceroute(
         probe_as=trace.probe_as,
         target=trace.target,
-        hops=tuple(repaired),
+        hops=_repaired_hops(trace.hops, gap_index),
         reached_target=trace.reached_target,
     )
+
+
+def _repaired_hops(
+    hops: Tuple[Optional[int], ...],
+    gap_index: Mapping[Tuple[int, int], Set[Tuple[int, ...]]],
+) -> Tuple[Optional[int], ...]:
+    """:func:`repair_ip_gaps` on a hop tuple holding at least one None.
+
+    Each internal run of Nones is replaced by the one indexed segment of
+    its length between the responsive hops bracketing it, when exactly
+    one exists; leading and trailing runs are kept as they are.
+    """
+    repaired: List[Optional[int]] = []
+    size = len(hops)
+    start = 0
+    i = hops.index(None)
+    while i < size:
+        j = i + 1
+        while j < size and hops[j] is None:
+            j += 1
+        if i == 0 or j == size:  # a leading or trailing run
+            i = j
+        else:
+            length = j - i
+            unique = None
+            count = 0
+            for segment in gap_index.get((hops[i - 1], hops[j]), ()):
+                if len(segment) == length:
+                    unique = segment
+                    count += 1
+            if count == 1:
+                repaired.extend(hops[start:i])
+                repaired.extend(unique)
+                start = j
+            i = j
+        # Advance to the next None, if any.
+        while i < size and hops[i] is not None:
+            i += 1
+    if not start:
+        return hops
+    repaired.extend(hops[start:])
+    return tuple(repaired)
 
 
 def map_hops_to_ases(
@@ -230,21 +248,51 @@ def as_path_with_reason(
     or :data:`DROP_ALL_UNMAPPED` (responsive hops exist, but none maps
     to an AS after repair).  Degenerate traceroutes are thereby dropped
     with attribution instead of silently contributing an empty path.
+
+    The result is that of :func:`repair_ip_gaps`, :func:`map_hops_to_ases`
+    and :func:`resolve_as_gaps` in turn, with UNKNOWN hops and consecutive
+    duplicates then dropped, computed in one pass over the hop tuple.
     """
-    if not trace.hops:
+    hops = trace.hops
+    if not hops:
         return (), DROP_EMPTY
-    if all(hop is None for hop in trace.hops):
-        return (), DROP_ALL_UNRESPONSIVE
-    if gap_index is not None:
-        trace = repair_ip_gaps(trace, gap_index)
-    mapped = map_hops_to_ases(trace, mapper)
-    resolved = resolve_as_gaps(mapped, bgp_segments)
+    if None in hops:
+        if hops.count(None) == len(hops):
+            return (), DROP_ALL_UNRESPONSIVE
+        if gap_index is not None:
+            hops = _repaired_hops(hops, gap_index)
+    # Map, bracket and deduplicate in one pass.  A run of UNKNOWN hops
+    # between two hops of one AS would be filled with that AS (step 2),
+    # which deduplication then collapses, so only a run between two
+    # different ASes is looked up among the BGP segments (step 3).
+    # Leading and trailing runs have no bracket and are dropped.
+    asn_of = mapper.map_address
     path: List[ASN] = []
-    for asn in resolved:
+    append = path.append
+    last = UNKNOWN  # path[-1]: where a run starts, the AS left of it
+    gap = False  # an UNKNOWN run follows ``last``
+    for hop in hops:
+        asn = UNKNOWN if hop is None else asn_of(hop)
         if asn is UNKNOWN:
+            gap = last is not UNKNOWN
             continue
-        if not path or path[-1] != asn:
-            path.append(asn)
+        if gap:
+            gap = False
+            if asn != last and bgp_segments is not None:
+                unique = None
+                count = 0
+                for segment in bgp_segments.get((last, asn), ()):
+                    if segment:
+                        unique = segment
+                        count += 1
+                if count == 1:
+                    for between in unique:
+                        if between != last:
+                            append(between)
+                            last = between
+        if asn != last:
+            append(asn)
+            last = asn
     if not path:
         return (), DROP_ALL_UNMAPPED
     return tuple(path), None

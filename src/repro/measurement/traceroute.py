@@ -12,8 +12,9 @@ output with the artifacts that make the paper's repair pipeline
 * occasional bogus paths (probe misattribution / stale routes), and
 * truncated measurements that never reach the target.
 
-All randomness is derived from ``(seed, probe AS, round)`` so a
-measurement is reproducible regardless of call order.
+All randomness is derived from ``(seed, probe AS, round, configuration)``
+— the configuration enters as its ``describe()`` key — so a measurement
+is reproducible regardless of call order.
 """
 
 from __future__ import annotations
@@ -98,14 +99,27 @@ class TracerouteParams:
                 raise MeasurementError(f"{name} must be in [0, 1], got {value}")
 
 
+#: One hop of a hop plan: the address that answers, and for an AS's
+#: first router entered from another AS, the border interface numbered
+#: from that AS's block (else None).
+PlanHop = Tuple[int, Optional[int]]
+
+
 class TracerouteEngine:
     """Simulates traceroutes along a routing outcome's forwarding paths.
 
     Hop addresses depend only on the static testbed (address plan, IXP
-    registry, seed), so they are memoized on first use: each AS's router
-    interface chain, and per traversed AS pair the peering-LAN hop and
-    the border interface numbered from the upstream AS.  The tables never
-    hold per-configuration data.
+    registry, seed) and the forwarding AS path, so each distinct path's
+    *hop plan* is memoized on first use: one :data:`PlanHop` per hop
+    before the target — for each AS the packets traverse before the
+    origin, the peering-LAN hop entering it (over an IXP) and its router
+    chain.  That run of hops depends only on the AS and the one it is
+    entered from, so it is memoized per AS pair and plans share it.
+    Synthesis walks the plan, drawing per hop whether it answers
+    and, at an AS's first router, whether the border interface answers
+    from the upstream block, in exactly the order a per-hop derivation
+    would.  The plan table is keyed by AS path only and never holds
+    per-configuration data; the random draws are per configuration.
     """
 
     def __init__(
@@ -119,52 +133,75 @@ class TracerouteEngine:
         self.plan = plan
         self.ixps = ixps or IXPRegistry()
         self.params = params or TracerouteParams()
-        self._router_addresses: Dict[ASN, Tuple[int, ...]] = {}
-        self._lan_hops: Dict[Tuple[ASN, ASN], Optional[int]] = {}
-        self._border_addresses: Dict[Tuple[ASN, ASN], int] = {}
+        self._entries: Dict[Tuple[Optional[ASN], ASN], Tuple[PlanHop, ...]] = {}
+        self._hop_plans: Dict[ASPath, Tuple[PlanHop, ...]] = {}
+        # Re-seeded per trace: seeding equals constructing a fresh one.
+        self._rng = random.Random(0)
 
     def _routers_in(self, asn: ASN) -> int:
         digest = zlib.crc32(f"routers|{asn}|{self.params.seed}".encode("ascii"))
         return 1 + digest % self.params.max_routers_per_as
 
     def _rng_for(self, probe_as: ASN, round_index: int, config_key: str) -> random.Random:
+        """The engine's generator, re-seeded for one trace."""
         digest = zlib.crc32(
             f"probe|{probe_as}|{round_index}|{config_key}|{self.params.seed}".encode("ascii")
         )
-        return random.Random(digest)
+        self._rng.seed(digest)
+        return self._rng
 
-    def _routers_of(self, asn: ASN) -> Tuple[int, ...]:
-        """Interface addresses of ``asn``'s internal router chain."""
-        addresses = self._router_addresses.get(asn)
-        if addresses is None:
-            addresses = self._router_addresses[asn] = tuple(
+    def _entry_hops(self, previous_as: Optional[ASN], asn: ASN) -> Tuple[PlanHop, ...]:
+        """The memoized :data:`PlanHop` run of ``asn`` entered from
+        ``previous_as`` (None for the first AS of a path): the peering-LAN
+        hop when the two meet over an IXP, then ``asn``'s router chain."""
+        key = (previous_as, asn)
+        hops = self._entries.get(key)
+        if hops is None:
+            first, *rest = (
                 self.plan.router_address(asn, self._hop_slot(asn, index))
                 for index in range(self._routers_in(asn))
             )
-        return addresses
+            built: List[PlanHop] = []
+            border = None
+            if previous_as is not None:
+                ixp = self.ixps.ixp_for_link(previous_as, asn)
+                if ixp is not None:
+                    built.append((self.ixps.lan_address(ixp, asn), None))
+                border = self.plan.router_address(previous_as, self._hop_slot(asn, 0))
+            built.append((first, border))
+            built.extend((address, None) for address in rest)
+            hops = self._entries[key] = tuple(built)
+        return hops
 
-    def _lan_hop(self, previous_as: ASN, asn: ASN) -> Optional[int]:
-        """Peering-LAN address ``asn`` answers from when entered from
-        ``previous_as`` over an IXP; None for a private interconnect."""
-        key = (previous_as, asn)
+    def _hop_plan(self, as_path: ASPath) -> Tuple[PlanHop, ...]:
+        """The memoized :data:`PlanHop` sequence of ``as_path``: its ASes'
+        entry runs, end to end, sharing their hop tuples between paths."""
+        plan = self._hop_plans.get(as_path)
+        if plan is None:
+            hops: List[PlanHop] = []
+            previous_as: Optional[ASN] = None
+            for asn in as_path[:-1]:  # the origin is represented by the target hop
+                hops.extend(self._entry_hops(previous_as, asn))
+                previous_as = asn
+            plan = self._hop_plans[as_path] = tuple(hops)
+        return plan
+
+    @staticmethod
+    def _forwarding_path(
+        outcome: RoutingOutcome, asn: ASN, paths: Dict[ASN, Optional[ASPath]]
+    ) -> Optional[ASPath]:
+        """``outcome.forwarding_path(asn)``, None when it has none, read
+        through ``paths``, a memo for this one outcome."""
         try:
-            return self._lan_hops[key]
+            return paths[asn]
         except KeyError:
             pass
-        ixp = self.ixps.ixp_for_link(previous_as, asn)
-        address = None if ixp is None else self.ixps.lan_address(ixp, asn)
-        self._lan_hops[key] = address
-        return address
-
-    def _border_address(self, previous_as: ASN, asn: ASN) -> int:
-        """``asn``'s entry interface numbered from ``previous_as``'s block."""
-        key = (previous_as, asn)
-        address = self._border_addresses.get(key)
-        if address is None:
-            address = self._border_addresses[key] = self.plan.router_address(
-                previous_as, self._hop_slot(asn, 0)
-            )
-        return address
+        try:
+            path: Optional[ASPath] = outcome.forwarding_path(asn)
+        except SimulationError:
+            path = None
+        paths[asn] = path
+        return path
 
     def measure(
         self,
@@ -172,11 +209,14 @@ class TracerouteEngine:
         probe_as: ASN,
         round_index: int = 0,
         config_key: Optional[str] = None,
+        paths: Optional[Dict[ASN, Optional[ASPath]]] = None,
     ) -> Optional[Traceroute]:
         """Run one traceroute from ``probe_as`` toward the prefix.
 
         ``config_key`` is ``outcome.config.describe()``; callers issuing
-        many traceroutes under one outcome pass it to skip recomputing it.
+        many traceroutes under one outcome pass it to skip recomputing it,
+        and may pass ``paths``, an initially empty dict they keep for that
+        outcome only, to memoize its forwarding paths across traces.
 
         Returns None when the probe currently has no route (e.g. its
         region lost reachability under a withdrawal) — matching a real
@@ -185,51 +225,42 @@ class TracerouteEngine:
         params = self.params
         if config_key is None:
             config_key = outcome.config.describe()
+        if paths is None:
+            paths = {}
         rng = self._rng_for(probe_as, round_index, config_key)
+        draw = rng.random
         measured_as = probe_as
-        if params.path_error_rate and rng.random() < params.path_error_rate:
+        if params.path_error_rate and draw() < params.path_error_rate:
             neighbors = sorted(self.graph.neighbors(probe_as))
             neighbors = [n for n in neighbors if n in outcome.routes]
             if neighbors:
                 measured_as = rng.choice(neighbors)
-        try:
-            as_path = outcome.forwarding_path(measured_as)
-        except SimulationError:
+        as_path = self._forwarding_path(outcome, measured_as, paths)
+        if as_path is None:
             return None
         if (
             params.divergence_rate
             and len(as_path) > 3
-            and rng.random() < params.divergence_rate
+            and draw() < params.divergence_rate
         ):
-            as_path = self._diverge(outcome, as_path, rng)
+            as_path = self._diverge(outcome, as_path, rng, paths)
 
         target = self.plan.target_address()
-        draw = rng.random
         unresponsive_rate = params.unresponsive_rate
         border_sharing_rate = params.border_sharing_rate
         hops: List[Optional[int]] = []
-        previous_as: Optional[ASN] = None
-        for asn in as_path[:-1]:  # the origin is represented by the target hop
-            if previous_as is not None:
-                lan = self._lan_hop(previous_as, asn)
-                if lan is not None:
-                    hops.append(None if draw() < unresponsive_rate else lan)
-            for router_index, address in enumerate(self._routers_of(asn)):
-                if draw() < unresponsive_rate:
-                    hops.append(None)
-                    continue
-                # The border-sharing draw happens even at rate 0, so the
-                # draw sequence does not depend on the rate.
-                if (
-                    router_index == 0
-                    and previous_as is not None
-                    and draw() < border_sharing_rate
-                ):
-                    address = self._border_address(previous_as, asn)
-                hops.append(address)
-            previous_as = asn
+        append = hops.append
+        for address, border in self._hop_plan(as_path):
+            # The border-sharing draw happens even at rate 0, so the draw
+            # sequence does not depend on the rate.
+            if draw() < unresponsive_rate:
+                append(None)
+            elif border is not None and draw() < border_sharing_rate:
+                append(border)
+            else:
+                append(address)
 
-        if params.truncation_rate and rng.random() < params.truncation_rate and hops:
+        if params.truncation_rate and draw() < params.truncation_rate and hops:
             cut = rng.randrange(1, len(hops) + 1)
             return Traceroute(
                 probe_as=probe_as,
@@ -237,13 +268,17 @@ class TracerouteEngine:
                 hops=tuple(hops[:cut]),
                 reached_target=False,
             )
-        hops.append(target)
+        append(target)
         return Traceroute(
             probe_as=probe_as, target=target, hops=tuple(hops), reached_target=True
         )
 
     def _diverge(
-        self, outcome: RoutingOutcome, as_path: ASPath, rng: random.Random
+        self,
+        outcome: RoutingOutcome,
+        as_path: ASPath,
+        rng: random.Random,
+        paths: Optional[Dict[ASN, Optional[ASPath]]] = None,
     ) -> ASPath:
         """Fork the path at an intermediate AS onto a neighbor's best path.
 
@@ -252,6 +287,8 @@ class TracerouteEngine:
         in our model, continuing along that neighbor's path to the origin.
         Divergences that would create AS-level loops are discarded.
         """
+        if paths is None:
+            paths = {}
         fork_index = rng.randrange(1, len(as_path) - 2)
         fork_as = as_path[fork_index]
         prefix = as_path[: fork_index + 1]
@@ -263,9 +300,8 @@ class TracerouteEngine:
         ]
         rng.shuffle(neighbors)
         for neighbor in neighbors:
-            try:
-                suffix = outcome.forwarding_path(neighbor)
-            except SimulationError:
+            suffix = self._forwarding_path(outcome, neighbor, paths)
+            if suffix is None:
                 continue
             candidate = prefix + suffix
             if len(candidate) == len(set(candidate)):

@@ -7,7 +7,11 @@ the ``small`` testbed at seed 0 over its first 60 configurations — once
 clean and once under the bundled ``partial-measurement`` fault plan
 (traceroute loss + collector flaps) — and the measured, imputed
 ``catchment_history`` of a tracker run over the same configurations.
-A subprocess pinned to another ``PYTHONHASHSEED`` must reproduce them.
+Aggregated measurements could hide offsetting errors, so a fourth digest
+pins every synthesized traceroute ``(probe_as, hops, reached_target)``
+and each reached trace's :func:`as_path_with_reason` result under the
+campaign's own gap and BGP segment indexes.  A subprocess pinned to
+another ``PYTHONHASHSEED`` must reproduce all four.
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ import pytest
 from repro.cli import SCALES
 from repro.core.pipeline import SpoofTracker, build_testbed
 from repro.faults import FaultInjector, load_fault_plan
+from repro.measurement.repair import (
+    as_path_with_reason,
+    build_bgp_segment_index,
+    build_gap_index,
+    gap_queries,
+)
 
 SEED = 0
 MAX_CONFIGS = 60
@@ -33,6 +43,7 @@ GOLDEN = {
     "campaign": "f627ea450455da0bbe485e9e4b0cb941cc859ab9c6acf1c3105251e045e8223b",
     "campaign_faults": "052b36e0069f164acb1c160b116a866c7b2495b69fc02b0e07df2cb36690131b",
     "catchment_history": "ae0110d53cb1ff9fd6389fe555f4a4efddb3d1ca3173ae5f57f3ba665aa16017",
+    "traces": "ef9dd996527b304df144d669a9589f9baee3d833851a901f289040c4d7dc1014",
 }
 
 
@@ -56,6 +67,29 @@ def measurement_record(measurement) -> list:
     ]
 
 
+def trace_records(campaign, outcomes) -> list:
+    """Per configuration, every synthesized traceroute and each reached
+    trace's repaired AS path (or drop reason), as the campaign derives it."""
+    records = []
+    for outcome in outcomes:
+        traces = campaign.fleet.all_traceroutes(outcome)
+        reached = [trace for trace in traces if trace.reached_target]
+        gap_index = build_gap_index(traces, gap_queries(reached))
+        segments = build_bgp_segment_index(
+            campaign.collectors.observe(outcome).values()
+        )
+        records.append(
+            [
+                [[t.probe_as, list(t.hops), t.reached_target] for t in traces],
+                [
+                    list(as_path_with_reason(t, campaign.mapper, gap_index, segments))
+                    for t in reached
+                ],
+            ]
+        )
+    return records
+
+
 def golden_runs():
     """``(digests, campaign records, faulted records)`` for the pinned run."""
     testbed = build_testbed(seed=SEED, topology_params=SCALES["small"])
@@ -63,6 +97,7 @@ def golden_runs():
     try:
         outcomes = tracker.engine.simulate_many(tracker.schedule[:MAX_CONFIGS])
         campaign = testbed.campaign
+        traces = trace_records(campaign, outcomes)
         clean = [
             measurement_record(campaign.measure(outcome, fault_token=index))
             for index, outcome in enumerate(outcomes)
@@ -85,6 +120,7 @@ def golden_runs():
         "campaign": _sha(clean),
         "campaign_faults": _sha(faulted),
         "catchment_history": _sha(history),
+        "traces": _sha(traces),
     }
     return digests, clean, faulted
 
@@ -106,6 +142,10 @@ class TestGoldenDigests:
     def test_catchment_history_digest(self, runs):
         digests, _, _ = runs
         assert digests["catchment_history"] == GOLDEN["catchment_history"]
+
+    def test_trace_digest(self, runs):
+        digests, _, _ = runs
+        assert digests["traces"] == GOLDEN["traces"]
 
     def test_fault_plan_fires_both_measurement_faults(self, runs):
         _, _, faulted = runs

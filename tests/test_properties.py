@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import ccdf_points, cdf_points, percentile
@@ -11,7 +11,32 @@ from repro.bgp.policy import PolicyModel
 from repro.bgp.simulator import RoutingSimulator
 from repro.core.clustering import ClusterState
 from repro.errors import MappingError
-from repro.measurement.ip2as import PrefixTrie
+from repro.measurement.catchment import (
+    KIND_BGP,
+    KIND_TRACEROUTE,
+    CatchmentObservation,
+    resolve_observations,
+)
+from repro.measurement.ip2as import (
+    IXP_BLOCK_BASE,
+    AddressPlan,
+    IPToASMapper,
+    PrefixTrie,
+)
+from repro.measurement.repair import (
+    DROP_ALL_UNMAPPED,
+    DROP_ALL_UNRESPONSIVE,
+    DROP_EMPTY,
+    UNKNOWN,
+    as_path_with_reason,
+    build_bgp_segment_index,
+    build_gap_index,
+    gap_queries,
+    map_hops_to_ases,
+    repair_ip_gaps,
+    resolve_as_gaps,
+)
+from repro.measurement.traceroute import Traceroute
 from repro.types import Prefix, path_without_prepending
 from repro.topology.generator import TopologyParams, generate_topology
 from repro.topology.peering import attach_origin
@@ -256,3 +281,192 @@ class TestSimulatorInvariants:
                 assert origin.link_toward_provider(provider).link_id == (
                     route.link_id
                 )
+
+
+# ----------------------------------------------------------------------
+# Measure-phase fast paths against their step-by-step definitions
+# ----------------------------------------------------------------------
+
+_PLAN = AddressPlan([1, 2, 3], origin_asn=9)
+_IXP_LAN = Prefix(IXP_BLOCK_BASE, 24)
+_MAPPER = IPToASMapper(_PLAN, [_IXP_LAN])
+_UNMAPPED = 1 << 24  # below every AS block
+#: Two routers in AS 1, one in each other AS, a peering-LAN address and an
+#: unmapped one: a small pool, so brackets and segments recur across traces.
+_HOP_POOL = [
+    _PLAN.router_address(1, 0),
+    _PLAN.router_address(1, 1),
+    _PLAN.router_address(2, 0),
+    _PLAN.router_address(3, 0),
+    _PLAN.router_address(9, 0),
+    _IXP_LAN.network + 1,
+    _UNMAPPED,
+]
+
+hop_tuples = st.lists(
+    st.one_of(st.none(), st.sampled_from(_HOP_POOL)), max_size=8
+).map(tuple)
+bgp_path_lists = st.lists(
+    st.lists(st.sampled_from([1, 2, 3, 9]), min_size=1, max_size=4).map(tuple),
+    max_size=5,
+)
+
+
+def reference_repair(hops, gap_index):
+    """IP-level gap repair walking the hops one at a time (§IV-b step 1)."""
+    repaired = []
+    i = 0
+    while i < len(hops):
+        hop = hops[i]
+        if hop is not None or not repaired or repaired[-1] is None:
+            repaired.append(hop)
+            i += 1
+            continue
+        j = i
+        while j < len(hops) and hops[j] is None:
+            j += 1
+        if j >= len(hops):
+            repaired.extend(hops[i:])
+            break
+        candidates = gap_index.get((repaired[-1], hops[j]), set())
+        plausible = {seg for seg in candidates if len(seg) == j - i}
+        if len(plausible) == 1:
+            repaired.extend(next(iter(plausible)))
+        else:
+            repaired.extend(hops[i:j])
+        i = j
+    return tuple(repaired)
+
+
+def composed_as_path(trace, mapper, gap_index, bgp_segments):
+    """repair_ip_gaps → map_hops_to_ases → resolve_as_gaps → dedupe."""
+    if not trace.hops:
+        return (), DROP_EMPTY
+    if all(hop is None for hop in trace.hops):
+        return (), DROP_ALL_UNRESPONSIVE
+    if gap_index is not None:
+        trace = repair_ip_gaps(trace, gap_index)
+    resolved = resolve_as_gaps(map_hops_to_ases(trace, mapper), bgp_segments)
+    path = []
+    for asn in resolved:
+        if asn is not UNKNOWN and (not path or path[-1] != asn):
+            path.append(asn)
+    if not path:
+        return (), DROP_ALL_UNMAPPED
+    return tuple(path), None
+
+
+@st.composite
+def repair_cases(draw):
+    """A hop tuple plus other traces: copies of it with some unresponsive
+    hops answered (so its gaps have candidate segments, unique or not)
+    and unrelated traces."""
+    hops = draw(hop_tuples)
+    answers = st.lists(
+        st.one_of(st.none(), st.sampled_from(_HOP_POOL)),
+        min_size=len(hops),
+        max_size=len(hops),
+    )
+    others = [
+        tuple(hop if hop is not None else answer for hop, answer in zip(hops, fill))
+        for fill in draw(st.lists(answers, max_size=4))
+    ]
+    others += draw(st.lists(hop_tuples, max_size=4))
+    return hops, others
+
+
+_A1, _B1, _A2, _A3, _A9 = _HOP_POOL[:5]
+
+
+class TestRepairFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(repair_cases())
+    @example(((None, None), []))
+    @example(((None, _A1, _A2), [(_A2, _A3, _A1)]))  # a leading run is kept
+    @example(((_A1, None, _A2), [(_A1, _A3, _A2), (_A1, _A9, _A2)]))  # ambiguous
+    def test_gap_repair_matches_walk(self, case):
+        hops, others = case
+        index = build_gap_index(
+            [Traceroute(1, 0, each, True) for each in others + [hops]]
+        )
+        trace = Traceroute(1, 0, hops, True)
+        assert repair_ip_gaps(trace, index).hops == reference_repair(hops, index)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        repair_cases(),
+        bgp_path_lists,
+        st.sampled_from(["none", "full", "queried"]),
+        st.booleans(),
+    )
+    @example(((), []), [], "full", True)
+    @example(((None, None, None), []), [], "full", True)
+    @example(((None, _A1, None, _A2, None), []), [], "full", True)
+    @example(((_A1, None, _A2), []), [(1, 3, 2)], "none", True)  # BGP bracket
+    @example(((_A1, None, _A2), []), [(1, 3, 2), (1, 9, 2)], "none", True)
+    @example(((_A1, None, _B1), []), [(1, 2, 1)], "none", True)  # one AS
+    @example(((_A1, _HOP_POOL[5], _A1), []), [], "none", False)  # IXP hop
+    @example(((_HOP_POOL[5], _HOP_POOL[6]), []), [], "none", False)
+    def test_one_pass_matches_composition(
+        self, case, bgp_paths, index_mode, with_segments
+    ):
+        hops, others = case
+        traces = [Traceroute(1, 0, each, True) for each in others + [hops]]
+        gap_index = {
+            "none": None,
+            "full": build_gap_index(traces),
+            "queried": build_gap_index(traces, gap_queries(traces)),
+        }[index_mode]
+        segments = build_bgp_segment_index(bgp_paths) if with_segments else None
+        trace = traces[-1]
+        assert as_path_with_reason(
+            trace, _MAPPER, gap_index, segments
+        ) == composed_as_path(trace, _MAPPER, gap_index, segments)
+
+
+observation_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from(["l1", "l2", "l3"]),
+        st.sampled_from([KIND_BGP, KIND_TRACEROUTE]),
+        st.integers(min_value=1, max_value=4),
+    ),
+    max_size=25,
+)
+
+
+def _resolved(observations):
+    assignment, stats = resolve_observations(observations)
+    return list(assignment.items()), stats
+
+
+class TestWeightedResolution:
+    @settings(max_examples=200, deadline=None)
+    @given(observation_rows)
+    def test_weighted_rows_match_their_expansion(self, rows):
+        weighted = [
+            CatchmentObservation(source, link, kind, weight)
+            for source, link, kind, weight in rows
+        ]
+        expanded = [
+            CatchmentObservation(source, link, kind)
+            for source, link, kind, weight in rows
+            for _ in range(weight)
+        ]
+        assert _resolved(weighted) == _resolved(expanded)
+
+    @settings(max_examples=200, deadline=None)
+    @given(observation_rows)
+    def test_first_seen_tally_matches_sightings(self, rows):
+        """Tallying sightings per (source, link, kind) in first-seen order,
+        as the campaign does, keeps the assignment and its order."""
+        sightings = [(source, link, kind) for source, link, kind, _ in rows]
+        tally = {}
+        for key in sightings:
+            tally[key] = tally.get(key, 0) + 1
+        weighted = [
+            CatchmentObservation(source, link, kind, weight)
+            for (source, link, kind), weight in tally.items()
+        ]
+        unweighted = [CatchmentObservation(*key) for key in sightings]
+        assert _resolved(weighted) == _resolved(unweighted)

@@ -259,6 +259,9 @@ class TestMemoizedSynthesis:
             anycast_all(small_testbed.origin.link_ids)
         )
         key = outcome.config.describe()
+        paths = {}  # the forwarding-path memo a fleet keeps per outcome
+        is_ixp = small_testbed.campaign.mapper.is_ixp_address
+        crossed_ixp = False
         for round_index in range(3):
             for probe_as in small_testbed.fleet.probe_ases:
                 expected = reference_measure(engine, outcome, probe_as, round_index)
@@ -267,5 +270,15 @@ class TestMemoizedSynthesis:
                     engine.measure(outcome, probe_as, round_index, config_key=key)
                     == expected
                 )
+                assert (
+                    engine.measure(
+                        outcome, probe_as, round_index, config_key=key, paths=paths
+                    )
+                    == expected
+                )
+                if expected is not None:
+                    crossed_ixp |= any(
+                        hop is not None and is_ixp(hop) for hop in expected.hops
+                    )
         # The testbed's IXPs were crossed.
-        assert any(lan is not None for lan in engine._lan_hops.values())
+        assert crossed_ixp
