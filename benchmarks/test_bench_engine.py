@@ -12,7 +12,10 @@ serialization, and times one fixpoint of the indexed simulation core
 over it — the scale the paper's traceback loop must sustain to race
 real announcement schedules.  It also times the reference Gauss-Seidel
 sweep (``tests/bgp_reference.py``, the test suite's oracle) on the same
-fixpoint and asserts the two agree bit for bit.
+fixpoint and asserts the two agree bit for bit, and times the engine's
+subset warm start seeded with the parent's route table (dirty-frontier
+pass 1) against the same seed as a plain dict (full pass 1), asserting
+the two agree.
 
 Both tests merge into the artifact read-modify-write style, so a smoke
 run that skips the large benchmark preserves the committed large-graph
@@ -215,6 +218,22 @@ def test_engine_large_graph_fixpoint(capsys):
     sim.simulate(subset)
     compiled_time = time.perf_counter() - start
 
+    # The engine's subset warm start: seeded with the converged parent's
+    # route table, pass 1 evaluates only the dirty frontier.  A plain
+    # dict of the same routes gets the full pass 1; both must agree.
+    start = time.perf_counter()
+    warm_outcome = sim.simulate(subset, warm_start=cold_outcome.routes)
+    warm_time = time.perf_counter() - start
+    seed_dict = dict(cold_outcome.routes)
+    start = time.perf_counter()
+    full_pass_outcome = sim.simulate(subset, warm_start=seed_dict)
+    warm_dict_time = time.perf_counter() - start
+    assert warm_outcome.routes == full_pass_outcome.routes
+    assert warm_outcome.catchments == full_pass_outcome.catchments
+    assert warm_outcome.passes == full_pass_outcome.passes
+    assert warm_outcome.decision_changes == full_pass_outcome.decision_changes
+    assert warm_outcome.converged == full_pass_outcome.converged
+
     legacy = ReferenceSweep.of(sim)
     start = time.perf_counter()
     legacy_outcome = legacy.simulate(baseline)
@@ -239,6 +258,10 @@ def test_engine_large_graph_fixpoint(capsys):
             "large_graph_cold_fixpoint_seconds": round(cold_time, 4),
             "large_graph_compiled_fixpoint_seconds": round(compiled_time, 4),
             "large_graph_legacy_fixpoint_seconds": round(legacy_time, 4),
+            "large_graph_warm_fixpoint_seconds": round(warm_time, 4),
+            "large_graph_warm_full_pass_fixpoint_seconds": round(
+                warm_dict_time, 4
+            ),
             "large_graph_passes": cold_outcome.passes,
             "large_graph_routed_ases": len(cold_outcome.routes),
         }

@@ -20,8 +20,10 @@ state:
   policy method calls.
 * Route state lives in parallel arrays (link index, AS-path length,
   relationship class, LocalPref, path tuple) instead of
-  :class:`~repro.bgp.route.Route` objects; ``Route`` objects are
-  materialized once, for the final outcome.
+  :class:`~repro.bgp.route.Route` objects.  The outcome keeps the final
+  arrays as a :class:`RouteTable`, a read-only mapping that builds a
+  ``Route`` only when one is looked up; catchments are read straight
+  off the arrays.
 * Only *dirty* ASes are re-evaluated: an AS is scheduled exactly when a
   neighbor's route changed since its last evaluation.  Scheduling is
   position-ordered (a heap over visit positions), which makes the
@@ -29,6 +31,16 @@ state:
   the number of passes — **bit-identical** to the reference sweep: a
   re-evaluation whose inputs did not change is a provable no-op, so
   skipping it cannot alter the outcome.
+* The same argument covers pass 1 of a warm start seeded with the
+  :class:`RouteTable` of a converged parent on this core.  That state
+  is a best response at every AS, so pass 1 schedules only the ASes
+  whose inputs differ from the parent's: dropped seeds, providers whose
+  direct announcement changed, neighbors of a provider whose no-export
+  entry changed, and the ASes of a changed announced path (see
+  :meth:`CompiledTopology._pass1_frontier`).  Any other seed — a plain
+  mapping, a table of another core, a parent cut at ``max_passes`` —
+  is read into the same arrays, goes through the same seed filter, and
+  gets the full pass 1.
 
 On storage choices: plain Python lists are used deliberately.  The inner
 loop performs scalar indexed reads, and CPython reads a boxed int out of
@@ -49,6 +61,7 @@ that override ``accepts``/``exports`` themselves cannot be compiled, and
 from __future__ import annotations
 
 import heapq
+from collections import abc
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConvergenceError
@@ -205,6 +218,66 @@ class CompiledTopology:
 
     # ------------------------------------------------------------------
 
+    def _pass1_frontier(
+        self,
+        parent: "RouteTable",
+        dropped: Sequence[int],
+        direct_link: Sequence[int],
+        opath: Sequence[Optional[ASPath]],
+        noexp: Optional[Dict[int, Tuple[int, FrozenSet[ASN]]]],
+    ) -> List[int]:
+        """Visit positions pass 1 must evaluate, ascending, when seeded
+        from ``parent``: the converged fixpoint of another configuration
+        on this core.
+
+        At a converged fixpoint, re-running any AS's decision on the
+        final state reproduces its route.  The full sweep's pass 1
+        evaluates each AS on its own seed, its neighbors' routes and
+        this configuration's announcement; a neighbor that changes
+        earlier in the pass pushes it (``pj > p`` in the loop).  Where
+        the rest equals the parent's fixpoint the evaluation is a no-op,
+        so only the ASes whose inputs may differ are scheduled:
+
+        * an AS whose seed was dropped.  Its neighbors need not be: a
+          kept seed never descends from a dropped one (it would share
+          the dropped link and tail), so the dropped route was a losing
+          candidate there, and the argmin without it is the same;
+        * a provider whose direct announcement (link or path) changed;
+        * the neighbors of a provider whose no-export entry changed;
+        * the ASes of a link's old announced path when that path changed:
+          a seed kept through it now has its transit part cut at another
+          length, which only a loop check by one of those ASes can see.
+        """
+        n = self.n
+        off = self.off
+        adj = self.adj
+        index = self.index
+        mark = bytearray(n)
+        for i in dropped:
+            mark[i] = 1
+        parent_direct = parent.direct_link
+        parent_opath = parent.opath
+        for i in set(self.link_provider_idx):
+            k = direct_link[i]
+            if k != parent_direct[i] or (k >= 0 and opath[k] != parent_opath[k]):
+                mark[i] = 1
+        for k, old in enumerate(parent_opath):
+            if old is not None and opath[k] is not None and old != opath[k]:
+                for asn in old:
+                    i = index.get(asn)
+                    if i is not None:
+                        mark[i] = 1
+        parent_noexp = parent.noexp or {}
+        child_noexp = noexp or {}
+        for k in parent_noexp.keys() | child_noexp.keys():
+            if parent_noexp.get(k) != child_noexp.get(k):
+                i = self.link_provider_idx[k]
+                for e in range(off[i], off[i + 1]):
+                    mark[adj[e]] = 1
+        return [p for p, i in enumerate(self.order) if mark[i]]
+
+    # ------------------------------------------------------------------
+
     def propagate(
         self,
         config: AnnouncementConfig,
@@ -254,43 +327,68 @@ class CompiledTopology:
                 noexp[k] = (self.link_provider_idx[k], blocked)
 
         # -- route state ------------------------------------------------
-        r_link = [-1] * n
-        r_from: List[ASN] = [0] * n
-        r_rel: List[Optional[Relationship]] = [None] * n
-        r_lp = [0] * n
+        index = self.index
+        table = warm_start if isinstance(warm_start, RouteTable) else None
+        if table is not None and table.core is not self:
+            table = None
+        # Per link, whether every seed through it is known to end in
+        # this configuration's announced path already (a table of this
+        # core whose link announced the same path): the filter then
+        # skips the per-route tail comparison.
+        same_tail = [False] * num_links
+        if table is not None:
+            r_link = list(table.r_link)
+            r_from = list(table.r_from)
+            r_rel = list(table.r_rel)
+            r_lp = list(table.r_lp)
+            r_path = list(table.r_path)
+            parent_opath = table.opath
+            for k in range(num_links):
+                fresh = opath[k]
+                same_tail[k] = fresh is not None and fresh == parent_opath[k]
+        else:
+            r_link = [-1] * n
+            r_from = [0] * n
+            r_rel = [None] * n
+            r_lp = [0] * n
+            r_path = [None] * n
+            if warm_start:
+                origin_idx = self.origin_idx
+                for asn, route in warm_start.items():
+                    i = index.get(asn)
+                    k = link_index.get(route.link_id)
+                    if i is None or k is None or i == origin_idx:
+                        continue
+                    r_link[i] = k
+                    r_from[i] = route.learned_from
+                    r_rel[i] = route.relationship
+                    r_lp[i] = route.local_pref
+                    r_path[i] = route.as_path
+        # The seed filter (contract shared with the reference sweep): a
+        # seeded route must go through an announced link and still end
+        # in exactly the AS-path this configuration announces through
+        # it, else it is a stale state that can steer the fixpoint away
+        # from the cold one.
         r_plen = [0] * n
-        r_path: List[Optional[ASPath]] = [None] * n
+        dropped: List[int] = []
+        if warm_start:
+            for i in range(n):
+                k = r_link[i]
+                if k < 0:
+                    continue
+                path = r_path[i]
+                if not same_tail[k]:
+                    fresh = opath[k]
+                    cut = len(path) - olen[k]
+                    if fresh is None or cut < 0 or path[cut:] != fresh:
+                        r_link[i] = -1
+                        r_path[i] = None
+                        dropped.append(i)
+                        continue
+                r_plen[i] = len(path)
         # The tail object each stored path was built from; identity lets
         # an unchanged re-selection skip rebuilding/comparing the tuple.
         r_tail: List[Optional[ASPath]] = [None] * n
-
-        if warm_start:
-            announced_set = config.announced
-            index = self.index
-            for asn, route in warm_start.items():
-                link = route.link_id
-                if link not in announced_set or asn == origin_asn:
-                    continue
-                i = index.get(asn)
-                if i is None:
-                    continue
-                k = link_index[link]
-                fresh = opath[k]
-                path = route.as_path
-                cut = len(path) - olen[k]
-                # Seed-filter contract (shared with the reference
-                # simulator): a seeded route must still end in exactly
-                # the AS-path this configuration announces through its
-                # link, else it is a stale state that can steer the
-                # fixpoint away from the cold one.
-                if cut < 0 or path[cut:] != fresh:
-                    continue
-                r_link[i] = k
-                r_from[i] = route.learned_from
-                r_rel[i] = route.relationship
-                r_lp[i] = route.local_pref
-                r_plen[i] = len(path)
-                r_path[i] = path
 
         # -- local aliases for the hot loop ----------------------------
         off = self.off
@@ -309,12 +407,22 @@ class CompiledTopology:
         heappush = heapq.heappush
         heappop = heapq.heappop
 
-        # Pass 1 schedules every AS (the reference sweep does too); later
-        # passes only schedule ASes with a changed neighbor.
-        heap = list(range(len(order)))  # ascending == already a valid heap
+        # Pass 1 schedules every AS, as the reference sweep visits every
+        # AS, unless the seed is the converged fixpoint of a parent on
+        # this core: then only the ASes whose inputs differ from the
+        # parent's are scheduled (see ``_pass1_frontier``).  Later passes
+        # only schedule ASes with a changed neighbor.
         in_cur = bytearray(n)
-        for i in order:
-            in_cur[i] = 1
+        if table is not None and table.converged:
+            heap = self._pass1_frontier(
+                table, dropped, direct_link, opath, noexp
+            )
+            for p in heap:
+                in_cur[order[p]] = 1
+        else:
+            heap = list(range(len(order)))  # ascending: a valid heap
+            for i in order:
+                in_cur[i] = 1
         in_next = bytearray(n)
         nxt: List[int] = []
 
@@ -462,7 +570,6 @@ class CompiledTopology:
                 f"no fixpoint after {max_passes} passes for {config.describe()}"
             )
 
-        routes: Dict[ASN, Route] = {}
         # Sorted so the catchment dict's order (and every downstream
         # float sum over it) is independent of the string hash seed.
         catchments: Dict[LinkId, set] = {
@@ -471,19 +578,16 @@ class CompiledTopology:
         sets_by_idx: List[Optional[set]] = [None] * num_links
         for link in config.announced:
             sets_by_idx[link_index[link]] = catchments[link]
+        routed = 0
         for i in order:
             k = r_link[i]
-            if k < 0:
-                continue
-            asn = asns[i]
-            routes[asn] = Route(
-                as_path=r_path[i],
-                link_id=link_ids[k],
-                learned_from=r_from[i],
-                relationship=r_rel[i],
-                local_pref=r_lp[i],
-            )
-            sets_by_idx[k].add(asn)
+            if k >= 0:
+                sets_by_idx[k].add(asns[i])
+                routed += 1
+        routes = RouteTable(
+            self, r_link, r_from, r_rel, r_lp, r_path, routed,
+            converged, direct_link, opath, noexp,
+        )
         return RoutingOutcome(
             config=config,
             routes=routes,
@@ -498,3 +602,105 @@ class CompiledTopology:
             known_ases=known_ases,
             warm_started=bool(warm_start),
         )
+
+
+class RouteTable(abc.Mapping):
+    """Read-only ``Mapping[ASN, Route]`` over one fixpoint's final arrays.
+
+    :meth:`CompiledTopology.propagate` returns its route state as this
+    table instead of a dict of :class:`Route` objects: a ``Route`` is
+    built on first lookup and memoized per AS, so an outcome nobody
+    reads route by route (catchments are built eagerly) never builds
+    one.  Iteration follows the simulator's visit order, as the dict it
+    replaces did.  Membership and length read the arrays.
+
+    The table is also the warm-start seed of the configurations derived
+    from it: besides the route arrays it keeps what the next fixpoint
+    needs to tell which ASes' inputs changed (``converged``, the
+    per-AS direct announcement link, the per-link announced paths and
+    the no-export entries).  Outcomes are shared through the engine's
+    cache, so the table does not support assignment.
+    """
+
+    __slots__ = (
+        "core",
+        "r_link",
+        "r_from",
+        "r_rel",
+        "r_lp",
+        "r_path",
+        "converged",
+        "direct_link",
+        "opath",
+        "noexp",
+        "_len",
+        "_memo",
+    )
+
+    def __init__(
+        self,
+        core: CompiledTopology,
+        r_link: List[int],
+        r_from: List[ASN],
+        r_rel: List[Optional[Relationship]],
+        r_lp: List[int],
+        r_path: List[Optional[ASPath]],
+        routed: int,
+        converged: bool,
+        direct_link: List[int],
+        opath: List[Optional[ASPath]],
+        noexp: Optional[Dict[int, Tuple[int, FrozenSet[ASN]]]],
+    ) -> None:
+        self.core = core
+        self.r_link = r_link
+        self.r_from = r_from
+        self.r_rel = r_rel
+        self.r_lp = r_lp
+        self.r_path = r_path
+        self.converged = converged
+        self.direct_link = direct_link
+        self.opath = opath
+        self.noexp = noexp
+        self._len = routed
+        self._memo: Dict[ASN, Route] = {}
+
+    def get(self, asn, default=None):
+        route = self._memo.get(asn)
+        if route is not None:
+            return route
+        i = self.core.index.get(asn)
+        if i is None:
+            return default
+        k = self.r_link[i]
+        if k < 0:
+            return default
+        route = Route(
+            as_path=self.r_path[i],
+            link_id=self.core.link_ids[k],
+            learned_from=self.r_from[i],
+            relationship=self.r_rel[i],
+            local_pref=self.r_lp[i],
+        )
+        self._memo[asn] = route
+        return route
+
+    def __getitem__(self, asn: ASN) -> Route:
+        route = self.get(asn)
+        if route is None:
+            raise KeyError(asn)
+        return route
+
+    def __contains__(self, asn: object) -> bool:
+        i = self.core.index.get(asn)
+        return i is not None and self.r_link[i] >= 0
+
+    def __iter__(self):
+        asns = self.core.asns
+        r_link = self.r_link
+        return (asns[i] for i in self.core.order if r_link[i] >= 0)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __repr__(self) -> str:
+        return f"<RouteTable: {self._len} routes>"

@@ -48,7 +48,9 @@ class RoutingOutcome:
 
     Attributes:
         config: the configuration that was simulated.
-        routes: best route per AS (ASes with no route are absent).
+        routes: best route per AS (ASes with no route are absent), as a
+            read-only mapping; simulated outcomes hold a
+            :class:`~repro.bgp.indexed.RouteTable`.
         catchments: per announced link, the set of ASes routed toward it.
         passes: Gauss-Seidel passes executed.
         decision_changes: total number of best-route changes observed.
@@ -56,7 +58,7 @@ class RoutingOutcome:
     """
 
     config: AnnouncementConfig
-    routes: Dict[ASN, Route]
+    routes: Mapping[ASN, Route]
     catchments: Dict[LinkId, FrozenSet[ASN]]
     passes: int
     decision_changes: int
@@ -210,7 +212,18 @@ class RoutingSimulator:
                 stale-tail filter matters: deviant-policy topologies
                 admit multiple stable states, and stale seeds can steer
                 the iteration into a different one than a cold start
-                reaches.
+                reaches.  When ``warm_start`` is the ``routes`` of a
+                converged outcome of this simulator (a
+                :class:`~repro.bgp.indexed.RouteTable`), pass 1
+                re-evaluates only the ASes whose inputs differ from that
+                fixpoint's; any other mapping gets the full pass 1.
+                Either way the outcome is the one the full sweep
+                reaches, pass counts included.
+
+        Returns:
+            The outcome; its ``routes`` is a read-only
+            :class:`~repro.bgp.indexed.RouteTable` that builds each
+            :class:`~repro.bgp.route.Route` on first lookup.
         """
         self._validate_config(config)
         if self._compiled is None:

@@ -44,9 +44,11 @@ from ..errors import InjectedFault, SimulationError
 from ..faults.injection import FaultAction, FaultInjector
 from ..faults.resilience import RetryPolicy
 
-#: Default bound on memoized outcomes.  An outcome holds one route per
-#: covered AS, so the default comfortably fits the paper's 705-config
-#: schedule on paper-scale topologies while bounding worst-case memory.
+#: Default bound on memoized outcomes.  An outcome holds its fixpoint's
+#: route arrays (a few list slots per AS, ``Route`` objects only for the
+#: ASes looked up), so the default comfortably fits the paper's
+#: 705-config schedule on paper-scale topologies while bounding
+#: worst-case memory.
 DEFAULT_CACHE_SIZE = 4096
 
 ConfigKey = Tuple

@@ -127,8 +127,10 @@ def estimate_cluster_volumes(
         (per-cluster volume estimates aligned with ``clusters``, residual).
 
     Raises:
-        ClusteringError: when histories disagree in length or a cluster
-            straddles a catchment boundary (not a true cluster).
+        ClusteringError: when histories disagree in length, there is
+            nothing to attribute (no clusters or no volume observations),
+            or a cluster straddles a catchment boundary (not a true
+            cluster).
     """
     if len(catchment_history) != len(volume_history):
         raise ClusteringError(
@@ -138,33 +140,52 @@ def estimate_cluster_volumes(
     if not clusters:
         raise ClusteringError("no clusters to attribute volume to")
 
-    rows: List[List[float]] = []
-    rhs: List[float] = []
+    # A cluster's column is 1.0 in the row of the link whose catchment
+    # holds its representative; clusters must not straddle catchments,
+    # which is checked cheaply against its first-iterated member.  Only
+    # representatives and first members are looked up, by intersecting
+    # their sets with each catchment (a later catchment wins an overlap).
     representative = [min(cluster) for cluster in clusters]
+    first_member = [next(iter(cluster)) for cluster in clusters]
+    rep_set = set(representative)
+    first_set = set(first_member)
+    num_rows = sum(len(volumes) for volumes in volume_history)
+    if not num_rows:
+        raise ClusteringError("no volume observations to attribute")
+    matrix = np.zeros((num_rows, len(clusters)))
+    rhs: List[float] = []
     for catchments, volumes in zip(catchment_history, volume_history):
-        member_link: Dict[ASN, LinkId] = {}
+        rep_link: Dict[ASN, LinkId] = {}
+        first_link: Dict[ASN, LinkId] = {}
         for link, catchment in catchments.items():
-            for asn in catchment:
-                member_link[asn] = link
-        for link in sorted(volumes):
-            row = []
-            for cluster, repr_asn in zip(clusters, representative):
-                inside = member_link.get(repr_asn) == link
-                if inside:
-                    # Clusters must not straddle catchments; check cheaply
-                    # against one more member when available.
-                    for other in cluster:
-                        if member_link.get(other, link) != link:
-                            raise ClusteringError(
-                                f"cluster containing AS {repr_asn} straddles "
-                                f"catchments of link {link!r}"
-                            )
-                        break
-                row.append(1.0 if inside else 0.0)
+            for asn in rep_set.intersection(catchment):
+                rep_link[asn] = link
+            for asn in first_set.intersection(catchment):
+                first_link[asn] = link
+        links = sorted(volumes)
+        row_of = {link: len(rhs) + r for r, link in enumerate(links)}
+        rows: List[int] = []
+        cols: List[int] = []
+        straddlers: List[Tuple[int, int]] = []
+        for col, (rep, first) in enumerate(zip(representative, first_member)):
+            link = rep_link.get(rep)
+            row = row_of.get(link)
+            if row is None:
+                continue
+            if first_link.get(first, link) != link:
+                straddlers.append((row, col))
             rows.append(row)
-            rhs.append(volumes[link])
+            cols.append(col)
+        if straddlers:
+            # Name the first straddler in row-major order.
+            row, col = min(straddlers)
+            raise ClusteringError(
+                f"cluster containing AS {representative[col]} straddles "
+                f"catchments of link {links[row - len(rhs)]!r}"
+            )
+        matrix[rows, cols] = 1.0
+        rhs.extend(volumes[link] for link in links)
 
-    matrix = np.array(rows, dtype=float)
     target = np.array(rhs, dtype=float)
     solution, residual = nnls(matrix, target)
     return solution.tolist(), float(residual)

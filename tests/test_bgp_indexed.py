@@ -9,6 +9,9 @@ topologies, announcement configurations, warm starts, and the engine.
 These are seeded property-style tests: each trial draws a fresh
 configuration shape (announced subsets, prepending, poisoning, no-export
 communities) and core and oracle must agree on everything observable.
+Warm starts seeded with a converged outcome's ``RouteTable`` run pass 1
+over a dirty frontier only; they are held to the oracle, and to the same
+seed given as a plain dict (full pass 1), on every engine shape.
 """
 
 from __future__ import annotations
@@ -18,14 +21,16 @@ import random
 import pytest
 
 from repro.bgp.announcement import AnnouncementConfig, anycast_all
-from repro.bgp.indexed import CompiledTopology
+from repro.bgp.indexed import CompiledTopology, RouteTable
 from repro.bgp.policy import PolicyModel
 from repro.bgp.simulator import RoutingSimulator
 from repro.core.engine import SimulationEngine
 from repro.core.pipeline import build_testbed
 from repro.errors import SimulationError
 from repro.topology.generator import TopologyParams, generate_topology
-from repro.topology.peering import attach_origin
+from repro.topology.graph import ASGraph
+from repro.topology.peering import OriginNetwork, PeeringLink, attach_origin
+from repro.topology.relationships import Relationship
 
 from bgp_reference import ReferenceSweep
 
@@ -273,3 +278,271 @@ def test_compiled_topology_direct_use():
     assert_outcomes_identical(
         outcome, ReferenceSweep.of(simulator).simulate(config)
     )
+
+
+# ----------------------------------------------------------------------
+# RouteTable: the outcome's read-only route mapping
+# ----------------------------------------------------------------------
+
+
+def _random_testbed(seed):
+    testbed = build_testbed(
+        seed=seed,
+        topology_params=TopologyParams(
+            num_tier1=4, num_transit=25, num_stub=90, seed=seed
+        ),
+        num_links=5,
+        num_vantages=6,
+        num_probes=10,
+    )
+    return testbed.topology.graph, testbed.origin, testbed.policy
+
+
+class TestRouteTable:
+    @pytest.fixture()
+    def pair(self):
+        graph, origin, policy = _random_testbed(seed=1)
+        simulator = RoutingSimulator(graph, origin, policy)
+        config = anycast_all(origin.link_ids)
+        outcome = simulator.simulate(config)
+        want = ReferenceSweep.of(simulator).simulate(config)
+        return simulator, outcome, want
+
+    def test_iterates_in_visit_order(self, pair):
+        simulator, outcome, want = pair
+        assert isinstance(outcome.routes, RouteTable)
+        expected = [asn for asn in simulator._visit_order if asn in want.routes]
+        assert list(outcome.routes) == expected
+        assert list(outcome.routes.keys()) == expected
+        assert list(outcome.routes.items()) == [
+            (asn, want.routes[asn]) for asn in expected
+        ]
+
+    def test_len_and_membership(self, pair):
+        simulator, outcome, want = pair
+        routes = outcome.routes
+        assert len(routes) == len(want.routes) > 0
+        assert all(asn in routes for asn in want.routes)
+        assert simulator.origin.asn not in routes
+        for unknown in (-1, 10**9, "AS1"):
+            assert unknown not in routes
+        unrouted = set(simulator.graph.ases) - set(want.routes)
+        assert all(asn not in routes for asn in unrouted)
+
+    def test_lookups(self, pair):
+        simulator, outcome, want = pair
+        routes = outcome.routes
+        asn = next(iter(want.routes))
+        assert routes[asn] == want.routes[asn]
+        assert routes.get(asn) == want.routes[asn]
+        assert routes[asn] is routes.get(asn)  # built once, memoized
+        sentinel = object()
+        assert routes.get(10**9) is None
+        assert routes.get(10**9, sentinel) is sentinel
+        assert routes.get(simulator.origin.asn, sentinel) is sentinel
+        with pytest.raises(KeyError):
+            routes[10**9]
+        with pytest.raises(KeyError):
+            routes[simulator.origin.asn]
+
+    def test_equality_with_dicts(self, pair):
+        _, outcome, want = pair
+        plain = dict(want.routes)
+        assert outcome.routes == plain
+        assert plain == outcome.routes
+        plain.pop(next(iter(plain)))
+        assert outcome.routes != plain
+
+    def test_engine_outcomes_are_read_only(self):
+        """Engine outcomes are shared warm-start parents: no assignment."""
+        graph, origin, policy = _random_testbed(seed=2)
+        engine = SimulationEngine(RoutingSimulator(graph, origin, policy))
+        outcome = engine.simulate(anycast_all(origin.link_ids))
+        asn = next(iter(outcome.routes))
+        with pytest.raises(TypeError):
+            outcome.routes[asn] = outcome.routes[asn]
+        with pytest.raises(TypeError):
+            del outcome.routes[asn]
+
+
+# ----------------------------------------------------------------------
+# Warm starts: the dirty-frontier pass 1 against the oracle
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture()
+def frontier_calls(monkeypatch):
+    """Counts pass-1 frontier schedules (table seeds of converged parents)."""
+    calls = []
+    real = CompiledTopology._pass1_frontier
+
+    def spy(self, *args):
+        heap = real(self, *args)
+        calls.append(len(heap))
+        return heap
+
+    monkeypatch.setattr(CompiledTopology, "_pass1_frontier", spy)
+    return calls
+
+
+def _engine_shaped_children(rng, graph, origin, parent):
+    """Prepend, poison and no-export children of a plain parent, plus
+    locations subsets when the parent announces every link."""
+    links = sorted(parent.announced)
+    children = [
+        AnnouncementConfig(
+            announced=parent.announced,
+            prepended=frozenset(rng.sample(links, rng.randint(1, len(links)))),
+            prepend_count=rng.choice([1, 2, 4]),
+        ),
+    ]
+    victims = rng.sample(sorted(graph.ases - {origin.asn}), 2)
+    children.append(
+        AnnouncementConfig(
+            announced=parent.announced,
+            poisoned={rng.choice(links): frozenset(victims)},
+        )
+    )
+    link = rng.choice(links)
+    provider = origin.provider_of(link)
+    neighbors = sorted(set(graph.neighbors(provider)) - {origin.asn})
+    children.append(
+        AnnouncementConfig(
+            announced=parent.announced,
+            no_export={link: frozenset(rng.sample(neighbors, min(2, len(neighbors))))},
+        )
+    )
+    if parent.announced == frozenset(origin.link_ids):
+        for size in (1, len(links) - 1):
+            children.append(
+                AnnouncementConfig(announced=frozenset(rng.sample(links, size)))
+            )
+    return children
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_engine_shaped_warm_starts_match_oracle(seed, frontier_calls):
+    """Table seeds (frontier pass 1) and dict seeds (full pass 1) of the
+    engine's parent/child shapes agree with the oracle bit for bit."""
+    graph, origin, policy = _random_testbed(seed)
+    indexed = RoutingSimulator(graph, origin, policy)
+    reference = ReferenceSweep.of(indexed)
+    rng = random.Random(seed + 41)
+    links = origin.link_ids
+    parents = [anycast_all(links)] + [
+        AnnouncementConfig(announced=frozenset(rng.sample(links, 3)))
+        for _ in range(2)
+    ]
+    trials = 0
+    for parent in parents:
+        parent_i = indexed.simulate(parent)
+        parent_r = reference.simulate(parent)
+        assert parent_i.converged
+        for child in _engine_shaped_children(rng, graph, origin, parent):
+            before = len(frontier_calls)
+            warm_i = indexed.simulate(child, warm_start=parent_i.routes)
+            assert len(frontier_calls) == before + 1
+            warm_r = reference.simulate(child, warm_start=parent_r.routes)
+            assert_outcomes_identical(warm_i, warm_r)
+            warm_d = indexed.simulate(child, warm_start=dict(parent_i.routes))
+            assert len(frontier_calls) == before + 1  # dict: full pass 1
+            assert_outcomes_identical(warm_d, warm_i)
+            trials += 1
+    assert trials == 11
+    # The frontier is a strict subset of the ASes on these shapes.
+    assert min(frontier_calls) < len(indexed._visit_order)
+
+
+def test_non_converged_parent_takes_full_pass_one(frontier_calls):
+    """A parent cut at max_passes is no fixpoint: its table seeds a full
+    pass 1, and the result still matches the oracle."""
+    graph, origin, policy = _random_testbed(seed=0)
+    indexed = RoutingSimulator(graph, origin, policy, max_passes=1)
+    reference = ReferenceSweep.of(indexed)
+    parent = anycast_all(origin.link_ids)
+    parent_i = indexed.simulate(parent)
+    assert not parent_i.converged
+    child = AnnouncementConfig(announced=frozenset(origin.link_ids[:2]))
+    warm_i = indexed.simulate(child, warm_start=parent_i.routes)
+    assert frontier_calls == []
+    assert_outcomes_identical(
+        warm_i, reference.simulate(child, warm_start=reference.simulate(parent).routes)
+    )
+
+
+def test_table_of_another_core_is_a_foreign_seed(frontier_calls):
+    """A table from another simulator is read like any other mapping."""
+    graph, origin, policy = _random_testbed(seed=3)
+    indexed = RoutingSimulator(graph, origin, policy)
+    other = RoutingSimulator(graph, origin, policy)
+    parent = anycast_all(origin.link_ids)
+    seed_routes = other.simulate(parent).routes
+    child = AnnouncementConfig(announced=frozenset(origin.link_ids[1:]))
+    warm = indexed.simulate(child, warm_start=seed_routes)
+    assert frontier_calls == []
+    assert_outcomes_identical(
+        warm, ReferenceSweep.of(indexed).simulate(child, warm_start=seed_routes)
+    )
+
+
+def test_dropped_seed_without_upstream_route_is_reevaluated(frontier_calls):
+    """Withdrawing l1 leaves its provider with no route at all, so the
+    provider's re-evaluation changes nothing and pushes no neighbor; its
+    customer, whose seed was dropped, must still re-select in pass 1."""
+    origin_asn, p1, p2, q, c = 100, 1, 2, 3, 4
+    graph = ASGraph()
+    graph.add_link(origin_asn, p1, Relationship.PROVIDER)
+    graph.add_link(origin_asn, p2, Relationship.PROVIDER)
+    graph.add_link(q, p2, Relationship.PROVIDER)
+    graph.add_link(c, q, Relationship.PROVIDER)
+    graph.add_link(c, p1, Relationship.PROVIDER)
+    origin = OriginNetwork(
+        origin_asn,
+        [
+            PeeringLink(link_id="l1", provider=p1, provider_name="One"),
+            PeeringLink(link_id="l2", provider=p2, provider_name="Two"),
+        ],
+    )
+    policy = PolicyModel(
+        graph, policy_noise=0.0, loop_prevention_disabled_fraction=0.0
+    )
+    indexed = RoutingSimulator(graph, origin, policy)
+    parent = indexed.simulate(anycast_all(["l1", "l2"]))
+    assert parent.route(c).learned_from == p1
+    child = AnnouncementConfig(announced=frozenset({"l2"}))
+    warm = indexed.simulate(child, warm_start=parent.routes)
+    assert frontier_calls
+    assert warm.route(c).learned_from == q
+    assert_outcomes_identical(
+        warm,
+        ReferenceSweep.of(indexed).simulate(child, warm_start=parent.routes),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_unpoisoned_child_of_poisoned_parent(seed, frontier_calls):
+    """With loop prevention off, a victim accepts the poisoned path; the
+    plain child keeps those seeds (its path ``(o,)`` ends them) but cuts
+    their transit part longer, so the victim's own loop check flips."""
+    graph, origin, _ = _random_testbed(seed)
+    policy = PolicyModel(graph, seed=seed, loop_prevention_disabled_fraction=1.0)
+    indexed = RoutingSimulator(graph, origin, policy)
+    reference = ReferenceSweep.of(indexed)
+    plain = anycast_all(origin.link_ids)
+    base = indexed.simulate(plain)
+    rng = random.Random(seed)
+    for link in origin.link_ids:
+        routed = sorted(base.catchments[link] - {origin.provider_of(link)})
+        if not routed:
+            continue
+        poisoned = AnnouncementConfig(
+            announced=plain.announced,
+            poisoned={link: frozenset(rng.sample(routed, min(3, len(routed))))},
+        )
+        parent_i = indexed.simulate(poisoned)
+        parent_r = reference.simulate(poisoned)
+        warm = indexed.simulate(plain, warm_start=parent_i.routes)
+        assert_outcomes_identical(
+            warm, reference.simulate(plain, warm_start=parent_r.routes)
+        )
+    assert frontier_calls

@@ -1,7 +1,11 @@
 """Tests for spoofed-volume attribution to clusters."""
 
+import random
+
+import numpy as np
 import pytest
 
+import repro.core.localization as localization
 from repro.core.clustering import clusters_from_catchment_history
 from repro.core.localization import (
     LocalizationQuality,
@@ -59,6 +63,124 @@ class TestEstimateVolumes:
     def test_rejects_empty_clusters(self):
         with pytest.raises(ClusteringError):
             estimate_cluster_volumes([], HISTORY, [{}, {}])
+
+
+def _row_by_row_system(clusters, catchment_history, volume_history):
+    """The NNLS system built one cell at a time: the specification the
+    set-intersection builder of ``estimate_cluster_volumes`` must match
+    (matrix, row order, straddle error and its text)."""
+    rows, rhs = [], []
+    representative = [min(cluster) for cluster in clusters]
+    for catchments, volumes in zip(catchment_history, volume_history):
+        member_link = {}
+        for link, catchment in catchments.items():
+            for asn in catchment:
+                member_link[asn] = link
+        for link in sorted(volumes):
+            row = []
+            for cluster, repr_asn in zip(clusters, representative):
+                inside = member_link.get(repr_asn) == link
+                if inside:
+                    for other in cluster:
+                        if member_link.get(other, link) != link:
+                            raise ClusteringError(
+                                f"cluster containing AS {repr_asn} straddles "
+                                f"catchments of link {link!r}"
+                            )
+                        break
+                row.append(1.0 if inside else 0.0)
+            rows.append(row)
+            rhs.append(volumes[link])
+    return np.array(rows, dtype=float), np.array(rhs, dtype=float)
+
+
+def _random_system(rng):
+    """Catchments that may overlap or leave ASes out, volumes that may
+    name unannounced links, and clusters that may straddle."""
+    # Large ASNs, so a cluster's first-iterated member is often not its
+    # minimum and straddles get caught.
+    universe = rng.sample(range(1, 100000), rng.randint(3, 30))
+    history, volume_history = [], []
+    for _ in range(rng.randint(1, 6)):
+        links = [f"l{k}" for k in range(rng.randint(1, 4))]
+        catchments = {link: set() for link in links}
+        for asn in universe:
+            if rng.random() < 0.9:
+                catchments[rng.choice(links)].add(asn)
+            if rng.random() < 0.05:
+                catchments[rng.choice(links)].add(asn)  # overlap
+        history.append({link: frozenset(c) for link, c in catchments.items()})
+        measured = rng.sample(links + ["lx"], rng.randint(1, len(links)))
+        volume_history.append({link: rng.random() for link in measured})
+    if rng.random() < 0.6:
+        clusters = clusters_from_catchment_history(universe, history).clusters()
+    else:
+        shuffled = rng.sample(universe, len(universe))
+        cuts = sorted(
+            rng.sample(range(1, len(universe)), rng.randint(0, 2))
+        )
+        bounds = [0] + cuts + [len(universe)]
+        clusters = [
+            frozenset(shuffled[a:b]) for a, b in zip(bounds, bounds[1:])
+        ]
+    return clusters, history, volume_history
+
+
+class TestSystemBuilder:
+    def test_matches_row_by_row_builder(self, monkeypatch):
+        """Same float matrix and targets, or the same straddle error."""
+        captured = []
+        real_nnls = localization.nnls
+
+        def capture(matrix, target):
+            captured.append((matrix, target))
+            return real_nnls(matrix, target)
+
+        monkeypatch.setattr(localization, "nnls", capture)
+        rng = random.Random(11)
+        solved = straddled = 0
+        for _ in range(300):
+            clusters, history, volumes = _random_system(rng)
+            try:
+                want = _row_by_row_system(clusters, history, volumes)
+            except ClusteringError as error:
+                with pytest.raises(ClusteringError) as got:
+                    estimate_cluster_volumes(clusters, history, volumes)
+                assert str(got.value) == str(error)
+                straddled += 1
+                continue
+            captured.clear()
+            estimate_cluster_volumes(clusters, history, volumes)
+            (matrix, target), = captured
+            assert matrix.dtype == want[0].dtype
+            assert np.array_equal(matrix, want[0])
+            assert np.array_equal(target, want[1])
+            solved += 1
+        assert solved > 50 and straddled > 50
+
+    def test_straddling_cluster_named(self):
+        cluster = frozenset({2, 9})
+        assert next(iter(cluster)) == 9  # the member checked besides 2
+        history = [{"l1": frozenset({2}), "l2": frozenset({9})}]
+        with pytest.raises(ClusteringError, match="AS 2 straddles.*'l1'"):
+            estimate_cluster_volumes(
+                [cluster], history, [{"l1": 1.0, "l2": 0.0}]
+            )
+
+    def test_first_straddler_in_row_major_order_named(self):
+        """Row (link) order beats column order: the second cluster
+        straddles in the first row, the first cluster only in the second."""
+        clusters = [frozenset({2, 9}), frozenset({4, 17})]
+        assert [next(iter(c)) for c in clusters] == [9, 17]
+        history = [{"l1": frozenset({9, 4}), "l2": frozenset({2, 17})}]
+        with pytest.raises(ClusteringError, match="AS 4 straddles.*'l1'"):
+            estimate_cluster_volumes(
+                clusters, history, [{"l1": 1.0, "l2": 0.0}]
+            )
+
+    def test_rejects_empty_volume_observations(self):
+        with pytest.raises(ClusteringError, match="no volume observations"):
+            estimate_cluster_volumes(final_clusters(), HISTORY, [{}, {}])
 
 
 class TestSpoofLocalizer:

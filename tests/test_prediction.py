@@ -96,7 +96,7 @@ class TestCatchmentPredictor:
         mini, policy, simulator = mini_setup()
         outcome = simulator.simulate(anycast_all(["l1", "l2"]))
         empty = simulator.simulate(anycast_all(["l1", "l2"]))
-        empty.routes.clear()
+        empty.routes = {}
         accuracy = CatchmentPredictor.accuracy(empty, empty)
         assert accuracy.ases_compared == 0
         assert accuracy.fraction_correct == 1.0

@@ -63,7 +63,9 @@ class TestCleanMeasurements:
         engine, outcome, _ = make_engine(**CLEAN)
         # Simulate an AS with no route by probing from the origin's
         # perspective of a nonexistent path: drop A's route artificially.
-        del outcome.routes[A]
+        outcome.routes = {
+            asn: route for asn, route in outcome.routes.items() if asn != A
+        }
         assert engine.measure(outcome, A) is None
 
 
