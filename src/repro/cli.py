@@ -11,11 +11,6 @@ Subcommands:
 * ``fleet`` — multiplex many tenants' concurrent attack replays through
   the multi-tenant runtime (``repro.fleet``) with fair-share dispatch,
   scripted crash/drain/evict events, and a rolling per-tenant table.
-* ``soak`` — long-horizon soak campaign (``repro.soak``): epochs of
-  whole-process restarts, seeded kills, checkpoint corruption, fault
-  escalation, and checkpoint schema alternation, with resource ceilings
-  asserted per epoch and the final digest verified against an
-  uninterrupted reference run.
 * ``chaos`` — sweep a fault plan across intensities and print an
   accuracy-vs-fault-rate table (``repro.faults``).
 * ``profile`` — run the pipeline under the observability layer's
@@ -30,8 +25,8 @@ Subcommands:
   against the recorded baseline history; non-zero exit on regression.
 * ``experiments`` — regenerate the EXPERIMENTS.md body from a fresh run.
 
-``track``, ``compare``, ``profile``, ``live``, ``fleet``, ``soak``, and
-``chaos`` accept ``--trace PATH`` (JSONL span tree with deterministic
+``track``, ``compare``, ``profile``, ``live``, ``fleet``, and ``chaos``
+accept ``--trace PATH`` (JSONL span tree with deterministic
 span ids), ``--metrics PATH`` (Prometheus-format counter/gauge/histogram
 dump), ``--serve PORT`` (threaded HTTP exporter: ``/metrics``,
 ``/healthz``, ``/readyz``, ``/manifest``, ``/traces``, ``/timeline``,
@@ -39,10 +34,9 @@ SSE ``/events``, and — in fleet mode — ``/tenants``), ``--log-json``
 (structured JSON-lines operational logging instead of bare stderr), and
 ``--flight-dir DIR`` (arm the black-box flight recorder); one
 :class:`_RunSession` arms and tears these down for every command.
-``track``, ``live``, and ``fleet`` also accept ``--fault-plan`` (``soak``
-escalates its own ``--fault-plan`` per epoch; ``chaos`` sweeps its own
-``--plan``).  Counts, rates, and minutes are range-checked by the parser,
-so an out-of-range value is a usage error (exit 2).
+``track``, ``live``, and ``fleet`` also accept ``--fault-plan`` (``chaos``
+sweeps its own ``--plan``).  Counts, rates, and minutes are range-checked
+by the parser, so an out-of-range value is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -60,8 +54,6 @@ from .core.pipeline import SpoofTracker, TestbedSpec, build_testbed
 from .errors import FaultInjectionError
 from .faults import BUNDLED_PLANS, FaultInjector, load_fault_plan
 from .obs import (
-    DEFAULT_SLOS,
-    SOAK_SLOS,
     Logbook,
     Observability,
     ObsServer,
@@ -156,11 +148,9 @@ class _RunSession:
         *,
         profile: bool = False,
         arm: bool = True,
-        inject: bool = True,
-        slo_rules=DEFAULT_SLOS,
         **config,
     ) -> None:
-        self.args, self.command, self.slo_rules = args, command, slo_rules
+        self.args, self.command = args, command
         flags = (args.trace, args.metrics, args.log_json, args.flight_dir)
         self.obs: Optional[Observability] = None
         if arm and (profile or args.serve is not None or any(flags)):
@@ -172,7 +162,7 @@ class _RunSession:
             if self.obs is not None
             else Logbook(json_mode=args.log_json)
         )
-        plan = getattr(args, "fault_plan", None) if inject else None
+        plan = getattr(args, "fault_plan", None)
         self.injector = (
             FaultInjector(load_fault_plan(plan), bus=self.bus) if plan else None
         )
@@ -196,7 +186,7 @@ class _RunSession:
             install_flight_signal(self.flight)
         if self.args.serve is None:
             return self
-        watchdog = SloWatchdog(self.slo_rules, registry=self.obs.registry)
+        watchdog = SloWatchdog(registry=self.obs.registry)
         # An armed flight recorder turns every SLO breach into a black box.
         watchdog.flight = self.flight
         self.bus.attach(watchdog.observe)
@@ -467,7 +457,6 @@ _positive_int = _bounded("_positive_int", int, 1)
 _non_negative_int = _bounded("_non_negative_int", int, 0)
 _positive_float = _bounded("_positive_float", float, 0.0, above=True)
 _non_negative_float = _bounded("_non_negative_float", float, 0.0)
-_rate = _bounded("_rate", float, 0.0, maximum=1.0)
 _share = _bounded("_share", float, 0.0, above=True, maximum=1.0)
 
 
@@ -609,29 +598,18 @@ def _parse_quota(text: str) -> tuple:
     return (tenant, weight)
 
 
-def _fleet_spec(args: argparse.Namespace, **extra):
-    """The :class:`~repro.fleet.FleetSpec` the ``fleet`` and ``soak``
-    options describe (``extra`` carries each command's own fields)."""
-    from .fleet import FleetSpec
-
-    return FleetSpec(
-        seed=args.seed,
-        tenants=args.tenants,
-        attacks_per_tenant=args.attacks,
-        max_configs=args.max_configs,
-        num_sources=args.sources,
-        distribution=args.distribution,
-        window_minutes=args.window_minutes,
-        checkpoint_every=args.checkpoint_every,
-        topology_params=replace(SCALES[args.scale], seed=args.seed),
-        **extra,
-    )
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from .analysis.fleet import render_fleet_summary, render_fleet_table
     from .analysis.live import render_window
-    from .fleet import CRASH, DRAIN, EVICT, FleetEvent, FleetRuntime, scripted_stream
+    from .fleet import (
+        CRASH,
+        DRAIN,
+        EVICT,
+        FleetEvent,
+        FleetRuntime,
+        FleetSpec,
+        scripted_stream,
+    )
 
     session = _RunSession(
         args,
@@ -646,8 +624,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.checkpoint_every > 0 and not args.checkpoint_dir:
         log.error("--checkpoint-every needs --checkpoint-dir PATH")
         return 2
-    spec = _fleet_spec(
-        args,
+    spec = FleetSpec(
+        seed=args.seed,
+        tenants=args.tenants,
+        attacks_per_tenant=args.attacks,
+        max_configs=args.max_configs,
+        num_sources=args.sources,
+        distribution=args.distribution,
+        window_minutes=args.window_minutes,
+        checkpoint_every=args.checkpoint_every,
+        topology_params=replace(SCALES[args.scale], seed=args.seed),
         launch_stagger_minutes=args.stagger_minutes,
         quotas=tuple(args.quota),
         max_active=args.max_active,
@@ -722,78 +708,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print(render_fleet_summary(report))
     print()
     print(render_fleet_table(report.shards))
-    return 0
-
-
-def _cmd_soak(args: argparse.Namespace) -> int:
-    from .soak import (
-        ResourceCeilings,
-        SoakRunner,
-        SoakSpec,
-        render_soak_summary,
-        render_soak_table,
-    )
-
-    # The soak watchdog also knows the resource_ceiling objective, so a
-    # sentinel breach flips /readyz while the campaign is served.  Its
-    # --fault-plan is escalated per epoch by the runner, not injected
-    # run-wide.
-    session = _RunSession(
-        args,
-        "soak",
-        inject=False,
-        slo_rules=SOAK_SLOS,
-        tenants=args.tenants,
-        attacks_per_tenant=args.attacks,
-        epochs=args.epochs,
-        epoch_minutes=args.epoch_minutes,
-        restart_every=args.restart_every,
-        kill_rate=args.kill_rate,
-        corrupt_rate=args.corrupt_rate,
-        churn_tenants=args.churn_tenants,
-        fault_plan=args.fault_plan,
-    )
-    if not args.checkpoint_dir:
-        session.log.error(
-            "soak needs --checkpoint-dir PATH — restarts resume from disk"
-        )
-        return 2
-    spec = SoakSpec(
-        fleet=_fleet_spec(args, checkpoint_keep=args.keep),
-        epochs=args.epochs,
-        epoch_minutes=args.epoch_minutes,
-        restart_every=args.restart_every,
-        kill_rate=args.kill_rate,
-        corrupt_rate=args.corrupt_rate,
-        fault_plan=args.fault_plan,
-        escalation_base=args.escalation_base,
-        escalation_growth=args.escalation_growth,
-        churn_tenants=args.churn_tenants,
-        alternate_versions=not args.no_alternate,
-        ceilings=ResourceCeilings(
-            rss_mb=args.max_rss_mb,
-            open_fds=args.max_fds,
-            threads=args.max_threads,
-            rss_slope_mb_per_epoch=args.rss_slope_budget,
-        ),
-    )
-    with session:
-        runner = SoakRunner(
-            spec,
-            checkpoint_dir=args.checkpoint_dir,
-            obs=session.obs,
-            verify=not args.no_verify,
-            flight_dir=args.flight_dir or "",
-        )
-        session.ready()
-        report = runner.run()
-    print(render_soak_table(report.epochs))
-    print()
-    print(render_soak_summary(report))
-    if not report.healthy:
-        return 1
-    if runner.verify and not report.verified:
-        return 1
     return 0
 
 
@@ -1013,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-configs",
             type=_positive_int,
             default=max_configs,
-            help="truncate the schedule (each shard's, in fleet and soak)",
+            help="truncate the schedule (each shard's, in fleet)",
         )
         if measured:
             sub.add_argument(
@@ -1029,17 +943,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--distribution",
             choices=PLACEMENT_DISTRIBUTIONS,
             default=distribution,
-            help="spoofing-source placement (per attack, in fleet and soak)",
+            help="spoofing-source placement (per attack, in fleet)",
         )
         sub.add_argument(
             "--sources", type=_positive_int, default=sources,
-            help="number of sources (per attack, in fleet and soak)",
+            help="number of sources (per attack, in fleet)",
         )
         add_run_options(sub, max_configs, measured)
 
-    def add_window_options(
-        sub, checkpoint_every: int = 0, checkpoint_type=_non_negative_int
-    ) -> None:
+    def add_window_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--window-minutes",
             type=_positive_float,
@@ -1048,30 +960,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--checkpoint-every",
-            type=checkpoint_type,
-            default=checkpoint_every,
+            type=_non_negative_int,
+            default=0,
             help=(
                 "checkpoint every N windows (live: 0 = only final, with "
-                "--checkpoint; fleet and soak: per shard, in --checkpoint-dir)"
+                "--checkpoint; fleet: per shard, in --checkpoint-dir)"
             ),
-        )
-
-    def add_fleet_options(
-        sub, sources: int, max_configs: int, checkpoint_every: int, checkpoint_type
-    ) -> None:
-        sub.add_argument(
-            "--tenants", type=_positive_int, default=2, help="tenant origin networks"
-        )
-        sub.add_argument(
-            "--attacks", type=_positive_int, default=2,
-            help="concurrent attacks per tenant",
-        )
-        add_attack_options(sub, "pareto", sources, max_configs)
-        add_window_options(sub, checkpoint_every, checkpoint_type)
-        sub.add_argument(
-            "--checkpoint-dir",
-            default=None,
-            help="directory for per-shard checkpoints (required by soak)",
         )
 
     def add_obs_options(sub: argparse.ArgumentParser) -> None:
@@ -1300,9 +1194,19 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="multiplex many tenants' attack replays through one runtime",
     )
-    add_fleet_options(
-        fleet, sources=12, max_configs=6, checkpoint_every=0,
-        checkpoint_type=_non_negative_int,
+    fleet.add_argument(
+        "--tenants", type=_positive_int, default=2, help="tenant origin networks"
+    )
+    fleet.add_argument(
+        "--attacks", type=_positive_int, default=2,
+        help="concurrent attacks per tenant",
+    )
+    add_attack_options(fleet, "pareto", 12, max_configs=6)
+    add_window_options(fleet)
+    fleet.add_argument(
+        "--checkpoint-dir",
+        default=None,
+        help="directory for per-shard checkpoints",
     )
     fleet.add_argument(
         "--stagger-minutes",
@@ -1371,117 +1275,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_fault_plan(fleet)
     add_obs_options(fleet)
     fleet.set_defaults(func=_cmd_fleet)
-
-    soak = subparsers.add_parser(
-        "soak",
-        help=(
-            "long-horizon soak: epochs of restarts, kills, checkpoint "
-            "corruption, and schema migration, verified against an "
-            "uninterrupted reference digest"
-        ),
-    )
-    # Restarts resume from disk, so a soak always checkpoints.
-    add_fleet_options(
-        soak, sources=6, max_configs=3, checkpoint_every=1,
-        checkpoint_type=_positive_int,
-    )
-    soak.add_argument(
-        "--epochs", type=_positive_int, default=4, help="soak epochs (last one drains)"
-    )
-    soak.add_argument(
-        "--epoch-minutes",
-        type=_positive_float,
-        default=60.0,
-        help="simulated minutes per epoch",
-    )
-    soak.add_argument(
-        "--restart-every",
-        type=_non_negative_int,
-        default=1,
-        help="whole-process restart after every Nth epoch (0 = never)",
-    )
-    soak.add_argument(
-        "--kill-rate",
-        type=_rate,
-        default=0.25,
-        help="per-shard seeded kill probability at each epoch boundary",
-    )
-    soak.add_argument(
-        "--corrupt-rate",
-        type=_rate,
-        default=0.25,
-        help="per-shard seeded checkpoint-corruption probability per restart",
-    )
-    soak.add_argument(
-        "--churn-tenants",
-        type=_non_negative_int,
-        default=0,
-        help="extra tenants launched mid-campaign and evicted two epochs later",
-    )
-    soak.add_argument(
-        "--fault-plan",
-        default="soak-infra",
-        metavar="NAME|PATH",
-        help=(
-            "fault plan escalated per epoch, restricted to its "
-            "result-preserving infra faults ('' disables; default "
-            "soak-infra)"
-        ),
-    )
-    soak.add_argument(
-        "--escalation-base",
-        type=_non_negative_float,
-        default=0.5,
-        help="fault scale at epoch 0",
-    )
-    soak.add_argument(
-        "--escalation-growth",
-        type=_non_negative_float,
-        default=0.5,
-        help="fault scale increase per epoch",
-    )
-    soak.add_argument(
-        "--no-alternate",
-        action="store_true",
-        help="do not alternate checkpoint schema versions across epochs",
-    )
-    soak.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the uninterrupted reference run and digest comparison",
-    )
-    soak.add_argument(
-        "--keep",
-        type=_positive_int,
-        default=2,
-        help="rotated checkpoint generations retained per shard",
-    )
-    soak.add_argument(
-        "--max-rss-mb",
-        type=float,
-        default=4096.0,
-        help="RSS ceiling in MiB (0 disables)",
-    )
-    soak.add_argument(
-        "--max-fds",
-        type=int,
-        default=1024,
-        help="open file descriptor ceiling (0 disables)",
-    )
-    soak.add_argument(
-        "--max-threads",
-        type=int,
-        default=128,
-        help="thread count ceiling (0 disables)",
-    )
-    soak.add_argument(
-        "--rss-slope-budget",
-        type=float,
-        default=64.0,
-        help="RSS leak budget in MiB per epoch across the campaign",
-    )
-    add_obs_options(soak)
-    soak.set_defaults(func=_cmd_soak)
 
     chaos = subparsers.add_parser(
         "chaos",

@@ -141,14 +141,15 @@ def estimate_cluster_volumes(
         raise ClusteringError("no clusters to attribute volume to")
 
     # A cluster's column is 1.0 in the row of the link whose catchment
-    # holds its representative; clusters must not straddle catchments,
-    # which is checked cheaply against its first-iterated member.  Only
-    # representatives and first members are looked up, by intersecting
-    # their sets with each catchment (a later catchment wins an overlap).
+    # holds its representative (its minimum); clusters must not straddle
+    # catchments, which is checked cheaply against its maximum, a member
+    # other than the representative in every multi-member cluster.  Only
+    # representatives and probes are looked up, by intersecting their
+    # sets with each catchment (a later catchment wins an overlap).
     representative = [min(cluster) for cluster in clusters]
-    first_member = [next(iter(cluster)) for cluster in clusters]
+    probe = [max(cluster) for cluster in clusters]
     rep_set = set(representative)
-    first_set = set(first_member)
+    probe_set = set(probe)
     num_rows = sum(len(volumes) for volumes in volume_history)
     if not num_rows:
         raise ClusteringError("no volume observations to attribute")
@@ -156,23 +157,23 @@ def estimate_cluster_volumes(
     rhs: List[float] = []
     for catchments, volumes in zip(catchment_history, volume_history):
         rep_link: Dict[ASN, LinkId] = {}
-        first_link: Dict[ASN, LinkId] = {}
+        probe_link: Dict[ASN, LinkId] = {}
         for link, catchment in catchments.items():
             for asn in rep_set.intersection(catchment):
                 rep_link[asn] = link
-            for asn in first_set.intersection(catchment):
-                first_link[asn] = link
+            for asn in probe_set.intersection(catchment):
+                probe_link[asn] = link
         links = sorted(volumes)
         row_of = {link: len(rhs) + r for r, link in enumerate(links)}
         rows: List[int] = []
         cols: List[int] = []
         straddlers: List[Tuple[int, int]] = []
-        for col, (rep, first) in enumerate(zip(representative, first_member)):
+        for col, (rep, member) in enumerate(zip(representative, probe)):
             link = rep_link.get(rep)
             row = row_of.get(link)
             if row is None:
                 continue
-            if first_link.get(first, link) != link:
+            if probe_link.get(member, link) != link:
                 straddlers.append((row, col))
             rows.append(row)
             cols.append(col)

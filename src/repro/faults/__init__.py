@@ -26,7 +26,6 @@ from .plan import (
     CHECKPOINT_CORRUPTION,
     COLLECTOR_FLAP,
     FAULT_KINDS,
-    INFRA_FAULT_KINDS,
     MEASUREMENT_LOSS,
     ROUTE_CHURN,
     VOLUME_NOISE,
@@ -34,7 +33,6 @@ from .plan import (
     WORKER_HANG,
     FaultPlan,
     FaultSpec,
-    escalation_curve,
     load_fault_plan,
     stable_unit,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "CHECKPOINT_CORRUPTION",
     "COLLECTOR_FLAP",
     "FAULT_KINDS",
-    "INFRA_FAULT_KINDS",
     "FaultAction",
     "FaultInjector",
     "FaultLog",
@@ -63,7 +60,6 @@ __all__ = [
     "atomic_write_text",
     "build_resilience_report",
     "content_checksum",
-    "escalation_curve",
     "load_fault_plan",
     "stable_unit",
 ]

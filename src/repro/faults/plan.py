@@ -44,14 +44,6 @@ FAULT_KINDS = (
     ROUTE_CHURN,
 )
 
-#: Infrastructure faults the engine contains with byte-identical results
-#: (retry + suppressed re-run): safe to escalate under a soak campaign
-#: whose final digest must match an uninterrupted reference run.  The
-#: observation faults (measurement loss, flaps, noise, churn) change
-#: results — deterministically, but they change them.
-INFRA_FAULT_KINDS = (WORKER_CRASH, WORKER_HANG)
-
-
 def stable_unit(seed: int, *tokens) -> float:
     """Deterministic value in ``[0, 1)`` from a seed and tokens.
 
@@ -171,22 +163,6 @@ class FaultPlan:
             specs=specs,
         )
 
-    def infra_only(self) -> "FaultPlan":
-        """A copy keeping only :data:`INFRA_FAULT_KINDS` specs.
-
-        The soak harness escalates faults every epoch while requiring
-        the final fleet digest to match a fault-free reference run;
-        restricting a plan to the result-preserving kinds makes any
-        bundled plan safe to escalate.
-        """
-        specs = tuple(
-            spec for spec in self.specs if spec.kind in INFRA_FAULT_KINDS
-        )
-        suffix = "-infra" if self.name else "infra"
-        return FaultPlan(
-            name=f"{self.name}{suffix}", seed=self.seed, specs=specs
-        )
-
     # -- serialization --------------------------------------------------
 
     def as_serializable(self) -> Dict:
@@ -265,13 +241,6 @@ BUNDLED_PLANS: Dict[str, FaultPlan] = {
         name="route-churn",
         specs=(FaultSpec(kind=ROUTE_CHURN, rate=0.1, intensity=0.2, start=2),),
     ),
-    "soak-infra": FaultPlan(
-        name="soak-infra",
-        specs=(
-            FaultSpec(kind=WORKER_CRASH, rate=0.1),
-            FaultSpec(kind=WORKER_HANG, rate=0.05, delay_seconds=0.002),
-        ),
-    ),
     "mixed": FaultPlan(
         name="mixed",
         specs=(
@@ -285,23 +254,6 @@ BUNDLED_PLANS: Dict[str, FaultPlan] = {
         ),
     ),
 }
-
-
-def escalation_curve(
-    epochs: int, base: float = 0.5, growth: float = 0.5
-) -> Tuple[float, ...]:
-    """Per-epoch fault scale factors for a soak campaign.
-
-    Epoch ``i`` runs the plan scaled by ``base + growth * i`` — a linear
-    ramp from gentle to hostile, applied with :meth:`FaultPlan.scaled`
-    (which clamps rates to 1, so the curve saturates instead of
-    overflowing).
-    """
-    if epochs < 0:
-        raise FaultInjectionError("escalation needs a non-negative epoch count")
-    if base < 0 or growth < 0:
-        raise FaultInjectionError("escalation factors cannot be negative")
-    return tuple(base + growth * epoch for epoch in range(epochs))
 
 
 def load_fault_plan(source: str) -> FaultPlan:

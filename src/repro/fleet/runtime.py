@@ -39,12 +39,11 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.engine import SimulationEngine
-from ..errors import FleetError, LiveServiceError
+from ..errors import FleetError
 from ..live.service import WindowStats
 from ..obs import Observability
 from ..obs.flight import FlightRecorder
@@ -72,18 +71,12 @@ DEFAULT_MAX_RESUMES = 3
 WindowCallback = Callable[[ShardKey, WindowStats], None]
 
 
-def fleet_digest(
-    reports: Sequence[ShardReport], include_checkpoints: bool = True
-) -> str:
+def fleet_digest(reports: Sequence[ShardReport]) -> str:
     """SHA-256 over every shard's attribution + checkpoint digests.
 
     The one-line byte-determinism witness for a whole campaign: equal
     digests mean every shard attributed identically and persisted
-    identical checkpoint bytes.  With ``include_checkpoints=False`` the
-    digest covers attributions only — the comparison a soak campaign
-    that deliberately wrote mixed checkpoint *schema versions* still
-    passes, since the science is identical even where the envelope
-    bytes differ.
+    identical checkpoint bytes.
     """
     canonical = json.dumps(
         [
@@ -91,9 +84,7 @@ def fleet_digest(
                 "tenant": report.tenant,
                 "prefix": report.prefix,
                 "attribution": report.attribution_digest,
-                "checkpoint": (
-                    report.checkpoint_digest if include_checkpoints else ""
-                ),
+                "checkpoint": report.checkpoint_digest,
             }
             for report in sorted(reports, key=lambda r: r.key)
         ],
@@ -163,16 +154,6 @@ class FleetRuntime:
             Per-shard injectors keep chaos draws independent of the
             fair-share interleaving; a single shared injector would
             entangle every shard's fault ordinals.
-        engine_injector_factory: builds one fault injector *per tenant
-            engine* (called with the tenant name).  Engine faults
-            (worker crashes/hangs) are contained with byte-identical
-            results, so the soak harness escalates these per epoch via
-            :meth:`set_engine_injector_factory` without perturbing the
-            campaign digest.
-        skip_events: number of leading stream events to treat as already
-            applied (a rebuilt runtime after a process-style restart
-            resumes consumption mid-stream; pair with :meth:`adopt` for
-            the shards those skipped launches created).
         flight_dir: directory for per-shard flight-recorder bundles
             ("" leaves flight recording off).  Each shard gets a
             :class:`~repro.obs.flight.FlightRecorder` riding the shared
@@ -192,8 +173,6 @@ class FleetRuntime:
         max_resumes: int = DEFAULT_MAX_RESUMES,
         slo_rules: Sequence[SloRule] = DEFAULT_SLOS,
         injector_factory: Optional[Callable[[AttackSpec], object]] = None,
-        engine_injector_factory: Optional[Callable[[str], object]] = None,
-        skip_events: int = 0,
         flight_dir: str = "",
         flight_capacity: int = 256,
     ) -> None:
@@ -203,21 +182,12 @@ class FleetRuntime:
         self.auto_resume = auto_resume
         self.max_resumes = max_resumes
         self.injector_factory = injector_factory
-        self.engine_injector_factory = engine_injector_factory
         self.flight_dir = flight_dir
         self.flight_capacity = flight_capacity
         self.flights: Dict[ShardKey, "FlightRecorder"] = {}
         self._slo_rules = tuple(slo_rules)
         self.events: List[FleetEvent] = list(
             events if events is not None else scripted_stream(spec)
-        )
-        if not 0 <= skip_events <= len(self.events):
-            raise FleetError(
-                f"cannot skip {skip_events} of {len(self.events)} events"
-            )
-        self._cursor = skip_events
-        self._last_event_minute = (
-            self.events[skip_events - 1].minute if skip_events else 0.0
         )
         self.scheduler = FleetScheduler(
             quotas=spec.quota_weights(), max_active=spec.max_active
@@ -287,31 +257,10 @@ class FleetRuntime:
                 if self.obs.bus is not None
                 else None
             )
-            engine = SimulationEngine(
-                testbed.simulator,
-                bus=bus,
-                injector=(
-                    self.engine_injector_factory(tenant)
-                    if self.engine_injector_factory is not None
-                    else None
-                ),
-            )
+            engine = SimulationEngine(testbed.simulator, bus=bus)
             self._testbeds[tenant] = testbed
             self._engines[tenant] = engine
         return self._testbeds[tenant], self._engines[tenant]
-
-    def set_engine_injector_factory(
-        self, factory: Optional[Callable[[str], object]]
-    ) -> None:
-        """Swap the per-tenant engine fault injectors (soak escalation).
-
-        Applies to engines already built *and* to tenants admitted
-        later.  Engine faults are result-preserving (contained retries),
-        so escalating between epochs never perturbs the digest.
-        """
-        self.engine_injector_factory = factory
-        for tenant, engine in self._engines.items():
-            engine.injector = factory(tenant) if factory is not None else None
 
     # -- shard lifecycle -------------------------------------------------
 
@@ -346,7 +295,6 @@ class FleetRuntime:
             attack,
             checkpoint_dir=self.checkpoint_dir,
             checkpoint_every=self.spec.checkpoint_every,
-            checkpoint_keep=self.spec.checkpoint_keep,
             obs=obs,
             injector=injector,
             flight=flight,
@@ -381,33 +329,6 @@ class FleetRuntime:
             "resume", shard, from_checkpoint=from_checkpoint
         )
         return from_checkpoint
-
-    def adopt(self, attack: AttackSpec) -> bool:
-        """Re-register an attack after a whole-process-style restart.
-
-        The launch event already applied in a previous runtime (skip it
-        with ``skip_events``); this re-creates the shard and resumes it
-        from its on-disk checkpoint when one exists (True).  Without a
-        checkpoint — or when every on-disk document is damaged — the
-        shard queues for a from-scratch replay (False), which reaches
-        the byte-identical final attribution anyway because scenarios
-        are stateless-seeded.
-        """
-        shard = self.spawn(attack)
-        if not (
-            shard.checkpoint_path and os.path.exists(shard.checkpoint_path)
-        ):
-            return False
-        self._pending.remove(attack.key)
-        shard.mark_restart()
-        try:
-            return self.resume(attack.key)
-        except LiveServiceError as exc:
-            shard.error = f"{type(exc).__name__}: {exc}"
-            shard.state = PENDING
-            self._pending.append(attack.key)
-            self._publish("adopt_fallback", shard)
-            return False
 
     def drain(self, key: ShardKey) -> None:
         """Ask a shard to finish gracefully, keeping its evidence."""
@@ -457,26 +378,10 @@ class FleetRuntime:
     def _runnable(self) -> List[ShardKey]:
         return [key for key, shard in self.shards.items() if shard.runnable]
 
-    def _step_once(
-        self,
-        on_window: Optional[WindowCallback] = None,
-        horizon: Optional[float] = None,
-    ) -> bool:
-        """One fair-share unit of fleet work; True while any remains.
-
-        With a ``horizon`` (simulated minutes), shards whose clock has
-        reached it are held back — the epoch boundary of the soak
-        harness's :meth:`run_until`.
-        """
+    def _step_once(self, on_window: Optional[WindowCallback] = None) -> bool:
+        """One fair-share unit of fleet work; True while any remains."""
         self._admit()
-        runnable = self._runnable()
-        if horizon is not None:
-            runnable = [
-                key
-                for key in runnable
-                if self.shards[key].clock_minutes < horizon
-            ]
-        key = self.scheduler.next_key(runnable)
+        key = self.scheduler.next_key(self._runnable())
         if key is None:
             return bool(self._pending) and self._admissible()
         shard = self.shards[key]
@@ -554,43 +459,13 @@ class FleetRuntime:
 
     def run(self, on_window: Optional[WindowCallback] = None) -> FleetReport:
         """Serial driver: consume the stream, drain every shard."""
-        self.run_until(None, on_window)
-        return self.report()
-
-    def run_until(
-        self,
-        minute: Optional[float] = None,
-        on_window: Optional[WindowCallback] = None,
-    ) -> None:
-        """Serial driver, bounded: apply stream events up to ``minute``
-        (inclusive) and advance every shard to that simulated horizon.
-
-        ``None`` consumes the whole stream and drains every shard — so
-        :meth:`run` is exactly ``run_until(None)`` plus the report.  The
-        event cursor persists across calls: the soak harness drives one
-        campaign as a sequence of epochs, tearing the runtime down and
-        rebuilding it (``skip_events`` + :meth:`adopt`) between some of
-        them.
-        """
-        while self._cursor < len(self.events):
-            event = self.events[self._cursor]
-            if minute is not None and event.minute > minute:
-                break
-            if event.minute < self._last_event_minute:
-                raise FleetError(
-                    "fleet stream is not sorted by minute "
-                    f"({event.minute} after {self._last_event_minute}); "
-                    "merge it first"
-                )
-            self._last_event_minute = event.minute
-            while self._behind(event) and self._step_once(
-                on_window, horizon=minute
-            ):
+        for event in iter_stream(self.events):
+            while self._behind(event) and self._step_once(on_window):
                 pass
             self._apply(event)
-            self._cursor += 1
-        while self._step_once(on_window, horizon=minute):
+        while self._step_once(on_window):
             pass
+        return self.report()
 
     async def run_async(
         self, on_window: Optional[WindowCallback] = None
@@ -604,10 +479,9 @@ class FleetRuntime:
         resulting report — digests included — is byte-identical.
         """
         queue: "asyncio.Queue" = asyncio.Queue(self.spec.frontend_queue)
-        remaining = self.events[self._cursor :]
 
         async def pump() -> None:
-            for event in iter_stream(remaining):
+            for event in iter_stream(self.events):
                 await queue.put(event)
             await queue.put(None)
 
@@ -620,7 +494,6 @@ class FleetRuntime:
                 while self._behind(event) and self._step_once(on_window):
                     await asyncio.sleep(0)
                 self._apply(event)
-                self._cursor += 1
             while self._step_once(on_window):
                 await asyncio.sleep(0)
         finally:
@@ -686,9 +559,9 @@ class FleetRuntime:
             return
         self._closed = True
         if self.obs.bus is not None:
-            # A long-lived bus outlives this runtime (soak restarts
-            # rebuild the fleet); a stale listener would double-count
-            # SLO breaches into retired watchdogs.
+            # The bus is the caller's and may outlive this runtime; a
+            # stale listener would double-count SLO breaches into
+            # retired watchdogs.
             self.obs.bus.detach(self._route_to_watchdog)
         for flight in self.flights.values():
             flight.detach()

@@ -163,8 +163,6 @@ class AttackShard:
             it.  Empty disables checkpointing (crash recovery then
             restarts from scratch).
         checkpoint_every: periodic checkpoint cadence in windows.
-        checkpoint_keep: rotated-generation retention for this shard's
-            checkpoints (runtime configuration; never serialized).
         obs: the shard's (tagged) observability bundle.
         injector: optional per-shard fault injector.
         flight: optional :class:`~repro.obs.flight.FlightRecorder` (the
@@ -178,7 +176,6 @@ class AttackShard:
         attack: AttackSpec,
         checkpoint_dir: str = "",
         checkpoint_every: int = 0,
-        checkpoint_keep: int = 1,
         obs: Optional[Observability] = None,
         injector=None,
         flight=None,
@@ -187,7 +184,6 @@ class AttackShard:
         self.obs = obs if obs is not None else Observability()
         self.injector = injector
         self.flight = flight
-        self.checkpoint_keep = checkpoint_keep
         self.state = PENDING
         self.checkpoint_path = (
             shard_checkpoint_path(checkpoint_dir, attack.tenant, attack.prefix)
@@ -257,7 +253,6 @@ class AttackShard:
             obs=self.obs,
             engine=engine,
         )
-        self.service.checkpoint_keep = self.checkpoint_keep
         self.state = ACTIVE
 
     def step(
@@ -309,18 +304,6 @@ class AttackShard:
             event="shard_kill",
         )
 
-    def mark_restart(self) -> None:
-        """Flag a freshly spawned shard as recovering from a process
-        restart (the soak harness's adopt path): the shard moves to
-        ``failed`` so :meth:`resume` applies, without counting a crash —
-        the process died, not the shard."""
-        if self.state != PENDING:
-            raise FleetError(
-                f"cannot mark shard {self.label} restarting ({self.state})"
-            )
-        self.error = "process restart"
-        self.state = FAILED
-
     def resume(self, testbed, engine) -> bool:
         """Recover a failed shard; returns True when it resumed from a
         checkpoint (False = restarted from scratch)."""
@@ -333,7 +316,6 @@ class AttackShard:
                 testbed=testbed,
                 obs=self.obs,
             )
-            self.service.checkpoint_keep = self.checkpoint_keep
             if self.service.checkpoint_migrated_from is not None:
                 self.migrations += 1
             self.resumes += 1

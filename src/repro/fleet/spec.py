@@ -111,9 +111,6 @@ class FleetSpec:
         checkpoint_every: per-shard periodic checkpoint cadence, in
             windows (0 = never; requires a checkpoint directory at run
             time — the runtime namespaces paths per shard).
-        checkpoint_keep: rotated checkpoint generations retained per
-            shard (``<path>.1..K``; the soak harness raises this so a
-            corrupted primary still has intact history to roll back to).
         topology_params: per-tenant topology shape (seed is overridden
             per tenant); None = the generator's default.
         num_links / num_vantages / num_probes: per-tenant testbed
@@ -142,7 +139,6 @@ class FleetSpec:
     nnls_stride: int = 1
     launch_stagger_minutes: float = 0.0
     checkpoint_every: int = 0
-    checkpoint_keep: int = 1
     topology_params: Optional[TopologyParams] = None
     num_links: int = 7
     num_vantages: int = 25
@@ -163,8 +159,6 @@ class FleetSpec:
             )
         if self.max_active < 0:
             raise FleetError("max_active cannot be negative")
-        if self.checkpoint_keep < 1:
-            raise FleetError("checkpoint_keep must retain at least one copy")
         if self.frontend_queue < 1:
             raise FleetError("the front-end queue needs capacity >= 1")
         if self.launch_stagger_minutes < 0:

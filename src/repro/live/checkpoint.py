@@ -24,9 +24,9 @@ through the migration registry (:func:`register_migration`): a chain of
 pure payload transforms upgrades any historical version to the current
 one, so a checkpoint written by release N restores under release N+1 —
 version mismatch is recoverable exactly like corruption (fall through to
-an older generation) instead of bricking resume.  The soak harness also
-*writes* older versions mid-campaign (:func:`writing_version`) to prove
-rolling upgrades both directions.
+an older generation) instead of bricking resume.  Saves always write
+the current version; the golden v1 fixture under ``tests/fixtures``
+keeps the upgrade chain honest.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import hashlib
 import json
 import os
 import re
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import CheckpointCorruptionError, LiveServiceError
@@ -45,25 +44,18 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .service import LiveTracebackService
 
 #: Current checkpoint document version (the version :func:`save_checkpoint`
-#: writes by default; older documents load through the migration chain).
+#: writes; older documents load through the migration chain).
 CHECKPOINT_VERSION = 2
 
 #: Filename characters kept verbatim by :func:`shard_checkpoint_path`.
 _SLUG_UNSAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 
-#: Payload transform applied during an upgrade (or downgrade) step.
+#: Payload transform applied during an upgrade step.
 Migration = Callable[[dict], dict]
 
 #: ``from_version -> (to_version, transform)`` upgrade steps.  Loading
 #: chains these until the payload reaches :data:`CHECKPOINT_VERSION`.
 _MIGRATIONS: Dict[int, Tuple[int, Migration]] = {}
-
-#: ``from_version -> (to_version, transform)`` downgrade steps, used by
-#: :func:`save_checkpoint` when asked to emit an older version.
-_DOWNGRADES: Dict[int, Tuple[int, Migration]] = {}
-
-#: Active write-version override (see :func:`writing_version`).
-_WRITE_VERSION: List[Optional[int]] = [None]
 
 
 def register_migration(
@@ -81,17 +73,6 @@ def register_migration(
             f"migrations must move forward ({from_version} -> {to_version})"
         )
     _MIGRATIONS[from_version] = (to_version, fn)
-
-
-def register_downgrade(
-    from_version: int, to_version: int, fn: Migration
-) -> None:
-    """Register a downgrade step (write-side; see :func:`writing_version`)."""
-    if to_version >= from_version:
-        raise LiveServiceError(
-            f"downgrades must move backward ({from_version} -> {to_version})"
-        )
-    _DOWNGRADES[from_version] = (to_version, fn)
 
 
 def migrate_payload(payload: dict) -> Tuple[dict, Optional[int], str]:
@@ -144,46 +125,7 @@ def _migrate_1_to_2(payload: dict) -> dict:
     return payload
 
 
-def _downgrade_2_to_1(payload: dict) -> dict:
-    """v2 -> v1: drop the envelope (byte-identical to a v1-era writer)."""
-    payload.pop("written_by", None)
-    return payload
-
-
 register_migration(1, 2, _migrate_1_to_2)
-register_downgrade(2, 1, _downgrade_2_to_1)
-
-
-@contextmanager
-def writing_version(version: Optional[int]):
-    """Force :func:`save_checkpoint` to emit the given document version.
-
-    The soak harness alternates epochs between the current and previous
-    schema to prove a mid-campaign rolling upgrade: every checkpoint
-    written inside the context is downgraded through the registered
-    downgrade chain before hitting disk.  ``None`` restores the default
-    (:data:`CHECKPOINT_VERSION`).  Not thread-safe by design — the soak
-    runner drives epochs serially.
-    """
-    if version is not None and version != CHECKPOINT_VERSION:
-        seen = {CHECKPOINT_VERSION}
-        current = CHECKPOINT_VERSION
-        while current != version:
-            step = _DOWNGRADES.get(current)
-            if step is None:
-                raise LiveServiceError(
-                    f"no downgrade path from {CHECKPOINT_VERSION} to {version}"
-                )
-            current = step[0]
-            if current in seen:
-                raise LiveServiceError("downgrade chain loops")
-            seen.add(current)
-    previous = _WRITE_VERSION[0]
-    _WRITE_VERSION[0] = version
-    try:
-        yield
-    finally:
-        _WRITE_VERSION[0] = previous
 
 
 def generation_path(path: str, generation: int) -> str:
@@ -260,7 +202,6 @@ def _canonical_json(payload) -> str:
 def save_checkpoint(
     service: "LiveTracebackService",
     path: str,
-    version: Optional[int] = None,
     keep: Optional[int] = None,
 ) -> str:
     """Write the service's full state to ``path`` as JSON; returns the path.
@@ -268,25 +209,11 @@ def save_checkpoint(
     The write is atomic, and existing checkpoints rotate through bounded
     generations first (``keep``, defaulting to the service's configured
     ``checkpoint_keep``), so at every instant at least one intact
-    checkpoint exists on disk.  ``version`` (or an active
-    :func:`writing_version` context) selects an older document schema
-    via the downgrade chain.
+    checkpoint exists on disk.
     """
     from ..obs import ensure_parent_dir
 
     payload = service.as_serializable()
-    target = version if version is not None else _WRITE_VERSION[0]
-    if target is not None:
-        current = int(payload.get("version", CHECKPOINT_VERSION))
-        while current != target:
-            step = _DOWNGRADES.get(current)
-            if step is None:
-                raise LiveServiceError(
-                    f"no downgrade path from {current} to {target}"
-                )
-            current, fn = step
-            payload = fn(dict(payload))
-            payload["version"] = current
     scenario = payload.get("scenario")
     if isinstance(scenario, dict) and scenario.get("checkpoint_path"):
         # Store only the filename: the document must not depend on where

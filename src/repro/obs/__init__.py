@@ -77,13 +77,10 @@ from .metrics import (  # noqa: E402
     record_build_info,
     record_engine_stats,
     record_fault_log,
-    record_resource_sample,
 )
 from .profiling import PhaseTimer, ProfileCapture, Stopwatch  # noqa: E402
 from .slo import (  # noqa: E402
     DEFAULT_SLOS,
-    RESOURCE_CEILING_SLO,
-    SOAK_SLOS,
     SloRule,
     SloWatchdog,
 )
@@ -121,8 +118,6 @@ __all__ = [
     "BenchCheckResult",
     "Counter",
     "DEFAULT_SLOS",
-    "RESOURCE_CEILING_SLO",
-    "SOAK_SLOS",
     "EventBus",
     "FlightRecorder",
     "Gauge",
@@ -165,7 +160,6 @@ __all__ = [
     "record_build_info",
     "record_engine_stats",
     "record_fault_log",
-    "record_resource_sample",
     "span_tree_signature",
     "strip_measured",
     "write_history",

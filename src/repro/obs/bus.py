@@ -170,10 +170,10 @@ class EventBus:
 
     def detach(self, listener: Listener) -> None:
         """Remove a listener registered with :meth:`attach` (no-op when
-        absent).  Long-lived buses outlive individual runtimes — the
-        soak harness rebuilds the fleet every restart epoch — so
-        consumers must detach on teardown or stale listeners stack up
-        and double-count."""
+        absent).  A bus can outlive the runtime that attached to it (the
+        caller owns it, and may run again on the same one), so consumers
+        must detach on teardown or stale listeners stack up and
+        double-count."""
         with self._lock:
             if listener in self._listeners:
                 self._listeners.remove(listener)

@@ -1,6 +1,6 @@
 """Black-box flight recorder: bounded event capture + post-mortem dumps.
 
-When a fleet shard dies, a soak kill fires, or a checkpoint rolls back,
+When a fleet shard dies, a scripted kill fires, or a checkpoint rolls back,
 the *recent* context — which bus events fired, what was logged, which
 spans closed, which faults struck, how the counters moved — is exactly
 what an operator needs and exactly what used to die with the process.
@@ -23,8 +23,6 @@ Dump triggers wired across the repo:
 
 * shard crash containment and scripted kills
   (:class:`~repro.fleet.shard.AttackShard`),
-* soak-harness kills and checkpoint corruption
-  (:class:`~repro.soak.runner.SoakRunner`),
 * checkpoint rollback on resume,
 * SLO breaches (:class:`~repro.obs.slo.SloWatchdog.flight`),
 * explicit operator request — :func:`install_flight_signal` binds
@@ -108,8 +106,8 @@ class FlightRecorder:
         self._dump_ordinals: Dict[str, int] = {}
         self._last_counters: Dict[str, float] = {}
         self._bus = None
-        # A rebuilt recorder (soak restart epochs) must not overwrite
-        # the bundles its predecessor dumped: resume each reason's
+        # A rerun into the same directory must not overwrite the
+        # bundles an earlier process dumped there: resume each reason's
         # ordinal after the highest already on disk.
         if directory and os.path.isdir(directory):
             pattern = re.compile(

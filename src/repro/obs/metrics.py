@@ -609,33 +609,3 @@ def record_fault_log(registry: MetricsRegistry, log_by_kind: Mapping[str, int]) 
             help="faults fired by the injector, by kind",
             labels={"kind": kind},
         ).inc(count)
-
-
-def record_resource_sample(
-    registry: MetricsRegistry,
-    rss_bytes: float,
-    open_fds: int,
-    threads: int,
-) -> None:
-    """Record one process-resource sample (soak sentinel feed).
-
-    Gauges, not counters: resource levels are measured facts about this
-    process, excluded from determinism comparisons like every other
-    measured value.
-    """
-    registry.gauge(
-        "repro_resource_rss_bytes",
-        help="resident set size of the serving process",
-    ).set(float(rss_bytes))
-    registry.gauge(
-        "repro_resource_open_fds",
-        help="open file descriptors held by the serving process",
-    ).set(float(open_fds))
-    registry.gauge(
-        "repro_resource_threads",
-        help="live threads in the serving process",
-    ).set(float(threads))
-    registry.counter(
-        "repro_resource_samples_total",
-        help="resource sentinel samples taken",
-    ).inc()

@@ -72,20 +72,6 @@ DEFAULT_SLOS: Tuple[SloRule, ...] = (
     ),
 )
 
-#: Long-horizon resource objective: worst-of RSS / open FDs / threads as
-#: a fraction of its configured ceiling (>1.0 = over the ceiling).  Fed
-#: by the soak harness's :class:`~repro.soak.sentinel.ResourceSentinel`
-#: via ``resource`` bus events.
-RESOURCE_CEILING_SLO = SloRule(
-    "resource_ceiling",
-    "worst resource utilization as a fraction of its configured ceiling",
-    1.0,
-)
-
-#: The soak watchdog set: everything the live service watches, plus the
-#: resource ceiling a weeks-long campaign must stay under.
-SOAK_SLOS: Tuple[SloRule, ...] = DEFAULT_SLOS + (RESOURCE_CEILING_SLO,)
-
 
 class SloWatchdog:
     """Evaluates :class:`SloRule` s against the event stream.
@@ -176,16 +162,6 @@ class SloWatchdog:
                     "ingest_drop_rate",
                     rate,
                     f"dropped {rate:.1%} of offered volume",
-                )
-        elif kind == "resource":
-            utilization = event.get("ceiling_utilization")
-            if utilization is not None:
-                worst = event.get("worst_resource", "resource")
-                self.check(
-                    "resource_ceiling",
-                    float(utilization),
-                    f"{worst} at {float(utilization):.0%} of its ceiling "
-                    f"(epoch {event.get('epoch')})",
                 )
         elif kind == "pipeline":
             steps = int(event.get("steps", 0) or 0)

@@ -32,7 +32,7 @@ class TestParser:
 
     def test_workers_flag_rejected(self, capsys):
         """Simulation is serial-only: ``--workers`` is not an option."""
-        for command in ["track", "figures", "live", "compare", "fleet", "soak"]:
+        for command in ["track", "figures", "live", "compare", "fleet"]:
             with pytest.raises(SystemExit) as exit_info:
                 main([command, "--workers", "2"])
             assert exit_info.value.code == 2
@@ -40,7 +40,7 @@ class TestParser:
 
     MAX_CONFIGS_COMMANDS = [
         "chaos", "compare", "dash", "dataset", "experiments", "figures",
-        "fleet", "headline", "live", "profile", "soak", "track",
+        "fleet", "headline", "live", "profile", "track",
     ]
 
     def test_max_configs_commands_listed(self):
@@ -99,17 +99,6 @@ class TestParser:
             ["fleet", "--max-active", "-1"],
             ["fleet", "--stagger-minutes", "-1"],
             ["fleet", "--table-every", "-1"],
-            ["soak", "--tenants", "0"],
-            ["soak", "--checkpoint-every", "0"],
-            ["soak", "--epochs", "0"],
-            ["soak", "--epoch-minutes", "0"],
-            ["soak", "--restart-every", "-1"],
-            ["soak", "--kill-rate", "1.5"],
-            ["soak", "--corrupt-rate", "-0.1"],
-            ["soak", "--churn-tenants", "-1"],
-            ["soak", "--escalation-base", "-1"],
-            ["soak", "--escalation-growth", "-1"],
-            ["soak", "--keep", "0"],
             ["live", "--sources", "two"],
             ["track", "--split-threshold", "0"],
             ["track", "--split-threshold", "-3"],
@@ -140,11 +129,10 @@ class TestParser:
             (["fleet", "--checkpoint-every", "0"], "checkpoint_every", 0),
             (["live", "--packets-per-window", "0"], "packets_per_window", 0),
             (["fleet", "--stagger-minutes", "0"], "stagger_minutes", 0.0),
-            (["soak", "--kill-rate", "1"], "kill_rate", 1.0),
-            (["soak", "--corrupt-rate", "0"], "corrupt_rate", 0.0),
+            (["fleet", "--max-active", "0"], "max_active", 0),
+            (["live", "--checkpoint-every", "0"], "checkpoint_every", 0),
             (["live", "--stop-volume-share", "1"], "stop_volume_share", 1.0),
             (["live", "--window-minutes", "0.5"], "window_minutes", 0.5),
-            (["soak", "--checkpoint-every", "1"], "checkpoint_every", 1),
         ],
     )
     def test_range_boundaries_accepted(self, argv, dest, value):
@@ -240,24 +228,14 @@ class TestParserSurface:
             "chaos.sources", "dash.sources", "fleet.attacks", "fleet.sources",
             "fleet.tenants", "live.batches_per_window", "live.min_configs",
             "live.nnls_stride", "live.queue_capacity", "live.sources",
-            "live.table_every", "profile.sources", "soak.attacks",
-            "soak.checkpoint_every", "soak.epochs", "soak.keep",
-            "soak.sources", "soak.tenants", "track.sources",
+            "live.table_every", "profile.sources", "track.sources",
         ],
         "_non_negative_int": [
             "fleet.checkpoint_every", "fleet.max_active", "fleet.table_every",
             "live.checkpoint_every", "live.packets_per_window",
-            "soak.churn_tenants", "soak.restart_every",
         ],
-        "_positive_float": [
-            "fleet.window_minutes", "live.window_minutes",
-            "soak.epoch_minutes", "soak.window_minutes",
-        ],
-        "_non_negative_float": [
-            "fleet.stagger_minutes", "soak.escalation_base",
-            "soak.escalation_growth",
-        ],
-        "_rate": ["soak.corrupt_rate", "soak.kill_rate"],
+        "_positive_float": ["fleet.window_minutes", "live.window_minutes"],
+        "_non_negative_float": ["fleet.stagger_minutes"],
         "_share": ["live.stop_volume_share"],
     }
 

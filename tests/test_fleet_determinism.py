@@ -3,7 +3,8 @@
 Same seed + same spec must yield byte-identical per-shard attributions
 no matter how the shards interleave: serial vs asyncio driver, admission
 bounds of 1 / 2 / 8 over an 8-shard campaign, and with one shard killed
-and resumed from its checkpoint mid-replay.
+and resumed from its checkpoint mid-replay (including a resume forced to
+roll back past a torn checkpoint).
 """
 
 import asyncio
@@ -15,6 +16,7 @@ import dataclasses
 
 import pytest
 
+from repro.faults import CHECKPOINT_CORRUPTION, FaultInjector, FaultPlan, FaultSpec
 from repro.fleet import (
     CRASH,
     DONE,
@@ -23,6 +25,7 @@ from repro.fleet import (
     FleetSpec,
     scripted_stream,
 )
+from repro.obs import EventBus, Logbook, Observability
 from repro.topology.generator import TopologyParams
 
 #: 4 tenants x 2 attacks = 8 shards, small enough to replay quickly.
@@ -140,6 +143,42 @@ class TestCrashResumeInvariance:
         assert attributions(report) == attributions(baseline)
         assert report.digest == baseline.digest
         assert report.crashes == 1 and report.resumes == 1
+
+    def test_torn_checkpoint_rolls_back_to_identical_attribution(
+        self, baseline, tmp_path
+    ):
+        # The victim's third checkpoint write (minute 120) is torn right
+        # before the kill, so its resume must roll back to ``.1``.
+        torn = FaultPlan(
+            name="torn-write",
+            specs=(
+                FaultSpec(kind=CHECKPOINT_CORRUPTION, rate=1.0, start=2, stop=3),
+            ),
+        )
+
+        def injector_factory(attack):
+            return FaultInjector(torn) if attack.key == VICTIM else None
+
+        bus = EventBus()
+        resumes = []
+        bus.attach(
+            lambda event: resumes.append(event)
+            if event.get("event") == "shard_resume"
+            else None
+        )
+        report = run_fleet(
+            EIGHT_SHARD_SPEC,
+            tmp_path,
+            events=self.crash_events(EIGHT_SHARD_SPEC),
+            obs=Observability(bus=bus, logbook=Logbook(bus=bus, level="error")),
+            injector_factory=injector_factory,
+        )
+        assert [(event["attack"], event["rollback"]) for event in resumes] == [
+            ("/".join(VICTIM), True)
+        ]
+        # The rollback replays from an older generation, so checkpoint
+        # bytes (and report.digest) differ; the evidence does not.
+        assert attributions(report) == attributions(baseline)
 
     def test_crash_under_admission_pressure(self, baseline, tmp_path):
         spec = dataclasses.replace(EIGHT_SHARD_SPEC, max_active=2)

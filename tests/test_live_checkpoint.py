@@ -19,11 +19,9 @@ from repro.live.checkpoint import (
     _canonical_json,
     backup_path,
     generation_path,
-    register_downgrade,
     register_migration,
     rotate_generations,
     shard_checkpoint_path,
-    writing_version,
 )
 
 FIXTURE_V1 = os.path.join(
@@ -287,30 +285,6 @@ class TestSchemaVersioning:
         assert payload["written_by"]["library"] == "repro"
         assert payload["written_by"]["schema"] == CHECKPOINT_VERSION
 
-    def test_writing_version_emits_v1_and_load_migrates(
-        self, small_testbed, tmp_path
-    ):
-        path = str(tmp_path / "v1.json")
-        service = LiveTracebackService(
-            scenario=_small_scenario(path), testbed=small_testbed
-        )
-        with writing_version(1):
-            full = service.run()
-        service.close()
-        payload = json.load(open(path))["payload"]
-        assert payload["version"] == 1
-        assert "written_by" not in payload
-        restored = load_checkpoint(path)
-        assert restored.checkpoint_migrated_from == 1
-        # The restored service saves *current*-schema documents again.
-        save_checkpoint(restored, path)
-        assert json.load(open(path))["payload"]["version"] == (
-            CHECKPOINT_VERSION
-        )
-        resumed = restored.run()
-        restored.close()
-        assert resumed.run_stats == full.run_stats
-
     def test_golden_v1_fixture_matches_native_v2_run(
         self, small_testbed, tmp_path
     ):
@@ -322,6 +296,11 @@ class TestSchemaVersioning:
         shutil.copy(FIXTURE_V1, path)
         restored = load_checkpoint(path)
         assert restored.checkpoint_migrated_from == 1
+        # The restored service saves *current*-schema documents again.
+        save_checkpoint(restored, path)
+        assert json.load(open(path))["payload"]["version"] == (
+            CHECKPOINT_VERSION
+        )
         resumed = restored.run()
         restored.close()
         native = LiveTracebackService(
@@ -369,13 +348,6 @@ class TestSchemaVersioning:
     def test_registry_validates_direction(self):
         with pytest.raises(LiveServiceError):
             register_migration(2, 1, lambda payload: payload)
-        with pytest.raises(LiveServiceError):
-            register_downgrade(1, 2, lambda payload: payload)
-
-    def test_writing_version_rejects_unreachable_targets(self):
-        with pytest.raises(LiveServiceError):
-            with writing_version(-3):
-                pass
 
 
 class TestGenerationRotation:

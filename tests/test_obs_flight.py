@@ -209,7 +209,7 @@ class TestDump:
         assert recorder.dumps == [first, second, other]
 
     def test_new_recorder_resumes_past_on_disk_ordinals(self, tmp_path):
-        """A soak-restart epoch must not overwrite its predecessor's bundles."""
+        """A rerun into the same directory must not overwrite earlier bundles."""
         FlightRecorder(name="run", directory=str(tmp_path)).dump("kill")
         rebuilt = FlightRecorder(name="run", directory=str(tmp_path))
         path = rebuilt.dump("kill")
