@@ -25,6 +25,7 @@ context for the timings.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -52,8 +53,15 @@ LARGE_NUM_TRANSIT = 2500
 LARGE_NUM_STUB = 72500
 
 
+def _start_clock():
+    """Collect garbage, then read the clock: a full collection landing
+    inside a timed region would otherwise decide its number."""
+    gc.collect()
+    return time.perf_counter()
+
+
 def _timed(engine, configs):
-    start = time.perf_counter()
+    start = _start_clock()
     outcomes = engine.simulate_many(configs)
     return outcomes, time.perf_counter() - start
 
@@ -186,7 +194,7 @@ def test_engine_large_graph_fixpoint(capsys):
 
     # Round-trip through the as-rel serialization: parse, re-dump, parse
     # again — the committed load time covers a full parse of ~100k links.
-    start = time.perf_counter()
+    start = _start_clock()
     graph = loads_as_rel(dumps_as_rel(loads_as_rel(text)))
     load_time = time.perf_counter() - start
 
@@ -211,21 +219,21 @@ def test_engine_large_graph_fixpoint(capsys):
     )
 
     sim = RoutingSimulator(graph, origin, policy)
-    start = time.perf_counter()
+    start = _start_clock()
     cold_outcome = sim.simulate(baseline)
     cold_time = time.perf_counter() - start  # includes the one-off compile
-    start = time.perf_counter()
+    start = _start_clock()
     sim.simulate(subset)
     compiled_time = time.perf_counter() - start
 
     # The engine's subset warm start: seeded with the converged parent's
     # route table, pass 1 evaluates only the dirty frontier.  A plain
     # dict of the same routes gets the full pass 1; both must agree.
-    start = time.perf_counter()
+    start = _start_clock()
     warm_outcome = sim.simulate(subset, warm_start=cold_outcome.routes)
     warm_time = time.perf_counter() - start
     seed_dict = dict(cold_outcome.routes)
-    start = time.perf_counter()
+    start = _start_clock()
     full_pass_outcome = sim.simulate(subset, warm_start=seed_dict)
     warm_dict_time = time.perf_counter() - start
     assert warm_outcome.routes == full_pass_outcome.routes
@@ -235,7 +243,7 @@ def test_engine_large_graph_fixpoint(capsys):
     assert warm_outcome.converged == full_pass_outcome.converged
 
     legacy = ReferenceSweep.of(sim)
-    start = time.perf_counter()
+    start = _start_clock()
     legacy_outcome = legacy.simulate(baseline)
     legacy_time = time.perf_counter() - start
 

@@ -15,22 +15,25 @@ state:
 * ASNs are mapped to dense indices; the adjacency becomes one flattened
   CSR-style edge array (``off``/``adj``).
 * Every per-edge decision constant — negated LocalPref, IGP cost, the
-  salted CRC32 tiebreak, the valley-free export mask — is precomputed
-  into parallel arrays, so the inner loop does list indexing instead of
-  policy method calls.
+  salted CRC32 tiebreak, the valley-free export masks in both
+  directions — is precomputed into parallel arrays, so the inner loop
+  does list indexing instead of policy method calls.
 * Route state lives in parallel arrays (link index, AS-path length,
   relationship class, LocalPref, path tuple) instead of
   :class:`~repro.bgp.route.Route` objects.  The outcome keeps the final
   arrays as a :class:`RouteTable`, a read-only mapping that builds a
   ``Route`` only when one is looked up; catchments are read straight
   off the arrays.
-* Only *dirty* ASes are re-evaluated: an AS is scheduled exactly when a
-  neighbor's route changed since its last evaluation.  Scheduling is
-  position-ordered (a heap over visit positions), which makes the
-  trajectory — every intermediate route, every per-pass change count,
-  the number of passes — **bit-identical** to the reference sweep: a
-  re-evaluation whose inputs did not change is a provable no-op, so
-  skipping it cannot alter the outcome.
+* Only *dirty* ASes are re-evaluated: when an AS's route changes, a
+  neighbor is scheduled only if the AS exports its old route or its
+  new one to that neighbor (the valley-free mask of the route's learned
+  relationship; no route exports nothing).  A neighbor that imports
+  neither saw no candidate from this AS before and sees none after.
+  Scheduling is position-ordered (a heap over visit positions), which
+  makes the trajectory — every intermediate route, every per-pass
+  change count, the number of passes — **bit-identical** to the
+  reference sweep: a re-evaluation whose inputs did not change is a
+  provable no-op, so skipping it cannot alter the outcome.
 * The same argument covers pass 1 of a warm start seeded with the
   :class:`RouteTable` of a converged parent on this core.  That state
   is a best response at every AS, so pass 1 schedules only the ASes
@@ -106,6 +109,7 @@ class CompiledTopology:
         "e_asn",
         "e_rel",
         "e_exp",
+        "e_push",
         "loop_prev",
         "t1f",
         "tier1",
@@ -146,6 +150,17 @@ class CompiledTopology:
         for position, i in enumerate(order):
             pos[i] = position
 
+        # Export masks by the relationship of the neighbor a route would
+        # go to: bit r set when routes learned under Relationship(r) are
+        # exported to it.
+        exports_to = {
+            to: sum(
+                1 << learned
+                for learned in _RELATIONSHIPS
+                if policy.exports(learned, to)
+            )
+            for to in _RELATIONSHIPS
+        }
         tier1 = policy.tier1_ases
         t1_filtering = policy.tier1_leak_filtering
         loop_prev = bytearray(n)
@@ -158,6 +173,7 @@ class CompiledTopology:
         e_asn: List[ASN] = []
         e_rel: List[Relationship] = []
         e_exp: List[int] = []
+        e_push: List[int] = []
         direct_consts: Dict[int, Tuple[int, int, int, Relationship]] = {}
 
         for i, asn in enumerate(asns):
@@ -168,22 +184,17 @@ class CompiledTopology:
                 lp = policy.local_pref(asn, rel)
                 igp = policy.igp_cost(asn, neighbor)
                 tb = stable_tiebreak(asn, neighbor, salt)
-                # Export mask: bit r set when the neighbor exports routes
-                # learned under Relationship(r) toward this AS.  The
-                # second argument is the relationship of this AS as seen
-                # from the neighbor — the stored inverse annotation.
-                inverse = rel.inverse
-                mask = 0
-                for learned in _RELATIONSHIPS:
-                    if policy.exports(learned, inverse):
-                        mask |= 1 << learned
                 adj.append(index[neighbor])
                 e_neg_lp.append(-lp)
                 e_igp.append(igp)
                 e_tb.append(tb)
                 e_asn.append(neighbor)
                 e_rel.append(rel)
-                e_exp.append(mask)
+                # What the neighbor exports to this AS (this AS seen from
+                # the neighbor is the inverse annotation), and what this
+                # AS exports to the neighbor.
+                e_exp.append(exports_to[rel.inverse])
+                e_push.append(exports_to[rel])
                 if neighbor == origin_asn:
                     direct_consts[i] = (-lp, igp, tb, rel)
             off[i + 1] = len(adj)
@@ -204,6 +215,7 @@ class CompiledTopology:
         self.e_asn = e_asn
         self.e_rel = e_rel
         self.e_exp = e_exp
+        self.e_push = e_push
         self.loop_prev = loop_prev
         self.t1f = t1f
         self.tier1 = tier1
@@ -399,6 +411,7 @@ class CompiledTopology:
         e_asn = self.e_asn
         e_rel = self.e_rel
         e_exp = self.e_exp
+        e_push = self.e_push
         loop_prev = self.loop_prev
         t1f = self.t1f
         direct_consts = self.direct_consts
@@ -509,9 +522,12 @@ class CompiledTopology:
                     b_tail = jpath
                     b_direct = False
 
+                # ``sent``: the learned classes of the old and the new
+                # route; a neighbor that imports neither is not pushed.
                 if best_key is None:
                     if r_link[i] < 0:
                         continue
+                    sent = 1 << r_rel[i]
                     r_link[i] = -1
                     r_path[i] = None
                     r_tail[i] = None
@@ -529,6 +545,9 @@ class CompiledTopology:
                     if same_scalars and new_path == r_path[i]:
                         r_tail[i] = b_tail
                         continue
+                    sent = 1 << b_rel
+                    if r_link[i] >= 0:
+                        sent |= 1 << r_rel[i]
                     r_link[i] = b_link
                     r_from[i] = b_from
                     r_rel[i] = b_rel
@@ -539,6 +558,8 @@ class CompiledTopology:
 
                 changed += 1
                 for e in range(off[i], off[i + 1]):
+                    if not e_push[e] & sent:
+                        continue  # j imports neither route: a no-op
                     j = adj[e]
                     pj = pos[j]
                     if pj < 0:

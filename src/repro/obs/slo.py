@@ -53,7 +53,7 @@ class SloRule:
         return value < self.threshold
 
 
-#: The default watchdog set: the four ways the live service degrades.
+#: The default watchdog set: the three ways the live service degrades.
 DEFAULT_SLOS: Tuple[SloRule, ...] = (
     SloRule(
         "window_lag_seconds",

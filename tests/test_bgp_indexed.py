@@ -546,3 +546,167 @@ def test_unpoisoned_child_of_poisoned_parent(seed, frontier_calls):
             warm, reference.simulate(plain, warm_start=parent_r.routes)
         )
     assert frontier_calls
+
+
+# ----------------------------------------------------------------------
+# Export-aware scheduling: the pushes the core skips, against the oracle
+# ----------------------------------------------------------------------
+
+
+def _assert_children_match_oracle(indexed, reference, parent, children):
+    """Each child, cold and seeded from ``parent`` as a table (frontier
+    pass 1) and as a dict (full pass 1), agrees with the oracle."""
+    parent_i = indexed.simulate(parent)
+    parent_r = reference.simulate(parent)
+    assert_outcomes_identical(parent_i, parent_r)
+    for child in children:
+        assert_outcomes_identical(
+            indexed.simulate(child), reference.simulate(child)
+        )
+        want = reference.simulate(child, warm_start=parent_r.routes)
+        assert_outcomes_identical(
+            indexed.simulate(child, warm_start=parent_i.routes), want
+        )
+        assert_outcomes_identical(
+            indexed.simulate(child, warm_start=dict(parent_i.routes)), want
+        )
+
+
+def _tier1_poisoned_child(rng, graph, parent):
+    """Poison tier-1s into one link's path, so leak filters bite."""
+    tier1 = sorted(graph.tier1_ases())
+    return AnnouncementConfig(
+        announced=parent.announced,
+        poisoned={
+            rng.choice(sorted(parent.announced)): frozenset(
+                rng.sample(tier1, min(2, len(tier1)))
+            )
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "policy_kwargs",
+    [
+        {"loop_prevention_disabled_fraction": 0.02},
+        {"loop_prevention_disabled_fraction": 0.5},
+        {"loop_prevention_disabled_fraction": 1.0},
+        {"policy_noise": 0.5},
+        {"policy_noise": 0.3, "tier1_leak_filtering": True},
+        {"policy_noise": 0.3, "tier1_leak_filtering": False},
+    ],
+    ids=[
+        "loop-off-0.02",
+        "loop-off-0.5",
+        "loop-off-1.0",
+        "deviant-0.5",
+        "leak-filter-on",
+        "leak-filter-off",
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_policy_stress_matches_oracle(seed, policy_kwargs):
+    """Poisoning, no-export, prepend and subset children under policies
+    where import and export disagree most: loop prevention off, deviant
+    LocalPref tables, tier-1 leak filtering on and off."""
+    graph, origin, _ = _random_testbed(seed)
+    policy = PolicyModel(graph, seed=seed, **policy_kwargs)
+    indexed = RoutingSimulator(graph, origin, policy)
+    reference = ReferenceSweep.of(indexed)
+    rng = random.Random(seed + 59)
+    links = origin.link_ids
+    for parent in (
+        anycast_all(links),
+        AnnouncementConfig(announced=frozenset(rng.sample(links, 3))),
+    ):
+        children = _engine_shaped_children(rng, graph, origin, parent)
+        children.append(_tier1_poisoned_child(rng, graph, parent))
+        children.extend(_random_config(rng, graph, origin) for _ in range(2))
+        _assert_children_match_oracle(indexed, reference, parent, children)
+
+
+def _hand_built(links, edges):
+    """Origin 100 with ``links`` ({link_id: provider}) plus ``edges``
+    ((a, b, relationship of b to a)); clean Gao-Rexford policies."""
+    graph = ASGraph()
+    for provider in links.values():
+        graph.add_link(100, provider, Relationship.PROVIDER)
+    for a, b, rel in edges:
+        graph.add_link(a, b, rel)
+    origin = OriginNetwork(
+        100,
+        [
+            PeeringLink(link_id=link, provider=provider, provider_name=link)
+            for link, provider in sorted(links.items())
+        ],
+    )
+    policy = PolicyModel(
+        graph, policy_noise=0.0, loop_prevention_disabled_fraction=0.0
+    )
+    indexed = RoutingSimulator(graph, origin, policy)
+    return indexed, ReferenceSweep.of(indexed)
+
+
+def test_provider_learned_switch_reaches_customers_only():
+    """C switches between two provider-learned routes.  Its customer D
+    must follow; its provider T and peer X import neither route, so
+    theirs must not change.  D is visited before C (it sits one hop from
+    the origin on an unannounced link), so D only sees C's switch if the
+    push C -> D is kept."""
+    p1, p2, p3, c, d, t, x = 1, 2, 3, 4, 5, 6, 7
+    indexed, reference = _hand_built(
+        {"l1": p1, "l2": p2, "l3": p3, "l4": d},
+        [
+            (c, p1, Relationship.PROVIDER),
+            (c, p2, Relationship.PROVIDER),
+            (c, t, Relationship.PROVIDER),
+            (t, p3, Relationship.PROVIDER),
+            (d, c, Relationship.PROVIDER),
+            (x, c, Relationship.PEER),
+            (x, p3, Relationship.PROVIDER),
+        ],
+    )
+    announced = frozenset({"l1", "l2", "l3"})
+    parent = AnnouncementConfig(announced=announced, prepended=frozenset({"l2"}))
+    child = AnnouncementConfig(announced=announced, prepended=frozenset({"l1"}))
+    before = indexed.simulate(parent)
+    after = indexed.simulate(child)
+    assert before.route(c).learned_from == p1
+    assert after.route(c).learned_from == p2
+    assert after.route(c).relationship is Relationship.PROVIDER
+    assert after.route(d).learned_from == c
+    assert after.route(d).as_path == (c,) + after.route(c).as_path
+    assert after.route(t) == before.route(t)
+    assert after.route(x) == before.route(x)
+    _assert_children_match_oracle(indexed, reference, parent, [child])
+
+
+def test_withdrawal_pushes_every_neighbor_that_imported_the_old_route():
+    """A no-export entry cuts X's customer route; X falls back to a
+    provider route, which it does not export to its provider U.  U
+    imported the old route, so it must be re-evaluated: it is left with
+    no route at all, and that withdrawal must reach its customer W.
+    U is visited before X and W before U, so each step needs its push."""
+    p2, w, u, x, d = 2, 3, 4, 5, 6
+    indexed, reference = _hand_built(
+        {"l2": p2, "l3": w, "l4": d},
+        [
+            (x, p2, Relationship.PROVIDER),
+            (x, u, Relationship.PROVIDER),
+            (d, x, Relationship.PROVIDER),
+            (w, u, Relationship.PROVIDER),
+        ],
+    )
+    announced = frozenset({"l2", "l4"})
+    parent = AnnouncementConfig(announced=announced)
+    child = AnnouncementConfig(
+        announced=announced, no_export={"l4": frozenset({x})}
+    )
+    before = indexed.simulate(parent)
+    assert before.route(x).relationship is Relationship.CUSTOMER
+    assert before.route(u).learned_from == x
+    assert before.route(w).learned_from == u
+    after = indexed.simulate(child)
+    assert after.route(x).relationship is Relationship.PROVIDER
+    assert after.route(u) is None and after.route(w) is None
+    _assert_children_match_oracle(indexed, reference, parent, [child])
