@@ -1,23 +1,13 @@
 """Raw event-ingest throughput benchmark (ROADMAP: >= 1M events/s).
 
-The fleet roadmap's original live-service target asks for a measured raw
-ingest figure, not the windows/s number BENCH_fleet.json reports.  Two
-hot paths feed the fleet:
+The live service's raw ingest figure: ``BoundedIngestQueue.offer`` /
+``drain`` cycles over :class:`PacketBatch` events with full drop
+accounting, the hot path every honeypot batch crosses.
 
-* the bounded honeypot queue — ``BoundedIngestQueue.offer`` /
-  ``drain`` cycles over :class:`PacketBatch` events with full drop
-  accounting; and
-* the merged fleet control stream — ``merge_streams`` over per-tenant
-  ``FleetEvent`` streams plus ``iter_stream`` validation.
-
-Both are measured in events/s and recorded to ``BENCH_ingest.json``
-along with progress toward the 1M-events/s headline.  The assertion
-floor is deliberately far below the target — CI containers are slow and
-noisy — while the artifact records the real measured figure.
-
-``REPRO_BENCH_LARGE=1`` additionally runs a 100-attack fleet replay
-smoke (10 tenants x 10 attacks) and stamps its shard count and wall
-time into the artifact.
+It is measured in events/s and recorded to ``BENCH_ingest.json`` along
+with progress toward the 1M-events/s headline.  The assertion floor is
+deliberately far below the target — CI containers are slow and noisy —
+while the artifact records the real measured figure.
 """
 
 from __future__ import annotations
@@ -28,10 +18,8 @@ import time
 
 import pytest
 
-from repro.fleet import FleetSpec, FleetRuntime, iter_stream, merge_streams, scripted_stream
 from repro.live.events import PacketBatch
 from repro.live.ingest import BoundedIngestQueue
-from repro.topology.generator import TopologyParams
 
 ARTIFACT = os.path.join(os.path.dirname(__file__), "BENCH_ingest.json")
 TARGET_EVENTS_PER_SECOND = 1_000_000
@@ -41,33 +29,6 @@ REPEATS = 3
 QUEUE_EVENTS = 200_000
 QUEUE_CAPACITY = 1_024
 DRAIN_EVERY = 512
-
-#: Stream benchmark: tenants x attacks whose launch streams get merged.
-STREAM_SPEC = FleetSpec(
-    seed=7,
-    tenants=20,
-    attacks_per_tenant=50,
-    max_configs=1,
-    num_sources=4,
-    num_links=3,
-    num_vantages=8,
-    num_probes=20,
-    topology_params=TopologyParams(num_tier1=4, num_transit=24, num_stub=90, seed=1),
-)
-STREAM_ROUNDS = 20
-
-#: 100-attack replay smoke (REPRO_BENCH_LARGE=1 only).
-LARGE_SPEC = FleetSpec(
-    seed=5,
-    tenants=10,
-    attacks_per_tenant=10,
-    max_configs=2,
-    num_sources=4,
-    num_links=3,
-    num_vantages=8,
-    num_probes=20,
-    topology_params=TopologyParams(num_tier1=4, num_transit=24, num_stub=90, seed=1),
-)
 
 
 def _queue_ingest_once() -> float:
@@ -91,41 +52,9 @@ def _queue_ingest_once() -> float:
     return elapsed
 
 
-def _stream_merge_once() -> "tuple[float, int]":
-    """Merge per-tenant launch streams; returns (elapsed, events merged)."""
-    per_tenant = {}
-    for event in scripted_stream(STREAM_SPEC):
-        per_tenant.setdefault(event.key[0], []).append(event)
-    streams = [per_tenant[tenant] for tenant in sorted(per_tenant)]
-    total = 0
-    start = time.perf_counter()
-    for _ in range(STREAM_ROUNDS):
-        merged = merge_streams(*streams)
-        for _event in iter_stream(merged):
-            total += 1
-    elapsed = time.perf_counter() - start
-    expected = STREAM_ROUNDS * sum(len(stream) for stream in streams)
-    assert total == expected
-    return elapsed, total
-
-
-def _best(run, *args):
-    best = None
-    result = None
-    for _ in range(REPEATS):
-        result = run(*args)
-        key = result[0] if isinstance(result, tuple) else result
-        if best is None or key < best[0]:
-            best = (key, result)
-    return best[1]
-
-
 def test_ingest_throughput(capsys):
-    queue_seconds = _best(_queue_ingest_once)
-    stream_seconds, stream_events = _best(_stream_merge_once)
-
+    queue_seconds = min(_queue_ingest_once() for _ in range(REPEATS))
     queue_eps = QUEUE_EVENTS / queue_seconds
-    stream_eps = stream_events / stream_seconds
 
     record = {
         "repeats": REPEATS,
@@ -136,16 +65,7 @@ def test_ingest_throughput(capsys):
         "queue_ingest_seconds": round(queue_seconds, 4),
         "queue_events_per_second": round(queue_eps),
         "queue_pct_of_target": round(100.0 * queue_eps / TARGET_EVENTS_PER_SECOND, 1),
-        "stream_events": stream_events,
-        "stream_merge_seconds": round(stream_seconds, 4),
-        "stream_events_per_second": round(stream_eps),
     }
-    if os.path.exists(ARTIFACT):
-        with open(ARTIFACT, encoding="utf-8") as handle:
-            previous = json.load(handle)
-        for key, value in previous.items():
-            if key.startswith("large_replay_"):
-                record[key] = value
     with open(ARTIFACT, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -153,46 +73,9 @@ def test_ingest_throughput(capsys):
     # The real target is 1M events/s; the floor here only guards against
     # order-of-magnitude collapses on noisy CI boxes.
     assert queue_eps > 50_000
-    assert stream_eps > 50_000
 
     with capsys.disabled():
         print()
         print(f"wrote {ARTIFACT}")
         for key, value in sorted(record.items()):
-            print(f"  {key:28s}: {value}")
-
-
-@pytest.mark.skipif(
-    os.environ.get("REPRO_BENCH_LARGE") != "1",
-    reason="set REPRO_BENCH_LARGE=1 for the 100-attack replay smoke",
-)
-def test_large_replay_smoke(capsys):
-    assert LARGE_SPEC.tenants * LARGE_SPEC.attacks_per_tenant == 100
-    runtime = FleetRuntime(LARGE_SPEC, events=scripted_stream(LARGE_SPEC))
-    start = time.perf_counter()
-    try:
-        report = runtime.run()
-    finally:
-        runtime.close()
-    elapsed = time.perf_counter() - start
-    assert len(report.shards) == 100
-    assert all(shard.windows > 0 for shard in report.shards)
-
-    extra = {
-        "large_replay_attacks": len(report.shards),
-        "large_replay_wall_seconds": round(elapsed, 2),
-    }
-    if os.path.exists(ARTIFACT):
-        with open(ARTIFACT, encoding="utf-8") as handle:
-            record = json.load(handle)
-    else:
-        record = {}
-    record.update(extra)
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    with capsys.disabled():
-        print()
-        for key, value in sorted(extra.items()):
             print(f"  {key:28s}: {value}")

@@ -31,21 +31,10 @@ class Dashboard:
 
     Args:
         plot_options: chart raster (default fits a standard terminal).
-        tenant: only fold in events carrying this ``tenant`` tag (fleet
-            streams tag every shard event; see
-            :class:`~repro.fleet.obs.TaggedBus`).  Untagged events are
-            dropped too — a fleet's merged stream interleaves tenants,
-            so an unfiltered accumulator would mix their windows.
     """
 
-    def __init__(
-        self,
-        plot_options: Optional[PlotOptions] = None,
-        tenant: str = "",
-    ) -> None:
+    def __init__(self, plot_options: Optional[PlotOptions] = None) -> None:
         self.plot_options = plot_options or DASH_PLOT
-        self.tenant = tenant
-        self.events_filtered = 0
         self.windows: List[Mapping] = []
         self.phases: List[Mapping] = []
         self.faults: Dict[str, int] = {}
@@ -64,9 +53,6 @@ class Dashboard:
 
     def ingest(self, event: Mapping) -> None:
         """Fold one bus event into the dashboard state."""
-        if self.tenant and str(event.get("tenant", "")) != self.tenant:
-            self.events_filtered += 1
-            return
         self.events_seen += 1
         kind = event.get("kind")
         if kind == "window":
@@ -113,11 +99,6 @@ class Dashboard:
 
     def _header_lines(self) -> List[str]:
         lines = [f"events {self.events_seen}"]
-        if self.tenant:
-            lines[-1] += (
-                f" · tenant {self.tenant}"
-                f" ({self.events_filtered} foreign filtered)"
-            )
         if self.windows:
             latest = self.windows[-1]
             lines[-1] += (

@@ -8,9 +8,6 @@ Subcommands:
   attack and print the report.
 * ``live`` — replay a synthetic attack through the online traceback
   service (``repro.live``) with rolling per-window attribution.
-* ``fleet`` — multiplex many tenants' concurrent attack replays through
-  the multi-tenant runtime (``repro.fleet``) with fair-share dispatch,
-  scripted crash/drain/evict events, and a rolling per-tenant table.
 * ``chaos`` — sweep a fault plan across intensities and print an
   accuracy-vs-fault-rate table (``repro.faults``).
 * ``profile`` — run the pipeline under the observability layer's
@@ -25,23 +22,24 @@ Subcommands:
   against the recorded baseline history; non-zero exit on regression.
 * ``experiments`` — regenerate the EXPERIMENTS.md body from a fresh run.
 
-``track``, ``compare``, ``profile``, ``live``, ``fleet``, and ``chaos``
-accept ``--trace PATH`` (JSONL span tree with deterministic
-span ids), ``--metrics PATH`` (Prometheus-format counter/gauge/histogram
-dump), ``--serve PORT`` (threaded HTTP exporter: ``/metrics``,
-``/healthz``, ``/readyz``, ``/manifest``, ``/traces``, ``/timeline``,
-SSE ``/events``, and — in fleet mode — ``/tenants``), ``--log-json``
-(structured JSON-lines operational logging instead of bare stderr), and
-``--flight-dir DIR`` (arm the black-box flight recorder); one
-:class:`_RunSession` arms and tears these down for every command.
-``track``, ``live``, and ``fleet`` also accept ``--fault-plan`` (``chaos``
-sweeps its own ``--plan``).  Counts, rates, and minutes are range-checked
-by the parser, so an out-of-range value is a usage error (exit 2).
+``track``, ``compare``, ``profile``, ``live``, and ``chaos`` accept
+``--trace PATH`` (JSONL span tree with deterministic span ids),
+``--metrics PATH`` (Prometheus-format counter/gauge/histogram dump),
+``--serve PORT`` (threaded HTTP exporter: ``/metrics``, ``/healthz``,
+``/readyz``, ``/manifest``, ``/traces``, ``/timeline``, and SSE
+``/events``), ``--log-json`` (structured JSON-lines operational logging
+instead of bare stderr), and ``--flight-dir DIR`` (arm the black-box
+flight recorder); one :class:`_RunSession` arms and tears these down for
+every command.  ``track`` and ``live`` also accept ``--fault-plan``
+(``chaos`` sweeps its own ``--plan``).  Counts, rates, and minutes are
+range-checked by the parser, so an out-of-range value is a usage error
+(exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -190,6 +188,8 @@ class _RunSession:
         # An armed flight recorder turns every SLO breach into a black box.
         watchdog.flight = self.flight
         self.bus.attach(watchdog.observe)
+        # ``/timeline`` reads the directory ``live --checkpoint`` writes to.
+        checkpoint = getattr(self.args, "checkpoint", None)
         self.server = ObsServer(
             obs=self.obs,
             manifest=self.manifest,
@@ -199,7 +199,9 @@ class _RunSession:
             watchdog=watchdog,
             port=self.args.serve,
             flight_dir=self.args.flight_dir or "",
-            checkpoint_dir=getattr(self.args, "checkpoint_dir", None) or "",
+            checkpoint_dir=(
+                os.path.dirname(os.path.abspath(checkpoint)) if checkpoint else ""
+            ),
         ).start()
         self.log.info(
             f"serving observability on {self.server.url}",
@@ -208,10 +210,9 @@ class _RunSession:
         )
         return self
 
-    def ready(self, tenants=None) -> None:
-        """Flip ``/readyz``; ``tenants`` (zero-arg callable) feeds ``/tenants``."""
+    def ready(self) -> None:
+        """Flip ``/readyz``."""
         if self.server is not None:
-            self.server.tenants_source = tenants
             self.server.set_ready()
 
     def __exit__(self, exc_type, exc, traceback) -> None:
@@ -571,146 +572,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_indexed_minute(text: str) -> tuple:
-    """Parse an ``ATTACK:MINUTE`` fleet control specification."""
-    try:
-        index_text, minute_text = text.split(":", 1)
-        return (int(index_text), float(minute_text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"fleet event {text!r} is not ATTACK:MINUTE (e.g. 2:240)"
-        )
-
-
-def _parse_quota(text: str) -> tuple:
-    """Parse a ``TENANT:WEIGHT`` fair-share quota specification."""
-    try:
-        tenant, weight_text = text.split(":", 1)
-        weight = float(weight_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"quota {text!r} is not TENANT:WEIGHT (e.g. tenant-00:2.0)"
-        )
-    if not tenant or weight <= 0:
-        raise argparse.ArgumentTypeError(
-            f"quota {text!r} needs a tenant name and a positive weight"
-        )
-    return (tenant, weight)
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .analysis.fleet import render_fleet_summary, render_fleet_table
-    from .analysis.live import render_window
-    from .fleet import (
-        CRASH,
-        DRAIN,
-        EVICT,
-        FleetEvent,
-        FleetRuntime,
-        FleetSpec,
-        scripted_stream,
-    )
-
-    session = _RunSession(
-        args,
-        "fleet",
-        tenants=args.tenants,
-        attacks_per_tenant=args.attacks,
-        max_active=args.max_active,
-        stagger_minutes=args.stagger_minutes,
-        distribution=args.distribution,
-    )
-    log = session.log
-    if args.checkpoint_every > 0 and not args.checkpoint_dir:
-        log.error("--checkpoint-every needs --checkpoint-dir PATH")
-        return 2
-    spec = FleetSpec(
-        seed=args.seed,
-        tenants=args.tenants,
-        attacks_per_tenant=args.attacks,
-        max_configs=args.max_configs,
-        num_sources=args.sources,
-        distribution=args.distribution,
-        window_minutes=args.window_minutes,
-        checkpoint_every=args.checkpoint_every,
-        topology_params=replace(SCALES[args.scale], seed=args.seed),
-        launch_stagger_minutes=args.stagger_minutes,
-        quotas=tuple(args.quota),
-        max_active=args.max_active,
-    )
-    attacks = spec.attacks()
-    controls = []
-    for action in (CRASH, DRAIN, EVICT):  # each names its own option
-        for index, minute in getattr(args, action):
-            if not 0 <= index < len(attacks):
-                log.error(
-                    f"--{action} attack index {index} out of range "
-                    f"(the fleet has {len(attacks)} attacks)"
-                )
-                return 2
-            attack = attacks[index]
-            controls.append(
-                FleetEvent(
-                    minute=minute,
-                    action=action,
-                    tenant=attack.tenant,
-                    prefix=attack.prefix,
-                )
-            )
-
-    injector_factory = None
-    if session.injector is not None:
-
-        def injector_factory(attack):
-            # One injector per shard: chaos draws stay independent of
-            # the fair-share interleaving.
-            return FaultInjector(session.injector.plan)
-
-    with session:
-        runtime = FleetRuntime(
-            spec,
-            events=scripted_stream(spec, controls),
-            obs=session.obs,
-            checkpoint_dir=args.checkpoint_dir or "",
-            injector_factory=injector_factory,
-            flight_dir=args.flight_dir or "",
-        )
-        session.health = lambda: {"healthy": True, "shards": len(runtime.shards)}
-        session.ready(tenants=runtime.tenants_summary)
-
-        windows_done = {"count": 0}
-        on_window = None
-        if not args.quiet:
-
-            def on_window(key, stats):
-                windows_done["count"] += 1
-                log.info(
-                    f"{key[0]}/{key[1]} " + render_window(stats),
-                    event="window",
-                    tenant=key[0],
-                    window=stats.window_index,
-                )
-                if args.table_every and windows_done["count"] % args.table_every == 0:
-                    reports = [
-                        shard.report() for shard in runtime.shards.values()
-                    ]
-                    sys.stderr.write(render_fleet_table(reports) + "\n")
-
-        try:
-            if args.serial:
-                report = runtime.run(on_window=on_window)
-            else:
-                import asyncio
-
-                report = asyncio.run(runtime.run_async(on_window=on_window))
-        finally:
-            runtime.close()
-    print(render_fleet_summary(report))
-    print()
-    print(render_fleet_table(report.shards))
-    return 0
-
-
 def _parse_levels(text: str) -> List[float]:
     """Parse the ``chaos`` sweep's comma-separated intensity levels."""
     try:
@@ -785,7 +646,7 @@ def _iter_sse(stream):
 def _cmd_dash(args: argparse.Namespace) -> int:
     from .analysis.dashboard import Dashboard
 
-    dash = Dashboard(tenant=args.tenant or "")
+    dash = Dashboard()
     if args.url:
         import urllib.error
         import urllib.request
@@ -847,11 +708,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         flight_dir=args.flight_dir or "",
         checkpoint_dir=args.checkpoint_dir or "",
     )
-    timeline = timeline.filtered(
-        tenant=args.tenant or "",
-        shard=args.shard or "",
-        since=args.since,
-    )
+    timeline = timeline.filtered(since=args.since)
     if args.json:
         print(_json.dumps(timeline.as_dict(), indent=2, sort_keys=True))
         return 0
@@ -927,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-configs",
             type=_positive_int,
             default=max_configs,
-            help="truncate the schedule (each shard's, in fleet)",
+            help="truncate the announcement schedule",
         )
         if measured:
             sub.add_argument(
@@ -943,30 +800,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--distribution",
             choices=PLACEMENT_DISTRIBUTIONS,
             default=distribution,
-            help="spoofing-source placement (per attack, in fleet)",
+            help="spoofing-source placement",
         )
         sub.add_argument(
             "--sources", type=_positive_int, default=sources,
-            help="number of sources (per attack, in fleet)",
+            help="number of spoofing sources",
         )
         add_run_options(sub, max_configs, measured)
-
-    def add_window_options(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--window-minutes",
-            type=_positive_float,
-            default=20.0,
-            help="observation window (honeypot counter-read interval) length",
-        )
-        sub.add_argument(
-            "--checkpoint-every",
-            type=_non_negative_int,
-            default=0,
-            help=(
-                "checkpoint every N windows (live: 0 = only final, with "
-                "--checkpoint; fleet: per shard, in --checkpoint-dir)"
-            ),
-        )
 
     def add_obs_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -1102,7 +942,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a synthetic attack through the online traceback service",
     )
     add_attack_options(live, "pareto", 40, max_configs=12)
-    add_window_options(live)
+    live.add_argument(
+        "--window-minutes",
+        type=_positive_float,
+        default=20.0,
+        help="observation window (honeypot counter-read interval) length",
+    )
+    live.add_argument(
+        "--checkpoint-every",
+        type=_non_negative_int,
+        default=0,
+        help=(
+            "checkpoint to --checkpoint every N windows (0 = only "
+            "the final state)"
+        ),
+    )
     live.add_argument(
         "--batches-per-window",
         type=_positive_int,
@@ -1190,92 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_options(live)
     live.set_defaults(func=_cmd_live)
 
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="multiplex many tenants' attack replays through one runtime",
-    )
-    fleet.add_argument(
-        "--tenants", type=_positive_int, default=2, help="tenant origin networks"
-    )
-    fleet.add_argument(
-        "--attacks", type=_positive_int, default=2,
-        help="concurrent attacks per tenant",
-    )
-    add_attack_options(fleet, "pareto", 12, max_configs=6)
-    add_window_options(fleet)
-    fleet.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="directory for per-shard checkpoints",
-    )
-    fleet.add_argument(
-        "--stagger-minutes",
-        type=_non_negative_float,
-        default=0.0,
-        help="spread attack launches this many simulated minutes apart",
-    )
-    fleet.add_argument(
-        "--max-active",
-        type=_non_negative_int,
-        default=0,
-        help="admission bound on concurrently live shards (0 = unbounded)",
-    )
-    fleet.add_argument(
-        "--quota",
-        type=_parse_quota,
-        action="append",
-        default=[],
-        metavar="TENANT:WEIGHT",
-        help="fair-share weight (repeatable, e.g. --quota tenant-00:2.0)",
-    )
-    fleet.add_argument(
-        "--crash",
-        type=_parse_indexed_minute,
-        action="append",
-        default=[],
-        metavar="ATTACK:MINUTE",
-        help=(
-            "kill attack #N's shard at this simulated minute; it resumes "
-            "from its checkpoint (repeatable)"
-        ),
-    )
-    fleet.add_argument(
-        "--drain",
-        type=_parse_indexed_minute,
-        action="append",
-        default=[],
-        metavar="ATTACK:MINUTE",
-        help="gracefully finish attack #N's shard at this minute (repeatable)",
-    )
-    fleet.add_argument(
-        "--evict",
-        type=_parse_indexed_minute,
-        action="append",
-        default=[],
-        metavar="ATTACK:MINUTE",
-        help="remove attack #N's shard at this minute (repeatable)",
-    )
-    fleet.add_argument(
-        "--serial",
-        action="store_true",
-        help="use the serial driver instead of the asyncio front end "
-        "(byte-identical results)",
-    )
-    fleet.add_argument(
-        "--table-every",
-        type=_non_negative_int,
-        default=8,
-        help="print the rolling tenant table every N fleet windows (0 = never)",
-    )
-    fleet.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress rolling per-window progress on stderr",
-    )
-    add_fault_plan(fleet)
-    add_obs_options(fleet)
-    fleet.set_defaults(func=_cmd_fleet)
-
     chaos = subparsers.add_parser(
         "chaos",
         help="sweep a fault plan across intensities (accuracy vs fault rate)",
@@ -1347,11 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         help="with --url: socket timeout in seconds",
     )
-    dash.add_argument(
-        "--tenant",
-        default=None,
-        help="only render events tagged with this tenant (fleet streams)",
-    )
     add_attack_options(dash, "pareto", 10, max_configs=6)
     dash.set_defaults(func=_cmd_dash)
 
@@ -1378,17 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="directory of per-shard checkpoints (and rotated generations)",
-    )
-    timeline.add_argument(
-        "--tenant",
-        default=None,
-        help="keep only rows tagged with this tenant",
-    )
-    timeline.add_argument(
-        "--shard",
-        default=None,
-        help="keep only rows whose shard label contains this substring",
+        help="directory of checkpoints (and rotated generations)",
     )
     timeline.add_argument(
         "--since",

@@ -5,7 +5,8 @@
 ASes in each link's catchment.  Batch runs, figures, strategy
 comparison, the live service and the staleness experiment all build it
 here, so this module alone decides the universe rule, the restriction to
-it, smax imputation of measured catchments and fault degradation.
+it, smax imputation of measured catchments, fault degradation and the
+exclusion of configurations whose routing never settled.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class Evidence:
         injector: Optional["FaultInjector"] = None,
         registry=None,
         universe: Optional[Iterable[ASN]] = None,
+        bus=None,
     ) -> "Evidence":
         """Build the evidence of ``configs`` from their aligned outcomes.
 
@@ -62,6 +64,13 @@ class Evidence:
         are ground truth, thinned by the injector's measurement loss, and
         thinned links are marked degraded.  ``universe`` overrides the
         first configuration's.
+
+        A configuration whose fixpoint never converged has no catchment
+        to measure (§IV-a waits out convergence): its outcome is a
+        snapshot of an oscillation.  Its step is marked degraded on every
+        link, so clustering skips it and NNLS drops it, and each one is
+        announced as an ``unconverged`` event on ``bus`` and counted in
+        ``registry``.
 
         Raises:
             SchedulingError: with no configurations and no universe.
@@ -80,8 +89,10 @@ class Evidence:
                 history.add(assignment)
             # Withdrawn links keep an (empty) catchment in every map.
             maps = history.catchment_maps(campaign.origin.link_ids)
-            steps = tuple(map(EvidenceStep, configs, outcomes, maps))
-            return cls(history.universe, steps)
+            steps = map(EvidenceStep, configs, outcomes, maps)
+            return cls(
+                history.universe, _exclude_unconverged(steps, bus, registry)
+            )
         members = (
             outcomes[0].covered_ases if universe is None else frozenset(universe)
         )
@@ -97,7 +108,7 @@ class Evidence:
                     index, catchments
                 )
             built.append(EvidenceStep(config, outcome, catchments, degraded))
-        return cls(members, tuple(built))
+        return cls(members, _exclude_unconverged(built, bus, registry))
 
     @property
     def maps(self) -> List[Dict[LinkId, Catchment]]:
@@ -152,3 +163,27 @@ class Evidence:
         configs = [step.config for step in self.steps]
         return Evidence.build(configs, outcomes, universe=self.universe)
 
+
+def _exclude_unconverged(
+    steps: Iterable[EvidenceStep], bus=None, registry=None
+) -> Tuple[EvidenceStep, ...]:
+    """``steps`` with every step whose outcome did not converge degraded
+    on all of its links, each such step announced and counted."""
+    kept: List[EvidenceStep] = []
+    for index, step in enumerate(steps):
+        if not step.outcome.converged:
+            step = replace(step, degraded=frozenset(step.catchments))
+            if bus is not None:
+                bus.publish(
+                    "unconverged",
+                    step=index,
+                    config=step.config.label or step.config.describe(),
+                    passes=step.outcome.passes,
+                )
+            if registry is not None:
+                registry.counter(
+                    "repro_evidence_unconverged_steps_total",
+                    help="configurations excluded because routing never settled",
+                ).inc()
+        kept.append(step)
+    return tuple(kept)

@@ -427,6 +427,7 @@ class SpoofTracker:
                     campaign=self.testbed.campaign if measured else None,
                     injector=injector,
                     registry=registry,
+                    bus=obs.bus,
                 )
             if span is not None:
                 span.set("universe", len(evidence.universe))

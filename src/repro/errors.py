@@ -71,11 +71,6 @@ class CheckpointCorruptionError(LiveServiceError):
     exists to roll back to."""
 
 
-class FleetError(ReproError):
-    """Raised when the multi-tenant fleet runtime is misconfigured or a
-    fleet event targets a shard that cannot accept it."""
-
-
 class FaultInjectionError(ReproError):
     """Raised when a fault plan is malformed or names an unknown fault."""
 

@@ -37,6 +37,7 @@ from .service import (
     LiveTracebackService,
     ReplayScenario,
     WindowStats,
+    attribution_digest,
 )
 
 __all__ = [
@@ -59,4 +60,5 @@ __all__ = [
     "LiveReport",
     "LiveRunStats",
     "WindowStats",
+    "attribution_digest",
 ]

@@ -31,10 +31,8 @@ keeps the upgrade chain honest.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import re
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import CheckpointCorruptionError, LiveServiceError
@@ -46,9 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: Current checkpoint document version (the version :func:`save_checkpoint`
 #: writes; older documents load through the migration chain).
 CHECKPOINT_VERSION = 2
-
-#: Filename characters kept verbatim by :func:`shard_checkpoint_path`.
-_SLUG_UNSAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 
 #: Payload transform applied during an upgrade step.
 Migration = Callable[[dict], dict]
@@ -172,28 +167,6 @@ def rotate_generations(path: str, keep: int = 1) -> None:
         stale += 1
 
 
-def shard_checkpoint_path(directory: str, tenant: str, prefix: str) -> str:
-    """Collision-proof checkpoint path for one fleet shard.
-
-    Many shards checkpoint under one directory, so the path must be a
-    function of the full shard key ``(tenant, prefix)``: the human-
-    readable part is a sanitized slug (prefixes contain ``/``), and an
-    8-hex digest of the *raw* key guarantees two distinct keys never map
-    to the same file even when their slugs collide (``"a/b"`` vs
-    ``"a-b"``).
-    """
-    if not tenant or not prefix:
-        raise LiveServiceError("shard checkpoints need a tenant and a prefix")
-    slug = "__".join(
-        _SLUG_UNSAFE.sub("-", part).strip("-") or "x"
-        for part in (tenant, prefix)
-    )
-    digest = hashlib.sha256(
-        f"{tenant}\x00{prefix}".encode("utf-8")
-    ).hexdigest()[:8]
-    return os.path.join(directory, f"shard-{slug}-{digest}.json")
-
-
 def _canonical_json(payload) -> str:
     """The canonical encoding the checksum covers."""
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -280,9 +253,7 @@ def _candidate_paths(path: str, allow_rollback: bool) -> List[str]:
 def load_checkpoint(
     path: str,
     allow_rollback: bool = True,
-    engine=None,
     testbed=None,
-    obs=None,
 ) -> "LiveTracebackService":
     """Rebuild a service from a checkpoint written by :func:`save_checkpoint`.
 
@@ -299,11 +270,7 @@ def load_checkpoint(
             to rotated generations; the restored service has
             ``restored_via_rollback`` set so callers can account the
             recovery.
-        engine: shared :class:`~repro.core.engine.SimulationEngine` for
-            the restored service (fleet resume path; see
-            :meth:`~repro.live.service.LiveTracebackService.from_serializable`).
         testbed: pre-built testbed matching the checkpoint's spec.
-        obs: observability bundle for the restored service.
 
     The restored service carries ``checkpoint_migrated_from`` (the
     original document version, or None when it was already current) so
@@ -346,9 +313,7 @@ def load_checkpoint(
         # The document stores only a filename; future checkpoints of the
         # restored service go where this one was loaded from.
         scenario_payload["checkpoint_path"] = path
-    service = LiveTracebackService.from_serializable(
-        payload, engine=engine, testbed=testbed, obs=obs
-    )
+    service = LiveTracebackService.from_serializable(payload, testbed=testbed)
     service.restored_via_rollback = loaded_from != path
     service.checkpoint_migrated_from = migrated_from
     return service

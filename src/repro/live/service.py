@@ -19,6 +19,8 @@ report.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -289,6 +291,42 @@ class LiveReport:
         return self.to_tracker_report().summary()
 
 
+def attribution_digest(report: Optional[LiveReport]) -> str:
+    """SHA-256 over the canonical final attribution of one replay.
+
+    Covers cluster memberships, estimated volumes (rounded to 1e-9, the
+    live-vs-batch equivalence tolerance), the NNLS residual, and the
+    stop reason — the byte-determinism witness the restart suites
+    compare across kill/resume and across interpreter hash seeds.
+    """
+    if report is None:
+        return ""
+    localization = report.localization
+    ranked = (
+        [
+            {
+                "members": sorted(cluster.members),
+                "volume": round(cluster.estimated_volume, 9),
+            }
+            for cluster in localization.ranked
+        ]
+        if localization is not None
+        else []
+    )
+    canonical = json.dumps(
+        {
+            "ranked": ranked,
+            "residual": round(localization.residual, 9)
+            if localization is not None
+            else None,
+            "stop_reason": report.run_stats.stop_reason,
+            "windows": report.run_stats.windows,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 class LiveTracebackService:
     """Event-driven online attribution over a synthetic attack replay.
 
@@ -308,12 +346,6 @@ class LiveTracebackService:
             "premeasure" span, per-window latency histograms, and live
             runtime counters (windows, selections, remeasurements,
             dropped batches).
-        engine: pre-built :class:`SimulationEngine` to run measurements
-            through instead of constructing a private one.  The fleet
-            runtime passes one shared engine per tenant so sibling
-            attacks on the same origin reuse its LRU cache; a shared
-            engine is *not* closed by :meth:`close` (its owner closes
-            it), and its stats span every consumer.
     """
 
     def __init__(
@@ -325,7 +357,6 @@ class LiveTracebackService:
         timeline: Optional[CampaignTimeline] = None,
         injector: Optional[FaultInjector] = None,
         obs: Optional[Observability] = None,
-        engine: Optional[SimulationEngine] = None,
     ) -> None:
         require_serial(workers)
         self.scenario = scenario or ReplayScenario()
@@ -345,8 +376,7 @@ class LiveTracebackService:
         if self.scenario.max_configs is not None:
             schedule = schedule[: self.scenario.max_configs]
         self.schedule = schedule
-        self._owns_engine = engine is None
-        self.engine = engine if engine is not None else SimulationEngine(
+        self.engine = SimulationEngine(
             self.testbed.simulator,
             injector=injector,
             bus=self.obs.bus,
@@ -439,13 +469,8 @@ class LiveTracebackService:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Close the simulation engine this service owns.
-
-        A shared engine (one passed in by the fleet runtime) is left
-        open — its owner closes it once every sibling shard is done.
-        """
-        if self._owns_engine:
-            self.engine.close()
+        """Close the service's simulation engine."""
+        self.engine.close()
 
     # ------------------------------------------------------------------
     # The control loop
@@ -456,17 +481,6 @@ class LiveTracebackService:
         """True once the replay reached a stop condition."""
         return self._finished
 
-    def finish(self, reason: str) -> None:
-        """Stop the replay after the current state (operator drain).
-
-        The next :meth:`step` (or :meth:`run`) observes the stop and the
-        final report carries ``reason`` as its stop reason.  Idempotent:
-        a replay that already stopped keeps its original reason.
-        """
-        if not self._finished:
-            self.stop_reason = reason
-            self._finished = True
-
     def step(
         self, on_window: Optional[Callable[[WindowStats], None]] = None
     ) -> bool:
@@ -474,10 +488,9 @@ class LiveTracebackService:
 
         A unit is either one configuration activation, one observation
         window, or the trailing dwell slack of a configuration.  Calling
-        ``step()`` until it returns False is exactly :meth:`run` — the
-        fleet runtime interleaves the units of many shards through this
-        API, and per-shard results are identical because shards share no
-        mutable state.
+        ``step()`` until it returns False is exactly :meth:`run`, so a
+        caller may stop between any two units (a kill) and resume from
+        the last checkpoint to the same result.
         """
         if self._finished:
             return False
@@ -968,18 +981,15 @@ class LiveTracebackService:
     def from_serializable(
         cls,
         payload: Mapping,
-        engine: Optional[SimulationEngine] = None,
         testbed: Optional[Testbed] = None,
-        obs: Optional[Observability] = None,
     ) -> "LiveTracebackService":
         """Rebuild a service dumped by :meth:`as_serializable`.
 
         The testbed, schedule, and stale catchments are re-derived
         deterministically from the spec; only observed state is restored
-        from the payload.  ``engine``/``testbed``/``obs`` are runtime
-        configuration, not state: the fleet runtime passes its shared
-        per-tenant engine and testbed so a resumed shard rides the warm
-        cache instead of re-simulating cold.
+        from the payload.  ``testbed`` is runtime configuration, not
+        state: a pre-built testbed matching the payload's spec saves the
+        rebuild.
         """
         spec = _spec_from_payload(payload["spec"])
         scenario = _scenario_from_payload(payload["scenario"])
@@ -1005,8 +1015,6 @@ class LiveTracebackService:
             spec=spec,
             testbed=testbed,
             injector=injector,
-            obs=obs,
-            engine=engine,
         )
 
         service.clock = SimClock(payload["clock"])

@@ -1,7 +1,7 @@
 """Black-box flight recorder: bounded event capture + post-mortem dumps.
 
-When a fleet shard dies, a scripted kill fires, or a checkpoint rolls back,
-the *recent* context — which bus events fired, what was logged, which
+When a run crashes, breaches an SLO, or an operator asks for it, the
+*recent* context — which bus events fired, what was logged, which
 spans closed, which faults struck, how the counters moved — is exactly
 what an operator needs and exactly what used to die with the process.
 Spans, log records and fault firings are all bus events, so a
@@ -16,14 +16,13 @@ checksummed JSON bundle (the "black box") for the timeline layer
 and bundles are canonical JSON with no wall-clock timestamps, pids, or
 absolute paths.  Two replays of the same seeded scenario that crash at
 the same logical point therefore dump *byte-identical* bundles, across
-interpreter hash seeds and across the serial/asyncio fleet drivers; the
-bundle checksum doubles as the crash's forensic fingerprint.
+interpreter hash seeds; the bundle checksum doubles as the crash's
+forensic fingerprint.
 
 Dump triggers wired across the repo:
 
-* shard crash containment and scripted kills
-  (:class:`~repro.fleet.shard.AttackShard`),
-* checkpoint rollback on resume,
+* the CLI's crash handler (an exception escaping a ``--flight-dir``
+  run),
 * SLO breaches (:class:`~repro.obs.slo.SloWatchdog.flight`),
 * explicit operator request — :func:`install_flight_signal` binds
   ``SIGUSR1`` so a live run can be asked for its black box any time.
@@ -61,22 +60,17 @@ class FlightRecorder:
     """Bounded, lock-safe ring of recent observability entries.
 
     Args:
-        name: identity token for bundle filenames (shard label, run
-            name); slugged into the dump path.
+        name: identity token for bundle filenames (the run name);
+            slugged into the dump path.
         capacity: ring size — the *last* ``capacity`` entries survive.
         directory: where post-mortem bundles land ("" records without
             ever dumping — :meth:`dump` then returns "").
         context: deterministic identity fields embedded in every bundle
-            (tenant, attack, seed, …).
+            (seed, …).
         registry: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             when present, counter *deltas* are recorded as ring entries
             at every dump and the bundle embeds the full deterministic
             ``counter_totals()`` snapshot.
-        tag_filter: only bus events whose payload matches every
-            ``key: value`` pair are captured — how a per-shard recorder
-            rides the fleet's *shared* bus without recording its
-            neighbours (events missing a filtered key are skipped, so a
-            tenant-tagged engine event stays out of per-attack rings).
 
     Attach with :meth:`attach` and always :meth:`detach` on teardown —
     buses outlive runtimes.
@@ -89,7 +83,6 @@ class FlightRecorder:
         directory: str = "",
         context: Optional[Mapping[str, object]] = None,
         registry=None,
-        tag_filter: Optional[Mapping[str, object]] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
@@ -98,7 +91,6 @@ class FlightRecorder:
         self.directory = directory
         self.context: Dict[str, object] = dict(context or {})
         self.registry = registry
-        self.tag_filter: Dict[str, object] = dict(tag_filter or {})
         self.dumps: List[str] = []
         self._ring: "deque[Dict[str, object]]" = deque(maxlen=capacity)
         self._lock = threading.Lock()
@@ -145,10 +137,6 @@ class FlightRecorder:
     # -- bus capture ----------------------------------------------------
 
     def _on_bus(self, event: Mapping) -> None:
-        if self.tag_filter and any(
-            event.get(key) != value for key, value in self.tag_filter.items()
-        ):
-            return
         self.record("bus", event=strip_measured(event))
 
     def attach(self, bus) -> "FlightRecorder":
@@ -245,15 +233,9 @@ class FlightRecorder:
         # deterministic identity, never the path: bundles must stay
         # byte-identical across checkout locations.
         if self._bus is not None:
-            announce: Dict[str, object] = {
-                "flight": self.name,
-                "reason": reason,
-                "ordinal": ordinal,
-            }
-            for key in ("tenant", "shard"):
-                if key in self.context:
-                    announce[key] = self.context[key]
-            self._bus.publish("flight", **announce)
+            self._bus.publish(
+                "flight", flight=self.name, reason=reason, ordinal=ordinal
+            )
         return path
 
 

@@ -17,15 +17,13 @@ Levels follow the conventional ladder; records below the logbook's
 threshold are dropped before rendering.  A logbook given a bus first
 publishes every record (even one below the threshold) as a ``log``
 event and then renders the event the bus returns, minus the bus's
-``seq``/``kind`` stamps — so fields a tagged bus view injects (a fleet
-shard's ``tenant``/``attack``) reach ``--log-json`` lines, and the bus
-history is where records are retained.  ``seq`` and ``kind`` are
+``seq``/``kind`` stamps — so the bus history is where records are
+retained.  ``seq`` and ``kind`` are
 therefore reserved field names.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import sys
 from typing import Optional, TextIO
@@ -46,8 +44,8 @@ class Logbook:
         level: minimum level rendered (records below are still counted).
         tracer: optional :class:`~repro.obs.tracing.Tracer`; when given,
             each record carries the innermost open span's id.
-        bus: optional :class:`~repro.obs.bus.EventBus` (or tagged view)
-            each record is published to as a ``log`` event.
+        bus: optional :class:`~repro.obs.bus.EventBus` each record is
+            published to as a ``log`` event.
     """
 
     def __init__(
@@ -71,13 +69,6 @@ class Logbook:
     def stream(self) -> TextIO:
         # Resolved lazily so capsys/StringIO redirection in tests works.
         return self._stream if self._stream is not None else sys.stderr
-
-    def with_bus(self, bus) -> "Logbook":
-        """A logbook rendering like this one that publishes to ``bus``
-        (how a fleet shard logs through its tagged bus view)."""
-        view = copy.copy(self)
-        view.bus = bus
-        return view
 
     def _span_id(self) -> str:
         if self.tracer is None:

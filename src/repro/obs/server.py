@@ -33,8 +33,7 @@ Endpoints (all GET, stdlib :mod:`http.server` only):
 ``/timeline``
     The merged forensic timeline (:mod:`repro.obs.timeline`) over the
     armed bus history and any attached flight/checkpoint directories,
-    with ``?tenant=``/``?shard=``/``?since=`` filters and the
-    deterministic digest in the body.
+    with a ``?since=`` filter and the deterministic digest in the body.
 
 A malformed ``?limit=`` or ``?since=`` gets a 400 with a JSON error.
 
@@ -140,8 +139,6 @@ class _ObsHandler(BaseHTTPRequestHandler):
                 self._handle_traces(obs_server)
             elif route == "/events":
                 self._handle_events(obs_server, parse_qs(parsed.query))
-            elif route == "/tenants":
-                self._handle_tenants(obs_server)
             elif route == "/timeline":
                 self._handle_timeline(obs_server, parse_qs(parsed.query))
             else:
@@ -188,25 +185,13 @@ class _ObsHandler(BaseHTTPRequestHandler):
             return
         self._send_json(200, tracer.records())
 
-    def _handle_tenants(self, obs_server: "ObsServer") -> None:
-        source = obs_server.tenants_source
-        if source is None:
-            self._send_json(404, {"error": "no fleet runtime attached"})
-            return
-        payload = source() if callable(source) else source
-        self._send_json(200, payload)
-
     def _handle_timeline(self, obs_server: "ObsServer", query) -> None:
         since = _query_number(query, "since", float)
         timeline = obs_server.build_timeline()
         if timeline is None:
             self._send_json(404, {"error": "no timeline sources armed"})
             return
-        tenant = query.get("tenant", [""])[0]
-        shard = query.get("shard", [""])[0]
-        self._send_json(
-            200, timeline.filtered(tenant=tenant, shard=shard, since=since).as_dict()
-        )
+        self._send_json(200, timeline.filtered(since=since).as_dict())
 
     def _handle_events(self, obs_server: "ObsServer", query) -> None:
         bus = obs_server.bus
@@ -267,9 +252,6 @@ class ObsServer:
             attribute (e.g. a :class:`~repro.faults.health.ResilienceReport`),
             or a bare bool.
         watchdog: :class:`~repro.obs.slo.SloWatchdog` gating ``/readyz``.
-        tenants_source: value or zero-arg callable feeding ``/tenants``
-            (fleet mode wires the runtime's ``tenants_summary`` here);
-            absent ⇒ 404.
         host: bind address (default loopback).
         port: bind port; 0 picks a free one (read :attr:`port` after).
         timeline_source: zero-arg callable returning a
@@ -291,7 +273,6 @@ class ObsServer:
         "/manifest",
         "/traces",
         "/events",
-        "/tenants",
         "/timeline",
     )
 
@@ -305,7 +286,6 @@ class ObsServer:
         watchdog=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        tenants_source=None,
         timeline_source=None,
         flight_dir: str = "",
         checkpoint_dir: str = "",
@@ -317,9 +297,6 @@ class ObsServer:
         self.manifest = manifest
         self.health_source = health_source
         self.watchdog = watchdog
-        #: Value or zero-arg callable feeding ``/tenants`` — the fleet
-        #: runtime's :meth:`~repro.fleet.runtime.FleetRuntime.tenants_summary`.
-        self.tenants_source = tenants_source
         self.timeline_source = timeline_source
         self.flight_dir = flight_dir
         self.checkpoint_dir = checkpoint_dir

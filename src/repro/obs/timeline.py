@@ -3,7 +3,7 @@
 After a crash (or just a confusing run) the evidence is scattered: the
 event bus knows what happened in publish order (spans, log records and
 fault firings included), the trace JSONL keeps the span structure on
-disk, flight bundles (:mod:`repro.obs.flight`) hold each shard's last
+disk, flight bundles (:mod:`repro.obs.flight`) hold a run's last
 seconds, and the checkpoint directory holds the states that reached
 disk.  This module merges all four into one **timeline**: a flat,
 deterministic sequence of :class:`TimelineEntry` rows aligned on
@@ -42,11 +42,10 @@ _UNALIGNED = -1.0
 #: land after every sequenced event of their minute).
 _NO_SEQ = 1 << 60
 
-#: ``shard-<tenant>__<prefix>-<digest8>.json`` (and rotated ``.N``)
-#: checkpoint filenames, as written by ``shard_checkpoint_path``.
-_SHARD_FILE = re.compile(
-    r"^shard-(?P<tenant>.+?)__(?P<prefix>.+)-[0-9a-f]{8}\.json"
-    r"(?:\.(?P<generation>\d+))?$"
+#: ``<name>.json`` checkpoint filenames and their rotated ``.N``
+#: generations.
+_CHECKPOINT_FILE = re.compile(
+    r"^(?P<name>.+\.json)(?:\.(?P<generation>\d+))?$"
 )
 
 #: Payload fields that align an event on the simulated clock, in
@@ -77,9 +76,6 @@ class TimelineEntry:
             or ``checkpoint``.
         kind: row type within the source (bus event kind, ``span``,
             flight ``dump``/ring-entry kind, ``checkpoint``).
-        tenant: owning tenant ("" for untagged rows).
-        shard: owning shard label ``tenant/prefix`` ("" for fleet-wide
-            rows).
         label: one-line human summary.
         detail: the deterministic payload projection (JSON-safe).
     """
@@ -88,8 +84,6 @@ class TimelineEntry:
     seq: Optional[int]
     source: str
     kind: str
-    tenant: str = ""
-    shard: str = ""
     label: str = ""
     detail: Dict[str, object] = field(default_factory=dict)
 
@@ -100,7 +94,6 @@ class TimelineEntry:
             self.seq if self.seq is not None else _NO_SEQ,
             self.source,
             self.kind,
-            self.shard,
             self.label,
             canonical,
         )
@@ -113,8 +106,6 @@ class TimelineEntry:
             "seq": self.seq,
             "source": self.source,
             "kind": self.kind,
-            "tenant": self.tenant,
-            "shard": self.shard,
             "label": self.label,
             "detail": self.detail,
         }
@@ -134,33 +125,20 @@ class Timeline:
     def __iter__(self):
         return iter(self.entries)
 
-    def filtered(
-        self,
-        tenant: str = "",
-        shard: str = "",
-        since: Optional[float] = None,
-    ) -> "Timeline":
+    def filtered(self, since: Optional[float] = None) -> "Timeline":
         """A narrowed copy.
 
-        ``tenant`` keeps only rows tagged with that tenant; ``shard``
-        matches as a substring of the shard label (so ``--shard
-        198.18.2.8`` works without the mask); ``since`` keeps rows at or
-        after that simulated minute — which drops unaligned prologue
-        rows, deliberately: "from minute X" is a statement about the
-        simulated clock.
+        ``since`` keeps rows at or after that simulated minute — which
+        drops unaligned prologue rows, deliberately: "from minute X" is
+        a statement about the simulated clock.
         """
-        kept = []
-        for entry in self.entries:
-            if tenant and entry.tenant != tenant:
-                continue
-            if shard and shard not in entry.shard:
-                continue
-            if since is not None and (
-                entry.minute is None or entry.minute < since
-            ):
-                continue
-            kept.append(entry)
-        return Timeline(kept)
+        if since is None:
+            return Timeline(self.entries)
+        return Timeline(
+            entry
+            for entry in self.entries
+            if entry.minute is not None and entry.minute >= since
+        )
 
     def digest(self) -> str:
         """SHA-256 over the canonical entry list — the replay invariant."""
@@ -187,8 +165,7 @@ class Timeline:
         """
         shown = self.entries[-limit:] if limit > 0 else self.entries
         header = (
-            f"{'minute':>10}  {'seq':>6}  {'source':<10} {'kind':<16} "
-            f"{'shard':<28} detail"
+            f"{'minute':>10}  {'seq':>6}  {'source':<10} {'kind':<16} detail"
         )
         lines = [
             f"timeline: {len(self.entries)} entries"
@@ -204,7 +181,7 @@ class Timeline:
             seq = f"{entry.seq:>6d}" if entry.seq is not None else "     -"
             lines.append(
                 f"{minute}  {seq}  {entry.source:<10} {entry.kind:<16} "
-                f"{(entry.shard or entry.tenant):<28} {entry.label}"
+                f"{entry.label}"
             )
         return "\n".join(lines)
 
@@ -214,8 +191,6 @@ class Timeline:
 
 def _bus_label(event: Mapping) -> str:
     kind = str(event.get("kind", ""))
-    if kind == "fleet":
-        return f"{event.get('action', '?')} -> {event.get('state', '?')}"
     if kind == "window":
         return (
             f"window {event.get('window_index', '?')} "
@@ -241,15 +216,11 @@ def entry_from_bus_event(
     stripped = strip_measured(dict(event))
     seq = stripped.pop("seq", None)
     kind = str(stripped.pop("kind", ""))
-    tenant = str(stripped.get("tenant", "") or "")
-    shard = str(stripped.get("attack", "") or "")
     return TimelineEntry(
         minute=_event_minute(event),
         seq=int(seq) if isinstance(seq, int) else None,
         source=source,
         kind=kind,
-        tenant=tenant,
-        shard=shard,
         label=_bus_label(event),
         detail=stripped,
     )
@@ -295,8 +266,6 @@ def entries_from_flight_payload(
     generic ``flight`` row carrying the entry as its detail.
     """
     context = dict(payload.get("context", {}))
-    tenant = str(context.get("tenant", "") or "")
-    shard = str(context.get("shard", "") or context.get("attack", "") or "")
     minute = _event_minute(context)
     entries = [
         TimelineEntry(
@@ -304,8 +273,6 @@ def entries_from_flight_payload(
             seq=None,
             source="flight",
             kind="dump",
-            tenant=tenant,
-            shard=shard,
             label=(
                 f"{payload.get('reason', '?')} "
                 f"#{payload.get('ordinal', 0)} "
@@ -333,8 +300,6 @@ def entries_from_flight_payload(
                 seq=None,
                 source="flight",
                 kind=kind,
-                tenant=tenant,
-                shard=shard,
                 detail={
                     key: value
                     for key, value in item.items()
@@ -373,11 +338,13 @@ def entries_from_flight_dir(directory: str) -> List[TimelineEntry]:
 
 
 def entries_from_checkpoint_dir(directory: str) -> List[TimelineEntry]:
-    """Rows for every shard checkpoint (and rotated generation) on disk.
+    """Rows for every checkpoint (and rotated generation) on disk.
 
-    Damaged documents become ``damaged`` rows instead of being skipped —
-    a post-mortem cares exactly about the checkpoints that did *not*
-    survive.
+    Every ``<name>.json`` and ``<name>.json.N`` under ``directory`` is
+    read and labelled by its filename.  Damaged documents become
+    ``damaged`` rows instead of being skipped — a post-mortem cares
+    exactly about the checkpoints that did *not* survive.  Readable JSON
+    without a simulated clock is not a checkpoint and is left out.
     """
     from ..live.checkpoint import _read_payload
 
@@ -385,11 +352,10 @@ def entries_from_checkpoint_dir(directory: str) -> List[TimelineEntry]:
     if not directory or not os.path.isdir(directory):
         return entries
     for name in sorted(os.listdir(directory)):
-        match = _SHARD_FILE.match(name)
+        match = _CHECKPOINT_FILE.match(name)
         if match is None:
             continue
-        tenant = match.group("tenant")
-        shard = f"{tenant}/{match.group('prefix')}"
+        checkpoint = match.group("name")
         generation = int(match.group("generation") or 0)
         payload, reason = _read_payload(os.path.join(directory, name))
         if reason:
@@ -399,25 +365,23 @@ def entries_from_checkpoint_dir(directory: str) -> List[TimelineEntry]:
                     seq=None,
                     source="checkpoint",
                     kind="damaged",
-                    tenant=tenant,
-                    shard=shard,
-                    label=f"generation {generation}: unreadable",
+                    label=f"{checkpoint} generation {generation}: unreadable",
                     detail={"file": name, "generation": generation},
                 )
             )
             continue
         clock = payload.get("clock")
-        minute = float(clock) if isinstance(clock, (int, float)) else None
+        if not isinstance(clock, (int, float)):
+            continue
+        minute = float(clock)
         entries.append(
             TimelineEntry(
                 minute=minute,
                 seq=None,
                 source="checkpoint",
                 kind="checkpoint",
-                tenant=tenant,
-                shard=shard,
                 label=(
-                    f"generation {generation}, "
+                    f"{checkpoint} generation {generation}, "
                     f"schema v{payload.get('version', '?')}"
                 ),
                 detail={

@@ -32,7 +32,7 @@ class TestParser:
 
     def test_workers_flag_rejected(self, capsys):
         """Simulation is serial-only: ``--workers`` is not an option."""
-        for command in ["track", "figures", "live", "compare", "fleet"]:
+        for command in ["track", "figures", "live", "compare"]:
             with pytest.raises(SystemExit) as exit_info:
                 main([command, "--workers", "2"])
             assert exit_info.value.code == 2
@@ -40,7 +40,7 @@ class TestParser:
 
     MAX_CONFIGS_COMMANDS = [
         "chaos", "compare", "dash", "dataset", "experiments", "figures",
-        "fleet", "headline", "live", "profile", "track",
+        "headline", "live", "profile", "track",
     ]
 
     def test_max_configs_commands_listed(self):
@@ -91,14 +91,6 @@ class TestParser:
             ["live", "--checkpoint-every", "-1"],
             ["live", "--stop-volume-share", "0"],
             ["live", "--stop-volume-share", "1.5"],
-            ["fleet", "--tenants", "0"],
-            ["fleet", "--attacks", "0"],
-            ["fleet", "--sources", "0"],
-            ["fleet", "--window-minutes", "-20"],
-            ["fleet", "--checkpoint-every", "-1"],
-            ["fleet", "--max-active", "-1"],
-            ["fleet", "--stagger-minutes", "-1"],
-            ["fleet", "--table-every", "-1"],
             ["live", "--sources", "two"],
             ["track", "--split-threshold", "0"],
             ["track", "--split-threshold", "-3"],
@@ -108,7 +100,7 @@ class TestParser:
     def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
         """Every count, rate, and minutes option rejects what its library
         would reject, so ``--sources 0`` is exit 2 rather than a silent
-        single source or a LiveServiceError/FleetError traceback."""
+        single source or a LiveServiceError traceback."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -126,10 +118,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv, dest, value",
         [
-            (["fleet", "--checkpoint-every", "0"], "checkpoint_every", 0),
             (["live", "--packets-per-window", "0"], "packets_per_window", 0),
-            (["fleet", "--stagger-minutes", "0"], "stagger_minutes", 0.0),
-            (["fleet", "--max-active", "0"], "max_active", 0),
             (["live", "--checkpoint-every", "0"], "checkpoint_every", 0),
             (["live", "--stop-volume-share", "1"], "stop_volume_share", 1.0),
             (["live", "--window-minutes", "0.5"], "window_minutes", 0.5),
@@ -225,17 +214,15 @@ class TestParserSurface:
     #: minutes gained range-checked types (they were plain int/float).
     RETYPED = {
         "_positive_int": [
-            "chaos.sources", "dash.sources", "fleet.attacks", "fleet.sources",
-            "fleet.tenants", "live.batches_per_window", "live.min_configs",
-            "live.nnls_stride", "live.queue_capacity", "live.sources",
-            "live.table_every", "profile.sources", "track.sources",
+            "chaos.sources", "dash.sources", "live.batches_per_window",
+            "live.min_configs", "live.nnls_stride", "live.queue_capacity",
+            "live.sources", "live.table_every", "profile.sources",
+            "track.sources",
         ],
         "_non_negative_int": [
-            "fleet.checkpoint_every", "fleet.max_active", "fleet.table_every",
             "live.checkpoint_every", "live.packets_per_window",
         ],
-        "_positive_float": ["fleet.window_minutes", "live.window_minutes"],
-        "_non_negative_float": ["fleet.stagger_minutes"],
+        "_positive_float": ["live.window_minutes"],
         "_share": ["live.stop_volume_share"],
     }
 
@@ -430,8 +417,8 @@ class TestCommands:
 
 
 class TestFaultOptions:
-    def test_fault_plan_registered_on_track_live_and_fleet(self):
-        for command in ["track", "live", "fleet"]:
+    def test_fault_plan_registered_on_track_and_live(self):
+        for command in ["track", "live"]:
             args = build_parser().parse_args(
                 [command, "--fault-plan", "mixed"]
             )
@@ -496,7 +483,7 @@ class TestFaultOptions:
 
 class TestObservabilityOptions:
     def test_trace_metrics_registered(self):
-        for command in ["track", "live", "chaos", "profile", "fleet"]:
+        for command in ["track", "live", "chaos", "profile"]:
             args = build_parser().parse_args(
                 [command, "--trace", "t.jsonl", "--metrics", "m.prom"]
             )
@@ -623,7 +610,7 @@ class TestObservabilityOptions:
 
 class TestServingOptions:
     def test_serve_and_log_json_registered(self):
-        for command in ["track", "live", "chaos", "profile", "fleet"]:
+        for command in ["track", "live", "chaos", "profile"]:
             args = build_parser().parse_args(
                 [command, "--serve", "0", "--log-json"]
             )
@@ -676,80 +663,12 @@ class TestServingOptions:
         assert all(r["msg"].startswith("wrote ") for r in exports)
 
 
-class TestFleetCommand:
-    def test_fleet_defaults(self):
-        args = build_parser().parse_args(["fleet"])
-        assert args.tenants == 2
-        assert args.attacks == 2
-        assert args.distribution == "pareto"
-        assert args.max_active == 0
-        assert args.quota == []
-        assert args.crash == [] and args.drain == [] and args.evict == []
-        assert not args.serial
-        assert args.table_every == 8
-
-    def test_event_and_quota_parsing(self):
-        args = build_parser().parse_args(
-            [
-                "fleet",
-                "--crash", "1:240",
-                "--drain", "0:100.5",
-                "--quota", "tenant-00:2.0",
-            ]
-        )
-        assert args.crash == [(1, 240.0)]
-        assert args.drain == [(0, 100.5)]
-        assert args.quota == [("tenant-00", 2.0)]
-        for bad in (
-            ["fleet", "--crash", "nonsense"],
-            ["fleet", "--crash", "1:x"],
-            ["fleet", "--quota", "tenant-00"],
-            ["fleet", "--quota", "tenant-00:0"],
-            ["fleet", "--quota", ":2.0"],
-        ):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(bad)
-
-    def test_checkpoint_every_needs_dir(self, capsys):
-        assert main(["fleet", "--checkpoint-every", "2"]) == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
-
-    def test_event_index_out_of_range(self, capsys):
-        code = main(
-            ["fleet", "--tenants", "1", "--attacks", "1", "--crash", "5:100"]
-        )
-        assert code == 2
-        assert "out of range" in capsys.readouterr().err
-
-    def test_fleet_command_runs(self, capsys):
-        code = main(
-            [
-                "--seed", "2", "fleet", "--tenants", "2", "--attacks", "1",
-                "--max-configs", "3", "--sources", "6", "--quiet",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fleet: 2 shards (2 done)" in out
-        assert "tenant-00" in out and "tenant-01" in out
-        assert "fleet digest: " in out
-
-    def test_fleet_crash_resume_command(self, tmp_path, capsys):
-        base = [
-            "--seed", "2", "fleet", "--tenants", "1", "--attacks", "2",
-            "--max-configs", "3", "--sources", "6", "--quiet", "--serial",
-            "--checkpoint-dir", str(tmp_path), "--checkpoint-every", "2",
-        ]
-        assert main(base + ["--crash", "1:100"]) == 0
-        crashed = capsys.readouterr().out
-        assert "1 crashes / 1 resumes" in crashed
-        assert main(base) == 0
-        quiet = capsys.readouterr().out
-        digest = [
-            line for line in quiet.splitlines() if line.startswith("fleet digest")
-        ]
-        # Kill + checkpoint resume converges on the uncrashed digest.
-        assert digest[0] in crashed
+class TestFleetCommandRemoved:
+    def test_fleet_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'fleet'" in capsys.readouterr().err
 
 
 class TestDashCommand:
@@ -771,11 +690,11 @@ class TestDashCommand:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
-    def test_dash_tenant_flag_registered(self):
-        args = build_parser().parse_args(["dash", "--tenant", "tenant-01"])
-        assert args.tenant == "tenant-01"
-        args = build_parser().parse_args(["dash"])
-        assert not args.tenant
+    def test_dash_has_no_tenant_filter(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dash", "--tenant", "tenant-01"])
+        assert exit_info.value.code == 2
+        assert "--tenant" in capsys.readouterr().err
 
 
 class TestBenchCheckCommand:

@@ -17,6 +17,7 @@ from repro.faults.injection import FaultInjector
 from repro.faults.plan import MEASUREMENT_LOSS, FaultPlan, FaultSpec
 from repro.live import LiveTracebackService, ReplayScenario, load_checkpoint
 from repro.live.events import RouteChurn
+from repro.obs import EventBus, MetricsRegistry
 from repro.strategy import compare_strategies
 
 CONFIGS = 40
@@ -65,9 +66,9 @@ class TestEveryBuilderAgrees:
         assert (run.universe, run.catchment_history) == (universe, maps)
 
         service = LiveTracebackService(
-            ReplayScenario(seed=0, max_configs=CONFIGS),
-            testbed=testbed, engine=engine,
+            ReplayScenario(seed=0, max_configs=CONFIGS), testbed=testbed
         )
+        service.close()
         assert service.universe == universe
         assert service.controller.catchment_maps == maps
 
@@ -148,6 +149,35 @@ class TestEvidenceOperations:
         nnls_maps, nnls_rows = evidence.nnls_inputs(rows)
         assert nnls_rows == [rows[0], rows[3], rows[4], rows[5]]
         assert nnls_maps == [evidence.maps[i] for i in (0, 3, 4, 5)]
+
+    def test_unconverged_step_is_excluded_announced_and_counted(
+        self, schedule_outcomes
+    ):
+        configs, outcomes = schedule_outcomes
+        assert all(outcome.converged for outcome in outcomes)
+        outcomes = list(outcomes)
+        outcomes[2] = replace(outcomes[2], converged=False)
+        bus, registry = EventBus(), MetricsRegistry()
+        evidence = Evidence.build(configs, outcomes, bus=bus, registry=registry)
+        step = evidence.steps[2]
+        assert step.catchments and step.degraded == frozenset(step.catchments)
+        assert evidence.degraded_steps == 1
+        assert evidence.planning_maps()[2] == {}
+        rows = list(range(len(configs)))
+        assert evidence.nnls_inputs(rows)[1] == [0, 1, 3, 4, 5]
+        (event,) = bus.history()
+        assert (event["kind"], event["step"]) == ("unconverged", 2)
+        assert event["config"] == (configs[2].label or configs[2].describe())
+        assert registry.counter_totals() == {
+            "repro_evidence_unconverged_steps_total": 1.0
+        }
+        # Settled evidence publishes and registers nothing.
+        quiet_bus, quiet_registry = EventBus(), MetricsRegistry()
+        Evidence.build(
+            configs, schedule_outcomes[1], bus=quiet_bus, registry=quiet_registry
+        )
+        assert quiet_bus.history() == []
+        assert quiet_registry.counter_totals() == {}
 
     def test_splitter_extension_keeps_universe(self, schedule_outcomes):
         configs, outcomes = schedule_outcomes

@@ -11,6 +11,7 @@ from repro.errors import CheckpointCorruptionError, LiveServiceError
 from repro.live import (
     LiveTracebackService,
     ReplayScenario,
+    attribution_digest,
     load_checkpoint,
     save_checkpoint,
 )
@@ -21,7 +22,6 @@ from repro.live.checkpoint import (
     generation_path,
     register_migration,
     rotate_generations,
-    shard_checkpoint_path,
 )
 
 FIXTURE_V1 = os.path.join(
@@ -160,37 +160,15 @@ class TestRoundTrip:
         assert resumed.run_stats == full.run_stats
 
 
-class TestShardNamespacing:
-    """Many shards persisting under one checkpoint directory (fleet mode)."""
-
-    def test_paths_are_keyed_by_tenant_and_prefix(self):
-        a = shard_checkpoint_path("/ckpt", "tenant-00", "198.18.0.0/29")
-        assert a == shard_checkpoint_path("/ckpt", "tenant-00", "198.18.0.0/29")
-        assert a != shard_checkpoint_path("/ckpt", "tenant-00", "198.18.0.8/29")
-        assert a != shard_checkpoint_path("/ckpt", "tenant-01", "198.18.0.0/29")
-        assert a.startswith("/ckpt/shard-tenant-00__198.18.0.0-29-")
-        assert "/" not in a[len("/ckpt/"):]
-
-    def test_colliding_slugs_stay_distinct(self):
-        # "a/b" and "a-b" sanitize to the same slug; the raw-key digest
-        # keeps the files apart.
-        a = shard_checkpoint_path("/ckpt", "t", "a/b")
-        b = shard_checkpoint_path("/ckpt", "t", "a-b")
-        assert a != b
-
-    def test_empty_key_is_an_error(self):
-        with pytest.raises(LiveServiceError):
-            shard_checkpoint_path("/ckpt", "", "198.18.0.0/29")
-        with pytest.raises(LiveServiceError):
-            shard_checkpoint_path("/ckpt", "tenant-00", "")
+class TestCheckpointLocation:
+    """Checkpoints sharing one directory, and checkpoints that move."""
 
     @pytest.fixture()
-    def two_shards(self, small_testbed, tmp_path):
-        """Two shard services checkpointing into one shared directory."""
-        directory = str(tmp_path)
+    def two_runs(self, small_testbed, tmp_path):
+        """Two services checkpointing into one shared directory."""
         paths = {}
-        for seed, prefix in ((5, "198.18.0.0/29"), (6, "198.18.0.8/29")):
-            path = shard_checkpoint_path(directory, "tenant-00", prefix)
+        for seed in (5, 6):
+            path = str(tmp_path / f"run-{seed}.json")
             scenario = ReplayScenario(
                 seed=seed,
                 max_configs=3,
@@ -204,21 +182,21 @@ class TestShardNamespacing:
             )
             service.run()
             service.close()
-            paths[prefix] = path
+            paths[seed] = path
         return paths
 
-    def test_sibling_shards_write_independent_documents(self, two_shards):
-        paths = list(two_shards.values())
+    def test_sibling_runs_write_independent_documents(self, two_runs):
+        paths = list(two_runs.values())
         assert len(set(paths)) == 2
         for path in paths:
             assert json.load(open(path))  # intact primary
             assert json.load(open(backup_path(path)))  # rotated previous
-        # The two shards saw different traffic: distinct state documents.
+        # The two runs saw different traffic: distinct state documents.
         bodies = [open(path).read() for path in paths]
         assert bodies[0] != bodies[1]
 
-    def test_corrupting_one_shard_leaves_the_other_intact(self, two_shards):
-        victim, bystander = two_shards.values()
+    def test_corrupting_one_run_leaves_the_other_intact(self, two_runs):
+        victim, bystander = two_runs.values()
         with open(victim, "w") as handle:
             handle.write('{"torn":')  # torn write on the primary
         restored = load_checkpoint(victim)
@@ -233,9 +211,7 @@ class TestShardNamespacing:
     ):
         bodies = []
         for directory in ("one", "two"):
-            path = shard_checkpoint_path(
-                str(tmp_path / directory), "tenant-00", "198.18.0.0/29"
-            )
+            path = str(tmp_path / directory / "live.json")
             scenario = ReplayScenario(
                 seed=5,
                 max_configs=3,
@@ -253,14 +229,10 @@ class TestShardNamespacing:
         assert bodies[0] == bodies[1]
 
     def test_relocated_checkpoint_rebinds_future_writes(
-        self, two_shards, tmp_path
+        self, two_runs, tmp_path
     ):
-        import shutil
-
-        source = next(iter(two_shards.values()))
+        source = next(iter(two_runs.values()))
         moved = str(tmp_path / "elsewhere" / "moved.json")
-        import os
-
         os.makedirs(os.path.dirname(moved))
         shutil.copy(source, moved)
         restored = load_checkpoint(moved)
@@ -290,8 +262,6 @@ class TestSchemaVersioning:
     ):
         """The committed v1 fixture must restore — and attribute
         identically to a from-scratch run — on every future build."""
-        from repro.fleet.shard import attribution_digest
-
         path = str(tmp_path / "checkpoint_v1.json")
         shutil.copy(FIXTURE_V1, path)
         restored = load_checkpoint(path)

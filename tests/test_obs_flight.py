@@ -63,19 +63,6 @@ class TestListeners:
         assert entry["event"]["seq"] == 0
         assert "duration_seconds" not in entry["event"]
 
-    def test_tag_filter_requires_every_pair(self):
-        bus = EventBus()
-        recorder = FlightRecorder(
-            tag_filter={"tenant": "tenant-00", "attack": "a/24"}
-        ).attach(bus=bus)
-        bus.publish("window", tenant="tenant-00", attack="a/24", window_index=0)
-        bus.publish("window", tenant="tenant-01", attack="a/24", window_index=1)
-        # Tenant matches but the attack key is absent entirely: the
-        # tenant-level engine event must stay out of per-attack rings.
-        bus.publish("engine_batch", tenant="tenant-00")
-        events = [entry["event"] for entry in recorder.snapshot()]
-        assert [event["window_index"] for event in events] == [0]
-
     def test_log_capture_strips_measured_fields_ignores_threshold(self):
         bus = EventBus()
         logbook = Logbook(level="error", bus=bus)
@@ -170,20 +157,20 @@ class TestDump:
 
     def test_bundle_roundtrip_and_checksum(self, tmp_path):
         recorder = FlightRecorder(
-            name="tenant-00/10.0.0.0-24",
+            name="live/10.0.0.0-24",
             directory=str(tmp_path),
-            context={"tenant": "tenant-00", "seed": 7},
+            context={"command": "live", "seed": 7},
         )
         recorder.record("tick", index=1)
         path = recorder.dump("kill", context={"minute": 120.0})
         assert os.path.basename(path) == (
-            "flight-tenant-00-10.0.0.0-24-kill-000.json"
+            "flight-live-10.0.0.0-24-kill-000.json"
         )
         payload = load_flight_dump(path)
         assert payload["reason"] == "kill"
         assert payload["ordinal"] == 0
         assert payload["context"] == {
-            "tenant": "tenant-00", "seed": 7, "minute": 120.0
+            "command": "live", "seed": 7, "minute": 120.0
         }
         assert payload["entries"] == [{"n": 0, "kind": "tick", "index": 1}]
         assert payload["entries_seen"] == 1
@@ -243,9 +230,7 @@ class TestDump:
     def test_dump_announces_on_bus_without_path(self, tmp_path):
         bus = EventBus()
         recorder = FlightRecorder(
-            name="run",
-            directory=str(tmp_path),
-            context={"tenant": "tenant-00", "shard": "tenant-00/a"},
+            name="run", directory=str(tmp_path), context={"seed": 7}
         ).attach(bus=bus)
         recorder.dump("kill")
         announce = bus.history()[-1]
@@ -253,8 +238,7 @@ class TestDump:
         assert announce["flight"] == "run"
         assert announce["reason"] == "kill"
         assert announce["ordinal"] == 0
-        assert announce["tenant"] == "tenant-00"
-        assert announce["shard"] == "tenant-00/a"
+        assert "seed" not in announce
         assert not any("path" in key for key in announce)
 
     def test_unarmed_dump_does_not_announce(self):
@@ -314,16 +298,16 @@ class TestDashboardIntegration:
     def test_flight_events_surface_in_header(self):
         dash = Dashboard()
         dash.ingest(
-            {"seq": 0, "kind": "flight", "flight": "tenant-00/a",
+            {"seq": 0, "kind": "flight", "flight": "live",
              "reason": "kill", "ordinal": 0}
         )
         dash.ingest(
-            {"seq": 1, "kind": "flight", "flight": "tenant-00/a",
+            {"seq": 1, "kind": "flight", "flight": "live",
              "reason": "kill", "ordinal": 1}
         )
         rendered = dash.render()
         assert "flight dumps: kill×2" in rendered
-        assert "last: tenant-00/a #1 (kill)" in rendered
+        assert "last: live #1 (kill)" in rendered
 
     def test_no_flight_line_without_dumps(self):
         assert "flight dumps" not in Dashboard().render()

@@ -450,51 +450,6 @@ class TestObsServer:
         assert status == 200
         assert set(json.loads(body)["endpoints"]) == set(ObsServer.ROUTES)
 
-    def test_tenants_404_without_fleet_runtime(self, served_obs):
-        _, server, _ = served_obs
-        status, body = _get(server.url + "/tenants")
-        assert status == 404
-        assert "no fleet runtime" in json.loads(body)["error"]
-
-    def test_tenants_serves_callable_source(self):
-        calls = {"count": 0}
-
-        def summary():
-            calls["count"] += 1
-            return {
-                "tenants": {"tenant-00": {"windows": 9, "states": {"done": 2}}},
-                "pending": [],
-            }
-
-        obs = Observability.for_run("fleet")
-        server = ObsServer(obs=obs, tenants_source=summary, port=0).start()
-        try:
-            first, body = _get(server.url + "/tenants")
-            second, _ = _get(server.url + "/tenants")
-        finally:
-            server.stop()
-            obs.bus.close()
-        assert first == second == 200
-        payload = json.loads(body)
-        assert payload["tenants"]["tenant-00"]["windows"] == 9
-        assert calls["count"] == 2  # re-evaluated per request, never cached
-
-    def test_tenants_accepts_static_mapping(self):
-        obs = Observability.for_run("fleet")
-        server = ObsServer(
-            obs=obs, tenants_source={"tenants": {}, "pending": []}, port=0
-        ).start()
-        try:
-            status, body = _get(server.url + "/tenants")
-        finally:
-            server.stop()
-            obs.bus.close()
-        assert status == 200
-        assert json.loads(body) == {"tenants": {}, "pending": []}
-
-    def test_tenants_route_is_listed(self):
-        assert "/tenants" in ObsServer.ROUTES
-
 
 class TestConcurrentScrapes:
     def test_metrics_consistent_while_parallel_run_mutates(self, small_testbed):
@@ -656,26 +611,7 @@ class TestDashboard:
         assert "entropy (bits) by window" in text
         assert "clusters by window" in text
 
-    def test_tenant_filter_drops_foreign_events(self):
-        from repro.analysis.dashboard import Dashboard
-
-        dash = Dashboard(tenant="tenant-00")
-        dash.ingest(
-            {"kind": "window", "window_index": 0, "tenant": "tenant-00",
-             "num_clusters": 4, "entropy": 2.0}
-        )
-        dash.ingest(
-            {"kind": "window", "window_index": 5, "tenant": "tenant-01",
-             "num_clusters": 9, "entropy": 0.5}
-        )
-        dash.ingest({"kind": "fault", "fault_kind": "worker_crash", "count": 1})
-        text = dash.render()
-        assert "window 0" in text
-        assert "window 5" not in text
-        assert dash.events_filtered == 2  # foreign window + untagged fault
-        assert "tenant tenant-00" in text
-
-    def test_no_tenant_filter_keeps_everything(self):
+    def test_extra_event_fields_are_ignored(self):
         from repro.analysis.dashboard import Dashboard
 
         dash = Dashboard()
@@ -683,5 +619,5 @@ class TestDashboard:
             {"kind": "window", "window_index": 0, "tenant": "tenant-01",
              "num_clusters": 4, "entropy": 2.0}
         )
-        assert dash.events_filtered == 0
+        assert dash.events_seen == 1
         assert "window 0" in dash.render()

@@ -12,9 +12,8 @@ import urllib.request
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _RunSession, build_parser, main
 from repro.faults.resilience import content_checksum
-from repro.live.checkpoint import shard_checkpoint_path
 from repro.obs import (
     EventBus,
     FlightRecorder,
@@ -37,10 +36,10 @@ from repro.obs.timeline import (
 from tests.test_obs_server import _get
 
 
-def write_checkpoint(directory, tenant, prefix, clock=60.0, version=3,
+def write_checkpoint(directory, name="live.json", clock=60.0, version=3,
                      generation=0, damaged=False):
-    """A checksummed shard-checkpoint document like the live layer writes."""
-    path = shard_checkpoint_path(str(directory), tenant, prefix)
+    """A checksummed checkpoint document like the live layer writes."""
+    path = str(directory / name)
     if generation:
         path = f"{path}.{generation}"
     if damaged:
@@ -60,7 +59,7 @@ def write_checkpoint(directory, tenant, prefix, clock=60.0, version=3,
     return path
 
 
-def make_flight_dir(tmp_path, events=(), context=None, name="shard"):
+def make_flight_dir(tmp_path, events=(), context=None, name="live"):
     """A directory holding one real flight bundle over ``events``."""
     bus = EventBus()
     recorder = FlightRecorder(
@@ -89,12 +88,12 @@ class TestOrdering:
                 TimelineEntry(
                     minute=120.0, seq=None, source="flight", kind="dump"
                 ),
-                TimelineEntry(minute=120.0, seq=7, source="bus", kind="fleet"),
+                TimelineEntry(minute=120.0, seq=7, source="bus", kind="churn"),
                 TimelineEntry(minute=60.0, seq=9, source="bus", kind="window"),
             ]
         )
         assert [entry.kind for entry in timeline] == [
-            "window", "fleet", "dump"
+            "window", "churn", "dump"
         ]
 
     def test_construction_order_is_irrelevant(self):
@@ -149,19 +148,9 @@ class TestDigest:
 class TestFiltering:
     ENTRIES = [
         TimelineEntry(minute=None, seq=0, source="trace", kind="span"),
-        TimelineEntry(minute=10.0, seq=1, source="bus", kind="window",
-                      tenant="tenant-00", shard="tenant-00/10.0.0.0/24"),
-        TimelineEntry(minute=50.0, seq=2, source="bus", kind="window",
-                      tenant="tenant-01", shard="tenant-01/198.18.2.8/29"),
+        TimelineEntry(minute=10.0, seq=1, source="bus", kind="window"),
+        TimelineEntry(minute=50.0, seq=2, source="bus", kind="window"),
     ]
-
-    def test_tenant_filter_is_exact(self):
-        kept = Timeline(self.ENTRIES).filtered(tenant="tenant-00")
-        assert [entry.tenant for entry in kept] == ["tenant-00"]
-
-    def test_shard_filter_matches_substring(self):
-        kept = Timeline(self.ENTRIES).filtered(shard="198.18.2.8")
-        assert [entry.tenant for entry in kept] == ["tenant-01"]
 
     def test_since_drops_unaligned_prologue(self):
         kept = Timeline(self.ENTRIES).filtered(since=0.0)
@@ -173,8 +162,7 @@ class TestBusEntries:
     def test_entry_strips_measured_and_lifts_identity(self):
         entry = entry_from_bus_event(
             {
-                "seq": 4, "kind": "window", "tenant": "tenant-00",
-                "attack": "10.0.0.0/24", "clock_minutes": 90.0,
+                "seq": 4, "kind": "window", "clock_minutes": 90.0,
                 "window_index": 3, "queue_depth": 1,
                 "duration_seconds": 0.5,
             }
@@ -182,8 +170,6 @@ class TestBusEntries:
         assert entry.minute == 90.0
         assert entry.seq == 4
         assert entry.kind == "window"
-        assert entry.tenant == "tenant-00"
-        assert entry.shard == "10.0.0.0/24"
         assert entry.label == "window 3 (queue 1)"
         assert "duration_seconds" not in entry.detail
         assert "seq" not in entry.detail and "kind" not in entry.detail
@@ -195,29 +181,22 @@ class TestBusEntries:
 
 
 class TestFlightEntries:
-    SHARD = "tenant-00/10.0.0.0/24"
-
     def payload(self):
-        tags = {"tenant": "tenant-00", "attack": self.SHARD}
         return {
             "version": 2,
-            "flight": "tenant-00/10.0.0.0-24",
+            "flight": "live",
             "reason": "kill",
             "ordinal": 2,
-            "context": {
-                "tenant": "tenant-00",
-                "shard": self.SHARD,
-                "clock_minutes": 120.0,
-            },
+            "context": {"seed": 3, "clock_minutes": 120.0},
             "entries_seen": 3,
             "entries": [
                 {"n": 0, "kind": "bus",
                  "event": {"seq": 9, "kind": "window", "window_index": 1}},
                 {"n": 1, "kind": "bus",
-                 "event": dict(tags, seq=10, kind="log", level="warning",
-                               msg="shard killed", event="shard_kill")},
+                 "event": dict(seq=10, kind="log", level="warning",
+                               msg="run killed", event="kill")},
                 {"n": 2, "kind": "bus",
-                 "event": dict(tags, seq=11, kind="fault",
+                 "event": dict(seq=11, kind="fault",
                                fault_kind="worker_crash", count=1)},
             ],
         }
@@ -228,22 +207,20 @@ class TestFlightEntries:
         assert dump.kind == "dump" and dump.source == "flight"
         assert dump.minute == 120.0 and dump.seq is None
         assert dump.label == "kill #2 (3 entries)"
-        assert dump.tenant == "tenant-00"
         # Ring-captured bus events (log records and faults included)
         # re-enter as bus rows with their original sequence numbers.
         bus_row, log_row, fault_row = entries[1:]
         assert bus_row.source == "bus" and bus_row.seq == 9
         assert (log_row.source, log_row.kind, log_row.seq) == ("bus", "log", 10)
-        assert log_row.label == "[warning] shard killed"
+        assert log_row.label == "[warning] run killed"
         assert fault_row.label == "worker_crash x1"
-        assert {log_row.shard, fault_row.shard} == {self.SHARD}
 
     def test_version_1_ring_entries_become_generic_rows(self):
         """Bundles written before spans, logs and faults rode the bus
         still load: their non-bus ring entries become flight rows."""
-        log_entry = {"level": "warning", "msg": "shard killed",
-                     "event": "shard_kill", "span": "", "fields": {}}
-        span_entry = {"span_id": "ab12", "parent_id": "", "name": "fleet",
+        log_entry = {"level": "warning", "msg": "run killed",
+                     "event": "kill", "span": "", "fields": {}}
+        span_entry = {"span_id": "ab12", "parent_id": "", "name": "live",
                       "attrs": {}}
         payload = dict(
             self.payload(),
@@ -269,7 +246,6 @@ class TestFlightEntries:
         assert fault_row.detail == {"fault": "worker_crash", "count": 1}
         for row in entries[2:]:
             assert (row.minute, row.seq) == (120.0, None)
-            assert (row.tenant, row.shard) == ("tenant-00", self.SHARD)
         assert len(Timeline(entries).digest()) == 64
 
     def test_merge_dedupes_span_rows_by_span_id(self, tmp_path):
@@ -319,27 +295,36 @@ class TestFlightEntries:
 
 class TestCheckpointEntries:
     def test_checkpoint_rows_carry_clock_and_generation(self, tmp_path):
-        write_checkpoint(tmp_path, "tenant-00", "10.0.0.0/24", clock=60.0)
-        write_checkpoint(
-            tmp_path, "tenant-00", "10.0.0.0/24", clock=30.0, generation=1
-        )
+        write_checkpoint(tmp_path, clock=60.0)
+        write_checkpoint(tmp_path, clock=30.0, generation=1)
         entries = entries_from_checkpoint_dir(str(tmp_path))
         assert len(entries) == 2
         by_generation = {e.detail["generation"]: e for e in entries}
         assert by_generation[0].minute == 60.0
         assert by_generation[1].minute == 30.0
-        assert by_generation[0].tenant == "tenant-00"
-        assert by_generation[0].shard == "tenant-00/10.0.0.0-24"
-        assert "schema v3" in by_generation[0].label
+        assert by_generation[0].detail["file"] == "live.json"
+        assert by_generation[1].detail["file"] == "live.json.1"
+        assert by_generation[0].label == "live.json generation 0, schema v3"
+
+    def test_every_checkpoint_name_is_read_and_labelled(self, tmp_path):
+        write_checkpoint(tmp_path, name="a.json", clock=20.0)
+        write_checkpoint(tmp_path, name="b.json", clock=40.0)
+        labels = [e.label for e in entries_from_checkpoint_dir(str(tmp_path))]
+        assert labels == [
+            "a.json generation 0, schema v3",
+            "b.json generation 0, schema v3",
+        ]
 
     def test_damaged_checkpoint_becomes_damaged_row(self, tmp_path):
-        write_checkpoint(tmp_path, "tenant-00", "10.0.0.0/24", damaged=True)
+        write_checkpoint(tmp_path, damaged=True)
         (entry,) = entries_from_checkpoint_dir(str(tmp_path))
         assert entry.kind == "damaged"
-        assert entry.label == "generation 0: unreadable"
+        assert entry.label == "live.json generation 0: unreadable"
 
     def test_foreign_files_ignored(self, tmp_path):
         (tmp_path / "notes.txt").write_text("hello")
+        (tmp_path / "config.json").write_text('{"not": "a checkpoint"}')
+        make_flight_dir(tmp_path)  # a flight bundle has no clock
         assert entries_from_checkpoint_dir(str(tmp_path)) == []
 
 
@@ -353,11 +338,11 @@ class TestBuildTimeline:
         flight_dir = make_flight_dir(
             tmp_path / "flight",
             events=[("window", {"clock_minutes": 30.0, "window_index": 0})],
-            context={"tenant": "tenant-00", "clock_minutes": 45.0},
+            context={"seed": 3, "clock_minutes": 45.0},
         )
         ckpt_dir = tmp_path / "ckpt"
         ckpt_dir.mkdir()
-        write_checkpoint(ckpt_dir, "tenant-00", "10.0.0.0/24", clock=60.0)
+        write_checkpoint(ckpt_dir, clock=60.0)
         timeline = build_timeline(
             trace_path=trace_path,
             flight_dir=flight_dir,
@@ -406,7 +391,7 @@ class TestTimelineCli:
         flight_dir = make_flight_dir(
             tmp_path,
             events=[("window", {"clock_minutes": 30.0, "window_index": 0})],
-            context={"tenant": "tenant-00", "clock_minutes": 45.0},
+            context={"seed": 3, "clock_minutes": 45.0},
         )
         assert main(["timeline", "--flight-dir", flight_dir]) == 0
         out = capsys.readouterr().out
@@ -426,36 +411,46 @@ class TestTimelineCli:
         flight_dir = make_flight_dir(
             tmp_path,
             events=[
-                ("window", {"tenant": "tenant-00", "clock_minutes": 10.0}),
-                ("window", {"tenant": "tenant-01", "clock_minutes": 50.0}),
+                ("window", {"window_index": 0, "clock_minutes": 10.0}),
+                ("window", {"window_index": 1, "clock_minutes": 50.0}),
             ],
-            context={"tenant": "tenant-00"},
         )
-        assert main(
-            ["timeline", "--flight-dir", flight_dir,
-             "--tenant", "tenant-01", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert {e["tenant"] for e in payload["entries"]} == {"tenant-01"}
         assert main(
             ["timeline", "--flight-dir", flight_dir,
              "--since", "40", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["entries"]
         assert all(e["minute"] >= 40 for e in payload["entries"])
+
+    def test_reads_live_checkpoints(self, tmp_path, capsys):
+        """``live --checkpoint`` output is a timeline source: every
+        periodic checkpoint and its rotated generation become rows."""
+        path = str(tmp_path / "live.json")
+        assert main(
+            ["--seed", "3", "live", "--sources", "8", "--max-configs", "3",
+             "--quiet", "--checkpoint", path, "--checkpoint-every", "3"]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            ["timeline", "--checkpoint-dir", str(tmp_path), "--json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        files = sorted(
+            e["detail"]["file"]
+            for e in payload["entries"]
+            if e["kind"] == "checkpoint"
+        )
+        assert files == ["live.json", "live.json.1"]
 
 
 class TestTimelineEndpoint:
     def test_serves_merged_view_with_filters(self, tmp_path):
         obs = Observability.for_run("serve")
-        obs.bus.publish(
-            "window", tenant="tenant-00", clock_minutes=10.0, window_index=0
-        )
-        obs.bus.publish(
-            "window", tenant="tenant-01", clock_minutes=50.0, window_index=1
-        )
+        obs.bus.publish("window", clock_minutes=10.0, window_index=0)
+        obs.bus.publish("window", clock_minutes=50.0, window_index=1)
         flight_dir = make_flight_dir(
-            tmp_path, context={"tenant": "tenant-00", "clock_minutes": 20.0}
+            tmp_path, context={"seed": 3, "clock_minutes": 20.0}
         )
         server = ObsServer(obs=obs, flight_dir=flight_dir, port=0).start()
         try:
@@ -466,14 +461,10 @@ class TestTimelineEndpoint:
             assert {e["source"] for e in payload["entries"]} >= {
                 "bus", "flight"
             }
-            status, body = _get(server.url + "/timeline?tenant=tenant-01")
-            assert status == 200
-            filtered = json.loads(body)
-            assert {e["tenant"] for e in filtered["entries"]} == {"tenant-01"}
             status, body = _get(server.url + "/timeline?since=40")
-            assert all(
-                e["minute"] >= 40 for e in json.loads(body)["entries"]
-            )
+            assert status == 200
+            entries = json.loads(body)["entries"]
+            assert entries and all(e["minute"] >= 40 for e in entries)
         finally:
             server.stop()
             obs.bus.close()
@@ -499,6 +490,21 @@ class TestTimelineEndpoint:
             server.stop()
         assert status == 404
         assert "no timeline sources" in json.loads(body)["error"]
+
+    def test_live_serve_reads_the_checkpoint_directory(self, tmp_path):
+        """``live --serve``'s ``/timeline`` merges the checkpoints that
+        ``--checkpoint`` writes."""
+        write_checkpoint(tmp_path, clock=60.0)
+        args = build_parser().parse_args(
+            ["live", "--serve", "0", "--checkpoint", str(tmp_path / "live.json")]
+        )
+        with _RunSession(args, "live") as session:
+            status, body = _get(session.server.url + "/timeline")
+        assert status == 200
+        (row,) = [
+            e for e in json.loads(body)["entries"] if e["source"] == "checkpoint"
+        ]
+        assert row["minute"] == 60.0
 
     def test_timeline_route_listed(self):
         assert "/timeline" in ObsServer.ROUTES

@@ -527,8 +527,9 @@ class TestLivePath:
     PROBE = textwrap.dedent(
         """
         from repro.core.pipeline import build_testbed
-        from repro.fleet import attribution_digest
-        from repro.live import LiveTracebackService, ReplayScenario
+        from repro.live import (
+            LiveTracebackService, ReplayScenario, attribution_digest,
+        )
         from repro.topology.generator import TopologyParams
 
         testbed = build_testbed(
