@@ -13,33 +13,58 @@ sizes" (Figures 4, 5, 8 of the paper all need per-step sizes).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set
+from typing import FrozenSet, Iterable, List, Mapping
+
+import numpy as np
 
 from ..errors import ClusteringError
 from ..types import ASN, LinkId
+from .labels import Columns, label_row
 
 
 class ClusterState:
     """Mutable partition of a fixed universe of sources.
 
+    The partition is one dense cluster id per universe AS, in sorted
+    universe order (:attr:`ids`).  Refining by a configuration splits
+    every cluster by the configuration's link labels
+    (:func:`~repro.core.labels.label_row`) in one ``np.unique``.
+
     Args:
-        universe: the sources to partition.  The paper fixes this to the
-            ASes observed under the initial anycast-all configuration
-            (§IV-d); sources outside the universe are ignored by
-            :meth:`refine`.
+        universe: the sources to partition (or their
+            :class:`~repro.core.labels.Columns`).  The paper fixes this
+            to the ASes observed under the initial anycast-all
+            configuration (§IV-d); sources outside the universe are
+            ignored by :meth:`refine`.
     """
 
     def __init__(self, universe: Iterable[ASN]) -> None:
-        members = set(universe)
-        if not members:
+        columns = Columns.of(universe)
+        if not len(columns):
             raise ClusteringError("cluster universe must be non-empty")
-        self._clusters: Dict[int, Set[ASN]] = {0: members}
-        self._cluster_of: Dict[ASN, int] = {asn: 0 for asn in members}
-        self._next_id = 1
+        self.columns = columns
+        self.ids = np.zeros(len(columns), dtype=np.int64)
+        self._count = 1
 
     # ------------------------------------------------------------------
     # Refinement
     # ------------------------------------------------------------------
+
+    def _split(self, labels: np.ndarray) -> int:
+        """Split every cluster by ``labels``; return the clusters added.
+
+        Keys ``id · width + label`` are distinct exactly per (cluster,
+        label) pair, and ``np.unique`` numbers them densely.
+        """
+        width = int(labels.max()) + 1
+        if width == 1:
+            return 0
+        before = self._count
+        keys, self.ids = np.unique(
+            self.ids * width + labels, return_inverse=True
+        )
+        self._count = len(keys)
+        return self._count - before
 
     def refine(self, catchment: Iterable[ASN]) -> int:
         """Split clusters against one catchment; return the number of splits.
@@ -47,25 +72,9 @@ class ClusterState:
         For each cluster κ overlapping the catchment α, replace κ with
         κ∩α and κ∖α (no-op when κ ⊆ α or κ∩α is empty).
         """
-        inside = {asn for asn in catchment if asn in self._cluster_of}
-        if not inside:
-            return 0
-        affected: Dict[int, Set[ASN]] = {}
-        for asn in inside:
-            affected.setdefault(self._cluster_of[asn], set()).add(asn)
-        splits = 0
-        for cluster_id, overlap in affected.items():
-            cluster = self._clusters[cluster_id]
-            if len(overlap) == len(cluster):
-                continue  # κ ⊆ α: no information
-            cluster -= overlap
-            new_id = self._next_id
-            self._next_id += 1
-            self._clusters[new_id] = overlap
-            for asn in overlap:
-                self._cluster_of[asn] = new_id
-            splits += 1
-        return splits
+        labels = np.zeros(len(self.columns), dtype=np.int32)
+        labels[self.columns.positions(catchment)] = 1
+        return self._split(labels)
 
     def refine_with_catchments(
         self,
@@ -74,19 +83,18 @@ class ClusterState:
     ) -> int:
         """Refine against every catchment of one configuration.
 
+        Returns the number of splits, which is what refining by each
+        catchment in turn would count: the clusters added.
+
         Links listed in ``degraded_links`` are *skipped*: their
         catchments are known to be partial (measurement loss), and a
         partial catchment would split off sources that merely went
         unmeasured.  Skipping degrades gracefully — clusters stay wider
         than they could be, but never become wrong.
         """
-        skip = frozenset(degraded_links)
-        splits = 0
-        for link in sorted(catchments):
-            if link in skip:
-                continue
-            splits += self.refine(catchments[link])
-        return splits
+        return self._split(
+            label_row(catchments, self.columns, degraded_links).labels
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -95,14 +103,27 @@ class ClusterState:
     @property
     def universe(self) -> FrozenSet[ASN]:
         """The full set of partitioned sources."""
-        return frozenset(self._cluster_of)
+        return self.columns.members
+
+    def _sizes(self) -> np.ndarray:
+        return np.bincount(self.ids, minlength=self._count)
 
     def clusters(self) -> List[FrozenSet[ASN]]:
         """Current clusters, largest first (ties broken by smallest member)."""
-        return sorted(
-            (frozenset(cluster) for cluster in self._clusters.values()),
-            key=lambda cluster: (-len(cluster), min(cluster)),
+        order = np.argsort(self.ids, kind="stable")
+        members = self.columns.array[order].tolist()
+        ends = np.cumsum(self._sizes()).tolist()
+        starts = [0] + ends[:-1]
+        # Columns are sorted, so each cluster's first member is its
+        # smallest.
+        ranked = sorted(
+            range(self._count),
+            key=lambda c: (starts[c] - ends[c], members[starts[c]]),
         )
+        # Copying through a set sizes each frozenset's table by its
+        # member count, which keeps the iteration order that float sums
+        # such as ``weighted_cost`` follow close to a set-built cluster's.
+        return [frozenset(set(members[starts[c]:ends[c]])) for c in ranked]
 
     def cluster_of(self, asn: ASN) -> FrozenSet[ASN]:
         """The cluster containing ``asn``.
@@ -110,23 +131,23 @@ class ClusterState:
         Raises:
             ClusteringError: if ``asn`` is not in the universe.
         """
-        try:
-            cluster_id = self._cluster_of[asn]
-        except KeyError:
-            raise ClusteringError(f"AS {asn} not in cluster universe") from None
-        return frozenset(self._clusters[cluster_id])
+        column = self.columns.column.get(asn)
+        if column is None:
+            raise ClusteringError(f"AS {asn} not in cluster universe")
+        inside = self.ids == self.ids[column]
+        return frozenset(self.columns.array[inside].tolist())
 
     def num_clusters(self) -> int:
         """Number of clusters in the current partition."""
-        return len(self._clusters)
+        return self._count
 
     def sizes(self) -> List[int]:
         """Cluster sizes in descending order."""
-        return sorted((len(c) for c in self._clusters.values()), reverse=True)
+        return sorted(self._sizes().tolist(), reverse=True)
 
     def mean_size(self) -> float:
         """Mean cluster size (per cluster): |universe| / #clusters."""
-        return len(self._cluster_of) / len(self._clusters)
+        return len(self.columns) / self._count
 
     def mean_size_weighted(self) -> float:
         """AS-weighted mean cluster size (the average AS's cluster size).
@@ -134,14 +155,14 @@ class ClusterState:
         This is the metric behind the paper's Figure 7 phrasing "ASes ...
         are in clusters with N ASes on average".
         """
-        total = sum(len(c) ** 2 for c in self._clusters.values())
-        return total / len(self._cluster_of)
+        sizes = self._sizes()
+        return int(sizes @ sizes) / len(self.columns)
 
     def size_percentile(self, percentile: float) -> float:
         """Percentile of cluster sizes (linear interpolation, 0–100)."""
         if not 0.0 <= percentile <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
-        ordered = sorted(len(c) for c in self._clusters.values())
+        ordered = np.sort(self._sizes()).tolist()
         if len(ordered) == 1:
             return float(ordered[0])
         rank = (percentile / 100.0) * (len(ordered) - 1)
@@ -154,15 +175,14 @@ class ClusterState:
 
     def singleton_fraction(self) -> float:
         """Fraction of clusters containing exactly one source."""
-        singles = sum(1 for c in self._clusters.values() if len(c) == 1)
-        return singles / len(self._clusters)
+        return int(np.count_nonzero(self._sizes() == 1)) / self._count
 
     def copy(self) -> "ClusterState":
         """Independent copy of the current partition."""
         clone = ClusterState.__new__(ClusterState)
-        clone._clusters = {cid: set(c) for cid, c in self._clusters.items()}
-        clone._cluster_of = dict(self._cluster_of)
-        clone._next_id = self._next_id
+        clone.columns = self.columns
+        clone.ids = self.ids.copy()
+        clone._count = self._count
         return clone
 
     # ------------------------------------------------------------------
@@ -185,24 +205,22 @@ class ClusterState:
         Raises:
             ClusteringError: if the clusters overlap or are empty.
         """
-        state = cls.__new__(cls)
-        state._clusters = {}
-        state._cluster_of = {}
-        state._next_id = 0
-        for members in clusters:
+        cluster_of = {}
+        for cluster_id, members in enumerate(clusters):
             cluster = set(members)
             if not cluster:
                 raise ClusteringError("serialized cluster must be non-empty")
             for asn in cluster:
-                if asn in state._cluster_of:
+                if asn in cluster_of:
                     raise ClusteringError(
                         f"AS {asn} appears in more than one serialized cluster"
                     )
-                state._cluster_of[asn] = state._next_id
-            state._clusters[state._next_id] = cluster
-            state._next_id += 1
-        if not state._clusters:
+                cluster_of[asn] = cluster_id
+        if not cluster_of:
             raise ClusteringError("cluster universe must be non-empty")
+        state = cls(cluster_of)
+        state.ids = np.array([cluster_of[asn] for asn in state.columns.asns])
+        state._count = cluster_id + 1
         return state
 
 

@@ -11,16 +11,22 @@ exclusion of configurations whose routing never settled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional,
+    Sequence, Tuple,
 )
 
+import numpy as np
+
 from ..bgp.announcement import AnnouncementConfig
+from ..bgp.indexed import RouteTable
 from ..bgp.simulator import RoutingOutcome
 from ..errors import SchedulingError
 from ..measurement.catchment import CatchmentHistory
 from ..types import ASN, Catchment, LinkId
+from .labels import Columns, LabelledCatchments, LabelRow, label_row
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..faults.injection import FaultInjector
@@ -31,11 +37,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 class EvidenceStep:
     """One deployed configuration: its outcome (the ground truth spoofed
     traffic follows), its catchments restricted to the universe, and the
-    links whose catchments are partial."""
+    links whose catchments are partial.
+
+    ``catchments`` is a :class:`~repro.core.labels.LabelledCatchments`:
+    it carries the step's row of :attr:`Evidence.labels`.
+    """
 
     config: AnnouncementConfig
     outcome: RoutingOutcome
-    catchments: Dict[LinkId, Catchment]
+    catchments: LabelledCatchments
     degraded: FrozenSet[LinkId] = frozenset()
 
 
@@ -45,6 +55,8 @@ class Evidence:
 
     universe: FrozenSet[ASN]
     steps: Tuple[EvidenceStep, ...]
+    #: The universe in sorted order: the columns of :attr:`labels`.
+    columns: Columns = field(compare=False, repr=False)
 
     @classmethod
     def build(
@@ -87,31 +99,57 @@ class Evidence:
                 if history is None:
                     history = CatchmentHistory(assignment)
                 history.add(assignment)
+            columns = Columns.of(history.universe)
             # Withdrawn links keep an (empty) catchment in every map.
-            maps = history.catchment_maps(campaign.origin.link_ids)
+            maps = [
+                LabelledCatchments.of(catchments, columns)
+                for catchments in history.catchment_maps(
+                    campaign.origin.link_ids
+                )
+            ]
             steps = map(EvidenceStep, configs, outcomes, maps)
             return cls(
-                history.universe, _exclude_unconverged(steps, bus, registry)
+                columns.members,
+                _exclude_unconverged(steps, bus, registry),
+                columns,
             )
-        members = (
-            outcomes[0].covered_ases if universe is None else frozenset(universe)
+        columns = Columns.of(
+            outcomes[0].covered_ases if universe is None else universe
         )
+        cores: Dict[object, Optional[List[int]]] = {}
         built: List[EvidenceStep] = []
         for index, (config, outcome) in enumerate(zip(configs, outcomes)):
-            catchments = {
-                link: frozenset(catchment & members)
-                for link, catchment in outcome.catchments.items()
-            }
+            catchments = _truth_catchments(outcome, columns, cores)
             degraded: FrozenSet[LinkId] = frozenset()
             if injector is not None:
-                catchments, degraded = injector.degrade_catchments(
+                thinned, degraded = injector.degrade_catchments(
                     index, catchments
                 )
+                if degraded:
+                    catchments = LabelledCatchments.of(thinned, columns)
             built.append(EvidenceStep(config, outcome, catchments, degraded))
-        return cls(members, _exclude_unconverged(built, bus, registry))
+        return cls(
+            columns.members, _exclude_unconverged(built, bus, registry), columns
+        )
 
     @property
-    def maps(self) -> List[Dict[LinkId, Catchment]]:
+    def labels(self) -> np.ndarray:
+        """The int32 configs × universe link-label matrix.
+
+        Cell ``(c, a)`` is 1 + the position, in sorted link order, of
+        the link whose catchment holds universe AS ``a`` (columns in
+        sorted order) in step ``c``, or 0 when none does.  Catchments are
+        disjoint, so one label per cell is enough.  Degraded links keep
+        their (thinned) cells; consumers skip them by
+        :attr:`EvidenceStep.degraded`.
+        """
+        rows = [step.catchments.row.labels for step in self.steps]
+        if not rows:
+            return np.zeros((0, len(self.columns)), dtype=np.int32)
+        return np.stack(rows)
+
+    @property
+    def maps(self) -> List[Mapping[LinkId, Catchment]]:
         """Per-configuration catchment maps restricted to the universe."""
         return [step.catchments for step in self.steps]
 
@@ -119,11 +157,11 @@ class Evidence:
     def degraded_steps(self) -> int:
         return sum(1 for step in self.steps if step.degraded)
 
-    def planning_maps(self) -> List[Dict[LinkId, Catchment]]:
+    def planning_maps(self) -> List[Mapping[LinkId, Catchment]]:
         """Catchment maps without their degraded links: a planner must not
         order the campaign around catchments clustering will skip."""
         return [
-            {
+            step.catchments if not step.degraded else {
                 link: members
                 for link, members in step.catchments.items()
                 if link not in step.degraded
@@ -133,7 +171,7 @@ class Evidence:
 
     def nnls_inputs(
         self, volume_history: Sequence
-    ) -> Tuple[List[Dict[LinkId, Catchment]], List]:
+    ) -> Tuple[List[Mapping[LinkId, Catchment]], List]:
         """Maps and aligned volumes of the steps without degraded links: a
         partial catchment can straddle final clusters, which NNLS rejects."""
         kept = [
@@ -154,14 +192,59 @@ class Evidence:
     ) -> "Evidence":
         """Append later ground-truth steps (the §V-B splitter's),
         restricted to this universe and never degraded."""
-        extra = Evidence.build(configs, outcomes, universe=self.universe)
+        extra = Evidence.build(configs, outcomes, universe=self.columns)
         return replace(self, steps=self.steps + extra.steps)
 
-    def rebuilt(self, outcomes: Sequence[RoutingOutcome]) -> "Evidence":
+    def rebuilt(
+        self, outcomes: Sequence[RoutingOutcome], bus=None, registry=None
+    ) -> "Evidence":
         """The same configurations re-derived from fresh ground-truth
-        outcomes (after route churn) against this fixed universe."""
+        outcomes (after route churn) against this fixed universe;
+        ``bus`` and ``registry`` as in :meth:`build`."""
         configs = [step.config for step in self.steps]
-        return Evidence.build(configs, outcomes, universe=self.universe)
+        return Evidence.build(
+            configs, outcomes, universe=self.columns, bus=bus,
+            registry=registry,
+        )
+
+
+def _truth_catchments(
+    outcome: RoutingOutcome,
+    columns: Columns,
+    cores: Dict[object, Optional[List[int]]],
+) -> LabelledCatchments:
+    """``outcome``'s catchments over ``columns``, labelled.
+
+    A simulated outcome's label row is sliced straight from its route
+    table: ``r_link`` at the universe's core indices, mapped from core
+    link index to sorted position.  ``cores`` caches those indices per
+    compiled topology (None when the universe is not all in it).  Other
+    outcomes, and an empty universe, are labelled by :func:`label_row`.
+    Either way the sets are restricted only when someone reads them.
+    """
+    routes = outcome.routes
+    if isinstance(routes, RouteTable):
+        core = routes.core
+        if core not in cores:
+            index = core.index
+            cores[core] = (
+                [index[asn] for asn in columns.asns]
+                if all(asn in index for asn in columns.asns) else None
+            )
+        positions = cores[core]
+        if positions:
+            links = sorted(outcome.catchments)
+            position = np.zeros(len(core.link_ids) + 1, dtype=np.int32)
+            for label, link in enumerate(links, start=1):
+                position[core.link_index[link] + 1] = label
+            r_link = np.array(
+                itemgetter(*positions)(routes.r_link), dtype=np.int32
+            ).reshape(-1)
+            row = LabelRow(columns, links, position[r_link + 1])
+            return LabelledCatchments(row, outcome.catchments)
+    return LabelledCatchments(
+        label_row(outcome.catchments, columns), outcome.catchments
+    )
 
 
 def _exclude_unconverged(

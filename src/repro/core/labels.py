@@ -1,0 +1,231 @@
+"""Catchment maps as link-label rows over a sorted universe.
+
+One configuration's catchments, read over a fixed universe, reduce to
+one integer per universe AS, its *label*: 0 when no catchment holds the
+AS, ``k`` when only the ``k``-th link (in sorted link order) does, and a
+further id per distinct set of overlapping links.  Refining a partition
+by a configuration (§III-B) splits each cluster by label, and a
+cluster's NNLS column (§III-C) is the link its representative's label
+names, so both are array work over these rows.
+
+:func:`label_row` is the one conversion from a catchment mapping to a
+row.  :class:`LabelledCatchments` is a catchment dict that carries its
+row: the evidence hands these out, the helper returns their row in
+O(1), and their frozensets are built only when someone reads them.
+"""
+
+from __future__ import annotations
+
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence,
+)
+
+import numpy as np
+
+from ..types import ASN, Catchment, LinkId
+
+
+class Columns:
+    """A universe in sorted order and the column of each member."""
+
+    __slots__ = ("asns", "array", "column", "members")
+
+    def __init__(self, universe: Iterable[ASN]) -> None:
+        self.asns: List[ASN] = sorted(set(universe))
+        self.array = np.array(self.asns)
+        self.column: Dict[ASN, int] = {
+            asn: i for i, asn in enumerate(self.asns)
+        }
+        self.members: FrozenSet[ASN] = frozenset(self.asns)
+
+    @classmethod
+    def of(cls, universe: Iterable[ASN]) -> "Columns":
+        """``universe`` itself when it already is one, else its columns."""
+        return universe if isinstance(universe, Columns) else cls(universe)
+
+    def __len__(self) -> int:
+        return len(self.asns)
+
+    def __iter__(self) -> Iterator[ASN]:
+        return iter(self.asns)
+
+    def same(self, other: "Columns") -> bool:
+        """True when both have the same members (so the same columns)."""
+        return self is other or self.asns == other.asns
+
+    def positions(self, asns: Iterable[ASN]) -> np.ndarray:
+        """Column indices of the members among ``asns``."""
+        column = self.column
+        return np.fromiter(
+            (column[asn] for asn in asns if asn in column), dtype=np.intp
+        )
+
+
+class LabelRow:
+    """One configuration's labels over a :class:`Columns` universe.
+
+    Attributes:
+        columns: the universe the row has a cell for.
+        links: the configuration's links in sorted order; label ``k``
+            up to ``len(links)`` is ``links[k - 1]``.
+        labels: int32, one label per column.
+        winner: per label, the 1-based position in ``links`` of the link
+            NNLS credits the cell to (0 for label 0): the link itself,
+            or for an overlap the one that comes last in the map's own
+            order.
+    """
+
+    __slots__ = ("columns", "links", "labels", "winner")
+
+    def __init__(
+        self,
+        columns: Columns,
+        links: Sequence[LinkId],
+        labels: np.ndarray,
+        winner: Optional[np.ndarray] = None,
+    ) -> None:
+        self.columns = columns
+        self.links = list(links)
+        self.labels = labels
+        self.winner = (
+            np.arange(len(self.links) + 1) if winner is None else winner
+        )
+
+
+def label_row(
+    catchments: Mapping[LinkId, Iterable[ASN]],
+    columns: Columns,
+    skip: Iterable[LinkId] = (),
+) -> LabelRow:
+    """The label row of ``catchments`` over ``columns``, without the
+    links in ``skip``.
+
+    Catchment members outside the universe are ignored.  A
+    :class:`LabelledCatchments` over the same universe, with nothing to
+    skip, returns its own row; otherwise the map is labelled link by
+    link, in sorted order, giving each distinct set of overlapping links
+    an id of its own.
+    """
+    skip = frozenset(skip)
+    if (
+        not skip
+        and isinstance(catchments, LabelledCatchments)
+        and catchments.row.columns.same(columns)
+    ):
+        return catchments.row
+    rank = {
+        link: order
+        for order, link in enumerate(link for link in catchments if link not in skip)
+    }
+    links = sorted(rank)
+    labels = np.zeros(len(columns), dtype=np.int32)
+    winner = list(range(len(links) + 1))
+    combined: Dict[tuple, int] = {}
+    for label, link in enumerate(links, start=1):
+        cells = columns.positions(catchments[link])
+        held = labels[cells]
+        labels[cells[held == 0]] = label
+        for column in dict.fromkeys(cells[held != 0].tolist()):  # overlaps
+            key = (int(labels[column]), label)
+            if key not in combined:
+                combined[key] = len(winner)
+                prev = winner[key[0]]
+                later = rank[link] > rank[links[prev - 1]]
+                winner.append(label if later else prev)
+            labels[column] = combined[key]
+    return LabelRow(columns, links, labels, np.array(winner))
+
+
+class LabelledCatchments(dict):
+    """A catchment map restricted to a universe that carries its row.
+
+    A plain ``{link: frozenset}`` dict to every reader, with one
+    companion, :attr:`row`, its label row.  Built over ``source``, an
+    unrestricted map such as a routing outcome's catchments, it holds
+    nothing until first read: then each catchment is restricted to the
+    row's universe, so a map only the row path reads never builds a
+    set.  Treat it as read-only.
+
+    Args:
+        row: the map's label row.
+        source: a map whose catchments, restricted to the row's
+            universe, are this map's, in its key order.
+        restricted: ``source`` is already restricted; copy it now.
+    """
+
+    __slots__ = ("row", "_source")
+
+    def __init__(
+        self,
+        row: LabelRow,
+        source: Mapping[LinkId, Catchment],
+        restricted: bool = False,
+    ) -> None:
+        super().__init__(source if restricted else ())
+        self.row = row
+        self._source = None if restricted else source
+
+    @classmethod
+    def of(
+        cls, catchments: Mapping[LinkId, Catchment], columns: Columns
+    ) -> "LabelledCatchments":
+        """A ``catchments`` map of universe members, labelled."""
+        return cls(label_row(catchments, columns), catchments, restricted=True)
+
+    def _fill(self) -> "LabelledCatchments":
+        source = self._source
+        if source is not None:
+            members = self.row.columns.members
+            dict.update(
+                self,
+                ((link, frozenset(source[link] & members)) for link in source),
+            )
+            self._source = None
+        return self
+
+    # Readers that need the sets fill the dict first; iteration, length
+    # and membership read the keys without building a set.
+    def __iter__(self) -> Iterator[LinkId]:
+        if self._source is not None:
+            return iter(self._source)
+        return dict.__iter__(self)
+
+    def __len__(self) -> int:
+        if self._source is not None:
+            return len(self._source)
+        return dict.__len__(self)
+
+    def __contains__(self, link: object) -> bool:
+        if self._source is not None:
+            return link in self._source
+        return dict.__contains__(self, link)
+
+    def __getitem__(self, link: LinkId) -> Catchment:
+        return dict.__getitem__(self._fill(), link)
+
+    def get(self, link, default=None):
+        return dict.get(self._fill(), link, default)
+
+    def keys(self):
+        return dict.keys(self._fill())
+
+    def values(self):
+        return dict.values(self._fill())
+
+    def items(self):
+        return dict.items(self._fill())
+
+    def copy(self) -> Dict[LinkId, Catchment]:
+        return dict(self.items())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LabelledCatchments):
+            other._fill()
+        return dict.__eq__(self._fill(), other)
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self) -> str:
+        return dict.__repr__(self._fill())

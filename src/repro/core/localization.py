@@ -24,6 +24,7 @@ from scipy.optimize import nnls
 from ..errors import ClusteringError
 from ..spoof.sources import SourcePlacement
 from ..types import ASN, Catchment, LinkId
+from .labels import Columns, LabelledCatchments, label_row
 
 
 @dataclass(frozen=True)
@@ -140,51 +141,60 @@ def estimate_cluster_volumes(
     if not clusters:
         raise ClusteringError("no clusters to attribute volume to")
 
-    # A cluster's column is 1.0 in the row of the link whose catchment
-    # holds its representative (its minimum); clusters must not straddle
-    # catchments, which is checked cheaply against its maximum, a member
-    # other than the representative in every multi-member cluster.  Only
-    # representatives and probes are looked up, by intersecting their
-    # sets with each catchment (a later catchment wins an overlap).
+    # A cluster's column is 1.0 in the row of the link that the label
+    # of its representative (its minimum) names; clusters must not
+    # straddle catchments, which is checked cheaply against its maximum,
+    # a member other than the representative in every multi-member
+    # cluster.  A probe in no catchment does not straddle.  Evidence
+    # maps carry their label rows; any other map is labelled over the
+    # representatives and probes.
     representative = [min(cluster) for cluster in clusters]
     probe = [max(cluster) for cluster in clusters]
-    rep_set = set(representative)
-    probe_set = set(probe)
     num_rows = sum(len(volumes) for volumes in volume_history)
     if not num_rows:
         raise ClusteringError("no volume observations to attribute")
     matrix = np.zeros((num_rows, len(clusters)))
     rhs: List[float] = []
+    own = None
+    cells: Dict[Columns, Tuple[np.ndarray, np.ndarray]] = {}
     for catchments, volumes in zip(catchment_history, volume_history):
-        rep_link: Dict[ASN, LinkId] = {}
-        probe_link: Dict[ASN, LinkId] = {}
-        for link, catchment in catchments.items():
-            for asn in rep_set.intersection(catchment):
-                rep_link[asn] = link
-            for asn in probe_set.intersection(catchment):
-                probe_link[asn] = link
+        if isinstance(catchments, LabelledCatchments):
+            columns = catchments.row.columns
+        else:
+            if own is None:
+                own = Columns(representative + probe)
+            columns = own
+        if columns not in cells:
+            # Members outside the universe read the sentinel column n,
+            # which holds label 0.
+            lookup, n = columns.column, len(columns)
+            cells[columns] = (
+                np.array([lookup.get(asn, n) for asn in representative]),
+                np.array([lookup.get(asn, n) for asn in probe]),
+            )
+        rep_cols, probe_cols = cells[columns]
+        row = label_row(catchments, columns)
+        labels = np.append(row.labels, 0)
+        rep_link = row.winner[labels[rep_cols]]
+        probe_link = row.winner[labels[probe_cols]]
         links = sorted(volumes)
-        row_of = {link: len(rhs) + r for r, link in enumerate(links)}
-        rows: List[int] = []
-        cols: List[int] = []
-        straddlers: List[Tuple[int, int]] = []
-        for col, (rep, member) in enumerate(zip(representative, probe)):
-            link = rep_link.get(rep)
-            row = row_of.get(link)
-            if row is None:
-                continue
-            if probe_link.get(member, link) != link:
-                straddlers.append((row, col))
-            rows.append(row)
-            cols.append(col)
-        if straddlers:
+        base = len(rhs)
+        row_of = {link: base + r for r, link in enumerate(links)}
+        link_row = np.array([-1] + [row_of.get(link, -1) for link in row.links])
+        rows = link_row[rep_link]
+        inside = rows >= 0
+        straddlers = np.flatnonzero(
+            inside & (probe_link != 0) & (probe_link != rep_link)
+        )
+        if len(straddlers):
             # Name the first straddler in row-major order.
-            row, col = min(straddlers)
+            col = straddlers[np.argmin(rows[straddlers])]
             raise ClusteringError(
                 f"cluster containing AS {representative[col]} straddles "
-                f"catchments of link {links[row - len(rhs)]!r}"
+                f"catchments of link {links[rows[col] - base]!r}"
             )
-        matrix[rows, cols] = 1.0
+        cols = np.flatnonzero(inside)
+        matrix[rows[cols], cols] = 1.0
         rhs.extend(volumes[link] for link in links)
 
     target = np.array(rhs, dtype=float)

@@ -461,7 +461,7 @@ class SpoofTracker:
 
         universe = evidence.universe
         with obs.phase("cluster") as span:
-            state = ClusterState(universe)
+            state = ClusterState(evidence.columns)
             steps: List[StepStats] = []
             for step in evidence.steps:
                 state.refine_with_catchments(

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+)
 
 from ..bgp.announcement import AnnouncementConfig
 from ..core.clustering import ClusterState
@@ -49,13 +51,18 @@ class ConfigObservations:
             rolling estimates comparable to the batch pipeline's
             unit-volume observations.
         windows: accepted observation windows.
+        degraded: links whose catchments are partial; refinement skips
+            them, and a configuration with any is left out of the
+            solves.  Not checkpointed: the service re-derives it from
+            its evidence.
     """
 
     label: str
-    catchments: Dict[LinkId, Catchment]
+    catchments: Mapping[LinkId, Catchment]
     volumes: Dict[LinkId, float] = field(default_factory=dict)
     offered_volume: float = 0.0
     windows: int = 0
+    degraded: FrozenSet[LinkId] = frozenset()
 
     def normalized_volumes(self) -> Dict[LinkId, float]:
         """Per-link volume fractions of the offered volume."""
@@ -114,19 +121,22 @@ class LiveAttributor:
         self,
         config: AnnouncementConfig,
         catchments: Mapping[LinkId, Catchment],
+        degraded: FrozenSet[LinkId] = frozenset(),
     ) -> int:
         """Refine clusters with a newly available configuration.
 
-        ``catchments`` is restricted to the universe (an ``Evidence`` map).
+        ``catchments`` is restricted to the universe (an ``Evidence``
+        map, kept as given) and ``degraded`` names its partial links.
         Returns the number of cluster splits the refinement produced.
         Subsequent :meth:`observe` calls accumulate against this
         configuration until the next one is applied.
         """
-        splits = self.state.refine_with_catchments(catchments)
+        splits = self.state.refine_with_catchments(catchments, degraded)
         self.observations.append(
             ConfigObservations(
                 label=config.label or config.describe(),
-                catchments=dict(catchments),
+                catchments=catchments,
+                degraded=degraded,
             )
         )
         self._structure_dirty = True
@@ -162,9 +172,11 @@ class LiveAttributor:
     def attribution(self, force: bool = False) -> Optional[LocalizationResult]:
         """Re-solve the volume system over everything observed so far.
 
-        Only configurations with at least one accepted window contribute
-        rows (a configuration whose every window was dropped carries no
-        evidence).  Returns None until some traffic has been observed.
+        Only configurations with at least one accepted window and no
+        degraded link contribute rows (a configuration whose every window
+        was dropped carries no evidence, and a partial catchment can
+        straddle clusters).  Returns None until some traffic has been
+        observed.
 
         With ``solve_stride > 1``, window-only updates are batched: the
         cached result is served until ``solve_stride`` new windows have
@@ -177,7 +189,10 @@ class LiveAttributor:
             or self._pending_windows >= self.solve_stride
         ):
             return self._cached
-        observed = [obs for obs in self.observations if obs.offered_volume > 0]
+        observed = [
+            obs for obs in self.observations
+            if obs.offered_volume > 0 and not obs.degraded
+        ]
         if not observed:
             self._cached = None
             self._structure_dirty = False
@@ -239,14 +254,17 @@ class LiveAttributor:
     # ------------------------------------------------------------------
 
     def rebuild_catchments(
-        self, histories: List[Mapping[LinkId, Catchment]]
+        self,
+        histories: List[Mapping[LinkId, Catchment]],
+        degraded: Optional[Sequence[FrozenSet[LinkId]]] = None,
     ) -> None:
         """Swap in fresh catchment maps after a remeasurement.
 
         The partition is recomputed from scratch over the new maps (one
-        per applied configuration, restricted to the universe) while
-        every volume observation is kept — the evidence was real, only the
-        stale maps it was interpreted against changed.
+        per applied configuration, restricted to the universe, with its
+        degraded links in ``degraded``) while every volume observation
+        is kept — the evidence was real, only the stale maps it was
+        interpreted against changed.
 
         Raises:
             LiveServiceError: when map count disagrees with the number of
@@ -257,10 +275,15 @@ class LiveAttributor:
                 f"{len(histories)} remeasured maps for "
                 f"{len(self.observations)} applied configurations"
             )
+        if degraded is None:
+            degraded = [frozenset()] * len(histories)
         self.state = ClusterState(self.universe)
-        for obs, catchments in zip(self.observations, histories):
-            obs.catchments = dict(catchments)
-            self.state.refine_with_catchments(catchments)
+        for obs, catchments, lost in zip(
+            self.observations, histories, degraded
+        ):
+            obs.catchments = catchments
+            obs.degraded = lost
+            self.state.refine_with_catchments(catchments, lost)
         self._structure_dirty = True
 
     def as_serializable(self) -> Dict:

@@ -391,7 +391,10 @@ class LiveTracebackService:
                 )
                 # What the controller's current maps were derived from;
                 # rebuilt wholesale on remeasurement.
-                self.evidence = Evidence.build(self.schedule, stale)
+                self.evidence = Evidence.build(
+                    self.schedule, stale, registry=self.obs.registry,
+                    bus=self.obs.bus,
+                )
             if span is not None:
                 span.set(
                     "configs_simulated", self.engine.stats.configs_simulated
@@ -430,7 +433,7 @@ class LiveTracebackService:
         )
         self.controller = AdaptiveController(
             self.schedule,
-            self.evidence.maps,
+            self.evidence.planning_maps(),
             self.timeline,
             policy,
             registry=self.obs.registry,
@@ -540,17 +543,16 @@ class LiveTracebackService:
 
     def _activate(self, index: int) -> None:
         config = self.schedule[index]
+        step = self.evidence.steps[index]
         self.event_log.append(
             ConfigApplied(
                 timestamp=self.clock.now,
                 config=config,
-                catchments=self.controller.catchment_maps[index],
+                catchments=step.catchments,
                 schedule_index=index,
             )
         )
-        self.attributor.apply_config(
-            config, self.controller.catchment_maps[index]
-        )
+        self.attributor.apply_config(config, step.catchments, step.degraded)
         self.deployed.append(index)
         self._active_index = index
         self._windows_left = self.timeline.windows_per_config(
@@ -767,12 +769,16 @@ class LiveTracebackService:
 
     def _remeasure(self) -> None:
         """Re-measure every catchment map against the drifted Internet."""
-        self.evidence = self.evidence.rebuilt(self._truth_outcomes)
-        self.controller.apply_remeasurement(
-            self.evidence.maps, deployed_count=len(self.deployed)
+        self.evidence = self.evidence.rebuilt(
+            self._truth_outcomes, bus=self.obs.bus, registry=self.obs.registry
         )
+        self.controller.apply_remeasurement(
+            self.evidence.planning_maps(), deployed_count=len(self.deployed)
+        )
+        steps = [self.evidence.steps[i] for i in self.deployed]
         self.attributor.rebuild_catchments(
-            [self.evidence.steps[i].catchments for i in self.deployed]
+            [step.catchments for step in steps],
+            [step.degraded for step in steps],
         )
         self._maps_fresh = True
         # Remeasuring the deployed configurations costs their dwell again.
@@ -1067,9 +1073,18 @@ class LiveTracebackService:
             )
             if service._maps_fresh:
                 service.evidence = service.evidence.rebuilt(
-                    service._truth_outcomes
+                    service._truth_outcomes,
+                    bus=service.obs.bus,
+                    registry=service.obs.registry,
                 )
-                service.controller.catchment_maps = service.evidence.maps
+                service.controller.catchment_maps = (
+                    service.evidence.planning_maps()
+                )
+        # Degraded marks are not checkpointed; the evidence re-derives them.
+        for obs, index in zip(
+            service.attributor.observations, service.deployed
+        ):
+            obs.degraded = service.evidence.steps[index].degraded
         return service
 
 

@@ -81,15 +81,15 @@ def link_volumes(
     accounted in the returned map's ``unattributed`` companion value so
     volume conservation holds — the caller decides how to treat it.
     """
-    catchment_of: Dict[ASN, LinkId] = {}
-    for link, members in catchments.items():
-        for asn in members:
-            catchment_of[asn] = link
+    # Only the sources are looked up, against the catchments in reverse
+    # order, so a later catchment wins an overlap.
+    backwards = list(catchments.items())[::-1]
     volumes = LinkVolumeMap({link: 0.0 for link in catchments})
     for asn, volume in placement.volume_by_as(total_volume).items():
-        link = catchment_of.get(asn)
-        if link is not None:
-            volumes[link] += volume
+        for link, members in backwards:
+            if asn in members:
+                volumes[link] += volume
+                break
         else:
             volumes.unattributed += volume
     return volumes

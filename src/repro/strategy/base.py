@@ -45,6 +45,7 @@ from typing import (
 )
 
 from ..core.clustering import ClusterState
+from ..core.labels import LabelledCatchments
 from ..errors import StrategyError
 from ..types import ASN, Catchment, LinkId
 from .kernel import LabelMatrix
@@ -56,6 +57,12 @@ NOISE_FLOOR = 1e-9
 #: Stop reason shared with the pre-plugin controller (string-identical,
 #: so checkpoints and reports read the same across the refactor).
 NO_SPLIT_REASON = "no remaining configuration splits any cluster"
+
+
+def _own(maps: Mapping[LinkId, Catchment]) -> Mapping[LinkId, Catchment]:
+    """A map the strategy may keep: evidence maps are immutable and
+    carry their label rows, anything else is copied."""
+    return maps if isinstance(maps, LabelledCatchments) else dict(maps)
 
 
 def weighted_cost(
@@ -180,7 +187,7 @@ class TracebackStrategy(ABC):
                 f"{len(schedule)} configurations vs "
                 f"{len(catchment_maps)} catchment maps"
             )
-        self.catchment_maps = [dict(maps) for maps in catchment_maps]
+        self.catchment_maps = [_own(maps) for maps in catchment_maps]
         self.schedule = list(schedule) if schedule is not None else []
         self.universe = sorted(universe) if universe is not None else None
         self.remaining = list(range(len(self.catchment_maps)))
@@ -201,7 +208,7 @@ class TracebackStrategy(ABC):
         universe is scored.
         """
         if self._labels is None or not self._labels.covers(state):
-            self._labels = LabelMatrix(self.catchment_maps, state.universe)
+            self._labels = LabelMatrix(self.catchment_maps, state.columns)
         return self._labels
 
     def _at(self, position: Optional[int]) -> Optional[int]:
@@ -276,7 +283,7 @@ class TracebackStrategy(ABC):
                 f"{len(fresh_maps)} remeasured maps for "
                 f"{len(self.catchment_maps)} configurations"
             )
-        self.catchment_maps = [dict(maps) for maps in fresh_maps]
+        self.catchment_maps = [_own(maps) for maps in fresh_maps]
         self._labels = None
 
     def restore_remaining(self, remaining: Sequence[int]) -> None:

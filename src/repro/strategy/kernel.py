@@ -38,6 +38,7 @@ from typing import (
 import numpy as np
 
 from ..core.clustering import ClusterState
+from ..core.labels import Columns, label_row
 from ..types import ASN, Catchment, LinkId
 
 #: Rows scored per array pass; bounds the kernel's temporaries.
@@ -47,7 +48,8 @@ BLOCK_ROWS = 32
 class LabelMatrix:
     """Link-set labels of every configuration over one universe.
 
-    Cell ``(c, a)`` is 0 when no catchment of configuration ``c`` holds
+    Row ``c`` is :func:`~repro.core.labels.label_row` of configuration
+    ``c``'s catchment map: cell ``(c, a)`` is 0 when no catchment holds
     AS ``a``, ``k`` when only the ``k``-th link (in sorted link order)
     does, and a further id per distinct set of overlapping links.
     Labels are canonical within a row only; rows are never compared.
@@ -56,7 +58,8 @@ class LabelMatrix:
 
     Args:
         catchment_maps: one catchment map per configuration.
-        universe: the ASes the matrix has columns for.
+        universe: the ASes the matrix has columns for (or their
+            :class:`~repro.core.labels.Columns`).
     """
 
     def __init__(
@@ -64,49 +67,23 @@ class LabelMatrix:
         catchment_maps: Sequence[Mapping[LinkId, Catchment]],
         universe: Iterable[ASN],
     ) -> None:
-        self.universe: List[ASN] = sorted(universe)
-        self.members = frozenset(self.universe)
-        self._column = {asn: i for i, asn in enumerate(self.universe)}
+        self._columns = Columns.of(universe)
+        self.universe: List[ASN] = self._columns.asns
         labels = np.zeros(
             (len(catchment_maps), len(self.universe)), dtype=np.int32
         )
         for row, maps in zip(labels, catchment_maps):
-            links = sorted(maps)
-            combined = {}
-            next_label = len(links) + 1
-            for label, link in enumerate(links, start=1):
-                columns = self.columns(maps[link])
-                taken = columns[row[columns] != 0]
-                row[columns[row[columns] == 0]] = label
-                for column in taken:  # overlapping catchments only
-                    key = (int(row[column]), label)
-                    if key not in combined:
-                        combined[key] = next_label
-                        next_label += 1
-                    row[column] = combined[key]
+            row[:] = label_row(maps, self._columns).labels
         self.labels = labels
         self.width = int(labels.max(initial=0)) + 1
 
     def covers(self, state: ClusterState) -> bool:
         """True when the matrix's columns are exactly ``state``'s universe."""
-        return state._cluster_of.keys() == self.members
+        return state.columns.same(self._columns)
 
     def columns(self, asns: Iterable[ASN]) -> np.ndarray:
         """Column indices of the universe members among ``asns``."""
-        column = self._column
-        return np.fromiter(
-            (column[asn] for asn in asns if asn in column), dtype=np.intp
-        )
-
-    def _clusters(self, state: ClusterState) -> np.ndarray:
-        """Dense cluster id of every column, read off ``state``."""
-        cluster_of = state._cluster_of
-        raw = np.fromiter(
-            (cluster_of[asn] for asn in self.universe),
-            dtype=np.int64,
-            count=len(self.universe),
-        )
-        return np.unique(raw, return_inverse=True)[1].reshape(-1)
+        return self._columns.positions(asns)
 
     def _pieces(
         self, rows: Sequence[int], clusters: np.ndarray, active: np.ndarray
@@ -138,7 +115,7 @@ class LabelMatrix:
         A singleton cluster stays one piece under every configuration,
         so only the columns of larger clusters are keyed.
         """
-        clusters = self._clusters(state)
+        clusters = state.ids
         sizes = np.bincount(clusters)
         pieces = [
             np.count_nonzero(first, axis=1)
@@ -164,7 +141,7 @@ class LabelMatrix:
             dtype=np.float64,
             count=len(self.universe),
         )
-        clusters = self._clusters(state)
+        clusters = state.ids
         sizes = np.bincount(clusters)
         cost = np.bincount(clusters, weights=volumes) * sizes
         active = sizes[clusters] > 1

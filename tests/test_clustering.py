@@ -1,8 +1,12 @@
 """Tests for cluster refinement (§III-B)."""
 
+import random
+
 import pytest
 
+from clustering_reference import ReferenceClusterState
 from repro.core.clustering import ClusterState, clusters_from_catchment_history
+from repro.core.labels import Columns, LabelledCatchments
 from repro.errors import ClusteringError
 
 
@@ -138,3 +142,98 @@ class TestHistoryHelper:
         state = clusters_from_catchment_history([1, 2, 3, 4], history)
         assert state.sizes() == [2, 1, 1]
         assert state.cluster_of(3) == frozenset({3, 4})
+
+
+class TestMatchesSetReference:
+    """The array partition against the set-based reference, step by step
+    on seeded random catchment maps."""
+
+    @staticmethod
+    def random_step(rng, universe):
+        """A configuration's maps: overlaps, outsiders and degraded links."""
+        links = [f"l{k}" for k in rng.sample(range(6), rng.randint(1, 4))]
+        maps = {link: set() for link in links}
+        for asn in universe:
+            if rng.random() < 0.85:
+                maps[rng.choice(links)].add(asn)
+            if rng.random() < 0.1:
+                maps[rng.choice(links)].add(asn)  # overlap
+        for link in links:
+            if rng.random() < 0.3:
+                maps[link].add(rng.randint(1000, 1100))  # outside
+        degraded = frozenset(link for link in links if rng.random() < 0.2)
+        return {link: frozenset(m) for link, m in maps.items()}, degraded
+
+    @staticmethod
+    def assert_same(state, reference):
+        assert state.clusters() == reference.clusters()
+        assert state.num_clusters() == reference.num_clusters()
+        assert state.sizes() == reference.sizes()
+        assert repr(state.mean_size()) == repr(reference.mean_size())
+        assert repr(state.mean_size_weighted()) == repr(
+            reference.mean_size_weighted()
+        )
+        assert repr(state.size_percentile(90.0)) == repr(
+            reference.size_percentile(90.0)
+        )
+        assert repr(state.singleton_fraction()) == repr(
+            reference.singleton_fraction()
+        )
+        assert state.as_serializable() == reference.as_serializable()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_refinement_matches_reference(self, seed):
+        rng = random.Random(seed)
+        universe = rng.sample(range(1, 900), rng.randint(1, 60))
+        state, reference = ClusterState(universe), ReferenceClusterState(universe)
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.2:
+                catchment = rng.sample(universe + [2000, 2001], 3)
+                assert state.refine(catchment) == reference.refine(catchment)
+            else:
+                maps, degraded = self.random_step(rng, universe)
+                assert state.refine_with_catchments(
+                    maps, degraded
+                ) == reference.refine_with_catchments(maps, degraded)
+            self.assert_same(state, reference)
+            for asn in rng.sample(universe, min(3, len(universe))):
+                assert state.cluster_of(asn) == reference.cluster_of(asn)
+            clone, reference_clone = state.copy(), reference.copy()
+            maps, degraded = self.random_step(rng, universe)
+            clone.refine_with_catchments(maps, degraded)
+            reference_clone.refine_with_catchments(maps, degraded)
+            self.assert_same(clone, reference_clone)
+            self.assert_same(state, reference)
+            restored = ClusterState.from_serializable(state.as_serializable())
+            self.assert_same(restored, reference)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_labelled_maps_refine_like_their_sets(self, seed):
+        """Evidence maps take the row path; their decoded sets the set
+        path, and degraded links are skipped on both."""
+        rng = random.Random(100 + seed)
+        universe = rng.sample(range(1, 900), rng.randint(2, 60))
+        columns = Columns(universe)
+        state, reference = ClusterState(columns), ReferenceClusterState(universe)
+        for _ in range(rng.randint(1, 10)):
+            links = [f"l{k}" for k in range(rng.randint(1, 4))]
+            maps = {link: set() for link in links}
+            for asn in universe:
+                if rng.random() < 0.9:
+                    maps[rng.choice(links)].add(asn)
+            labelled = LabelledCatchments.of(
+                {link: frozenset(m) for link, m in maps.items()}, columns
+            )
+            degraded = frozenset(link for link in links if rng.random() < 0.25)
+            assert state.refine_with_catchments(
+                labelled, degraded
+            ) == reference.refine_with_catchments(dict(labelled), degraded)
+            self.assert_same(state, reference)
+
+    def test_serialized_overlap_and_empty_rejected_like_reference(self):
+        for payload in ([[1, 2], [2, 3]], [[1], []], []):
+            with pytest.raises(ClusteringError) as got:
+                ClusterState.from_serializable(payload)
+            with pytest.raises(ClusteringError) as want:
+                ReferenceClusterState.from_serializable(payload)
+            assert str(got.value) == str(want.value)

@@ -1,14 +1,19 @@
 """Tests for the one evidence model (universe + per-config catchment maps)."""
 
+import json
+import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.bgp.simulator import RoutingSimulator
 from repro.cli import SCALES
+from repro.core.clustering import ClusterState
 from repro.core.configgen import ScheduleParams, generate_schedule
 from repro.core.engine import SimulationEngine
 from repro.core.evidence import Evidence
+from repro.core.localization import estimate_cluster_volumes
 from repro.core.pipeline import SpoofTracker, build_testbed
 from repro.core.scheduler import mean_cluster_size_curve
 from repro.core.staleness import StalenessExperiment, churned_policy
@@ -17,7 +22,7 @@ from repro.faults.injection import FaultInjector
 from repro.faults.plan import MEASUREMENT_LOSS, FaultPlan, FaultSpec
 from repro.live import LiveTracebackService, ReplayScenario, load_checkpoint
 from repro.live.events import RouteChurn
-from repro.obs import EventBus, MetricsRegistry
+from repro.obs import EventBus, MetricsRegistry, Observability
 from repro.strategy import compare_strategies
 
 CONFIGS = 40
@@ -242,3 +247,129 @@ class TestEvidenceOperations:
         assert restored.evidence.universe == service.universe
         assert restored.evidence == service.evidence
         assert restored.controller.catchment_maps == service.evidence.maps
+
+
+class TestLabels:
+    def test_rows_decode_to_the_restricted_catchments(self, schedule_outcomes):
+        configs, outcomes = schedule_outcomes
+        universe = frozenset(sorted(outcomes[0].covered_ases)[::3])
+        evidence = Evidence.build(configs, outcomes, universe=universe)
+        labels = evidence.labels
+        assert labels.dtype == np.int32
+        assert labels.shape == (len(configs), len(universe))
+        asns = np.array(sorted(universe))
+        for row, step, outcome in zip(labels, evidence.steps, outcomes):
+            links = sorted(outcome.catchments)
+            assert list(step.catchments) == list(outcome.catchments)
+            assert set(row.tolist()) <= set(range(len(links) + 1))
+            for label, link in enumerate(links, start=1):
+                restricted = outcome.catchments[link] & universe
+                assert set(asns[row == label].tolist()) == restricted
+                assert step.catchments[link] == restricted
+
+    def test_route_table_rows_match_the_set_path(self, schedule_outcomes):
+        """Rows sliced from ``r_link`` equal rows labelled from the
+        catchment sets of the same outcomes."""
+        configs, outcomes = schedule_outcomes
+        by_sets = [
+            replace(outcome, routes=dict(outcome.routes)) for outcome in outcomes
+        ]
+        sliced = Evidence.build(configs, outcomes)
+        labelled = Evidence.build(configs, by_sets)
+        assert np.array_equal(sliced.labels, labelled.labels)
+        assert sliced.maps == labelled.maps
+
+    def test_thinned_cells_are_zero_and_rows_travel(self, schedule_outcomes):
+        configs, outcomes = schedule_outcomes
+        clean = Evidence.build(configs, outcomes)
+        evidence = Evidence.build(configs, outcomes, injector=_loss_injector())
+        lost = (clean.labels != 0) & (evidence.labels == 0)
+        assert lost[1:3].any() and not lost[[0, 3, 4, 5]].any()
+        assert ((evidence.labels == clean.labels) | lost).all()
+        order = [4, 1, 0, 2]
+        assert np.array_equal(
+            evidence.reordered(order).labels, evidence.labels[order]
+        )
+        head = Evidence.build(configs[:2], outcomes[:2])
+        assert np.array_equal(
+            head.extended(configs[2:], outcomes[2:]).labels, clean.labels
+        )
+        assert np.array_equal(clean.rebuilt(outcomes).labels, clean.labels)
+        maps, _ = evidence.nnls_inputs(list(range(len(configs))))
+        assert [m.row.labels.tolist() for m in maps] == [
+            evidence.labels[i].tolist() for i in (0, 3, 4, 5)
+        ]
+
+    def test_maps_are_dicts_that_build_sets_on_read(self, schedule_outcomes):
+        configs, outcomes = schedule_outcomes
+        maps = Evidence.build(configs[:1], outcomes[:1]).maps[0]
+        assert isinstance(maps, dict)
+        assert dict.__len__(maps) == 0  # nothing restricted yet
+        assert len(maps) == len(outcomes[0].catchments)
+        assert list(maps) == list(outcomes[0].catchments)
+        plain = dict(maps)
+        assert dict.__len__(maps) == len(plain)
+        assert maps == plain and plain == maps
+        assert json.loads(json.dumps({k: sorted(v) for k, v in maps.items()}))
+        assert pickle.loads(pickle.dumps(maps)) == plain
+
+
+class TestLiveHonoursDegradedEvidence:
+    UNSETTLED = 1
+
+    def test_unconverged_step_is_skipped_by_live_clusters_and_nnls(
+        self, small_testbed, monkeypatch
+    ):
+        real = SimulationEngine.iter_simulate
+
+        def unsettled(engine, configs):
+            for index, outcome in enumerate(real(engine, configs)):
+                if index == self.UNSETTLED:
+                    outcome = replace(outcome, converged=False)
+                yield outcome
+
+        monkeypatch.setattr(SimulationEngine, "iter_simulate", unsettled)
+        obs = Observability(registry=MetricsRegistry(), bus=EventBus())
+        service = LiveTracebackService(
+            ReplayScenario(seed=5, max_configs=6, min_configs=6, adaptive=False),
+            testbed=small_testbed,
+            obs=obs,
+        )
+        report = service.run()
+        service.close()
+        evidence = service.evidence
+        assert self.UNSETTLED in service.deployed
+        step = evidence.steps[self.UNSETTLED]
+        assert step.degraded == frozenset(step.catchments)
+        kinds = [event["kind"] for event in obs.bus.history()]
+        assert kinds.count("unconverged") == 1
+        assert obs.registry.counter_totals()[
+            "repro_evidence_unconverged_steps_total"
+        ] == 1.0
+
+        batch = ClusterState(evidence.universe)
+        trusting = ClusterState(evidence.universe)
+        for index in service.deployed:
+            deployed = evidence.steps[index]
+            batch.refine_with_catchments(deployed.catchments, deployed.degraded)
+            trusting.refine_with_catchments(deployed.catchments)
+        assert report.clusters == batch.clusters()
+        assert trusting.clusters() != batch.clusters()
+
+        observed = [
+            obs for obs in service.attributor.observations
+            if obs.offered_volume > 0
+        ]
+        assert any(obs.degraded for obs in observed)
+        kept = [obs for obs in observed if not obs.degraded]
+        volumes, residual = estimate_cluster_volumes(
+            batch.clusters(),
+            [obs.catchments for obs in kept],
+            [obs.normalized_volumes() for obs in kept],
+        )
+        ranked = {
+            cluster.members: cluster.estimated_volume
+            for cluster in report.localization.ranked
+        }
+        assert ranked == dict(zip(batch.clusters(), volumes))
+        assert report.localization.residual == residual

@@ -7,6 +7,7 @@ import pytest
 
 import repro.core.localization as localization
 from repro.core.clustering import clusters_from_catchment_history
+from repro.core.labels import Columns, LabelledCatchments
 from repro.core.localization import (
     LocalizationQuality,
     SpoofLocalizer,
@@ -183,6 +184,50 @@ class TestSystemBuilder:
     def test_rejects_empty_volume_observations(self):
         with pytest.raises(ClusteringError, match="no volume observations"):
             estimate_cluster_volumes(final_clusters(), HISTORY, [{}, {}])
+
+    def test_labelled_maps_match_row_by_row_builder(self, monkeypatch):
+        """Evidence maps build from their label rows: the same matrix,
+        targets and straddle errors as the row-by-row specification.
+        Their catchments are disjoint and restricted to a universe that
+        may hold ASes no cluster does."""
+        captured = []
+        real_nnls = localization.nnls
+
+        def capture(matrix, target):
+            captured.append((matrix, target))
+            return real_nnls(matrix, target)
+
+        monkeypatch.setattr(localization, "nnls", capture)
+        rng = random.Random(23)
+        solved = straddled = 0
+        for _ in range(200):
+            clusters, history, volumes = _random_system(rng)
+            universe = sorted(set().union(*clusters))
+            columns = Columns(universe + rng.sample(range(200000, 200100), 3))
+            disjoint = []
+            for catchments in history:
+                seen = set()
+                maps = {}
+                for link, members in catchments.items():
+                    maps[link] = frozenset(members - seen)
+                    seen |= members
+                disjoint.append(LabelledCatchments.of(maps, columns))
+            plain = [dict(maps) for maps in disjoint]
+            try:
+                want = _row_by_row_system(clusters, plain, volumes)
+            except ClusteringError as error:
+                with pytest.raises(ClusteringError) as got:
+                    estimate_cluster_volumes(clusters, disjoint, volumes)
+                assert str(got.value) == str(error)
+                straddled += 1
+                continue
+            captured.clear()
+            estimate_cluster_volumes(clusters, disjoint, volumes)
+            (matrix, target), = captured
+            assert np.array_equal(matrix, want[0])
+            assert np.array_equal(target, want[1])
+            solved += 1
+        assert solved > 30 and straddled > 30
 
 
 class TestSpoofLocalizer:

@@ -75,6 +75,41 @@ class TestLinkVolumes:
         assert volumes["l2"] == pytest.approx(0.5)
 
 
+    def test_later_catchment_wins_an_overlap(self):
+        placement = SourcePlacement({3: 1, 4: 1})
+        overlapping = {"l2": frozenset({3, 4}), "l1": frozenset({1, 2, 3})}
+        volumes = link_volumes(placement, overlapping)
+        assert list(volumes) == ["l2", "l1"]
+        assert volumes == {"l2": 0.5, "l1": 0.5}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_inverted_catchment_lookup(self, seed):
+        """Same keys, key order, floats and ``unattributed`` as looking
+        every source up in the inverted catchments (later link wins)."""
+        rng = random.Random(seed)
+        links = [f"l{k}" for k in rng.sample(range(8), 4)]
+        catchments = {
+            link: frozenset(rng.sample(range(60), rng.randint(0, 25)))
+            for link in links
+        }
+        placement = SourcePlacement(
+            {asn: rng.randint(1, 9) for asn in rng.sample(range(80), 30)}
+        )
+        catchment_of = {}
+        for link, members in catchments.items():
+            for asn in members:
+                catchment_of[asn] = link
+        want = LinkVolumeMap({link: 0.0 for link in catchments})
+        for asn, volume in placement.volume_by_as(2.5).items():
+            if asn in catchment_of:
+                want[catchment_of[asn]] += volume
+            else:
+                want.unattributed += volume
+        got = link_volumes(placement, catchments, 2.5)
+        assert list(got.items()) == list(want.items())
+        assert got.unattributed == want.unattributed
+
+
 class TestGenerator:
     def test_packets_routed_by_catchment(self):
         placement = SourcePlacement({1: 1, 4: 1})
