@@ -38,8 +38,6 @@ class Dashboard:
         self.windows: List[Mapping] = []
         self.phases: List[Mapping] = []
         self.faults: Dict[str, int] = {}
-        self.flights: Dict[str, int] = {}
-        self.last_flight: Optional[Mapping] = None
         self.churn_events = 0
         self.remeasurements = 0
         self.checkpoints = 0
@@ -64,10 +62,6 @@ class Dashboard:
             self.faults[name] = self.faults.get(name, 0) + int(
                 event.get("count", 1)
             )
-        elif kind == "flight":
-            reason = str(event.get("reason", "unknown"))
-            self.flights[reason] = self.flights.get(reason, 0) + 1
-            self.last_flight = event
         elif kind == "churn":
             self.churn_events += 1
             if event.get("remeasured"):
@@ -131,19 +125,6 @@ class Dashboard:
                 f"{kind}×{count}" for kind, count in sorted(self.faults.items())
             )
             lines.append(f"faults: {fired}")
-        if self.flights:
-            dumped = ", ".join(
-                f"{reason}×{count}"
-                for reason, count in sorted(self.flights.items())
-            )
-            line = f"flight dumps: {dumped}"
-            if self.last_flight is not None:
-                line += (
-                    f" · last: {self.last_flight.get('flight')}"
-                    f" #{self.last_flight.get('ordinal')}"
-                    f" ({self.last_flight.get('reason')})"
-                )
-            lines.append(line)
         if self.churn_events:
             lines.append(
                 f"churn: {self.churn_events} strikes · "

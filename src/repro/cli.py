@@ -15,9 +15,6 @@ Subcommands:
 * ``dash`` — ASCII live dashboard: render the observability event
   stream, either attached to a served ``/events`` endpoint or from a
   seeded local replay.
-* ``timeline`` — post-mortem forensics: merge span traces, flight
-  bundles, and checkpoint directories into one causally ordered,
-  digest-stable timeline (``repro.obs.timeline``).
 * ``bench-check`` — compare fresh ``benchmarks/BENCH_*.json`` artifacts
   against the recorded baseline history; non-zero exit on regression.
 * ``experiments`` — regenerate the EXPERIMENTS.md body from a fresh run.
@@ -26,10 +23,9 @@ Subcommands:
 ``--trace PATH`` (JSONL span tree with deterministic span ids),
 ``--metrics PATH`` (Prometheus-format counter/gauge/histogram dump),
 ``--serve PORT`` (threaded HTTP exporter: ``/metrics``, ``/healthz``,
-``/readyz``, ``/manifest``, ``/traces``, ``/timeline``, and SSE
-``/events``), ``--log-json`` (structured JSON-lines operational logging
-instead of bare stderr), and ``--flight-dir DIR`` (arm the black-box
-flight recorder); one :class:`_RunSession` arms and tears these down for
+``/readyz``, ``/manifest``, ``/traces``, and SSE ``/events``), and
+``--log-json`` (structured JSON-lines operational logging instead of
+bare stderr); one :class:`_RunSession` arms and tears these down for
 every command.  ``track`` and ``live`` also accept ``--fault-plan``
 (``chaos`` sweeps its own ``--plan``).  Counts, rates, and minutes are
 range-checked by the parser, so an out-of-range value is a usage error
@@ -39,7 +35,6 @@ range-checked by the parser, so an out-of-range value is a usage error
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -58,7 +53,6 @@ from .obs import (
     SloWatchdog,
     Stopwatch,
     build_manifest,
-    install_flight_signal,
 )
 from .spoof.sources import PLACEMENT_DISTRIBUTIONS, make_placement
 from .topology.generator import TopologyParams
@@ -128,15 +122,15 @@ class _RunSession:
     profiling) asks for it — unarmed runs keep :attr:`obs` None, so the
     pipeline's instrumentation guards stay on their no-op path — plus the
     logbook, the ``--fault-plan`` injector on the run's bus, and the run
-    manifest (``config`` is its configuration).  Entering arms the
-    ``--flight-dir`` recorder (SIGUSR1 dumps it) and starts the
+    manifest (``config`` is its configuration).  Entering starts the
     ``--serve`` exporter ahead of the command's slow construction;
     :meth:`ready` flips ``/readyz`` and :attr:`health` (a value or a
-    zero-arg callable) feeds ``/healthz``.  A clean exit writes
-    ``--trace``/``--metrics`` and, when serving, publishes ``report``,
-    honours ``--serve-linger`` and closes the bus; an error dumps the
-    black box first.  Usage checks that return early go before the
-    ``with``.
+    zero-arg callable) feeds ``/healthz``.  Every exit, a crash
+    included, writes ``--trace``/``--metrics`` (spans close in
+    :meth:`~repro.obs.tracing.Tracer.span`'s ``finally``, so the trace
+    holds everything that ran); a clean exit, when serving, also
+    publishes ``report``, honours ``--serve-linger`` and closes the
+    bus.  Usage checks that return early go before the ``with``.
     """
 
     def __init__(
@@ -149,7 +143,7 @@ class _RunSession:
         **config,
     ) -> None:
         self.args, self.command = args, command
-        flags = (args.trace, args.metrics, args.log_json, args.flight_dir)
+        flags = (args.trace, args.metrics, args.log_json)
         self.obs: Optional[Observability] = None
         if arm and (profile or args.serve is not None or any(flags)):
             self.obs = Observability.for_run(command, profile=profile)
@@ -172,24 +166,13 @@ class _RunSession:
             fault_plan=self.injector.plan.as_serializable() if plan else None,
         )
         self.health = None
-        self.flight = self.server = None
+        self.server = None
 
     def __enter__(self) -> "_RunSession":
-        if self.obs is None:
-            return self
-        if self.args.flight_dir:
-            self.flight = self.obs.arm_flight(
-                self.command, directory=self.args.flight_dir
-            )
-            install_flight_signal(self.flight)
-        if self.args.serve is None:
+        if self.obs is None or self.args.serve is None:
             return self
         watchdog = SloWatchdog(registry=self.obs.registry)
-        # An armed flight recorder turns every SLO breach into a black box.
-        watchdog.flight = self.flight
         self.bus.attach(watchdog.observe)
-        # ``/timeline`` reads the directory ``live --checkpoint`` writes to.
-        checkpoint = getattr(self.args, "checkpoint", None)
         self.server = ObsServer(
             obs=self.obs,
             manifest=self.manifest,
@@ -198,10 +181,6 @@ class _RunSession:
             ),
             watchdog=watchdog,
             port=self.args.serve,
-            flight_dir=self.args.flight_dir or "",
-            checkpoint_dir=(
-                os.path.dirname(os.path.abspath(checkpoint)) if checkpoint else ""
-            ),
         ).start()
         self.log.info(
             f"serving observability on {self.server.url}",
@@ -216,8 +195,8 @@ class _RunSession:
             self.server.set_ready()
 
     def __exit__(self, exc_type, exc, traceback) -> None:
+        self._export()
         if exc_type is None:
-            self._export()
             if self.server is not None:
                 self.bus.publish("report", command=self.command)
                 linger = self.args.serve_linger
@@ -227,17 +206,10 @@ class _RunSession:
                         event="serve_linger",
                     )
                     time.sleep(linger)
-        elif self.flight is not None and isinstance(exc, Exception):
-            if not isinstance(exc, FaultInjectionError):
-                # The black box is most valuable at exactly this moment:
-                # dump the ring before the traceback unwinds the process.
-                self.flight.dump("crash", context={"error": repr(exc)})
         if self.server is not None:
             self.server.stop()
             if exc_type is None:
                 self.bus.close()
-        if self.flight is not None:
-            self.flight.detach()
 
     def _export(self) -> None:
         """Write ``--trace`` / ``--metrics`` artifacts and announce them."""
@@ -478,8 +450,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
 
     # Resumed services rebuild mid-run state from the checkpoint alone;
     # the premeasure span and controller counters are gone, so tracing,
-    # serving, the flight recorder, and fault injection apply to fresh
-    # runs only.
+    # serving, and fault injection apply to fresh runs only.
     session = _RunSession(
         args,
         "live",
@@ -491,7 +462,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
         adaptive=not args.in_order,
     )
     log = session.log
-    fresh_only = ("--trace", "--metrics", "--serve", "--flight-dir", "--fault-plan")
+    fresh_only = ("--trace", "--metrics", "--serve", "--fault-plan")
     ignored = [
         flag
         for flag in fresh_only
@@ -528,7 +499,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_path=args.checkpoint or "",
                 packets_per_window=args.packets_per_window,
-                nnls_stride=args.nnls_stride,
             )
             params = replace(SCALES[args.scale], seed=args.seed)
             service = LiveTracebackService(
@@ -690,32 +660,6 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    """Post-mortem forensics: merge run artifacts into one timeline."""
-    import json as _json
-
-    from .obs.timeline import build_timeline
-
-    if not (args.trace or args.flight_dir or args.checkpoint_dir):
-        print(
-            "timeline needs at least one source: --trace, --flight-dir, "
-            "or --checkpoint-dir",
-            file=sys.stderr,
-        )
-        return 2
-    timeline = build_timeline(
-        trace_path=args.trace or "",
-        flight_dir=args.flight_dir or "",
-        checkpoint_dir=args.checkpoint_dir or "",
-    )
-    timeline = timeline.filtered(since=args.since)
-    if args.json:
-        print(_json.dumps(timeline.as_dict(), indent=2, sort_keys=True))
-        return 0
-    print(timeline.render(limit=args.limit))
-    return 0
-
-
 def _cmd_bench_check(args: argparse.Namespace) -> int:
     from .obs import benchgate
 
@@ -843,16 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--log-json",
             action="store_true",
             help="structured JSON-lines operational logs on stderr",
-        )
-        sub.add_argument(
-            "--flight-dir",
-            default=None,
-            metavar="DIR",
-            help=(
-                "arm the flight recorder: crashes, kills, rollbacks, SLO "
-                "breaches, and SIGUSR1 dump checksummed post-mortem "
-                "bundles here (read back with `spooftrack timeline`)"
-            ),
         )
 
     def add_fault_plan(sub: argparse.ArgumentParser) -> None:
@@ -1016,12 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=">0 switches to packet-sampled traffic at this rate",
     )
     live.add_argument(
-        "--nnls-stride",
-        type=_positive_int,
-        default=1,
-        help="re-solve attribution NNLS once per N windows (1 = every window)",
-    )
-    live.add_argument(
         "--checkpoint", default=None, help="checkpoint JSON path"
     )
     live.add_argument(
@@ -1117,51 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_attack_options(dash, "pareto", 10, max_configs=6)
     dash.set_defaults(func=_cmd_dash)
-
-    timeline = subparsers.add_parser(
-        "timeline",
-        help=(
-            "post-mortem forensics: merge traces, flight bundles, and "
-            "checkpoints into one causally ordered timeline"
-        ),
-    )
-    timeline.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="JSONL span trace to fold in (written by --trace)",
-    )
-    timeline.add_argument(
-        "--flight-dir",
-        default=None,
-        metavar="DIR",
-        help="directory of flight-*.json post-mortem bundles",
-    )
-    timeline.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="directory of checkpoints (and rotated generations)",
-    )
-    timeline.add_argument(
-        "--since",
-        type=float,
-        default=None,
-        metavar="MINUTES",
-        help="drop rows before this simulated minute (and unaligned rows)",
-    )
-    timeline.add_argument(
-        "--limit",
-        type=int,
-        default=0,
-        help="render only the last N rows (0 = everything)",
-    )
-    timeline.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the timeline (entries + digest) as JSON instead of text",
-    )
-    timeline.set_defaults(func=_cmd_timeline)
 
     bench_check = subparsers.add_parser(
         "bench-check",

@@ -9,18 +9,9 @@ and :meth:`attribution` re-solves the NNLS system on demand over whatever
 has been observed so far.  Because refinement only ever splits clusters,
 the rolling partition tightens monotonically; because per-configuration
 volumes are normalized by *offered* volume, dropped windows shrink
-confidence but never bias the estimates.
-
-Re-solving after every window is wasteful once windows arrive faster than
-the estimates meaningfully move: each solve is a full NNLS over every
-observed configuration.  The ``solve_stride`` knob batches window-only
-updates — the solver runs once per ``solve_stride`` newly accumulated
-windows instead of per window, stacking their volume evidence into a
-single solve.  Structural changes (a new configuration applied, a
-remeasurement) always invalidate the cache, and ``attribution(force=True)``
-always reflects everything observed, so final results are identical to
-stride 1 — only intermediate reads may lag by up to ``stride - 1``
-windows.
+confidence but never bias the estimates.  A read re-solves only when
+something changed since the last solve (a configuration applied, a window
+accumulated, a remeasurement); otherwise it serves the cached result.
 """
 
 from __future__ import annotations
@@ -80,32 +71,20 @@ class LiveAttributor:
     Args:
         universe: sources under analysis (the paper's §IV-d rule: ASes
             covered by the first anycast configuration).
-        solve_stride: NNLS re-solves happen at most once per this many
-            newly accumulated windows (1 = re-solve on every read after
-            every window, the historical behaviour).  Cluster-structure
-            changes always trigger a fresh solve on the next read.
     """
 
-    def __init__(
-        self, universe: Iterable[ASN], solve_stride: int = 1
-    ) -> None:
+    def __init__(self, universe: Iterable[ASN]) -> None:
         self.universe: FrozenSet[ASN] = frozenset(universe)
         if not self.universe:
             raise LiveServiceError("attributor universe must be non-empty")
-        if solve_stride < 1:
-            raise LiveServiceError("solve_stride must be at least 1")
-        self.solve_stride = solve_stride
         self.state = ClusterState(self.universe)
         self.observations: List[ConfigObservations] = []
         self._cached: Optional[LocalizationResult] = None
-        #: Clusters changed (config applied / remeasurement): next read
-        #: must re-solve regardless of the stride.
-        self._structure_dirty = True
-        #: Windows accumulated since the last solve; flushed once it
-        #: reaches ``solve_stride``.
-        self._pending_windows = 0
-        #: Number of NNLS solves actually run (observability for the
-        #: stride's effect; deterministic for a given read pattern).
+        #: Evidence changed since the last solve (config applied, window
+        #: accumulated, remeasurement): the next read must re-solve.
+        self._dirty = True
+        #: Number of NNLS solves actually run (deterministic for a given
+        #: read pattern).
         self.solves = 0
 
     # ------------------------------------------------------------------
@@ -139,7 +118,7 @@ class LiveAttributor:
                 degraded=degraded,
             )
         )
-        self._structure_dirty = True
+        self._dirty = True
         return splits
 
     def observe(
@@ -159,7 +138,7 @@ class LiveAttributor:
             current.volumes[link] = current.volumes.get(link, 0.0) + volume
         current.offered_volume += offered_volume
         current.windows += 1
-        self._pending_windows += 1
+        self._dirty = True
 
     # ------------------------------------------------------------------
     # Rolling outputs
@@ -176,18 +155,10 @@ class LiveAttributor:
         degraded link contribute rows (a configuration whose every window
         was dropped carries no evidence, and a partial catchment can
         straddle clusters).  Returns None until some traffic has been
-        observed.
-
-        With ``solve_stride > 1``, window-only updates are batched: the
-        cached result is served until ``solve_stride`` new windows have
-        accumulated, then one solve stacks them all.  ``force=True``
-        (used for final reports) always folds every pending window in.
+        observed.  Nothing changed since the last solve serves the cached
+        result, unless ``force`` (used for final reports).
         """
-        if not (
-            force
-            or self._structure_dirty
-            or self._pending_windows >= self.solve_stride
-        ):
+        if not (force or self._dirty):
             return self._cached
         observed = [
             obs for obs in self.observations
@@ -195,8 +166,7 @@ class LiveAttributor:
         ]
         if not observed:
             self._cached = None
-            self._structure_dirty = False
-            self._pending_windows = 0
+            self._dirty = False
             return None
         localizer = SpoofLocalizer(
             self.state.clusters(), [obs.catchments for obs in observed]
@@ -204,8 +174,7 @@ class LiveAttributor:
         self._cached = localizer.localize(
             [obs.normalized_volumes() for obs in observed]
         )
-        self._structure_dirty = False
-        self._pending_windows = 0
+        self._dirty = False
         self.solves += 1
         return self._cached
 
@@ -284,7 +253,7 @@ class LiveAttributor:
             obs.catchments = catchments
             obs.degraded = lost
             self.state.refine_with_catchments(catchments, lost)
-        self._structure_dirty = True
+        self._dirty = True
 
     def as_serializable(self) -> Dict:
         """JSON-safe dump of the attributor's full state."""
@@ -310,11 +279,9 @@ class LiveAttributor:
         }
 
     @classmethod
-    def from_serializable(
-        cls, payload: Mapping, solve_stride: int = 1
-    ) -> "LiveAttributor":
+    def from_serializable(cls, payload: Mapping) -> "LiveAttributor":
         """Rebuild an attributor dumped by :meth:`as_serializable`."""
-        attributor = cls(payload["universe"], solve_stride=solve_stride)
+        attributor = cls(payload["universe"])
         attributor.state = ClusterState.from_serializable(payload["clusters"])
         for entry in payload["observations"]:
             attributor.observations.append(

@@ -132,12 +132,6 @@ class ReplayScenario:
         packets_per_window: >0 switches to packet-sampled traffic with
             this many packets per window (noisy mode; volumes are then
             byte counts and conservation is per delivered packet).
-        nnls_stride: re-solve the attribution NNLS at most once per this
-            many accumulated windows (1 = every window, the historical
-            behaviour; see
-            :class:`~repro.live.attributor.LiveAttributor`).  Final
-            reports always force a full solve, so end-of-run results are
-            stride-independent.
     """
 
     seed: int = 0
@@ -160,7 +154,6 @@ class ReplayScenario:
     checkpoint_every: int = 0
     checkpoint_path: str = ""
     packets_per_window: int = 0
-    nnls_stride: int = 1
 
     def __post_init__(self) -> None:
         if self.distribution not in PLACEMENT_DISTRIBUTIONS:
@@ -182,8 +175,6 @@ class ReplayScenario:
             raise LiveServiceError("counts cannot be negative")
         if self.checkpoint_every > 0 and not self.checkpoint_path:
             raise LiveServiceError("periodic checkpoints need a path")
-        if self.nnls_stride < 1:
-            raise LiveServiceError("nnls_stride must be at least 1")
         # Fail fast on unknown strategy names (checkpoints embed them).
         strategy_class(self.strategy)
         last_window = -1
@@ -419,9 +410,7 @@ class LiveTracebackService:
             self.scenario.queue_capacity, self.scenario.drop_policy
         )
         self.window = DecayingVolumeWindow(self.scenario.half_life_windows)
-        self.attributor = LiveAttributor(
-            self.universe, solve_stride=self.scenario.nnls_stride
-        )
+        self.attributor = LiveAttributor(self.universe)
         policy = ControllerPolicy(
             adaptive=self.scenario.adaptive,
             strategy=self.scenario.strategy,
@@ -1026,7 +1015,7 @@ class LiveTracebackService:
         service.clock = SimClock(payload["clock"])
         service.controller.restore(payload["controller"])
         service.attributor = LiveAttributor.from_serializable(
-            payload["attributor"], solve_stride=scenario.nnls_stride
+            payload["attributor"]
         )
         ingest = payload["ingest"]
         service.queue.stats = IngestStats(**ingest["stats"])
@@ -1105,6 +1094,9 @@ def _spec_from_payload(payload: Mapping) -> TestbedSpec:
 
 def _scenario_from_payload(payload: Mapping) -> ReplayScenario:
     data = dict(payload)
+    # Checkpoints written while the NNLS re-solve stride was a scenario
+    # field carry it; a resumed service re-solves on every change.
+    data.pop("nnls_stride", None)
     data["churn_events"] = tuple(
         (int(window), float(drift)) for window, drift in data["churn_events"]
     )

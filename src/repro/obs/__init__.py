@@ -102,24 +102,12 @@ from .tracing import (  # noqa: E402
     phase_durations,
     span_tree_signature,
 )
-from .flight import (  # noqa: E402
-    FlightRecorder,
-    install_flight_signal,
-    load_flight_dump,
-)
-from .timeline import (  # noqa: E402
-    Timeline,
-    TimelineEntry,
-    build_timeline,
-    timeline_from_obs,
-)
 
 __all__ = [
     "BenchCheckResult",
     "Counter",
     "DEFAULT_SLOS",
     "EventBus",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "Logbook",
@@ -135,24 +123,18 @@ __all__ = [
     "Span",
     "Stopwatch",
     "Subscription",
-    "Timeline",
-    "TimelineEntry",
     "Tracer",
     "build_manifest",
-    "build_timeline",
     "build_tree",
     "capture_environment",
     "check_benchmarks",
     "default_history_path",
     "ensure_parent_dir",
     "git_describe",
-    "install_flight_signal",
     "library_versions",
     "load_artifacts",
-    "load_flight_dump",
     "load_history",
     "load_spans",
-    "timeline_from_obs",
     "ParsedMetrics",
     "parse_prometheus",
     "parse_prometheus_metrics",
@@ -181,7 +163,6 @@ class Observability:
     timer: Optional[PhaseTimer] = field(default=None)
     bus: Optional[EventBus] = None
     logbook: Optional[Logbook] = None
-    flight: Optional[FlightRecorder] = None
 
     @classmethod
     def for_run(
@@ -203,27 +184,6 @@ class Observability:
             bus=bus,
             logbook=Logbook(tracer=tracer, bus=bus),
         )
-
-    def arm_flight(
-        self, name: str = "run", directory: str = "", capacity: int = 256
-    ) -> FlightRecorder:
-        """Attach a run-wide flight recorder to this bundle's bus.
-
-        The recorder captures every bus event (spans and log records
-        included) and snapshots this registry's counters at each dump.
-        Stored on :attr:`flight` so trigger sites (CLI crash handler,
-        SLO watchdogs, signal handler) can reach it; call
-        ``flight.detach()`` on teardown.
-        """
-        recorder = FlightRecorder(
-            name=name,
-            capacity=capacity,
-            directory=directory,
-            registry=self.registry,
-        )
-        recorder.attach(self.bus)
-        self.flight = recorder
-        return recorder
 
     def span(self, name: str, **attrs):
         """Tracer span when tracing, else a no-op context manager."""

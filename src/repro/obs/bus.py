@@ -5,16 +5,17 @@ pipeline, the live runtime, the controller, the engine, the fault
 injector (``fault``), the tracer (``span``, one per closed span) and the
 logbook (``log``, one per record) publish small JSON-safe event dicts as
 they happen, and any number of subscribers — the SSE ``/events``
-endpoint, the SLO watchdogs, the flight recorder, the ASCII dashboard —
-consume them concurrently.
+endpoint, the SLO watchdogs, the ASCII dashboard — consume them
+concurrently.
 
 Determinism follows the repo's counter rule: every *payload field* of a
 published event is deterministic data for a seeded scenario, except
 fields whose key ends in ``_seconds`` (measured wall times, carried as
 data only).  :func:`strip_measured` removes those, so two runs of the
 same seeded replay publish byte-identical event sequences once stripped.
-It is the one deterministic projection: flight-recorder rings, timeline
-rows and :func:`~repro.obs.tracing.span_tree_signature` all use it.
+It is the one deterministic projection of the bus history
+(:meth:`EventBus.history`); :func:`~repro.obs.tracing.span_tree_signature`
+uses it too.
 
 Everything is stdlib-only and thread-safe: publishing takes one lock,
 fan-out to queue subscribers never blocks the publisher (subscriber

@@ -30,12 +30,8 @@ Endpoints (all GET, stdlib :mod:`http.server` only):
     so plain ``curl`` invocations terminate.  An idle stream
     emits ``: keep-alive`` comment frames every ``keepalive_seconds``
     so proxies and clients can tell a quiet run from a dead one.
-``/timeline``
-    The merged forensic timeline (:mod:`repro.obs.timeline`) over the
-    armed bus history and any attached flight/checkpoint directories,
-    with a ``?since=`` filter and the deterministic digest in the body.
 
-A malformed ``?limit=`` or ``?since=`` gets a 400 with a JSON error.
+A malformed ``?limit=`` gets a 400 with a JSON error.
 
 The server binds on construction (so ``port`` is known even with
 ``port=0``) and serves from a daemon thread after :meth:`start`.
@@ -139,8 +135,6 @@ class _ObsHandler(BaseHTTPRequestHandler):
                 self._handle_traces(obs_server)
             elif route == "/events":
                 self._handle_events(obs_server, parse_qs(parsed.query))
-            elif route == "/timeline":
-                self._handle_timeline(obs_server, parse_qs(parsed.query))
             else:
                 self._send_json(404, {"error": f"unknown route {route}"})
         except _BadQuery as exc:
@@ -184,14 +178,6 @@ class _ObsHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": "no tracer armed"})
             return
         self._send_json(200, tracer.records())
-
-    def _handle_timeline(self, obs_server: "ObsServer", query) -> None:
-        since = _query_number(query, "since", float)
-        timeline = obs_server.build_timeline()
-        if timeline is None:
-            self._send_json(404, {"error": "no timeline sources armed"})
-            return
-        self._send_json(200, timeline.filtered(since=since).as_dict())
 
     def _handle_events(self, obs_server: "ObsServer", query) -> None:
         bus = obs_server.bus
@@ -254,14 +240,6 @@ class ObsServer:
         watchdog: :class:`~repro.obs.slo.SloWatchdog` gating ``/readyz``.
         host: bind address (default loopback).
         port: bind port; 0 picks a free one (read :attr:`port` after).
-        timeline_source: zero-arg callable returning a
-            :class:`~repro.obs.timeline.Timeline` for ``/timeline``;
-            default builds one from the armed bus plus
-            ``flight_dir``/``checkpoint_dir``.
-        flight_dir: flight-bundle directory merged into the default
-            ``/timeline`` view.
-        checkpoint_dir: checkpoint directory merged into the default
-            ``/timeline`` view.
         keepalive_seconds: idle interval between SSE comment frames on
             ``/events``.
     """
@@ -273,7 +251,6 @@ class ObsServer:
         "/manifest",
         "/traces",
         "/events",
-        "/timeline",
     )
 
     def __init__(
@@ -286,9 +263,6 @@ class ObsServer:
         watchdog=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        timeline_source=None,
-        flight_dir: str = "",
-        checkpoint_dir: str = "",
         keepalive_seconds: float = SSE_KEEPALIVE_SECONDS,
     ) -> None:
         self.registry = registry if registry is not None else getattr(obs, "registry", None)
@@ -297,9 +271,6 @@ class ObsServer:
         self.manifest = manifest
         self.health_source = health_source
         self.watchdog = watchdog
-        self.timeline_source = timeline_source
-        self.flight_dir = flight_dir
-        self.checkpoint_dir = checkpoint_dir
         self.keepalive_seconds = keepalive_seconds
         self.stopping = threading.Event()
         self._ready = threading.Event()
@@ -307,19 +278,6 @@ class ObsServer:
         self._http.daemon_threads = True
         self._http.obs_server = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
-
-    def build_timeline(self):
-        """The ``/timeline`` body source: the explicit source when one
-        is wired, else :func:`~repro.obs.timeline.timeline_from_obs` over
-        this server's bus and flight/checkpoint directories.  Returns
-        None when no source exists at all (⇒ 404)."""
-        if self.timeline_source is not None:
-            return self.timeline_source()
-        if self.bus is None and not self.flight_dir and not self.checkpoint_dir:
-            return None
-        from .timeline import timeline_from_obs
-
-        return timeline_from_obs(self, self.flight_dir, self.checkpoint_dir)
 
     @property
     def host(self) -> str:

@@ -95,10 +95,6 @@ class SloWatchdog:
             raise ValueError("duplicate SLO rule names")
         self.rules: Dict[str, SloRule] = {rule.name: rule for rule in rules}
         self.registry = registry
-        #: Optional :class:`~repro.obs.flight.FlightRecorder`; when set,
-        #: every breach dumps a post-mortem bundle (reason
-        #: ``slo_breach``) with the objective and detail in the context.
-        self.flight = None
         self.breaches: Dict[str, str] = {}
         self.trip_counts: Dict[str, int] = {}
         self.checks = 0
@@ -137,10 +133,6 @@ class SloWatchdog:
                 help="SLO threshold breaches, by objective",
                 labels={"slo": name},
             ).inc()
-        if self.flight is not None:
-            self.flight.dump(
-                "slo_breach", context={"slo": name, "detail": self.breaches[name]}
-            )
         return False
 
     def observe(self, event: Mapping) -> None:

@@ -13,8 +13,8 @@ strips them so trees can be compared across runs.
 Traces export as JSONL, one span per line, closed spans first-finished
 first; :func:`load_spans` reads them back and :func:`build_tree`
 reassembles the hierarchy.  A tracer given a bus also publishes each
-closed span's record as a ``span`` event, which is how the flight
-recorder and the live timeline see spans.
+closed span's record as a ``span`` event, which is how ``/events``
+and the bus history see spans.
 """
 
 from __future__ import annotations

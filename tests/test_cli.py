@@ -85,7 +85,6 @@ class TestParser:
             ["live", "--batches-per-window", "0"],
             ["live", "--queue-capacity", "0"],
             ["live", "--min-configs", "0"],
-            ["live", "--nnls-stride", "0"],
             ["live", "--table-every", "0"],
             ["live", "--packets-per-window", "-1"],
             ["live", "--checkpoint-every", "-1"],
@@ -215,9 +214,8 @@ class TestParserSurface:
     RETYPED = {
         "_positive_int": [
             "chaos.sources", "dash.sources", "live.batches_per_window",
-            "live.min_configs", "live.nnls_stride", "live.queue_capacity",
-            "live.sources", "live.table_every", "profile.sources",
-            "track.sources",
+            "live.min_configs", "live.queue_capacity", "live.sources",
+            "live.table_every", "profile.sources", "track.sources",
         ],
         "_non_negative_int": [
             "live.checkpoint_every", "live.packets_per_window",
@@ -366,7 +364,6 @@ class TestCommands:
             ["--trace", "t.jsonl"],
             ["--metrics", "m.prom"],
             ["--serve", "0"],
-            ["--flight-dir", "flight"],
             ["--fault-plan", "mixed"],
             ["--trace", "t.jsonl", "--fault-plan", "mixed"],
         ],
@@ -533,14 +530,12 @@ class TestObservabilityOptions:
 
     def test_profile_honours_session_flags(self, tmp_path, capsys):
         """``profile`` runs through the same run session as ``track``:
-        ``--log-json`` structures stderr, ``--serve`` serves, and
-        ``--flight-dir`` arms the black box."""
+        ``--log-json`` structures stderr and ``--serve`` serves."""
         metrics = str(tmp_path / "m.prom")
         code = main(
             [
                 "--seed", "2", "profile", "--max-configs", "3", "--log-json",
-                "--flight-dir", str(tmp_path / "flight"), "--serve", "0",
-                "--metrics", metrics,
+                "--serve", "0", "--metrics", metrics,
             ]
         )
         assert code == 0
@@ -550,26 +545,31 @@ class TestObservabilityOptions:
         assert {"serve", "export"} <= events
         assert "per-phase wall time" in captured.out
 
-    def test_profile_crash_dumps_flight_bundle(self, tmp_path, monkeypatch):
-        from repro.core.pipeline import SpoofTracker
-        from repro.obs import load_flight_dump
+    def test_profile_crash_still_writes_trace_and_metrics(
+        self, tmp_path, monkeypatch
+    ):
+        """A run that dies mid-pipeline leaves its evidence in the same
+        artifacts a clean run writes: the trace holds every span that
+        ran (the crashing one closes in ``Tracer.span``'s ``finally``)
+        and the metrics dump holds the counters up to the crash."""
+        from repro.core.localization import SpoofLocalizer
+        from repro.obs import load_spans, parse_prometheus
 
-        def explode(self, **kwargs):
+        def explode(self, volumes):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(SpoofTracker, "run", explode)
-        flight_dir = tmp_path / "flight"
-        with pytest.raises(RuntimeError):
+        monkeypatch.setattr(SpoofLocalizer, "localize", explode)
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.prom"
+        with pytest.raises(RuntimeError, match="boom"):
             main(
                 [
                     "--seed", "2", "profile", "--max-configs", "3",
-                    "--flight-dir", str(flight_dir),
+                    "--trace", str(trace), "--metrics", str(metrics),
                 ]
             )
-        (bundle,) = sorted(flight_dir.iterdir())
-        payload = load_flight_dump(str(bundle))
-        assert payload["reason"] == "crash"
-        assert "boom" in payload["context"]["error"]
+        names = {span["name"] for span in load_spans(str(trace))}
+        assert {"profile", "simulate", "cluster", "attribute"} <= names
+        assert parse_prometheus(metrics.read_text())
 
     def test_profile_measured_lists_measurement_sites(self, capsys):
         code = main(["profile", "--measured", "--max-configs", "5"])

@@ -6,13 +6,14 @@ must land on the uninterrupted run's final attribution, window by
 window.  That holds when the kill leaves an intact checkpoint, when it
 leaves none (the replay restarts from scratch; stateless seeding lands
 it on the same answer), and when the last write before the kill was
-torn (the resume rolls back one generation).  Flight bundles dumped at
-the kill point, and the timeline rebuilt from them, are replay
-invariants, and none of it depends on the interpreter's string hash
-seed.
+torn (the resume rolls back one generation).  What the run emitted up
+to the kill point — its bus history with measured fields stripped, and
+its counter totals — is a replay invariant, and none of it depends on
+the interpreter's string hash seed.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from repro.live import (
     attribution_digest,
     load_checkpoint,
 )
-from repro.obs import Observability, build_timeline
+from repro.obs import Observability, strip_measured
 from repro.topology.generator import TopologyParams
 
 #: A 90-stub origin network: small enough to replay in about a second.
@@ -153,75 +154,51 @@ class TestKillAndResume:
         assert report.windows == baseline.windows
 
 
-def run_killed_with_flight(base, testbed=None):
-    """Kill the checkpointed replay with a flight recorder armed, dump
-    its black box at the kill point, then resume it to the end.
+def run_killed_with_digest(base, testbed=None):
+    """Kill the checkpointed replay, digest what it emitted up to the
+    kill point, then resume it from its checkpoint to the end.
 
-    ``base`` gets ``ckpt/`` and ``flight/`` subdirectories.
+    The digest is a SHA-256 over the bus history (each event's
+    :func:`~repro.obs.bus.strip_measured` projection, in publish order)
+    and the registry's counter totals.  Returns ``(report, digest,
+    history)``; checkpoints go under ``base``.
     """
-    checkpoint_dir = os.path.join(base, "ckpt")
-    flight_dir = os.path.join(base, "flight")
+    path = os.path.join(base, "live.json")
     obs = Observability.for_run("live")
-    flight = obs.arm_flight(name="live", directory=flight_dir)
     service = LiveTracebackService(
-        scenario=scenario(os.path.join(checkpoint_dir, "live.json")),
-        spec=SPEC,
-        testbed=testbed,
-        obs=obs,
+        scenario=scenario(path), spec=SPEC, testbed=testbed, obs=obs
     )
     try:
         step_until_kill(service)
-        flight.dump("kill", context={"clock_minutes": service.clock.now})
+        assert obs.bus.events_dropped == 0, "history window overflowed"
+        history = [strip_measured(event) for event in obs.bus.history()]
+        events = json.dumps(history, sort_keys=True)
+        counters = json.dumps(obs.registry.counter_totals(), sort_keys=True)
     finally:
-        flight.detach()
         service.close()
-    report = run_to_end(load_checkpoint(os.path.join(checkpoint_dir, "live.json")))
-    return report, checkpoint_dir, flight_dir
+    digest = hashlib.sha256(f"{events}\n{counters}".encode()).hexdigest()
+    report = run_to_end(load_checkpoint(path))
+    return report, digest, history
 
 
-def bundle_hashes(flight_dir):
-    """Sorted (filename, sha256-of-bytes) for every bundle in a dir."""
-    hashes = []
-    for name in sorted(os.listdir(flight_dir)):
-        if name.startswith("flight-") and name.endswith(".json"):
-            with open(os.path.join(flight_dir, name), "rb") as handle:
-                hashes.append((name, hashlib.sha256(handle.read()).hexdigest()))
-    return hashes
-
-
-class TestFlightDumpDeterminism:
-    def test_kill_bundle_and_stable_timeline(self, testbed, baseline, tmp_path):
-        report, checkpoint_dir, flight_dir = run_killed_with_flight(
-            str(tmp_path), testbed
-        )
+class TestKillPointDeterminism:
+    def test_history_covers_the_run_to_the_kill(self, testbed, baseline, tmp_path):
+        report, _, history = run_killed_with_digest(str(tmp_path), testbed)
         assert attribution_digest(report) == attribution_digest(baseline)
-        assert [name for name, _ in bundle_hashes(flight_dir)] == [
-            "flight-live-kill-000.json"
-        ]
-        timeline = build_timeline(
-            flight_dir=flight_dir, checkpoint_dir=checkpoint_dir
+        kinds = {event["kind"] for event in history}
+        assert {"window", "span", "checkpoint"} <= kinds
+        assert not any(
+            key.endswith("_seconds") for event in history for key in event
         )
-        again = build_timeline(
-            flight_dir=flight_dir, checkpoint_dir=checkpoint_dir
-        )
-        assert len(timeline) > 0
-        assert timeline.digest() == again.digest()
 
-    def test_replays_dump_identical_bundles_and_timelines(
+    def test_replays_emit_identical_history_and_counters(
         self, testbed, tmp_path
     ):
         runs = [
-            run_killed_with_flight(str(tmp_path / run), testbed)
+            run_killed_with_digest(str(tmp_path / run), testbed)
             for run in ("a", "b")
         ]
-        assert bundle_hashes(runs[0][2]) == bundle_hashes(runs[1][2])
-        digests = [
-            build_timeline(
-                flight_dir=flight_dir, checkpoint_dir=checkpoint_dir
-            ).digest()
-            for _, checkpoint_dir, flight_dir in runs
-        ]
-        assert digests[0] == digests[1]
+        assert runs[0][1] == runs[1][1]
 
 
 def run_probe(source, hash_seed):
@@ -284,24 +261,16 @@ class TestHashSeedInvariance:
         """
     )
 
-    BUNDLE_PROBE = textwrap.dedent(
+    KILL_POINT_PROBE = textwrap.dedent(
         """
         import tempfile
 
         from repro.live import attribution_digest
-        from repro.obs import build_timeline
-        from tests.test_live_restart import bundle_hashes, run_killed_with_flight
+        from tests.test_live_restart import run_killed_with_digest
 
-        report, checkpoint_dir, flight_dir = run_killed_with_flight(
-            tempfile.mkdtemp()
-        )
+        report, digest, _ = run_killed_with_digest(tempfile.mkdtemp())
         print("attribution", attribution_digest(report))
-        for name, digest in bundle_hashes(flight_dir):
-            print(name, digest)
-        timeline = build_timeline(
-            flight_dir=flight_dir, checkpoint_dir=checkpoint_dir
-        )
-        print("timeline", timeline.digest())
+        print("kill point", digest)
         """
     )
 
@@ -309,7 +278,7 @@ class TestHashSeedInvariance:
         first = run_probe(self.ATTRIBUTION_PROBE, "11")
         assert first == run_probe(self.ATTRIBUTION_PROBE, "22")
 
-    def test_bundles_identical_across_hash_seeds(self):
-        first = run_probe(self.BUNDLE_PROBE, "11")
-        assert "kill" in first
-        assert first == run_probe(self.BUNDLE_PROBE, "22")
+    def test_kill_point_digest_identical_across_hash_seeds(self):
+        first = run_probe(self.KILL_POINT_PROBE, "11")
+        assert "kill point" in first
+        assert first == run_probe(self.KILL_POINT_PROBE, "22")

@@ -58,10 +58,6 @@ class TestScenarioValidation:
         with pytest.raises(LiveServiceError):
             ReplayScenario(window_minutes=0.0)
 
-    def test_rejects_bad_nnls_stride(self):
-        with pytest.raises(LiveServiceError):
-            ReplayScenario(nnls_stride=0)
-
 
 class TestReplay:
     def test_first_deployed_config_is_anycast(self, small_testbed):
@@ -239,70 +235,23 @@ class TestLiveAttributor:
         assert attributor.attribution() is None
         assert attributor.attribution_entropy() == 0.0
 
-    def test_solve_stride_batches_window_solves(self):
+    def test_reads_reuse_the_solve_until_evidence_changes(self):
         from repro.bgp.announcement import AnnouncementConfig
 
-        attributor = LiveAttributor({1, 2, 3}, solve_stride=3)
+        attributor = LiveAttributor({1, 2, 3})
         config = AnnouncementConfig(announced=frozenset({"l1", "l2"}))
         attributor.apply_config(
             config, {"l1": frozenset({1, 2}), "l2": frozenset({3})}
         )
         attributor.observe({"l1": 2.0, "l2": 1.0}, 3.0)
-        assert attributor.attribution() is not None  # structure was dirty
-        assert attributor.solves == 1
-        attributor.observe({"l1": 2.0}, 2.0)
-        attributor.attribution()
+        first = attributor.attribution()
+        assert first is not None and attributor.solves == 1
+        assert attributor.attribution() is first  # nothing new: cached
         attributor.observe({"l2": 4.0}, 4.0)
-        attributor.attribution()
-        assert attributor.solves == 1  # 2 pending windows < stride: cached
-        attributor.observe({"l1": 1.0}, 1.0)
-        assert attributor.attribution() is not None
-        assert attributor.solves == 2  # stride reached: one stacked solve
-
-    def test_invalid_solve_stride_rejected(self):
-        with pytest.raises(LiveServiceError):
-            LiveAttributor({1, 2}, solve_stride=0)
-
-    def test_force_matches_unstrided_attribution(self):
-        from repro.bgp.announcement import AnnouncementConfig
-
-        strided = LiveAttributor({1, 2, 3}, solve_stride=10)
-        exact = LiveAttributor({1, 2, 3}, solve_stride=1)
-        config = AnnouncementConfig(announced=frozenset({"l1", "l2"}))
-        catchments = {"l1": frozenset({1, 2}), "l2": frozenset({3})}
-        windows = [
-            ({"l1": 2.0, "l2": 1.0}, 3.0),
-            ({"l1": 1.0}, 1.0),
-            ({"l2": 5.0}, 5.0),
-        ]
-        for attributor in (strided, exact):
-            attributor.apply_config(config, catchments)
-        for volumes, offered in windows:
-            strided.observe(volumes, offered)
-            exact.observe(volumes, offered)
-            exact.attribution()
-        forced = strided.attribution(force=True)
-        reference = exact.attribution()
-        assert [c.estimated_volume for c in forced.ranked] == pytest.approx(
-            [c.estimated_volume for c in reference.ranked]
-        )
-        # The stride saved work without changing the answer.
-        assert strided.solves < exact.solves
-
-    def test_service_nnls_stride_preserves_final_report(
-        self, small_testbed, inorder_report
-    ):
-        service = make_service(small_testbed, nnls_stride=4)
-        report = service.run()
-        service.close()
-        base = inorder_report.localization
-        strided = report.localization
-        assert [sorted(c.members) for c in strided.ranked] == [
-            sorted(c.members) for c in base.ranked
-        ]
-        assert [
-            c.estimated_volume for c in strided.ranked
-        ] == pytest.approx([c.estimated_volume for c in base.ranked])
+        assert attributor.attribution() is not first  # a window: re-solve
+        assert attributor.solves == 2
+        attributor.attribution(force=True)
+        assert attributor.solves == 3
 
     def test_serialization_round_trip(self, small_testbed):
         service = make_service(small_testbed, max_configs=2, min_configs=1)

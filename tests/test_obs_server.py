@@ -4,6 +4,7 @@ HTTP exporter, bench gate) added on top of repro.obs."""
 import json
 import math
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -531,6 +532,55 @@ class TestSseDeterminism:
         assert first == second
         kinds = {json.loads(line)["kind"] for line in first}
         assert {"engine_batch", "select", "window", "churn", "checkpoint"} <= kinds
+
+
+class TestSseKeepAlive:
+    def test_idle_bus_emits_keepalive_frames(self):
+        """A silent bus must still produce bytes: comment frames let
+        clients tell a quiet run from a dead one."""
+        bus = EventBus()
+        server = ObsServer(bus=bus, keepalive_seconds=0.3).start()
+        seen = b""
+        try:
+            response = urllib.request.urlopen(
+                server.url + "/events?replay=0", timeout=10
+            )
+            deadline = time.monotonic() + 8.0
+            while b": keep-alive" not in seen:
+                if time.monotonic() > deadline:  # pragma: no cover
+                    break
+                seen += response.readline()
+            response.close()
+        finally:
+            server.stop()
+            bus.close()
+        assert b": keep-alive" in seen
+
+    def test_events_still_delivered_between_keepalives(self):
+        bus = EventBus()
+        server = ObsServer(bus=bus, keepalive_seconds=0.2).start()
+        frames = b""
+        try:
+            response = urllib.request.urlopen(
+                server.url + "/events?replay=0", timeout=10
+            )
+            deadline = time.monotonic() + 8.0
+            # The first keep-alive frame proves the subscription is live;
+            # only then can a replay=0 stream see a fresh publish.
+            while b": keep-alive" not in frames:
+                if time.monotonic() > deadline:  # pragma: no cover
+                    break
+                frames += response.readline()
+            bus.publish("window", window_index=7)
+            while b"window_index" not in frames:
+                if time.monotonic() > deadline:  # pragma: no cover
+                    break
+                frames += response.readline()
+            response.close()
+        finally:
+            server.stop()
+            bus.close()
+        assert b'"window_index": 7' in frames
 
 
 def _write_bench(tmp_path, name, metrics):

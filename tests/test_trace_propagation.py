@@ -2,9 +2,9 @@
 
 Span identity is pure structure, so the span tree — and its
 :func:`span_tree_signature` — matches a pinned serial oracle.  The
-flight-dump half of the determinism contract (byte-identical black boxes
-across replays and interpreter hash seeds) lives in
-``tests/test_live_restart.py``.
+bus-history half of the determinism contract (byte-identical stripped
+event sequences and counter totals at a kill point, across replays and
+interpreter hash seeds) lives in ``tests/test_live_restart.py``.
 """
 
 from repro.core.pipeline import SpoofTracker
@@ -25,8 +25,8 @@ class TestSerialSpanTree:
         obs = self._run(small_testbed)
         signature = span_tree_signature(obs.tracer.records())
         assert signature == TRACK_SPAN_SIGNATURE
-        # The signature survives the JSONL round trip (what the CLI
-        # writes is what `spooftrack timeline --trace` reads back).
+        # The signature survives the JSONL round trip (what the CLI's
+        # --trace writes is what load_spans reads back).
         path = str(tmp_path / "trace.jsonl")
         obs.tracer.write_jsonl(path)
         assert span_tree_signature(load_spans(path)) == signature
