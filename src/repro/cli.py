@@ -122,8 +122,11 @@ class _RunSession:
     profiling) asks for it — unarmed runs keep :attr:`obs` None, so the
     pipeline's instrumentation guards stay on their no-op path — plus the
     logbook, the ``--fault-plan`` injector on the run's bus, and the run
-    manifest (``config`` is its configuration).  Entering starts the
-    ``--serve`` exporter ahead of the command's slow construction;
+    manifest (``config`` is its configuration).  Entering an armed
+    session attaches the :class:`SloWatchdog` to the bus, so
+    ``--metrics`` counts SLO breaches whether or not the run is served,
+    and starts the ``--serve`` exporter (gated by that watchdog) ahead
+    of the command's slow construction;
     :meth:`ready` flips ``/readyz`` and :attr:`health` (a value or a
     zero-arg callable) feeds ``/healthz``.  Every exit, a crash
     included, writes ``--trace``/``--metrics`` (spans close in
@@ -169,10 +172,12 @@ class _RunSession:
         self.server = None
 
     def __enter__(self) -> "_RunSession":
-        if self.obs is None or self.args.serve is None:
+        if self.obs is None:
             return self
         watchdog = SloWatchdog(registry=self.obs.registry)
         self.bus.attach(watchdog.observe)
+        if self.args.serve is None:
+            return self
         self.server = ObsServer(
             obs=self.obs,
             manifest=self.manifest,
@@ -570,7 +575,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             plan=base_plan.name,
         )
         header = (
-            f"{'level':>6} {'faults':>7} {'retries':>8} {'degraded':>9} "
+            f"{'level':>6} {'faults':>7} {'degraded':>9} "
             f"{'clusters':>9} {'mean':>6} {'recall':>7} {'precision':>10} "
             f"{'violations':>11}"
         )
@@ -587,7 +592,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             worst_violations = max(worst_violations, len(resilience.violations))
             print(
                 f"{level:>6g} {resilience.total_faults:>7d} "
-                f"{resilience.retries:>8d} {resilience.degraded_configs:>9d} "
+                f"{resilience.degraded_configs:>9d} "
                 f"{len(report.clusters):>9d} {report.mean_cluster_size:>6.2f} "
                 f"{quality.recall:>7.0%} {quality.precision:>10.0%} "
                 f"{len(resilience.violations):>11d}"

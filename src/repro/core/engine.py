@@ -40,9 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.announcement import AnnouncementConfig
 from ..bgp.simulator import RoutingOutcome, RoutingSimulator
-from ..errors import InjectedFault, SimulationError
-from ..faults.injection import FaultAction, FaultInjector
-from ..faults.resilience import RetryPolicy
+from ..errors import SimulationError
 
 #: Default bound on memoized outcomes.  An outcome holds its fixpoint's
 #: route arrays (a few list slots per AS, ``Route`` objects only for the
@@ -79,9 +77,6 @@ class EngineStats:
             :meth:`SimulationEngine.iter_simulate`.  Measured with the
             monotonic clock over disjoint windows — consumer time between
             ``iter_simulate`` yields is never attributed to the engine.
-        retries: attempts re-run after an injected fault.
-        faults_bypassed: simulations whose injected fault outlived the
-            retry budget and ran with injection suppressed.
     """
 
     configs_requested: int = 0
@@ -90,8 +85,6 @@ class EngineStats:
     warm_starts: int = 0
     passes_saved: int = 0
     wall_time: float = 0.0
-    retries: int = 0
-    faults_bypassed: int = 0
 
     def copy(self) -> "EngineStats":
         """Independent snapshot of the current counters."""
@@ -106,13 +99,11 @@ class EngineStats:
             warm_starts=self.warm_starts - before.warm_starts,
             passes_saved=self.passes_saved - before.passes_saved,
             wall_time=self.wall_time - before.wall_time,
-            retries=self.retries - before.retries,
-            faults_bypassed=self.faults_bypassed - before.faults_bypassed,
         )
 
     def summary(self) -> str:
         """One-line human-readable rendering."""
-        text = (
+        return (
             f"{self.configs_simulated} simulated / "
             f"{self.configs_requested} requested, "
             f"{self.cache_hits} cache hits, "
@@ -120,12 +111,6 @@ class EngineStats:
             f"(~{self.passes_saved} passes saved), "
             f"{self.wall_time:.2f}s"
         )
-        if self.retries or self.faults_bypassed:
-            text += (
-                f", {self.retries} retries / "
-                f"{self.faults_bypassed} bypassed"
-            )
-        return text
 
 
 def warm_start_parent(
@@ -172,11 +157,6 @@ class SimulationEngine:
         warm_start: seed fixpoints from parent outcomes (see
             :func:`warm_start_parent`).
         cache_size: bound on memoized outcomes (LRU eviction).
-        injector: optional chaos hook
-            (:class:`~repro.faults.injection.FaultInjector`); None (the
-            default) leaves the hot path untouched.
-        retry_policy: bounded retries with deterministic exponential
-            backoff for injected faults (see :meth:`_simulate_resilient`).
         bus: optional event bus; each call that requests configurations
             publishes one ``engine_batch`` event with its stats delta.
         tracer: optional :class:`~repro.obs.tracing.Tracer`.  When armed,
@@ -196,8 +176,6 @@ class SimulationEngine:
         simulator: RoutingSimulator,
         warm_start: bool = True,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        injector: Optional[FaultInjector] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         bus=None,
         tracer=None,
     ) -> None:
@@ -206,13 +184,10 @@ class SimulationEngine:
         self.simulator = simulator
         self.warm_start = warm_start
         self.cache_size = cache_size
-        self.injector = injector
         self.bus = bus
         self.tracer = tracer
-        self.retry_policy = retry_policy or RetryPolicy()
         self.stats = EngineStats()
         self._cache: "OrderedDict[ConfigKey, RoutingOutcome]" = OrderedDict()
-        self._fault_ordinals: Dict[ConfigKey, int] = {}
 
     # -- cache ----------------------------------------------------------
 
@@ -317,9 +292,7 @@ class SimulationEngine:
         ):
             name = "warm_start"
         with self._span(name) as span:
-            outcome, fixpoints, warms, saved = self._simulate_resilient(
-                key, config
-            )
+            outcome, fixpoints, warms, saved = self._simulate_resolved(config)
             if span is not None:
                 span.set("configs", fixpoints)
         self.stats.configs_simulated += fixpoints
@@ -340,7 +313,6 @@ class SimulationEngine:
             cache_hits=delta.cache_hits,
             warm_starts=delta.warm_starts,
             passes_saved=delta.passes_saved,
-            retries=delta.retries,
             wall_seconds=round(delta.wall_time, 6),
         )
 
@@ -369,55 +341,6 @@ class SimulationEngine:
         outcome = self.simulator.simulate(config, warm_start=parent_outcome.routes)
         saved = max(0, parent_outcome.passes - outcome.passes)
         return outcome, fixpoints + 1, 1, saved
-
-    def _fault_ordinal(self, key: ConfigKey) -> int:
-        """Stable per-engine ordinal of a distinct simulation (chaos
-        windows count "the Nth new configuration this engine saw")."""
-        ordinal = self._fault_ordinals.get(key)
-        if ordinal is None:
-            ordinal = len(self._fault_ordinals)
-            self._fault_ordinals[key] = ordinal
-        return ordinal
-
-    def _action_for(
-        self, key: ConfigKey, attempt: int = 0
-    ) -> Optional[FaultAction]:
-        """Chaos decision for one attempt (None without an injector)."""
-        if self.injector is None:
-            return None
-        return self.injector.simulation_action(
-            self._fault_ordinal(key), str(key), attempt
-        )
-
-    def _simulate_resilient(
-        self, key: ConfigKey, config: AnnouncementConfig
-    ) -> Tuple[RoutingOutcome, int, int, int]:
-        """Simulate, containing injected faults by retrying.
-
-        Injected crashes are retried up to ``retry_policy.max_retries``
-        times with deterministic exponential backoff (each attempt
-        re-draws the fault decision, so sub-certain crash rates clear);
-        a fault that survives the whole budget runs once more with
-        injection suppressed — progress is guaranteed.  Injected hangs
-        stall the attempt and then complete.  Real simulator exceptions
-        propagate: they are bugs, not chaos.
-        """
-        attempt = 0
-        while True:
-            action = self._action_for(key, attempt)
-            try:
-                if action is not None:
-                    action.execute()
-                return self._simulate_resolved(config)
-            except InjectedFault:
-                if attempt >= self.retry_policy.max_retries:
-                    self.stats.faults_bypassed += 1
-                    assert self.injector is not None
-                    with self.injector.suppressed():
-                        return self._simulate_resolved(config)
-                self.stats.retries += 1
-                self.retry_policy.sleep_before(attempt)
-                attempt += 1
 
     def close(self) -> None:
         """Nothing to release; kept so engines can be closed uniformly."""

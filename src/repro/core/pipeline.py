@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 from ..faults.health import InvariantMonitor, ResilienceReport, build_resilience_report
 from ..faults.injection import FaultInjector
-from ..faults.resilience import RetryPolicy
 
 from ..bgp.announcement import AnnouncementConfig
 from ..bgp.policy import PolicyModel
@@ -302,10 +301,8 @@ class SpoofTracker:
             simulator.
         workers: must be 1; simulation always runs in-process.
         injector: optional :class:`~repro.faults.injection.FaultInjector`
-            driving a chaos run; threaded into the engine, the
-            measurement campaign, and the ground-truth catchments.
-        retry_policy: containment knobs for the default engine (ignored
-            when ``engine`` is given).
+            driving a chaos run; threaded into the measurement campaign
+            and the ground-truth catchments.
         obs: optional :class:`~repro.obs.Observability` bundle; when
             armed, the run emits one span per pipeline phase (schedule,
             simulate, measure, cluster, attribute) and folds engine /
@@ -319,7 +316,6 @@ class SpoofTracker:
         engine: Optional[SimulationEngine] = None,
         workers: int = 1,
         injector: Optional[FaultInjector] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         require_serial(workers)
@@ -334,14 +330,10 @@ class SpoofTracker:
                 span.set("configs", len(self.schedule))
         self.engine = engine or SimulationEngine(
             testbed.simulator,
-            injector=injector,
-            retry_policy=retry_policy,
             bus=self.obs.bus,
             tracer=self.obs.tracer,
         )
-        self.injector = (
-            injector if injector is not None else self.engine.injector
-        )
+        self.injector = injector
 
     @classmethod
     def from_testbed(
@@ -546,7 +538,6 @@ class SpoofTracker:
             resilience = build_resilience_report(
                 injector,
                 monitor=monitor,
-                engine_stats=self.engine.stats.since(stats_before),
                 degraded_configs=evidence.degraded_steps,
             )
 

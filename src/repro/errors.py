@@ -73,12 +73,3 @@ class CheckpointCorruptionError(LiveServiceError):
 
 class FaultInjectionError(ReproError):
     """Raised when a fault plan is malformed or names an unknown fault."""
-
-
-class InjectedFault(FaultInjectionError):
-    """A deliberately injected failure from a :class:`~repro.faults.FaultPlan`.
-
-    Raised at an injection site during chaos runs; the resilience layer
-    is expected to contain it (retry, fall back, degrade) — it escaping
-    to the caller means containment failed.
-    """

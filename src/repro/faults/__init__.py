@@ -7,9 +7,10 @@ campaigns.  This package makes failure a first-class, *seeded* input:
 * :mod:`~repro.faults.plan` — declarative :class:`FaultPlan` /
   :class:`FaultSpec` schedules, bit-reproducible by construction.
 * :mod:`~repro.faults.injection` — the :class:`FaultInjector` hooks
-  wired into the engine, measurement campaign, and live runtime.
-* :mod:`~repro.faults.resilience` — the defenses: :class:`RetryPolicy`
-  and atomic checksummed writes.
+  wired into the measurement campaign, the batch pipeline and the live
+  runtime.
+* :mod:`~repro.faults.resilience` — the defense: atomic checksummed
+  writes.
 * :mod:`~repro.faults.health` — the :class:`InvariantMonitor` and the
   :class:`ResilienceReport` attached to tracker reports.
 """
@@ -20,7 +21,7 @@ from .health import (
     ResilienceReport,
     build_resilience_report,
 )
-from .injection import FaultAction, FaultInjector, FaultLog
+from .injection import FaultInjector, FaultLog
 from .plan import (
     BUNDLED_PLANS,
     CHECKPOINT_CORRUPTION,
@@ -29,21 +30,18 @@ from .plan import (
     MEASUREMENT_LOSS,
     ROUTE_CHURN,
     VOLUME_NOISE,
-    WORKER_CRASH,
-    WORKER_HANG,
     FaultPlan,
     FaultSpec,
     load_fault_plan,
     stable_unit,
 )
-from .resilience import RetryPolicy, atomic_write_text, content_checksum
+from .resilience import atomic_write_text, content_checksum
 
 __all__ = [
     "BUNDLED_PLANS",
     "CHECKPOINT_CORRUPTION",
     "COLLECTOR_FLAP",
     "FAULT_KINDS",
-    "FaultAction",
     "FaultInjector",
     "FaultLog",
     "FaultPlan",
@@ -53,10 +51,7 @@ __all__ = [
     "MEASUREMENT_LOSS",
     "ROUTE_CHURN",
     "ResilienceReport",
-    "RetryPolicy",
     "VOLUME_NOISE",
-    "WORKER_CRASH",
-    "WORKER_HANG",
     "atomic_write_text",
     "build_resilience_report",
     "content_checksum",

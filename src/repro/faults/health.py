@@ -13,8 +13,8 @@ no amount of injected failure may silently break:
   configurations.
 
 An :class:`InvariantMonitor` accumulates check results; the run then
-freezes them — together with the injector's fault log and the engine's
-containment counters — into a :class:`ResilienceReport` attached to the
+freezes them — together with the injector's fault log — into a
+:class:`ResilienceReport` attached to the
 :class:`~repro.core.pipeline.TrackerReport`.
 """
 
@@ -117,10 +117,6 @@ class ResilienceReport:
     Attributes:
         plan_name: the driving fault plan's name ("" without a plan).
         faults_injected: fired faults by kind (from the injector's log).
-        retries: retry attempts spent on injected simulation faults.
-        faults_bypassed: simulations whose injected fault outlived the
-            retry budget and ran with injection suppressed (last-resort
-            progress guarantee).
         degraded_configs: configurations whose catchments were partial
             (clustering skipped their degraded links).
         checkpoint_corruptions: checkpoint writes mangled by the plan.
@@ -131,8 +127,6 @@ class ResilienceReport:
 
     plan_name: str = ""
     faults_injected: Dict[str, int] = field(default_factory=dict)
-    retries: int = 0
-    faults_bypassed: int = 0
     degraded_configs: int = 0
     checkpoint_corruptions: int = 0
     checkpoint_rollbacks: int = 0
@@ -164,10 +158,6 @@ class ResilienceReport:
             else f"{len(self.violations)} INVARIANT VIOLATIONS"
         )
         parts = [f"faults: {fired}"]
-        if self.retries or self.faults_bypassed:
-            parts.append(
-                f"{self.retries} retries ({self.faults_bypassed} bypassed)"
-            )
         if self.degraded_configs:
             parts.append(f"{self.degraded_configs} degraded configs")
         if self.checkpoint_corruptions or self.checkpoint_rollbacks:
@@ -182,7 +172,6 @@ class ResilienceReport:
 def build_resilience_report(
     injector,
     monitor: Optional[InvariantMonitor] = None,
-    engine_stats=None,
     degraded_configs: int = 0,
     checkpoint_corruptions: int = 0,
     checkpoint_rollbacks: int = 0,
@@ -191,10 +180,8 @@ def build_resilience_report(
 
     Args:
         injector: the run's :class:`~repro.faults.injection.FaultInjector`
-            (may be None when only engine containment is of interest).
+            (may be None).
         monitor: invariant monitor populated during the run.
-        engine_stats: :class:`~repro.core.engine.EngineStats` delta for
-            the run (containment counters are read off it).
     """
     report = ResilienceReport(
         plan_name=injector.plan.name if injector is not None else "",
@@ -203,9 +190,6 @@ def build_resilience_report(
         checkpoint_corruptions=checkpoint_corruptions,
         checkpoint_rollbacks=checkpoint_rollbacks,
     )
-    if engine_stats is not None:
-        report.retries = engine_stats.retries
-        report.faults_bypassed = engine_stats.faults_bypassed
     if monitor is not None:
         report.invariant_checks = monitor.checks
         report.violations = [str(violation) for violation in monitor.violations]

@@ -1,15 +1,14 @@
 """Interposition hooks that fire faults from a :class:`FaultPlan`.
 
 One :class:`FaultInjector` instance is threaded through every subsystem
-that can fail in production: the :class:`~repro.core.engine.SimulationEngine`
-(simulation crashes and hangs), :class:`~repro.measurement.campaign.MeasurementCampaign`
-(collector flaps, lost traceroutes), the batch pipeline's ground-truth
-catchments (measurement loss → partial maps), and the live runtime
-(volume-noise bursts, route-churn storms, checkpoint corruption).
+whose evidence can degrade in production:
+:class:`~repro.measurement.campaign.MeasurementCampaign` (collector
+flaps, lost traceroutes), the batch pipeline's ground-truth catchments
+(measurement loss → partial maps), and the live runtime (volume-noise
+bursts, route-churn storms, checkpoint corruption).
 
-Decisions are made *centrally*, from the plan's seeded digests, and only
-the resulting :class:`FaultAction` is executed at the site.  That keeps
-chaos runs deterministic regardless of scheduling, and lets the
+Decisions are made *centrally*, from the plan's seeded digests.  That
+keeps chaos runs deterministic regardless of call order, and lets the
 injector's :class:`FaultLog` account every fired fault in one place —
 and, given a bus, publish each firing as a ``fault`` event.
 """
@@ -17,12 +16,9 @@ and, given a bus, publish each firing as a ``fault`` event.
 from __future__ import annotations
 
 import random
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..errors import InjectedFault
 from ..types import Catchment, LinkId
 from .plan import (
     CHECKPOINT_CORRUPTION,
@@ -30,28 +26,8 @@ from .plan import (
     MEASUREMENT_LOSS,
     ROUTE_CHURN,
     VOLUME_NOISE,
-    WORKER_CRASH,
-    WORKER_HANG,
     FaultPlan,
 )
-
-#: Action kinds executable at a simulation site.
-ACTION_CRASH = "crash"
-ACTION_HANG = "hang"
-
-
-@dataclass(frozen=True)
-class FaultAction:
-    """A decided fault, ready to execute at its site."""
-
-    kind: str
-    delay_seconds: float = 0.0
-
-    def execute(self) -> None:
-        """Carry the fault out: raise (crash) or stall (hang)."""
-        if self.kind == ACTION_CRASH:
-            raise InjectedFault("injected worker crash")
-        time.sleep(self.delay_seconds)
 
 
 @dataclass
@@ -77,8 +53,8 @@ class FaultLog:
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` at every injection site.
 
-    The injector is stateless apart from its :class:`FaultLog` and a
-    suppression flag: every decision derives from the plan's seed and the
+    The injector is stateless apart from its :class:`FaultLog`: every
+    decision derives from the plan's seed and the
     site's tokens, so two injectors over the same plan make identical
     decisions in any order.  An injector over the empty plan is inert —
     each hook returns its input unchanged.
@@ -93,7 +69,6 @@ class FaultInjector:
         self.plan = plan or FaultPlan()
         self.log = FaultLog()
         self.bus = bus
-        self._suppressed = 0
 
     def _fire(self, kind: str, count: int = 1) -> None:
         """Account one firing and publish it when a bus is wired."""
@@ -104,52 +79,7 @@ class FaultInjector:
     @property
     def active(self) -> bool:
         """Whether any fault can currently fire."""
-        return not self._suppressed and bool(self.plan.specs)
-
-    @contextmanager
-    def suppressed(self):
-        """Disable injection inside the block (retry-exhaustion bypass)."""
-        self._suppressed += 1
-        try:
-            yield self
-        finally:
-            self._suppressed -= 1
-
-    # ------------------------------------------------------------------
-    # Simulation engine site
-    # ------------------------------------------------------------------
-
-    def simulation_action(
-        self, ordinal: int, token: str, attempt: int = 0
-    ) -> Optional[FaultAction]:
-        """Fault to execute for one simulation task, or None.
-
-        Args:
-            ordinal: the task's position among the engine's distinct
-                simulations (drives spec start/stop windows).
-            token: canonical configuration identity.
-            attempt: retry ordinal — decisions are re-drawn per attempt,
-                so bounded retries can outlast a sub-certain crash rate.
-
-        Crash takes precedence over hang when both fire.
-        """
-        if not self.active:
-            return None
-        for position, spec in self.plan.specs_for(WORKER_CRASH):
-            if not spec.active_at(ordinal):
-                continue
-            if self.plan.decision(WORKER_CRASH, position, token, attempt) < spec.rate:
-                self._fire(WORKER_CRASH)
-                return FaultAction(kind=ACTION_CRASH)
-        for position, spec in self.plan.specs_for(WORKER_HANG):
-            if not spec.active_at(ordinal):
-                continue
-            if self.plan.decision(WORKER_HANG, position, token, attempt) < spec.rate:
-                self._fire(WORKER_HANG)
-                return FaultAction(
-                    kind=ACTION_HANG, delay_seconds=spec.delay_seconds
-                )
-        return None
+        return bool(self.plan.specs)
 
     # ------------------------------------------------------------------
     # Catchment / measurement sites

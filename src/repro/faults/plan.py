@@ -1,10 +1,9 @@
 """Declarative, seed-driven fault plans for deterministic chaos runs.
 
 A :class:`FaultPlan` is a frozen description of *which* failures strike
-*where* and *how hard*: worker crashes and hangs inside the simulation
-engine, measurement loss that leaves catchments partial, BGP collector
-flaps, checkpoint corruption, volume-noise bursts on observed traffic,
-and route-churn storms.  Every decision the plan drives is a pure
+*where* and *how hard*: measurement loss that leaves catchments
+partial, BGP collector flaps, checkpoint corruption, volume-noise bursts
+on observed traffic, and route-churn storms.  Every decision the plan drives is a pure
 function of ``(plan.seed, site, tokens)`` — a SHA-256 digest mapped to
 the unit interval — never of wall clock, PRNG state, or execution order,
 so a chaos run is bit-reproducible: the same plan yields the same faults
@@ -26,8 +25,6 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import FaultInjectionError
 
 #: Fault kinds understood by the injector.
-WORKER_CRASH = "worker-crash"
-WORKER_HANG = "worker-hang"
 MEASUREMENT_LOSS = "measurement-loss"
 COLLECTOR_FLAP = "collector-flap"
 CHECKPOINT_CORRUPTION = "checkpoint-corruption"
@@ -35,8 +32,6 @@ VOLUME_NOISE = "volume-noise"
 ROUTE_CHURN = "route-churn"
 
 FAULT_KINDS = (
-    WORKER_CRASH,
-    WORKER_HANG,
     MEASUREMENT_LOSS,
     COLLECTOR_FLAP,
     CHECKPOINT_CORRUPTION,
@@ -61,14 +56,13 @@ class FaultSpec:
 
     Attributes:
         kind: one of :data:`FAULT_KINDS`.
-        rate: probability the fault fires per opportunity (per simulated
+        rate: probability the fault fires per opportunity (per
             configuration, per observation window, per checkpoint, …).
         intensity: kind-specific magnitude — fraction of catchment
             members lost (measurement-loss), fraction of vantages or
             traceroutes dropped (collector-flap / measurement-loss in
             measured mode), relative volume perturbation (volume-noise),
             or route drift (route-churn).
-        delay_seconds: how long a ``worker-hang`` stalls the task.
         start: first opportunity index the spec is active at.
         stop: exclusive end of the active window (None = forever).
     """
@@ -76,7 +70,6 @@ class FaultSpec:
     kind: str
     rate: float = 0.0
     intensity: float = 0.0
-    delay_seconds: float = 0.0
     start: int = 0
     stop: Optional[int] = None
 
@@ -89,8 +82,6 @@ class FaultSpec:
             raise FaultInjectionError("fault rate must be in [0, 1]")
         if self.intensity < 0.0:
             raise FaultInjectionError("fault intensity cannot be negative")
-        if self.delay_seconds < 0.0:
-            raise FaultInjectionError("hang delay cannot be negative")
         if self.start < 0:
             raise FaultInjectionError("fault window start cannot be negative")
         if self.stop is not None and self.stop <= self.start:
@@ -124,8 +115,9 @@ class FaultPlan:
     def specs_for(self, kind: str) -> List[Tuple[int, FaultSpec]]:
         """``(position, spec)`` pairs of the given kind, in plan order.
 
-        The position indexes the *full* spec tuple, so digests stay
-        stable when unrelated specs are added or removed around a spec.
+        The position indexes the *full* spec tuple and feeds the spec's
+        draws, so adding or removing a spec ahead of it, of any kind,
+        moves its faults; specs appended at the end move nothing.
         """
         return [
             (index, spec)
@@ -150,7 +142,6 @@ class FaultPlan:
                 kind=spec.kind,
                 rate=min(1.0, spec.rate * factor),
                 intensity=spec.intensity,
-                delay_seconds=spec.delay_seconds,
                 start=spec.start,
                 stop=spec.stop,
             )
@@ -175,7 +166,6 @@ class FaultPlan:
                     "kind": spec.kind,
                     "rate": spec.rate,
                     "intensity": spec.intensity,
-                    "delay_seconds": spec.delay_seconds,
                     "start": spec.start,
                     "stop": spec.stop,
                 }
@@ -196,7 +186,6 @@ class FaultPlan:
                     kind=entry["kind"],
                     rate=float(entry.get("rate", 0.0)),
                     intensity=float(entry.get("intensity", 0.0)),
-                    delay_seconds=float(entry.get("delay_seconds", 0.0)),
                     start=int(entry.get("start", 0)),
                     stop=entry.get("stop"),
                 )
@@ -215,13 +204,6 @@ class FaultPlan:
 
 #: Named plans bundled for the chaos suite and ``spooftrack chaos``.
 BUNDLED_PLANS: Dict[str, FaultPlan] = {
-    "worker-crash": FaultPlan(
-        name="worker-crash",
-        specs=(
-            FaultSpec(kind=WORKER_CRASH, rate=0.3),
-            FaultSpec(kind=WORKER_HANG, rate=0.1, delay_seconds=0.005),
-        ),
-    ),
     "partial-measurement": FaultPlan(
         name="partial-measurement",
         specs=(
@@ -244,8 +226,6 @@ BUNDLED_PLANS: Dict[str, FaultPlan] = {
     "mixed": FaultPlan(
         name="mixed",
         specs=(
-            FaultSpec(kind=WORKER_CRASH, rate=0.15),
-            FaultSpec(kind=WORKER_HANG, rate=0.05, delay_seconds=0.005),
             FaultSpec(kind=MEASUREMENT_LOSS, rate=0.2, intensity=0.2),
             FaultSpec(kind=COLLECTOR_FLAP, rate=0.15, intensity=0.3),
             FaultSpec(kind=VOLUME_NOISE, rate=0.25, intensity=0.3),

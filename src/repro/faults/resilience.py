@@ -1,56 +1,13 @@
-"""Defenses the chaos layer proves out: retries and atomic writes.
+"""The defense the chaos layer proves out: atomic, checksummed writes.
 
-Everything here is deliberately deterministic.  Backoff delays follow a
-fixed exponential schedule (no jitter — reproducibility beats thundering
-herds in a single-origin system), and checkpoint integrity uses a
-content checksum over the canonical JSON encoding.
+Checkpoint integrity uses a content checksum over the canonical JSON
+encoding, and every write goes through a tmp file and an atomic rename.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
-from dataclasses import dataclass
-from typing import Callable
-
-from ..errors import ReproError
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded-retry + backoff knobs for one task class.
-
-    Attributes:
-        max_retries: additional attempts after the first failure.
-        backoff_base: seconds slept before retry 1.
-        backoff_factor: multiplier applied per further retry.
-    """
-
-    max_retries: int = 3
-    backoff_base: float = 0.01
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ReproError("max_retries cannot be negative")
-        if self.backoff_base < 0 or self.backoff_factor < 0:
-            raise ReproError("backoff parameters cannot be negative")
-
-    def delay_for(self, retry: int) -> float:
-        """Seconds to sleep before the ``retry``-th retry (0-based)."""
-        return self.backoff_base * self.backoff_factor**retry
-
-    def sleep_before(self, retry: int, sleeper: Callable[[float], None] = time.sleep) -> None:
-        """Deterministic exponential backoff before the given retry."""
-        delay = self.delay_for(retry)
-        if delay > 0:
-            sleeper(delay)
-
-
-# ----------------------------------------------------------------------
-# Atomic, checksummed file writes
-# ----------------------------------------------------------------------
 
 
 def atomic_write_text(path: str, text: str) -> str:

@@ -50,7 +50,7 @@ from ..faults.health import (
     build_resilience_report,
 )
 from ..faults.injection import FaultInjector
-from ..faults.plan import WORKER_CRASH, WORKER_HANG, FaultPlan
+from ..faults.plan import FaultPlan
 from ..measurement.traceroute import TracerouteParams
 from ..obs import (
     Observability,
@@ -330,9 +330,9 @@ class LiveTracebackService:
         workers: must be 1; simulation always runs in-process.
         timeline: dwell-cost model (defaults to the paper's).
         injector: optional chaos hook driving volume-noise bursts,
-            route-churn storms, checkpoint corruption, and simulation
-            faults; the fault plan travels inside checkpoints so a
-            resumed chaos run stays on plan.
+            route-churn storms and checkpoint corruption; the fault plan
+            travels inside checkpoints so a resumed chaos run stays on
+            plan.
         obs: optional :class:`~repro.obs.Observability` bundle — arms a
             "premeasure" span, per-window latency histograms, and live
             runtime counters (windows, selections, remeasurements,
@@ -369,7 +369,6 @@ class LiveTracebackService:
         self.schedule = schedule
         self.engine = SimulationEngine(
             self.testbed.simulator,
-            injector=injector,
             bus=self.obs.bus,
             tracer=self.obs.tracer,
         )
@@ -816,7 +815,6 @@ class LiveTracebackService:
         return build_resilience_report(
             self.injector,
             monitor=monitor,
-            engine_stats=self.engine.stats.copy(),
             checkpoint_corruptions=self.checkpoint_corruptions,
             checkpoint_rollbacks=1 if self.restored_via_rollback else 0,
         )
@@ -995,15 +993,9 @@ class LiveTracebackService:
             else None
         )
         if injector is not None:
-            # Cumulative accounting: measurement/live faults fired before
-            # the snapshot stay counted in the resumed run's resilience
-            # report.  Engine faults (crash/hang) are NOT carried over:
-            # the rebuilt engine re-simulates every site with a cold
-            # cache and deterministically re-draws the same decisions,
-            # so carrying them would double-count.
+            # Cumulative accounting: faults fired before the snapshot
+            # stay counted in the resumed run's resilience report.
             for kind, count in (payload.get("fault_log") or {}).items():
-                if kind in (WORKER_CRASH, WORKER_HANG):
-                    continue
                 injector.log.record(str(kind), int(count))
         service = cls(
             scenario=scenario,

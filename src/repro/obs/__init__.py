@@ -3,7 +3,7 @@
 The observability layer every other subsystem reports through:
 
 * :class:`MetricsRegistry` — counters (deterministic logical events),
-  gauges and histograms (measured data), lock-safe, mergeable, with a
+  gauges and histograms (measured data), lock-safe, with a
   Prometheus-format text dump.
 * :class:`Tracer` — deterministic span trees (SHA-256 identities, wall
   durations as data only) exported as JSONL.
@@ -71,9 +71,7 @@ from .metrics import (  # noqa: E402
     Gauge,
     Histogram,
     MetricsRegistry,
-    ParsedMetrics,
     parse_prometheus,
-    parse_prometheus_metrics,
     record_build_info,
     record_engine_stats,
     record_fault_log,
@@ -135,9 +133,7 @@ __all__ = [
     "load_artifacts",
     "load_history",
     "load_spans",
-    "ParsedMetrics",
     "parse_prometheus",
-    "parse_prometheus_metrics",
     "phase_durations",
     "record_build_info",
     "record_engine_stats",

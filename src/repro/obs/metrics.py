@@ -12,10 +12,8 @@ Design rules, mirroring the rest of the reproduction:
   run and are explicitly excluded from determinism comparisons
   (:meth:`MetricsRegistry.counter_totals` returns only the
   deterministic layer).
-* **Lock-safe and mergeable.**  Every mutation takes the registry
-  lock, and a registry can absorb another registry's snapshot with
-  :meth:`MetricsRegistry.merge` — e.g. to fold partial runs, or a
-  parsed scrape, into one total.
+* **Lock-safe.**  Every mutation takes the registry lock, so a served
+  run's scrapes read consistent snapshots.
 
 The text dump (:meth:`MetricsRegistry.render_prometheus`) follows the
 Prometheus exposition format so existing scrapers and ``promtool`` can
@@ -25,9 +23,7 @@ parse it, but nothing here imports anything outside the stdlib.
 from __future__ import annotations
 
 import json
-import re
 import threading
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: Histogram bucket upper bounds (seconds-flavored, log-spaced).  The
@@ -231,7 +227,7 @@ class MetricsRegistry:
                 self._help[name] = help
         return handle
 
-    # -- snapshots and merging -----------------------------------------
+    # -- snapshots ------------------------------------------------------
 
     def counter_totals(self) -> Dict[str, float]:
         """The deterministic layer: every counter's total, by series.
@@ -247,7 +243,7 @@ class MetricsRegistry:
             }
 
     def snapshot(self) -> Dict:
-        """JSON-safe dump of every metric (for merging or archiving)."""
+        """JSON-safe dump of every metric (for archiving)."""
         with self._lock:
             return {
                 "counters": [
@@ -270,33 +266,6 @@ class MetricsRegistry:
                     for (name, labels), h in sorted(self._histograms.items())
                 ],
             }
-
-    def merge(self, snapshot: Mapping) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters and histogram tallies add; gauges take the incoming
-        value (last writer wins — gauges are point-in-time).
-        """
-        for entry in snapshot.get("counters", ()):
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            self.counter(entry["name"], labels=labels).inc(entry["value"])
-        for entry in snapshot.get("gauges", ()):
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            self.gauge(entry["name"], labels=labels).set(entry["value"])
-        for entry in snapshot.get("histograms", ()):
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            histogram = self.histogram(
-                entry["name"], labels=labels, buckets=tuple(entry["buckets"])
-            )
-            with self._lock:
-                if list(histogram.buckets) != list(entry["buckets"]):
-                    raise ValueError(
-                        f"histogram {entry['name']} bucket mismatch on merge"
-                    )
-                for index, count in enumerate(entry["counts"]):
-                    histogram.counts[index] += count
-                histogram._sum += entry["sum"]
-                histogram._count += entry["count"]
 
     # -- rendering ------------------------------------------------------
 
@@ -365,9 +334,6 @@ def parse_prometheus(text: str) -> Dict[str, float]:
     map is flat and *sample-level*: histogram internals appear under
     their exposition names (``name_bucket{le="..."}``, ``name_sum``,
     ``name_count``, with cumulative bucket values), exactly as rendered.
-    For a structurally-aware inverse — histograms reassembled with
-    de-cumulated buckets, ready to :meth:`MetricsRegistry.merge` — use
-    :func:`parse_prometheus_metrics`.
     """
     values: Dict[str, float] = {}
     for line in text.splitlines():
@@ -377,174 +343,6 @@ def parse_prometheus(text: str) -> Dict[str, float]:
         series, _, value = line.rpartition(" ")
         values[series] = float(value)
     return values
-
-
-#: One exposition sample line: ``name{labels} value`` (labels optional).
-_SAMPLE_LINE = re.compile(
-    r"^(?P<name>[A-Za-z_:][A-Za-z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
-    r"\s+(?P<value>\S+)$"
-)
-
-#: Exposition-format label-value unescapes (inverse of
-#: :func:`_escape_label_value`).
-_LABEL_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
-
-
-def _parse_label_body(body: str) -> LabelSet:
-    """Parse the inside of ``{...}`` back into a canonical label set."""
-    labels: List[Tuple[str, str]] = []
-    index = 0
-    length = len(body)
-    while index < length:
-        if body[index] == ",":
-            index += 1
-            continue
-        eq = body.index("=", index)
-        key = body[index:eq].strip()
-        if body[eq + 1] != '"':
-            raise ValueError(f"label value for {key!r} is not quoted")
-        index = eq + 2
-        chars: List[str] = []
-        while True:
-            if index >= length:
-                raise ValueError(f"unterminated label value for {key!r}")
-            char = body[index]
-            if char == "\\":
-                escape = body[index + 1] if index + 1 < length else ""
-                chars.append(_LABEL_UNESCAPES.get(escape, "\\" + escape))
-                index += 2
-                continue
-            if char == '"':
-                index += 1
-                break
-            chars.append(char)
-            index += 1
-        labels.append((key, "".join(chars)))
-    return tuple(sorted(labels))
-
-
-@dataclass
-class ParsedMetrics:
-    """Structured form of a Prometheus text dump.
-
-    ``counters``/``gauges`` map ``(name, labelset) -> value``;
-    ``histograms`` map ``(name, labelset) -> {"buckets", "counts",
-    "sum", "count"}`` with the bucket counts **de-cumulated** back to
-    per-bucket tallies (the exposition format renders them cumulative).
-    ``kinds`` and ``helps`` carry the ``# TYPE`` / ``# HELP`` headers.
-    """
-
-    counters: Dict[Tuple[str, LabelSet], float] = field(default_factory=dict)
-    gauges: Dict[Tuple[str, LabelSet], float] = field(default_factory=dict)
-    histograms: Dict[Tuple[str, LabelSet], Dict] = field(default_factory=dict)
-    kinds: Dict[str, str] = field(default_factory=dict)
-    helps: Dict[str, str] = field(default_factory=dict)
-
-    def as_snapshot(self) -> Dict:
-        """A :meth:`MetricsRegistry.merge`-compatible snapshot.
-
-        Non-finite counter values (``NaN``/``inf`` — a damaged scrape,
-        never produced by a real registry) are dropped rather than
-        silently poisoning every later increment; gauges keep them
-        verbatim, as gauges are point-in-time measurements and ``NaN``
-        is a legitimate "no data" reading.
-        """
-        import math
-
-        return {
-            "counters": [
-                {"name": name, "labels": list(labels), "value": value}
-                for (name, labels), value in sorted(self.counters.items())
-                if math.isfinite(value)
-            ],
-            "gauges": [
-                {"name": name, "labels": list(labels), "value": value}
-                for (name, labels), value in sorted(self.gauges.items())
-            ],
-            "histograms": [
-                {
-                    "name": name,
-                    "labels": list(labels),
-                    "buckets": list(data["buckets"]),
-                    "counts": list(data["counts"]),
-                    "sum": data["sum"],
-                    "count": data["count"],
-                }
-                for (name, labels), data in sorted(self.histograms.items())
-            ],
-        }
-
-
-def parse_prometheus_metrics(text: str) -> ParsedMetrics:
-    """Parse a text dump back into typed families (full round-trip).
-
-    The structural inverse of :meth:`MetricsRegistry.render_prometheus`:
-    ``# TYPE`` headers type each family, histogram ``_bucket``/``_sum``
-    /``_count`` samples are reassembled per label set with bucket counts
-    de-cumulated (``+Inf`` implicit), and label values are unescaped.
-    ``registry.merge(parse_prometheus_metrics(text).as_snapshot())``
-    therefore reconstructs the dumping registry's metrics exactly —
-    including histograms, which the flat :func:`parse_prometheus` map
-    only exposes sample by sample.
-    """
-    parsed = ParsedMetrics()
-    raw_hist: Dict[Tuple[str, LabelSet], Dict] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            name, _, help_text = line[len("# HELP "):].partition(" ")
-            parsed.helps[name] = help_text
-            continue
-        if line.startswith("# TYPE "):
-            name, _, kind = line[len("# TYPE "):].partition(" ")
-            parsed.kinds[name] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        match = _SAMPLE_LINE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable sample line: {line!r}")
-        name = match.group("name")
-        labels = _parse_label_body(match.group("labels") or "")
-        value = float(match.group("value"))
-        for suffix in ("_bucket", "_sum", "_count"):
-            family = name[: -len(suffix)]
-            if name.endswith(suffix) and parsed.kinds.get(family) == "histogram":
-                bare = tuple(pair for pair in labels if pair[0] != "le")
-                entry = raw_hist.setdefault(
-                    (family, bare), {"cumulative": [], "sum": 0.0, "count": 0}
-                )
-                if suffix == "_bucket":
-                    le = dict(labels).get("le", "+Inf")
-                    bound = float("inf") if le == "+Inf" else float(le)
-                    entry["cumulative"].append((bound, value))
-                elif suffix == "_sum":
-                    entry["sum"] = value
-                else:
-                    entry["count"] = int(value)
-                break
-        else:
-            if parsed.kinds.get(name) == "counter":
-                parsed.counters[(name, labels)] = value
-            else:
-                parsed.gauges[(name, labels)] = value
-    for (family, labels), entry in raw_hist.items():
-        ordered = sorted(entry["cumulative"])
-        counts: List[int] = []
-        previous = 0.0
-        for _bound, cumulative in ordered:
-            counts.append(int(cumulative - previous))
-            previous = cumulative
-        parsed.histograms[(family, labels)] = {
-            "buckets": [b for b, _ in ordered if b != float("inf")],
-            "counts": counts,
-            "sum": entry["sum"],
-            "count": entry["count"],
-        }
-    return parsed
 
 
 def record_engine_stats(registry: MetricsRegistry, stats) -> None:
@@ -565,10 +363,6 @@ def record_engine_stats(registry: MetricsRegistry, stats) -> None:
          "simulations seeded from a parent outcome"),
         ("repro_engine_passes_saved_total", stats.passes_saved,
          "estimated Gauss-Seidel passes avoided by warm starts"),
-        ("repro_engine_retries_total", stats.retries,
-         "retries spent on injected faults"),
-        ("repro_engine_faults_bypassed_total", stats.faults_bypassed,
-         "simulations that ran with injection suppressed after retry exhaustion"),
     )
     for name, value, help_text in pairs:
         registry.counter(name, help=help_text).inc(value)

@@ -449,12 +449,19 @@ class TestFaultOptions:
                 "--sources",
                 "1",
                 "--fault-plan",
-                "worker-crash",
+                "partial-measurement",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "resilience" in out
+
+    def test_track_rejects_retired_worker_crash_plan(self, capsys):
+        code = main(
+            ["track", "--max-configs", "4", "--fault-plan", "worker-crash"]
+        )
+        assert code == 2
+        assert "fault plan error" in capsys.readouterr().err
 
     def test_chaos_command_sweeps_levels(self, capsys):
         code = main(
@@ -592,6 +599,23 @@ class TestObservabilityOptions:
         assert code == 0
         parsed = parse_prometheus(open(metrics).read())
         assert parsed["repro_live_windows_total"] >= 1
+
+    def test_unserved_overload_counts_slo_breaches(self, tmp_path, capsys):
+        """The SLO watchdog rides every armed run, not only served ones."""
+        from repro.obs import parse_prometheus
+
+        metrics = str(tmp_path / "m.prom")
+        code = main(
+            [
+                "--seed", "3", "live", "--sources", "8", "--max-configs", "4",
+                "--batches-per-window", "8", "--queue-capacity", "2",
+                "--quiet", "--metrics", metrics,
+            ]
+        )
+        assert code == 0
+        parsed = parse_prometheus(open(metrics).read())
+        assert parsed["repro_live_batches_dropped_total"] == 72
+        assert parsed['repro_slo_breached_total{slo="ingest_drop_rate"}'] == 12
 
     def test_outputs_create_parent_dirs(self, tmp_path, capsys):
         trace = str(tmp_path / "deep" / "dirs" / "t.jsonl")

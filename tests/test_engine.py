@@ -275,81 +275,3 @@ class TestWallTimeAccounting:
         sleep_total = self.SLEEP * len(configs)
         assert elapsed >= sleep_total
         assert engine.stats.wall_time <= elapsed - 0.5 * sleep_total
-
-
-class TestFaultContainment:
-    """Injected faults never abort a batch and never change results."""
-
-    @staticmethod
-    def _crashy(rate=1.0, **kwargs):
-        from repro.faults import FaultInjector, FaultPlan, FaultSpec
-
-        return FaultInjector(
-            FaultPlan(
-                specs=(FaultSpec(kind="worker-crash", rate=rate, **kwargs),)
-            )
-        )
-
-    def test_serial_retries_past_sub_certain_crashes(self, mini_simulator):
-        from repro.faults.resilience import RetryPolicy
-
-        engine = SimulationEngine(
-            mini_simulator,
-            injector=self._crashy(rate=0.5),
-            retry_policy=RetryPolicy(max_retries=8, backoff_base=0.0),
-        )
-        clean = SimulationEngine(mini_simulator)
-        configs = [
-            anycast_all(LINKS),
-            AnnouncementConfig(announced=frozenset(["l1"])),
-            AnnouncementConfig(announced=frozenset(["l2"])),
-        ]
-        for a, b in zip(engine.simulate_many(configs), clean.simulate_many(configs)):
-            assert a.routes == b.routes
-            assert a.catchments == b.catchments
-
-    def test_serial_bypass_after_retry_budget(self, mini_simulator):
-        from repro.faults.resilience import RetryPolicy
-
-        engine = SimulationEngine(
-            mini_simulator,
-            injector=self._crashy(rate=1.0),  # never clears by retrying
-            retry_policy=RetryPolicy(max_retries=2, backoff_base=0.0),
-        )
-        outcome = engine.simulate(anycast_all(LINKS))
-        assert outcome.catchments  # completed despite the certain fault
-        assert engine.stats.faults_bypassed == 1
-        assert engine.stats.retries == 2
-
-    def test_iter_simulate_survives_worker_crash(self, small_testbed):
-        from repro.faults.resilience import RetryPolicy
-
-        tracker = SpoofTracker(small_testbed)
-        configs = tracker.schedule[:8]
-        clean = SimulationEngine(small_testbed.simulator)
-        expected = clean.simulate_many(configs)
-        engine = SimulationEngine(
-            small_testbed.simulator,
-            injector=self._crashy(rate=0.4),
-            retry_policy=RetryPolicy(max_retries=6, backoff_base=0.0),
-        )
-        streamed = list(engine.iter_simulate(configs))
-        assert engine.stats.retries >= 1
-        assert len(streamed) == len(expected)
-        for a, b in zip(expected, streamed):
-            assert a.routes == b.routes
-
-    def test_fault_stats_render_in_summary(self):
-        stats = EngineStats(
-            configs_simulated=3,
-            configs_requested=5,
-            retries=2,
-            faults_bypassed=1,
-        )
-        text = stats.summary()
-        assert "3 simulated / 5 requested" in text
-        assert "2 retries / 1 bypassed" in text
-
-    def test_clean_summary_omits_fault_counters(self):
-        text = EngineStats(configs_simulated=3, configs_requested=5).summary()
-        assert "retries" not in text

@@ -9,8 +9,6 @@ import pytest
 from repro import errors
 from repro.errors import (
     CheckpointCorruptionError,
-    FaultInjectionError,
-    InjectedFault,
     LiveServiceError,
     ReproError,
 )
@@ -65,9 +63,6 @@ class TestSpecificRelationships:
         # Existing callers catching LiveServiceError on checkpoint load
         # keep working now that corruption is surfaced separately.
         assert issubclass(CheckpointCorruptionError, LiveServiceError)
-
-    def test_injected_fault_is_a_fault_injection_error(self):
-        assert issubclass(InjectedFault, FaultInjectionError)
 
     def test_convergence_is_a_simulation_error(self):
         assert issubclass(errors.ConvergenceError, errors.SimulationError)

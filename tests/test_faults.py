@@ -6,28 +6,24 @@ import json
 
 import pytest
 
-from repro.errors import FaultInjectionError, InjectedFault, ReproError
+from repro.errors import FaultInjectionError, ReproError
 from repro.faults import (
     BUNDLED_PLANS,
     CHECKPOINT_CORRUPTION,
     MEASUREMENT_LOSS,
     ROUTE_CHURN,
     VOLUME_NOISE,
-    WORKER_CRASH,
-    WORKER_HANG,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     InvariantMonitor,
     ResilienceReport,
-    RetryPolicy,
     atomic_write_text,
     build_resilience_report,
     content_checksum,
     load_fault_plan,
     stable_unit,
 )
-from repro.faults.injection import ACTION_CRASH, ACTION_HANG
 
 
 # ----------------------------------------------------------------------
@@ -63,26 +59,26 @@ class TestFaultSpec:
 
     def test_validates_rate(self):
         with pytest.raises(FaultInjectionError):
-            FaultSpec(kind=WORKER_CRASH, rate=1.5)
+            FaultSpec(kind=MEASUREMENT_LOSS, rate=1.5)
 
     def test_validates_window(self):
         with pytest.raises(FaultInjectionError):
-            FaultSpec(kind=WORKER_CRASH, start=5, stop=5)
+            FaultSpec(kind=MEASUREMENT_LOSS, start=5, stop=5)
 
     def test_active_window(self):
-        spec = FaultSpec(kind=WORKER_CRASH, rate=1.0, start=2, stop=4)
+        spec = FaultSpec(kind=MEASUREMENT_LOSS, rate=1.0, start=2, stop=4)
         assert [spec.active_at(i) for i in range(6)] == [
             False, False, True, True, False, False,
         ]
 
     def test_open_ended_window(self):
-        spec = FaultSpec(kind=WORKER_CRASH, rate=1.0, start=1)
+        spec = FaultSpec(kind=MEASUREMENT_LOSS, rate=1.0, start=1)
         assert not spec.active_at(0)
         assert spec.active_at(10_000)
 
     def test_is_an_repro_error(self):
         with pytest.raises(ReproError):
-            FaultSpec(kind=WORKER_CRASH, rate=-0.1)
+            FaultSpec(kind=MEASUREMENT_LOSS, rate=-0.1)
 
 
 class TestFaultPlan:
@@ -90,7 +86,7 @@ class TestFaultPlan:
         assert FaultPlan().is_empty
 
     def test_zero_rate_plan_is_empty(self):
-        plan = FaultPlan(specs=(FaultSpec(kind=WORKER_CRASH, rate=0.0),))
+        plan = FaultPlan(specs=(FaultSpec(kind=MEASUREMENT_LOSS, rate=0.0),))
         assert plan.is_empty
 
     def test_specs_for_preserves_positions(self):
@@ -113,11 +109,11 @@ class TestFaultPlan:
             assert clone.decision("site", token) == plan.decision("site", token)
 
     def test_scaled_multiplies_rates(self):
-        plan = BUNDLED_PLANS["worker-crash"].scaled(0.5)
-        assert plan.specs[0].rate == pytest.approx(0.15)
+        plan = BUNDLED_PLANS["partial-measurement"].scaled(0.5)
+        assert plan.specs[0].rate == pytest.approx(0.2)
 
     def test_scaled_clamps_to_one(self):
-        plan = BUNDLED_PLANS["worker-crash"].scaled(100.0)
+        plan = BUNDLED_PLANS["partial-measurement"].scaled(100.0)
         assert all(spec.rate <= 1.0 for spec in plan.specs)
 
     def test_scaled_zero_is_empty(self):
@@ -145,6 +141,15 @@ class TestFaultPlan:
         with pytest.raises(FaultInjectionError):
             load_fault_plan("no-such-plan")
 
+    @pytest.mark.parametrize("kind", ["worker-crash", "worker-hang"])
+    def test_load_rejects_retired_worker_kinds(self, tmp_path, kind):
+        # Simulation runs in-process, so worker faults are no longer
+        # kinds; a plan naming one fails loudly instead of losing a spec.
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"specs": [{"kind": kind, "rate": 0.3}]}))
+        with pytest.raises(FaultInjectionError, match="unknown fault kind"):
+            load_fault_plan(str(path))
+
     def test_bundled_plans_carry_their_names(self):
         for name, plan in BUNDLED_PLANS.items():
             assert plan.name == name
@@ -160,76 +165,6 @@ def _certain(kind, **kwargs):
     return FaultInjector(
         FaultPlan(specs=(FaultSpec(kind=kind, rate=1.0, **kwargs),))
     )
-
-
-class TestInjectorSimulation:
-    def test_empty_plan_is_inert(self):
-        injector = FaultInjector()
-        assert not injector.active
-        assert injector.simulation_action(0, "cfg") is None
-
-    def test_certain_crash_fires(self):
-        injector = _certain(WORKER_CRASH)
-        action = injector.simulation_action(0, "cfg")
-        assert action is not None and action.kind == ACTION_CRASH
-        with pytest.raises(InjectedFault):
-            action.execute()
-        assert injector.log.by_kind[WORKER_CRASH] == 1
-
-    def test_hang_carries_delay(self):
-        injector = _certain(WORKER_HANG, delay_seconds=0.0)
-        action = injector.simulation_action(0, "cfg")
-        assert action is not None and action.kind == ACTION_HANG
-        action.execute()  # zero delay: returns immediately
-
-    def test_crash_takes_precedence_over_hang(self):
-        injector = FaultInjector(
-            FaultPlan(
-                specs=(
-                    FaultSpec(kind=WORKER_HANG, rate=1.0),
-                    FaultSpec(kind=WORKER_CRASH, rate=1.0),
-                )
-            )
-        )
-        action = injector.simulation_action(0, "cfg")
-        assert action.kind == ACTION_CRASH
-
-    def test_decisions_redrawn_per_attempt(self):
-        injector = FaultInjector(
-            FaultPlan(specs=(FaultSpec(kind=WORKER_CRASH, rate=0.5),))
-        )
-        fired = [
-            injector.simulation_action(0, "cfg", attempt) is not None
-            for attempt in range(64)
-        ]
-        assert any(fired) and not all(fired)
-
-    def test_window_gates_by_ordinal(self):
-        injector = FaultInjector(
-            FaultPlan(
-                specs=(FaultSpec(kind=WORKER_CRASH, rate=1.0, start=3, stop=5),)
-            )
-        )
-        fired = [
-            injector.simulation_action(ordinal, "cfg") is not None
-            for ordinal in range(7)
-        ]
-        assert fired == [False, False, False, True, True, False, False]
-
-    def test_suppression_disables_firing(self):
-        injector = _certain(WORKER_CRASH)
-        with injector.suppressed():
-            assert not injector.active
-            assert injector.simulation_action(0, "cfg") is None
-        assert injector.active
-
-    def test_identical_plans_make_identical_decisions(self):
-        first = FaultInjector(BUNDLED_PLANS["mixed"])
-        second = FaultInjector(BUNDLED_PLANS["mixed"])
-        for ordinal in range(40):
-            assert first.simulation_action(
-                ordinal, f"cfg{ordinal}"
-            ) == second.simulation_action(ordinal, f"cfg{ordinal}")
 
 
 class TestInjectorMeasurement:
@@ -311,31 +246,6 @@ class TestInjectorLive:
 # ----------------------------------------------------------------------
 
 
-class TestRetryPolicy:
-    def test_exponential_schedule(self):
-        policy = RetryPolicy(backoff_base=0.01, backoff_factor=2.0)
-        assert policy.delay_for(0) == pytest.approx(0.01)
-        assert policy.delay_for(1) == pytest.approx(0.02)
-        assert policy.delay_for(2) == pytest.approx(0.04)
-
-    def test_sleep_before_uses_sleeper(self):
-        slept = []
-        policy = RetryPolicy(backoff_base=0.5)
-        policy.sleep_before(1, sleeper=slept.append)
-        assert slept == [pytest.approx(1.0)]
-
-    def test_zero_base_skips_sleep(self):
-        slept = []
-        RetryPolicy(backoff_base=0.0).sleep_before(3, sleeper=slept.append)
-        assert slept == []
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ReproError):
-            RetryPolicy(backoff_base=-1.0)
-
-
 class TestAtomicWrite:
     def test_writes_content(self, tmp_path):
         path = tmp_path / "out.json"
@@ -409,14 +319,14 @@ class TestResilienceReport:
         assert "VIOLATION" in report.summary()
 
     def test_build_from_injector(self):
-        injector = _certain(WORKER_CRASH)
-        injector.simulation_action(0, "cfg")
+        injector = _certain(ROUTE_CHURN, intensity=0.2)
+        injector.extra_churn(0)
         monitor = InvariantMonitor()
         monitor.check_volume_conservation(1.0, 1.0, 0.0)
         report = build_resilience_report(
             injector, monitor=monitor, degraded_configs=2
         )
-        assert report.faults_injected == {WORKER_CRASH: 1}
+        assert report.faults_injected == {ROUTE_CHURN: 1}
         assert report.invariant_checks == 1
         assert report.degraded_configs == 2
         assert report.healthy

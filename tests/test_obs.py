@@ -23,7 +23,6 @@ from repro.obs import (
     build_tree,
     load_spans,
     parse_prometheus,
-    parse_prometheus_metrics,
     phase_durations,
     record_engine_stats,
     record_fault_log,
@@ -41,9 +40,7 @@ TRACK_COUNTER_TOTALS = {
     "repro_engine_cache_hits_total": 0.0,
     "repro_engine_configs_requested_total": 10.0,
     "repro_engine_configs_simulated_total": 10.0,
-    "repro_engine_faults_bypassed_total": 0.0,
     "repro_engine_passes_saved_total": 3.0,
-    "repro_engine_retries_total": 0.0,
     "repro_engine_warm_starts_total": 9.0,
     "repro_pipeline_clusters_total": 28.0,
     "repro_pipeline_configs_deployed_total": 10.0,
@@ -124,27 +121,6 @@ class TestGaugesAndHistograms:
 
 
 class TestMergeAndRender:
-    def test_merge_adds_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n_total").inc(2)
-        b.counter("n_total").inc(3)
-        a.histogram("t", buckets=(1.0,)).observe(0.5)
-        b.histogram("t", buckets=(1.0,)).observe(2.0)
-        b.gauge("depth").set(7)
-        a.merge(b.snapshot())
-        assert a.counter_totals()["n_total"] == 5
-        merged = a.histogram("t", buckets=(1.0,))
-        assert merged.counts == [1, 1]
-        assert merged.count == 2
-        assert a.gauge("depth").value == 7
-
-    def test_merge_rejects_bucket_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("t", buckets=(1.0,)).observe(0.5)
-        b.histogram("t", buckets=(2.0,)).observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge(b.snapshot())
-
     def test_render_parse_roundtrip(self):
         registry = MetricsRegistry()
         registry.counter("a_total", help="things").inc(3)
@@ -194,98 +170,6 @@ class TestMergeAndRender:
         assert parsed["cold"] == float("-inf")
         assert math.isnan(parsed["undefined"])
 
-    def test_merge_after_parse_matches_direct_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n_total", labels={"who": 'worker "0"'}).inc(2)
-        b.counter("n_total", labels={"who": 'worker "0"'}).inc(3)
-        b.counter("n_total", labels={"who": "worker\n1"}).inc(1)
-        merged = MetricsRegistry()
-        merged.merge(a.snapshot())
-        merged.merge(b.snapshot())
-        summed = {}
-        for registry in (a, b):
-            for series, value in parse_prometheus(
-                registry.render_prometheus()
-            ).items():
-                summed[series] = summed.get(series, 0.0) + value
-        assert summed == parse_prometheus(merged.render_prometheus())
-
-
-class TestStructuredParse:
-    """parse_prometheus_metrics: the typed, merge-ready inverse (ISSUE 10)."""
-
-    def test_histogram_reassembled_and_decumulated(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 0.5, 5.0):
-            histogram.observe(value)
-        parsed = parse_prometheus_metrics(registry.render_prometheus())
-        data = parsed.histograms[("lat", ())]
-        assert data["buckets"] == [0.1, 1.0]  # +Inf stays implicit
-        assert data["counts"] == [1, 2, 1]  # de-cumulated per-bucket tallies
-        assert data["count"] == 4
-        assert data["sum"] == pytest.approx(6.05)
-        assert parsed.kinds["lat"] == "histogram"
-
-    def test_families_typed_by_headers(self):
-        registry = MetricsRegistry()
-        registry.counter("n_total", help="things").inc(2)
-        registry.gauge("depth").set(7)
-        parsed = parse_prometheus_metrics(registry.render_prometheus())
-        assert parsed.counters == {("n_total", ()): 2.0}
-        assert parsed.gauges == {("depth", ()): 7.0}
-        assert parsed.helps["n_total"] == "things"
-
-    def test_label_values_unescaped(self):
-        registry = MetricsRegistry()
-        awkward = 'quote:" backslash:\\ newline:\nend'
-        registry.counter("odd_total", labels={"detail": awkward}).inc(2)
-        parsed = parse_prometheus_metrics(registry.render_prometheus())
-        ((name, labels),) = parsed.counters
-        assert name == "odd_total"
-        assert labels == (("detail", awkward),)
-
-    def test_unparseable_sample_raises(self):
-        with pytest.raises(ValueError, match="unparseable"):
-            parse_prometheus_metrics("what even is this line")
-
-    def test_snapshot_drops_nan_counters_keeps_nan_gauges(self):
-        import math
-
-        text = (
-            "# TYPE broken_total counter\n"
-            "broken_total NaN\n"
-            "# TYPE fine_total counter\n"
-            "fine_total 3\n"
-            "undefined NaN\n"
-        )
-        snapshot = parse_prometheus_metrics(text).as_snapshot()
-        names = [entry["name"] for entry in snapshot["counters"]]
-        assert names == ["fine_total"]  # the damaged sample is dropped
-        (gauge,) = snapshot["gauges"]
-        assert gauge["name"] == "undefined" and math.isnan(gauge["value"])
-
-    def test_merge_after_parse_reconstructs_histograms(self):
-        """registry.merge(parse(...).as_snapshot()) == direct merge."""
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n_total", labels={"who": 'worker "0"'}).inc(2)
-        b.counter("n_total", labels={"who": 'worker "0"'}).inc(3)
-        a.histogram("lat", buckets=(0.1, 1.0)).observe(0.5)
-        b.histogram("lat", buckets=(0.1, 1.0)).observe(5.0)
-        b.gauge("depth").set(7)
-        direct = MetricsRegistry()
-        direct.merge(a.snapshot())
-        direct.merge(b.snapshot())
-        reparsed = MetricsRegistry()
-        for registry in (a, b):
-            parsed = parse_prometheus_metrics(registry.render_prometheus())
-            reparsed.merge(parsed.as_snapshot())
-        assert reparsed.counter_totals() == direct.counter_totals()
-        assert reparsed.snapshot() == direct.snapshot()
-        merged = reparsed.histogram("lat", buckets=(0.1, 1.0))
-        assert merged.counts == [0, 1, 1] and merged.count == 2
-
-
 class TestEngineRecording:
     def test_record_engine_stats_reconciles(self):
         stats = EngineStats(
@@ -295,8 +179,6 @@ class TestEngineRecording:
             warm_starts=5,
             passes_saved=9,
             wall_time=1.25,
-            retries=2,
-            faults_bypassed=1,
         )
         registry = MetricsRegistry()
         record_engine_stats(registry, stats)
@@ -306,8 +188,6 @@ class TestEngineRecording:
         assert totals["repro_engine_cache_hits_total"] == 3
         assert totals["repro_engine_warm_starts_total"] == 5
         assert totals["repro_engine_passes_saved_total"] == 9
-        assert totals["repro_engine_retries_total"] == 2
-        assert totals["repro_engine_faults_bypassed_total"] == 1
         assert registry.gauge("repro_engine_wall_seconds").value == 1.25
 
     def test_record_fault_log(self):
@@ -505,25 +385,3 @@ class TestPipelineDeterminism:
         )
         assert totals["repro_engine_cache_hits_total"] == stats.cache_hits
         assert totals["repro_engine_warm_starts_total"] == stats.warm_starts
-
-    def test_merge_matches_single_registry(self, small_testbed):
-        """Two half-run registries merge into the one-run totals."""
-        tracker = SpoofTracker(small_testbed)
-        configs = tracker.schedule[:8]
-        whole = MetricsRegistry()
-        with SimulationEngine(small_testbed.simulator) as engine:
-            engine.simulate_many(configs)
-            record_engine_stats(whole, engine.stats)
-        parts = MetricsRegistry()
-        with SimulationEngine(small_testbed.simulator) as engine:
-            before = engine.stats.copy()
-            engine.simulate_many(configs[:4])
-            first = MetricsRegistry()
-            record_engine_stats(first, engine.stats.since(before))
-            middle = engine.stats.copy()
-            engine.simulate_many(configs[4:])
-            second = MetricsRegistry()
-            record_engine_stats(second, engine.stats.since(middle))
-        parts.merge(first.snapshot())
-        parts.merge(second.snapshot())
-        assert parts.counter_totals() == whole.counter_totals()

@@ -10,7 +10,7 @@ import urllib.request
 
 import pytest
 
-from repro.faults import COLLECTOR_FLAP, WORKER_CRASH, FaultPlan, FaultSpec
+from repro.faults import COLLECTOR_FLAP, ROUTE_CHURN, FaultPlan, FaultSpec
 from repro.faults.injection import FaultInjector
 from repro.live import LiveTracebackService, ReplayScenario
 from repro.obs import (
@@ -58,7 +58,7 @@ class TestEventBus:
     def test_publish_assigns_seq_and_kind(self):
         bus = EventBus()
         first = bus.publish("window", index=0)
-        second = bus.publish("fault", fault_kind="worker_crash")
+        second = bus.publish("fault", fault_kind="volume-noise")
         assert first == {"seq": 0, "kind": "window", "index": 0}
         assert second["seq"] == 1
         assert bus.events_published == 2
@@ -307,7 +307,7 @@ class TestFaultLogListeners:
     PLAN = FaultPlan(
         seed=3,
         specs=(
-            FaultSpec(kind=WORKER_CRASH, rate=1.0),
+            FaultSpec(kind=ROUTE_CHURN, rate=1.0, intensity=0.2),
             FaultSpec(kind=COLLECTOR_FLAP, rate=1.0, intensity=1.0),
         ),
     )
@@ -315,23 +315,23 @@ class TestFaultLogListeners:
     def test_listeners_observe_records(self):
         bus = EventBus()
         injector = FaultInjector(self.PLAN, bus=bus)
-        injector.simulation_action(0, "config-0")
+        injector.extra_churn(0)
         _, dropped = injector.flap_collectors(0, {"v1": 1, "v2": 2, "v3": 3})
         seen = [(e["fault_kind"], e["count"]) for e in bus.history()]
-        assert seen == [(WORKER_CRASH, 1), (COLLECTOR_FLAP, dropped)]
+        assert seen == [(ROUTE_CHURN, 1), (COLLECTOR_FLAP, dropped)]
         assert dropped == 3
-        assert injector.log.by_kind == {WORKER_CRASH: 1, COLLECTOR_FLAP: 3}
+        assert injector.log.by_kind == {ROUTE_CHURN: 1, COLLECTOR_FLAP: 3}
         assert {e["kind"] for e in bus.history()} == {"fault"}
 
     def test_listeners_do_not_affect_equality(self):
         plain = FaultInjector(self.PLAN)
         published = FaultInjector(self.PLAN, bus=EventBus())
         for injector in (plain, published):
-            injector.simulation_action(0, "config-0")
+            injector.extra_churn(0)
         assert plain.log == published.log
         # Accounting replayed onto a log (checkpoint resume) publishes
         # nothing: only firings are events.
-        published.log.record(WORKER_CRASH)
+        published.log.record(ROUTE_CHURN)
         assert published.bus.events_published == 1
 
 
@@ -341,7 +341,7 @@ def served_obs():
     obs = Observability.for_run("serve-test")
     obs.registry.counter("served_total").inc(7)
     obs.bus.publish("window", window_index=0, duration_seconds=0.25)
-    obs.bus.publish("fault", fault_kind="worker_crash", count=1)
+    obs.bus.publish("fault", fault_kind="volume-noise", count=1)
     manifest = build_manifest("track", seed=3)
     watchdog = SloWatchdog(registry=obs.registry)
     obs.bus.attach(watchdog.observe)
@@ -648,7 +648,7 @@ class TestDashboard:
                  "num_clusters": 4 + index, "entropy": 2.0 - index * 0.3,
                  "offered_volume": 8.0, "dropped_volume": 1.0}
             )
-        dash.ingest({"kind": "fault", "fault_kind": "worker_crash", "count": 2})
+        dash.ingest({"kind": "fault", "fault_kind": "volume-noise", "count": 2})
         dash.ingest({"kind": "churn", "remeasured": True})
         dash.ingest(
             {"kind": "select", "schedule_index": 1, "phase": "locations",
@@ -656,7 +656,7 @@ class TestDashboard:
         )
         text = dash.render()
         assert "window 2" in text
-        assert "worker_crash×2" in text
+        assert "volume-noise×2" in text
         assert "1 remeasurements" in text
         assert "entropy (bits) by window" in text
         assert "clusters by window" in text

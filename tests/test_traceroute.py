@@ -5,6 +5,7 @@ import pytest
 from repro.bgp.announcement import anycast_all
 from repro.bgp.policy import PolicyModel
 from repro.bgp.simulator import RoutingSimulator
+from repro.core.engine import SimulationEngine
 from repro.errors import MeasurementError, SimulationError
 from repro.measurement.ip2as import AddressPlan, IPToASMapper
 from repro.measurement.ixp import IXPRegistry
@@ -12,13 +13,13 @@ from repro.measurement.traceroute import Traceroute, TracerouteEngine, Tracerout
 from tests.conftest import A, C, ORIGIN, build_mini_internet
 
 
-def make_engine(**params):
+def make_tracer(**params):
     mini = build_mini_internet()
     policy = PolicyModel(
         mini.graph, policy_noise=0.0, loop_prevention_disabled_fraction=0.0
     )
     simulator = RoutingSimulator(mini.graph, mini.origin, policy)
-    outcome = simulator.simulate(anycast_all(["l1", "l2"]))
+    outcome = SimulationEngine(simulator).simulate(anycast_all(["l1", "l2"]))
     plan = AddressPlan(mini.graph.ases, ORIGIN)
     engine = TracerouteEngine(
         mini.graph, plan, IXPRegistry(), TracerouteParams(**params)
@@ -37,13 +38,13 @@ CLEAN = dict(
 
 class TestCleanMeasurements:
     def test_reaches_target(self):
-        engine, outcome, plan = make_engine(**CLEAN)
+        engine, outcome, plan = make_tracer(**CLEAN)
         trace = engine.measure(outcome, A)
         assert trace.reached_target
         assert trace.hops[-1] == plan.target_address()
 
     def test_hops_follow_forwarding_path(self):
-        engine, outcome, plan = make_engine(**CLEAN, max_routers_per_as=1)
+        engine, outcome, plan = make_tracer(**CLEAN, max_routers_per_as=1)
         mapper = IPToASMapper(plan)
         trace = engine.measure(outcome, C)
         hop_ases = [mapper.map_address(hop) for hop in trace.hops]
@@ -54,13 +55,13 @@ class TestCleanMeasurements:
         assert tuple(collapsed) == outcome.forwarding_path(C)
 
     def test_deterministic_per_round(self):
-        engine, outcome, _ = make_engine(**CLEAN)
+        engine, outcome, _ = make_tracer(**CLEAN)
         first = engine.measure(outcome, A, round_index=0)
         second = engine.measure(outcome, A, round_index=0)
         assert first == second
 
     def test_no_route_returns_none(self):
-        engine, outcome, _ = make_engine(**CLEAN)
+        engine, outcome, _ = make_tracer(**CLEAN)
         # Simulate an AS with no route by probing from the origin's
         # perspective of a nonexistent path: drop A's route artificially.
         outcome.routes = {
@@ -71,7 +72,7 @@ class TestCleanMeasurements:
 
 class TestArtifacts:
     def test_unresponsive_hops_appear(self):
-        engine, outcome, _ = make_engine(
+        engine, outcome, _ = make_tracer(
             unresponsive_rate=0.5,
             border_sharing_rate=0.0,
             path_error_rate=0.0,
@@ -82,7 +83,7 @@ class TestArtifacts:
         assert any(None in trace.hops for trace in traces)
 
     def test_responsive_hops_property(self):
-        engine, outcome, _ = make_engine(
+        engine, outcome, _ = make_tracer(
             unresponsive_rate=0.5,
             border_sharing_rate=0.0,
             path_error_rate=0.0,
@@ -93,7 +94,7 @@ class TestArtifacts:
         assert None not in trace.responsive_hops
 
     def test_border_sharing_misattributes_entry_hop(self):
-        engine, outcome, plan = make_engine(
+        engine, outcome, plan = make_tracer(
             unresponsive_rate=0.0,
             border_sharing_rate=1.0,
             path_error_rate=0.0,
@@ -112,7 +113,7 @@ class TestArtifacts:
         assert set(hop_ases) < set(true_path)
 
     def test_truncation_never_reaches_target(self):
-        engine, outcome, _ = make_engine(
+        engine, outcome, _ = make_tracer(
             unresponsive_rate=0.0,
             border_sharing_rate=0.0,
             path_error_rate=0.0,
@@ -123,7 +124,7 @@ class TestArtifacts:
         assert not trace.reached_target
 
     def test_divergence_forks_onto_alternate_path(self):
-        engine, outcome, plan = make_engine(
+        engine, outcome, plan = make_tracer(
             unresponsive_rate=0.0,
             border_sharing_rate=0.0,
             path_error_rate=0.0,
@@ -148,7 +149,7 @@ class TestArtifacts:
         assert diverged
 
     def test_path_error_switches_to_neighbor_path(self):
-        engine, outcome, plan = make_engine(
+        engine, outcome, plan = make_tracer(
             unresponsive_rate=0.0,
             border_sharing_rate=0.0,
             path_error_rate=1.0,
@@ -172,7 +173,7 @@ class TestParams:
             TracerouteParams(max_routers_per_as=0)
 
     def test_router_count_stable_per_as(self):
-        engine, outcome, _ = make_engine(**CLEAN, max_routers_per_as=3)
+        engine, outcome, _ = make_tracer(**CLEAN, max_routers_per_as=3)
         assert engine._routers_in(C) == engine._routers_in(C)
         assert 1 <= engine._routers_in(C) <= 3
 
