@@ -54,7 +54,7 @@ def _run_once(testbed, serve=False, scrape=False):
                 stop.wait(SCRAPE_INTERVAL)
 
         def listener():
-            # A live SSE consumer, like `spooftrack dash --url`.
+            # A live SSE consumer, like `curl /events?replay=1`.
             with urllib.request.urlopen(server.url + "/events?replay=1") as resp:
                 while not stop.is_set():
                     if not resp.readline():

@@ -12,9 +12,6 @@ Subcommands:
   accuracy-vs-fault-rate table (``repro.faults``).
 * ``profile`` — run the pipeline under the observability layer's
   profiler and print per-phase timings plus a top-K hotspot table.
-* ``dash`` — ASCII live dashboard: render the observability event
-  stream, either attached to a served ``/events`` endpoint or from a
-  seeded local replay.
 * ``bench-check`` — compare fresh ``benchmarks/BENCH_*.json`` artifacts
   against the recorded baseline history; non-zero exit on regression.
 * ``experiments`` — regenerate the EXPERIMENTS.md body from a fresh run.
@@ -132,8 +129,8 @@ class _RunSession:
     included, writes ``--trace``/``--metrics`` (spans close in
     :meth:`~repro.obs.tracing.Tracer.span`'s ``finally``, so the trace
     holds everything that ran); a clean exit, when serving, also
-    publishes ``report``, honours ``--serve-linger`` and closes the
-    bus.  Usage checks that return early go before the ``with``.
+    honours ``--serve-linger`` and closes the bus, which ends every SSE
+    stream.  Usage checks that return early go before the ``with``.
     """
 
     def __init__(
@@ -145,7 +142,7 @@ class _RunSession:
         arm: bool = True,
         **config,
     ) -> None:
-        self.args, self.command = args, command
+        self.args = args
         flags = (args.trace, args.metrics, args.log_json)
         self.obs: Optional[Observability] = None
         if arm and (profile or args.serve is not None or any(flags)):
@@ -201,20 +198,18 @@ class _RunSession:
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         self._export()
+        if self.server is None:
+            return
+        linger = self.args.serve_linger
+        if exc_type is None and linger > 0:
+            self.log.info(
+                f"run complete; serving {self.server.url} for {linger:g}s more",
+                event="serve_linger",
+            )
+            time.sleep(linger)
+        self.server.stop()
         if exc_type is None:
-            if self.server is not None:
-                self.bus.publish("report", command=self.command)
-                linger = self.args.serve_linger
-                if linger > 0:
-                    self.log.info(
-                        f"run complete; serving {self.server.url} for {linger:g}s more",
-                        event="serve_linger",
-                    )
-                    time.sleep(linger)
-        if self.server is not None:
-            self.server.stop()
-            if exc_type is None:
-                self.bus.close()
+            self.bus.close()
 
     def _export(self) -> None:
         """Write ``--trace`` / ``--metrics`` artifacts and announce them."""
@@ -464,7 +459,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
         distribution=args.distribution,
         sources=args.sources,
         window_minutes=args.window_minutes,
-        adaptive=not args.in_order,
+        strategy=args.strategy,
     )
     log = session.log
     fresh_only = ("--trace", "--metrics", "--serve", "--fault-plan")
@@ -495,7 +490,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
                 batches_per_window=args.batches_per_window,
                 queue_capacity=args.queue_capacity,
                 drop_policy=args.drop_policy,
-                adaptive=not args.in_order,
                 strategy=args.strategy,
                 min_configs=args.min_configs,
                 stop_entropy=args.stop_entropy,
@@ -601,67 +595,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"\n{worst_violations} invariant violations — see above")
         return 1
     print("\nall invariants held at every fault level")
-    return 0
-
-
-def _iter_sse(stream):
-    """Yield event dicts from a server-sent-events byte stream."""
-    import json
-
-    data_lines: List[str] = []
-    for raw in stream:
-        line = raw.decode("utf-8").rstrip("\r\n")
-        if line.startswith("data:"):
-            data_lines.append(line[len("data:"):].lstrip())
-        elif not line and data_lines:
-            yield json.loads("\n".join(data_lines))
-            data_lines = []
-
-
-def _cmd_dash(args: argparse.Namespace) -> int:
-    from .analysis.dashboard import Dashboard
-
-    dash = Dashboard()
-    if args.url:
-        import urllib.error
-        import urllib.request
-
-        url = args.url.rstrip("/") + "/events?replay=1"
-        if args.limit:
-            url += f"&limit={args.limit}"
-        try:
-            with urllib.request.urlopen(url, timeout=args.timeout) as response:
-                for event in _iter_sse(response):
-                    dash.ingest(event)
-                    if args.every and dash.events_seen % args.every == 0:
-                        print(dash.render())
-                        print()
-        except (urllib.error.URLError, OSError) as exc:
-            print(f"cannot read {url}: {exc}", file=sys.stderr)
-            return 2
-        print(dash.render())
-        return 0
-
-    # No --url: drive a seeded local replay and render its event stream.
-    from .live import LiveTracebackService, ReplayScenario
-
-    obs = Observability.for_run("dash")
-    scenario = ReplayScenario(
-        seed=args.seed,
-        distribution=args.distribution,
-        num_sources=args.sources,
-        max_configs=args.max_configs,
-    )
-    params = replace(SCALES[args.scale], seed=args.seed)
-    spec = TestbedSpec(seed=args.seed, topology_params=params)
-    service = LiveTracebackService(scenario=scenario, spec=spec, obs=obs)
-    try:
-        service.run()
-    finally:
-        service.close()
-    for event in obs.bus.history():
-        dash.ingest(event)
-    print(dash.render())
     return 0
 
 
@@ -912,15 +845,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="which batch to drop when the queue overflows",
     )
     live.add_argument(
-        "--in-order",
-        action="store_true",
-        help="deploy configurations in schedule order (no adaptive reordering)",
-    )
-    live.add_argument(
         "--strategy",
         choices=available_strategies(),
         default="greedy",
-        help="traceback strategy the adaptive controller consults",
+        help="traceback strategy the controller consults "
+        "(schedule = deploy in schedule order)",
     )
     live.add_argument(
         "--min-configs",
@@ -1019,37 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_run_options(dataset)
     dataset.set_defaults(func=_cmd_dataset)
-
-    dash = subparsers.add_parser(
-        "dash",
-        help="ASCII live dashboard over the observability event stream",
-    )
-    dash.add_argument(
-        "--url",
-        default=None,
-        help="attach to a served exporter (e.g. http://127.0.0.1:8787); "
-        "without it a seeded local replay is rendered",
-    )
-    dash.add_argument(
-        "--limit",
-        type=int,
-        default=0,
-        help="with --url: stop after N events of any kind (0 = until close)",
-    )
-    dash.add_argument(
-        "--every",
-        type=int,
-        default=0,
-        help="with --url: re-render after every N events (0 = only at end)",
-    )
-    dash.add_argument(
-        "--timeout",
-        type=float,
-        default=10.0,
-        help="with --url: socket timeout in seconds",
-    )
-    add_attack_options(dash, "pareto", 10, max_configs=6)
-    dash.set_defaults(func=_cmd_dash)
 
     bench_check = subparsers.add_parser(
         "bench-check",

@@ -157,8 +157,6 @@ class SimulationEngine:
         warm_start: seed fixpoints from parent outcomes (see
             :func:`warm_start_parent`).
         cache_size: bound on memoized outcomes (LRU eviction).
-        bus: optional event bus; each call that requests configurations
-            publishes one ``engine_batch`` event with its stats delta.
         tracer: optional :class:`~repro.obs.tracing.Tracer`.  When armed,
             each batch with cache misses opens a deterministic
             ``engine_batch`` span with one ``simulate`` / ``warm_start``
@@ -176,7 +174,6 @@ class SimulationEngine:
         simulator: RoutingSimulator,
         warm_start: bool = True,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        bus=None,
         tracer=None,
     ) -> None:
         if cache_size < 1:
@@ -184,7 +181,6 @@ class SimulationEngine:
         self.simulator = simulator
         self.warm_start = warm_start
         self.cache_size = cache_size
-        self.bus = bus
         self.tracer = tracer
         self.stats = EngineStats()
         self._cache: "OrderedDict[ConfigKey, RoutingOutcome]" = OrderedDict()
@@ -228,7 +224,6 @@ class SimulationEngine:
         are never re-simulated; misses run in batch order.
         """
         start = time.perf_counter()
-        before = self.stats.copy() if self.bus is not None else None
         self.stats.configs_requested += len(configs)
 
         # Partition into hits and first-occurrence misses.
@@ -254,8 +249,6 @@ class SimulationEngine:
                     by_key[key] = self._simulate_miss(key, config)
 
         self.stats.wall_time += time.perf_counter() - start
-        if before is not None:
-            self._publish_batch(before)
         return [by_key[key] for key in keys]
 
     def iter_simulate(self, configs: Sequence[AnnouncementConfig]):
@@ -300,21 +293,6 @@ class SimulationEngine:
         self.stats.passes_saved += saved
         self._cache_put(key, outcome)
         return outcome
-
-    def _publish_batch(self, before: "EngineStats") -> None:
-        """Publish one ``engine_batch`` bus event for the stats delta
-        accumulated since ``before`` (counter fields are deterministic;
-        wall time rides along as a measured ``_seconds`` field)."""
-        delta = self.stats.since(before)
-        self.bus.publish(
-            "engine_batch",
-            configs_requested=delta.configs_requested,
-            configs_simulated=delta.configs_simulated,
-            cache_hits=delta.cache_hits,
-            warm_starts=delta.warm_starts,
-            passes_saved=delta.passes_saved,
-            wall_seconds=round(delta.wall_time, 6),
-        )
 
     def _simulate_resolved(
         self, config: AnnouncementConfig

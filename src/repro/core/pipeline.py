@@ -330,7 +330,6 @@ class SpoofTracker:
                 span.set("configs", len(self.schedule))
         self.engine = engine or SimulationEngine(
             testbed.simulator,
-            bus=self.obs.bus,
             tracer=self.obs.tracer,
         )
         self.injector = injector

@@ -67,8 +67,7 @@ class LiveServiceError(ReproError):
 
 class CheckpointCorruptionError(LiveServiceError):
     """Raised when a checkpoint fails its integrity check and no intact
-    fallback (rotated generation ``<path>.1..K`` or legacy ``<path>.bak``)
-    exists to roll back to."""
+    fallback (rotated generation ``<path>.1..K``) exists to roll back to."""
 
 
 class FaultInjectionError(ReproError):

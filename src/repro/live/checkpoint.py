@@ -136,19 +136,13 @@ def backup_path(path: str) -> str:
     return generation_path(path, 1)
 
 
-def _legacy_backup_path(path: str) -> str:
-    """Pre-generation rotation target (``<path>.bak``); still honoured
-    on load so checkpoints written by older releases keep resuming."""
-    return f"{path}.bak"
-
-
 def rotate_generations(path: str, keep: int = 1) -> None:
     """Rotate ``path`` into bounded generations ``path.1 .. path.keep``.
 
     The existing primary becomes ``.1``, ``.1`` becomes ``.2``, and so
     on; the generation that falls off the end — plus any stale
-    generations beyond the retention and any superseded legacy
-    ``.bak`` — is pruned.  No-op when no primary exists yet.
+    generations beyond the retention — is pruned.  No-op when no
+    primary exists yet.
     """
     if keep < 1:
         raise LiveServiceError("checkpoint retention must keep >= 1 copies")
@@ -158,9 +152,6 @@ def rotate_generations(path: str, keep: int = 1) -> None:
             if os.path.exists(older):
                 os.replace(older, generation_path(path, generation))
         os.replace(path, generation_path(path, 1))
-        legacy = _legacy_backup_path(path)
-        if os.path.exists(legacy):
-            os.remove(legacy)  # superseded by the fresher .1
     stale = keep + 1
     while os.path.exists(generation_path(path, stale)):
         os.remove(generation_path(path, stale))
@@ -209,9 +200,8 @@ def _read_payload(path: str) -> Tuple[dict, str]:
     """Load and verify one checkpoint document.
 
     Returns ``(payload, "")`` on success or ``({}, reason)`` when the
-    file is unreadable, malformed, or fails its checksum.  Legacy
-    documents (a bare payload without the checksum wrapper) are accepted
-    unverified.
+    file is unreadable, malformed, lacks its checksum wrapper, or fails
+    its checksum.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -221,7 +211,7 @@ def _read_payload(path: str) -> Tuple[dict, str]:
     if not isinstance(document, dict):
         return {}, f"checkpoint {path!r} is not a JSON object"
     if "checksum" not in document:
-        return document, ""  # legacy bare-payload checkpoint
+        return {}, f"checkpoint {path!r} carries no checksum"
     payload = document.get("payload")
     if not isinstance(payload, dict):
         return {}, f"checkpoint {path!r} has no payload"
@@ -244,9 +234,6 @@ def _candidate_paths(path: str, allow_rollback: bool) -> List[str]:
     while os.path.exists(generation_path(path, generation)):
         candidates.append(generation_path(path, generation))
         generation += 1
-    legacy = _legacy_backup_path(path)
-    if os.path.exists(legacy):
-        candidates.append(legacy)
     return candidates
 
 
@@ -258,11 +245,10 @@ def load_checkpoint(
     """Rebuild a service from a checkpoint written by :func:`save_checkpoint`.
 
     Candidates are tried newest-first: the primary, then every rotated
-    generation (``<path>.1`` …), then a legacy ``<path>.bak``.  A
-    candidate is rejected — and the next one tried — when it is damaged
-    *or* when no migration path upgrades its version; a half-upgraded
-    write pair therefore falls back to the older-but-loadable copy
-    instead of bricking resume.
+    generation (``<path>.1`` …).  A candidate is rejected — and the next
+    one tried — when it is damaged *or* when no migration path upgrades
+    its version; a half-upgraded write pair therefore falls back to the
+    older-but-loadable copy instead of bricking resume.
 
     Args:
         path: checkpoint JSON path.
@@ -278,7 +264,8 @@ def load_checkpoint(
 
     Raises:
         CheckpointCorruptionError: when every candidate document is
-            damaged (unreadable, malformed, or checksum-failed).
+            damaged (unreadable, malformed, unchecksummed, or
+            checksum-failed).
         LiveServiceError: when the only failures are version-related
             (no candidate had a migration path).
     """

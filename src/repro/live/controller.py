@@ -41,10 +41,9 @@ class ControllerPolicy:
     """Knobs of the attack-time control loop.
 
     Attributes:
-        adaptive: reorder remaining configurations by expected utility
-            (False = deploy in schedule order, the batch behaviour).
-        strategy: registry name of the traceback strategy consulted when
-            ``adaptive`` (default the paper's greedy; see
+        strategy: registry name of the traceback strategy consulted for
+            each selection (default the paper's greedy; ``"schedule"``
+            deploys in schedule order, the batch behaviour; see
             :func:`repro.strategy.available_strategies`).
         strategy_seed: seed handed to the strategy for any internal
             randomness (e.g. the ``random`` baseline's shuffle).
@@ -58,7 +57,6 @@ class ControllerPolicy:
             a churn event invalidates the stale catchment maps.
     """
 
-    adaptive: bool = True
     strategy: str = "greedy"
     strategy_seed: int = 0
     min_configs: int = 3
@@ -156,17 +154,21 @@ class AdaptiveController:
     def select_next(self, attributor: LiveAttributor) -> Optional[int]:
         """Pick, consume, and dwell-charge the next schedule index.
 
-        Returns None when the schedule is exhausted.  Adaptive mode asks
-        the strategy (fed the attributor's partition and rolling volume
-        estimates); before any volume has been attributed — or when the
-        strategy declines to propose — deployment falls back to schedule
-        order.  Built-in strategies tie-break toward the lowest schedule
-        index, so selection is deterministic.
+        Returns None when the schedule is exhausted.  The strategy is fed
+        the attributor's partition and rolling volume estimates; before
+        any volume has been attributed — or when the strategy declines
+        to propose — deployment falls back to schedule order.  A
+        schedule-order strategy never reads the estimates, so none are
+        solved for it.  Built-in strategies tie-break toward the lowest
+        schedule index, so selection is deterministic.
         """
         if not self.remaining:
             return None
         volume_by_as = None
-        if self.policy.adaptive and attributor.configs_applied > 0:
+        if (
+            attributor.configs_applied > 0
+            and not self.strategy.deploys_in_schedule_order
+        ):
             volume_by_as = attributor.volume_by_as()
             proposed = self.strategy.propose(attributor.state, volume_by_as)
             choice = proposed if proposed is not None else self.remaining[0]

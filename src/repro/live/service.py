@@ -110,12 +110,11 @@ class ReplayScenario:
         drop_policy: ``"newest"`` or ``"oldest"`` (see
             :class:`~repro.live.ingest.BoundedIngestQueue`).
         half_life_windows: decay half-life of the recent-volume window.
-        adaptive: let the controller reorder remaining configurations by
-            volume-weighted gain (False = schedule order, the batch
-            pipeline's behaviour).
         strategy: registry name of the traceback strategy the controller
-            consults in adaptive mode (default the paper's ``"greedy"``;
-            see :func:`repro.strategy.available_strategies`).  The
+            consults (default the paper's ``"greedy"``;
+            ``"schedule"`` deploys in schedule order, the batch
+            pipeline's behaviour; see
+            :func:`repro.strategy.available_strategies`).  The
             strategy's internal randomness is seeded from ``seed``.
         min_configs: never short-circuit before this many configurations.
         stop_entropy: short-circuit once attribution entropy (bits) drops
@@ -144,7 +143,6 @@ class ReplayScenario:
     queue_capacity: int = 64
     drop_policy: str = "newest"
     half_life_windows: float = 4.0
-    adaptive: bool = True
     strategy: str = "greedy"
     min_configs: int = 3
     stop_entropy: Optional[float] = None
@@ -369,7 +367,6 @@ class LiveTracebackService:
         self.schedule = schedule
         self.engine = SimulationEngine(
             self.testbed.simulator,
-            bus=self.obs.bus,
             tracer=self.obs.tracer,
         )
         # Pre-attack measurement: catchments of every scheduled
@@ -411,7 +408,6 @@ class LiveTracebackService:
         self.window = DecayingVolumeWindow(self.scenario.half_life_windows)
         self.attributor = LiveAttributor(self.universe)
         policy = ControllerPolicy(
-            adaptive=self.scenario.adaptive,
             strategy=self.scenario.strategy,
             strategy_seed=self.scenario.seed,
             min_configs=min(self.scenario.min_configs, len(self.schedule)),
@@ -1089,6 +1085,19 @@ def _scenario_from_payload(payload: Mapping) -> ReplayScenario:
     # Checkpoints written while the NNLS re-solve stride was a scenario
     # field carry it; a resumed service re-solves on every change.
     data.pop("nnls_stride", None)
+    # Checkpoints written while schedule order was an ``adaptive: false``
+    # switch store the strategy the switch bypassed; only the paper's
+    # greedy (whose convergence check is the schedule strategy's)
+    # resumes unchanged as ``"schedule"``.
+    if not data.pop("adaptive", True):
+        bypassed = data.get("strategy", "greedy")
+        if bypassed not in ("greedy", "schedule"):
+            raise LiveServiceError(
+                f"checkpoint deploys in schedule order (adaptive: false) "
+                f"with strategy {bypassed!r}; only 'greedy' resumes as "
+                f"'schedule'"
+            )
+        data["strategy"] = "schedule"
     data["churn_events"] = tuple(
         (int(window), float(drift)) for window, drift in data["churn_events"]
     )

@@ -11,8 +11,8 @@ The observability layer every other subsystem reports through:
   monotonic timing and optional :mod:`cProfile` capture.
 * :class:`RunManifest` — frozen run inputs + redacted environment,
   attached to reports.
-* :class:`EventBus` — the one event stream: window, fault, phase,
-  engine, span and log events, fanned out to live consumers.
+* :class:`EventBus` — the one event stream: window, select, churn,
+  checkpoint, fault, span and log events, fanned out to live consumers.
 * :class:`Logbook` — leveled, span-correlated structured logging
   (human or JSON-lines rendering), published to the bus.
 * :class:`SloWatchdog` — declarative SLO rules riding the bus, tripping
@@ -193,8 +193,7 @@ class Observability:
 
         Yields the open :class:`~repro.obs.tracing.Span` (None when
         tracing is unarmed) so callers can attach result attributes.
-        On close the completed phase is published to the bus as a
-        ``phase`` event (duration carried as a measured field).
+        The tracer publishes the closed span to its bus.
         """
         with self.span(name, **attrs) as span:
             if self.timer is not None:
@@ -202,13 +201,6 @@ class Observability:
                     yield span
             else:
                 yield span
-        if self.bus is not None:
-            payload = dict(attrs)
-            if span is not None:
-                payload.update(span.attrs)
-                payload["span"] = span.span_id
-                payload["duration_seconds"] = span.duration_seconds
-            self.bus.publish("phase", name=name, **payload)
 
     def capture(self):
         """Profiler capture when profiling, else a no-op context manager."""

@@ -1,11 +1,12 @@
 """In-process publish/subscribe event bus for live telemetry.
 
 The bus is the one event stream of the observability surface: the
-pipeline, the live runtime, the controller, the engine, the fault
-injector (``fault``), the tracer (``span``, one per closed span) and the
-logbook (``log``, one per record) publish small JSON-safe event dicts as
-they happen, and any number of subscribers — the SSE ``/events``
-endpoint, the SLO watchdogs, the ASCII dashboard — consume them
+pipeline, the live runtime (``window``, ``churn``, ``checkpoint``), the
+controller (``select``), the fault injector (``fault``), the tracer
+(``span``, one per closed span, which is how phases and engine batches
+are seen) and the logbook (``log``, one per record) publish small
+JSON-safe event dicts as they happen, and any number of subscribers —
+the SSE ``/events`` endpoint and the SLO watchdogs — consume them
 concurrently.
 
 Determinism follows the repo's counter rule: every *payload field* of a

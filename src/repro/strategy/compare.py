@@ -204,7 +204,6 @@ def compare_strategies(
     if engine is None:
         engine = SimulationEngine(
             testbed.simulator,
-            bus=obs.bus,
             tracer=obs.tracer,
         )
     stats_before = engine.stats.copy()

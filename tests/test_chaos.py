@@ -135,7 +135,7 @@ class TestLiveChaos:
             seed=5,
             max_configs=4,
             min_configs=1,
-            adaptive=False,
+            strategy="schedule",
             checkpoint_every=7,
             checkpoint_path=path,
         )
@@ -165,7 +165,7 @@ class TestLiveChaos:
         self, small_testbed, tmp_path
     ):
         # Gate corruption to ordinal >= 1: the second (final periodic)
-        # checkpoint is torn mid-write, the rotated .bak from ordinal 0
+        # checkpoint is torn mid-write, the rotated .1 from ordinal 0
         # stays intact, and recovery resumes from it.
         plan = FaultPlan(
             name="late-corruption",

@@ -39,7 +39,7 @@ class TestParser:
             assert "--workers" in capsys.readouterr().err
 
     MAX_CONFIGS_COMMANDS = [
-        "chaos", "compare", "dash", "dataset", "experiments", "figures",
+        "chaos", "compare", "dataset", "experiments", "figures",
         "headline", "live", "profile", "track",
     ]
 
@@ -78,7 +78,6 @@ class TestParser:
             ["track", "--distribution", "pareto", "--sources", "0"],
             ["profile", "--sources", "0"],
             ["chaos", "--sources", "0"],
-            ["dash", "--sources", "0"],
             ["live", "--sources", "0"],
             ["live", "--window-minutes", "0"],
             ["live", "--window-minutes", "nan"],
@@ -131,7 +130,7 @@ class TestParser:
         assert args.distribution == "pareto"
         assert args.max_configs == 12
         assert args.churn == []
-        assert not args.in_order
+        assert args.strategy == "greedy"
 
     def test_live_churn_parsing(self):
         args = build_parser().parse_args(
@@ -213,7 +212,7 @@ class TestParserSurface:
     #: minutes gained range-checked types (they were plain int/float).
     RETYPED = {
         "_positive_int": [
-            "chaos.sources", "dash.sources", "live.batches_per_window",
+            "chaos.sources", "live.batches_per_window",
             "live.min_configs", "live.queue_capacity", "live.sources",
             "live.table_every", "profile.sources", "track.sources",
         ],
@@ -695,30 +694,12 @@ class TestFleetCommandRemoved:
         assert "invalid choice: 'fleet'" in capsys.readouterr().err
 
 
-class TestDashCommand:
-    def test_dash_replay_renders(self, capsys):
-        code = main(
-            ["--seed", "2", "dash", "--sources", "3", "--max-configs", "3"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "spooftrack dash" in out
-        assert "window" in out
-        assert "controller:" in out
-        assert "engine:" in out
-
-    def test_dash_unreachable_url(self, capsys):
-        code = main(
-            ["dash", "--url", "http://127.0.0.1:9", "--timeout", "0.5"]
-        )
-        assert code == 2
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_dash_has_no_tenant_filter(self, capsys):
+class TestDashCommandRemoved:
+    def test_dash_is_an_invalid_choice(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["dash", "--tenant", "tenant-01"])
+            main(["dash"])
         assert exit_info.value.code == 2
-        assert "--tenant" in capsys.readouterr().err
+        assert "invalid choice: 'dash'" in capsys.readouterr().err
 
 
 class TestBenchCheckCommand:

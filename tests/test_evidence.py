@@ -202,7 +202,7 @@ class TestEvidenceOperations:
     def test_live_remeasure_keeps_universe(self, small_testbed):
         service = LiveTracebackService(
             ReplayScenario(
-                seed=5, max_configs=4, min_configs=1, adaptive=False,
+                seed=5, max_configs=4, min_configs=1, strategy="schedule",
                 churn_events=((6, 0.5),),
             ),
             testbed=small_testbed,
@@ -234,7 +234,7 @@ class TestEvidenceOperations:
     def test_checkpoint_resume_keeps_universe(self, small_testbed, tmp_path):
         path = str(tmp_path / "churn.json")
         scenario = ReplayScenario(
-            seed=5, max_configs=3, min_configs=1, adaptive=False,
+            seed=5, max_configs=3, min_configs=1, strategy="schedule",
             churn_events=((2, 0.5),), checkpoint_every=5,
             checkpoint_path=path,
         )
@@ -331,7 +331,9 @@ class TestLiveHonoursDegradedEvidence:
         monkeypatch.setattr(SimulationEngine, "iter_simulate", unsettled)
         obs = Observability(registry=MetricsRegistry(), bus=EventBus())
         service = LiveTracebackService(
-            ReplayScenario(seed=5, max_configs=6, min_configs=6, adaptive=False),
+            ReplayScenario(
+                seed=5, max_configs=6, min_configs=6, strategy="schedule"
+            ),
             testbed=small_testbed,
             obs=obs,
         )

@@ -8,6 +8,7 @@ import shutil
 import pytest
 
 from repro.errors import CheckpointCorruptionError, LiveServiceError
+from repro.faults.resilience import content_checksum
 from repro.live import (
     LiveTracebackService,
     ReplayScenario,
@@ -24,9 +25,19 @@ from repro.live.checkpoint import (
     rotate_generations,
 )
 
+from repro.live.service import _scenario_from_payload
+
 FIXTURE_V1 = os.path.join(
     os.path.dirname(__file__), "fixtures", "checkpoint_v1.json"
 )
+
+
+def _checksummed(payload: dict) -> str:
+    """``payload`` wrapped as an intact on-disk checkpoint document."""
+    return _canonical_json(
+        {"checksum": content_checksum(_canonical_json(payload)),
+         "payload": payload}
+    )
 
 
 def _small_scenario(path: str, **overrides) -> ReplayScenario:
@@ -35,7 +46,7 @@ def _small_scenario(path: str, **overrides) -> ReplayScenario:
         seed=5,
         max_configs=3,
         min_configs=1,
-        adaptive=False,
+        strategy="schedule",
         checkpoint_every=5,
         checkpoint_path=path,
     )
@@ -55,7 +66,6 @@ def checkpointed(small_testbed, tmp_path_factory):
     scenario = ReplayScenario(
         seed=5,
         max_configs=6,
-        adaptive=True,
         checkpoint_every=7,
         checkpoint_path=path,
     )
@@ -122,7 +132,7 @@ class TestRoundTrip:
             seed=5,
             max_configs=3,
             min_configs=1,
-            adaptive=False,
+            strategy="schedule",
             packets_per_window=200,
             checkpoint_every=5,
             checkpoint_path=path,
@@ -144,7 +154,7 @@ class TestRoundTrip:
             seed=5,
             max_configs=3,
             min_configs=1,
-            adaptive=False,
+            strategy="schedule",
             churn_events=((2, 0.5),),
             checkpoint_every=5,
             checkpoint_path=path,
@@ -173,7 +183,7 @@ class TestCheckpointLocation:
                 seed=seed,
                 max_configs=3,
                 min_configs=1,
-                adaptive=False,
+                strategy="schedule",
                 checkpoint_every=5,
                 checkpoint_path=path,
             )
@@ -200,7 +210,7 @@ class TestCheckpointLocation:
         with open(victim, "w") as handle:
             handle.write('{"torn":')  # torn write on the primary
         restored = load_checkpoint(victim)
-        assert restored.restored_via_rollback  # recovered from .bak
+        assert restored.restored_via_rollback  # recovered from .1
         restored.close()
         untouched = load_checkpoint(bystander)
         assert not untouched.restored_via_rollback
@@ -216,7 +226,7 @@ class TestCheckpointLocation:
                 seed=5,
                 max_configs=3,
                 min_configs=1,
-                adaptive=False,
+                strategy="schedule",
                 checkpoint_every=5,
                 checkpoint_path=path,
             )
@@ -266,6 +276,7 @@ class TestSchemaVersioning:
         shutil.copy(FIXTURE_V1, path)
         restored = load_checkpoint(path)
         assert restored.checkpoint_migrated_from == 1
+        assert restored.scenario.strategy == "schedule"  # was adaptive: false
         # The restored service saves *current*-schema documents again.
         save_checkpoint(restored, path)
         assert json.load(open(path))["payload"]["version"] == (
@@ -281,11 +292,27 @@ class TestSchemaVersioning:
         native.close()
         assert attribution_digest(resumed) == attribution_digest(full)
 
+    def test_retired_adaptive_switch_resumes_as_schedule(self):
+        """``adaptive: false`` bypassed the greedy strategy, whose
+        convergence check is the schedule strategy's; any other stored
+        strategy would now observe and converge differently."""
+        stored = json.load(open(FIXTURE_V1))["payload"]["scenario"]
+        assert "strategy" not in stored and stored["adaptive"] is False
+        for extra in ({}, {"strategy": "greedy"}):
+            scenario = _scenario_from_payload(dict(stored, **extra))
+            assert scenario.strategy == "schedule"
+        kept = _scenario_from_payload(
+            dict(stored, adaptive=True, strategy="bisect")
+        )
+        assert kept.strategy == "bisect"
+        with pytest.raises(LiveServiceError, match="bgpeek"):
+            _scenario_from_payload(dict(stored, strategy="bgpeek"))
+
     def test_version_mismatched_primary_falls_back_to_generation(
         self, small_testbed, tmp_path
     ):
-        """Satellite bugfix: a bad version routes through the same
-        fallback walk as corruption instead of raising immediately."""
+        """A bad version routes through the same fallback walk as
+        corruption instead of raising immediately."""
         path = str(tmp_path / "mixed.json")
         service = LiveTracebackService(
             scenario=_small_scenario(path), testbed=small_testbed
@@ -294,13 +321,8 @@ class TestSchemaVersioning:
         service.close()
         document = json.load(open(path))
         document["payload"]["version"] = 999  # future schema, intact bytes
-        from repro.faults.resilience import content_checksum
-
-        document["checksum"] = content_checksum(
-            _canonical_json(document["payload"])
-        )
         with open(path, "w") as handle:
-            handle.write(_canonical_json(document))
+            handle.write(_checksummed(document["payload"]))
         restored = load_checkpoint(path)
         assert restored.restored_via_rollback
         resumed = restored.run()
@@ -309,7 +331,7 @@ class TestSchemaVersioning:
 
     def test_version_only_failure_is_not_corruption(self, tmp_path):
         path = tmp_path / "future.json"
-        path.write_text(json.dumps({"version": 999}))
+        path.write_text(_checksummed({"version": 999}))
         with pytest.raises(LiveServiceError) as excinfo:
             load_checkpoint(str(path), allow_rollback=False)
         assert not isinstance(excinfo.value, CheckpointCorruptionError)
@@ -321,8 +343,7 @@ class TestSchemaVersioning:
 
 
 class TestGenerationRotation:
-    """Satellite bugfix: retention-aware rotation instead of one
-    immortal ``.bak``."""
+    """Retention-aware rotation through bounded ``.1 .. .K`` generations."""
 
     def test_keep_bounds_the_generations(self, small_testbed, tmp_path):
         path = str(tmp_path / "rotated.json")
@@ -377,36 +398,26 @@ class TestGenerationRotation:
         restored.close()
         assert resumed.run_stats == full.run_stats
 
-    def test_legacy_bak_still_loads(self, small_testbed, tmp_path):
-        path = str(tmp_path / "legacy.json")
+    def test_unchecksummed_primary_is_damaged(self, small_testbed, tmp_path):
+        """A document stripped down to its bare payload has lost its
+        integrity check: rollback walks on to ``.1``, and with no
+        generation left it is corruption, not a legacy format."""
+        path = str(tmp_path / "bare.json")
         service = LiveTracebackService(
             scenario=_small_scenario(path), testbed=small_testbed
         )
         service.run()
         service.close()
-        # Simulate a directory written by the pre-generation release:
-        # only a primary and a ``.bak``.
-        shutil.copy(path, f"{path}.bak")
-        os.remove(generation_path(path, 1))
+        bare = json.load(open(path))["payload"]
         with open(path, "w") as handle:
-            handle.write("damaged")
+            handle.write(_canonical_json(bare))
         restored = load_checkpoint(path)
         assert restored.restored_via_rollback
         restored.close()
-
-    def test_rotation_prunes_superseded_legacy_bak(
-        self, small_testbed, tmp_path
-    ):
-        path = str(tmp_path / "prune.json")
-        service = LiveTracebackService(
-            scenario=_small_scenario(path), testbed=small_testbed
-        )
-        service.run()
-        service.close()
-        shutil.copy(path, f"{path}.bak")
-        rotate_generations(path, keep=1)
-        assert not os.path.exists(f"{path}.bak")
-        assert os.path.exists(generation_path(path, 1))
+        os.remove(generation_path(path, 1))
+        with pytest.raises(CheckpointCorruptionError) as excinfo:
+            load_checkpoint(path)
+        assert "no checksum" in str(excinfo.value)
 
     def test_rotation_rejects_zero_retention(self, tmp_path):
         with pytest.raises(LiveServiceError):
@@ -424,7 +435,7 @@ class TestErrors:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 999}))
+        path.write_text(_checksummed({"version": 999}))
         with pytest.raises(LiveServiceError):
             load_checkpoint(str(path))
 

@@ -15,7 +15,7 @@ from repro.spoof.sources import make_placement
 
 
 def make_service(small_testbed, **overrides) -> LiveTracebackService:
-    defaults = dict(seed=5, max_configs=5, adaptive=False)
+    defaults = dict(seed=5, max_configs=5, strategy="schedule")
     defaults.update(overrides)
     return LiveTracebackService(
         scenario=ReplayScenario(**defaults), testbed=small_testbed
@@ -63,7 +63,7 @@ class TestReplay:
     def test_first_deployed_config_is_anycast(self, small_testbed):
         # The universe rule (§IV-d) needs the anycast baseline first,
         # even under adaptive reordering.
-        service = make_service(small_testbed, adaptive=True, max_configs=4)
+        service = make_service(small_testbed, strategy="greedy", max_configs=4)
         service.run()
         assert service.deployed[0] == 0
         service.close()
@@ -169,7 +169,7 @@ class TestController:
             max_configs=6,
             min_configs=2,
             stop_entropy=99.0,
-            adaptive=True,
+            strategy="greedy",
         )
         report = service.run()
         service.close()
@@ -177,7 +177,7 @@ class TestController:
         assert "entropy" in report.run_stats.stop_reason
 
     def test_adaptive_run_still_exhausts_schedule(self, small_testbed):
-        service = make_service(small_testbed, adaptive=True, max_configs=4)
+        service = make_service(small_testbed, strategy="greedy", max_configs=4)
         report = service.run()
         service.close()
         assert report.run_stats.configs_consumed == 4

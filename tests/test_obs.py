@@ -376,6 +376,23 @@ class TestPipelineDeterminism:
             "schedule", "simulate", "measure", "cluster", "attribute",
         }
 
+    def test_each_phase_published_once_as_a_span(self, small_testbed):
+        """A phase reaches the bus as its closed span and nothing else:
+        no ``phase`` twin, no per-batch ``engine_batch`` event, no
+        ``report`` event."""
+        _, obs = self._run(small_testbed)
+        history = obs.bus.history()
+        root_id = obs.tracer.root.span_id
+        phases = [
+            event["name"] for event in history
+            if event["kind"] == "span" and event["parent_id"] == root_id
+        ]
+        assert sorted(phases) == sorted(
+            ["schedule", "simulate", "measure", "cluster", "attribute"]
+        )
+        kinds = {event["kind"] for event in history}
+        assert not kinds & {"phase", "engine_batch", "report"}
+
     def test_metrics_reconcile_with_engine_stats(self, small_testbed):
         report, obs = self._run(small_testbed)
         totals = obs.registry.counter_totals()

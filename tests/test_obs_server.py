@@ -458,7 +458,7 @@ class TestConcurrentScrapes:
         and counter series never decrease between consecutive scrapes."""
         obs = Observability.for_run("live")
         service = LiveTracebackService(
-            scenario=ReplayScenario(seed=5, max_configs=4, adaptive=False),
+            scenario=ReplayScenario(seed=5, max_configs=4, strategy="schedule"),
             testbed=small_testbed,
             obs=obs,
         )
@@ -505,7 +505,7 @@ class TestSseDeterminism:
         scenario = ReplayScenario(
             seed=5,
             max_configs=4,
-            adaptive=False,
+            strategy="schedule",
             churn_events=((2, 0.2),),
             checkpoint_every=4,
             checkpoint_path=str(tmp_path / f"{tag}.json"),
@@ -531,7 +531,8 @@ class TestSseDeterminism:
         second = self._stripped_stream(small_testbed, tmp_path, "b")
         assert first == second
         kinds = {json.loads(line)["kind"] for line in first}
-        assert {"engine_batch", "select", "window", "churn", "checkpoint"} <= kinds
+        assert {"span", "select", "window", "churn", "checkpoint"} <= kinds
+        assert not kinds & {"phase", "engine_batch", "report"}
 
 
 class TestSseKeepAlive:
@@ -635,39 +636,3 @@ class TestBenchGate:
         result = check_benchmarks("benchmarks")
         assert result.passed, result.summary_lines()
         assert result.checked > 0
-
-
-class TestDashboard:
-    def test_render_reflects_events(self):
-        from repro.analysis.dashboard import Dashboard
-
-        dash = Dashboard()
-        for index in range(3):
-            dash.ingest(
-                {"kind": "window", "window_index": index,
-                 "num_clusters": 4 + index, "entropy": 2.0 - index * 0.3,
-                 "offered_volume": 8.0, "dropped_volume": 1.0}
-            )
-        dash.ingest({"kind": "fault", "fault_kind": "volume-noise", "count": 2})
-        dash.ingest({"kind": "churn", "remeasured": True})
-        dash.ingest(
-            {"kind": "select", "schedule_index": 1, "phase": "locations",
-             "configs_consumed": 2}
-        )
-        text = dash.render()
-        assert "window 2" in text
-        assert "volume-noise×2" in text
-        assert "1 remeasurements" in text
-        assert "entropy (bits) by window" in text
-        assert "clusters by window" in text
-
-    def test_extra_event_fields_are_ignored(self):
-        from repro.analysis.dashboard import Dashboard
-
-        dash = Dashboard()
-        dash.ingest(
-            {"kind": "window", "window_index": 0, "tenant": "tenant-01",
-             "num_clusters": 4, "entropy": 2.0}
-        )
-        assert dash.events_seen == 1
-        assert "window 0" in dash.render()

@@ -488,7 +488,6 @@ class TestLivePath:
             seed=5,
             max_configs=8,
             min_configs=1,
-            adaptive=True,
             churn_events=((6, 0.5),),
         )
         service, report = run_service(scenario, small_testbed)
@@ -505,7 +504,7 @@ class TestLivePath:
         self, small_testbed, monkeypatch, tmp_path
     ):
         path = str(tmp_path / "live.json")
-        scenario = ReplayScenario(seed=5, max_configs=8, adaptive=True)
+        scenario = ReplayScenario(seed=5, max_configs=8)
         service = LiveTracebackService(scenario=scenario, testbed=small_testbed)
         while len(service.deployed) < 3:
             assert service.step()
@@ -542,7 +541,7 @@ class TestLivePath:
             num_probes=40,
         )
         service = LiveTracebackService(
-            scenario=ReplayScenario(seed=3, max_configs=12, adaptive=True),
+            scenario=ReplayScenario(seed=3, max_configs=12),
             testbed=testbed,
         )
         report = service.run()
