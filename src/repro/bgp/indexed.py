@@ -22,8 +22,9 @@ state:
   relationship class, LocalPref, path tuple) instead of
   :class:`~repro.bgp.route.Route` objects.  The outcome keeps the final
   arrays as a :class:`RouteTable`, a read-only mapping that builds a
-  ``Route`` only when one is looked up; catchments are read straight
-  off the arrays.
+  ``Route`` only when one is looked up, and its catchments as
+  :class:`RouteCatchments`, which builds the sets off ``r_link`` only
+  when one is read.
 * Only *dirty* ASes are re-evaluated: when an AS's route changes, a
   neighbor is scheduled only if the AS exports its old route or its
   new one to that neighbor (the valley-free mask of the route's learned
@@ -71,7 +72,7 @@ from ..errors import ConvergenceError
 from ..topology.graph import ASGraph
 from ..topology.peering import OriginNetwork
 from ..topology.relationships import Relationship
-from ..types import ASN, ASPath, LinkId
+from ..types import ASN, ASPath, LazyCatchments, LinkId
 from .announcement import AnnouncementConfig
 from .policy import PolicyModel
 from .route import Route, stable_tiebreak
@@ -117,6 +118,7 @@ class CompiledTopology:
         "link_ids",
         "link_index",
         "link_provider_idx",
+        "providers",
         "num_edges",
     )
 
@@ -225,6 +227,7 @@ class CompiledTopology:
         self.link_provider_idx = [
             index[origin.provider_of(link)] for link in link_ids
         ]
+        self.providers = sorted(set(self.link_provider_idx))
         self.num_edges = len(adj)
         return self
 
@@ -260,33 +263,29 @@ class CompiledTopology:
           a seed kept through it now has its transit part cut at another
           length, which only a loop check by one of those ASes can see.
         """
-        n = self.n
         off = self.off
         adj = self.adj
         index = self.index
-        mark = bytearray(n)
-        for i in dropped:
-            mark[i] = 1
-        parent_direct = parent.direct_link
+        marked = set(dropped)
         parent_opath = parent.opath
-        for i in set(self.link_provider_idx):
+        for i, parent_k in zip(self.providers, parent.direct):
             k = direct_link[i]
-            if k != parent_direct[i] or (k >= 0 and opath[k] != parent_opath[k]):
-                mark[i] = 1
+            if k != parent_k or (k >= 0 and opath[k] != parent_opath[k]):
+                marked.add(i)
         for k, old in enumerate(parent_opath):
             if old is not None and opath[k] is not None and old != opath[k]:
                 for asn in old:
                     i = index.get(asn)
                     if i is not None:
-                        mark[i] = 1
+                        marked.add(i)
         parent_noexp = parent.noexp or {}
         child_noexp = noexp or {}
         for k in parent_noexp.keys() | child_noexp.keys():
             if parent_noexp.get(k) != child_noexp.get(k):
                 i = self.link_provider_idx[k]
-                for e in range(off[i], off[i + 1]):
-                    mark[adj[e]] = 1
-        return [p for p, i in enumerate(self.order) if mark[i]]
+                marked.update(adj[off[i]:off[i + 1]])
+        pos = self.pos
+        return sorted(pos[i] for i in marked if pos[i] >= 0)
 
     # ------------------------------------------------------------------
 
@@ -591,31 +590,17 @@ class CompiledTopology:
                 f"no fixpoint after {max_passes} passes for {config.describe()}"
             )
 
-        # Sorted so the catchment dict's order (and every downstream
-        # float sum over it) is independent of the string hash seed.
-        catchments: Dict[LinkId, set] = {
-            link: set() for link in sorted(config.announced)
-        }
-        sets_by_idx: List[Optional[set]] = [None] * num_links
-        for link in config.announced:
-            sets_by_idx[link_index[link]] = catchments[link]
-        routed = 0
-        for i in order:
-            k = r_link[i]
-            if k >= 0:
-                sets_by_idx[k].add(asns[i])
-                routed += 1
         routes = RouteTable(
-            self, r_link, r_from, r_rel, r_lp, r_path, routed,
-            converged, direct_link, opath, noexp,
+            self, r_link, r_from, r_rel, r_lp, r_path,
+            n - r_link.count(-1), converged,
+            [direct_link[i] for i in self.providers], opath, noexp,
         )
         return RoutingOutcome(
             config=config,
             routes=routes,
-            catchments={
-                link: frozenset(members)
-                for link, members in catchments.items()
-            },
+            # Sorted so the catchment dict's order (and every downstream
+            # float sum over it) is independent of the string hash seed.
+            catchments=RouteCatchments(routes, sorted(config.announced)),
             passes=passes,
             decision_changes=decision_changes,
             converged=converged,
@@ -631,16 +616,17 @@ class RouteTable(abc.Mapping):
     :meth:`CompiledTopology.propagate` returns its route state as this
     table instead of a dict of :class:`Route` objects: a ``Route`` is
     built on first lookup and memoized per AS, so an outcome nobody
-    reads route by route (catchments are built eagerly) never builds
-    one.  Iteration follows the simulator's visit order, as the dict it
-    replaces did.  Membership and length read the arrays.
+    reads route by route never builds one.  Iteration follows the
+    simulator's visit order, as the dict it replaces did.  Membership,
+    length and :meth:`link_of` read the arrays.
 
     The table is also the warm-start seed of the configurations derived
     from it: besides the route arrays it keeps what the next fixpoint
-    needs to tell which ASes' inputs changed (``converged``, the
-    per-AS direct announcement link, the per-link announced paths and
-    the no-export entries).  Outcomes are shared through the engine's
-    cache, so the table does not support assignment.
+    needs to tell which ASes' inputs changed (``converged``, ``direct``:
+    the direct announcement link of each link provider, in
+    :attr:`CompiledTopology.providers` order, the per-link announced
+    paths and the no-export entries).  Outcomes are shared through the
+    engine's cache, so the table does not support assignment.
     """
 
     __slots__ = (
@@ -651,7 +637,7 @@ class RouteTable(abc.Mapping):
         "r_lp",
         "r_path",
         "converged",
-        "direct_link",
+        "direct",
         "opath",
         "noexp",
         "_len",
@@ -668,7 +654,7 @@ class RouteTable(abc.Mapping):
         r_path: List[Optional[ASPath]],
         routed: int,
         converged: bool,
-        direct_link: List[int],
+        direct: List[int],
         opath: List[Optional[ASPath]],
         noexp: Optional[Dict[int, Tuple[int, FrozenSet[ASN]]]],
     ) -> None:
@@ -679,7 +665,7 @@ class RouteTable(abc.Mapping):
         self.r_lp = r_lp
         self.r_path = r_path
         self.converged = converged
-        self.direct_link = direct_link
+        self.direct = direct
         self.opath = opath
         self.noexp = noexp
         self._len = routed
@@ -705,6 +691,14 @@ class RouteTable(abc.Mapping):
         self._memo[asn] = route
         return route
 
+    def link_of(self, asn: ASN) -> Optional[LinkId]:
+        """The link ``asn`` routes to, or None when it has no route."""
+        i = self.core.index.get(asn)
+        if i is None:
+            return None
+        k = self.r_link[i]
+        return self.core.link_ids[k] if k >= 0 else None
+
     def __getitem__(self, asn: ASN) -> Route:
         route = self.get(asn)
         if route is None:
@@ -725,3 +719,34 @@ class RouteTable(abc.Mapping):
 
     def __repr__(self) -> str:
         return f"<RouteTable: {self._len} routes>"
+
+
+class RouteCatchments(LazyCatchments):
+    """A simulated outcome's catchments, read off its route table.
+
+    Keyed by the announced links in sorted order.  The sets are built
+    from ``r_link`` the first time one is read: each routed AS is added
+    to its link's set in visit order, and the sets are then frozen, so
+    every set iterates as the eager build's did.  :attr:`routes` answers
+    which link one AS uses without building any set.
+    """
+
+    __slots__ = ("routes",)
+
+    def __init__(self, routes: RouteTable, links: Sequence[LinkId]) -> None:
+        super().__init__(links, routes)
+        self.routes = routes
+
+    def _build(self, routes: RouteTable):
+        core = routes.core
+        sets = {link: set() for link in self}
+        by_index: List[Optional[set]] = [None] * len(core.link_ids)
+        for link, members in sets.items():
+            by_index[core.link_index[link]] = members
+        asns = core.asns
+        r_link = routes.r_link
+        for i in core.order:
+            k = r_link[i]
+            if k >= 0:
+                by_index[k].add(asns[i])
+        return ((link, frozenset(members)) for link, members in sets.items())

@@ -51,7 +51,10 @@ class RoutingOutcome:
         routes: best route per AS (ASes with no route are absent), as a
             read-only mapping; simulated outcomes hold a
             :class:`~repro.bgp.indexed.RouteTable`.
-        catchments: per announced link, the set of ASes routed toward it.
+        catchments: per announced link, the set of ASes routed toward it;
+            simulated outcomes hold a
+            :class:`~repro.bgp.indexed.RouteCatchments`, which builds the
+            sets off the route table the first time one is read.
         passes: Gauss-Seidel passes executed.
         decision_changes: total number of best-route changes observed.
         converged: whether a full pass with no changes was reached.

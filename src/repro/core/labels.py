@@ -22,7 +22,7 @@ from typing import (
 
 import numpy as np
 
-from ..types import ASN, Catchment, LinkId
+from ..types import ASN, Catchment, LazyCatchments, LinkId
 
 
 class Columns:
@@ -136,13 +136,13 @@ def label_row(
     return LabelRow(columns, links, labels, np.array(winner))
 
 
-class LabelledCatchments(dict):
+class LabelledCatchments(LazyCatchments):
     """A catchment map restricted to a universe that carries its row.
 
     A plain ``{link: frozenset}`` dict to every reader, with one
     companion, :attr:`row`, its label row.  Built over ``source``, an
     unrestricted map such as a routing outcome's catchments, it holds
-    nothing until first read: then each catchment is restricted to the
+    no set until first read: then each catchment is restricted to the
     row's universe, so a map only the row path reads never builds a
     set.  Treat it as read-only.
 
@@ -153,7 +153,7 @@ class LabelledCatchments(dict):
         restricted: ``source`` is already restricted; copy it now.
     """
 
-    __slots__ = ("row", "_source")
+    __slots__ = ("row",)
 
     def __init__(
         self,
@@ -161,9 +161,10 @@ class LabelledCatchments(dict):
         source: Mapping[LinkId, Catchment],
         restricted: bool = False,
     ) -> None:
-        super().__init__(source if restricted else ())
+        super().__init__(source, None if restricted else source)
+        if restricted:
+            dict.update(self, source.items())
         self.row = row
-        self._source = None if restricted else source
 
     @classmethod
     def of(
@@ -172,60 +173,6 @@ class LabelledCatchments(dict):
         """A ``catchments`` map of universe members, labelled."""
         return cls(label_row(catchments, columns), catchments, restricted=True)
 
-    def _fill(self) -> "LabelledCatchments":
-        source = self._source
-        if source is not None:
-            members = self.row.columns.members
-            dict.update(
-                self,
-                ((link, frozenset(source[link] & members)) for link in source),
-            )
-            self._source = None
-        return self
-
-    # Readers that need the sets fill the dict first; iteration, length
-    # and membership read the keys without building a set.
-    def __iter__(self) -> Iterator[LinkId]:
-        if self._source is not None:
-            return iter(self._source)
-        return dict.__iter__(self)
-
-    def __len__(self) -> int:
-        if self._source is not None:
-            return len(self._source)
-        return dict.__len__(self)
-
-    def __contains__(self, link: object) -> bool:
-        if self._source is not None:
-            return link in self._source
-        return dict.__contains__(self, link)
-
-    def __getitem__(self, link: LinkId) -> Catchment:
-        return dict.__getitem__(self._fill(), link)
-
-    def get(self, link, default=None):
-        return dict.get(self._fill(), link, default)
-
-    def keys(self):
-        return dict.keys(self._fill())
-
-    def values(self):
-        return dict.values(self._fill())
-
-    def items(self):
-        return dict.items(self._fill())
-
-    def copy(self) -> Dict[LinkId, Catchment]:
-        return dict(self.items())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LabelledCatchments):
-            other._fill()
-        return dict.__eq__(self._fill(), other)
-
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __repr__(self) -> str:
-        return dict.__repr__(self._fill())
+    def _build(self, source: Mapping[LinkId, Catchment]):
+        members = self.row.columns.members
+        return ((link, frozenset(source[link] & members)) for link in source)

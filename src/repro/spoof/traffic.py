@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
+from ..bgp.indexed import RouteCatchments
 from ..bgp.simulator import RoutingOutcome
 from ..types import ASN, Catchment, LinkId
 from .sources import SourcePlacement
@@ -68,6 +69,29 @@ class LinkVolumeMap(Dict[LinkId, float]):
         return self.attributed + self.unattributed
 
 
+def _ingress_links(
+    catchments: Mapping[LinkId, Catchment], asns: Iterable[ASN]
+) -> Dict[ASN, LinkId]:
+    """The link each of ``asns`` routes to; ASes with no route are left out.
+
+    A simulated outcome's catchments answer from its route table without
+    building a set; other maps are searched in reverse order, so a later
+    catchment wins an overlap.
+    """
+    if isinstance(catchments, RouteCatchments):
+        link_of = catchments.routes.link_of
+        found = ((asn, link_of(asn)) for asn in asns)
+        return {asn: link for asn, link in found if link is not None}
+    backwards = list(catchments.items())[::-1]
+    ingress: Dict[ASN, LinkId] = {}
+    for asn in asns:
+        for link, members in backwards:
+            if asn in members:
+                ingress[asn] = link
+                break
+    return ingress
+
+
 def link_volumes(
     placement: SourcePlacement,
     catchments: Mapping[LinkId, Catchment],
@@ -81,17 +105,15 @@ def link_volumes(
     accounted in the returned map's ``unattributed`` companion value so
     volume conservation holds — the caller decides how to treat it.
     """
-    # Only the sources are looked up, against the catchments in reverse
-    # order, so a later catchment wins an overlap.
-    backwards = list(catchments.items())[::-1]
+    by_as = placement.volume_by_as(total_volume)
+    ingress = _ingress_links(catchments, by_as)
     volumes = LinkVolumeMap({link: 0.0 for link in catchments})
-    for asn, volume in placement.volume_by_as(total_volume).items():
-        for link, members in backwards:
-            if asn in members:
-                volumes[link] += volume
-                break
-        else:
+    for asn, volume in by_as.items():
+        link = ingress.get(asn)
+        if link is None:
             volumes.unattributed += volume
+        else:
+            volumes[link] += volume
     return volumes
 
 
@@ -130,14 +152,11 @@ class SpoofedTrafficGenerator:
         self.placement = placement
         self.rng = rng or random.Random()
         self.packet_size_bytes = packet_size_bytes
-        self._catchment_of: Dict[ASN, LinkId] = {}
-        for link, members in catchments.items():
-            for asn in members:
-                self._catchment_of[asn] = link
-        # Sources with no route never deliver packets.
-        self._active: List[ASN] = sorted(
-            asn for asn in placement.spoofing_ases if asn in self._catchment_of
+        self._catchment_of = _ingress_links(
+            catchments, placement.spoofing_ases
         )
+        # Sources with no route never deliver packets.
+        self._active: List[ASN] = sorted(self._catchment_of)
         self._weights = [placement.sources_by_as[asn] for asn in self._active]
 
     @property

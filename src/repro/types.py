@@ -8,7 +8,9 @@ are identified by short strings (``LinkId``), e.g. ``"amsterdam01"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Mapping, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple,
+)
 
 #: Autonomous system number.  Plain int; 32-bit ASNs are supported.
 ASN = int
@@ -27,6 +29,80 @@ Catchment = FrozenSet[ASN]
 
 #: Catchments of one configuration, keyed by peering link.
 CatchmentMap = Mapping[LinkId, Catchment]
+
+
+class LazyCatchments(dict):
+    """A ``{link: Catchment}`` dict whose catchments are built on first read.
+
+    The links are its keys from the start, so iteration, ``len``, ``in``
+    and ``keys()`` build nothing.  The first read of a catchment (an
+    item, ``get``, ``values``, ``items``, ``==``, ``repr``, ``copy``,
+    ``pickle``) builds them all, in key order, through :meth:`_build`;
+    from then on it is a plain dict.  Treat it as read-only.
+
+    Args:
+        links: the keys, in order.
+        pending: what :meth:`_build` builds the catchments from.
+    """
+
+    __slots__ = ("_pending",)
+
+    def __init__(self, links: Iterable[LinkId], pending: object) -> None:
+        super().__init__(dict.fromkeys(links))
+        self._pending = pending
+
+    def _build(self, pending) -> Iterable[Tuple[LinkId, Catchment]]:
+        """``(link, catchment)`` for every key, from ``pending``."""
+        raise NotImplementedError
+
+    @property
+    def built(self) -> bool:
+        """Whether the catchments have been built."""
+        return self._pending is None
+
+    def _fill(self) -> "LazyCatchments":
+        pending = self._pending
+        if pending is not None:
+            dict.update(self, self._build(pending))
+            self._pending = None
+        return self
+
+    # Defining ``__iter__`` also keeps ``dict(m)``, ``{**m}`` and
+    # ``update(m)`` off the unbuilt storage: they read keys and items.
+    def __iter__(self) -> Iterator[LinkId]:
+        return dict.__iter__(self)
+
+    def __getitem__(self, link: LinkId) -> Catchment:
+        return dict.__getitem__(self._fill(), link)
+
+    def get(self, link, default=None):
+        return dict.get(self._fill(), link, default)
+
+    def values(self):
+        return dict.values(self._fill())
+
+    def items(self):
+        return dict.items(self._fill())
+
+    def copy(self) -> Dict[LinkId, Catchment]:
+        return dict(self.items())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LazyCatchments):
+            other._fill()
+        return dict.__eq__(self._fill(), other)
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self) -> str:
+        return dict.__repr__(self._fill())
+
+    def __reduce_ex__(self, protocol):
+        self._fill()
+        return super().__reduce_ex__(protocol)
+
 
 MIN_ASN = 1
 MAX_ASN = 2**32 - 1

@@ -304,7 +304,9 @@ class TestLabels:
         configs, outcomes = schedule_outcomes
         maps = Evidence.build(configs[:1], outcomes[:1]).maps[0]
         assert isinstance(maps, dict)
-        assert dict.__len__(maps) == 0  # nothing restricted yet
+        # Nothing restricted yet: the links are stored, no set is.
+        assert not maps.built
+        assert all(members is None for members in dict.values(maps))
         assert len(maps) == len(outcomes[0].catchments)
         assert list(maps) == list(outcomes[0].catchments)
         plain = dict(maps)
