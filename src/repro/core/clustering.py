@@ -185,44 +185,6 @@ class ClusterState:
         clone._count = self._count
         return clone
 
-    # ------------------------------------------------------------------
-    # Serialization (checkpointing)
-    # ------------------------------------------------------------------
-
-    def as_serializable(self) -> List[List[ASN]]:
-        """The partition as plain nested lists (JSON-safe, canonical order).
-
-        Internal cluster ids are not part of the partition's identity, so
-        a round trip through :meth:`from_serializable` preserves exactly
-        the observable state (:meth:`clusters` and everything derived).
-        """
-        return [sorted(cluster) for cluster in self.clusters()]
-
-    @classmethod
-    def from_serializable(cls, clusters: Iterable[Iterable[ASN]]) -> "ClusterState":
-        """Rebuild a partition dumped by :meth:`as_serializable`.
-
-        Raises:
-            ClusteringError: if the clusters overlap or are empty.
-        """
-        cluster_of = {}
-        for cluster_id, members in enumerate(clusters):
-            cluster = set(members)
-            if not cluster:
-                raise ClusteringError("serialized cluster must be non-empty")
-            for asn in cluster:
-                if asn in cluster_of:
-                    raise ClusteringError(
-                        f"AS {asn} appears in more than one serialized cluster"
-                    )
-                cluster_of[asn] = cluster_id
-        if not cluster_of:
-            raise ClusteringError("cluster universe must be non-empty")
-        state = cls(cluster_of)
-        state.ids = np.array([cluster_of[asn] for asn in state.columns.asns])
-        state._count = cluster_id + 1
-        return state
-
 
 def clusters_from_catchment_history(
     universe: Iterable[ASN],

@@ -66,8 +66,8 @@ class LiveServiceError(ReproError):
 
 
 class CheckpointCorruptionError(LiveServiceError):
-    """Raised when a checkpoint fails its integrity check and no intact
-    fallback (rotated generation ``<path>.1..K``) exists to roll back to."""
+    """Raised when a checkpoint fails its integrity check and its backup
+    ``<path>.1`` is missing or damaged too."""
 
 
 class FaultInjectionError(ReproError):

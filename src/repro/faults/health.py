@@ -120,7 +120,7 @@ class ResilienceReport:
         degraded_configs: configurations whose catchments were partial
             (clustering skipped their degraded links).
         checkpoint_corruptions: checkpoint writes mangled by the plan.
-        checkpoint_rollbacks: restores that fell back to a rotated copy.
+        checkpoint_rollbacks: restores that fell back to the ``.1`` backup.
         invariant_checks: runtime invariant checks evaluated.
         violations: human-readable failed checks (empty = healthy).
     """

@@ -5,7 +5,8 @@ whole announcement schedule, then clusters, then attributes — fine for
 evaluation, useless *during* an attack.  This package turns the paper's
 §V-C operational discussion into a long-running subsystem:
 
-* :mod:`~repro.live.events` — typed events on a monotonic simulated clock,
+* :mod:`~repro.live.events` — a monotonic simulated clock and the
+  traffic batches stamped with it,
 * :mod:`~repro.live.ingest` — bounded-queue ingestion with decaying
   per-link volume windows and explicit backpressure/drop accounting,
 * :mod:`~repro.live.attributor` — incremental clustering + NNLS re-scoring
@@ -13,8 +14,8 @@ evaluation, useless *during* an attack.  This package turns the paper's
 * :mod:`~repro.live.controller` — adaptive configuration selection that
   honors :class:`~repro.core.timeline.CampaignTimeline` dwell costs and
   reacts to route churn,
-* :mod:`~repro.live.checkpoint` — full-state serialize/restore so a killed
-  run resumes mid-attack,
+* :mod:`~repro.live.checkpoint` — observed-state serialize/restore so a
+  killed run resumes mid-attack,
 * :mod:`~repro.live.service` — the runtime tying them together, plus a
   replay driver feeding generated spoofed traffic through the loop.
 """
@@ -22,14 +23,7 @@ evaluation, useless *during* an attack.  This package turns the paper's
 from .attributor import LiveAttributor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .controller import AdaptiveController, ControllerPolicy
-from .events import (
-    CheckpointRequest,
-    ConfigApplied,
-    Event,
-    PacketBatch,
-    RouteChurn,
-    SimClock,
-)
+from .events import PacketBatch, SimClock
 from .ingest import BoundedIngestQueue, DecayingVolumeWindow, IngestStats
 from .service import (
     LiveReport,
@@ -42,11 +36,7 @@ from .service import (
 
 __all__ = [
     "SimClock",
-    "Event",
     "PacketBatch",
-    "ConfigApplied",
-    "RouteChurn",
-    "CheckpointRequest",
     "BoundedIngestQueue",
     "DecayingVolumeWindow",
     "IngestStats",

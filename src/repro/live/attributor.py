@@ -2,9 +2,9 @@
 
 The batch pipeline refines clusters only after the whole schedule ran and
 solves the volume system once.  :class:`LiveAttributor` maintains the same
-state *online*: each :class:`~repro.live.events.ConfigApplied` event
-refines the partition immediately, each accepted observation window
-accumulates per-link volume against the configuration that was active,
+state *online*: each applied configuration refines the partition
+immediately, each accepted observation window accumulates per-link
+volume against the configuration that was active,
 and :meth:`attribution` re-solves the NNLS system on demand over whatever
 has been observed so far.  Because refinement only ever splits clusters,
 the rolling partition tightens monotonically; because per-configuration
@@ -44,8 +44,11 @@ class ConfigObservations:
         windows: accepted observation windows.
         degraded: links whose catchments are partial; refinement skips
             them, and a configuration with any is left out of the
-            solves.  Not checkpointed: the service re-derives it from
-            its evidence.
+            solves.
+
+    Only ``label``, ``volumes``, ``offered_volume`` and ``windows`` are
+    checkpointed; the service re-derives ``catchments`` and ``degraded``
+    from its evidence.
     """
 
     label: str
@@ -256,17 +259,15 @@ class LiveAttributor:
         self._dirty = True
 
     def as_serializable(self) -> Dict:
-        """JSON-safe dump of the attributor's full state."""
+        """JSON-safe dump of the observed volume evidence.
+
+        Catchment maps and the partition are derived state: they are not
+        stored, and :meth:`from_serializable` rebuilds them.
+        """
         return {
-            "universe": sorted(self.universe),
-            "clusters": self.state.as_serializable(),
             "observations": [
                 {
                     "label": obs.label,
-                    "catchments": {
-                        link: sorted(members)
-                        for link, members in sorted(obs.catchments.items())
-                    },
                     "volumes": {
                         link: volume
                         for link, volume in sorted(obs.volumes.items())
@@ -279,21 +280,29 @@ class LiveAttributor:
         }
 
     @classmethod
-    def from_serializable(cls, payload: Mapping) -> "LiveAttributor":
-        """Rebuild an attributor dumped by :meth:`as_serializable`."""
-        attributor = cls(payload["universe"])
-        attributor.state = ClusterState.from_serializable(payload["clusters"])
-        for entry in payload["observations"]:
-            attributor.observations.append(
-                ConfigObservations(
-                    label=entry["label"],
-                    catchments={
-                        link: frozenset(members)
-                        for link, members in entry["catchments"].items()
-                    },
-                    volumes=dict(entry["volumes"]),
-                    offered_volume=entry["offered_volume"],
-                    windows=entry["windows"],
-                )
+    def from_serializable(
+        cls,
+        payload: Mapping,
+        universe: Iterable[ASN],
+        histories: List[Mapping[LinkId, Catchment]],
+        degraded: Sequence[FrozenSet[LinkId]],
+    ) -> "LiveAttributor":
+        """Rebuild an attributor dumped by :meth:`as_serializable`.
+
+        ``histories`` and ``degraded`` are the current maps of the
+        applied configurations, as :meth:`rebuild_catchments` takes
+        them; the partition is refined from them afresh.
+        """
+        attributor = cls(universe)
+        attributor.observations = [
+            ConfigObservations(
+                label=entry["label"],
+                catchments={},
+                volumes=dict(entry["volumes"]),
+                offered_volume=entry["offered_volume"],
+                windows=entry["windows"],
             )
+            for entry in payload["observations"]
+        ]
+        attributor.rebuild_catchments(histories, degraded)
         return attributor

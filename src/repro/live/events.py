@@ -1,10 +1,10 @@
-"""Typed events and the simulated clock of the live runtime.
+"""The simulated clock of the live runtime and its traffic batches.
 
-Everything the online service reacts to is an :class:`Event` stamped with
-simulated minutes from a :class:`SimClock`.  The clock is monotonic and
-advanced explicitly by the service loop (never read from the wall clock),
-so replays are deterministic: the same scenario produces the same event
-sequence, timestamps included, on any machine.
+The online service ingests :class:`PacketBatch` es stamped with simulated
+minutes from a :class:`SimClock`.  The clock is monotonic and advanced
+explicitly by the service loop (never read from the wall clock), so
+replays are deterministic: the same scenario produces the same batches,
+timestamps included, on any machine.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..bgp.announcement import AnnouncementConfig
 from ..errors import LiveServiceError
-from ..types import Catchment, LinkId
+from ..types import LinkId
 
 
 class SimClock:
@@ -48,17 +47,11 @@ class SimClock:
 
 
 @dataclass(frozen=True)
-class Event:
-    """Base event: something that happened at a simulated instant."""
-
-    timestamp: float
-
-
-@dataclass(frozen=True)
-class PacketBatch(Event):
+class PacketBatch:
     """One batch of spoofed traffic observed at the origin's links.
 
     Attributes:
+        timestamp: simulated minute the batch was offered at.
         volumes: per-link spoofed volume delivered during the batch.
         unattributed: volume originated by sources with no route under
             the active configuration (ground-truth accounting; zero in
@@ -68,6 +61,7 @@ class PacketBatch(Event):
             volume-level batches).
     """
 
+    timestamp: float
     volumes: Mapping[LinkId, float] = field(default_factory=dict)
     unattributed: float = 0.0
     packets: int = 0
@@ -81,51 +75,3 @@ class PacketBatch(Event):
     def offered_volume(self) -> float:
         """Volume the sources originated (attributed + unattributed)."""
         return self.attributed_volume + self.unattributed
-
-
-@dataclass(frozen=True)
-class ConfigApplied(Event):
-    """A configuration's catchments became available to the attributor.
-
-    Attributes:
-        config: the deployed announcement configuration.
-        catchments: its per-link catchments (full, unrestricted).
-        schedule_index: position in the service's schedule.
-    """
-
-    config: AnnouncementConfig = None  # type: ignore[assignment]
-    catchments: Mapping[LinkId, Catchment] = field(default_factory=dict)
-    schedule_index: int = -1
-
-    def __post_init__(self) -> None:
-        if self.config is None:
-            raise LiveServiceError("ConfigApplied requires a configuration")
-
-
-@dataclass(frozen=True)
-class RouteChurn(Event):
-    """Detected route drift: the Internet moved under the stale maps.
-
-    Attributes:
-        drift: fraction of ASes whose tie-break state re-resolved (the
-            :func:`~repro.core.staleness.churned_policy` parameter).
-        churn_seed: distinguishes independent drift samples.
-    """
-
-    drift: float = 0.0
-    churn_seed: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.drift <= 1.0:
-            raise LiveServiceError("drift must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class CheckpointRequest(Event):
-    """Ask the service to persist its full state to ``path``."""
-
-    path: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.path:
-            raise LiveServiceError("checkpoint request needs a target path")

@@ -72,21 +72,14 @@ from ..spoof.traffic import (
 from ..topology.generator import TopologyParams
 from ..types import ASN, Catchment, LinkId
 from .attributor import LiveAttributor
-from .checkpoint import save_checkpoint
+from .checkpoint import CHECKPOINT_VERSION, save_checkpoint
 from .controller import AdaptiveController, ControllerPolicy
-from .events import (
-    CheckpointRequest,
-    ConfigApplied,
-    Event,
-    PacketBatch,
-    RouteChurn,
-    SimClock,
-)
+from .events import PacketBatch, SimClock
 from .ingest import BoundedIngestQueue, DecayingVolumeWindow, IngestStats
 
-#: Checkpoint payload version written by :meth:`as_serializable` (older
-#: documents upgrade through :mod:`repro.live.checkpoint`'s migrations).
-STATE_VERSION = 2
+#: Churn ordinals of injected storms start here, past any scheduled
+#: event's: a storm at window ``w`` has ordinal ``_STORM_ORDINALS + w``.
+_STORM_ORDINALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -424,7 +417,6 @@ class LiveTracebackService:
             bus=self.obs.bus,
         )
 
-        self.event_log: List[Event] = []
         self.window_stats: List[WindowStats] = []
         self.steps: List[StepStats] = []
         self.deployed: List[int] = []
@@ -435,20 +427,11 @@ class LiveTracebackService:
         self._active_index: Optional[int] = None
         self._windows_left = 0
         self._churn_cursor = 0
-        self._last_churn: Optional[Dict] = None
-        self._maps_fresh = True
         self._finished = False
         self._engine_baseline = EngineStats()
         self._checkpoint_ordinal = 0
         self.checkpoint_corruptions = 0
         self.restored_via_rollback = False
-        #: Rotation retention for saves (runtime configuration — never
-        #: serialized, so checkpoint bytes are independent of how many
-        #: generations the operator keeps).
-        self.checkpoint_keep = 1
-        #: Original document version when this service was restored
-        #: through a schema migration (None otherwise).
-        self.checkpoint_migrated_from: Optional[int] = None
         self._metrics_exported = False
 
     # ------------------------------------------------------------------
@@ -528,14 +511,6 @@ class LiveTracebackService:
     def _activate(self, index: int) -> None:
         config = self.schedule[index]
         step = self.evidence.steps[index]
-        self.event_log.append(
-            ConfigApplied(
-                timestamp=self.clock.now,
-                config=config,
-                catchments=step.catchments,
-                schedule_index=index,
-            )
-        )
         self.attributor.apply_config(config, step.catchments, step.degraded)
         self.deployed.append(index)
         self._active_index = index
@@ -574,11 +549,11 @@ class LiveTracebackService:
 
         # Injected churn storms strike on top of the scheduled events.
         # The ordinal offset keeps their churn seeds disjoint from the
-        # scheduled events' (scenario.seed + 101 + ordinal).
+        # scheduled events'.
         if self.injector is not None:
             storm = self.injector.extra_churn(self.window_index)
             if storm is not None:
-                self._apply_churn(storm, 10_000 + self.window_index)
+                self._apply_churn(storm, _STORM_ORDINALS + self.window_index)
 
         # Producer: the attack keeps sending whether or not we keep up.
         for batch_index in range(scenario.batches_per_window):
@@ -693,19 +668,8 @@ class LiveTracebackService:
     # ------------------------------------------------------------------
 
     def _apply_churn(self, drift: float, ordinal: int) -> None:
-        churn_seed = self.scenario.seed + 101 + ordinal
-        self.event_log.append(
-            RouteChurn(
-                timestamp=self.clock.now, drift=drift, churn_seed=churn_seed
-            )
-        )
+        churn_seed = _churn_seed(self.scenario, ordinal)
         self._truth_outcomes = self._churned_outcomes(drift, churn_seed)
-        self._last_churn = {
-            "window": self.window_index,
-            "drift": drift,
-            "churn_seed": churn_seed,
-        }
-        self._maps_fresh = False
 
         probe = self._active_index if self._active_index is not None else 0
         misplaced = misplaced_fraction(
@@ -721,6 +685,7 @@ class LiveTracebackService:
             {
                 "window": self.window_index,
                 "drift": drift,
+                "churn_seed": churn_seed,
                 "misplaced": misplaced,
                 "remeasured": remeasured,
             }
@@ -764,7 +729,6 @@ class LiveTracebackService:
             [step.catchments for step in steps],
             [step.degraded for step in steps],
         )
-        self._maps_fresh = True
         # Remeasuring the deployed configurations costs their dwell again.
         self.clock.advance(
             len(self.deployed) * self.timeline.minutes_per_config
@@ -872,19 +836,16 @@ class LiveTracebackService:
     # ------------------------------------------------------------------
 
     def checkpoint(self, path: str) -> str:
-        """Persist full service state to ``path`` (JSON).
+        """Persist the service's observed state to ``path`` (JSON).
 
         Under a fault plan with checkpoint corruption, the freshly
         written document may be deterministically mangled *after* the
-        save — the rotated ``<path>.1`` generation stays intact, which
-        is exactly the torn-write scenario the loader's rollback covers.
+        save — the ``<path>.1`` backup stays intact, which is exactly
+        the torn-write scenario the loader's rollback covers.
         """
-        self.event_log.append(
-            CheckpointRequest(timestamp=self.clock.now, path=path)
-        )
         ordinal = self._checkpoint_ordinal
         self._checkpoint_ordinal += 1
-        result = save_checkpoint(self, path, keep=self.checkpoint_keep)
+        result = save_checkpoint(self, path)
         corrupted = False
         if self.injector is not None and self.injector.should_corrupt_checkpoint(
             ordinal
@@ -902,23 +863,18 @@ class LiveTracebackService:
         return result
 
     def as_serializable(self) -> Dict:
-        """JSON-safe dump of everything needed to resume this run."""
+        """JSON-safe dump of the observed state needed to resume this run.
+
+        Catchment maps, clusters and the drifted ground truth are left
+        out: :meth:`from_serializable` re-derives them from the spec and
+        the churn log.
+        """
         if self.spec is None:
             raise LiveServiceError(
                 "cannot checkpoint a service built from a spec-less testbed"
             )
-        from .. import __version__
-
         return {
-            "version": STATE_VERSION,
-            # Regenerated at every save (never restored), so the bytes a
-            # resumed service writes are identical to an uninterrupted
-            # run's — the envelope records the writer, not the history.
-            "written_by": {
-                "library": "repro",
-                "release": __version__,
-                "schema": STATE_VERSION,
-            },
+            "version": CHECKPOINT_VERSION,
             "spec": asdict(self.spec),
             "scenario": asdict(self.scenario),
             "fault_plan": (
@@ -952,8 +908,6 @@ class LiveTracebackService:
                 "active_index": self._active_index,
                 "windows_left": self._windows_left,
                 "churn_cursor": self._churn_cursor,
-                "last_churn": self._last_churn,
-                "maps_fresh": self._maps_fresh,
                 "finished": self._finished,
                 "stop_reason": self.stop_reason,
                 "deployed": list(self.deployed),
@@ -974,11 +928,14 @@ class LiveTracebackService:
     ) -> "LiveTracebackService":
         """Rebuild a service dumped by :meth:`as_serializable`.
 
-        The testbed, schedule, and stale catchments are re-derived
+        The testbed, schedule, and pre-attack catchments are re-derived
         deterministically from the spec; only observed state is restored
-        from the payload.  ``testbed`` is runtime configuration, not
-        state: a pre-built testbed matching the payload's spec saves the
-        rebuild.
+        from the payload.  The churn log then rebuilds the rest: the
+        traffic's ground truth from its last entry, the evidence from
+        its last remeasured entry, and the attributor's maps and
+        partition from that evidence.  ``testbed`` is runtime
+        configuration, not state: a pre-built testbed matching the
+        payload's spec saves the rebuild.
         """
         spec = _spec_from_payload(payload["spec"])
         scenario = _scenario_from_payload(payload["scenario"])
@@ -1002,9 +959,6 @@ class LiveTracebackService:
 
         service.clock = SimClock(payload["clock"])
         service.controller.restore(payload["controller"])
-        service.attributor = LiveAttributor.from_serializable(
-            payload["attributor"]
-        )
         ingest = payload["ingest"]
         service.queue.stats = IngestStats(**ingest["stats"])
         service.queue.restore(
@@ -1025,8 +979,6 @@ class LiveTracebackService:
         service._active_index = progress["active_index"]
         service._windows_left = int(progress["windows_left"])
         service._churn_cursor = int(progress["churn_cursor"])
-        service._last_churn = progress["last_churn"]
-        service._maps_fresh = bool(progress["maps_fresh"])
         service._finished = bool(progress["finished"])
         service.stop_reason = progress["stop_reason"]
         service.deployed = list(progress["deployed"])
@@ -1035,7 +987,7 @@ class LiveTracebackService:
         service.window_stats = [
             WindowStats(**stats) for stats in progress["windows"]
         ]
-        service.churn_log = list(progress["churn_log"])
+        service.churn_log = _seeded_churn_log(progress["churn_log"], scenario)
         service._checkpoint_ordinal = int(
             progress.get("checkpoint_ordinal", 0)
         )
@@ -1043,26 +995,65 @@ class LiveTracebackService:
             progress.get("checkpoint_corruptions", 0)
         )
 
-        if service._last_churn is not None:
-            churn = service._last_churn
+        if service.churn_log:
+            last = service.churn_log[-1]
             service._truth_outcomes = service._churned_outcomes(
-                churn["drift"], churn["churn_seed"]
+                last["drift"], last["churn_seed"]
             )
-            if service._maps_fresh:
-                service.evidence = service.evidence.rebuilt(
-                    service._truth_outcomes,
-                    bus=service.obs.bus,
-                    registry=service.obs.registry,
+        remeasured = [e for e in service.churn_log if e["remeasured"]]
+        if remeasured:
+            outcomes = (
+                service._truth_outcomes
+                if remeasured[-1] is service.churn_log[-1]
+                else service._churned_outcomes(
+                    remeasured[-1]["drift"], remeasured[-1]["churn_seed"]
                 )
-                service.controller.catchment_maps = (
-                    service.evidence.planning_maps()
-                )
-        # Degraded marks are not checkpointed; the evidence re-derives them.
-        for obs, index in zip(
-            service.attributor.observations, service.deployed
-        ):
-            obs.degraded = service.evidence.steps[index].degraded
+            )
+            service.evidence = service.evidence.rebuilt(
+                outcomes, bus=service.obs.bus, registry=service.obs.registry
+            )
+            service.controller.catchment_maps = (
+                service.evidence.planning_maps()
+            )
+        steps = [service.evidence.steps[i] for i in service.deployed]
+        service.attributor = LiveAttributor.from_serializable(
+            payload["attributor"],
+            service.universe,
+            [step.catchments for step in steps],
+            [step.degraded for step in steps],
+        )
         return service
+
+
+def _churn_seed(scenario: ReplayScenario, ordinal: int) -> int:
+    """Seed of the churn strike with ``ordinal`` (scheduled event ``k``
+    has ordinal ``k``; a storm's is offset by ``_STORM_ORDINALS``)."""
+    return scenario.seed + 101 + ordinal
+
+
+def _seeded_churn_log(
+    entries: Sequence[Mapping], scenario: ReplayScenario
+) -> List[Dict]:
+    """``entries`` with every strike's ``churn_seed`` filled in.
+
+    Checkpoint versions 1 and 2 logged no seeds.  An entry is the next
+    scheduled event exactly when that event's window is at most the
+    entry's (scheduled events strike before a window's storm); any
+    other entry is a storm at its window.
+    """
+    log: List[Dict] = []
+    cursor = 0
+    events = scenario.churn_events
+    for entry in entries:
+        entry = dict(entry)
+        if cursor < len(events) and events[cursor][0] <= entry["window"]:
+            ordinal = cursor
+            cursor += 1
+        else:
+            ordinal = _STORM_ORDINALS + int(entry["window"])
+        entry.setdefault("churn_seed", _churn_seed(scenario, ordinal))
+        log.append(entry)
+    return log
 
 
 def _spec_from_payload(payload: Mapping) -> TestbedSpec:

@@ -4,8 +4,8 @@ This is the executable specification of §III-B refinement that
 :class:`repro.core.clustering.ClusterState` runs on link-label arrays.
 It lives with the tests because nothing at runtime needs it:
 ``test_clustering.py`` holds the array partition to it on seeded random
-catchment maps — split counts, clusters, sizes and statistics, copies
-and serialization — including overlapping catchments, members outside
+catchment maps — split counts, clusters, sizes and statistics, and
+copies — including overlapping catchments, members outside
 the universe and degraded links.
 
 Each catchment splits every cluster it partly overlaps into the part
@@ -166,45 +166,3 @@ class ReferenceClusterState:
         clone._cluster_of = dict(self._cluster_of)
         clone._next_id = self._next_id
         return clone
-
-    # ------------------------------------------------------------------
-    # Serialization (checkpointing)
-    # ------------------------------------------------------------------
-
-    def as_serializable(self) -> List[List[ASN]]:
-        """The partition as plain nested lists (JSON-safe, canonical order).
-
-        Internal cluster ids are not part of the partition's identity, so
-        a round trip through :meth:`from_serializable` preserves exactly
-        the observable state (:meth:`clusters` and everything derived).
-        """
-        return [sorted(cluster) for cluster in self.clusters()]
-
-    @classmethod
-    def from_serializable(
-        cls, clusters: Iterable[Iterable[ASN]]
-    ) -> "ReferenceClusterState":
-        """Rebuild a partition dumped by :meth:`as_serializable`.
-
-        Raises:
-            ClusteringError: if the clusters overlap or are empty.
-        """
-        state = cls.__new__(cls)
-        state._clusters = {}
-        state._cluster_of = {}
-        state._next_id = 0
-        for members in clusters:
-            cluster = set(members)
-            if not cluster:
-                raise ClusteringError("serialized cluster must be non-empty")
-            for asn in cluster:
-                if asn in state._cluster_of:
-                    raise ClusteringError(
-                        f"AS {asn} appears in more than one serialized cluster"
-                    )
-                state._cluster_of[asn] = state._next_id
-            state._clusters[state._next_id] = cluster
-            state._next_id += 1
-        if not state._clusters:
-            raise ClusteringError("cluster universe must be non-empty")
-        return state

@@ -179,7 +179,6 @@ class TestMatchesSetReference:
         assert repr(state.singleton_fraction()) == repr(
             reference.singleton_fraction()
         )
-        assert state.as_serializable() == reference.as_serializable()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_refinement_matches_reference(self, seed):
@@ -204,8 +203,6 @@ class TestMatchesSetReference:
             reference_clone.refine_with_catchments(maps, degraded)
             self.assert_same(clone, reference_clone)
             self.assert_same(state, reference)
-            restored = ClusterState.from_serializable(state.as_serializable())
-            self.assert_same(restored, reference)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_labelled_maps_refine_like_their_sets(self, seed):
@@ -229,11 +226,3 @@ class TestMatchesSetReference:
                 labelled, degraded
             ) == reference.refine_with_catchments(dict(labelled), degraded)
             self.assert_same(state, reference)
-
-    def test_serialized_overlap_and_empty_rejected_like_reference(self):
-        for payload in ([[1, 2], [2, 3]], [[1], []], []):
-            with pytest.raises(ClusteringError) as got:
-                ClusterState.from_serializable(payload)
-            with pytest.raises(ClusteringError) as want:
-                ReferenceClusterState.from_serializable(payload)
-            assert str(got.value) == str(want.value)

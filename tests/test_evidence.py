@@ -21,7 +21,6 @@ from repro.analysis.figures import EvaluationRun
 from repro.faults.injection import FaultInjector
 from repro.faults.plan import MEASUREMENT_LOSS, FaultPlan, FaultSpec
 from repro.live import LiveTracebackService, ReplayScenario, load_checkpoint
-from repro.live.events import RouteChurn
 from repro.obs import EventBus, MetricsRegistry, Observability
 from repro.strategy import compare_strategies
 
@@ -211,11 +210,13 @@ class TestEvidenceOperations:
         service.run()
         service.close()
         assert service.churn_log[0]["remeasured"]
-        (churn,) = [e for e in service.event_log if isinstance(e, RouteChurn)]
+        (churn,) = service.churn_log
         live_sim = RoutingSimulator(
             small_testbed.graph,
             small_testbed.origin,
-            churned_policy(small_testbed.policy, churn.drift, churn.churn_seed),
+            churned_policy(
+                small_testbed.policy, churn["drift"], churn["churn_seed"]
+            ),
         )
         churned = [
             {

@@ -20,12 +20,9 @@ from repro.live.checkpoint import (
     CHECKPOINT_VERSION,
     _canonical_json,
     backup_path,
-    generation_path,
-    register_migration,
-    rotate_generations,
 )
 
-from repro.live.service import _scenario_from_payload
+from repro.live.service import _scenario_from_payload, _seeded_churn_log
 
 FIXTURE_V1 = os.path.join(
     os.path.dirname(__file__), "fixtures", "checkpoint_v1.json"
@@ -169,6 +166,65 @@ class TestRoundTrip:
         assert resumed.windows == full.windows
         assert resumed.run_stats == full.run_stats
 
+    def test_resume_after_unremeasured_churn_equals_uninterrupted(
+        self, small_testbed, tmp_path
+    ):
+        """A remeasuring churn followed by one that does not remeasure:
+        the resumed run must plan with the first strike's maps and
+        generate traffic from the second's ground truth."""
+        path = str(tmp_path / "two-churns.json")
+        scenario = ReplayScenario(
+            seed=5,
+            max_configs=12,
+            min_configs=12,
+            strategy="greedy",
+            churn_events=((2, 1.0), (5, 0.0)),
+            churn_remeasure_threshold=0.1,
+        )
+        full_service = LiveTracebackService(
+            scenario=scenario, testbed=small_testbed
+        )
+        full = full_service.run()
+        full_service.close()
+        assert [e["remeasured"] for e in full_service.churn_log] == [
+            True, False,
+        ]
+
+        killed = LiveTracebackService(scenario=scenario, testbed=small_testbed)
+        while killed.window_index < 6:
+            assert killed.step()
+        killed.checkpoint(path)
+        killed.close()
+        attributor = json.load(open(path))["payload"]["attributor"]
+        assert set(attributor) == {"observations"}  # no clusters
+        observations = attributor["observations"]
+        assert not any("catchments" in obs for obs in observations)
+
+        restored = load_checkpoint(path, testbed=small_testbed)
+        resumed = restored.run()
+        restored.close()
+        assert restored.deployed == full_service.deployed
+        assert resumed.windows == full.windows
+        assert attribution_digest(resumed) == attribution_digest(full)
+
+    def test_unseeded_churn_entries_take_the_run_window_seeds(self):
+        """Version 1 and 2 documents logged churn without seeds."""
+        scenario = ReplayScenario(seed=5, churn_events=((2, 0.5), (5, 0.1)))
+        entries = [
+            {"window": 2, "drift": 0.5, "remeasured": True},
+            {"window": 2, "drift": 0.3, "remeasured": False},  # storm
+            {"window": 4, "drift": 0.3, "remeasured": False},  # storm
+            {"window": 6, "drift": 0.1, "remeasured": False},  # event 1
+            {"window": 6, "drift": 0.3, "remeasured": True},  # storm
+        ]
+        seeds = [e["churn_seed"] for e in _seeded_churn_log(entries, scenario)]
+        assert seeds == [
+            5 + 101, 5 + 10_101 + 2, 5 + 10_101 + 4, 5 + 101 + 1,
+            5 + 10_101 + 6,
+        ]
+        seeded = [dict(entry, churn_seed=7) for entry in entries]
+        assert _seeded_churn_log(seeded, scenario) == seeded
+
 
 class TestCheckpointLocation:
     """Checkpoints sharing one directory, and checkpoints that move."""
@@ -251,21 +307,22 @@ class TestCheckpointLocation:
 
 
 class TestSchemaVersioning:
-    """The migration registry: v1 documents keep loading forever."""
+    """Accepted versions: v1 and v2 documents keep loading."""
 
-    def test_current_documents_carry_a_written_by_envelope(
+    def test_current_documents_store_only_observed_state(
         self, small_testbed, tmp_path
     ):
-        path = str(tmp_path / "v2.json")
+        path = str(tmp_path / "v3.json")
         service = LiveTracebackService(
             scenario=_small_scenario(path), testbed=small_testbed
         )
         service.run()
         service.close()
         payload = json.load(open(path))["payload"]
-        assert payload["version"] == CHECKPOINT_VERSION == 2
-        assert payload["written_by"]["library"] == "repro"
-        assert payload["written_by"]["schema"] == CHECKPOINT_VERSION
+        assert payload["version"] == CHECKPOINT_VERSION == 3
+        assert "written_by" not in payload
+        assert set(payload["attributor"]) == {"observations"}
+        assert not {"last_churn", "maps_fresh"} & set(payload["progress"])
 
     def test_golden_v1_fixture_matches_native_v2_run(
         self, small_testbed, tmp_path
@@ -275,7 +332,6 @@ class TestSchemaVersioning:
         path = str(tmp_path / "checkpoint_v1.json")
         shutil.copy(FIXTURE_V1, path)
         restored = load_checkpoint(path)
-        assert restored.checkpoint_migrated_from == 1
         assert restored.scenario.strategy == "schedule"  # was adaptive: false
         # The restored service saves *current*-schema documents again.
         save_checkpoint(restored, path)
@@ -333,67 +389,66 @@ class TestSchemaVersioning:
         path = tmp_path / "future.json"
         path.write_text(_checksummed({"version": 999}))
         with pytest.raises(LiveServiceError) as excinfo:
-            load_checkpoint(str(path), allow_rollback=False)
+            load_checkpoint(str(path))
         assert not isinstance(excinfo.value, CheckpointCorruptionError)
         assert "newer than this build" in str(excinfo.value)
 
-    def test_registry_validates_direction(self):
-        with pytest.raises(LiveServiceError):
-            register_migration(2, 1, lambda payload: payload)
+    def test_version_2_document_loads(self, small_testbed, tmp_path):
+        """A v2 document — written_by envelope, stored maps and clusters,
+        unseeded churn — resumes to the native run."""
+        path = str(tmp_path / "v2.json")
+        scenario = _small_scenario(path, churn_events=((2, 0.5),))
+        native = LiveTracebackService(scenario=scenario, testbed=small_testbed)
+        full = native.run()
+        native.close()
+        payload = json.load(open(path))["payload"]
+        payload["version"] = 2
+        payload["written_by"] = {"library": "repro", "schema": 2}
+        payload["attributor"]["clusters"] = [[0]]  # ignored on load
+        for entry in payload["progress"]["churn_log"]:
+            del entry["churn_seed"]
+        with open(path, "w") as handle:
+            handle.write(_checksummed(payload))
+        os.remove(backup_path(path))
+        restored = load_checkpoint(path)
+        assert not restored.restored_via_rollback
+        assert restored.churn_log == native.churn_log
+        resumed = restored.run()
+        restored.close()
+        assert attribution_digest(resumed) == attribution_digest(full)
 
 
 class TestGenerationRotation:
-    """Retention-aware rotation through bounded ``.1 .. .K`` generations."""
-
-    def test_keep_bounds_the_generations(self, small_testbed, tmp_path):
-        path = str(tmp_path / "rotated.json")
-        service = LiveTracebackService(
-            scenario=_small_scenario(path, checkpoint_every=3),
-            testbed=small_testbed,
-        )
-        service.checkpoint_keep = 2
-        service.run()  # 12 windows / cadence 3: four rotations
-        service.close()
-        assert os.path.exists(path)
-        assert os.path.exists(generation_path(path, 1))
-        assert os.path.exists(generation_path(path, 2))
-        assert not os.path.exists(generation_path(path, 3))
+    """One backup generation: each save moves the previous checkpoint
+    to ``<path>.1``."""
 
     def test_default_keep_retains_exactly_one_generation(
         self, checkpointed
     ):
         _, _, path = checkpointed
         assert os.path.exists(backup_path(path))
-        assert not os.path.exists(generation_path(path, 2))
-
-    def test_shrinking_keep_prunes_stale_generations(self, tmp_path):
-        path = str(tmp_path / "shrink.json")
-        for name in (path, f"{path}.1", f"{path}.2", f"{path}.3"):
-            with open(name, "w") as handle:
-                handle.write("{}")
-        rotate_generations(path, keep=1)
-        assert os.path.exists(generation_path(path, 1))
-        assert not os.path.exists(generation_path(path, 2))
-        assert not os.path.exists(generation_path(path, 3))
+        assert not os.path.exists(f"{path}.2")
 
     def test_rollback_walks_generations_newest_first(
         self, small_testbed, tmp_path
     ):
+        """The primary first, then ``.1``; with both damaged there is
+        nothing left to walk to."""
         path = str(tmp_path / "walk.json")
         service = LiveTracebackService(
             scenario=_small_scenario(path, checkpoint_every=3),
             testbed=small_testbed,
         )
-        service.checkpoint_keep = 3
         full = service.run()
         service.close()
-        # Damage the primary AND the newest generation: recovery must
-        # keep walking to ``.2``.
-        for victim in (path, generation_path(path, 1)):
-            with open(victim, "w") as handle:
-                handle.write('{"torn":')
+        with open(path, "w") as handle:
+            handle.write('{"torn":')
         restored = load_checkpoint(path)
         assert restored.restored_via_rollback
+        with open(backup_path(path), "w") as handle:
+            handle.write('{"torn":')
+        with pytest.raises(CheckpointCorruptionError):
+            load_checkpoint(path)
         resumed = restored.run()
         restored.close()
         assert resumed.run_stats == full.run_stats
@@ -414,18 +469,10 @@ class TestGenerationRotation:
         restored = load_checkpoint(path)
         assert restored.restored_via_rollback
         restored.close()
-        os.remove(generation_path(path, 1))
+        os.remove(backup_path(path))
         with pytest.raises(CheckpointCorruptionError) as excinfo:
             load_checkpoint(path)
         assert "no checksum" in str(excinfo.value)
-
-    def test_rotation_rejects_zero_retention(self, tmp_path):
-        with pytest.raises(LiveServiceError):
-            rotate_generations(str(tmp_path / "x.json"), keep=0)
-
-    def test_generation_numbers_start_at_one(self):
-        with pytest.raises(LiveServiceError):
-            generation_path("x.json", 0)
 
 
 class TestErrors:

@@ -1,18 +1,15 @@
-"""Tests for the live runtime's events, ingestion queue, and volume window."""
+"""Tests for the live runtime's clock, batches, ingestion queue, and
+volume window."""
 
 import pytest
 
 from repro.errors import LiveServiceError
 from repro.live import (
     BoundedIngestQueue,
-    CheckpointRequest,
-    ConfigApplied,
     DecayingVolumeWindow,
     PacketBatch,
-    RouteChurn,
     SimClock,
 )
-from repro.bgp.announcement import anycast_all
 
 
 def batch(volume: float, unattributed: float = 0.0) -> PacketBatch:
@@ -44,23 +41,6 @@ class TestEvents:
         )
         assert event.attributed_volume == pytest.approx(5.0)
         assert event.offered_volume == pytest.approx(5.5)
-
-    def test_config_applied_requires_config(self):
-        with pytest.raises(LiveServiceError):
-            ConfigApplied(timestamp=0.0)
-        event = ConfigApplied(
-            timestamp=0.0, config=anycast_all(["l1"]), schedule_index=3
-        )
-        assert event.schedule_index == 3
-
-    def test_route_churn_validates_drift(self):
-        with pytest.raises(LiveServiceError):
-            RouteChurn(timestamp=0.0, drift=1.5)
-        assert RouteChurn(timestamp=0.0, drift=0.3).drift == 0.3
-
-    def test_checkpoint_request_needs_path(self):
-        with pytest.raises(LiveServiceError):
-            CheckpointRequest(timestamp=0.0)
 
 
 class TestBoundedIngestQueue:

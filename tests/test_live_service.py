@@ -1,5 +1,6 @@
 """Tests for the online traceback service (replay, controller, attributor)."""
 
+import json
 import random
 
 import pytest
@@ -256,8 +257,15 @@ class TestLiveAttributor:
     def test_serialization_round_trip(self, small_testbed):
         service = make_service(small_testbed, max_configs=2, min_configs=1)
         service.run()
-        payload = service.attributor.as_serializable()
-        restored = LiveAttributor.from_serializable(payload)
+        payload = json.loads(json.dumps(service.attributor.as_serializable()))
+        assert set(payload) == {"observations"}  # no maps, no clusters
+        steps = [service.evidence.steps[i] for i in service.deployed]
+        restored = LiveAttributor.from_serializable(
+            payload,
+            service.universe,
+            [step.catchments for step in steps],
+            [step.degraded for step in steps],
+        )
         assert restored.universe == service.attributor.universe
         assert restored.clusters() == service.attributor.clusters()
         original = service.attributor.attribution()
