@@ -12,21 +12,19 @@ exclusion of configurations whose routing never settled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional,
+    TYPE_CHECKING, FrozenSet, Iterable, List, Mapping, Optional,
     Sequence, Tuple,
 )
 
 import numpy as np
 
 from ..bgp.announcement import AnnouncementConfig
-from ..bgp.indexed import RouteTable
 from ..bgp.simulator import RoutingOutcome
 from ..errors import SchedulingError
 from ..measurement.catchment import CatchmentHistory
 from ..types import ASN, Catchment, LinkId
-from .labels import Columns, LabelledCatchments, LabelRow, label_row
+from .labels import Columns, LabelledCatchments, label_row
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..faults.injection import FaultInjector
@@ -116,10 +114,13 @@ class Evidence:
         columns = Columns.of(
             outcomes[0].covered_ases if universe is None else universe
         )
-        cores: Dict[object, Optional[List[int]]] = {}
         built: List[EvidenceStep] = []
         for index, (config, outcome) in enumerate(zip(configs, outcomes)):
-            catchments = _truth_catchments(outcome, columns, cores)
+            # A simulated outcome's row is sliced off its route table;
+            # the sets are restricted only when someone reads them.
+            catchments = LabelledCatchments(
+                label_row(outcome.catchments, columns), outcome.catchments
+            )
             degraded: FrozenSet[LinkId] = frozenset()
             if injector is not None:
                 thinned, degraded = injector.degrade_catchments(
@@ -206,45 +207,6 @@ class Evidence:
             configs, outcomes, universe=self.columns, bus=bus,
             registry=registry,
         )
-
-
-def _truth_catchments(
-    outcome: RoutingOutcome,
-    columns: Columns,
-    cores: Dict[object, Optional[List[int]]],
-) -> LabelledCatchments:
-    """``outcome``'s catchments over ``columns``, labelled.
-
-    A simulated outcome's label row is sliced straight from its route
-    table: ``r_link`` at the universe's core indices, mapped from core
-    link index to sorted position.  ``cores`` caches those indices per
-    compiled topology (None when the universe is not all in it).  Other
-    outcomes, and an empty universe, are labelled by :func:`label_row`.
-    Either way the sets are restricted only when someone reads them.
-    """
-    routes = outcome.routes
-    if isinstance(routes, RouteTable):
-        core = routes.core
-        if core not in cores:
-            index = core.index
-            cores[core] = (
-                [index[asn] for asn in columns.asns]
-                if all(asn in index for asn in columns.asns) else None
-            )
-        positions = cores[core]
-        if positions:
-            links = sorted(outcome.catchments)
-            position = np.zeros(len(core.link_ids) + 1, dtype=np.int32)
-            for label, link in enumerate(links, start=1):
-                position[core.link_index[link] + 1] = label
-            r_link = np.array(
-                itemgetter(*positions)(routes.r_link), dtype=np.int32
-            ).reshape(-1)
-            row = LabelRow(columns, links, position[r_link + 1])
-            return LabelledCatchments(row, outcome.catchments)
-    return LabelledCatchments(
-        label_row(outcome.catchments, columns), outcome.catchments
-    )
 
 
 def _exclude_unconverged(

@@ -11,24 +11,28 @@ names, so both are array work over these rows.
 :func:`label_row` is the one conversion from a catchment mapping to a
 row.  :class:`LabelledCatchments` is a catchment dict that carries its
 row: the evidence hands these out, the helper returns their row in
-O(1), and their frozensets are built only when someone reads them.
+O(1), and their frozensets are built only when someone reads them.  A
+simulated outcome's :class:`~repro.bgp.indexed.RouteCatchments` is
+labelled straight off its route table, so it builds no set either.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence,
 )
 
 import numpy as np
 
+from ..bgp.indexed import CompiledTopology, RouteCatchments
 from ..types import ASN, Catchment, LazyCatchments, LinkId
 
 
 class Columns:
     """A universe in sorted order and the column of each member."""
 
-    __slots__ = ("asns", "array", "column", "members")
+    __slots__ = ("asns", "array", "column", "members", "_core_indices")
 
     def __init__(self, universe: Iterable[ASN]) -> None:
         self.asns: List[ASN] = sorted(set(universe))
@@ -37,6 +41,11 @@ class Columns:
             asn: i for i, asn in enumerate(self.asns)
         }
         self.members: FrozenSet[ASN] = frozenset(self.asns)
+        self._core_indices: Dict[CompiledTopology, Optional[List[int]]] = {}
+
+    def __reduce__(self):
+        # The memo of core indices holds compiled topologies: not state.
+        return (Columns, (self.asns,))
 
     @classmethod
     def of(cls, universe: Iterable[ASN]) -> "Columns":
@@ -59,6 +68,17 @@ class Columns:
         return np.fromiter(
             (column[asn] for asn in asns if asn in column), dtype=np.intp
         )
+
+    def core_indices(self, core: CompiledTopology) -> Optional[List[int]]:
+        """The members' indices in ``core``, in column order, or None
+        when some member is not in it (memoized per core)."""
+        if core not in self._core_indices:
+            index = core.index
+            self._core_indices[core] = (
+                [index[asn] for asn in self.asns]
+                if all(asn in index for asn in self.asns) else None
+            )
+        return self._core_indices[core]
 
 
 class LabelRow:
@@ -102,9 +122,10 @@ def label_row(
 
     Catchment members outside the universe are ignored.  A
     :class:`LabelledCatchments` over the same universe, with nothing to
-    skip, returns its own row; otherwise the map is labelled link by
-    link, in sorted order, giving each distinct set of overlapping links
-    an id of its own.
+    skip, returns its own row.  A :class:`RouteCatchments` is sliced off
+    its route table (catchments of one fixpoint are disjoint).
+    Otherwise the map is labelled link by link, in sorted order, giving
+    each distinct set of overlapping links an id of its own.
     """
     skip = frozenset(skip)
     if (
@@ -113,6 +134,10 @@ def label_row(
         and catchments.row.columns.same(columns)
     ):
         return catchments.row
+    if isinstance(catchments, RouteCatchments):
+        row = _route_row(catchments, columns, skip)
+        if row is not None:
+            return row
     rank = {
         link: order
         for order, link in enumerate(link for link in catchments if link not in skip)
@@ -134,6 +159,27 @@ def label_row(
                 winner.append(label if later else prev)
             labels[column] = combined[key]
     return LabelRow(columns, links, labels, np.array(winner))
+
+
+def _route_row(
+    catchments: RouteCatchments, columns: Columns, skip: FrozenSet[LinkId]
+) -> Optional[LabelRow]:
+    """The label row of a fixpoint's catchments read off ``r_link`` at
+    the universe's core indices, each core link index mapped to its
+    label; None for an empty universe or one not all in the core."""
+    routes = catchments.routes
+    core = routes.core
+    indices = columns.core_indices(core)
+    if not indices:
+        return None
+    links = [link for link in catchments if link not in skip]  # sorted
+    label_of = np.zeros(len(core.link_ids) + 1, dtype=np.int32)
+    for label, link in enumerate(links, start=1):
+        label_of[core.link_index[link] + 1] = label
+    r_link = np.array(
+        itemgetter(*indices)(routes.r_link), dtype=np.int32
+    ).reshape(-1)
+    return LabelRow(columns, links, label_of[r_link + 1])
 
 
 class LabelledCatchments(LazyCatchments):

@@ -152,14 +152,17 @@ def _preferential_sample(
 
     The ``+ 1`` keeps zero-degree ASes reachable; sampling without
     replacement is done by repeated weighted draws over the shrinking pool.
+    Links are added only after this returns, so degrees cannot change
+    during the draws: the weights are read once and shrink with the pool.
     """
     if count >= len(candidates):
         return list(candidates)
     pool = list(candidates)
+    weights = [graph.degree(asn) + 1 for asn in pool]
     chosen: List[ASN] = []
     for _ in range(count):
-        weights = [graph.degree(asn) + 1 for asn in pool]
         pick = rng.choices(range(len(pool)), weights=weights, k=1)[0]
+        weights.pop(pick)
         chosen.append(pool.pop(pick))
     return chosen
 

@@ -23,6 +23,7 @@ import pytest
 from repro.bgp.announcement import AnnouncementConfig, anycast_all
 from repro.bgp.indexed import CompiledTopology, RouteTable
 from repro.bgp.policy import PolicyModel
+from repro.bgp.route import stable_tiebreak
 from repro.bgp.simulator import RoutingSimulator
 from repro.core.engine import SimulationEngine
 from repro.core.pipeline import build_testbed
@@ -549,7 +550,7 @@ def test_unpoisoned_child_of_poisoned_parent(seed, frontier_calls):
 
 
 # ----------------------------------------------------------------------
-# Export-aware scheduling: the pushes the core skips, against the oracle
+# Decision-aware scheduling: the pushes the core skips, against the oracle
 # ----------------------------------------------------------------------
 
 
@@ -625,9 +626,27 @@ def test_policy_stress_matches_oracle(seed, policy_kwargs):
         _assert_children_match_oracle(indexed, reference, parent, children)
 
 
-def _hand_built(links, edges):
+class PinnedPrefs(PolicyModel):
+    """Clean policies, except the ASes given a LocalPref table of their
+    own (a scalar override, so the core compiles it)."""
+
+    def __init__(self, graph, tables):
+        super().__init__(
+            graph, policy_noise=0.0, loop_prevention_disabled_fraction=0.0
+        )
+        self.tables = tables
+
+    def local_pref(self, holder, relationship):
+        table = self.tables.get(holder)
+        if table is None:
+            return super().local_pref(holder, relationship)
+        return table[relationship]
+
+
+def _hand_built(links, edges, prefs=None):
     """Origin 100 with ``links`` ({link_id: provider}) plus ``edges``
-    ((a, b, relationship of b to a)); clean Gao-Rexford policies."""
+    ((a, b, relationship of b to a)); clean Gao-Rexford policies, but
+    for the ASes ``prefs`` gives a LocalPref table."""
     graph = ASGraph()
     for provider in links.values():
         graph.add_link(100, provider, Relationship.PROVIDER)
@@ -640,9 +659,7 @@ def _hand_built(links, edges):
             for link, provider in sorted(links.items())
         ],
     )
-    policy = PolicyModel(
-        graph, policy_noise=0.0, loop_prevention_disabled_fraction=0.0
-    )
+    policy = PinnedPrefs(graph, prefs or {})
     indexed = RoutingSimulator(graph, origin, policy)
     return indexed, ReferenceSweep.of(indexed)
 
@@ -709,4 +726,98 @@ def test_withdrawal_pushes_every_neighbor_that_imported_the_old_route():
     after = indexed.simulate(child)
     assert after.route(x).relationship is Relationship.PROVIDER
     assert after.route(u) is None and after.route(w) is None
+    _assert_children_match_oracle(indexed, reference, parent, [child])
+
+
+def test_prepend_pushes_the_neighbor_that_used_the_route():
+    """J takes I's first route, through P1, in pass 1.  A pass later I's
+    customer D offers a route through l2, which I prefers on LocalPref
+    although it is longer.  Unprepended, J keeps following I; with l2
+    prepended, I's new route is longer than J's fallback through Q (l3,
+    itself prepended).  I's new route is then provably worse than J's
+    route, yet J learned that route from I: I's change must push J, or J
+    keeps a route I no longer offers."""
+    p1, p2, q, e, i, j, d = 1, 2, 3, 4, 5, 8, 9
+    indexed, reference = _hand_built(
+        {"l1": p1, "l2": p2, "l3": q},
+        [
+            (p2, e, Relationship.PROVIDER),
+            (e, d, Relationship.PROVIDER),
+            (d, i, Relationship.PROVIDER),
+            (i, p1, Relationship.PROVIDER),
+            (j, i, Relationship.PROVIDER),
+            (j, q, Relationship.PROVIDER),
+        ],
+    )
+    announced = frozenset({"l1", "l2", "l3"})
+    parent = AnnouncementConfig(announced=announced, prepended=frozenset({"l3"}))
+    child = AnnouncementConfig(
+        announced=announced, prepended=frozenset({"l2", "l3"})
+    )
+    before = indexed.simulate(parent)
+    assert before.route(j).as_path == (i, d, e, p2, 100)
+    after = indexed.simulate(child)
+    assert after.passes > 2  # I switched after J had taken its route
+    assert after.route(i).learned_from == d
+    assert after.route(j).learned_from == q
+    _assert_children_match_oracle(indexed, reference, parent, [child])
+
+
+def test_equal_preference_and_length_reaches_the_neighbor():
+    """Announcing l1 gives C a route through P1 that ties its route
+    through P2 on LocalPref and on length.  A tie is not provably worse:
+    C must be pushed, and the tiebreak picks P1."""
+    p1, p2, c = 1, 2, 3
+    assert stable_tiebreak(c, p1, 0) < stable_tiebreak(c, p2, 0)
+    indexed, reference = _hand_built(
+        {"l1": p1, "l2": p2},
+        [(c, p1, Relationship.PROVIDER), (c, p2, Relationship.PROVIDER)],
+    )
+    parent = AnnouncementConfig(announced=frozenset({"l2"}))
+    child = AnnouncementConfig(announced=frozenset({"l1", "l2"}))
+    before = indexed.simulate(parent)
+    assert before.route(c).learned_from == p2
+    after = indexed.simulate(child, warm_start=before.routes)
+    assert after.route(c).learned_from == p1
+    assert after.route(c).local_pref == before.route(c).local_pref
+    assert len(after.route(c).as_path) == len(before.route(c).as_path)
+    _assert_children_match_oracle(indexed, reference, parent, [child])
+
+
+def test_deviant_local_pref_prefers_the_longer_route():
+    """J prefers provider routes (200) to peer routes (100).  Its peer K
+    gives it a two-hop route; announcing l1 gives its provider I a
+    four-hop route that I itself holds at provider LocalPref 100.  J
+    gives routes from I LocalPref 200, so it must be pushed and switch,
+    although the route is longer and I's own LocalPref is no higher than
+    J's."""
+    p1, k, t, i, j = 1, 2, 3, 4, 5
+    deviant = {
+        Relationship.CUSTOMER: 300,
+        Relationship.PEER: 100,
+        Relationship.PROVIDER: 200,
+    }
+    indexed, reference = _hand_built(
+        {"l1": p1, "l2": k},
+        [
+            (p1, t, Relationship.PROVIDER),
+            (i, t, Relationship.PROVIDER),
+            (j, i, Relationship.PROVIDER),
+            (j, k, Relationship.PEER),
+        ],
+        prefs={j: deviant},
+    )
+    parent = AnnouncementConfig(announced=frozenset({"l2"}))
+    child = AnnouncementConfig(announced=frozenset({"l1", "l2"}))
+    before = indexed.simulate(parent)
+    assert before.route(j).learned_from == k
+    assert before.route(i) is None
+    for after in (
+        indexed.simulate(child),
+        indexed.simulate(child, warm_start=before.routes),
+    ):
+        assert after.route(i).local_pref == 100
+        assert after.route(j).learned_from == i
+        assert after.route(j).local_pref == 200
+        assert after.route(j).as_path == (i, t, p1, 100)
     _assert_children_match_oracle(indexed, reference, parent, [child])

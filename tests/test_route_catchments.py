@@ -8,13 +8,14 @@ eager build (each routed AS added in visit order, then frozen), down to
 each frozenset's iteration order, over every outcome of the full
 ``small`` and ``paper`` schedules; check that the maps behave as plain
 dicts; and check that the readers asking only which link an AS uses
-(per-link volumes, packet generation) and a full tracker run never
-build a set.
+(per-link volumes, packet generation), a full tracker run and the
+large-cluster splitter never build a set.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import pickle
 import random
@@ -216,4 +217,33 @@ def test_tracker_run_builds_no_catchment_set(measured):
     assert report.localization is not None
     outcomes = list(tracker.engine._cache.values())
     assert len(outcomes) == len(tracker.schedule)
+    assert not any(outcome.catchments.built for outcome in outcomes)
+
+
+#: ``small_testbed`` tracked over 26 configurations with a split
+#: threshold of 5 and a budget of 15, pinned while the splitter still
+#: built its catchment sets: SHA-256 of the repr of every split
+#: snapshot's ``(num_clusters, repr(mean), repr(p90))`` and of the
+#: sorted final partition.
+SPLIT_SNAPSHOTS = "e3a43ef7143473740c8136e91c99e95c2ff15f9664cb7a602a08913493a397f0"
+SPLIT_PARTITION = "be4af7c15232bee076ee6c32e2883ef91fd2317bd2ca0779efc24974f1933f8d"
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_splitter_reads_the_route_table(small_testbed):
+    tracker = SpoofTracker(small_testbed)
+    report = tracker.run(max_configs=26, split_threshold=5, split_budget=15)
+    split = report.split_report
+    assert len(split.snapshots) == 15
+    snapshots = [
+        (s.num_clusters, repr(s.mean_cluster_size), repr(s.p90_cluster_size))
+        for s in split.snapshots
+    ]
+    assert _sha256(snapshots) == SPLIT_SNAPSHOTS
+    assert _sha256(sorted(sorted(c) for c in report.clusters)) == SPLIT_PARTITION
+    outcomes = list(tracker.engine._cache.values())
+    assert all(outcome in outcomes for outcome in split.outcomes)
     assert not any(outcome.catchments.built for outcome in outcomes)

@@ -1,7 +1,11 @@
 """Tests for the synthetic topology generator."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
+from repro.cli import SCALES
 from repro.errors import TopologyError
 from repro.topology.generator import (
     GeneratedTopology,
@@ -9,6 +13,19 @@ from repro.topology.generator import (
     generate_topology,
 )
 from repro.topology.relationships import Relationship
+from repro.topology.serialization import dumps_as_rel
+
+#: SHA-256 of the as-rel dump of the ``SCALES`` topologies, by scale and
+#: seed.  Every testbed, schedule and pinned digest downstream is built
+#: on these graphs, so a generator speed-up must leave them unchanged.
+EDGE_DIGESTS = {
+    ("small", 0): "15ef45435adad5ed522f26914019c1afa1b34dcabd632e3b48e0a56882b35b04",
+    ("small", 1): "9532050ae3df6eff8b902472feee4a2fb6629daabea6e06ebeefd2bcdb765bef",
+    ("small", 2): "a335a6ce1e291eae05589e4240b7110acb3f5190c0fa0dbefc74b31965add1d6",
+    ("paper", 0): "776322bf31fe8b3483bab5c077f424a65934c4304e29d0017c320bc7156af3b2",
+    ("paper", 1): "68a3bc213b37970cd4e89856143f3cd8ac192f85d39bd79d97f0f0eea07b7357",
+    ("paper", 2): "6ddd37b55473bf2da6f3e60fc9e12ae787fd47f9eeb490cb9d340899e3e0044a",
+}
 
 
 class TestParams:
@@ -115,3 +132,10 @@ class TestGeneration:
             1 for asn in topo.stubs if len(topo.graph.providers(asn)) >= 2
         )
         assert multihomed == len(topo.stubs)
+
+
+@pytest.mark.parametrize("scale, seed", sorted(EDGE_DIGESTS))
+def test_scale_edge_lists_are_pinned(scale, seed):
+    graph = generate_topology(replace(SCALES[scale], seed=seed)).graph
+    digest = hashlib.sha256(dumps_as_rel(graph).encode()).hexdigest()
+    assert digest == EDGE_DIGESTS[(scale, seed)]
