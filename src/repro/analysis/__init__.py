@@ -18,7 +18,7 @@ from .figures import (
 )
 from .ascii_plot import PlotOptions, plot_figure, plot_series
 from .headline import HeadlineMetric, headline_metrics, render_headline
-from .live import live_markdown, render_window, render_window_table
+from .live import render_window, render_window_table
 from .report import figure_markdown, render_figure, render_series
 from .stats import (
     ccdf_points,
@@ -56,7 +56,6 @@ __all__ = [
     "render_headline",
     "render_window",
     "render_window_table",
-    "live_markdown",
     "Table",
     "table1",
     "table2",

@@ -3,19 +3,19 @@
 The online service emits one :class:`~repro.live.service.WindowStats` per
 observation window; these helpers turn that stream into the rolling
 progress lines the ``spooftrack live`` command prints and into a compact
-end-of-run table for reports.
+end-of-run table.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..live.service import LiveReport, WindowStats
+from ..live.service import WindowStats
 
 #: Column layout shared by the rolling line and the table.
 _HEADER = (
     f"{'win':>4} {'t(min)':>8} {'configuration':<30} {'clus':>5} "
-    f"{'mean':>7} {'H(bits)':>7} {'queue':>5} {'dropped':>9} {'unattr':>8}"
+    f"{'mean':>7} {'H(bits)':>7} {'dropped':>9} {'unattr':>8}"
 )
 
 
@@ -25,8 +25,7 @@ def render_window(stats: WindowStats) -> str:
         f"{stats.window_index:>4} {stats.clock_minutes:>8.1f} "
         f"{stats.config_label:<30.30} {stats.num_clusters:>5} "
         f"{stats.mean_cluster_size:>7.2f} {stats.entropy:>7.2f} "
-        f"{stats.queue_depth:>5} {stats.dropped_volume:>9.3f} "
-        f"{stats.unattributed_volume:>8.3f}"
+        f"{stats.dropped_volume:>9.3f} {stats.unattributed_volume:>8.3f}"
     )
 
 
@@ -44,20 +43,4 @@ def render_window_table(
     for position, stats in enumerate(windows):
         if position % every == 0 or position == len(windows) - 1:
             lines.append(render_window(stats))
-    return "\n".join(lines)
-
-
-def live_markdown(report: LiveReport, every: int = 4) -> str:
-    """Markdown section summarizing one live replay."""
-    lines = [
-        "### live replay",
-        "",
-        "```",
-        report.summary(),
-        "```",
-        "",
-        "```",
-        render_window_table(report.windows, every=every),
-        "```",
-    ]
     return "\n".join(lines)

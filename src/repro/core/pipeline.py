@@ -62,7 +62,7 @@ class Testbed:
     collectors: BGPCollectorSet
     fleet: AtlasProbeFleet
     campaign: MeasurementCampaign
-    #: Construction recipe (when built by :func:`build_testbed`).
+    #: Construction recipe (when built by :meth:`TestbedSpec.build`).
     spec: Optional["TestbedSpec"] = None
 
     @property
@@ -73,7 +73,7 @@ class Testbed:
 
 @dataclass(frozen=True)
 class TestbedSpec:
-    """Value-type recipe for :func:`build_testbed`.
+    """Value-type recipe for a :class:`Testbed`; :meth:`build` wires it.
 
     Everything here is a value type (ints, floats, frozen dataclasses),
     and rebuilding is deterministic: ``spec.build()`` in any process
@@ -92,101 +92,82 @@ class TestbedSpec:
     with_geography: bool = False
 
     def build(self) -> "Testbed":
-        """Rebuild the full testbed this spec describes."""
-        return build_testbed(
-            seed=self.seed,
-            topology_params=self.topology_params,
-            num_links=self.num_links,
+        """Build the fully wired testbed this spec describes.
+
+        Defaults give a PEERING-scale setup: 7 peering links, collector
+        and probe coverage proportional to the paper's (all public feeds,
+        1,600 Atlas probes over a ~70k-AS Internet ≈ a few percent of
+        ASes).
+
+        With ``with_geography=True`` every AS is assigned a region and
+        ties between equally-preferred routes resolve hot-potato (toward
+        the geographically closest neighbor) instead of by arbitrary
+        router state.
+        """
+        seed = self.seed
+        params = self.topology_params or TopologyParams(seed=seed)
+        if params.seed != seed:
+            params = replace(params, seed=seed)
+        topology = generate_topology(params)
+        origin = attach_origin(topology, num_links=self.num_links, seed=seed)
+        graph = topology.graph
+        geography = None
+        if self.with_geography:
+            from ..topology.geography import GeographyModel
+
+            geography = GeographyModel.random(graph.ases, seed=seed)
+        policy = PolicyModel(
+            graph,
+            seed=seed,
             policy_noise=self.policy_noise,
-            loop_prevention_disabled_fraction=self.loop_prevention_disabled_fraction,
-            num_vantages=self.num_vantages,
-            num_probes=self.num_probes,
-            traceroute_params=self.traceroute_params,
-            rounds_per_config=self.rounds_per_config,
-            with_geography=self.with_geography,
+            loop_prevention_disabled_fraction=(
+                self.loop_prevention_disabled_fraction
+            ),
+            geography=geography,
+        )
+        simulator = RoutingSimulator(graph, origin, policy)
+        plan = AddressPlan(graph.ases, origin.asn)
+        ixps = synthesize_ixps(graph, seed=seed)
+        mapper = IPToASMapper(plan, ixps.prefixes())
+        engine = TracerouteEngine(
+            graph,
+            plan,
+            ixps,
+            self.traceroute_params or TracerouteParams(seed=seed),
+        )
+        vantages = select_vantages(
+            graph, self.num_vantages, seed=seed, exclude=[origin.asn]
+        )
+        collectors = BGPCollectorSet(vantages, origin)
+        probe_ases = select_probe_ases(
+            graph, self.num_probes, seed=seed + 1, exclude=[origin.asn]
+        )
+        fleet = AtlasProbeFleet(
+            probe_ases, engine, rounds_per_config=self.rounds_per_config
+        )
+        campaign = MeasurementCampaign(origin, collectors, fleet, mapper)
+        return Testbed(
+            topology=topology,
+            origin=origin,
+            policy=policy,
+            simulator=simulator,
+            plan=plan,
+            ixps=ixps,
+            mapper=mapper,
+            collectors=collectors,
+            fleet=fleet,
+            campaign=campaign,
+            spec=self,
         )
 
 
-def build_testbed(
-    seed: int = 0,
-    topology_params: Optional[TopologyParams] = None,
-    num_links: int = 7,
-    policy_noise: float = 0.05,
-    loop_prevention_disabled_fraction: float = 0.02,
-    num_vantages: int = 25,
-    num_probes: int = 120,
-    traceroute_params: Optional[TracerouteParams] = None,
-    rounds_per_config: int = 3,
-    with_geography: bool = False,
-) -> Testbed:
+def build_testbed(seed: int = 0, **options) -> Testbed:
     """Build a fully wired testbed from one seed.
 
-    Defaults give a PEERING-scale setup: 7 peering links, collector and
-    probe coverage proportional to the paper's (all public feeds, 1,600
-    Atlas probes over a ~70k-AS Internet ≈ a few percent of ASes).
-
-    With ``with_geography=True`` every AS is assigned a region and ties
-    between equally-preferred routes resolve hot-potato (toward the
-    geographically closest neighbor) instead of by arbitrary router state.
+    ``options`` are the other :class:`TestbedSpec` fields; see
+    :meth:`TestbedSpec.build`.
     """
-    spec = TestbedSpec(
-        seed=seed,
-        topology_params=topology_params,
-        num_links=num_links,
-        policy_noise=policy_noise,
-        loop_prevention_disabled_fraction=loop_prevention_disabled_fraction,
-        num_vantages=num_vantages,
-        num_probes=num_probes,
-        traceroute_params=traceroute_params,
-        rounds_per_config=rounds_per_config,
-        with_geography=with_geography,
-    )
-    params = topology_params or TopologyParams(seed=seed)
-    if params.seed != seed:
-        params = replace(params, seed=seed)
-    topology = generate_topology(params)
-    origin = attach_origin(topology, num_links=num_links, seed=seed)
-    graph = topology.graph
-    geography = None
-    if with_geography:
-        from ..topology.geography import GeographyModel
-
-        geography = GeographyModel.random(graph.ases, seed=seed)
-    policy = PolicyModel(
-        graph,
-        seed=seed,
-        policy_noise=policy_noise,
-        loop_prevention_disabled_fraction=loop_prevention_disabled_fraction,
-        geography=geography,
-    )
-    simulator = RoutingSimulator(graph, origin, policy)
-    plan = AddressPlan(graph.ases, origin.asn)
-    ixps = synthesize_ixps(graph, seed=seed)
-    mapper = IPToASMapper(plan, ixps.prefixes())
-    engine = TracerouteEngine(
-        graph,
-        plan,
-        ixps,
-        traceroute_params or TracerouteParams(seed=seed),
-    )
-    vantages = select_vantages(graph, num_vantages, seed=seed, exclude=[origin.asn])
-    collectors = BGPCollectorSet(vantages, origin)
-    probe_ases = select_probe_ases(graph, num_probes, seed=seed + 1, exclude=[origin.asn])
-    fleet = AtlasProbeFleet(probe_ases, engine, rounds_per_config=rounds_per_config)
-    campaign = MeasurementCampaign(origin, collectors, fleet, mapper)
-    return Testbed(
-        topology=topology,
-        origin=origin,
-        policy=policy,
-        simulator=simulator,
-        plan=plan,
-        ixps=ixps,
-        mapper=mapper,
-        collectors=collectors,
-        fleet=fleet,
-        campaign=campaign,
-        spec=spec,
-    )
+    return TestbedSpec(seed=seed, **options).build()
 
 
 @dataclass(frozen=True)

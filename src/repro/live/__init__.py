@@ -7,8 +7,8 @@ evaluation, useless *during* an attack.  This package turns the paper's
 
 * :mod:`~repro.live.events` — a monotonic simulated clock and the
   traffic batches stamped with it,
-* :mod:`~repro.live.ingest` — bounded-queue ingestion with decaying
-  per-link volume windows and explicit backpressure/drop accounting,
+* :mod:`~repro.live.ingest` — bounded-queue ingestion with explicit
+  backpressure/drop accounting,
 * :mod:`~repro.live.attributor` — incremental clustering + NNLS re-scoring
   as each configuration's catchment arrives,
 * :mod:`~repro.live.controller` — adaptive configuration selection that
@@ -24,7 +24,7 @@ from .attributor import LiveAttributor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .controller import AdaptiveController, ControllerPolicy
 from .events import PacketBatch, SimClock
-from .ingest import BoundedIngestQueue, DecayingVolumeWindow, IngestStats
+from .ingest import BoundedIngestQueue, IngestStats
 from .service import (
     LiveReport,
     LiveRunStats,
@@ -38,7 +38,6 @@ __all__ = [
     "SimClock",
     "PacketBatch",
     "BoundedIngestQueue",
-    "DecayingVolumeWindow",
     "IngestStats",
     "LiveAttributor",
     "AdaptiveController",

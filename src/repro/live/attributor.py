@@ -22,7 +22,6 @@ from typing import (
     Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 )
 
-from ..bgp.announcement import AnnouncementConfig
 from ..core.clustering import ClusterState
 from ..core.localization import LocalizationResult, SpoofLocalizer
 from ..errors import LiveServiceError
@@ -34,28 +33,23 @@ class ConfigObservations:
     """Volume evidence accumulated while one configuration was active.
 
     Attributes:
-        label: the configuration's display label.
         catchments: its catchment map restricted to the universe.
         volumes: per-link volume summed over accepted windows.
         offered_volume: total volume the sources originated across those
             windows (attributed + unattributed), the normalizer that makes
             rolling estimates comparable to the batch pipeline's
             unit-volume observations.
-        windows: accepted observation windows.
         degraded: links whose catchments are partial; refinement skips
             them, and a configuration with any is left out of the
             solves.
 
-    Only ``label``, ``volumes``, ``offered_volume`` and ``windows`` are
-    checkpointed; the service re-derives ``catchments`` and ``degraded``
-    from its evidence.
+    Only ``volumes`` and ``offered_volume`` are checkpointed; the
+    service re-derives ``catchments`` and ``degraded`` from its evidence.
     """
 
-    label: str
     catchments: Mapping[LinkId, Catchment]
     volumes: Dict[LinkId, float] = field(default_factory=dict)
     offered_volume: float = 0.0
-    windows: int = 0
     degraded: FrozenSet[LinkId] = frozenset()
 
     def normalized_volumes(self) -> Dict[LinkId, float]:
@@ -101,11 +95,10 @@ class LiveAttributor:
 
     def apply_config(
         self,
-        config: AnnouncementConfig,
         catchments: Mapping[LinkId, Catchment],
         degraded: FrozenSet[LinkId] = frozenset(),
     ) -> int:
-        """Refine clusters with a newly available configuration.
+        """Refine clusters with a newly deployed configuration's map.
 
         ``catchments`` is restricted to the universe (an ``Evidence``
         map, kept as given) and ``degraded`` names its partial links.
@@ -115,11 +108,7 @@ class LiveAttributor:
         """
         splits = self.state.refine_with_catchments(catchments, degraded)
         self.observations.append(
-            ConfigObservations(
-                label=config.label or config.describe(),
-                catchments=catchments,
-                degraded=degraded,
-            )
+            ConfigObservations(catchments=catchments, degraded=degraded)
         )
         self._dirty = True
         return splits
@@ -140,7 +129,6 @@ class LiveAttributor:
         for link, volume in volumes.items():
             current.volumes[link] = current.volumes.get(link, 0.0) + volume
         current.offered_volume += offered_volume
-        current.windows += 1
         self._dirty = True
 
     # ------------------------------------------------------------------
@@ -267,13 +255,11 @@ class LiveAttributor:
         return {
             "observations": [
                 {
-                    "label": obs.label,
                     "volumes": {
                         link: volume
                         for link, volume in sorted(obs.volumes.items())
                     },
                     "offered_volume": obs.offered_volume,
-                    "windows": obs.windows,
                 }
                 for obs in self.observations
             ],
@@ -296,11 +282,9 @@ class LiveAttributor:
         attributor = cls(universe)
         attributor.observations = [
             ConfigObservations(
-                label=entry["label"],
                 catchments={},
                 volumes=dict(entry["volumes"]),
                 offered_volume=entry["offered_volume"],
-                windows=entry["windows"],
             )
             for entry in payload["observations"]
         ]

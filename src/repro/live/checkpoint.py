@@ -1,11 +1,12 @@
 """Serialize/restore the live-service state for mid-attack resume.
 
 A checkpoint is a single JSON document holding only *observed* state:
-the clock, controller progress, each deployed configuration's volume
-evidence, pending ingest batches with their drop accounting, the
-decaying volume window, the per-window statistics emitted so far, and
-the churn log (each strike's window, drift, seed and remeasurement
-decision).  Everything derivable is rebuilt on load from the embedded
+the clock, controller progress, each deployed configuration's per-link
+and offered volume, the ingest drop accounting, the per-window
+statistics emitted so far, and the churn log (each strike's window,
+drift, seed and remeasurement decision).  Checkpoints fall between
+windows, and a window drains every batch it offers, so no queued batch
+is ever stored.  Everything derivable is rebuilt on load from the embedded
 :class:`~repro.core.pipeline.TestbedSpec`: topology, routing, schedule
 and the pre-attack catchment maps, then — replaying the churn log — the
 drifted ground truth, the remeasured maps, and the attributor's maps
@@ -25,7 +26,10 @@ and recovery rolls back to ``.1``; only when both are damaged does
 :data:`CHECKPOINT_VERSION`; loads accept every version in
 :data:`ACCEPTED_VERSIONS`.  Versions 1 and 2 also stored derived state
 (catchment maps, clusters), which the loader ignores, and their churn
-entries lack seeds, which the service fills in from its scenario.  A
+entries lack seeds, which the service fills in from its scenario.
+Versions 1-3 also stored state nothing read (an always-empty queue, a
+decaying volume window, per-observation labels and window counts, a
+zero queue depth per window row); the loader ignores it.  A
 newer or unknown version is not corruption: the loader falls back to
 ``.1`` like a damaged document, and raises
 :class:`~repro.errors.LiveServiceError` when no candidate loads.
@@ -44,10 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .service import LiveTracebackService
 
 #: Checkpoint document version :func:`save_checkpoint` writes.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Document versions :func:`load_checkpoint` restores.
-ACCEPTED_VERSIONS = (1, 2, CHECKPOINT_VERSION)
+ACCEPTED_VERSIONS = (1, 2, 3, CHECKPOINT_VERSION)
 
 
 def backup_path(path: str) -> str:

@@ -31,7 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..bgp.announcement import AnnouncementConfig
 from ..core.timeline import CampaignTimeline
 from ..errors import LiveServiceError
-from ..strategy import TracebackStrategy, make_strategy
+from ..strategy import make_strategy
 from ..types import Catchment, LinkId
 from .attributor import LiveAttributor
 
@@ -91,9 +91,6 @@ class AdaptiveController:
         registry: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             selection and remeasurement decisions are counted as they
             happen (per-phase selection counters, remeasure triggers).
-        strategy: a pre-built (unbound) strategy instance; default is
-            built from ``policy.strategy`` / ``policy.strategy_seed``
-            through the registry.
     """
 
     def __init__(
@@ -104,7 +101,6 @@ class AdaptiveController:
         policy: Optional[ControllerPolicy] = None,
         registry=None,
         bus=None,
-        strategy: Optional[TracebackStrategy] = None,
     ) -> None:
         if len(schedule) != len(catchment_maps):
             raise LiveServiceError(
@@ -118,11 +114,10 @@ class AdaptiveController:
         self.policy = policy or ControllerPolicy()
         self.registry = registry
         self.bus = bus
-        self.strategy = strategy if strategy is not None else make_strategy(
+        self.strategy = make_strategy(
             self.policy.strategy, seed=self.policy.strategy_seed
         )
-        if not self.strategy.bound:
-            self.strategy.bind(catchment_maps, schedule=self.schedule)
+        self.strategy.bind(catchment_maps, schedule=self.schedule)
         self.configs_consumed = 0
         self.dwell_minutes = 0.0
         self.remeasurements = 0

@@ -1,23 +1,19 @@
-"""Bounded ingestion and decaying volume windows for the live runtime.
+"""Bounded ingestion for the live runtime.
 
 During a real attack the honeypot produces observations faster than the
 control loop consumes them.  :class:`BoundedIngestQueue` makes that safe:
 capacity is fixed, overflow is an explicit *drop* with volume accounting
 (never unbounded growth), and the policy — reject the newest batch or
-evict the oldest — is deterministic.  :class:`DecayingVolumeWindow` keeps
-the "recent" per-link volume picture the controller steers by, decaying
-older windows exponentially so a shifting attack shows up quickly.
+evict the oldest — is deterministic.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Deque, List
 
 from ..errors import LiveServiceError
-from ..types import LinkId
 from .events import PacketBatch
 
 #: Queue overflow policies: refuse the incoming batch, or evict the
@@ -47,15 +43,7 @@ class IngestStats:
 
     def copy(self) -> "IngestStats":
         """Independent snapshot of the counters."""
-        return IngestStats(
-            offered_batches=self.offered_batches,
-            accepted_batches=self.accepted_batches,
-            dropped_batches=self.dropped_batches,
-            offered_volume=self.offered_volume,
-            accepted_volume=self.accepted_volume,
-            dropped_volume=self.dropped_volume,
-            max_queue_depth=self.max_queue_depth,
-        )
+        return replace(self)
 
 
 class BoundedIngestQueue:
@@ -79,9 +67,6 @@ class BoundedIngestQueue:
         self.drop_policy = drop_policy
         self.stats = IngestStats()
         self._queue: Deque[PacketBatch] = deque()
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     @property
     def depth(self) -> int:
@@ -118,72 +103,8 @@ class BoundedIngestQueue:
         stats.max_queue_depth = max(stats.max_queue_depth, len(self._queue))
         return admitted
 
-    def drain(self, max_batches: Optional[int] = None) -> List[PacketBatch]:
-        """Dequeue up to ``max_batches`` batches (all, when None)."""
-        if max_batches is not None and max_batches < 0:
-            raise LiveServiceError("cannot drain a negative number of batches")
-        count = len(self._queue) if max_batches is None else min(
-            max_batches, len(self._queue)
-        )
-        return [self._queue.popleft() for _ in range(count)]
-
-    def pending(self) -> List[PacketBatch]:
-        """Queued batches, oldest first (for checkpointing; not removed)."""
-        return list(self._queue)
-
-    def restore(self, batches: List[PacketBatch]) -> None:
-        """Replace queue contents (checkpoint restore path)."""
-        if len(batches) > self.capacity:
-            raise LiveServiceError("restored queue exceeds capacity")
-        self._queue = deque(batches)
-
-
-class DecayingVolumeWindow:
-    """Exponentially decaying per-link volume estimate.
-
-    Each call to :meth:`push` first decays the running totals by one
-    half-life step, then adds the new batch volumes, so a link that went
-    quiet ``half_life_ticks`` windows ago contributes half its old weight.
-
-    Args:
-        half_life_ticks: windows after which an observation's weight
-            halves.
-    """
-
-    def __init__(self, half_life_ticks: float = 4.0) -> None:
-        if half_life_ticks <= 0:
-            raise LiveServiceError("half life must be positive")
-        self.half_life_ticks = half_life_ticks
-        self._decay = math.pow(0.5, 1.0 / half_life_ticks)
-        self._volumes: Dict[LinkId, float] = {}
-
-    def push(self, volumes: Mapping[LinkId, float]) -> None:
-        """Decay one tick, then add this window's per-link volumes."""
-        for link in list(self._volumes):
-            self._volumes[link] *= self._decay
-        for link, volume in volumes.items():
-            self._volumes[link] = self._volumes.get(link, 0.0) + volume
-
-    def snapshot(self) -> Dict[LinkId, float]:
-        """Current decayed per-link volumes (copy)."""
-        return dict(self._volumes)
-
-    def total(self) -> float:
-        """Total decayed volume across links.
-
-        Summed in sorted-key order so the value is bit-identical no
-        matter how the dict was populated (a restored checkpoint stores
-        keys sorted; live accumulation inserts them in arrival order).
-        """
-        return sum(self._volumes[link] for link in sorted(self._volumes))
-
-    def concentration(self) -> float:
-        """Largest link's share of the decayed volume (0 when empty)."""
-        total = self.total()
-        if total <= 0:
-            return 0.0
-        return max(self._volumes.values()) / total
-
-    def restore(self, volumes: Mapping[LinkId, float]) -> None:
-        """Replace window contents (checkpoint restore path)."""
-        self._volumes = dict(volumes)
+    def drain(self) -> List[PacketBatch]:
+        """Dequeue every queued batch, oldest first."""
+        drained = list(self._queue)
+        self._queue.clear()
+        return drained

@@ -23,7 +23,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import (
     Callable,
     Dict,
@@ -75,7 +75,7 @@ from .attributor import LiveAttributor
 from .checkpoint import CHECKPOINT_VERSION, save_checkpoint
 from .controller import AdaptiveController, ControllerPolicy
 from .events import PacketBatch, SimClock
-from .ingest import BoundedIngestQueue, DecayingVolumeWindow, IngestStats
+from .ingest import BoundedIngestQueue, IngestStats
 
 #: Churn ordinals of injected storms start here, past any scheduled
 #: event's: a storm at window ``w`` has ordinal ``_STORM_ORDINALS + w``.
@@ -102,7 +102,6 @@ class ReplayScenario:
         queue_capacity: ingestion queue bound.
         drop_policy: ``"newest"`` or ``"oldest"`` (see
             :class:`~repro.live.ingest.BoundedIngestQueue`).
-        half_life_windows: decay half-life of the recent-volume window.
         strategy: registry name of the traceback strategy the controller
             consults (default the paper's ``"greedy"``;
             ``"schedule"`` deploys in schedule order, the batch
@@ -135,7 +134,6 @@ class ReplayScenario:
     batches_per_window: int = 1
     queue_capacity: int = 64
     drop_policy: str = "newest"
-    half_life_windows: float = 4.0
     strategy: str = "greedy"
     min_configs: int = 3
     stop_entropy: Optional[float] = None
@@ -194,7 +192,6 @@ class WindowStats:
     config_label: str
     schedule_index: int
     configs_consumed: int
-    queue_depth: int
     offered_volume: float
     accepted_volume: float
     dropped_volume: float
@@ -202,7 +199,6 @@ class WindowStats:
     num_clusters: int
     mean_cluster_size: float
     entropy: float
-    recent_concentration: float
 
 
 @dataclass(frozen=True)
@@ -258,7 +254,7 @@ class LiveReport:
             universe=self.universe,
             steps=list(self.steps),
             clusters=list(self.clusters),
-            catchment_history=[dict(maps) for maps in self.catchment_history],
+            catchment_history=list(self.catchment_history),
             localization=self.localization,
             placement=self.placement,
             measured=False,
@@ -358,6 +354,19 @@ class LiveTracebackService:
         if self.scenario.max_configs is not None:
             schedule = schedule[: self.scenario.max_configs]
         self.schedule = schedule
+        # Built before the premeasure so a bad queue or policy knob fails
+        # before the expensive simulation runs.
+        self.queue = BoundedIngestQueue(
+            self.scenario.queue_capacity, self.scenario.drop_policy
+        )
+        policy = ControllerPolicy(
+            strategy=self.scenario.strategy,
+            strategy_seed=self.scenario.seed,
+            min_configs=min(self.scenario.min_configs, len(self.schedule)),
+            stop_entropy=self.scenario.stop_entropy,
+            stop_volume_share=self.scenario.stop_volume_share,
+            churn_remeasure_threshold=self.scenario.churn_remeasure_threshold,
+        )
         self.engine = SimulationEngine(
             self.testbed.simulator,
             tracer=self.obs.tracer,
@@ -395,19 +404,7 @@ class LiveTracebackService:
         )
 
         self.clock = SimClock()
-        self.queue = BoundedIngestQueue(
-            self.scenario.queue_capacity, self.scenario.drop_policy
-        )
-        self.window = DecayingVolumeWindow(self.scenario.half_life_windows)
         self.attributor = LiveAttributor(self.universe)
-        policy = ControllerPolicy(
-            strategy=self.scenario.strategy,
-            strategy_seed=self.scenario.seed,
-            min_configs=min(self.scenario.min_configs, len(self.schedule)),
-            stop_entropy=self.scenario.stop_entropy,
-            stop_volume_share=self.scenario.stop_volume_share,
-            churn_remeasure_threshold=self.scenario.churn_remeasure_threshold,
-        )
         self.controller = AdaptiveController(
             self.schedule,
             self.evidence.planning_maps(),
@@ -428,7 +425,6 @@ class LiveTracebackService:
         self._windows_left = 0
         self._churn_cursor = 0
         self._finished = False
-        self._engine_baseline = EngineStats()
         self._checkpoint_ordinal = 0
         self.checkpoint_corruptions = 0
         self.restored_via_rollback = False
@@ -511,7 +507,7 @@ class LiveTracebackService:
     def _activate(self, index: int) -> None:
         config = self.schedule[index]
         step = self.evidence.steps[index]
-        self.attributor.apply_config(config, step.catchments, step.degraded)
+        self.attributor.apply_config(step.catchments, step.degraded)
         self.deployed.append(index)
         self._active_index = index
         self._windows_left = self.timeline.windows_per_config(
@@ -570,7 +566,6 @@ class LiveTracebackService:
             self.unattributed_volume += batch.unattributed
         if drained:
             self.attributor.observe(combined, offered)
-            self.window.push(combined)
 
         self.clock.advance(scenario.window_minutes)
         self._windows_left -= 1
@@ -608,7 +603,6 @@ class LiveTracebackService:
             config_label=config.label or config.describe(),
             schedule_index=index,
             configs_consumed=self.controller.configs_consumed,
-            queue_depth=self.queue.depth,
             offered_volume=ingest.offered_volume,
             accepted_volume=ingest.accepted_volume,
             dropped_volume=ingest.dropped_volume,
@@ -616,7 +610,6 @@ class LiveTracebackService:
             num_clusters=state.num_clusters(),
             mean_cluster_size=state.mean_size(),
             entropy=self.attributor.attribution_entropy(),
-            recent_concentration=self.window.concentration(),
         )
 
     def _make_batch(self, index: int, batch_index: int) -> PacketBatch:
@@ -820,7 +813,7 @@ class LiveTracebackService:
             steps=list(self.steps),
             clusters=self.attributor.clusters(),
             catchment_history=[
-                dict(obs.catchments) for obs in self.attributor.observations
+                obs.catchments for obs in self.attributor.observations
             ],
             windows=list(self.window_stats),
             ingest=self.queue.stats.copy(),
@@ -890,19 +883,7 @@ class LiveTracebackService:
             "clock": self.clock.now,
             "controller": self.controller.as_serializable(),
             "attributor": self.attributor.as_serializable(),
-            "ingest": {
-                "stats": asdict(self.queue.stats),
-                "pending": [
-                    {
-                        "timestamp": batch.timestamp,
-                        "volumes": dict(batch.volumes),
-                        "unattributed": batch.unattributed,
-                        "packets": batch.packets,
-                    }
-                    for batch in self.queue.pending()
-                ],
-            },
-            "window": self.window.snapshot(),
+            "ingest": {"stats": asdict(self.queue.stats)},
             "progress": {
                 "window_index": self.window_index,
                 "active_index": self._active_index,
@@ -959,20 +940,7 @@ class LiveTracebackService:
 
         service.clock = SimClock(payload["clock"])
         service.controller.restore(payload["controller"])
-        ingest = payload["ingest"]
-        service.queue.stats = IngestStats(**ingest["stats"])
-        service.queue.restore(
-            [
-                PacketBatch(
-                    timestamp=entry["timestamp"],
-                    volumes=dict(entry["volumes"]),
-                    unattributed=entry["unattributed"],
-                    packets=entry["packets"],
-                )
-                for entry in ingest["pending"]
-            ]
-        )
-        service.window.restore(payload["window"])
+        service.queue.stats = IngestStats(**payload["ingest"]["stats"])
 
         progress = payload["progress"]
         service.window_index = int(progress["window_index"])
@@ -985,7 +953,7 @@ class LiveTracebackService:
         service.unattributed_volume = float(progress["unattributed_volume"])
         service.steps = [StepStats(**step) for step in progress["steps"]]
         service.window_stats = [
-            WindowStats(**stats) for stats in progress["windows"]
+            _window_from_payload(stats) for stats in progress["windows"]
         ]
         service.churn_log = _seeded_churn_log(progress["churn_log"], scenario)
         service._checkpoint_ordinal = int(
@@ -1071,11 +1039,22 @@ def _spec_from_payload(payload: Mapping) -> TestbedSpec:
     return TestbedSpec(**data)
 
 
+def _window_from_payload(payload: Mapping) -> WindowStats:
+    # Versions 1-3 also logged the (always zero) post-drain queue depth
+    # and the decaying window's concentration.
+    data = dict(payload)
+    data.pop("queue_depth", None)
+    data.pop("recent_concentration", None)
+    return WindowStats(**data)
+
+
 def _scenario_from_payload(payload: Mapping) -> ReplayScenario:
     data = dict(payload)
     # Checkpoints written while the NNLS re-solve stride was a scenario
     # field carry it; a resumed service re-solves on every change.
     data.pop("nnls_stride", None)
+    # Versions 1-3 carry the half-life of the retired decaying window.
+    data.pop("half_life_windows", None)
     # Checkpoints written while schedule order was an ``adaptive: false``
     # switch store the strategy the switch bypassed; only the paper's
     # greedy (whose convergence check is the schedule strategy's)

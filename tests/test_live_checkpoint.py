@@ -307,22 +307,28 @@ class TestCheckpointLocation:
 
 
 class TestSchemaVersioning:
-    """Accepted versions: v1 and v2 documents keep loading."""
+    """Accepted versions: v1, v2 and v3 documents keep loading."""
 
     def test_current_documents_store_only_observed_state(
         self, small_testbed, tmp_path
     ):
-        path = str(tmp_path / "v3.json")
+        path = str(tmp_path / "v4.json")
         service = LiveTracebackService(
             scenario=_small_scenario(path), testbed=small_testbed
         )
         service.run()
         service.close()
         payload = json.load(open(path))["payload"]
-        assert payload["version"] == CHECKPOINT_VERSION == 3
-        assert "written_by" not in payload
+        assert payload["version"] == CHECKPOINT_VERSION == 4
+        assert not {"written_by", "window"} & set(payload)
+        assert set(payload["ingest"]) == {"stats"}
+        assert "half_life_windows" not in payload["scenario"]
         assert set(payload["attributor"]) == {"observations"}
+        for entry in payload["attributor"]["observations"]:
+            assert set(entry) == {"volumes", "offered_volume"}
         assert not {"last_churn", "maps_fresh"} & set(payload["progress"])
+        for row in payload["progress"]["windows"]:
+            assert not {"queue_depth", "recent_concentration"} & set(row)
 
     def test_golden_v1_fixture_matches_native_v2_run(
         self, small_testbed, tmp_path
@@ -396,26 +402,56 @@ class TestSchemaVersioning:
     def test_version_2_document_loads(self, small_testbed, tmp_path):
         """A v2 document — written_by envelope, stored maps and clusters,
         unseeded churn — resumes to the native run."""
-        path = str(tmp_path / "v2.json")
-        scenario = _small_scenario(path, churn_events=((2, 0.5),))
-        native = LiveTracebackService(scenario=scenario, testbed=small_testbed)
-        full = native.run()
-        native.close()
-        payload = json.load(open(path))["payload"]
-        payload["version"] = 2
-        payload["written_by"] = {"library": "repro", "schema": 2}
-        payload["attributor"]["clusters"] = [[0]]  # ignored on load
-        for entry in payload["progress"]["churn_log"]:
-            del entry["churn_seed"]
-        with open(path, "w") as handle:
-            handle.write(_checksummed(payload))
-        os.remove(backup_path(path))
-        restored = load_checkpoint(path)
-        assert not restored.restored_via_rollback
-        assert restored.churn_log == native.churn_log
-        resumed = restored.run()
-        restored.close()
-        assert attribution_digest(resumed) == attribution_digest(full)
+
+        def as_v2(payload):
+            payload["version"] = 2
+            payload["written_by"] = {"library": "repro", "schema": 2}
+            payload["attributor"]["clusters"] = [[0]]  # ignored on load
+            for entry in payload["progress"]["churn_log"]:
+                del entry["churn_seed"]
+
+        _assert_legacy_document_resumes(small_testbed, tmp_path, as_v2)
+
+    def test_version_3_document_loads(self, small_testbed, tmp_path):
+        """A v3 document — empty pending queue, decaying window, labelled
+        observations with window counts, per-window queue depth and
+        concentration, a scenario half-life — resumes to the native run."""
+
+        def as_v3(payload):
+            payload["version"] = 3
+            payload["window"] = {"l1": 0.5}
+            payload["ingest"]["pending"] = []
+            payload["scenario"]["half_life_windows"] = 4.0
+            for entry in payload["attributor"]["observations"]:
+                entry["label"] = "loc:AMS-IX"
+                entry["windows"] = 4
+            for row in payload["progress"]["windows"]:
+                row["queue_depth"] = 0
+                row["recent_concentration"] = 0.675
+
+        _assert_legacy_document_resumes(small_testbed, tmp_path, as_v3)
+
+
+def _assert_legacy_document_resumes(small_testbed, tmp_path, downgrade):
+    """A native checkpoint rewritten by ``downgrade`` into an older
+    schema loads and resumes to the uninterrupted run's attribution."""
+    path = str(tmp_path / "legacy.json")
+    scenario = _small_scenario(path, churn_events=((2, 0.5),))
+    native = LiveTracebackService(scenario=scenario, testbed=small_testbed)
+    full = native.run()
+    native.close()
+    payload = json.load(open(path))["payload"]
+    downgrade(payload)
+    with open(path, "w") as handle:
+        handle.write(_checksummed(payload))
+    os.remove(backup_path(path))
+    restored = load_checkpoint(path)
+    assert not restored.restored_via_rollback
+    assert restored.churn_log == native.churn_log
+    resumed = restored.run()
+    restored.close()
+    assert resumed.windows == full.windows
+    assert attribution_digest(resumed) == attribution_digest(full)
 
 
 class TestGenerationRotation:

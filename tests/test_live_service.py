@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.engine import SimulationEngine
 from repro.core.pipeline import SpoofTracker
 from repro.errors import LiveServiceError
 from repro.live import (
@@ -58,6 +59,26 @@ class TestScenarioValidation:
     def test_rejects_bad_window(self):
         with pytest.raises(LiveServiceError):
             ReplayScenario(window_minutes=0.0)
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"queue_capacity": 0},
+            {"drop_policy": "middle"},
+            {"min_configs": 0},
+            {"stop_volume_share": 2.0},
+            {"churn_remeasure_threshold": 5.0},
+        ],
+    )
+    def test_bad_queue_or_policy_knob_fails_before_premeasure(
+        self, small_testbed, monkeypatch, knob
+    ):
+        def premeasure(engine, configs):
+            raise AssertionError("premeasure ran on an invalid scenario")
+
+        monkeypatch.setattr(SimulationEngine, "iter_simulate", premeasure)
+        with pytest.raises(LiveServiceError):
+            make_service(small_testbed, **knob)
 
 
 class TestReplay:
@@ -129,6 +150,18 @@ class TestReplay:
         summary = tracker_report.summary()
         assert "live runtime" in summary
         assert "stopped: schedule exhausted" in summary
+
+    def test_report_hands_out_the_evidence_maps(self, small_testbed):
+        service = make_service(small_testbed, max_configs=3, min_configs=1)
+        report = service.run()
+        service.close()
+        deployed = [service.evidence.steps[i].catchments for i in service.deployed]
+        for history in (
+            report.catchment_history,
+            report.to_tracker_report().catchment_history,
+        ):
+            assert len(history) == len(deployed)
+            assert all(got is want for got, want in zip(history, deployed))
 
     def test_on_window_callback_streams_stats(self, small_testbed):
         seen = []
@@ -237,13 +270,8 @@ class TestLiveAttributor:
         assert attributor.attribution_entropy() == 0.0
 
     def test_reads_reuse_the_solve_until_evidence_changes(self):
-        from repro.bgp.announcement import AnnouncementConfig
-
         attributor = LiveAttributor({1, 2, 3})
-        config = AnnouncementConfig(announced=frozenset({"l1", "l2"}))
-        attributor.apply_config(
-            config, {"l1": frozenset({1, 2}), "l2": frozenset({3})}
-        )
+        attributor.apply_config({"l1": frozenset({1, 2}), "l2": frozenset({3})})
         attributor.observe({"l1": 2.0, "l2": 1.0}, 3.0)
         first = attributor.attribution()
         assert first is not None and attributor.solves == 1

@@ -471,7 +471,7 @@ class TestControllerEquivalence:
             shadow_remaining.remove(choice)
             dwell += timeline.minutes_per_config
             assert controller.dwell_minutes == dwell
-            attributor.apply_config(schedule[choice], history[choice])
+            attributor.apply_config(history[choice])
             volumes = link_volumes(placement, outcomes[choice].catchments)
             attributor.observe(volumes, volumes.offered)
         assert controller.select_next(attributor) is None
