@@ -73,7 +73,7 @@ import heapq
 from collections import abc
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, SimulationError
 from ..topology.graph import ASGraph
 from ..topology.peering import OriginNetwork
 from ..topology.relationships import Relationship
@@ -319,7 +319,6 @@ class CompiledTopology:
         warm_start: Optional[Mapping[ASN, Route]],
         max_passes: int,
         strict: bool,
-        known_ases: FrozenSet[ASN],
     ):
         """Propagate ``config`` to a fixpoint; mirror of the reference loop.
 
@@ -675,7 +674,6 @@ class CompiledTopology:
             decision_changes=decision_changes,
             converged=converged,
             origin_asn=origin_asn,
-            known_ases=known_ases,
             warm_started=bool(warm_start),
         )
 
@@ -684,11 +682,12 @@ class RouteTable(abc.Mapping):
     """Read-only ``Mapping[ASN, Route]`` over one fixpoint's final arrays.
 
     :meth:`CompiledTopology.propagate` returns its route state as this
-    table instead of a dict of :class:`Route` objects: a ``Route`` is
-    built on first lookup and memoized per AS, so an outcome nobody
-    reads route by route never builds one.  Iteration follows the
-    simulator's visit order, as the dict it replaces did.  Membership,
-    length and :meth:`link_of` read the arrays.
+    table instead of a dict of :class:`Route` objects: each lookup
+    builds a fresh ``Route`` and the table keeps none, so an outcome
+    nobody reads route by route never builds one.  Iteration follows
+    the simulator's visit order, as the dict it replaces did.
+    Membership, length, :meth:`link_of`, :meth:`path_of` and
+    :meth:`forwarding_path` read the arrays.
 
     The table is also the warm-start seed of the configurations derived
     from it: besides the route arrays it keeps what the next fixpoint
@@ -711,7 +710,6 @@ class RouteTable(abc.Mapping):
         "opath",
         "noexp",
         "_len",
-        "_memo",
     )
 
     def __init__(
@@ -739,27 +737,21 @@ class RouteTable(abc.Mapping):
         self.opath = opath
         self.noexp = noexp
         self._len = routed
-        self._memo: Dict[ASN, Route] = {}
 
     def get(self, asn, default=None):
-        route = self._memo.get(asn)
-        if route is not None:
-            return route
         i = self.core.index.get(asn)
         if i is None:
             return default
         k = self.r_link[i]
         if k < 0:
             return default
-        route = Route(
+        return Route(
             as_path=self.r_path[i],
             link_id=self.core.link_ids[k],
             learned_from=self.r_from[i],
             relationship=self.r_rel[i],
             local_pref=self.r_lp[i],
         )
-        self._memo[asn] = route
-        return route
 
     def link_of(self, asn: ASN) -> Optional[LinkId]:
         """The link ``asn`` routes to, or None when it has no route."""
@@ -768,6 +760,52 @@ class RouteTable(abc.Mapping):
             return None
         k = self.r_link[i]
         return self.core.link_ids[k] if k >= 0 else None
+
+    def path_of(self, asn: ASN) -> Optional[ASPath]:
+        """The AS path of ``asn``'s route (as the AS would export it to
+        a collector, less itself), or None when it has no route."""
+        i = self.core.index.get(asn)
+        if i is None or self.r_link[i] < 0:
+            return None
+        return self.r_path[i]
+
+    def forwarding_path(self, asn: ASN) -> ASPath:
+        """Data-plane AS path from ``asn`` to the origin, following the
+        next hops in ``r_from``; see
+        :meth:`~repro.bgp.simulator.RoutingOutcome.forwarding_path`.
+
+        Raises:
+            SimulationError: if ``asn`` is not in the topology, if it or
+                a next hop on its chain holds no route, or if the chain
+                loops (only possible on non-converged outcomes).
+        """
+        index = self.core.index
+        i = index.get(asn)
+        if i is None:
+            raise SimulationError(
+                f"AS {asn} is not part of the simulated topology"
+            )
+        origin_asn = self.core.origin_asn
+        if asn == origin_asn:
+            return (asn,)
+        r_link = self.r_link
+        r_from = self.r_from
+        hops: List[ASN] = [asn]
+        for _ in range(self._len + 2):
+            if r_link[i] < 0:
+                current = hops[-1]
+                raise SimulationError(
+                    f"AS {current} holds no route toward the prefix"
+                    if current == asn
+                    else f"AS {current} (next hop of AS {asn}) holds no route "
+                    "toward the prefix"
+                )
+            next_hop = r_from[i]
+            hops.append(next_hop)
+            if next_hop == origin_asn:
+                return tuple(hops)
+            i = index[next_hop]
+        raise SimulationError(f"forwarding loop detected starting at AS {asn}")
 
     def __getitem__(self, asn: ASN) -> Route:
         route = self.get(asn)

@@ -49,8 +49,9 @@ class RoutingOutcome:
     Attributes:
         config: the configuration that was simulated.
         routes: best route per AS (ASes with no route are absent), as a
-            read-only mapping; simulated outcomes hold a
-            :class:`~repro.bgp.indexed.RouteTable`.
+            read-only :class:`~repro.bgp.indexed.RouteTable`: a mapping
+            that also answers ``link_of``, ``path_of`` and
+            ``forwarding_path`` off its arrays, building no route.
         catchments: per announced link, the set of ASes routed toward it;
             simulated outcomes hold a
             :class:`~repro.bgp.indexed.RouteCatchments`, which builds the
@@ -67,9 +68,6 @@ class RoutingOutcome:
     decision_changes: int
     converged: bool
     origin_asn: ASN
-    #: All ASes of the simulated topology (shared frozenset, not a copy);
-    #: empty on outcomes built by hand before this field existed.
-    known_ases: FrozenSet[ASN] = frozenset()
     #: Whether the fixpoint was seeded from a prior outcome's routes.
     warm_started: bool = False
 
@@ -79,8 +77,7 @@ class RoutingOutcome:
 
     def catchment_of(self, asn: ASN) -> Optional[LinkId]:
         """Peering link whose catchment contains ``asn`` (None if unrouted)."""
-        route = self.routes.get(asn)
-        return route.link_id if route is not None else None
+        return self.routes.link_of(asn)
 
     @property
     def covered_ases(self) -> FrozenSet[ASN]:
@@ -93,36 +90,16 @@ class RoutingOutcome:
         Unlike the control-plane AS-path, this excludes prepending
         repetitions and poison stuffing: it is the chain of ASes packets
         actually traverse, ending at the origin.  Used by the traceroute
-        simulation.
+        simulation.  The walk is the route table's
+        (:meth:`~repro.bgp.indexed.RouteTable.forwarding_path`): it
+        follows the next hops without building a route.
 
         Raises:
             SimulationError: if ``asn`` is not part of the simulated
                 topology at all, if it holds no route, or if the next-hop
                 chain is broken (only possible on non-converged outcomes).
         """
-        if self.known_ases and asn not in self.known_ases:
-            raise SimulationError(
-                f"AS {asn} is not part of the simulated topology"
-            )
-        if asn == self.origin_asn:
-            return (asn,)
-        hops: List[ASN] = [asn]
-        current = asn
-        for _ in range(len(self.routes) + 2):
-            route = self.routes.get(current)
-            if route is None:
-                raise SimulationError(
-                    f"AS {current} holds no route toward the prefix"
-                    if current == asn
-                    else f"AS {current} (next hop of AS {asn}) holds no route "
-                    "toward the prefix"
-                )
-            next_hop = route.learned_from
-            hops.append(next_hop)
-            if next_hop == self.origin_asn:
-                return tuple(hops)
-            current = next_hop
-        raise SimulationError(f"forwarding loop detected starting at AS {asn}")
+        return self.routes.forwarding_path(asn)
 
 
 class RoutingSimulator:
@@ -185,7 +162,6 @@ class RoutingSimulator:
             key=lambda asn: (distances.get(asn, len(graph)), asn),
         )
         self._compiled: Optional[CompiledTopology] = None
-        self._known_ases: FrozenSet[ASN] = graph.ases
 
     # ------------------------------------------------------------------
 
@@ -234,7 +210,7 @@ class RoutingSimulator:
                 self.graph, self.origin, self.policy, self._visit_order
             )
         return self._compiled.propagate(
-            config, warm_start, self.max_passes, self.strict, self._known_ases
+            config, warm_start, self.max_passes, self.strict
         )
 
     # ------------------------------------------------------------------

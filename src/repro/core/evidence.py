@@ -24,7 +24,9 @@ from ..bgp.simulator import RoutingOutcome
 from ..errors import SchedulingError
 from ..measurement.catchment import CatchmentHistory
 from ..types import ASN, Catchment, LinkId
-from .labels import Columns, LabelledCatchments, label_row
+from .labels import (
+    AssignedCatchments, Columns, LabelledCatchments, label_row,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..faults.injection import FaultInjector
@@ -98,12 +100,13 @@ class Evidence:
                     history = CatchmentHistory(assignment)
                 history.add(assignment)
             columns = Columns.of(history.universe)
-            # Withdrawn links keep an (empty) catchment in every map.
+            # Each imputed assignment goes straight into its label row;
+            # the sets are built only if someone reads them.  Withdrawn
+            # links keep an (empty) catchment in every map.
+            links = campaign.origin.link_ids
             maps = [
-                LabelledCatchments.of(catchments, columns)
-                for catchments in history.catchment_maps(
-                    campaign.origin.link_ids
-                )
+                AssignedCatchments(assignment, links, columns)
+                for assignment in history.iter_imputed()
             ]
             steps = map(EvidenceStep, configs, outcomes, maps)
             return cls(

@@ -13,7 +13,9 @@ row.  :class:`LabelledCatchments` is a catchment dict that carries its
 row: the evidence hands these out, the helper returns their row in
 O(1), and their frozensets are built only when someone reads them.  A
 simulated outcome's :class:`~repro.bgp.indexed.RouteCatchments` is
-labelled straight off its route table, so it builds no set either.
+labelled straight off its route table, so it builds no set either, and
+a measured map, :class:`AssignedCatchments`, is written from its source
+→ link assignment, one label per source.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import (
 import numpy as np
 
 from ..bgp.indexed import CompiledTopology, RouteCatchments
+from ..measurement.catchment import assignment_to_catchments
 from ..types import ASN, Catchment, LazyCatchments, LinkId
 
 
@@ -222,3 +225,57 @@ class LabelledCatchments(LazyCatchments):
     def _build(self, source: Mapping[LinkId, Catchment]):
         members = self.row.columns.members
         return ((link, frozenset(source[link] & members)) for link in source)
+
+
+class AssignedCatchments(LabelledCatchments):
+    """A measured configuration's catchments, held as its label row.
+
+    Built from a source → link assignment over a universe (measured
+    catchments are disjoint: one link per source), it writes each
+    source's label straight into the row and keeps, besides, the order
+    the sources were assigned in.  Its frozensets are built only when
+    first read, from the assignment re-read off the row in that order,
+    so they are :func:`~repro.measurement.catchment.assignment_to_catchments`
+    of the same assignment, down to each set's iteration order.  The
+    keys are ``links`` and then any other assigned link, in first-seen
+    order.
+
+    Args:
+        assignment: source → link, every source a member of ``columns``.
+        links: the keys, in order (e.g. the origin's link ids).
+        columns: the universe.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        assignment: Mapping[ASN, LinkId],
+        links: Iterable[LinkId],
+        columns: Columns,
+    ) -> None:
+        keys = list(dict.fromkeys([*links, *assignment.values()]))
+        sorted_links = sorted(keys)
+        label_of = {link: label for label, link in enumerate(sorted_links, 1)}
+        count = len(assignment)
+        column = columns.column
+        order = np.fromiter(
+            (column[asn] for asn in assignment), dtype=np.int32, count=count
+        )
+        labels = np.zeros(len(columns), dtype=np.int32)
+        labels[order] = np.fromiter(
+            (label_of[link] for link in assignment.values()),
+            dtype=np.int32, count=count,
+        )
+        LazyCatchments.__init__(self, keys, order)
+        self.row = LabelRow(columns, sorted_links, labels)
+
+    def _build(self, order: np.ndarray):
+        row = self.row
+        asns = row.columns.asns
+        links = row.links
+        labels = row.labels.tolist()
+        assignment = {
+            asns[cell]: links[labels[cell] - 1] for cell in order.tolist()
+        }
+        return assignment_to_catchments(assignment, list(self)).items()

@@ -84,7 +84,9 @@ def policy_compliance(
             origin.provider_of(link): link
             for link in outcome.config.announced
         }
-    for asn, route in outcome.routes.items():
+    # Each AS's route is read once per neighbor: build each one once.
+    routes = dict(outcome.routes.items())
+    for asn, route in routes.items():
         candidates: Dict[ASN, Tuple[int, int]] = {}
         for neighbor, neighbor_relationship in graph.neighbors(asn).items():
             if neighbor == origin_asn:
@@ -96,7 +98,7 @@ def policy_compliance(
                         len(path_without_prepending(announced)),
                     )
                 continue
-            neighbor_route = outcome.routes.get(neighbor)
+            neighbor_route = routes.get(neighbor)
             if neighbor_route is None or neighbor_route.learned_from == asn:
                 continue
             if not policy.exports(

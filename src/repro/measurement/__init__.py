@@ -1,6 +1,6 @@
 """Catchment measurement substrate: feeds, traceroutes, mapping, resolution."""
 
-from .atlas import AtlasProbeFleet, MeasurementRound, select_probe_ases
+from .atlas import AtlasProbeFleet, select_probe_ases
 from .campaign import ConfigMeasurement, MeasurementCampaign
 from .catchment import (
     KIND_BGP,
@@ -48,7 +48,6 @@ __all__ = [
     "select_vantages",
     "link_of_bgp_path",
     "AtlasProbeFleet",
-    "MeasurementRound",
     "select_probe_ases",
     "CatchmentObservation",
     "CatchmentHistory",

@@ -3,20 +3,19 @@
 The paper issues traceroutes from 1,600 RIPE Atlas probes toward the
 PEERING prefix every 20 minutes, keeping each configuration active long
 enough to collect at least three post-convergence rounds (§IV).  This
-module models the fleet: probe placement across ASes, scheduled
-measurement rounds, and per-round losses.
+module models the fleet: probe placement across ASes and its scheduled
+measurement rounds.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from ..bgp.simulator import RoutingOutcome
 from ..errors import MeasurementError
 from ..topology.graph import ASGraph
-from ..types import ASN, ASPath
+from ..types import ASN
 from .traceroute import Traceroute, TracerouteEngine
 
 
@@ -39,14 +38,6 @@ def select_probe_ases(
         )
     rng = random.Random(seed)
     return sorted(rng.sample(eligible, count))
-
-
-@dataclass(frozen=True)
-class MeasurementRound:
-    """Traceroutes of one probing round under one configuration."""
-
-    round_index: int
-    traceroutes: List[Traceroute]
 
 
 class AtlasProbeFleet:
@@ -73,32 +64,9 @@ class AtlasProbeFleet:
         self.engine = engine
         self.rounds_per_config = rounds_per_config
 
-    def measure(self, outcome: RoutingOutcome) -> List[MeasurementRound]:
-        """Collect all rounds of traceroutes for one configuration.
-
-        The outcome's forwarding paths are memoized for this call only:
-        probes re-trace the same paths round after round.
-        """
-        rounds: List[MeasurementRound] = []
-        config_key = outcome.config.describe()
-        paths: Dict[ASN, Optional[ASPath]] = {}
-        for round_index in range(self.rounds_per_config):
-            traceroutes = []
-            for probe_as in self.probe_ases:
-                trace = self.engine.measure(
-                    outcome, probe_as, round_index, config_key=config_key, paths=paths
-                )
-                if trace is not None:
-                    traceroutes.append(trace)
-            rounds.append(
-                MeasurementRound(round_index=round_index, traceroutes=traceroutes)
-            )
-        return rounds
-
     def all_traceroutes(self, outcome: RoutingOutcome) -> List[Traceroute]:
-        """All traceroutes across rounds, flattened."""
-        return [
-            trace
-            for round_ in self.measure(outcome)
-            for trace in round_.traceroutes
-        ]
+        """All traceroutes of every round under one configuration, round
+        by round, each in probe order (probes with no route give none)."""
+        return self.engine.synthesize(
+            outcome, self.probe_ases, range(self.rounds_per_config)
+        )

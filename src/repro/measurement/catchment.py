@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
+)
 
 from ..errors import MeasurementError
 from ..types import ASN, LinkId
@@ -206,9 +208,13 @@ class CatchmentHistory:
         Sources whose smax is also missing stay unassigned for that
         configuration — refinement simply learns nothing about them.
         """
+        return list(self.iter_imputed())
+
+    def iter_imputed(self) -> Iterator[Dict[ASN, LinkId]]:
+        """:meth:`imputed_assignments`, one configuration at a time, so a
+        caller that converts each one holds a single imputed dict."""
         smax_cache: Dict[ASN, Optional[ASN]] = {}
         groups = self._link_groups()
-        completed: List[Dict[ASN, LinkId]] = []
         for assignment in self._assignments:
             filled = dict(assignment)
             for source in self.universe - set(assignment):
@@ -217,8 +223,7 @@ class CatchmentHistory:
                 smax = smax_cache[source]
                 if smax is not None and smax in assignment:
                     filled[source] = assignment[smax]
-            completed.append(filled)
-        return completed
+            yield filled
 
     def catchment_maps(
         self, links: Iterable[LinkId], imputed: bool = True

@@ -77,18 +77,16 @@ class BGPCollectorSet:
         """AS-paths exported by each vantage under ``outcome``.
 
         Vantages with no route are absent (a collector simply sees no
-        announcement from them).
+        announcement from them).  Each path is the vantage followed by
+        its route's AS path, read off the route table.
         """
+        path_of = outcome.routes.path_of
         observations: Dict[ASN, ASPath] = {}
         for vantage in self.vantages:
-            route = outcome.route(vantage)
-            if route is not None:
-                observations[vantage] = (vantage,) + route.as_path
+            path = path_of(vantage)
+            if path is not None:
+                observations[vantage] = (vantage,) + path
         return observations
-
-    def observed_paths(self, outcome: RoutingOutcome) -> List[ASPath]:
-        """All observed paths (for BGP-bracketing traceroute repair)."""
-        return list(self.observe(outcome).values())
 
 
 def link_of_bgp_path(origin: OriginNetwork, path: ASPath) -> Optional[LinkId]:

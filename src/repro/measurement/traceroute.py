@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bgp.simulator import RoutingOutcome
 from ..errors import MeasurementError, SimulationError
@@ -142,14 +142,6 @@ class TracerouteEngine:
         digest = zlib.crc32(f"routers|{asn}|{self.params.seed}".encode("ascii"))
         return 1 + digest % self.params.max_routers_per_as
 
-    def _rng_for(self, probe_as: ASN, round_index: int, config_key: str) -> random.Random:
-        """The engine's generator, re-seeded for one trace."""
-        digest = zlib.crc32(
-            f"probe|{probe_as}|{round_index}|{config_key}|{self.params.seed}".encode("ascii")
-        )
-        self._rng.seed(digest)
-        return self._rng
-
     def _entry_hops(self, previous_as: Optional[ASN], asn: ASN) -> Tuple[PlanHop, ...]:
         """The memoized :data:`PlanHop` run of ``asn`` entered from
         ``previous_as`` (None for the first AS of a path): the peering-LAN
@@ -188,97 +180,121 @@ class TracerouteEngine:
 
     @staticmethod
     def _forwarding_path(
-        outcome: RoutingOutcome, asn: ASN, paths: Dict[ASN, Optional[ASPath]]
+        routes, asn: ASN, paths: Dict[ASN, Optional[ASPath]]
     ) -> Optional[ASPath]:
-        """``outcome.forwarding_path(asn)``, None when it has none, read
-        through ``paths``, a memo for this one outcome."""
+        """``routes.forwarding_path(asn)``, None when it has none, read
+        through ``paths``, a memo for this one route table."""
         try:
             return paths[asn]
         except KeyError:
             pass
         try:
-            path: Optional[ASPath] = outcome.forwarding_path(asn)
+            path: Optional[ASPath] = routes.forwarding_path(asn)
         except SimulationError:
             path = None
         paths[asn] = path
         return path
 
-    def measure(
+    def synthesize(
         self,
         outcome: RoutingOutcome,
-        probe_as: ASN,
-        round_index: int = 0,
-        config_key: Optional[str] = None,
-        paths: Optional[Dict[ASN, Optional[ASPath]]] = None,
-    ) -> Optional[Traceroute]:
-        """Run one traceroute from ``probe_as`` toward the prefix.
+        probe_ases: Sequence[ASN],
+        rounds: Iterable[int],
+    ) -> List[Traceroute]:
+        """Traceroutes from every probe in ``probe_ases`` in each of
+        ``rounds``, round by round, toward the prefix under ``outcome``.
 
-        ``config_key`` is ``outcome.config.describe()``; callers issuing
-        many traceroutes under one outcome pass it to skip recomputing it,
-        and may pass ``paths``, an initially empty dict they keep for that
-        outcome only, to memoize its forwarding paths across traces.
-
-        Returns None when the probe currently has no route (e.g. its
-        region lost reachability under a withdrawal) — matching a real
-        measurement timing out entirely.
+        A probe whose AS currently has no route (e.g. its region lost
+        reachability under a withdrawal) gives no trace, matching a real
+        measurement timing out entirely.  Each trace draws from the
+        engine's generator seeded with the CRC32 of
+        ``probe|<probe AS>|<round>|<outcome.config.describe()>|<seed>``;
+        the per-probe head and per-round tail of that key are hashed
+        once and joined by continuing the CRC.  Everything else that is
+        fixed for the configuration (rates, target, route table, the
+        forwarding-path memo) is read once per call, and hop plans come
+        from the engine's memo.
         """
         params = self.params
-        if config_key is None:
-            config_key = outcome.config.describe()
-        if paths is None:
-            paths = {}
-        rng = self._rng_for(probe_as, round_index, config_key)
+        graph = self.graph
+        routes = outcome.routes
+        rng = self._rng
+        # The C-level seed: ``random.Random.seed`` only adds type checks
+        # for an int and a reset of the unused Gaussian cache.
+        reseed = super(random.Random, rng).seed
         draw = rng.random
-        measured_as = probe_as
-        if params.path_error_rate and draw() < params.path_error_rate:
-            neighbors = sorted(self.graph.neighbors(probe_as))
-            neighbors = [n for n in neighbors if n in outcome.routes]
-            if neighbors:
-                measured_as = rng.choice(neighbors)
-        as_path = self._forwarding_path(outcome, measured_as, paths)
-        if as_path is None:
-            return None
-        if (
-            params.divergence_rate
-            and len(as_path) > 3
-            and draw() < params.divergence_rate
-        ):
-            as_path = self._diverge(outcome, as_path, rng, paths)
-
-        target = self.plan.target_address()
+        path_error_rate = params.path_error_rate
+        divergence_rate = params.divergence_rate
         unresponsive_rate = params.unresponsive_rate
         border_sharing_rate = params.border_sharing_rate
-        hops: List[Optional[int]] = []
-        append = hops.append
-        for address, border in self._hop_plan(as_path):
-            # The border-sharing draw happens even at rate 0, so the draw
-            # sequence does not depend on the rate.
-            if draw() < unresponsive_rate:
-                append(None)
-            elif border is not None and draw() < border_sharing_rate:
-                append(border)
-            else:
-                append(address)
+        truncation_rate = params.truncation_rate
+        target = self.plan.target_address()
+        hop_plan = self._hop_plan
+        forwarding_path = self._forwarding_path
+        paths: Dict[ASN, Optional[ASPath]] = {}
+        crc32 = zlib.crc32
+        suffix = f"|{outcome.config.describe()}|{params.seed}".encode("ascii")
+        heads = [
+            (probe_as, crc32(f"probe|{probe_as}|".encode("ascii")))
+            for probe_as in probe_ases
+        ]
+        traces: List[Traceroute] = []
+        emit = traces.append
+        for round_index in rounds:
+            tail = f"{round_index}".encode("ascii") + suffix
+            for probe_as, head in heads:
+                reseed(crc32(tail, head))
+                measured_as = probe_as
+                if path_error_rate and draw() < path_error_rate:
+                    neighbors = [
+                        n for n in sorted(graph.neighbors(probe_as)) if n in routes
+                    ]
+                    if neighbors:
+                        measured_as = rng.choice(neighbors)
+                as_path = forwarding_path(routes, measured_as, paths)
+                if as_path is None:
+                    continue
+                if (
+                    divergence_rate
+                    and len(as_path) > 3
+                    and draw() < divergence_rate
+                ):
+                    as_path = self._diverge(routes, as_path, rng, paths)
+                hops: List[Optional[int]] = []
+                append = hops.append
+                for address, border in hop_plan(as_path):
+                    # The border-sharing draw happens even at rate 0, so
+                    # the draw sequence does not depend on the rate.
+                    if draw() < unresponsive_rate:
+                        append(None)
+                    elif border is not None and draw() < border_sharing_rate:
+                        append(border)
+                    else:
+                        append(address)
 
-        if params.truncation_rate and draw() < params.truncation_rate and hops:
-            cut = rng.randrange(1, len(hops) + 1)
-            return Traceroute(
-                probe_as=probe_as,
-                target=target,
-                hops=tuple(hops[:cut]),
-                reached_target=False,
-            )
-        append(target)
-        return Traceroute(
-            probe_as=probe_as, target=target, hops=tuple(hops), reached_target=True
-        )
+                if truncation_rate and draw() < truncation_rate and hops:
+                    cut = rng.randrange(1, len(hops) + 1)
+                    emit(Traceroute(probe_as, target, tuple(hops[:cut]), False))
+                else:
+                    append(target)
+                    emit(Traceroute(probe_as, target, tuple(hops), True))
+        return traces
+
+    def measure(
+        self, outcome: RoutingOutcome, probe_as: ASN, round_index: int = 0
+    ) -> Optional[Traceroute]:
+        """One traceroute from ``probe_as`` in round ``round_index``: the
+        :meth:`synthesize` trace of that probe and round, or None when
+        the probe has no route."""
+        traces = self.synthesize(outcome, (probe_as,), (round_index,))
+        return traces[0] if traces else None
 
     def _diverge(
         self,
-        outcome: RoutingOutcome,
+        routes,
         as_path: ASPath,
         rng: random.Random,
-        paths: Optional[Dict[ASN, Optional[ASPath]]] = None,
+        paths: Dict[ASN, Optional[ASPath]],
     ) -> ASPath:
         """Fork the path at an intermediate AS onto a neighbor's best path.
 
@@ -286,9 +302,9 @@ class TracerouteEngine:
         exits through a different border than the AS's (single) best route
         in our model, continuing along that neighbor's path to the origin.
         Divergences that would create AS-level loops are discarded.
+        ``routes`` is the outcome's route table and ``paths`` the memo of
+        its forwarding paths.
         """
-        if paths is None:
-            paths = {}
         fork_index = rng.randrange(1, len(as_path) - 2)
         fork_as = as_path[fork_index]
         prefix = as_path[: fork_index + 1]
@@ -296,11 +312,11 @@ class TracerouteEngine:
         neighbors = [
             neighbor
             for neighbor in sorted(self.graph.neighbors(fork_as))
-            if neighbor != default_next and neighbor in outcome.routes
+            if neighbor != default_next and neighbor in routes
         ]
         rng.shuffle(neighbors)
         for neighbor in neighbors:
-            suffix = self._forwarding_path(outcome, neighbor, paths)
+            suffix = self._forwarding_path(routes, neighbor, paths)
             if suffix is None:
                 continue
             candidate = prefix + suffix

@@ -13,7 +13,9 @@ re-selecting its best route from its neighbors' current selections
 through plain :class:`~repro.bgp.policy.PolicyModel` method calls, until
 a full pass changes nothing.  Because it calls ``accepts``/``exports``
 directly, it also runs policies that override them, which the simulator
-refuses to compile.
+refuses to compile.  Its outcomes hold their routes in a
+:class:`RouteMap`, a plain dict of routes with the route table's reads
+(``link_of``, ``path_of``, ``forwarding_path``) done route by route.
 """
 
 from __future__ import annotations
@@ -24,11 +26,72 @@ from repro.bgp.announcement import AnnouncementConfig
 from repro.bgp.policy import PolicyModel
 from repro.bgp.route import Route, stable_tiebreak
 from repro.bgp.simulator import DEFAULT_MAX_PASSES, RoutingOutcome, RoutingSimulator
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, SimulationError
 from repro.topology.graph import ASGraph
 from repro.topology.peering import OriginNetwork
 from repro.topology.relationships import Relationship
 from repro.types import ASN, ASPath, LinkId
+
+
+class RouteMap(dict):
+    """A plain ``{ASN: Route}`` dict with the route-table reads.
+
+    :class:`~repro.bgp.indexed.RouteTable` answers ``link_of``,
+    ``path_of`` and ``forwarding_path`` off its arrays; this answers them
+    by reading :class:`Route` objects, so outcomes of the reference sweep
+    (and dicts of routes doctored by a test) can stand where a simulated
+    outcome's table does, and the walk here is the oracle the table's is
+    held to.
+
+    Args:
+        routes: best route per routed AS.
+        origin_asn: where every forwarding path ends.
+        known_ases: every AS of the topology, routed or not.
+    """
+
+    def __init__(
+        self,
+        routes: Mapping[ASN, Route],
+        origin_asn: ASN,
+        known_ases: FrozenSet[ASN],
+    ) -> None:
+        super().__init__(routes)
+        self.origin_asn = origin_asn
+        self.known_ases = known_ases
+
+    def link_of(self, asn: ASN) -> Optional[LinkId]:
+        route = self.get(asn)
+        return route.link_id if route is not None else None
+
+    def path_of(self, asn: ASN) -> Optional[ASPath]:
+        route = self.get(asn)
+        return route.as_path if route is not None else None
+
+    def forwarding_path(self, asn: ASN) -> ASPath:
+        """Follow ``learned_from`` route by route to the origin."""
+        if asn not in self.known_ases:
+            raise SimulationError(
+                f"AS {asn} is not part of the simulated topology"
+            )
+        if asn == self.origin_asn:
+            return (asn,)
+        hops: List[ASN] = [asn]
+        current = asn
+        for _ in range(len(self) + 2):
+            route = self.get(current)
+            if route is None:
+                raise SimulationError(
+                    f"AS {current} holds no route toward the prefix"
+                    if current == asn
+                    else f"AS {current} (next hop of AS {asn}) holds no route "
+                    "toward the prefix"
+                )
+            next_hop = route.learned_from
+            hops.append(next_hop)
+            if next_hop == self.origin_asn:
+                return tuple(hops)
+            current = next_hop
+        raise SimulationError(f"forwarding loop detected starting at AS {asn}")
 
 
 class ReferenceSweep:
@@ -163,13 +226,12 @@ class ReferenceSweep:
             catchments[route.link_id].add(asn)
         return RoutingOutcome(
             config=config,
-            routes=best,
+            routes=RouteMap(best, origin_asn, self._known_ases),
             catchments={link: frozenset(ases) for link, ases in catchments.items()},
             passes=passes,
             decision_changes=decision_changes,
             converged=converged,
             origin_asn=origin_asn,
-            known_ases=self._known_ases,
             warm_started=bool(warm_start),
         )
 

@@ -41,16 +41,25 @@ class TestFleet:
         )
         return AtlasProbeFleet(probe_ases, engine, rounds_per_config=rounds)
 
+    @staticmethod
+    def rounds_of(fleet, outcome):
+        """Each round's traces, synthesized one round at a time."""
+        return [
+            fleet.engine.synthesize(outcome, fleet.probe_ases, [round_index])
+            for round_index in range(fleet.rounds_per_config)
+        ]
+
     def test_measures_all_rounds(self, small_testbed):
         fleet = self.make_fleet(small_testbed, rounds=3)
         outcome = small_testbed.simulator.simulate(
             anycast_all(small_testbed.origin.link_ids)
         )
-        rounds = fleet.measure(outcome)
-        assert [r.round_index for r in rounds] == [0, 1, 2]
-        for round_ in rounds:
-            assert len(round_.traceroutes) <= len(fleet.probe_ases)
-            assert len(round_.traceroutes) > 0
+        rounds = self.rounds_of(fleet, outcome)
+        assert len(rounds) == 3
+        for traces in rounds:
+            assert 0 < len(traces) <= len(fleet.probe_ases)
+            assert [t.probe_as for t in traces] == sorted(t.probe_as for t in traces)
+        assert fleet.all_traceroutes(outcome) == [t for r in rounds for t in r]
 
     def test_all_traceroutes_flattens(self, small_testbed):
         fleet = self.make_fleet(small_testbed, rounds=2)
@@ -58,19 +67,23 @@ class TestFleet:
             anycast_all(small_testbed.origin.link_ids)
         )
         traces = fleet.all_traceroutes(outcome)
-        rounds = fleet.measure(outcome)
-        assert len(traces) == sum(len(r.traceroutes) for r in rounds)
+        one_by_one = [
+            fleet.engine.measure(outcome, probe_as, round_index)
+            for round_index in range(2)
+            for probe_as in fleet.probe_ases
+        ]
+        assert traces == [trace for trace in one_by_one if trace is not None]
 
     def test_rounds_vary_artifacts(self, small_testbed):
         fleet = self.make_fleet(small_testbed, rounds=2)
         outcome = small_testbed.simulator.simulate(
             anycast_all(small_testbed.origin.link_ids)
         )
-        rounds = fleet.measure(outcome)
+        rounds = self.rounds_of(fleet, outcome)
         # Same probes, different rounds: hop artifacts should differ for
         # at least one probe (unresponsive pattern is per-round).
-        first = {t.probe_as: t.hops for t in rounds[0].traceroutes}
-        second = {t.probe_as: t.hops for t in rounds[1].traceroutes}
+        first = {t.probe_as: t.hops for t in rounds[0]}
+        second = {t.probe_as: t.hops for t in rounds[1]}
         shared = set(first) & set(second)
         assert any(first[p] != second[p] for p in shared)
 

@@ -273,9 +273,7 @@ def test_compiled_topology_direct_use():
         topology.graph, origin, policy, simulator._visit_order
     )
     config = anycast_all(origin.link_ids)
-    outcome = compiled.propagate(
-        config, None, simulator.max_passes, False, topology.graph.ases
-    )
+    outcome = compiled.propagate(config, None, simulator.max_passes, False)
     assert_outcomes_identical(
         outcome, ReferenceSweep.of(simulator).simulate(config)
     )
@@ -336,7 +334,9 @@ class TestRouteTable:
         asn = next(iter(want.routes))
         assert routes[asn] == want.routes[asn]
         assert routes.get(asn) == want.routes[asn]
-        assert routes[asn] is routes.get(asn)  # built once, memoized
+        # Each lookup builds a fresh route; the table keeps none.
+        assert routes[asn] is not routes.get(asn)
+        assert not hasattr(routes, "__dict__") and "_memo" not in RouteTable.__slots__
         sentinel = object()
         assert routes.get(10**9) is None
         assert routes.get(10**9, sentinel) is sentinel

@@ -1,5 +1,8 @@
 """Tests for the traceroute engine."""
 
+import random
+import zlib
+
 import pytest
 
 from repro.bgp.announcement import anycast_all
@@ -10,6 +13,7 @@ from repro.errors import MeasurementError, SimulationError
 from repro.measurement.ip2as import AddressPlan, IPToASMapper
 from repro.measurement.ixp import IXPRegistry
 from repro.measurement.traceroute import Traceroute, TracerouteEngine, TracerouteParams
+from bgp_reference import RouteMap
 from tests.conftest import A, C, ORIGIN, build_mini_internet
 
 
@@ -64,9 +68,11 @@ class TestCleanMeasurements:
         engine, outcome, _ = make_tracer(**CLEAN)
         # Simulate an AS with no route by probing from the origin's
         # perspective of a nonexistent path: drop A's route artificially.
-        outcome.routes = {
-            asn: route for asn, route in outcome.routes.items() if asn != A
-        }
+        outcome.routes = RouteMap(
+            {asn: route for asn, route in outcome.routes.items() if asn != A},
+            ORIGIN,
+            engine.graph.ases,
+        )
         assert engine.measure(outcome, A) is None
 
 
@@ -182,7 +188,8 @@ def reference_measure(engine, outcome, probe_as, round_index):
     """Traceroute synthesis deriving every hop address afresh (no memo
     tables): the oracle the memoized engine must match draw for draw."""
     params = engine.params
-    rng = engine._rng_for(probe_as, round_index, outcome.config.describe())
+    key = f"probe|{probe_as}|{round_index}|{outcome.config.describe()}|{params.seed}"
+    rng = random.Random(zlib.crc32(key.encode("ascii")))
     measured_as = probe_as
     if params.path_error_rate and rng.random() < params.path_error_rate:
         neighbors = [
@@ -199,7 +206,7 @@ def reference_measure(engine, outcome, probe_as, round_index):
         and len(as_path) > 3
         and rng.random() < params.divergence_rate
     ):
-        as_path = engine._diverge(outcome, as_path, rng)
+        as_path = engine._diverge(outcome.routes, as_path, rng, {})
     target = engine.plan.target_address()
     hops = []
     previous_as = None
@@ -261,27 +268,20 @@ class TestMemoizedSynthesis:
         outcome = small_testbed.simulator.simulate(
             anycast_all(small_testbed.origin.link_ids)
         )
-        key = outcome.config.describe()
-        paths = {}  # the forwarding-path memo a fleet keeps per outcome
+        probes = small_testbed.fleet.probe_ases
+        every = []
         is_ixp = small_testbed.campaign.mapper.is_ixp_address
         crossed_ixp = False
         for round_index in range(3):
-            for probe_as in small_testbed.fleet.probe_ases:
+            for probe_as in probes:
                 expected = reference_measure(engine, outcome, probe_as, round_index)
                 assert engine.measure(outcome, probe_as, round_index) == expected
-                assert (
-                    engine.measure(outcome, probe_as, round_index, config_key=key)
-                    == expected
-                )
-                assert (
-                    engine.measure(
-                        outcome, probe_as, round_index, config_key=key, paths=paths
-                    )
-                    == expected
-                )
                 if expected is not None:
+                    every.append(expected)
                     crossed_ixp |= any(
                         hop is not None and is_ixp(hop) for hop in expected.hops
                     )
+        # One call for all probes and rounds, sharing the path memo.
+        assert engine.synthesize(outcome, probes, range(3)) == every
         # The testbed's IXPs were crossed.
         assert crossed_ixp
