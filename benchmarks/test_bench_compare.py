@@ -1,10 +1,10 @@
 """Strategy-race overhead benchmark.
 
-``spooftrack compare`` races every registered traceback strategy over
+``spooftrack compare`` races the five built-in traceback strategies over
 one seeded testbed, paying the catchment measurement pass once through
 a shared :class:`~repro.core.engine.SimulationEngine` and re-running
 only the (cheap) refinement arithmetic per contestant.  That design is
-the whole point: a race of six strategies should cost barely more than
+the whole point: a race of five strategies should cost barely more than
 a lone greedy run, because the simulation work dominates and is shared.
 
 This benchmark times the same testbed two ways:
@@ -13,11 +13,11 @@ This benchmark times the same testbed two ways:
   :class:`~repro.strategy.GreedyStrategy` run — the §V-C baseline a user
   would run anyway;
 * **race**: :func:`~repro.strategy.compare_strategies` over every
-  registered strategy, cold engine, same schedule.
+  built-in strategy, cold engine, same schedule.
 
 ``BENCH_compare.json`` records both wall times and the per-strategy
 marginal cost.  The assertion ceiling is deliberately loose (the race
-may cost up to 8x the lone run — it runs 6 strategies plus ranking)
+may cost up to 8x the lone run — it runs 5 strategies plus ranking)
 because CI clocks are noisy; `spooftrack bench-check` gates the wall
 times against recorded history.
 """

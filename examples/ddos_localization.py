@@ -28,7 +28,6 @@ from repro.core.scheduler import percentile_curve, random_schedule_curves
 from repro.spoof import AmplificationHoneypot, SpoofedTrafficGenerator, pareto_placement
 from repro.strategy import (
     GreedyStrategy,
-    VolumeGreedyStrategy,
     run_strategy,
     weighted_cost,
 )
@@ -113,10 +112,11 @@ def main() -> None:
     print("\n[4] Volume-aware greedy (splits busy clusters first, §VIII):")
     volume_by_as = placement.volume_by_as(1.0)
     aware = run_strategy(
-        VolumeGreedyStrategy(volume_by_as=volume_by_as),
+        GreedyStrategy(),
         sorted(universe),
         history,
         max_steps=8,
+        volume_by_as=volume_by_as,
         curve_metric=lambda state: weighted_cost(state, volume_by_as),
         check_converged=False,
     )

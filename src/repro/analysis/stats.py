@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from ..core.clustering import percentile  # noqa: F401 (re-exported)
+
 
 def ccdf_points(values: Sequence[int]) -> List[Tuple[float, float]]:
     """Complementary CDF: (x, fraction of values ≥ x) at each distinct x.
@@ -38,24 +40,6 @@ def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
             count += 1
         points.append((float(value), count / total))
     return points
-
-
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Linear-interpolation percentile in [0, 100]."""
-    if not values:
-        raise ValueError("cannot compute percentile of no values")
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError("percentile must be in [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    if ordered[low] == ordered[high]:
-        return float(ordered[low])
-    fraction = rank - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
 def mean(values: Sequence[float]) -> float:

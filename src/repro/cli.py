@@ -777,14 +777,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser(
         "compare",
-        help="race registered traceback strategies on one seeded testbed",
+        help="race the built-in traceback strategies on one seeded testbed",
     )
     compare.add_argument(
         "--strategies",
         default=None,
         metavar="NAMES",
         help=(
-            "comma-separated registry names to race "
+            "comma-separated built-in names to race "
             f"(default: all of {', '.join(available_strategies())})"
         ),
     )

@@ -13,13 +13,33 @@ sizes" (Figures 4, 5, 8 of the paper all need per-step sizes).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Mapping
+from typing import FrozenSet, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import ClusteringError
 from ..types import ASN, LinkId
 from .labels import Columns, label_row
+
+
+def percentile(values: Sequence[float], pct: float) -> float:
+    """Linear-interpolation percentile in [0, 100]."""
+    if not values:
+        raise ValueError("cannot compute percentile of no values")
+    if not 0.0 <= pct <= 100.0:
+        raise ValueError("percentile must be in [0, 100]")
+    return sorted_percentile(sorted(values), pct)
+
+
+def sorted_percentile(ordered: Sequence[float], pct: float) -> float:
+    """:func:`percentile` of non-empty ascending ``ordered`` (unchecked)."""
+    rank = (pct / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    if ordered[low] == ordered[high]:
+        return float(ordered[low])
+    fraction = rank - low
+    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
 class ClusterState:
@@ -162,16 +182,7 @@ class ClusterState:
         """Percentile of cluster sizes (linear interpolation, 0–100)."""
         if not 0.0 <= percentile <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
-        ordered = np.sort(self._sizes()).tolist()
-        if len(ordered) == 1:
-            return float(ordered[0])
-        rank = (percentile / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        if ordered[low] == ordered[high]:
-            return float(ordered[low])
-        fraction = rank - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+        return sorted_percentile(np.sort(self._sizes()).tolist(), percentile)
 
     def singleton_fraction(self) -> float:
         """Fraction of clusters containing exactly one source."""

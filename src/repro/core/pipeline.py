@@ -205,7 +205,7 @@ class TrackerReport:
         manifest: frozen run inputs + environment
             (:class:`~repro.obs.manifest.RunManifest`) when the run was
             launched through an instrumented entry point.
-        strategy: registry name of the traceback strategy that planned
+        strategy: built-in name of the traceback strategy that planned
             the deployment order, when one did (None = schedule order).
     """
 
@@ -348,7 +348,7 @@ class SpoofTracker:
                 distant-poison configurations against clusters larger
                 than the threshold.
             split_budget: extra configurations the splitter may deploy.
-            strategy: registry name of a traceback strategy
+            strategy: built-in name of a traceback strategy
                 (:func:`repro.strategy.available_strategies`) to plan the
                 deployment order from the measured catchments, §V-C
                 pre-attack style; the strategy may stop short of the full

@@ -14,15 +14,16 @@ Both operate on pre-measured per-configuration catchment maps, so
 "deploying" a configuration here is just a cluster refinement.  This
 module holds the random baseline and the curve helpers; the maps come
 from :class:`~repro.core.evidence.Evidence` and the greedy orders from
-the strategy plugins::
+the strategy objects::
 
     evidence = Evidence.build(configs, engine.simulate_many(configs))
     result = run_strategy(GreedyStrategy(), sorted(evidence.universe),
                           evidence.maps, max_steps=10, check_converged=False)
 
-The volume-aware variant (paper §VIII future work) is
-:class:`~repro.strategy.VolumeGreedyStrategy`, whose curve is the
-traffic-weighted cost (``curve_metric=lambda s: weighted_cost(s, v)``).
+The volume-aware form (paper §VIII future work) is the same
+:class:`~repro.strategy.GreedyStrategy` driven with
+``run_strategy(..., volume_by_as=v)``; its curve is the traffic-weighted
+cost (``curve_metric=lambda s: weighted_cost(s, v)``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence
 
 from ..errors import SchedulingError
 from ..types import ASN, Catchment, LinkId
-from .clustering import ClusterState
+from .clustering import ClusterState, sorted_percentile
 
 
 def refinement_gain(
@@ -139,12 +140,5 @@ def percentile_curve(
         )
         if not values:
             break
-        rank = (percentile / 100.0) * (len(values) - 1)
-        low = int(rank)
-        high = min(low + 1, len(values) - 1)
-        if values[low] == values[high]:
-            result.append(float(values[low]))
-            continue
-        fraction = rank - low
-        result.append(values[low] * (1.0 - fraction) + values[high] * fraction)
+        result.append(sorted_percentile(values, percentile))
     return result

@@ -29,7 +29,10 @@ and recovery rolls back to ``.1``; only when both are damaged does
 entries lack seeds, which the service fills in from its scenario.
 Versions 1-3 also stored state nothing read (an always-empty queue, a
 decaying volume window, per-observation labels and window counts, a
-zero queue depth per window row); the loader ignores it.  A
+zero queue depth per window row); the loader ignores it.  Versions
+1-4 also stored each window row's schedule index, configs consumed and
+accepted volume, which the loader drops, and may name the retired
+``volume-greedy`` strategy, which resumes as ``greedy``.  A
 newer or unknown version is not corruption: the loader falls back to
 ``.1`` like a damaged document, and raises
 :class:`~repro.errors.LiveServiceError` when no candidate loads.
@@ -48,10 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .service import LiveTracebackService
 
 #: Checkpoint document version :func:`save_checkpoint` writes.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Document versions :func:`load_checkpoint` restores.
-ACCEPTED_VERSIONS = (1, 2, 3, CHECKPOINT_VERSION)
+ACCEPTED_VERSIONS = (1, 2, 3, 4, CHECKPOINT_VERSION)
 
 
 def backup_path(path: str) -> str:

@@ -5,11 +5,11 @@ During an attack every configuration costs real time — a
 matters and so does knowing when more configurations cannot help.  The
 controller owns the dwell ledger, stop thresholds, and remeasurement
 bookkeeping, and delegates the *selection* decision to a pluggable
-:class:`~repro.strategy.TracebackStrategy` (chosen by registry name via
+:class:`~repro.strategy.TracebackStrategy` (chosen by built-in name via
 ``ControllerPolicy.strategy``; default ``"greedy"``):
 
 * **reorder** — among the remaining configurations, deploy the one the
-  strategy proposes; the default greedy plugin maximizes the
+  strategy proposes; the default greedy strategy maximizes the
   lexicographic ``(weighted cost reduction, split gain)`` score against
   the live attributor's rolling volume estimates (the §VIII volume-aware
   objective, falling back to plain split gain before any volume has been
@@ -41,7 +41,7 @@ class ControllerPolicy:
     """Knobs of the attack-time control loop.
 
     Attributes:
-        strategy: registry name of the traceback strategy consulted for
+        strategy: built-in name of the traceback strategy consulted for
             each selection (default the paper's greedy; ``"schedule"``
             deploys in schedule order, the batch behaviour; see
             :func:`repro.strategy.available_strategies`).

@@ -102,7 +102,7 @@ class ReplayScenario:
         queue_capacity: ingestion queue bound.
         drop_policy: ``"newest"`` or ``"oldest"`` (see
             :class:`~repro.live.ingest.BoundedIngestQueue`).
-        strategy: registry name of the traceback strategy the controller
+        strategy: built-in name of the traceback strategy the controller
             consults (default the paper's ``"greedy"``;
             ``"schedule"`` deploys in schedule order, the batch
             pipeline's behaviour; see
@@ -190,10 +190,7 @@ class WindowStats:
     window_index: int
     clock_minutes: float
     config_label: str
-    schedule_index: int
-    configs_consumed: int
     offered_volume: float
-    accepted_volume: float
     dropped_volume: float
     unattributed_volume: float
     num_clusters: int
@@ -601,10 +598,7 @@ class LiveTracebackService:
             window_index=self.window_index,
             clock_minutes=self.clock.now,
             config_label=config.label or config.describe(),
-            schedule_index=index,
-            configs_consumed=self.controller.configs_consumed,
             offered_volume=ingest.offered_volume,
-            accepted_volume=ingest.accepted_volume,
             dropped_volume=ingest.dropped_volume,
             unattributed_volume=self.unattributed_volume,
             num_clusters=state.num_clusters(),
@@ -1041,10 +1035,15 @@ def _spec_from_payload(payload: Mapping) -> TestbedSpec:
 
 def _window_from_payload(payload: Mapping) -> WindowStats:
     # Versions 1-3 also logged the (always zero) post-drain queue depth
-    # and the decaying window's concentration.
+    # and the decaying window's concentration; versions 1-4 also logged
+    # the schedule index, configs consumed and accepted volume, which
+    # the ``select`` event and the run totals carry.
     data = dict(payload)
-    data.pop("queue_depth", None)
-    data.pop("recent_concentration", None)
+    for key in (
+        "queue_depth", "recent_concentration",
+        "schedule_index", "configs_consumed", "accepted_volume",
+    ):
+        data.pop(key, None)
     return WindowStats(**data)
 
 
@@ -1055,6 +1054,10 @@ def _scenario_from_payload(payload: Mapping) -> ReplayScenario:
     data.pop("nnls_stride", None)
     # Versions 1-3 carry the half-life of the retired decaying window.
     data.pop("half_life_windows", None)
+    # Versions 1-4 could name ``volume-greedy``, which was ``greedy``
+    # with no static estimate on the live path.
+    if data.get("strategy") == "volume-greedy":
+        data["strategy"] = "greedy"
     # Checkpoints written while schedule order was an ``adaptive: false``
     # switch store the strategy the switch bypassed; only the paper's
     # greedy (whose convergence check is the schedule strategy's)

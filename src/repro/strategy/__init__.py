@@ -1,11 +1,12 @@
-"""Pluggable traceback strategies (propose / observe / converged).
+"""Traceback strategies (propose / observe / converged).
 
-The interface that turns the repo from one paper into a traceback
-evaluation platform: the batch tracker, the §V-C schedulers, and the
-live adaptive controller all drive interchangeable
-:class:`TracebackStrategy` objects, discovered by name through a
-registry.  ``spooftrack compare`` races registered strategies on one
-seeded testbed with a shared simulation cache.
+The batch tracker, the §V-C schedulers, and the live adaptive
+controller all drive interchangeable :class:`TracebackStrategy`
+objects.  The five built-ins (``greedy``, ``schedule``, ``random``,
+``bisect``, ``bgpeek``) are named in one fixed table;
+``spooftrack compare`` races them on one seeded testbed with a shared
+simulation cache.  Any other strategy is an object driven through
+:func:`run_strategy`.
 """
 
 from .base import (
@@ -23,7 +24,6 @@ from .builtin import (
     PoisonWalkStrategy,
     RandomStrategy,
     ScheduleOrderStrategy,
-    VolumeGreedyStrategy,
 )
 from .compare import (
     CompareReport,
@@ -34,7 +34,6 @@ from .compare import (
 from .registry import (
     available_strategies,
     make_strategy,
-    register_strategy,
     strategy_class,
 )
 
@@ -50,12 +49,10 @@ __all__ = [
     "StrategyOutcome",
     "StrategyRunResult",
     "TracebackStrategy",
-    "VolumeGreedyStrategy",
     "available_strategies",
     "compare_strategies",
     "configs_to_convergence",
     "make_strategy",
-    "register_strategy",
     "run_strategy",
     "strategy_class",
     "weighted_cost",

@@ -134,7 +134,7 @@ class TracebackStrategy(ABC):
             deterministic built-ins).
     """
 
-    #: Registry name (set by concrete strategies).
+    #: Strategy name (the built-ins' names key the strategy table).
     name: ClassVar[str] = ""
     #: True when the strategy always deploys the bound schedule in its
     #: given order — drivers may then skip the per-step planning loop.
@@ -147,7 +147,6 @@ class TracebackStrategy(ABC):
         self.catchment_maps: List[Dict[LinkId, Catchment]] = []
         self.schedule: List = []
         self.remaining: List[int] = []
-        self.universe: Optional[List[ASN]] = None
         self._bound = False
         self._labels: Optional[LabelMatrix] = None
 
@@ -164,7 +163,6 @@ class TracebackStrategy(ABC):
         self,
         catchment_maps: Sequence[Mapping[LinkId, Catchment]],
         schedule: Optional[Sequence] = None,
-        universe: Optional[Sequence[ASN]] = None,
     ) -> "TracebackStrategy":
         """Attach the measured evidence; returns self for chaining.
 
@@ -175,8 +173,6 @@ class TracebackStrategy(ABC):
             schedule: the :class:`AnnouncementConfig` objects aligned
                 with ``catchment_maps`` (phase-aware strategies read
                 ``config.phase``; optional otherwise).
-            universe: the analysis universe (optional; strategies that
-                need it lazily read it off the first ``state`` instead).
         """
         if self._bound:
             raise StrategyError(f"strategy {self.name!r} is already bound")
@@ -189,7 +185,6 @@ class TracebackStrategy(ABC):
             )
         self.catchment_maps = [_own(maps) for maps in catchment_maps]
         self.schedule = list(schedule) if schedule is not None else []
-        self.universe = sorted(universe) if universe is not None else None
         self.remaining = list(range(len(self.catchment_maps)))
         self._bound = True
         self._labels = None
@@ -303,7 +298,7 @@ class StrategyRunResult:
     """Everything one batch strategy run produced.
 
     Attributes:
-        strategy: registry name of the strategy that ran.
+        strategy: name of the strategy that ran.
         order: deployment order, as indices into the bound evidence.
         curve: per-step metric (mean cluster size unless the driver was
             given a custom ``curve_metric``).
@@ -362,7 +357,7 @@ def run_strategy(
     if not strategy.bound:
         if catchment_maps is None:
             raise StrategyError("unbound strategy needs catchment maps")
-        strategy.bind(catchment_maps, schedule=schedule, universe=universe)
+        strategy.bind(catchment_maps, schedule=schedule)
     maps = strategy.catchment_maps
     steps = len(maps) if max_steps is None else min(max_steps, len(maps))
     state = ClusterState(universe)

@@ -1,9 +1,8 @@
 """Built-in traceback strategies.
 
-* ``greedy`` — the paper's §V-C iterative algorithm (default plugin;
+* ``greedy`` — the paper's §V-C iterative algorithm, volume-weighted
+  (§VIII) whenever the driver passes volume estimates (the default;
   bit-identical to the pre-plugin scheduler/controller behaviour).
-* ``volume-greedy`` — §VIII volume-weighted greedy with a static volume
-  estimate baked in at construction.
 * ``bisect`` — binary-search catchment splitting: always attack the
   largest cluster with the configuration that bisects it most evenly.
 * ``bgpeek`` — a BGPeek-a-Boo-style poisoning walk: maintain a suspect
@@ -37,12 +36,10 @@ from .kernel import (
     choose_greedy,
     choose_rescored,
 )
-from .registry import register_strategy
 
 
-@register_strategy
 class GreedyStrategy(TracebackStrategy):
-    """The paper's iterative algorithm as a plugin (§V-C).
+    """The paper's iterative algorithm (§V-C) and its volume-aware form (§VIII).
 
     Each step deploys the remaining configuration maximizing the
     lexicographic ``(weighted cost reduction, split gain)`` score — with
@@ -51,16 +48,15 @@ class GreedyStrategy(TracebackStrategy):
     scheduler's order).  With volume
     estimates it is the live controller's adaptive reordering, now with
     the split gain as an explicit tie-break instead of a ``* 1e-9``
-    scaled fallback score.
+    scaled fallback score.  An all-zero estimate also falls back to the
+    split gain, so the schedule keeps refining instead of dead-stopping.
+    The estimates are whatever the driver passes to :meth:`propose`
+    (``run_strategy(..., volume_by_as=...)``, or the live controller's
+    rolling attribution).
     """
 
     name = "greedy"
     no_proposal_reason = NO_SPLIT_REASON
-
-    def _volumes(
-        self, volume_by_as: Optional[Mapping[ASN, float]]
-    ) -> Mapping[ASN, float]:
-        return volume_by_as or {}
 
     def propose(
         self,
@@ -69,7 +65,7 @@ class GreedyStrategy(TracebackStrategy):
     ) -> Optional[int]:
         if not self.remaining:
             return None
-        volumes = self._volumes(volume_by_as)
+        volumes = volume_by_as or {}
         matrix = self.label_matrix(state)
         if not volumes:
             gains = matrix.split_gains(self.remaining, state)
@@ -93,38 +89,6 @@ class GreedyStrategy(TracebackStrategy):
         )
 
 
-@register_strategy
-class VolumeGreedyStrategy(GreedyStrategy):
-    """Volume-weighted greedy with a construction-time volume estimate.
-
-    The batch form of the §VIII objective: a static ``volume_by_as``
-    (e.g. from an earlier localization pass) overrides whatever rolling
-    estimate the driver supplies.  With an empty or all-zero estimate
-    the weighted reduction is identically zero and selection falls back
-    to the unweighted split gain — the schedule keeps refining instead
-    of dead-stopping (the historical volume-aware scheduler's bug, where
-    a weighted cost of zero could never strictly improve).
-    """
-
-    name = "volume-greedy"
-
-    def __init__(
-        self,
-        seed: int = 0,
-        volume_by_as: Optional[Mapping[ASN, float]] = None,
-    ) -> None:
-        super().__init__(seed)
-        self.volume_by_as = dict(volume_by_as or {})
-
-    def _volumes(
-        self, volume_by_as: Optional[Mapping[ASN, float]]
-    ) -> Mapping[ASN, float]:
-        if self.volume_by_as:
-            return self.volume_by_as
-        return volume_by_as or {}
-
-
-@register_strategy
 class ScheduleOrderStrategy(TracebackStrategy):
     """Deploy in the given schedule order (the batch tracker default).
 
@@ -146,7 +110,6 @@ class ScheduleOrderStrategy(TracebackStrategy):
         return self.remaining[0] if self.remaining else None
 
 
-@register_strategy
 class RandomStrategy(TracebackStrategy):
     """Seeded random deployment order (Figure 8's shaded baseline).
 
@@ -173,7 +136,6 @@ class RandomStrategy(TracebackStrategy):
         return None
 
 
-@register_strategy
 class BisectStrategy(TracebackStrategy):
     """Binary-search catchment splitting.
 
@@ -206,7 +168,6 @@ class BisectStrategy(TracebackStrategy):
         return None
 
 
-@register_strategy
 class PoisonWalkStrategy(TracebackStrategy):
     """BGPeek-a-Boo-style poisoning walk.
 

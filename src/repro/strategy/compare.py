@@ -4,7 +4,7 @@ Every contestant runs over the *same* seeded testbed, schedule, and
 pre-measured catchment maps, streamed through one shared
 :class:`~repro.core.engine.SimulationEngine` — the measurement pass is
 paid once and every strategy decision afterwards is pure refinement
-arithmetic, so a race of six strategies costs barely more than a lone
+arithmetic, so a race of the five built-ins costs barely more than a lone
 greedy run.  The report ranks strategies by final localization quality
 (mean cluster size), then by configurations needed to reach it.
 
@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.configgen import ScheduleParams, generate_schedule
 from ..core.engine import EngineStats, SimulationEngine
 from ..core.evidence import Evidence
 from ..core.timeline import CampaignTimeline
 from ..errors import StrategyError
-from ..obs import Observability
-from ..types import ASN
+from ..obs import Observability, ensure_parent_dir
 from .base import StrategyRunResult, run_strategy
 from .registry import available_strategies, make_strategy
 
@@ -117,11 +116,7 @@ class CompareReport:
 
     def write_json(self, path: str) -> str:
         """Write the ``--json`` artifact; returns ``path``."""
-        import os
-
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        ensure_parent_dir(path)
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -153,23 +148,20 @@ def compare_strategies(
     strategies: Optional[Sequence[str]] = None,
     max_configs: Optional[int] = None,
     seed: Optional[int] = None,
-    volume_by_as: Optional[Mapping[ASN, float]] = None,
     timeline: Optional[CampaignTimeline] = None,
     obs: Optional[Observability] = None,
     engine: Optional[SimulationEngine] = None,
 ) -> CompareReport:
-    """Race registered strategies on one seeded testbed.
+    """Race built-in strategies on one seeded testbed.
 
     Args:
         testbed: a wired :class:`~repro.core.pipeline.Testbed`.
-        strategies: registry names to race, in given order (duplicates
-            collapse to the first occurrence; default: every registered
-            strategy, sorted).
+        strategies: built-in names to race, in given order (duplicates
+            collapse to the first occurrence; default: every built-in,
+            sorted).
         max_configs: truncate the candidate schedule.
         seed: seed for strategies with internal randomness (default:
             the testbed spec's seed, else 0).
-        volume_by_as: optional static per-AS volume estimates fed to
-            every contestant (e.g. ground-truth placement volumes).
         timeline: dwell-cost model (defaults to the paper's).
         obs: optional observability bundle — arms a ``premeasure`` span,
             one ``race`` span per contestant, and per-strategy counters
@@ -230,7 +222,6 @@ def compare_strategies(
                 sorted(evidence.universe),
                 evidence.maps,
                 schedule=schedule,
-                volume_by_as=volume_by_as,
             )
             if span is not None:
                 span.set("configs", len(result.order))

@@ -1,57 +1,47 @@
-"""Name-based registry of traceback strategies.
+"""The fixed name table of the built-in traceback strategies.
 
-Strategies register under a stable name (``"greedy"``, ``"bgpeek"``,
-…) so the CLI, the live controller's policy, checkpoints, and the
-compare harness can all refer to them by string.  Third-party code can
-register additional strategies with :func:`register_strategy` (usable
-as a decorator) before building a controller or compare run.
+Each built-in has a stable name (``"greedy"``, ``"bgpeek"``, …) so the
+CLI, the live controller's policy, checkpoints, and the compare harness
+can all refer to it by string.  A strategy outside this table is an
+object: bind it and drive it with :func:`~repro.strategy.run_strategy`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Type
+from typing import Dict, List, Type
 
 from ..errors import StrategyError
 from .base import TracebackStrategy
+from .builtin import (
+    BisectStrategy,
+    GreedyStrategy,
+    PoisonWalkStrategy,
+    RandomStrategy,
+    ScheduleOrderStrategy,
+)
 
-_REGISTRY: Dict[str, Type[TracebackStrategy]] = {}
-
-
-def register_strategy(
-    cls: Type[TracebackStrategy],
-) -> Type[TracebackStrategy]:
-    """Register a strategy class under its ``name`` (decorator-friendly).
-
-    Re-registering the same class is a no-op; registering a *different*
-    class under an existing name raises — silent shadowing would make
-    checkpointed strategy names ambiguous.
-    """
-    name = getattr(cls, "name", "")
-    if not name:
-        raise StrategyError(f"{cls.__name__} has no registry name")
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise StrategyError(
-            f"strategy name {name!r} is already registered "
-            f"by {existing.__name__}"
-        )
-    _REGISTRY[name] = cls
-    return cls
+_STRATEGIES: Dict[str, Type[TracebackStrategy]] = {
+    "bgpeek": PoisonWalkStrategy,
+    "bisect": BisectStrategy,
+    "greedy": GreedyStrategy,
+    "random": RandomStrategy,
+    "schedule": ScheduleOrderStrategy,
+}
 
 
 def available_strategies() -> List[str]:
-    """Registered strategy names, sorted for deterministic display."""
-    return sorted(_REGISTRY)
+    """Built-in strategy names, sorted for deterministic display."""
+    return sorted(_STRATEGIES)
 
 
 def strategy_class(name: str) -> Type[TracebackStrategy]:
-    """The registered class for ``name``.
+    """The built-in class for ``name``.
 
     Raises:
         StrategyError: for unknown names, listing what is available.
     """
     try:
-        return _REGISTRY[name]
+        return _STRATEGIES[name]
     except KeyError:
         raise StrategyError(
             f"unknown strategy {name!r}; "
@@ -59,6 +49,6 @@ def strategy_class(name: str) -> Type[TracebackStrategy]:
         ) from None
 
 
-def make_strategy(name: str, seed: int = 0, **kwargs) -> TracebackStrategy:
-    """Instantiate a registered strategy by name."""
-    return strategy_class(name)(seed=seed, **kwargs)
+def make_strategy(name: str, seed: int = 0) -> TracebackStrategy:
+    """Instantiate a built-in strategy by name."""
+    return strategy_class(name)(seed=seed)

@@ -223,6 +223,14 @@ class TestParserSurface:
         "_share": ["live.stop_volume_share"],
     }
 
+    #: Deliberate differences from the recorded table: choices removed
+    #: from a command's option (``volume-greedy`` was ``greedy`` on every
+    #: CLI path).
+    DROPPED_CHOICES = {
+        "track.strategy": ["volume-greedy"],
+        "live.strategy": ["volume-greedy"],
+    }
+
     def test_surface_matches_recorded_table(self):
         import pathlib
 
@@ -233,7 +241,18 @@ class TestParserSurface:
                 command, dest = key.split(".")
                 (row,) = [r for r in expected[command] if r["dest"] == dest]
                 row["type"] = type_name
+        for key, dropped in self.DROPPED_CHOICES.items():
+            command, dest = key.split(".")
+            (row,) = [r for r in expected[command] if r["dest"] == dest]
+            row["choices"] = [c for c in row["choices"] if c not in dropped]
         assert _parser_surface(build_parser()) == expected
+
+    @pytest.mark.parametrize("command", ["track", "live"])
+    def test_volume_greedy_choice_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--strategy", "volume-greedy"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'volume-greedy'" in capsys.readouterr().err
 
 
 class TestCommands:

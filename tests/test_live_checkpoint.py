@@ -307,19 +307,19 @@ class TestCheckpointLocation:
 
 
 class TestSchemaVersioning:
-    """Accepted versions: v1, v2 and v3 documents keep loading."""
+    """Accepted versions: v1 to v4 documents keep loading."""
 
     def test_current_documents_store_only_observed_state(
         self, small_testbed, tmp_path
     ):
-        path = str(tmp_path / "v4.json")
+        path = str(tmp_path / "v5.json")
         service = LiveTracebackService(
             scenario=_small_scenario(path), testbed=small_testbed
         )
         service.run()
         service.close()
         payload = json.load(open(path))["payload"]
-        assert payload["version"] == CHECKPOINT_VERSION == 4
+        assert payload["version"] == CHECKPOINT_VERSION == 5
         assert not {"written_by", "window"} & set(payload)
         assert set(payload["ingest"]) == {"stats"}
         assert "half_life_windows" not in payload["scenario"]
@@ -328,7 +328,10 @@ class TestSchemaVersioning:
             assert set(entry) == {"volumes", "offered_volume"}
         assert not {"last_churn", "maps_fresh"} & set(payload["progress"])
         for row in payload["progress"]["windows"]:
-            assert not {"queue_depth", "recent_concentration"} & set(row)
+            assert not {
+                "queue_depth", "recent_concentration",
+                "schedule_index", "configs_consumed", "accepted_volume",
+            } & set(row)
 
     def test_golden_v1_fixture_matches_native_v2_run(
         self, small_testbed, tmp_path
@@ -431,12 +434,33 @@ class TestSchemaVersioning:
 
         _assert_legacy_document_resumes(small_testbed, tmp_path, as_v3)
 
+    def test_version_4_document_loads(self, small_testbed, tmp_path):
+        """A v4 document — per-window schedule index, configs consumed
+        and accepted volume, and the retired ``volume-greedy`` name —
+        resumes to the native greedy run."""
 
-def _assert_legacy_document_resumes(small_testbed, tmp_path, downgrade):
+        def as_v4(payload):
+            payload["version"] = 4
+            payload["scenario"]["strategy"] = "volume-greedy"
+            for consumed, row in enumerate(payload["progress"]["windows"]):
+                row["schedule_index"] = consumed
+                row["configs_consumed"] = consumed + 1
+                row["accepted_volume"] = (
+                    row["offered_volume"] - row["dropped_volume"]
+                )
+
+        _assert_legacy_document_resumes(
+            small_testbed, tmp_path, as_v4, strategy="greedy"
+        )
+
+
+def _assert_legacy_document_resumes(
+    small_testbed, tmp_path, downgrade, **overrides
+):
     """A native checkpoint rewritten by ``downgrade`` into an older
     schema loads and resumes to the uninterrupted run's attribution."""
     path = str(tmp_path / "legacy.json")
-    scenario = _small_scenario(path, churn_events=((2, 0.5),))
+    scenario = _small_scenario(path, churn_events=((2, 0.5),), **overrides)
     native = LiveTracebackService(scenario=scenario, testbed=small_testbed)
     full = native.run()
     native.close()

@@ -15,7 +15,6 @@ from repro.core.scheduler import (
 from repro.errors import ReproError, SchedulingError, StrategyError
 from repro.strategy import (
     GreedyStrategy,
-    VolumeGreedyStrategy,
     run_strategy,
     weighted_cost,
 )
@@ -44,10 +43,11 @@ def greedy_run(universe, history, max_steps=None):
 def volume_greedy_run(universe, history, volume_by_as, max_steps=None):
     """The §VIII volume-aware greedy: (order, weighted-cost curve)."""
     result = run_strategy(
-        VolumeGreedyStrategy(volume_by_as=volume_by_as),
+        GreedyStrategy(),
         universe,
         history,
         max_steps=max_steps,
+        volume_by_as=volume_by_as,
         curve_metric=lambda state: weighted_cost(state, volume_by_as),
         check_converged=False,
     )

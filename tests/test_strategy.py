@@ -29,10 +29,8 @@ from repro.strategy import (
     NO_SPLIT_REASON,
     GreedyStrategy,
     RandomStrategy,
-    TracebackStrategy,
     available_strategies,
     make_strategy,
-    register_strategy,
     run_strategy,
     strategy_class,
     weighted_cost,
@@ -81,8 +79,9 @@ def measured_evidence(testbed, max_configs=14):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"greedy", "volume-greedy", "bisect", "bgpeek", "random",
-                "schedule"} <= set(available_strategies())
+        assert available_strategies() == [
+            "bgpeek", "bisect", "greedy", "random", "schedule"
+        ]
 
     def test_make_strategy(self):
         strategy = make_strategy("greedy")
@@ -92,19 +91,6 @@ class TestRegistry:
     def test_unknown_name_lists_available(self):
         with pytest.raises(StrategyError, match="greedy"):
             strategy_class("nope")
-
-    def test_reregistering_same_class_is_noop(self):
-        assert register_strategy(GreedyStrategy) is GreedyStrategy
-
-    def test_name_collision_rejected(self):
-        class Impostor(TracebackStrategy):
-            name = "greedy"
-
-            def propose(self, state, volume_by_as=None):
-                return None
-
-        with pytest.raises(StrategyError, match="already registered"):
-            register_strategy(Impostor)
 
 
 class TestInterface:
@@ -271,9 +257,10 @@ class TestBuiltinStrategies:
              "l2": frozenset(range(12))},  # isolates the busy quartet
         ]
         result = run_strategy(
-            make_strategy("volume-greedy", volume_by_as=volume),
+            GreedyStrategy(),
             UNIVERSE,
             evidence,
+            volume_by_as=volume,
             check_converged=False,
         )
         # Isolating the busy quartet cuts weighted cost 40×16→40×4; the

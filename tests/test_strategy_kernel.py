@@ -30,7 +30,6 @@ from repro.strategy import (
     NO_SPLIT_REASON,
     NOISE_FLOOR,
     GreedyStrategy,
-    VolumeGreedyStrategy,
     make_strategy,
     run_strategy,
     weighted_cost,
@@ -45,7 +44,7 @@ from repro.strategy.kernel import BLOCK_ROWS, LabelMatrix, choose_greedy
 
 def reference_propose(self, state, volume_by_as=None):
     # Verbatim GreedyStrategy.propose before the array kernel.
-    volumes = self._volumes(volume_by_as)
+    volumes = volume_by_as or {}
     best_index = None
     best_score = (0.0, 0)
     for index in self.remaining:
@@ -194,18 +193,6 @@ class TestProposalsMatchReference:
             prepared_state(universe, prior),
             volumes,
             lambda s, state: reference_propose(s, state, volumes),
-        )
-
-    @settings(max_examples=60, deadline=None)
-    @given(evidence(), volume_maps)
-    def test_volume_greedy(self, case, volumes):
-        universe, maps, prior = case
-        strategy = VolumeGreedyStrategy(volume_by_as=volumes).bind(maps)
-        lockstep(
-            strategy,
-            prepared_state(universe, prior),
-            None,
-            lambda s, state: reference_propose(s, state, None),
         )
 
     @settings(max_examples=100, deadline=None)
