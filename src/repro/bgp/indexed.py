@@ -19,8 +19,8 @@ state:
   directions, and the LocalPref the neighbor gives routes from this AS
   — is precomputed into parallel arrays, so the inner loop does list
   indexing instead of policy method calls.
-* Route state lives in parallel arrays (link index, AS-path length,
-  relationship class, LocalPref, path tuple) instead of
+* Route state lives in parallel arrays (link index, next hop,
+  relationship class, LocalPref, AS-path length, path tuple) instead of
   :class:`~repro.bgp.route.Route` objects.  The outcome keeps the final
   arrays as a :class:`RouteTable`, a read-only mapping that builds a
   ``Route`` only when one is looked up, and its catchments as
@@ -51,13 +51,31 @@ state:
   is read into the same arrays, goes through the same seed filter, and
   gets the full pass 1.
 
-On storage choices: plain Python lists are used deliberately.  The inner
-loop performs scalar indexed reads, and CPython reads a boxed int out of
-a list faster than it unboxes one out of a NumPy array; NumPy pays off
-for whole-array arithmetic, which a Gauss-Seidel sweep with per-candidate
+On storage choices: inside the sweep the route state is plain Python
+lists, deliberately.  The inner loop performs scalar indexed reads and
+writes, and CPython reads a boxed int out of a list faster than it
+unboxes one out of a typed array or a NumPy array; NumPy pays off for
+whole-array arithmetic, which a Gauss-Seidel sweep with per-candidate
 policy filters does not expose.  The project therefore stays
-stdlib-only on this hot path (the ``tight Python lists`` branch), and no
-optional dependency gate is needed.
+stdlib-only on this hot path, and no optional dependency gate is
+needed.  Once the sweep ends, the table keeps typed columns instead,
+because every outcome stays cached until the attribution solve and
+five n-long lists per outcome were the largest share of a paper-scale
+run's memory: ``r_link`` as ``array('h')``, ``r_from`` as
+``array('I')``, ``r_lp`` as ``array('i')``, and the relationship (0-2)
+and the AS-path length as one byte each (a path of 256 or more ASes
+raises ``ValueError``; simulated paths are far shorter).  A warm start
+copies them back into lists.  Relationships are plain ints throughout
+the core and compared by value; :meth:`RouteTable.get` maps them back
+to :class:`~repro.topology.relationships.Relationship`.
+
+Path tuples are interned: every announced path and every new learned
+path goes through :attr:`CompiledTopology.paths`, so equal paths are one
+object across all outcomes of a core.  The table grows with the
+distinct paths any fixpoint on the core ever selects, not with the
+number of outcomes: 5,882 entries after the full ``paper`` schedule at
+seed 0, whose cached outcomes hold 5,696 distinct paths (227,738 path
+objects before interning).
 
 The compiled core reproduces the *base* :class:`PolicyModel` import and
 export semantics.  Policy subclasses that override only per-AS scalars
@@ -70,7 +88,9 @@ that override ``accepts``/``exports`` themselves cannot be compiled, and
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import abc
+from struct import pack
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConvergenceError, SimulationError
@@ -82,7 +102,9 @@ from .announcement import AnnouncementConfig
 from .policy import PolicyModel
 from .route import Route, stable_tiebreak
 
-_CUSTOMER = Relationship.CUSTOMER
+#: Relationships are plain ints 0-2 inside the core (compared by value);
+#: :meth:`RouteTable.get` maps them back through ``_RELATIONSHIPS``.
+_CUSTOMER = int(Relationship.CUSTOMER)
 _RELATIONSHIPS = (
     Relationship.CUSTOMER,
     Relationship.PEER,
@@ -98,7 +120,9 @@ class CompiledTopology:
     Built once by :meth:`compile`; :meth:`propagate` then runs any number
     of configurations over it.  The compiled tables are derived purely
     from ``(graph, origin, policy)``, so one compiled core serves every
-    configuration simulated over that substrate.
+    configuration simulated over that substrate.  The one table that
+    grows is :attr:`paths`, the intern table of AS paths (see the module
+    docstring).
     """
 
     __slots__ = (
@@ -128,6 +152,9 @@ class CompiledTopology:
         "link_provider_idx",
         "providers",
         "num_edges",
+        "paths",
+        "link_format",
+        "lp_format",
     )
 
     @classmethod
@@ -181,10 +208,10 @@ class CompiledTopology:
         e_igp: List[int] = []
         e_tb: List[int] = []
         e_asn: List[ASN] = []
-        e_rel: List[Relationship] = []
+        e_rel: List[int] = []
         e_exp: List[int] = []
         e_push: List[int] = []
-        direct_consts: Dict[int, Tuple[int, int, int, Relationship]] = {}
+        direct_consts: Dict[int, Tuple[int, int, int, int]] = {}
         # Per AS, the LocalPref it gives each relationship it has: one
         # policy call per (AS, relationship), not one per edge.
         lp_by_rel: List[List[Optional[int]]] = [
@@ -207,14 +234,14 @@ class CompiledTopology:
                 e_igp.append(igp)
                 e_tb.append(tb)
                 e_asn.append(neighbor)
-                e_rel.append(rel)
+                e_rel.append(int(rel))
                 # What the neighbor exports to this AS (this AS seen from
                 # the neighbor is the inverse annotation), and what this
                 # AS exports to the neighbor.
                 e_exp.append(exports_to[rel.inverse])
                 e_push.append(exports_to[rel])
                 if neighbor == origin_asn:
-                    direct_consts[i] = (-lp, igp, tb, rel)
+                    direct_consts[i] = (-lp, igp, tb, int(rel))
             off[i + 1] = len(adj)
 
         # The LocalPref the neighbor gives routes from this AS: what its
@@ -253,6 +280,11 @@ class CompiledTopology:
         ]
         self.providers = sorted(set(self.link_provider_idx))
         self.num_edges = len(adj)
+        self.paths: Dict[ASPath, ASPath] = {}
+        # ``struct`` packs a list of signed ints about 2.5x faster than
+        # ``array`` converts one; the bytes then fill the typed column.
+        self.link_format = f"{n}h"
+        self.lp_format = f"{n}i"
         return self
 
     # ------------------------------------------------------------------
@@ -308,8 +340,8 @@ class CompiledTopology:
             if parent_noexp.get(k) != child_noexp.get(k):
                 i = self.link_provider_idx[k]
                 marked.update(adj[off[i]:off[i + 1]])
-        pos = self.pos
-        return sorted(pos[i] for i in marked if pos[i] >= 0)
+        marked.discard(self.origin_idx)  # never evaluated
+        return sorted(map(self.pos.__getitem__, marked))
 
     # ------------------------------------------------------------------
 
@@ -364,10 +396,13 @@ class CompiledTopology:
         olen = [0] * num_links
         ot1: List[Optional[FrozenSet[ASN]]] = [None] * num_links
         tier1 = self.tier1
+        # Every stored path goes through the core's intern table, so
+        # equal paths are one object across all outcomes of the core.
+        intern = self.paths.setdefault
         for link in config.announced:
             k = link_index[link]
             path = config.as_path_for_link(origin_asn, link)
-            opath[k] = path
+            path = opath[k] = intern(path, path)
             olen[k] = len(path)
             oset[k] = frozenset(path)
             ot1[k] = frozenset(a for a in path if a in tier1)
@@ -397,6 +432,7 @@ class CompiledTopology:
             r_from = list(table.r_from)
             r_rel = list(table.r_rel)
             r_lp = list(table.r_lp)
+            r_plen = list(table.r_plen)
             r_path = list(table.r_path)
             parent_opath = table.opath
             for k in range(num_links):
@@ -405,8 +441,9 @@ class CompiledTopology:
         else:
             r_link = [-1] * n
             r_from = [0] * n
-            r_rel = [None] * n
+            r_rel = [0] * n
             r_lp = [0] * n
+            r_plen = [0] * n
             r_path = [None] * n
             if warm_start:
                 origin_idx = self.origin_idx
@@ -415,11 +452,13 @@ class CompiledTopology:
                     k = link_index.get(route.link_id)
                     if i is None or k is None or i == origin_idx:
                         continue
+                    path = route.as_path
                     r_link[i] = k
                     r_from[i] = route.learned_from
-                    r_rel[i] = route.relationship
+                    r_rel[i] = int(route.relationship)
                     r_lp[i] = route.local_pref
-                    r_path[i] = route.as_path
+                    r_plen[i] = len(path)
+                    r_path[i] = intern(path, path)
         # The seed filter (contract shared with the reference sweep): a
         # seeded route must go through an announced link and still end
         # in exactly the AS-path this configuration announces through
@@ -448,9 +487,9 @@ class CompiledTopology:
                         if cut >= 0 and path[cut:] == fresh:
                             continue
                     r_link[i] = -1
+                    r_plen[i] = 0
                     r_path[i] = None
                     dropped.append(i)
-        r_plen = [0 if path is None else len(path) for path in r_path]
         # The tail object each stored path was built from; identity lets
         # an unchanged re-selection skip rebuilding/comparing the tuple.
         r_tail: List[Optional[ASPath]] = [None] * n
@@ -507,7 +546,7 @@ class CompiledTopology:
                 best_key: Optional[Tuple] = None
                 b_link = -1
                 b_from: ASN = 0
-                b_rel: Optional[Relationship] = None
+                b_rel = 0
                 b_tail: Optional[ASPath] = None
                 b_direct = False
 
@@ -515,7 +554,7 @@ class CompiledTopology:
                 if k >= 0:
                     neg_lp, igp, tb, drel = direct_consts[i]
                     ok = not (loop_prev[i] and asn in oset[k])
-                    if ok and t1f[i] and drel is _CUSTOMER:
+                    if ok and t1f[i] and drel == _CUSTOMER:
                         t1s = ot1[k]
                         if t1s and (len(t1s) > 1 or asn not in t1s):
                             ok = False
@@ -561,7 +600,7 @@ class CompiledTopology:
                         if cut > 0 and asn in jpath[:cut]:
                             continue
                     rel = e_rel[e]
-                    if t1f[i] and rel is _CUSTOMER:
+                    if t1f[i] and rel == _CUSTOMER:
                         leak = False
                         for a in jpath:
                             if a != asn and a in tier1:
@@ -583,6 +622,7 @@ class CompiledTopology:
                         continue
                     sent = 0
                     r_link[i] = -1
+                    r_plen[i] = 0
                     r_path[i] = None
                     r_tail[i] = None
                 else:
@@ -590,7 +630,7 @@ class CompiledTopology:
                     same_scalars = (
                         r_link[i] == b_link
                         and r_from[i] == b_from
-                        and r_rel[i] is b_rel
+                        and r_rel[i] == b_rel
                         and r_lp[i] == b_lp
                     )
                     if same_scalars and b_tail is r_tail[i]:
@@ -599,6 +639,8 @@ class CompiledTopology:
                     if same_scalars and new_path == r_path[i]:
                         r_tail[i] = b_tail
                         continue
+                    if not b_direct:
+                        new_path = intern(new_path, new_path)
                     sent = 1 << b_rel
                     r_link[i] = b_link
                     r_from[i] = b_from
@@ -659,10 +701,16 @@ class CompiledTopology:
                 f"no fixpoint after {max_passes} passes for {config.describe()}"
             )
 
+        # Lists in the sweep, typed columns in the table.  A path length
+        # is 0 exactly where no route is held (a path holds at least the
+        # origin), so the routed count is read off the length bytes.
+        plen = bytearray(r_plen)
         routes = RouteTable(
-            self, r_link, r_from, r_rel, r_lp, r_path,
-            n - r_link.count(-1), converged,
-            [direct_link[i] for i in self.providers], opath, noexp,
+            self, array("h", pack(self.link_format, *r_link)),
+            array("I", r_from), bytearray(r_rel),
+            array("i", pack(self.lp_format, *r_lp)), r_path,
+            n - plen.count(0), converged,
+            [direct_link[i] for i in self.providers], opath, noexp, plen,
         )
         return RoutingOutcome(
             config=config,
@@ -689,6 +737,12 @@ class RouteTable(abc.Mapping):
     Membership, length, :meth:`link_of`, :meth:`path_of` and
     :meth:`forwarding_path` read the arrays.
 
+    The scalar columns are typed (``r_link`` ``array('h')``, ``r_from``
+    ``array('I')``, ``r_lp`` ``array('i')``, ``r_rel`` and ``r_plen`` one
+    byte per AS) and ``r_path`` holds the core's interned path tuples.
+    Plain lists read the same: a table built from them, with ``r_plen``
+    left out, derives the lengths from ``r_path``.
+
     The table is also the warm-start seed of the configurations derived
     from it: besides the route arrays it keeps what the next fixpoint
     needs to tell which ASes' inputs changed (``converged``, ``direct``:
@@ -705,6 +759,7 @@ class RouteTable(abc.Mapping):
         "r_rel",
         "r_lp",
         "r_path",
+        "r_plen",
         "converged",
         "direct",
         "opath",
@@ -715,16 +770,17 @@ class RouteTable(abc.Mapping):
     def __init__(
         self,
         core: CompiledTopology,
-        r_link: List[int],
-        r_from: List[ASN],
-        r_rel: List[Optional[Relationship]],
-        r_lp: List[int],
+        r_link: Sequence[int],
+        r_from: Sequence[ASN],
+        r_rel: Sequence[int],
+        r_lp: Sequence[int],
         r_path: List[Optional[ASPath]],
         routed: int,
         converged: bool,
         direct: List[int],
         opath: List[Optional[ASPath]],
         noexp: Optional[Dict[int, Tuple[int, FrozenSet[ASN]]]],
+        r_plen: Optional[bytearray] = None,
     ) -> None:
         self.core = core
         self.r_link = r_link
@@ -732,6 +788,9 @@ class RouteTable(abc.Mapping):
         self.r_rel = r_rel
         self.r_lp = r_lp
         self.r_path = r_path
+        self.r_plen = r_plen if r_plen is not None else bytearray(
+            len(path) if k >= 0 else 0 for k, path in zip(r_link, r_path)
+        )
         self.converged = converged
         self.direct = direct
         self.opath = opath
@@ -749,7 +808,7 @@ class RouteTable(abc.Mapping):
             as_path=self.r_path[i],
             link_id=self.core.link_ids[k],
             learned_from=self.r_from[i],
-            relationship=self.r_rel[i],
+            relationship=_RELATIONSHIPS[self.r_rel[i]],
             local_pref=self.r_lp[i],
         )
 

@@ -20,7 +20,6 @@ a measured map, :class:`AssignedCatchments`, is written from its source
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence,
 )
@@ -44,7 +43,7 @@ class Columns:
             asn: i for i, asn in enumerate(self.asns)
         }
         self.members: FrozenSet[ASN] = frozenset(self.asns)
-        self._core_indices: Dict[CompiledTopology, Optional[List[int]]] = {}
+        self._core_indices: Dict[CompiledTopology, Optional[np.ndarray]] = {}
 
     def __reduce__(self):
         # The memo of core indices holds compiled topologies: not state.
@@ -72,13 +71,13 @@ class Columns:
             (column[asn] for asn in asns if asn in column), dtype=np.intp
         )
 
-    def core_indices(self, core: CompiledTopology) -> Optional[List[int]]:
+    def core_indices(self, core: CompiledTopology) -> Optional[np.ndarray]:
         """The members' indices in ``core``, in column order, or None
         when some member is not in it (memoized per core)."""
         if core not in self._core_indices:
             index = core.index
             self._core_indices[core] = (
-                [index[asn] for asn in self.asns]
+                np.array([index[asn] for asn in self.asns], dtype=np.intp)
                 if all(asn in index for asn in self.asns) else None
             )
         return self._core_indices[core]
@@ -173,15 +172,14 @@ def _route_row(
     routes = catchments.routes
     core = routes.core
     indices = columns.core_indices(core)
-    if not indices:
+    if indices is None or not len(indices):
         return None
     links = [link for link in catchments if link not in skip]  # sorted
     label_of = np.zeros(len(core.link_ids) + 1, dtype=np.int32)
     for label, link in enumerate(links, start=1):
         label_of[core.link_index[link] + 1] = label
-    r_link = np.array(
-        itemgetter(*indices)(routes.r_link), dtype=np.int32
-    ).reshape(-1)
+    # A buffer view of the table's typed column (a copy for lists).
+    r_link = np.asarray(routes.r_link)[indices]
     return LabelRow(columns, links, label_of[r_link + 1])
 
 

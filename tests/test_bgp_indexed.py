@@ -46,6 +46,7 @@ def _fresh_topology(seed):
 def assert_outcomes_identical(a, b):
     """Field-for-field equality of two routing outcomes."""
     assert a.routes == b.routes
+    assert len(a.routes) == len(b.routes)
     assert a.catchments == b.catchments
     assert a.passes == b.passes
     assert a.decision_changes == b.decision_changes
